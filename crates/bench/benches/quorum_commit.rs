@@ -27,8 +27,7 @@ use mvolap_cluster::{
 };
 use mvolap_core::case_study;
 use mvolap_durable::{
-    CheckpointPolicy, DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, TimeSource,
-    WalRecord,
+    CheckpointPolicy, DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, WalRecord,
 };
 use mvolap_replica::{ChannelTransport, Follower, NetAddr, NetConfig};
 use mvolap_server::ServerOptions;
@@ -56,10 +55,7 @@ fn build_set(base: &std::path::Path, members: usize) -> ClusterSet<ChannelTransp
         base,
         cs.tmd,
         Options::default(),
-        GroupConfig {
-            hold_ms: 0,
-            time: TimeSource::default(),
-        },
+        GroupConfig::default(),
         ClusterConfig::default(),
         ChannelTransport::new(),
         Io::plain(),
@@ -103,13 +99,7 @@ fn bench_async_commits(
     let primary_dir = base.join("primary");
     let store = DurableTmd::create_with(&primary_dir, cs.tmd, Options::default(), Io::plain())
         .expect("primary store");
-    let commit = GroupCommit::new(
-        store,
-        GroupConfig {
-            hold_ms: 0,
-            time: TimeSource::default(),
-        },
-    );
+    let commit = GroupCommit::new(store, GroupConfig::default());
     // Same quorum as the sync three-node leg: 2 of {primary, m1, m2}.
     commit.configure_quorum(2);
 
@@ -207,10 +197,7 @@ fn bench_membership(base: &std::path::Path, leaf: mvolap_core::MemberVersionId) 
             policy: CheckpointPolicy::manual(),
             prune_on_checkpoint: true,
         },
-        GroupConfig {
-            hold_ms: 0,
-            time: TimeSource::default(),
-        },
+        GroupConfig::default(),
         ServerOptions {
             quorum_timeout_ms: 10_000,
             ..ServerOptions::default()

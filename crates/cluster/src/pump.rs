@@ -22,7 +22,9 @@
 //! 2. **Ships** new work: fetches fsynced frames from the primary's
 //!    log ([`WalTailer::fetch_budget`] — never past the durable
 //!    watermark, so a member cannot ack a record the primary could
-//!    still lose), packs them as multiple `frames` messages inside
+//!    still lose; the tailer's cursor makes each fetch continue the
+//!    last, so it costs what it returns, not the length of the log),
+//!    packs them as multiple `frames` messages inside
 //!    one `batch` wire envelope ([`encode_batch`] — many WAL frames
 //!    per request/reply round-trip), and queues the envelope in the
 //!    in-flight window.

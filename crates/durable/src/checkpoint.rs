@@ -78,9 +78,9 @@ pub fn write(
     let tmp = cdir.join(format!("{}.tmp", file_name(id)));
     let mut buf = Vec::new();
     write_tmd(tmd, &mut buf)?;
-    let mut f = io.create(&tmp)?;
+    let f = io.create(&tmp)?;
     let res = io
-        .write(&mut f, &buf)
+        .write(&f, &buf)
         .and_then(|()| io.sync(&f))
         .and_then(|()| {
             drop(f);

@@ -2,20 +2,30 @@
 //!
 //! [`DurableTmd::apply`] fsyncs once per record — correct, but a server
 //! with many concurrent writers would pay one disk flush per commit.
-//! [`GroupCommit`] wraps a store behind a shareable handle and batches:
-//! each committer appends its record unsynced (under the store lock),
-//! then the first committer to reach the sync gate becomes the **sync
-//! leader**. The leader holds the batch open for at most `hold_ms`
-//! (measured against a [`TimeSource`], so tests drive it with a manual
-//! timeline), letting late arrivals append, then performs a **single**
-//! fsync covering every record appended so far and wakes all waiters.
+//! [`GroupCommit`] wraps a store behind a shareable handle and batches.
+//! Each committer takes the store lock once: it appends its record
+//! unsynced, captures the fsync that would cover it (segment handle and
+//! log position — a [`WalSync`]) and publishes the capture at the sync
+//! gate, newest replacing older. The first committer to find the gate
+//! free becomes the **sync leader**: it takes the published capture,
+//! runs the fsync **at once and with no lock held**, advances the
+//! durable watermark to the captured position and wakes every waiter.
+//!
+//! The protocol clocks itself. Commits that arrive while a fsync is in
+//! flight append freely, are not covered by it (it was captured before
+//! they appended), and all ride the next one — so a batch is fsync
+//! time ÷ arrival gap commits large, with no timer: a lone committer
+//! pays one fsync and no wait, a crowd shares. `hold_ms > 0` makes the
+//! leader hold the gate open first (on a [`TimeSource`], so tests drive
+//! batching on a manual timeline); nothing shipped sets it.
 //!
 //! The durability contract is unchanged: [`GroupCommit::commit`] only
-//! returns `Ok` once the record's fsync completed, so an acknowledged
-//! commit survives a crash. Records appended but not yet synced sit in
-//! the same window as a classic WAL's unacknowledged tail — recovery
-//! may surface any prefix of them (see the batched crash sweep in
-//! [`crate::fault`]).
+//! returns `Ok` once a completed fsync covers the record. Records
+//! appended but not yet synced sit in a classic WAL's unacknowledged
+//! tail — recovery may surface any prefix of them (see the batched
+//! crash sweep in [`crate::fault`]). Rotation fsyncs the segment it
+//! seals and a checkpoint makes what it prunes durable another way, so
+//! neither strands a record below a position a leader vouches for.
 //!
 //! A failed sync poisons the underlying store; the failure is sticky
 //! and reported to every committer waiting on that batch and to all
@@ -40,33 +50,25 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::clock::TimeSource;
 use crate::error::DurableError;
 use crate::record::WalRecord;
 use crate::store::DurableTmd;
+use crate::wal::WalSync;
 
 /// Tuning for [`GroupCommit`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupConfig {
-    /// Maximum time the sync leader holds a batch open for joiners, in
-    /// milliseconds of `time`. `0` syncs immediately (batching then
-    /// only happens when commits pile up behind an in-flight sync).
+    /// Time the sync leader holds the gate open for joiners before it
+    /// syncs, in milliseconds of `time`. `0`, the default, syncs at
+    /// once: commits batch behind the fsync in flight.
     pub hold_ms: u64,
     /// Timeline the hold window is measured against. With a manual
     /// source the window only closes when the harness advances the
     /// counter past it — deterministic batching for tests.
     pub time: TimeSource,
-}
-
-impl Default for GroupConfig {
-    fn default() -> Self {
-        GroupConfig {
-            hold_ms: 2,
-            time: TimeSource::default(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -96,6 +98,9 @@ struct SyncState {
     /// LSN — the reconfig record itself is already judged under the
     /// new size.
     resizes: Vec<(u64, usize)>,
+    /// The furthest unsynced position any committer has published,
+    /// with the fsync that covers it; the next leader takes it.
+    pending: Option<WalSync>,
     /// Whether some committer currently owns the sync gate.
     leader: bool,
     /// Sticky failure: a sync failed and poisoned the store.
@@ -206,6 +211,7 @@ impl GroupCommit {
                     learners: BTreeSet::new(),
                     banned: BTreeSet::new(),
                     resizes: Vec::new(),
+                    pending: None,
                     leader: false,
                     failed: false,
                 }),
@@ -225,7 +231,12 @@ impl GroupCommit {
     /// journaled); I/O-class errors when journaling or the covering
     /// sync failed (the store is then poisoned).
     pub fn commit(&self, record: WalRecord) -> Result<u64, DurableError> {
-        let lsn = write_lock(&self.inner.store).apply_unsynced(record)?;
+        let lsn = {
+            let mut store = write_lock(&self.inner.store);
+            let lsn = store.apply_unsynced(record)?;
+            self.publish(store.capture_sync()?);
+            lsn
+        };
         self.await_sync(lsn)?;
         Ok(lsn)
     }
@@ -467,8 +478,15 @@ impl GroupCommit {
             .collect()
     }
 
-    /// Waits until `lsn` is covered by a durable sync, becoming the
-    /// sync leader if nobody else is.
+    /// Publishes a capture at the gate, with the store lock still
+    /// held: captures arrive in log order (newest is furthest), and
+    /// whoever can see an append finds its capture here.
+    fn publish(&self, sync: WalSync) {
+        lock(&self.inner.sync).pending = Some(sync);
+    }
+
+    /// Waits until a completed fsync covers `lsn` (whose capture is
+    /// published), leading one if nobody else is.
     fn await_sync(&self, lsn: u64) -> Result<(), DurableError> {
         let mut st = lock(&self.inner.sync);
         loop {
@@ -479,9 +497,10 @@ impl GroupCommit {
                 return Err(DurableError::Poisoned);
             }
             if st.leader {
-                // Somebody else will sync past us (or fail); wait for
-                // the verdict. The timeout is a liveness backstop, not
-                // a correctness device — the loop re-checks state.
+                // A sync is in flight (ours to share, or captured
+                // before we appended); wait for the verdict. The
+                // timeout is a liveness backstop, not a correctness
+                // device — the loop re-checks state.
                 st = self
                     .inner
                     .arrivals
@@ -492,19 +511,24 @@ impl GroupCommit {
             }
             st.leader = true;
             st = self.hold_window(st);
+            let batch = st
+                .pending
+                .take()
+                .expect("an uncovered committer's capture is still published");
             drop(st);
-            // Single fsync for everything appended so far. Taking the
-            // store lock serialises against in-flight appends: anything
-            // appended before we acquire it rides this sync.
-            let synced = write_lock(&self.inner.store).sync_wal();
-            let mut st = lock(&self.inner.sync);
+            // One fsync for everything published so far, no lock held:
+            // whatever is appended from here on rides the next sync.
+            let synced = batch.run();
+            if synced.is_err() {
+                write_lock(&self.inner.store).poison();
+            }
+            st = lock(&self.inner.sync);
             st.leader = false;
             match synced {
                 Ok(pos) => {
                     st.synced_lsn = st.synced_lsn.max(pos);
                     st.recompute_quorum();
                     self.inner.arrivals.notify_all();
-                    return Ok(());
                 }
                 Err(e) => {
                     st.failed = true;
@@ -515,56 +539,61 @@ impl GroupCommit {
         }
     }
 
-    /// Leader-side hold: keep the batch open until `hold_ms` of the
+    /// Leader-side hold: keep the gate open until `hold_ms` of the
     /// configured timeline elapsed, releasing the sync lock while
-    /// waiting so joiners can enqueue.
+    /// waiting so joiners can publish.
     fn hold_window<'a>(&'a self, mut st: MutexGuard<'a, SyncState>) -> MutexGuard<'a, SyncState> {
-        if self.inner.cfg.hold_ms == 0 {
+        let cfg = &self.inner.cfg;
+        if cfg.hold_ms == 0 {
             return st;
         }
-        let deadline = self.inner.cfg.time.now_ms() + self.inner.cfg.hold_ms;
-        while self.inner.cfg.time.now_ms() < deadline {
-            // Short real-time slices: under a System source this sums
-            // to ~hold_ms; under a Manual source it polls until the
-            // harness advances the counter past the deadline.
+        let window = Duration::from_millis(cfg.hold_ms);
+        let (started, closes) = (Instant::now(), cfg.time.now_ms() + cfg.hold_ms);
+        loop {
+            // A system window is real time: one wait, re-armed with
+            // what is left when a wake-up ends it early. A manual one
+            // closes when the harness says so: polled in 1 ms slices.
+            let slice = match cfg.time {
+                TimeSource::System => window.saturating_sub(started.elapsed()),
+                TimeSource::Manual(_) => {
+                    Duration::from_millis(u64::from(cfg.time.now_ms() < closes))
+                }
+            };
+            if slice.is_zero() {
+                return st;
+            }
             st = self
                 .inner
                 .arrivals
-                .wait_timeout(st, Duration::from_millis(1))
+                .wait_timeout(st, slice)
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .0;
         }
-        st
     }
 
-    /// Forces a sync now (no hold window): everything appended so far
-    /// becomes durable. Shutdown calls this.
+    /// Makes everything appended so far durable before returning, by
+    /// the same shared-sync protocol as a commit. Shutdown calls this.
     ///
     /// # Errors
     ///
-    /// I/O-class failures (the store poisons itself).
+    /// [`DurableError::Poisoned`] on a poisoned store; I/O-class
+    /// failures of the sync (which poison it).
     pub fn flush(&self) -> Result<u64, DurableError> {
-        let synced = write_lock(&self.inner.store).sync_wal();
-        let mut st = lock(&self.inner.sync);
-        match synced {
-            Ok(pos) => {
-                st.synced_lsn = st.synced_lsn.max(pos);
-                st.recompute_quorum();
-                self.inner.arrivals.notify_all();
-                Ok(pos)
-            }
-            Err(e) => {
-                st.failed = true;
-                self.inner.arrivals.notify_all();
-                Err(e)
-            }
-        }
+        let head = {
+            let store = read_lock(&self.inner.store);
+            let sync = store.capture_sync()?;
+            let head = sync.next_lsn();
+            self.publish(sync);
+            head
+        };
+        self.await_sync(head.saturating_sub(1))?;
+        Ok(head)
     }
 
     /// Runs `f` with shared read access to the store (queries,
     /// replication taps) — readers run concurrently with each other
-    /// and only block while a commit holds the write lock. Writes must
-    /// go through [`GroupCommit::commit`] or
+    /// and only block while a commit appends, never behind an fsync.
+    /// Writes must go through [`GroupCommit::commit`] or
     /// [`GroupCommit::with_store_mut`].
     pub fn with_store<R>(&self, f: impl FnOnce(&DurableTmd) -> R) -> R {
         f(&read_lock(&self.inner.store))
@@ -699,6 +728,174 @@ mod tests {
         drop(g);
         let reopened = DurableTmd::open(&dir).unwrap();
         assert_eq!(reopened.wal_position(), base + committers);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn fact(leaf: mvolap_core::MemberVersionId, value: f64) -> WalRecord {
+        WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![leaf],
+                at: Instant::ym(2001, 2),
+                values: vec![value],
+            }],
+        }
+    }
+
+    /// A default-configured group (`hold_ms: 0`) over a fresh store,
+    /// plus a second handle on its I/O layer to arm the fsync gate.
+    fn gated(
+        name: &str,
+    ) -> (
+        PathBuf,
+        GroupCommit,
+        crate::io::Io,
+        mvolap_core::MemberVersionId,
+    ) {
+        let dir = tmp(name);
+        let (tmd, leaf) = seed();
+        let io = crate::io::Io::plain();
+        let probe = io.share();
+        let store = DurableTmd::create_with(&dir, tmd, Options::default(), io).unwrap();
+        (
+            dir,
+            GroupCommit::new(store, GroupConfig::default()),
+            probe,
+            leaf,
+        )
+    }
+
+    fn spawn_commit(
+        g: &GroupCommit,
+        record: WalRecord,
+    ) -> std::thread::JoinHandle<Result<u64, DurableError>> {
+        let g = g.clone();
+        std::thread::spawn(move || g.commit(record))
+    }
+
+    #[test]
+    fn sync_in_flight_blocks_nobody_and_covers_only_its_capture() {
+        let (dir, g, io, leaf) = gated("inflight");
+        let base = g.wal_position();
+        let fsyncs = g.fsyncs();
+        let gate = io.gate_next_sync();
+        let leader = spawn_commit(&g, fact(leaf, 1.0));
+        gate.wait_parked();
+
+        // The fsync is parked with no lock held: a reader and an
+        // append both complete behind it.
+        assert_eq!(g.with_store(DurableTmd::wal_position), base + 1);
+        let late = g
+            .with_store_mut(|s| s.apply_unsynced(fact(leaf, 2.0)))
+            .unwrap();
+        assert_eq!(late, base + 1);
+
+        gate.release();
+        assert_eq!(leader.join().unwrap().unwrap(), base);
+        // The sync vouches for the position its leader captured, not
+        // for what was appended while it ran.
+        assert_eq!(g.synced_lsn(), late, "the late record is not covered yet");
+        assert_eq!(g.fsyncs() - fsyncs, 1);
+        // The next sync covers it.
+        assert_eq!(g.flush().unwrap(), late + 1);
+        assert_eq!(g.synced_lsn(), late + 1);
+        assert_eq!(g.fsyncs() - fsyncs, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commits_arriving_during_a_sync_share_the_next_one() {
+        let (dir, g, io, leaf) = gated("selfclocked");
+        let base = g.wal_position();
+        let fsyncs = g.fsyncs();
+        let gate = io.gate_next_sync();
+        let mut committers = vec![spawn_commit(&g, fact(leaf, 0.0))];
+        gate.wait_parked();
+        committers.extend((1..4).map(|i| spawn_commit(&g, fact(leaf, f64::from(i)))));
+        // A capture is published before its append's store lock drops,
+        // so once the position shows all four, all four are at the gate.
+        while g.wal_position() < base + 4 {
+            std::thread::yield_now();
+        }
+        gate.release();
+        let mut lsns: Vec<u64> = committers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        lsns.sort_unstable();
+        assert_eq!(lsns, (base..base + 4).collect::<Vec<_>>());
+        // No timer anywhere: the first sync covered its leader, the
+        // second everything that arrived while the first was in flight.
+        assert_eq!(g.fsyncs() - fsyncs, 2, "4 commits, 2 fsyncs");
+        assert_eq!(g.synced_lsn(), base + 4);
+
+        drop(g);
+        assert_eq!(DurableTmd::open(&dir).unwrap().wal_position(), base + 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_out_of_lock_sync_poisons_the_store_and_fails_every_waiter() {
+        let (dir, g, io, leaf) = gated("oolfail");
+        let base = g.wal_position();
+        let gate = io.gate_next_sync();
+        let leader = spawn_commit(&g, fact(leaf, 1.0));
+        gate.wait_parked();
+        let waiters = [
+            spawn_commit(&g, fact(leaf, 2.0)),
+            spawn_commit(&g, fact(leaf, 3.0)),
+        ];
+        while g.wal_position() < base + 3 {
+            std::thread::yield_now();
+        }
+        gate.fail();
+        match leader.join().unwrap() {
+            Err(DurableError::Injected { op: "fsync" }) => {}
+            other => panic!("expected the injected fsync failure, got {other:?}"),
+        }
+        for w in waiters {
+            match w.join().unwrap() {
+                Err(DurableError::Poisoned) => {}
+                other => panic!("expected Poisoned, got {other:?}"),
+            }
+        }
+        assert!(g.with_store(DurableTmd::is_poisoned));
+        assert_eq!(g.synced_lsn(), base, "nothing was acknowledged");
+        match g.commit(fact(leaf, 4.0)) {
+            Err(DurableError::Poisoned) => {}
+            other => panic!("expected Poisoned, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn system_hold_window_is_rearmed_when_woken_early() {
+        let dir = tmp("hold");
+        let (tmd, leaf) = seed();
+        let store =
+            DurableTmd::create_with(&dir, tmd, Options::default(), crate::io::Io::plain()).unwrap();
+        let g = GroupCommit::new(
+            store,
+            GroupConfig {
+                hold_ms: 20,
+                time: TimeSource::System,
+            },
+        );
+        // Notifies that end the wait early re-arm it for what is left.
+        let poker = g.clone();
+        let poke = std::thread::spawn(move || {
+            for _ in 0..50 {
+                poker.notify_waiters();
+                std::thread::yield_now();
+            }
+        });
+        let started = std::time::Instant::now();
+        g.commit(fact(leaf, 1.0)).unwrap();
+        let held = started.elapsed();
+        poke.join().unwrap();
+        assert!(
+            held >= Duration::from_millis(20),
+            "window cut short: {held:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

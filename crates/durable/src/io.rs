@@ -13,10 +13,17 @@
 //!
 //! Reads are deliberately *not* crash points: recovery is read-only up
 //! to tail truncation, and re-running it is idempotent.
+//!
+//! The counters and the plan sit behind one shared handle, so the
+//! group-commit leader can run its fsync on a second handle with no
+//! store lock held and still hit the same counted, injectable
+//! primitive as every in-lock caller.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use mvolap_prng::Rng;
 
@@ -58,13 +65,20 @@ impl FaultPlan {
     }
 }
 
+#[derive(Debug, Default)]
+struct Shared {
+    fault: Option<Mutex<FaultPlan>>,
+    ops: AtomicU64,
+    fsyncs: AtomicU64,
+    #[cfg(test)]
+    gate: Mutex<Option<Arc<gate::SyncGate>>>,
+}
+
 /// The injectable I/O layer. Without a plan it is a thin veneer over
 /// `std::fs` that additionally counts primitives.
 #[derive(Debug, Default)]
 pub struct Io {
-    fault: Option<FaultPlan>,
-    ops: u64,
-    fsyncs: u64,
+    shared: Arc<Shared>,
 }
 
 impl Io {
@@ -76,15 +90,24 @@ impl Io {
     /// I/O that crashes according to `plan`.
     pub fn faulty(plan: FaultPlan) -> Self {
         Io {
-            fault: Some(plan),
-            ops: 0,
-            fsyncs: 0,
+            shared: Arc::new(Shared {
+                fault: Some(Mutex::new(plan)),
+                ..Shared::default()
+            }),
+        }
+    }
+
+    /// A second handle on the same counters and crash schedule: what
+    /// it performs counts (and crashes) exactly as if this handle had.
+    pub(crate) fn share(&self) -> Io {
+        Io {
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// Number of I/O primitives performed (or attempted) so far.
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.shared.ops.load(Ordering::Relaxed)
     }
 
     /// Number of file `fsync`s performed (or attempted) so far —
@@ -92,32 +115,38 @@ impl Io {
     /// assertion hook: a batch of N commits sharing one sync moves this
     /// counter by 1, not N.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
+        self.shared.fsyncs.load(Ordering::Relaxed)
+    }
+
+    /// Counts one primitive and asks the plan whether the crash point
+    /// fires now; `decide` runs under the plan's lock when it does.
+    fn fires<R>(&self, decide: impl FnOnce(&mut FaultPlan) -> R) -> Option<R> {
+        self.shared.ops.fetch_add(1, Ordering::Relaxed);
+        let mut plan = self
+            .shared
+            .fault
+            .as_ref()?
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        plan.fires().then(|| decide(&mut plan))
     }
 
     /// Counts one primitive; `Err` means the crash point fired.
     fn tick(&mut self, op: &'static str) -> Result<(), DurableError> {
-        self.ops += 1;
-        if let Some(plan) = &mut self.fault {
-            if plan.fires() {
-                return Err(DurableError::Injected { op });
-            }
+        match self.fires(|_| ()) {
+            Some(()) => Err(DurableError::Injected { op }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Appends `bytes` to `file`. An injected crash writes a
     /// deterministic prefix first — the torn write a real power cut
     /// produces.
-    pub fn write(&mut self, file: &mut File, bytes: &[u8]) -> Result<(), DurableError> {
-        self.ops += 1;
-        if let Some(plan) = &mut self.fault {
-            if plan.fires() {
-                let cut = plan.cut(bytes.len());
-                let _ = file.write_all(&bytes[..cut]);
-                let _ = file.flush();
-                return Err(DurableError::Injected { op: "write" });
-            }
+    pub fn write(&mut self, mut file: &File, bytes: &[u8]) -> Result<(), DurableError> {
+        if let Some(cut) = self.fires(|plan| plan.cut(bytes.len())) {
+            let _ = file.write_all(&bytes[..cut]);
+            let _ = file.flush();
+            return Err(DurableError::Injected { op: "write" });
         }
         file.write_all(bytes)?;
         Ok(())
@@ -125,7 +154,9 @@ impl Io {
 
     /// `fsync` on a file.
     pub fn sync(&mut self, file: &File) -> Result<(), DurableError> {
-        self.fsyncs += 1;
+        self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        gate::pass(&self.shared.gate)?;
         self.tick("fsync")?;
         file.sync_all()?;
         Ok(())
@@ -175,6 +206,83 @@ impl Io {
     }
 }
 
+/// Test-only fsync gate: parks the next [`Io::sync`] until the test
+/// releases or fails it, so a test can act while an fsync is in flight
+/// without sleeping.
+#[cfg(test)]
+pub(crate) mod gate {
+    use std::sync::{Arc, Condvar, Mutex};
+
+    use crate::error::DurableError;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum State {
+        Armed,
+        Parked,
+        Released { fail: bool },
+    }
+
+    #[derive(Debug)]
+    pub(crate) struct SyncGate {
+        state: Mutex<State>,
+        changed: Condvar,
+    }
+
+    impl SyncGate {
+        fn set(&self, to: State) {
+            *self.state.lock().unwrap() = to;
+            self.changed.notify_all();
+        }
+
+        fn wait_while(&self, blocked: impl Fn(State) -> bool) -> State {
+            let mut st = self.state.lock().unwrap();
+            while blocked(*st) {
+                st = self.changed.wait(st).unwrap();
+            }
+            *st
+        }
+
+        /// Blocks until a sync is parked at the gate.
+        pub(crate) fn wait_parked(&self) {
+            self.wait_while(|s| s == State::Armed);
+        }
+
+        /// Lets the parked sync proceed to the disk.
+        pub(crate) fn release(&self) {
+            self.set(State::Released { fail: false });
+        }
+
+        /// Makes the parked sync fail as an injected fault.
+        pub(crate) fn fail(&self) {
+            self.set(State::Released { fail: true });
+        }
+    }
+
+    impl super::Io {
+        /// Arms a gate the next [`super::Io::sync`] on this handle (or
+        /// any sharing it) parks at.
+        pub(crate) fn gate_next_sync(&self) -> Arc<SyncGate> {
+            let gate = Arc::new(SyncGate {
+                state: Mutex::new(State::Armed),
+                changed: Condvar::new(),
+            });
+            *self.shared.gate.lock().unwrap() = Some(Arc::clone(&gate));
+            gate
+        }
+    }
+
+    pub(super) fn pass(slot: &Mutex<Option<Arc<SyncGate>>>) -> Result<(), DurableError> {
+        let Some(gate) = slot.lock().unwrap().take() else {
+            return Ok(());
+        };
+        gate.set(State::Parked);
+        match gate.wait_while(|s| s == State::Parked) {
+            State::Released { fail: true } => Err(DurableError::Injected { op: "fsync" }),
+            _ => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,8 +293,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut io = Io::plain();
         let path = dir.join("a");
-        let mut f = io.create(&path).unwrap();
-        io.write(&mut f, b"hello").unwrap();
+        let f = io.create(&path).unwrap();
+        io.write(&f, b"hello").unwrap();
         io.sync(&f).unwrap();
         assert_eq!(io.ops(), 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -199,8 +307,8 @@ mod tests {
         let cut_of = |seed: u64| {
             let path = dir.join(format!("t{seed}"));
             let mut io = Io::faulty(FaultPlan::crash_after(1, seed));
-            let mut f = io.create(&path).unwrap();
-            let err = io.write(&mut f, b"0123456789").unwrap_err();
+            let f = io.create(&path).unwrap();
+            let err = io.write(&f, b"0123456789").unwrap_err();
             assert!(matches!(err, DurableError::Injected { op: "write" }));
             std::fs::metadata(&path).unwrap().len()
         };

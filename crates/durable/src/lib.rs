@@ -48,4 +48,4 @@ pub use group::{GroupCommit, GroupConfig};
 pub use io::{FaultPlan, Io};
 pub use record::{FactRow, WalRecord};
 pub use store::{CheckpointPolicy, DurableTmd, Options, ReconfigEntry};
-pub use wal::{truncate_from, LoggedRecord, TailFrame, Wal};
+pub use wal::{truncate_from, TailFrame, Wal};

@@ -182,9 +182,9 @@ fn write_membership(
     }
     let finals = membership_path(dir);
     let tmp = dir.join("membership.tmp");
-    let mut f = io.create(&tmp)?;
+    let f = io.create(&tmp)?;
     let res = io
-        .write(&mut f, buf.as_bytes())
+        .write(&f, buf.as_bytes())
         .and_then(|()| io.sync(&f))
         .and_then(|()| {
             drop(f);
@@ -481,7 +481,7 @@ impl DurableTmd {
     }
 
     /// Streams every durable frame with `lsn >= from_lsn` — the
-    /// replication tap (see [`Wal::frames_from`]).
+    /// replication tap (see [`crate::wal::tail`]).
     ///
     /// # Errors
     ///
@@ -489,7 +489,7 @@ impl DurableTmd {
     /// part of the log; [`DurableError::Corrupt`] on damage or a
     /// future LSN.
     pub fn tail(&self, from_lsn: u64) -> Result<Vec<crate::wal::TailFrame>, DurableError> {
-        self.wal.frames_from(from_lsn)
+        crate::wal::tail(&self.dir, from_lsn)
     }
 
     /// Base LSN of the oldest WAL segment still on disk.
@@ -690,6 +690,20 @@ impl DurableTmd {
                 Err(e)
             }
         }
+    }
+
+    /// Captures the fsync [`DurableTmd::sync_wal`] would perform now,
+    /// to be run with the store unlocked; if it fails the caller owes
+    /// the store a [`DurableTmd::poison`].
+    pub(crate) fn capture_sync(&self) -> Result<crate::wal::WalSync, DurableError> {
+        self.usable()?;
+        Ok(self.wal.capture_sync(&self.io))
+    }
+
+    /// Marks the handle unusable after a journal fault observed outside
+    /// it (a failed out-of-lock fsync).
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
     }
 
     fn apply_inner(&mut self, record: WalRecord, sync: bool) -> Result<u64, DurableError> {

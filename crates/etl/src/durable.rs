@@ -13,7 +13,6 @@
 
 use std::path::Path;
 
-use mvolap_durable::wal::LoggedRecord;
 use mvolap_durable::{DurableError, Io, Wal};
 use mvolap_storage::StorageError;
 use mvolap_temporal::Instant;
@@ -149,8 +148,8 @@ impl<D: ScdMaintainer> DurableScd<D> {
         let mut io = Io::plain();
         let opened = Wal::open(dir, SEGMENT_BYTES, &mut io)?;
         let mut dim = D::empty(name)?;
-        for LoggedRecord { payload, .. } in &opened.records {
-            dim.ingest(&decode_snapshot(payload)?)?;
+        for record in &opened.records {
+            dim.ingest(&decode_snapshot(&record.payload)?)?;
         }
         Ok(DurableScd {
             dim,

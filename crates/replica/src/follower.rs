@@ -16,6 +16,7 @@ use mvolap_durable::{DurableError, DurableTmd, Io, Options, TailFrame, WalRecord
 
 use crate::error::ReplicaError;
 use crate::record::ReplicaMsg;
+use crate::tailer::WalTailer;
 
 /// Why a follower refuses further replay. Sticky: once set, every
 /// subsequent frame batch is refused until the follower is rebuilt.
@@ -91,6 +92,9 @@ pub struct Follower {
     voted: Option<(u64, String)>,
     /// Chunked snapshot transfer in progress, if any.
     snap: Option<SnapAssembly>,
+    /// Reads our own log back for duplicate checks; its cursor makes a
+    /// re-delivered batch cost its own length, not the log's.
+    tailer: WalTailer,
 }
 
 impl Follower {
@@ -103,9 +107,11 @@ impl Follower {
         opts: Options,
         io: Io,
     ) -> Follower {
+        let dir = dir.into();
         Follower {
             name: name.into(),
-            dir: dir.into(),
+            tailer: WalTailer::new(&dir),
+            dir,
             opts,
             store: None,
             io: Some(io),
@@ -143,6 +149,7 @@ impl Follower {
                 let last_crc = store.tail(oldest)?.last().map_or(0, |f| f.crc);
                 Follower {
                     name,
+                    tailer: WalTailer::new(&dir),
                     dir,
                     opts,
                     store: Some(store),
@@ -485,13 +492,7 @@ impl Follower {
     /// A frame we already hold: its CRC must match ours, else the
     /// histories forked behind our back.
     fn check_duplicate(&mut self, f: &TailFrame) -> Result<(), ReplicaError> {
-        let store = self.store.as_ref().expect("position > 1 implies a store");
-        let ours = match store.tail(f.lsn) {
-            Ok(frames) => frames.first().filter(|o| o.lsn == f.lsn).map(|o| o.crc),
-            Err(DurableError::Pruned { .. }) => None,
-            Err(e) => return Err(e.into()),
-        };
-        match ours {
+        match self.tailer.crc_at(f.lsn)? {
             Some(crc) if crc != f.crc => {
                 let r = Refusal::Diverged {
                     lsn: f.lsn,

@@ -3,8 +3,10 @@
 //! local log — the divergence gate.
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-use mvolap_durable::{checkpoint, wal, DurableError, TailFrame};
+use mvolap_durable::wal::{self, TailCursor};
+use mvolap_durable::{checkpoint, DurableError, TailFrame};
 
 use crate::error::ReplicaError;
 
@@ -27,15 +29,32 @@ pub enum TailSource {
 /// Reads a store's log directly from its directory. The store fsyncs
 /// every append before reporting a commit, so reading behind a live
 /// [`mvolap_durable::DurableTmd`] always observes committed frames.
-#[derive(Debug, Clone)]
+///
+/// The tailer remembers where its last read started and stopped (a
+/// [`TailCursor`]), so a read that continues or overlaps the one
+/// before seeks to its first frame and costs what it returns, however
+/// long the log. Any other read walks the log and re-seeds the cursor.
+#[derive(Debug)]
 pub struct WalTailer {
     dir: PathBuf,
+    cursor: Mutex<TailCursor>,
 }
 
 impl WalTailer {
     /// A tailer over the store directory `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> WalTailer {
-        WalTailer { dir: dir.into() }
+        WalTailer {
+            dir: dir.into(),
+            cursor: Mutex::default(),
+        }
+    }
+
+    fn cursor(&self) -> std::sync::MutexGuard<'_, TailCursor> {
+        // A read empties the cursor and refills it only on success,
+        // so a holder that panicked left it valid.
+        self.cursor
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The store directory this tailer reads.
@@ -53,26 +72,7 @@ impl WalTailer {
     /// [`ReplicaError::Protocol`] when the log is pruned but no
     /// covering checkpoint exists (a store invariant violation).
     pub fn fetch(&self, from_lsn: u64, max: usize) -> Result<TailSource, ReplicaError> {
-        match wal::tail(&self.dir, from_lsn) {
-            Ok(mut frames) => {
-                frames.truncate(max);
-                Ok(TailSource::Frames(frames))
-            }
-            Err(DurableError::Pruned { .. }) => {
-                let Some((id, tmd)) = checkpoint::load_latest(&self.dir)? else {
-                    return Err(ReplicaError::protocol(format!(
-                        "log pruned below LSN {from_lsn} but no checkpoint covers it"
-                    )));
-                };
-                let mut snapshot = Vec::new();
-                mvolap_core::persist::write_tmd(&tmd, &mut snapshot).map_err(DurableError::from)?;
-                Ok(TailSource::Snapshot {
-                    next_lsn: id.next_lsn,
-                    snapshot,
-                })
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.fetch_budget(from_lsn, u64::MAX, max, usize::MAX)
     }
 
     /// Like [`WalTailer::fetch`], but bounded three ways — the batch
@@ -96,22 +96,30 @@ impl WalTailer {
         max_frames: usize,
         max_bytes: usize,
     ) -> Result<TailSource, ReplicaError> {
-        match self.fetch(from_lsn, max_frames)? {
-            TailSource::Frames(mut frames) => {
-                frames.retain(|f| f.lsn < below);
-                let mut bytes = 0usize;
-                let mut keep = 0usize;
-                for f in &frames {
-                    if keep > 0 && bytes + f.payload.len() > max_bytes {
-                        break;
-                    }
-                    bytes += f.payload.len();
-                    keep += 1;
-                }
-                frames.truncate(keep);
-                Ok(TailSource::Frames(frames))
+        let read = wal::tail_from(
+            &self.dir,
+            from_lsn,
+            below,
+            max_frames,
+            max_bytes,
+            &mut self.cursor(),
+        );
+        match read {
+            Ok(frames) => Ok(TailSource::Frames(frames)),
+            Err(DurableError::Pruned { .. }) => {
+                let Some((id, tmd)) = checkpoint::load_latest(&self.dir)? else {
+                    return Err(ReplicaError::protocol(format!(
+                        "log pruned below LSN {from_lsn} but no checkpoint covers it"
+                    )));
+                };
+                let mut snapshot = Vec::new();
+                mvolap_core::persist::write_tmd(&tmd, &mut snapshot).map_err(DurableError::from)?;
+                Ok(TailSource::Snapshot {
+                    next_lsn: id.next_lsn,
+                    snapshot,
+                })
             }
-            snap @ TailSource::Snapshot { .. } => Ok(snap),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -121,8 +129,9 @@ impl WalTailer {
     ///
     /// [`ReplicaError::Durable`] on damage or a request past the head.
     pub fn crc_at(&self, lsn: u64) -> Result<Option<u32>, ReplicaError> {
-        match wal::tail(&self.dir, lsn) {
-            Ok(frames) => Ok(frames.first().filter(|f| f.lsn == lsn).map(|f| f.crc)),
+        let read = wal::tail_from(&self.dir, lsn, u64::MAX, 1, usize::MAX, &mut self.cursor());
+        match read {
+            Ok(frames) => Ok(frames.first().map(|f| f.crc)),
             Err(DurableError::Pruned { .. }) => Ok(None),
             Err(e) => Err(e.into()),
         }
