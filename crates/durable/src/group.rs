@@ -8,16 +8,25 @@
 //! log position — a [`WalSync`]) and publishes the capture at the sync
 //! gate, newest replacing older. The first committer to find the gate
 //! free becomes the **sync leader**: it takes the published capture,
-//! runs the fsync **at once and with no lock held**, advances the
-//! durable watermark to the captured position and wakes every waiter.
+//! runs the fsync **with no lock held**, advances the durable
+//! watermark to the captured position and wakes every waiter.
 //!
 //! The protocol clocks itself. Commits that arrive while a fsync is in
 //! flight append freely, are not covered by it (it was captured before
-//! they appended), and all ride the next one — so a batch is fsync
-//! time ÷ arrival gap commits large, with no timer: a lone committer
-//! pays one fsync and no wait, a crowd shares. `hold_ms > 0` makes the
-//! leader hold the gate open first (on a [`TimeSource`], so tests drive
-//! batching on a manual timeline); nothing shipped sets it.
+//! they appended), and all ride the next one — so a commit that finds
+//! the log quiet pays one fsync and no wait, and a crowd shares.
+//!
+//! One timer remains, and it paces rather than holds: on the system
+//! clock a sync starts no sooner than [`SYNC_PACE`] (1 ms) after the
+//! one before it was due, so a sustained stream of commits spends at
+//! most 1,000 fsyncs a second and everything that arrives in between
+//! shares one. Without it a closed loop of committers runs at the
+//! disk's own speed — each fsync's latency, which moves by tenths from
+//! one minute to the next on a shared disk, *is* the commit rate — and
+//! the rate a client sees is no steadier than that. `hold_ms > 0`
+//! additionally makes every leader hold the gate open first (on a
+//! [`TimeSource`], so tests drive batching on a manual timeline, which
+//! is never paced); nothing shipped sets it.
 //!
 //! The durability contract is unchanged: [`GroupCommit::commit`] only
 //! returns `Ok` once a completed fsync covers the record. Records
@@ -62,14 +71,20 @@ use crate::wal::WalSync;
 #[derive(Debug, Clone, Default)]
 pub struct GroupConfig {
     /// Time the sync leader holds the gate open for joiners before it
-    /// syncs, in milliseconds of `time`. `0`, the default, syncs at
-    /// once: commits batch behind the fsync in flight.
+    /// syncs, in milliseconds of `time`. `0`, the default, holds
+    /// nothing: commits batch behind the fsync in flight.
     pub hold_ms: u64,
     /// Timeline the hold window is measured against. With a manual
     /// source the window only closes when the harness advances the
     /// counter past it — deterministic batching for tests.
     pub time: TimeSource,
 }
+
+/// Least time between the starts of two syncs on the system clock: a
+/// sustained stream of commits shares at most 1,000 fsyncs a second. A
+/// commit that arrives later than this after the previous sync began
+/// is synced at once.
+const SYNC_PACE: Duration = Duration::from_millis(1);
 
 #[derive(Debug)]
 struct SyncState {
@@ -103,6 +118,8 @@ struct SyncState {
     pending: Option<WalSync>,
     /// Whether some committer currently owns the sync gate.
     leader: bool,
+    /// When the last sync was due; the next is paced against it.
+    last_sync: Option<Instant>,
     /// Sticky failure: a sync failed and poisoned the store.
     failed: bool,
 }
@@ -213,6 +230,7 @@ impl GroupCommit {
                     resizes: Vec::new(),
                     pending: None,
                     leader: false,
+                    last_sync: None,
                     failed: false,
                 }),
                 arrivals: Condvar::new(),
@@ -539,22 +557,23 @@ impl GroupCommit {
         }
     }
 
-    /// Leader-side hold: keep the gate open until `hold_ms` of the
-    /// configured timeline elapsed, releasing the sync lock while
-    /// waiting so joiners can publish.
+    /// Leader-side wait before a sync, releasing the sync lock so
+    /// joiners can publish: until `hold_ms` of the configured timeline
+    /// elapsed and, on the system clock, until the sync is due —
+    /// [`SYNC_PACE`] after the previous one was. Pacing against the
+    /// due time, not the wake-up, keeps timer overshoot from adding up.
     fn hold_window<'a>(&'a self, mut st: MutexGuard<'a, SyncState>) -> MutexGuard<'a, SyncState> {
         let cfg = &self.inner.cfg;
-        if cfg.hold_ms == 0 {
-            return st;
-        }
-        let window = Duration::from_millis(cfg.hold_ms);
-        let (started, closes) = (Instant::now(), cfg.time.now_ms() + cfg.hold_ms);
+        let held = Instant::now() + Duration::from_millis(cfg.hold_ms);
+        let due = st.last_sync.map_or(held, |t| held.max(t + SYNC_PACE));
+        st.last_sync = Some(due);
+        let closes = cfg.time.now_ms() + cfg.hold_ms;
         loop {
             // A system window is real time: one wait, re-armed with
             // what is left when a wake-up ends it early. A manual one
             // closes when the harness says so: polled in 1 ms slices.
             let slice = match cfg.time {
-                TimeSource::System => window.saturating_sub(started.elapsed()),
+                TimeSource::System => due.saturating_duration_since(Instant::now()),
                 TimeSource::Manual(_) => {
                     Duration::from_millis(u64::from(cfg.time.now_ms() < closes))
                 }
@@ -896,6 +915,42 @@ mod tests {
             held >= Duration::from_millis(20),
             "window cut short: {held:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn back_to_back_syncs_are_paced_on_the_system_clock_only() {
+        let (dir, g, _io, leaf) = gated("pace");
+        let (base, fsyncs) = (g.wal_position(), g.fsyncs());
+        let started = std::time::Instant::now();
+        for i in 0..10 {
+            g.commit(fact(leaf, f64::from(i))).unwrap();
+        }
+        // The first sync is due at once, each later one a pace after
+        // the one before; pacing delays syncs, it never merges a lone
+        // committer's.
+        let took = started.elapsed();
+        assert!(took >= 9 * SYNC_PACE, "ten commits in {took:?}");
+        assert_eq!(g.fsyncs() - fsyncs, 10);
+        assert_eq!(g.synced_lsn(), base + 10);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A manual timeline only waits for what the harness dictates:
+        // with the clock standing still, nothing here may wait on it.
+        let dir = tmp("pace_manual");
+        let (tmd, leaf) = seed();
+        let store =
+            DurableTmd::create_with(&dir, tmd, Options::default(), crate::io::Io::plain()).unwrap();
+        let g = GroupCommit::new(
+            store,
+            GroupConfig {
+                hold_ms: 0,
+                time: TimeSource::manual(0),
+            },
+        );
+        for i in 0..10 {
+            g.commit(fact(leaf, f64::from(i))).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

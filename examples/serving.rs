@@ -14,9 +14,9 @@
 //!    run the paper's Q1 at the same time; the group-commit journal
 //!    counters show the sharing — never more than one fsync per commit,
 //!    fewer whenever commits arrive while another's fsync is in flight
-//!    (there is no batching timer) — and the pool counters show every
-//!    request flowing through the fixed worker set with the sharded
-//!    query memo absorbing the repeated lookups.
+//!    or within the 1 ms pace between syncs — and the pool counters
+//!    show every request flowing through the fixed worker set with the
+//!    sharded query memo absorbing the repeated lookups.
 //! 3. **Follower reads.** A `read` request carries an explicit
 //!    staleness bound: while the follower is behind it is refused with
 //!    the typed `TooStale` error, and after one replication pump the
@@ -78,7 +78,8 @@ fn main() {
     // 2. Concurrent sessions: every thread connects, commits facts to
     //    its own case-study leaf and interleaves Q1 reads. A commit
     //    that arrives while another's fsync is in flight rides the
-    //    next fsync together with everything else that arrived.
+    //    next fsync, due 1 ms after that one, together with everything
+    //    else that arrived.
     let leaves = [cs.brian, cs.smith, cs.bill, cs.paul];
     let fsyncs_before = group.fsyncs();
     let lsn_before = group.wal_position();
@@ -110,7 +111,7 @@ fn main() {
     let fsyncs = group.fsyncs() - fsyncs_before;
     println!(
         "\n{SESSIONS} sessions journaled {commits} commits with {fsyncs} fsyncs \
-         ({:.2} fsyncs/commit; shared wherever commits overlapped a sync in flight)",
+         ({:.2} fsyncs/commit; shared by everything that arrived between two paced syncs)",
         fsyncs as f64 / commits as f64
     );
     assert_eq!(
