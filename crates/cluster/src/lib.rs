@@ -18,21 +18,26 @@
 //!   deposed primary walks its log backwards against the new
 //!   primary's, cuts everything past the last CRC match (its
 //!   un-quorum'd suffix), and only then re-enters the group.
-//! - **Fault sweep** ([`cluster_sweep`]): kills the primary at every
-//!   I/O primitive and partitions a member at every transport step,
-//!   asserting that no quorum-acknowledged commit is ever lost and no
-//!   two primaries accept writes in the same epoch.
+//! - **Fault sweeps** ([`cluster_sweep`], [`cluster_sweep_net`],
+//!   [`membership_sweep`]): kill the primary or a member at every I/O
+//!   primitive, partition a member at every transport step, drop or
+//!   stall the socket under the whole group, fork two histories —
+//!   asserting that no quorum-acknowledged commit is ever lost, no
+//!   two primaries accept writes in the same epoch, survivors
+//!   reconverge byte-identically and every refusal is typed.
 //! - **Async pump** ([`MemberPump`]): per-member shipping engines
 //!   that tail the primary's WAL and ship batched frame envelopes
 //!   with a bounded in-flight window; [`MemberPump::spawn`] runs one
-//!   on a dedicated thread so commits stop paying a caller's pump
-//!   interval, while [`MemberPump::step`] stays a synchronous hook
-//!   deterministic tests drive directly.
+//!   on a dedicated thread per member of a served group
+//!   ([`LocalCluster`]), while [`MemberPump::step`] stays a
+//!   synchronous hook deterministic tests drive directly.
 //!
-//! The supervisor is deterministic: no wall-clock, no threads — every
-//! protocol step happens inside [`ClusterSet::tick`], which is what
-//! makes the exhaustive sweep possible; threaded shipping lives only
-//! in the pump/serving layer above it.
+//! [`ClusterSet`] is the deterministic *model* of the group: no
+//! wall-clock, no threads — every protocol step happens inside
+//! [`ClusterSet::tick`], which is what makes the exhaustive sweeps
+//! possible. The *served* group ships through [`MemberPump`] threads
+//! instead; both speak the same records to the same
+//! [`mvolap_replica::Follower`].
 
 #![warn(missing_docs)]
 
@@ -50,4 +55,6 @@ pub use set::{
     ClusterConfig, ClusterEvent, ClusterSet, ClusterStats, PendingReconfig, QuorumPrimary,
     RejoinOutcome,
 };
-pub use sweep::{cluster_sweep, membership_sweep, ClusterSweepOutcome, MembershipSweepOutcome};
+pub use sweep::{
+    cluster_sweep, cluster_sweep_net, membership_sweep, ClusterSweepOutcome, MembershipSweepOutcome,
+};

@@ -2,15 +2,14 @@
 //! read routing plus one read server per member, all on local
 //! addresses — the three-node quick-start from the README, packaged.
 //!
-//! Replication runs in two gears. The explicit gear is
-//! [`LocalCluster::pump`]: one shipping round per call, driven by the
-//! caller, so tests can reproduce every staleness bound and quorum
-//! refusal. The serving gear is [`LocalCluster::spawn_pumps`]: one
-//! dedicated shipping thread per member ([`MemberPump`]) that tails
-//! the primary's WAL, ships batched frame envelopes with a bounded
+//! Replication is [`LocalCluster::spawn_pumps`]: one dedicated
+//! shipping thread per member ([`MemberPump`]) that tails the
+//! primary's WAL, ships batched frame envelopes with a bounded
 //! in-flight window, and feeds acks into the quorum tracker
-//! continuously — commits then clear the quorum in one shipping
-//! round-trip with nobody driving a loop.
+//! continuously — commits clear the quorum in one shipping round-trip
+//! with nobody driving a loop. Until the pumps are spawned nothing
+//! ships, which is how tests stage a stale fleet and an unreplicated
+//! commit.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -50,9 +49,8 @@ impl LocalCluster {
     /// `dir/primary` and one replica per `(name, bind)` in `members`
     /// under `dir/<name>`, then spawns every server. The quorum is
     /// sized to the whole group (primary plus members). Replication
-    /// starts stalled: drive it per round with [`LocalCluster::pump`]
-    /// or hand it to shipping threads with
-    /// [`LocalCluster::spawn_pumps`].
+    /// starts stalled until [`LocalCluster::spawn_pumps`] hands it to
+    /// the shipping threads.
     ///
     /// # Errors
     ///
@@ -137,9 +135,9 @@ impl LocalCluster {
     /// Hands replication to dedicated shipping threads: one
     /// [`MemberPump`] per member, each tailing the primary's WAL and
     /// shipping batched envelopes under `cfg`'s in-flight window.
-    /// From here commits clear the quorum without anybody calling
-    /// [`LocalCluster::pump`], and fleet read freshness advances on
-    /// its own. Idempotent — later calls are no-ops while pumps run.
+    /// From here commits clear the quorum and fleet read freshness
+    /// advances on its own. Idempotent — later calls are no-ops while
+    /// pumps run.
     pub fn spawn_pumps(&mut self, cfg: PumpConfig) {
         if self.pump_shared.is_some() {
             return;
@@ -398,28 +396,6 @@ impl LocalCluster {
     #[must_use]
     pub fn primary_stats(&self) -> mvolap_server::PoolStats {
         self.primary.pool_stats()
-    }
-
-    /// One replication round, caller-driven: ships the primary's tail
-    /// to **every** member and reports each healthy member's applied
-    /// position into the quorum tracker, releasing any commit waiting
-    /// for majority ack. One failing member no longer aborts the
-    /// round — the others still ship and ack, so a majority can
-    /// advance past a partitioned straggler; its error is returned in
-    /// that member's slot instead.
-    pub fn pump(&self) -> Vec<(String, Result<u64, ServerError>)> {
-        let mut rounds = Vec::with_capacity(self.readers.len());
-        for (name, server) in &self.readers {
-            let round = server.pump_follower().inspect(|&applied| {
-                // A member that applied LSN n has journaled and
-                // fsynced through n in its own store — that is the
-                // quorum ack. The tracker speaks next-LSN ("synced
-                // everything below"), hence the +1.
-                self.commit.member_synced(name, applied + 1);
-            });
-            rounds.push((name.clone(), round));
-        }
-        rounds
     }
 
     /// A session client for the primary server.

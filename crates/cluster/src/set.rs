@@ -4,14 +4,14 @@
 //! whose deposed primaries rejoin by truncating their un-quorum'd
 //! suffix.
 //!
-//! [`ClusterSet`] mirrors the shape of
-//! [`mvolap_replica::ReplicaSet`] — single-threaded, transport-driven,
-//! time counted in ticks — but replaces the plain acknowledgement flow
-//! with the quorum envelope: members answer replication with
-//! [`ReplicaMsg::QuorumAck`], the primary feeds each member's
-//! durably-synced position into its [`GroupCommit`] watermark, and a
-//! commit is *cluster-acknowledged* only once
-//! [`GroupCommit::quorum_lsn`] passes it.
+//! [`ClusterSet`] is the one tick-driven supervisor — single-threaded,
+//! transport-driven, time counted in ticks, which is what lets the
+//! sweeps enumerate every fault point. Each round a member's hello is
+//! answered from the primary's log ([`WalTailer::answer_hello`]),
+//! members answer replication with [`ReplicaMsg::QuorumAck`], the
+//! primary feeds each member's durably-synced position into its
+//! [`GroupCommit`] watermark, and a commit is *cluster-acknowledged*
+//! only once [`GroupCommit::quorum_lsn`] passes it.
 //!
 //! # Election
 //!
@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use mvolap_core::Tmd;
 use mvolap_durable::{DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord};
-use mvolap_replica::{Follower, ReplicaError, ReplicaMsg, ReplicaTransport, TailSource, WalTailer};
+use mvolap_replica::{Follower, ReplicaError, ReplicaMsg, ReplicaTransport, WalTailer};
 
 /// Inbox name the supervisor collects election replies on; never a
 /// member name.
@@ -63,8 +63,7 @@ impl Default for ClusterConfig {
 }
 
 /// The write-accepting node of a quorum group: a [`GroupCommit`] (so
-/// server sessions can share it) plus the epoch/fencing discipline of
-/// [`mvolap_replica::PrimaryNode`].
+/// server sessions can share it) behind an epoch and a fencing flag.
 #[derive(Debug)]
 pub struct QuorumPrimary {
     name: String,
@@ -690,7 +689,25 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     next_lsn,
                     last_crc,
                     ..
-                } => self.answer_hello(&node, next_lsn, last_crc)?,
+                } => {
+                    let primary = self.primary.as_ref().expect("primary exists");
+                    // A position check that cannot read the log skips
+                    // the round; the member asks again next tick.
+                    let Ok(answer) = primary.tailer().answer_hello(
+                        self.epoch,
+                        primary.wal_position(),
+                        next_lsn,
+                        last_crc,
+                        self.cfg.batch_frames,
+                    ) else {
+                        continue;
+                    };
+                    self.stats.frames_shipped += answer.frames as u64;
+                    self.stats.snapshots_served += u64::from(answer.snapshot);
+                    for msg in &answer.msgs {
+                        self.transport.send(&node, msg).map_err(|_| true)?;
+                    }
+                }
                 ReplicaMsg::QuorumAck {
                     node,
                     epoch,
@@ -727,75 +744,10 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                         link.synced_lsn = link.synced_lsn.max(synced_lsn.min(cap));
                     }
                 }
-                // Plain acks (from a ReplicaSet-era peer) still update
-                // read routing, but never the quorum watermark.
-                ReplicaMsg::Ack { node, next_lsn, .. } => {
-                    if let Some(link) = self.members.get_mut(&node) {
-                        link.applied_lsn = link.applied_lsn.max(next_lsn);
-                    }
-                }
                 // Stray traffic (old votes, fences echoing); ignore.
                 _ => {}
             }
         }
-        Ok(())
-    }
-
-    /// Answers one member hello: divergence gate, then heartbeat plus
-    /// frames or a snapshot.
-    fn answer_hello(&mut self, node: &str, next_lsn: u64, last_crc: u32) -> Result<(), bool> {
-        let primary = self.primary.as_ref().expect("primary exists");
-        let epoch = self.epoch;
-        let head = primary.wal_position();
-        let tailer = primary.tailer();
-        if let Err(ReplicaError::Diverged {
-            lsn,
-            expected_crc,
-            got_crc,
-        }) = tailer.verify_position(next_lsn, last_crc, head)
-        {
-            self.transport
-                .send(
-                    node,
-                    &ReplicaMsg::Diverged {
-                        epoch,
-                        lsn,
-                        expected_crc,
-                        got_crc,
-                    },
-                )
-                .map_err(|_| true)?;
-            return Ok(());
-        }
-        self.transport
-            .send(
-                node,
-                &ReplicaMsg::Heartbeat {
-                    epoch,
-                    next_lsn: head,
-                },
-            )
-            .map_err(|_| true)?;
-        if next_lsn >= head {
-            return Ok(());
-        }
-        let reply = match tailer.fetch(next_lsn, self.cfg.batch_frames) {
-            Ok(TailSource::Frames(frames)) => {
-                self.stats.frames_shipped += frames.len() as u64;
-                ReplicaMsg::Frames { epoch, frames }
-            }
-            Ok(TailSource::Snapshot { next_lsn, snapshot }) => {
-                self.stats.snapshots_served += 1;
-                ReplicaMsg::Snapshot {
-                    epoch,
-                    next_lsn,
-                    snapshot,
-                }
-            }
-            // Serving-side read problems surface as a skipped round.
-            Err(_) => return Ok(()),
-        };
-        self.transport.send(node, &reply).map_err(|_| true)?;
         Ok(())
     }
 

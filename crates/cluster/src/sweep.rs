@@ -1,11 +1,11 @@
 //! Fault-injected quorum sweep: the cluster subsystem's correctness
 //! argument, executable.
 //!
-//! [`cluster_sweep`] extends the replication sweep to the quorum
-//! setting. It runs the seeded workload
+//! [`cluster_sweep`] extends the durability crate's crash sweep to the
+//! replicated setting. It runs the seeded workload
 //! ([`mvolap_durable::generate`]) on a primary with two members under
 //! majority-ack commit, then re-runs it once per injection point
-//! across two fault classes:
+//! across three fault classes:
 //!
 //! 1. **Primary crashes** — the primary's I/O layer crashes at every
 //!    I/O primitive. The survivors must elect a new primary
@@ -18,27 +18,37 @@
 //!    permanent partition must still quorum through the surviving
 //!    member, and an operator failover must fence the deposed primary
 //!    so it refuses writes in the new epoch — the dual-primary probe.
+//! 3. **Member crashes** — member `m1`'s I/O layer crashes at every
+//!    primitive; the supervisor restarts it from its own directory and
+//!    it must reconverge byte-identically while the quorum carries on
+//!    through `m2`.
 //!
 //! A staged quorum-loss scenario additionally proves a leaderless,
 //! partitioned group refuses to elect ([`ReplicaError::NoQuorum`])
 //! rather than risk two histories, then elects automatically once the
-//! partition heals.
+//! partition heals; a staged divergence scenario forks two histories
+//! after a shared prefix and proves the fork is refused with a typed
+//! error on both sides of the protocol and bars the refusing member
+//! from election.
+//!
+//! [`cluster_sweep_net`] runs the same three-node group with every
+//! protocol message on loopback TCP ([`TcpTransport`] to a
+//! [`MsgRouter`]) and a [`FaultProxy`] dropping or stalling the
+//! connection at every transport step.
 
 use std::path::Path;
 
-use mvolap_core::persist::write_tmd;
-use mvolap_core::Tmd;
-use mvolap_durable::fault::{generate, Step, Workload};
-use mvolap_durable::{
-    CheckpointPolicy, DurableError, FaultPlan, GroupConfig, Io, Options, TimeSource, WalRecord,
+use mvolap_core::{DimensionId, Tmd};
+use mvolap_durable::fault::{
+    generate, query_fingerprint, serialise, sweep_options, Step, Workload,
 };
-use mvolap_replica::{ReplicaError, ReplicaMsg, ReplicaTransport, TransportError};
+use mvolap_durable::{DurableError, DurableTmd, FaultPlan, GroupConfig, Io, TimeSource, WalRecord};
+use mvolap_replica::{
+    ChannelTransport, FaultProxy, MsgRouter, NetAddr, NetConfig, ProxyFault, ReplicaError,
+    ReplicaMsg, ReplicaTransport, TcpTransport, TransportError, WalTailer,
+};
 
 use crate::set::{ClusterConfig, ClusterEvent, ClusterSet, RejoinOutcome};
-
-/// The reference query every surviving node must answer identically to
-/// the in-memory prefix replay.
-const QUERY: &str = "SELECT sum(Amount) BY year, Org.Division IN MODE tcm";
 
 /// Ticks the drain loop will spend waiting for convergence. Generous:
 /// a cut member burns only a couple of transport operations per tick,
@@ -57,7 +67,10 @@ pub struct ClusterSweepOutcome {
     pub injection_points: u64,
     /// Runs where the primary's I/O crashed.
     pub primary_crashes: u64,
-    /// Runs with an injected partition (healing or permanent).
+    /// Runs where member `m1`'s I/O crashed and it was restarted.
+    pub member_crashes: u64,
+    /// Runs with an injected partition or socket outage (healing or
+    /// permanent).
     pub partitions: u64,
     /// Healing outages that reconverged exactly.
     pub healed_outages: u64,
@@ -79,18 +92,10 @@ pub struct ClusterSweepOutcome {
     /// Commits that timed out waiting for quorum (locally durable,
     /// never cluster-acknowledged).
     pub unreplicated_commits: u64,
+    /// Typed divergence refusals observed in the fork scenario.
+    pub divergence_refusals: u64,
     /// Logical records in the workload.
     pub records: usize,
-}
-
-/// Store options matching the durable and replica sweeps: tiny
-/// segments so rotation and pruning happen often, manual checkpoints.
-fn sweep_options() -> Options {
-    Options {
-        segment_bytes: 2048,
-        policy: CheckpointPolicy::manual(),
-        prune_on_checkpoint: true,
-    }
 }
 
 fn sweep_cluster_config() -> ClusterConfig {
@@ -98,6 +103,29 @@ fn sweep_cluster_config() -> ClusterConfig {
         batch_frames: 32,
         heartbeat_miss_limit: 3,
         commit_ticks: 16,
+    }
+}
+
+/// What one clustered run injects: the primary's and `m1`'s I/O
+/// layers and the transport between the nodes — plus the supervision
+/// policy, which a transport may need to be less patient.
+struct Faults<T> {
+    primary_io: Io,
+    m1_io: Io,
+    transport: T,
+    cfg: ClusterConfig,
+}
+
+impl<T> Faults<T> {
+    /// Plain I/O on every node; whatever faults there are live in
+    /// `transport`.
+    fn on(transport: T) -> Faults<T> {
+        Faults {
+            primary_io: Io::plain(),
+            m1_io: Io::plain(),
+            transport,
+            cfg: sweep_cluster_config(),
+        }
     }
 }
 
@@ -110,41 +138,14 @@ fn sweep_group_config() -> GroupConfig {
     }
 }
 
-fn serialise(tmd: &Tmd) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_tmd(tmd, &mut buf).expect("in-memory serialisation cannot fail");
-    buf
-}
-
-/// Fingerprints the reference query's full answer through the query
-/// pipeline, value bits and confidences included.
-fn fingerprint(tmd: &Tmd) -> Result<Vec<String>, String> {
-    let svs = tmd.structure_versions();
-    let rs = mvolap_query::run_with_versions(tmd, &svs, QUERY)
-        .map_err(|e| format!("query failed: {e}"))?;
-    Ok(rs
-        .rows
-        .iter()
-        .map(|r| {
-            let cells: Vec<String> = r
-                .cells
-                .iter()
-                .map(|c| format!("{}:{:?}", c.value.map_or(0, f64::to_bits), c.confidence))
-                .collect();
-            format!("{}|{}|{}", r.time, r.keys.join(","), cells.join(","))
-        })
-        .collect())
-}
-
 /// A channel transport that silently cuts traffic to and from a set of
 /// nodes once a global operation counter passes `from_step`, for
-/// `outage_len` cut operations (`u64::MAX` = permanent partition).
-/// Unlike [`mvolap_replica::FaultyTransport`] the cut is *per node*:
-/// the rest of the group keeps replicating, which is what makes the
-/// quorum path observable.
+/// `outage_len` cut operations (`u64::MAX` = permanent partition). The
+/// cut is *per node*: the rest of the group keeps replicating, which
+/// is what makes the quorum path observable.
 #[derive(Debug)]
 struct MemberPartition {
-    inner: mvolap_replica::ChannelTransport,
+    inner: ChannelTransport,
     cut: Vec<String>,
     from_step: u64,
     outage_len: u64,
@@ -155,7 +156,7 @@ struct MemberPartition {
 impl MemberPartition {
     fn new(cut: &[&str], from_step: u64, outage_len: u64) -> MemberPartition {
         MemberPartition {
-            inner: mvolap_replica::ChannelTransport::new(),
+            inner: ChannelTransport::new(),
             cut: cut.iter().map(|s| (*s).to_string()).collect(),
             from_step,
             outage_len,
@@ -213,59 +214,133 @@ impl ReplicaTransport for MemberPartition {
     }
 }
 
+/// A [`TcpTransport`] bundled with the loopback infrastructure that
+/// must outlive it — the [`MsgRouter`] it speaks to and, on faulted
+/// runs, the [`FaultProxy`] in between. Dropping it per run tears the
+/// sockets and threads down, so a long sweep never accumulates them.
+struct LoopbackTransport {
+    inner: TcpTransport,
+    _proxy: Option<FaultProxy>,
+    _router: MsgRouter,
+}
+
+impl LoopbackTransport {
+    /// A fresh router on an ephemeral port; with `fault`, a proxy in
+    /// front of it that mistreats `outage_len` request frames once the
+    /// plan fires.
+    fn build(fault: Option<(FaultPlan, u64, ProxyFault)>) -> Result<LoopbackTransport, String> {
+        // The read timeout sits comfortably above a loopback round
+        // trip and well below a stalled proxy's silence, so a hung
+        // link surfaces fast. One reconnect, so the client absorbs
+        // part of a bounded outage itself — except under a permanent
+        // cut, where a retry could only double the cost of failing.
+        let permanent = matches!(fault, Some((_, u64::MAX, _)));
+        let cfg = NetConfig {
+            connect_timeout_ms: 2_000,
+            read_timeout_ms: 50,
+            write_timeout_ms: 2_000,
+            reconnect_attempts: u32::from(!permanent),
+            backoff_start_ms: 0,
+        };
+        let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into()))
+            .map_err(|e| format!("sweep router spawn: {e}"))?;
+        let (proxy, addr) = match fault {
+            Some((plan, outage_len, kind)) => {
+                let p = FaultProxy::spawn(router.addr().clone(), plan, outage_len, kind)
+                    .map_err(|e| format!("sweep proxy spawn: {e}"))?;
+                let a = p.addr().clone();
+                (Some(p), a)
+            }
+            None => (None, router.addr().clone()),
+        };
+        Ok(LoopbackTransport {
+            inner: TcpTransport::connect(addr, cfg),
+            _proxy: proxy,
+            _router: router,
+        })
+    }
+}
+
+impl ReplicaTransport for LoopbackTransport {
+    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
+        self.inner.send(to, msg)
+    }
+
+    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
+        self.inner.recv(node)
+    }
+
+    fn steps(&self) -> u64 {
+        self.inner.steps()
+    }
+}
+
+/// Faults for a run over sockets. A commit waits two supervision
+/// rounds for its quorum, not sixteen: every operation on a cut socket
+/// pays a reconnect, and the refusal is as typed after two rounds as
+/// after sixteen.
+fn socket_faults(transport: LoopbackTransport) -> Faults<LoopbackTransport> {
+    Faults {
+        cfg: ClusterConfig {
+            commit_ticks: 2,
+            ..sweep_cluster_config()
+        },
+        ..Faults::on(transport)
+    }
+}
+
 /// Result of one clustered workload run.
-struct ClusterRun {
+struct ClusterRun<T: ReplicaTransport> {
     /// The set, unless the primary crashed while bootstrapping.
-    set: Option<ClusterSet<MemberPartition>>,
+    set: Option<ClusterSet<T>>,
     /// Every commit the cluster *acknowledged* at quorum: `(lsn, frame
     /// crc)` — the records no failure is allowed to lose.
     acked: Vec<(u64, u32)>,
     committed: u64,
     unreplicated: u64,
+    /// Times `m1`'s store crashed and was restarted from its directory.
+    member_crashes: u64,
     primary_crashed: bool,
 }
 
 /// Runs `workload` on a fresh primary + m1 + m2 group under `base`
-/// with majority-ack commits. Injected crashes are recorded;
-/// non-faulty failures are hard errors.
-fn run_cluster(
+/// with majority-ack commits. Injected crashes are recorded — a
+/// crashed `m1` is at once reopened from its directory (with plain
+/// I/O) and replication continues; non-faulty failures are hard
+/// errors.
+fn run_cluster<T: ReplicaTransport>(
     base: &Path,
     workload: &Workload,
-    primary_io: Io,
-    transport: MemberPartition,
-) -> Result<ClusterRun, String> {
+    faults: Faults<T>,
+) -> Result<ClusterRun<T>, String> {
     std::fs::remove_dir_all(base).ok();
-    let mut set = match ClusterSet::bootstrap(
-        base,
-        workload.seed_schema.clone(),
-        sweep_options(),
-        sweep_group_config(),
-        sweep_cluster_config(),
-        transport,
-        primary_io,
-    ) {
-        Ok(set) => set,
-        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            return Ok(ClusterRun {
-                set: None,
-                acked: Vec::new(),
-                committed: 0,
-                unreplicated: 0,
-                primary_crashed: true,
-            })
-        }
-        Err(e) => return Err(format!("cluster bootstrap failed non-faultily: {e}")),
-    };
-    set.add_member("m1", Io::plain());
-    set.add_member("m2", Io::plain());
-
     let mut run = ClusterRun {
         set: None,
         acked: Vec::new(),
         committed: 0,
         unreplicated: 0,
+        member_crashes: 0,
         primary_crashed: false,
     };
+    let mut set = match ClusterSet::bootstrap(
+        base,
+        workload.seed_schema.clone(),
+        sweep_options(),
+        sweep_group_config(),
+        faults.cfg,
+        faults.transport,
+        faults.primary_io,
+    ) {
+        Ok(set) => set,
+        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
+            run.primary_crashed = true;
+            return Ok(run);
+        }
+        Err(e) => return Err(format!("cluster bootstrap failed non-faultily: {e}")),
+    };
+    set.add_member("m1", faults.m1_io);
+    set.add_member("m2", Io::plain());
+
     for step in &workload.steps {
         let res = match step {
             Step::Op(record) => set.commit_quorum(record.clone()).map(Some),
@@ -297,6 +372,11 @@ fn run_cluster(
             }
             Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
         }
+        if set.member_crashed("m1") {
+            run.member_crashes += 1;
+            set.restart_member("m1")
+                .map_err(|e| format!("member restart failed: {e}"))?;
+        }
     }
     run.set = Some(set);
     Ok(run)
@@ -305,8 +385,8 @@ fn run_cluster(
 /// Asserts every quorum-acknowledged `(lsn, crc)` pair is present in
 /// the current primary's log (or pruned into a covering checkpoint —
 /// never *different*).
-fn assert_acked_present(
-    set: &ClusterSet<MemberPartition>,
+fn assert_acked_present<T: ReplicaTransport>(
+    set: &ClusterSet<T>,
     acked: &[(u64, u32)],
     what: &str,
 ) -> Result<(), String> {
@@ -328,10 +408,11 @@ fn assert_acked_present(
 
 /// Asserts the primary's state equals the in-memory replay of its own
 /// log length, and answers the reference query identically.
-fn assert_prefix_consistent(
-    set: &ClusterSet<MemberPartition>,
+fn assert_prefix_consistent<T: ReplicaTransport>(
+    set: &ClusterSet<T>,
     prefix_bytes: &[Vec<u8>],
     prefix_tmds: &[Tmd],
+    org: DimensionId,
     what: &str,
 ) -> Result<usize, String> {
     let p = set.primary().expect("primary lives");
@@ -345,7 +426,7 @@ fn assert_prefix_consistent(
             "{what}: primary state is not byte-identical to prefix {q}"
         ));
     }
-    if fingerprint(&schema)? != fingerprint(&prefix_tmds[q])? {
+    if query_fingerprint(&schema, org)? != query_fingerprint(&prefix_tmds[q], org)? {
         return Err(format!(
             "{what}: primary answers the reference query differently at prefix {q}"
         ));
@@ -355,8 +436,8 @@ fn assert_prefix_consistent(
 
 /// Pumps ticks until member `name` catches the primary's head (or the
 /// tick budget runs out); asserts byte-identity once caught.
-fn converge_member(
-    set: &mut ClusterSet<MemberPartition>,
+fn converge_member<T: ReplicaTransport>(
+    set: &mut ClusterSet<T>,
     name: &str,
     prefix_bytes: &[Vec<u8>],
     what: &str,
@@ -417,7 +498,7 @@ fn quorum_loss_scenario(
     // possible with one transport — so cut m1 late, after more steps
     // than the clean run ever used).
     let transport = MemberPartition::new(&["m1"], u64::MAX / 2, u64::MAX);
-    let run = run_cluster(base, workload, Io::plain(), transport)?;
+    let run = run_cluster(base, workload, Faults::on(transport))?;
     if run.primary_crashed {
         return Err("quorum-loss scenario: primary crashed faultlessly".to_string());
     }
@@ -438,11 +519,11 @@ fn quorum_loss_scenario(
 
     // Rebuild with a partition that starts early enough to suppress
     // m1's vote but heals: measure the clean run's steps first.
-    let clean = run_cluster(base, workload, Io::plain(), MemberPartition::clean())?;
+    let clean = run_cluster(base, workload, Faults::on(MemberPartition::clean()))?;
     let steps_after_workload = clean.set.as_ref().map_or(0, ClusterSet::transport_steps);
     drop(clean);
     let transport = MemberPartition::new(&["m1"], steps_after_workload, OUTAGE_OPS);
-    let mut run = run_cluster(base, workload, Io::plain(), transport)?;
+    let mut run = run_cluster(base, workload, Faults::on(transport))?;
     let set = run.set.as_mut().expect("set lives");
     let acked = run.acked.clone();
     let old = set.kill_primary().expect("primary present");
@@ -488,24 +569,138 @@ fn quorum_loss_scenario(
     Ok(())
 }
 
-/// Sweeps every fault-injection point of the quorum-replicated
-/// workload and checks the cluster invariants at each one: **no
-/// quorum-acknowledged commit is ever lost** across a single-node
-/// crash or partition, and **no two primaries accept writes in the
-/// same epoch** (the deposed one is probed at every failover).
-///
-/// # Errors
-///
-/// A description of the first violated invariant — any `Err` is a
-/// cluster bug.
-pub fn cluster_sweep(
-    base_dir: &Path,
-    seed: u64,
-    target_records: usize,
-) -> Result<ClusterSweepOutcome, String> {
-    let workload = generate(seed, target_records);
+/// Staged divergence scenario: two histories fork after a shared
+/// prefix — the classic post-failover split — and the fork must be
+/// refused with a typed error on both sides of the protocol, and bar
+/// the refusing member from election. Returns the number of distinct
+/// refusals observed (primary-side gate, member-side duplicate check,
+/// election bar).
+fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
+    let workload = generate(seed, 8);
+    let records: Vec<&WalRecord> = workload
+        .steps
+        .iter()
+        .filter_map(|s| match s {
+            Step::Op(r) => Some(r),
+            Step::Checkpoint => None,
+        })
+        .collect();
 
-    // Prefix states, exactly as in the durable crash sweep.
+    // History A: the full workload, quorum-committed on primary + m1 + m2.
+    let run = run_cluster(
+        &base.join("a"),
+        &workload,
+        Faults::on(MemberPartition::clean()),
+    )?;
+    let mut set = run.set.expect("fault-free run has a set");
+    if run.committed != workload.records as u64 {
+        return Err(format!(
+            "fork scenario committed {}/{}",
+            run.committed, workload.records
+        ));
+    }
+
+    // History B: same prefix, but the last record is replaced by a
+    // different (valid) evolution.
+    let b_dir = base.join("b");
+    let mut b = DurableTmd::create_with(
+        &b_dir,
+        workload.seed_schema.clone(),
+        sweep_options(),
+        Io::plain(),
+    )
+    .map_err(|e| format!("fork scenario history B create: {e}"))?;
+    for r in &records[..records.len() - 1] {
+        b.apply((*r).clone())
+            .map_err(|e| format!("fork scenario history B apply: {e}"))?;
+    }
+    b.apply(WalRecord::Create {
+        dim: workload.org,
+        name: "Dept-fork".to_string(),
+        level: Some("Department".to_string()),
+        at: mvolap_temporal::Instant::ym(2030, 1),
+        parents: vec![mvolap_core::MemberVersionId(0)],
+    })
+    .map_err(|e| format!("fork record apply: {e}"))?;
+    let fork_lsn = b.wal_position() - 1;
+
+    let mut refusals = 0u64;
+
+    // Primary-side gate: m2's position claim names a frame CRC history
+    // B never wrote — a primary serving B answers its hello with the
+    // typed `Diverged` and nothing else.
+    let ReplicaMsg::Hello {
+        next_lsn, last_crc, ..
+    } = set.member("m2").expect("m2 registered").hello()
+    else {
+        unreachable!("hello() builds a Hello")
+    };
+    let answer = WalTailer::new(&b_dir)
+        .answer_hello(0, b.wal_position(), next_lsn, last_crc, 32)
+        .map_err(|e| format!("fork scenario: history B cannot answer: {e}"))?;
+    match answer.msgs.as_slice() {
+        [ReplicaMsg::Diverged { lsn, .. }] if *lsn == fork_lsn => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: primary-side gate did not refuse at LSN {fork_lsn} ({other:?})"
+            ))
+        }
+    }
+
+    // Member-side duplicate check: history B's forked frame, shipped
+    // to m2 over its own log, must be refused, and the refusal must be
+    // sticky and typed.
+    let forked_frames = b
+        .tail(fork_lsn)
+        .map_err(|e| format!("fork scenario tail: {e}"))?;
+    let epoch = set.epoch();
+    set.transport_mut()
+        .send(
+            "m2",
+            &ReplicaMsg::Frames {
+                epoch,
+                frames: forked_frames,
+            },
+        )
+        .map_err(|e| format!("fork scenario send: {e}"))?;
+    let refused = set
+        .tick()
+        .iter()
+        .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == "m2"));
+    let m2 = set.member("m2").expect("m2 registered");
+    match m2.refusal_error() {
+        Some(ReplicaError::Diverged { lsn, .. })
+            if refused && lsn == fork_lsn && set.member_refusing("m2") =>
+        {
+            refusals += 1;
+        }
+        other => {
+            return Err(format!(
+                "fork scenario: member duplicate check did not refuse ({other:?})"
+            ))
+        }
+    }
+
+    // A refusing member never stands: m2 would win the tie on its name,
+    // yet the operator failover must elect m1.
+    match set.elect() {
+        Ok((winner, _)) if winner == "m1" => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: refusing member was not barred from election ({other:?})"
+            ))
+        }
+    }
+    assert_acked_present(&set, &run.acked, "fork scenario")?;
+
+    std::fs::remove_dir_all(base).ok();
+    Ok(refusals)
+}
+
+/// Prefix states, exactly as in the durable crash sweep: the schema's
+/// bytes and the schema itself after each committed record (index `q`
+/// = state after `q` records).
+fn prefix_states(workload: &Workload) -> Result<(Vec<Vec<u8>>, Vec<Tmd>), String> {
     let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
     let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
     let mut state = workload.seed_schema.clone();
@@ -520,15 +715,20 @@ pub fn cluster_sweep(
             prefix_tmds.push(state.clone());
         }
     }
+    Ok((prefix_bytes, prefix_tmds))
+}
 
-    let mut outcome = ClusterSweepOutcome {
-        records: workload.records,
-        ..ClusterSweepOutcome::default()
-    };
-
-    // ---- Stage 0: fault-free quorum run ----------------------------
-    let free_dir = base_dir.join("free");
-    let free = run_cluster(&free_dir, &workload, Io::plain(), MemberPartition::clean())?;
+/// The fault-free run every sweep starts from: the whole workload must
+/// commit at quorum, the watermark must reach the head and both
+/// members must converge byte-identically. Returns the set, whose
+/// counters enumerate the injection points.
+fn fault_free_run<T: ReplicaTransport>(
+    dir: &Path,
+    workload: &Workload,
+    faults: Faults<T>,
+    prefix_bytes: &[Vec<u8>],
+) -> Result<ClusterSet<T>, String> {
+    let free = run_cluster(dir, workload, faults)?;
     let mut set = free.set.expect("fault-free run has a set");
     if free.primary_crashed || free.unreplicated != 0 || free.committed != workload.records as u64 {
         return Err(format!(
@@ -547,13 +747,47 @@ pub fn cluster_sweep(
     if set.primary().expect("primary lives").quorum_lsn() < head {
         return Err("fault-free watermark never caught the head".to_string());
     }
-    converge_member(&mut set, "m1", &prefix_bytes, "fault-free")?;
-    converge_member(&mut set, "m2", &prefix_bytes, "fault-free")?;
+    converge_member(&mut set, "m1", prefix_bytes, "fault-free")?;
+    converge_member(&mut set, "m2", prefix_bytes, "fault-free")?;
+    Ok(set)
+}
+
+/// Sweeps every fault-injection point of the quorum-replicated
+/// workload and checks the cluster invariants at each one: **no
+/// quorum-acknowledged commit is ever lost** across a single-node
+/// crash or partition, and **no two primaries accept writes in the
+/// same epoch** (the deposed one is probed at every failover).
+///
+/// # Errors
+///
+/// A description of the first violated invariant — any `Err` is a
+/// cluster bug.
+pub fn cluster_sweep(
+    base_dir: &Path,
+    seed: u64,
+    target_records: usize,
+) -> Result<ClusterSweepOutcome, String> {
+    let workload = generate(seed, target_records);
+    let (prefix_bytes, prefix_tmds) = prefix_states(&workload)?;
+    let mut outcome = ClusterSweepOutcome {
+        records: workload.records,
+        ..ClusterSweepOutcome::default()
+    };
+
+    // ---- Stage 0: fault-free quorum run ----------------------------
+    let free_dir = base_dir.join("free");
+    let set = fault_free_run(
+        &free_dir,
+        &workload,
+        Faults::on(MemberPartition::clean()),
+        &prefix_bytes,
+    )?;
     let primary_points = set
         .primary()
         .expect("primary lives")
         .group()
         .with_store(mvolap_durable::DurableTmd::io_ops);
+    let member_points = set.member("m1").expect("m1 registered").io_ops();
     let transport_points = set.transport_steps();
     drop(set);
 
@@ -562,8 +796,11 @@ pub fn cluster_sweep(
     for k in 0..primary_points {
         outcome.injection_points += 1;
         let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let transport = MemberPartition::clean();
-        let run = run_cluster(&a_dir, &workload, io, transport)?;
+        let faults = Faults {
+            primary_io: io,
+            ..Faults::on(MemberPartition::clean())
+        };
+        let run = run_cluster(&a_dir, &workload, faults)?;
         let Some(mut set) = run.set else {
             outcome.primary_crashes += 1;
             outcome.unpromotable += 1; // Crashed creating the primary.
@@ -588,6 +825,7 @@ pub fn cluster_sweep(
                     &set,
                     &prefix_bytes,
                     &prefix_tmds,
+                    workload.org,
                     &format!("primary crash {k}"),
                 )?;
                 // The crashed primary rejoins: recovery, then the
@@ -606,6 +844,19 @@ pub fn cluster_sweep(
                     &format!("primary crash {k}"),
                 )?;
                 assert_acked_present(&set, &run.acked, &format!("primary crash {k} post-rejoin"))?;
+                // The elected member must be a fully functional
+                // durable store: checkpoint, then recover from disk to
+                // the same state.
+                let p = set.primary_mut().expect("elected");
+                p.checkpoint()
+                    .map_err(|e| format!("primary crash {k}: elected checkpoint failed: {e}"))?;
+                let reopened = DurableTmd::open(&p.dir())
+                    .map_err(|e| format!("primary crash {k}: elected reopen failed: {e}"))?;
+                if serialise(reopened.schema()) != serialise(&p.schema()) {
+                    return Err(format!(
+                        "primary crash {k}: elected store does not survive reopen"
+                    ));
+                }
             }
             Err(ReplicaError::NoQuorum { .. }) if run.acked.is_empty() => {
                 // Crashed before anything replicated; no member holds
@@ -630,7 +881,7 @@ pub fn cluster_sweep(
             // Healing outage: the group must reconverge exactly, and
             // no commit may be lost or rewritten.
             let transport = MemberPartition::new(&["m1"], j, OUTAGE_OPS);
-            let run = run_cluster(&b_dir, &workload, Io::plain(), transport)?;
+            let run = run_cluster(&b_dir, &workload, Faults::on(transport))?;
             if run.primary_crashed {
                 return Err(format!("partition {j}: primary was disturbed"));
             }
@@ -647,7 +898,7 @@ pub fn cluster_sweep(
             // write in the new epoch — no two primaries ever accept
             // writes in the same epoch.
             let transport = MemberPartition::new(&["m1"], j, u64::MAX);
-            let run = run_cluster(&b_dir, &workload, Io::plain(), transport)?;
+            let run = run_cluster(&b_dir, &workload, Faults::on(transport))?;
             if run.primary_crashed {
                 return Err(format!("partition {j}: primary was disturbed"));
             }
@@ -669,6 +920,7 @@ pub fn cluster_sweep(
                         &set,
                         &prefix_bytes,
                         &prefix_tmds,
+                        workload.org,
                         &format!("partition {j} failover"),
                     )?;
                     let old = set.retired_mut().expect("deposed primary retained");
@@ -722,8 +974,39 @@ pub fn cluster_sweep(
         }
     }
 
+    // ---- Stage C: member m1 crashes at every I/O primitive ---------
+    let c_dir = base_dir.join("m-crash");
+    for k in 0..member_points {
+        outcome.injection_points += 1;
+        let io = Io::faulty(FaultPlan::crash_after(k, seed ^ 0x5EED_F011));
+        let faults = Faults {
+            m1_io: io,
+            ..Faults::on(MemberPartition::clean())
+        };
+        let run = run_cluster(&c_dir, &workload, faults)?;
+        if run.member_crashes == 0 {
+            return Err(format!("member crash point {k} never fired"));
+        }
+        outcome.member_crashes += 1;
+        // The quorum carries on through m2: the primary never notices.
+        if run.primary_crashed || run.unreplicated != 0 || run.committed != workload.records as u64
+        {
+            return Err(format!(
+                "member crash {k}: primary was disturbed ({} committed, {} unreplicated)",
+                run.committed, run.unreplicated
+            ));
+        }
+        let mut set = run.set.expect("set lives");
+        assert_acked_present(&set, &run.acked, &format!("member crash {k}"))?;
+        converge_member(&mut set, "m1", &prefix_bytes, &format!("member crash {k}"))?;
+        converge_member(&mut set, "m2", &prefix_bytes, &format!("member crash {k}"))?;
+    }
+
     // ---- Staged scenario: quorum loss refuses election -------------
     quorum_loss_scenario(&base_dir.join("q-loss"), &workload, &mut outcome)?;
+
+    // ---- Staged scenario: forked histories refuse with typed errors
+    outcome.divergence_refusals = divergence_scenario(&base_dir.join("fork"), seed)?;
 
     if outcome.fenced_refusals == 0 {
         return Err("no failover ever probed the dual-primary invariant".to_string());
@@ -735,6 +1018,121 @@ pub fn cluster_sweep(
     std::fs::remove_dir_all(&free_dir).ok();
     std::fs::remove_dir_all(&a_dir).ok();
     std::fs::remove_dir_all(&b_dir).ok();
+    std::fs::remove_dir_all(&c_dir).ok();
+    Ok(outcome)
+}
+
+/// [`cluster_sweep`]'s transport class over real TCP on loopback: the
+/// three-node group ships every protocol message through a
+/// [`MsgRouter`] socket, and a [`FaultProxy`] between the supervisor
+/// and the router faults the connection at every transport step. A
+/// *healing* outage — three request frames dropped (the client sees
+/// resets) or stalled past the read timeout (it sees a hung link) —
+/// must reconverge byte-identically with no acknowledged commit lost.
+/// A *permanent* one cuts the whole group off: commits from then on
+/// must be refused with the typed [`DurableError::Unreplicated`], and
+/// once the primary is gone the election must be refused with the
+/// typed [`ReplicaError::NoQuorum`], leaving the group primary-less
+/// rather than guessing.
+///
+/// # Errors
+///
+/// A description of the first violated invariant — any `Err` is a
+/// cluster (or socket-layer) bug.
+pub fn cluster_sweep_net(
+    base_dir: &Path,
+    seed: u64,
+    target_records: usize,
+) -> Result<ClusterSweepOutcome, String> {
+    /// A stalled proxy stays silent this long — three read timeouts.
+    const STALL_MS: u64 = 150;
+    let workload = generate(seed, target_records);
+    let (prefix_bytes, _) = prefix_states(&workload)?;
+    let mut outcome = ClusterSweepOutcome {
+        records: workload.records,
+        ..ClusterSweepOutcome::default()
+    };
+
+    let free_dir = base_dir.join("net-free");
+    let set = fault_free_run(
+        &free_dir,
+        &workload,
+        socket_faults(LoopbackTransport::build(None)?),
+        &prefix_bytes,
+    )?;
+    let transport_points = set.transport_steps();
+    drop(set);
+
+    let dir = base_dir.join("net-fault");
+    let mut loud_runs = 0u64;
+    for j in 0..transport_points {
+        outcome.injection_points += 1;
+        outcome.partitions += 1;
+        let plan = FaultPlan::crash_after(j, seed);
+        if j % 2 == 0 {
+            let kind = if j % 8 == 2 {
+                ProxyFault::Stall(STALL_MS)
+            } else {
+                ProxyFault::Drop
+            };
+            let transport = LoopbackTransport::build(Some((plan, 3, kind)))?;
+            let run = run_cluster(&dir, &workload, socket_faults(transport))?;
+            if run.primary_crashed {
+                return Err(format!("socket outage {j}: primary was disturbed"));
+            }
+            let mut set = run.set.expect("set lives");
+            outcome.unreplicated_commits += run.unreplicated;
+            assert_acked_present(&set, &run.acked, &format!("socket outage {j}"))?;
+            converge_member(&mut set, "m1", &prefix_bytes, &format!("socket outage {j}"))?;
+            converge_member(&mut set, "m2", &prefix_bytes, &format!("socket outage {j}"))?;
+            outcome.healed_outages += 1;
+            if set.stats().retries > 0 {
+                loud_runs += 1;
+            }
+        } else {
+            let transport = LoopbackTransport::build(Some((plan, u64::MAX, ProxyFault::Drop)))?;
+            let run = run_cluster(&dir, &workload, socket_faults(transport))?;
+            if run.primary_crashed {
+                return Err(format!("socket partition {j}: primary was disturbed"));
+            }
+            // Every step came back acknowledged or refused typed.
+            if run.committed + run.unreplicated != workload.records as u64 {
+                return Err(format!(
+                    "socket partition {j}: {} acked + {} unreplicated of {} commits",
+                    run.committed, run.unreplicated, workload.records
+                ));
+            }
+            let mut set = run.set.expect("set lives");
+            outcome.unreplicated_commits += run.unreplicated;
+            assert_acked_present(&set, &run.acked, &format!("socket partition {j}"))?;
+            drop(set.kill_primary());
+            match set.elect() {
+                Err(ReplicaError::NoQuorum {
+                    votes, required, ..
+                }) if votes < required => outcome.failed_elections += 1,
+                other => {
+                    return Err(format!(
+                        "socket partition {j}: election without a reachable majority \
+                         did not refuse ({other:?})"
+                    ))
+                }
+            }
+            if set.primary().is_some() {
+                return Err(format!(
+                    "socket partition {j}: a primary appeared without quorum"
+                ));
+            }
+        }
+    }
+    if transport_points >= 8 && loud_runs == 0 {
+        return Err("no socket outage ever surfaced a transport error".to_string());
+    }
+    if transport_points >= 8 && outcome.unreplicated_commits == 0 {
+        return Err("no socket partition ever refused a commit as unreplicated".to_string());
+    }
+
+    std::fs::remove_dir_all(&free_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
     Ok(outcome)
 }
 

@@ -1,21 +1,24 @@
-//! Cluster integration tests: quorum commit, deterministic election,
-//! fencing, truncation-on-rejoin, read routing, and the full
-//! fault-injection sweep.
+//! Cluster integration tests: replication to byte-identical members
+//! (catch-up, snapshot bootstrap, crash/restart, divergence refusal),
+//! quorum commit, deterministic election, fencing,
+//! truncation-on-rejoin, read routing, the group over loopback TCP,
+//! and the full fault-injection sweeps.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use mvolap_cluster::{
-    cluster_sweep, ClusterConfig, ClusterSet, LocalCluster, MemberPump, PumpConfig, PumpShared,
-    PumpState, PumpStep, PumpTracker, RejoinOutcome,
+    cluster_sweep, cluster_sweep_net, ClusterConfig, ClusterEvent, ClusterSet, LocalCluster,
+    MemberPump, PumpConfig, PumpShared, PumpState, PumpStep, PumpTracker, RejoinOutcome,
 };
-use mvolap_durable::fault::{generate, Step};
+use mvolap_durable::fault::{generate, serialise, Step};
 use mvolap_durable::{
     CheckpointPolicy, DurableError, DurableTmd, FaultPlan, GroupCommit, GroupConfig, Io, Options,
-    TimeSource, WalRecord,
+    TailFrame, TimeSource, WalRecord,
 };
 use mvolap_replica::{
-    ChannelTransport, Follower, NetAddr, NetConfig, ReplicaError, ReplicaMsg, TailSource, WalTailer,
+    ChannelTransport, Follower, MsgRouter, NetAddr, NetConfig, ReplicaError, ReplicaMsg,
+    ReplicaTransport, TailSource, TcpTransport, WalTailer,
 };
 use mvolap_server::{ServerError, ServerOptions};
 
@@ -41,27 +44,40 @@ fn group_cfg() -> GroupConfig {
     }
 }
 
+const QUERY: &str = "SELECT sum(Amount) BY year, Org.Division IN MODE tcm";
+
+/// The reference query's full answer, for byte-for-byte comparison.
+fn answer(tmd: &mvolap_core::Tmd) -> String {
+    let versions = tmd.structure_versions();
+    format!(
+        "{:?}",
+        mvolap_query::run_with_versions(tmd, &versions, QUERY).unwrap()
+    )
+}
+
 /// A three-node group (primary + m1 + m2) with `n` quorum-committed
 /// records from the seeded workload, plus the remaining records of the
 /// workload for later use.
 fn three_nodes(dir: &Path, n: usize) -> (ClusterSet<ChannelTransport>, Vec<WalRecord>) {
+    three_nodes_over(dir, n, opts(), ChannelTransport::new())
+}
+
+fn three_nodes_over<T: ReplicaTransport>(
+    dir: &Path,
+    n: usize,
+    opts: Options,
+    transport: T,
+) -> (ClusterSet<T>, Vec<WalRecord>) {
     let workload = generate(7, n + 4);
-    let mut records: Vec<WalRecord> = workload
-        .steps
-        .iter()
-        .filter_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
-        .collect();
+    let mut records = ops(&workload);
     let rest = records.split_off(n);
     let mut set = ClusterSet::bootstrap(
         dir,
         workload.seed_schema.clone(),
-        opts(),
+        opts,
         group_cfg(),
         ClusterConfig::default(),
-        ChannelTransport::new(),
+        transport,
         Io::plain(),
     )
     .expect("bootstrap");
@@ -71,6 +87,35 @@ fn three_nodes(dir: &Path, n: usize) -> (ClusterSet<ChannelTransport>, Vec<WalRe
         set.commit_quorum(r).expect("quorum commit");
     }
     (set, rest)
+}
+
+/// Ticks until member `name` holds the primary's whole log, collecting
+/// every event on the way.
+fn drain<T: ReplicaTransport>(set: &mut ClusterSet<T>, name: &str) -> Vec<ClusterEvent> {
+    let mut events = Vec::new();
+    for _ in 0..64 {
+        let head = set.primary().expect("primary alive").wal_position();
+        if set.member(name).expect("member exists").next_lsn() >= head {
+            return events;
+        }
+        events.extend(set.tick());
+    }
+    panic!("member {name} failed to catch up; events: {events:?}");
+}
+
+/// Asserts member `name` is the primary's byte-identical twin: same
+/// head, same schema bytes, same answer to the reference query.
+fn assert_twin<T: ReplicaTransport>(set: &ClusterSet<T>, name: &str) {
+    let primary = set.primary().expect("primary alive");
+    let member = set.member(name).expect("member exists");
+    assert_eq!(member.next_lsn(), primary.wal_position());
+    let schema = primary.schema();
+    assert_eq!(
+        serialise(member.schema().expect("bootstrapped")),
+        serialise(&schema),
+        "{name}: replayed schema must be byte-identical"
+    );
+    assert_eq!(answer(member.schema().unwrap()), answer(&schema));
 }
 
 #[test]
@@ -95,6 +140,130 @@ fn quorum_commit_advances_watermark_and_members() {
     }
     assert_eq!(set.quorum_required(), 2);
     assert_eq!(set.group_size(), 3);
+    // Members replayed the evolutions through the validated path into
+    // a log that is byte-identical frame by frame, and answer the
+    // reference query exactly as the primary does.
+    let ours = p.group().with_store(|s| s.tail(1)).unwrap();
+    for m in ["m1", "m2"] {
+        assert_twin(&set, m);
+        assert_eq!(set.member_applied(m), head);
+        let theirs = set.member(m).unwrap().store().unwrap().tail(1).unwrap();
+        assert_eq!(ours, theirs, "{m}: logs must match frame by frame");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A member joining after the primary pruned its log bootstraps from a
+/// checkpoint snapshot served at the right LSN, then keeps up with
+/// later writes.
+#[test]
+fn late_joiner_bootstraps_from_snapshot() {
+    let dir = tmp("snapshot");
+    let small_segments = Options {
+        segment_bytes: 256,
+        ..opts()
+    };
+    let (mut set, mut rest) = three_nodes_over(&dir, 8, small_segments, ChannelTransport::new());
+    set.checkpoint().unwrap();
+    let oldest = set
+        .primary()
+        .unwrap()
+        .group()
+        .with_store(|s| s.oldest_lsn())
+        .unwrap();
+    assert!(oldest > 1, "256-byte segments must have pruned");
+
+    set.add_member("late", Io::plain());
+    drain(&mut set, "late");
+    assert!(set.stats().snapshots_served >= 1, "{:?}", set.stats());
+    assert_twin(&set, "late");
+
+    set.commit_quorum(rest.remove(0)).unwrap();
+    drain(&mut set, "late");
+    assert_twin(&set, "late");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A member that crashes mid-replication is detected, restarted from
+/// its own durable state and reconverges exactly.
+#[test]
+fn crashed_member_restarts_and_reconverges() {
+    let dir = tmp("mcrash");
+    let (mut set, _) = three_nodes(&dir, 6);
+    set.add_member("m3", Io::faulty(FaultPlan::crash_after(6, 0xC0FFEE)));
+
+    let mut crashed = false;
+    for _ in 0..64 {
+        for ev in set.tick() {
+            if matches!(&ev, ClusterEvent::MemberCrashed { node } if node == "m3") {
+                crashed = true;
+                assert!(set.member_crashed("m3"));
+                set.restart_member("m3").unwrap();
+            }
+        }
+        let head = set.primary().unwrap().wal_position();
+        if crashed && set.member("m3").unwrap().next_lsn() >= head {
+            break;
+        }
+    }
+    assert!(crashed, "the injected fault must fire");
+    assert!(!set.member_crashed("m3"));
+    assert_twin(&set, "m3");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A frame whose CRC contradicts the member's own log at the same LSN
+/// is a divergence: refused with the typed error, sticky, and fatal to
+/// the member's candidacy.
+#[test]
+fn divergent_frame_is_refused_and_bars_the_member_from_election() {
+    let dir = tmp("diverge");
+    let (mut set, _) = three_nodes(&dir, 3);
+    let epoch = set.epoch();
+    let tail_from = |set: &ClusterSet<ChannelTransport>, lsn: u64| {
+        set.primary()
+            .unwrap()
+            .group()
+            .with_store(|s| s.tail(lsn))
+            .unwrap()
+    };
+
+    // Forge a duplicate of LSN 2 with a different checksum — the claim
+    // that some other history holds that position.
+    let genuine = tail_from(&set, 2)[0].clone();
+    let forged = TailFrame {
+        lsn: 2,
+        crc: genuine.crc ^ 0xDEAD_BEEF,
+        payload: genuine.payload,
+    };
+    let frames = |frames| ReplicaMsg::Frames { epoch, frames };
+    set.transport_mut()
+        .send("m2", &frames(vec![forged]))
+        .unwrap();
+    let events = set.tick();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == "m2")),
+        "{events:?}"
+    );
+    assert!(set.member_refusing("m2"));
+    match set.member("m2").unwrap().refusal_error() {
+        Some(ReplicaError::Diverged { lsn, .. }) => assert_eq!(lsn, 2),
+        other => panic!("expected Diverged, got {other:?}"),
+    }
+    // Sticky: even the genuine frame stream is refused now, and the
+    // supervisor stops replicating to the member.
+    let before = set.member("m2").unwrap().next_lsn();
+    let genuine_again = frames(tail_from(&set, 2));
+    set.transport_mut().send("m2", &genuine_again).unwrap();
+    set.run_ticks(2);
+    assert!(set.member("m2").unwrap().is_refusing());
+    assert_eq!(set.member("m2").unwrap().next_lsn(), before);
+    // m2 would win the election's name tie-break; refusing, it never
+    // stands — and never votes.
+    let (winner, _) = set.elect().expect("m1 plus the yielding primary");
+    assert_eq!(winner, "m1");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -172,15 +341,39 @@ fn election_is_deterministic_and_fences_the_deposed_primary() {
 fn operator_failover_fences_live_primary() {
     let dir = tmp("failover");
     let (mut set, mut rest) = three_nodes(&dir, 5);
+    let before = set.primary().unwrap().schema();
+    let warehouse = |tmd: &mvolap_core::Tmd| {
+        mvolap_storage::persist::catalog_digest(
+            &mvolap_core::logical::build_multiversion_warehouse(tmd).unwrap(),
+        )
+    };
     // Planned handover: the primary is alive and yields.
     let (winner, epoch) = set.elect().expect("operator failover");
     assert_eq!(winner, "m2");
+    // The promoted member carries the deposed primary's exact state —
+    // schema bytes, query answer, even the exported §5.1 warehouse
+    // tables.
+    let promoted = set.primary().unwrap();
+    assert_eq!(promoted.epoch(), epoch);
+    let after = promoted.schema();
+    assert_eq!(serialise(&after), serialise(&before));
+    assert_eq!(answer(&after), answer(&before));
+    assert_eq!(warehouse(&after), warehouse(&before));
+    // The deposed primary refuses every further write.
     let retired = set.retired_mut().expect("deposed primary retained");
     assert!(retired.is_fenced());
     match retired.commit(rest.remove(0)) {
         Err(ReplicaError::Fenced { epoch: at }) => assert_eq!(at, epoch),
         other => panic!("deposed primary accepted a write: {other:?}"),
     }
+    assert!(matches!(
+        retired.checkpoint(),
+        Err(ReplicaError::Fenced { .. })
+    ));
+    // A member that joins under the new primary learns its epoch.
+    set.add_member("m3", Io::plain());
+    drain(&mut set, "m3");
+    assert_eq!(set.member("m3").unwrap().epoch(), epoch);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -261,7 +454,6 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
     let (mut set, _) = three_nodes(&dir, 4);
     let head = set.primary().expect("primary").wal_position();
     let epoch = set.epoch();
-    use mvolap_replica::{ReplicaMsg, ReplicaTransport};
     set.transport_mut()
         .send(
             "primary",
@@ -338,7 +530,7 @@ fn served_cluster_quorums_commits_and_routes_reads() {
     )
     .expect("cluster starts");
 
-    // 1. With nobody pumping replication, a commit is locally durable
+    // 1. Before the pumps are spawned, a commit is locally durable
     //    but the quorum never forms: typed unreplicated refusal.
     let mut client = cluster.client(NetConfig::default());
     match client.commit(&records[0]) {
@@ -348,19 +540,8 @@ fn served_cluster_quorums_commits_and_routes_reads() {
         other => panic!("expected Unreplicated, got {other:?}"),
     }
 
-    // 2. One caller-driven round reports per-member results — every
-    //    member ships, nobody aborts the round.
-    let round = cluster.pump();
-    assert_eq!(round.len(), 2, "one result slot per member");
-    for (name, res) in &round {
-        let applied = res
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-        assert!(*applied > 0, "{name} applied nothing");
-    }
-
-    // 3. Hand replication to the async pump threads: the same commit
-    //    path clears the quorum with nobody driving a loop.
+    // 2. Hand replication to the pump threads: the same commit path
+    //    clears the quorum with nobody driving a loop.
     cluster.spawn_pumps(PumpConfig::default());
     let group = cluster.group();
     let lsn = client.commit(&records[1]).expect("quorum commit over wire");
@@ -376,7 +557,7 @@ fn served_cluster_quorums_commits_and_routes_reads() {
         );
     }
 
-    // 4. Fleet read routing: a bound at the committed LSN is served
+    // 3. Fleet read routing: a bound at the committed LSN is served
     //    by a member (freshness advanced by the pump threads alone);
     //    an unsatisfiable bound is refused naming the freshest member
     //    consulted.
@@ -732,6 +913,7 @@ fn cluster_sweep_holds_every_invariant() {
         outcome.injection_points
     );
     assert!(outcome.primary_crashes > 0, "no primary crash exercised");
+    assert!(outcome.member_crashes > 0, "no member crash exercised");
     assert!(outcome.partitions > 0, "no partition exercised");
     assert!(outcome.healed_outages > 0, "no outage healed");
     assert!(outcome.elections > 0, "no election ran");
@@ -740,6 +922,56 @@ fn cluster_sweep_holds_every_invariant() {
         outcome.truncated_rejoins + outcome.rebuilt_rejoins + outcome.clean_rejoins > 0,
         "no rejoin exercised"
     );
+    assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The whole group supervises over [`TcpTransport`]: every protocol
+/// message crosses a loopback socket through a [`MsgRouter`], under the
+/// unchanged tick loop.
+#[test]
+fn net_cluster_set_supervises_over_tcp_transport() {
+    let dir = tmp("tcp_set");
+    let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
+    let transport = TcpTransport::connect(router.addr().clone(), NetConfig::default());
+    let (mut set, mut rest) = three_nodes_over(&dir, 4, opts(), transport);
+    set.commit_local(rest.remove(0)).unwrap();
+    drain(&mut set, "m1");
+    drain(&mut set, "m2");
+    let head = set.primary().unwrap().wal_position();
+    for m in ["m1", "m2"] {
+        assert_twin(&set, m);
+        assert_eq!(
+            set.member_synced(m),
+            head,
+            "the ack travelled over the wire"
+        );
+    }
+    assert_eq!(set.primary().unwrap().quorum_lsn(), head);
+    assert!(set.transport_steps() > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The transport class over loopback TCP: *socket* faults — dropped
+/// and stalled connections injected by the byte-level proxy — at every
+/// transport step. Debug builds sweep a smaller workload: same legs,
+/// same invariants, fewer points.
+#[test]
+fn net_cluster_sweep_holds_over_loopback_tcp() {
+    let (records, floor) = if cfg!(debug_assertions) {
+        (6, 60)
+    } else {
+        (16, 400)
+    };
+    let dir = tmp("net-sweep");
+    let outcome = cluster_sweep_net(&dir, 0xFA11_0FE8, records).expect("net sweep invariants");
+    assert!(
+        outcome.injection_points >= floor,
+        "need a real sweep, got {outcome:?}"
+    );
+    assert!(outcome.healed_outages > 0, "{outcome:?}");
+    assert!(outcome.unreplicated_commits > 0, "{outcome:?}");
+    assert!(outcome.failed_elections > 0, "{outcome:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

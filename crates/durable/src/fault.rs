@@ -364,9 +364,11 @@ pub fn generate(seed: u64, target_records: usize) -> Workload {
     }
 }
 
-/// Store options used by the sweep: tiny segments so rotation happens
-/// often, no auto-checkpointing (the workload checkpoints explicitly).
-fn sweep_options() -> Options {
+/// Store options every sweep runs under (this crate's and the cluster
+/// crate's): tiny segments so rotation and pruning happen often, no
+/// auto-checkpointing (the workload checkpoints explicitly).
+#[must_use]
+pub fn sweep_options() -> Options {
     Options {
         segment_bytes: 2048,
         policy: crate::store::CheckpointPolicy::manual(),
@@ -404,7 +406,10 @@ fn run_workload(dir: &Path, workload: &Workload, io: Io) -> Result<(u64, Option<
     Ok((committed, Some(store.io_ops())))
 }
 
-fn serialise(tmd: &Tmd) -> Vec<u8> {
+/// The schema's canonical bytes — what "byte-identical" means in every
+/// sweep assertion.
+#[must_use]
+pub fn serialise(tmd: &Tmd) -> Vec<u8> {
     let mut buf = Vec::new();
     write_tmd(tmd, &mut buf).expect("in-memory serialisation cannot fail");
     buf
@@ -473,8 +478,13 @@ fn run_workload_batched(
 }
 
 /// Fingerprints the answer a schema gives to the reference aggregate
-/// query (per-year, per-division totals in consistent-time mode).
-fn query_fingerprint(tmd: &Tmd, org: DimensionId) -> Result<Vec<String>, String> {
+/// query (per-year, per-division totals in consistent-time mode),
+/// value bits and confidences included.
+///
+/// # Errors
+///
+/// The evaluation failure, rendered.
+pub fn query_fingerprint(tmd: &Tmd, org: DimensionId) -> Result<Vec<String>, String> {
     let q = AggregateQuery::by_year(org, "Division", TemporalMode::Consistent);
     let svs = tmd.structure_versions();
     let rs = mvolap_core::evaluate(tmd, &svs, &q).map_err(|e| format!("query failed: {e}"))?;

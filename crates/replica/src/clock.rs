@@ -1,8 +1,8 @@
-//! Clock abstraction driving the supervision loop.
+//! Clock abstraction pacing the deployed serve/follow loops.
 //!
-//! [`ReplicaSet::tick`](crate::set::ReplicaSet::tick) is deliberately
-//! clock-free — sweeps count time in ticks. A deployment needs real
-//! time between rounds; a test needs controllable time. [`Clock`]
+//! The protocol core is deliberately clock-free — sweeps count time in
+//! ticks. A deployment needs real time between rounds; a test needs
+//! controllable time. [`Clock`]
 //! covers both: [`SystemClock`] sleeps for real, [`ManualClock`] keeps
 //! a shared counter that `sleep_ms` merely advances, and can hand the
 //! same counter to a store as a [`TimeSource`] so replication rounds

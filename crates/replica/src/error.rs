@@ -2,9 +2,9 @@
 
 use mvolap_durable::DurableError;
 
-/// A transport-level failure. Both variants are *transient* from the
-/// supervisor's point of view: it retries with bounded exponential
-/// backoff before declaring the peer unreachable.
+/// A transport-level failure. Both variants are *transient*: a
+/// supervisor retries the exchange on its next round, a socket client
+/// over a fresh connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The message was lost in transit.
@@ -53,14 +53,6 @@ pub enum ReplicaError {
     },
     /// The operation needs a live primary and there is none.
     NotPrimary,
-    /// Promotion (or a vote) named a member whose sticky refusal is
-    /// set — a diverged or invalid replica must never become primary.
-    RefusedMember {
-        /// The refusing member's name.
-        node: String,
-        /// The member's refusal, rendered.
-        reason: String,
-    },
     /// An election closed without a majority of the group granting the
     /// candidate their vote; the group stays primary-less rather than
     /// risk two histories.
@@ -97,9 +89,6 @@ impl std::fmt::Display for ReplicaError {
                 write!(f, "fenced at epoch {epoch}: a newer primary exists")
             }
             ReplicaError::NotPrimary => write!(f, "no live primary"),
-            ReplicaError::RefusedMember { node, reason } => {
-                write!(f, "member `{node}` is refusing replication: {reason}")
-            }
             ReplicaError::NoQuorum {
                 epoch,
                 votes,
@@ -147,8 +136,8 @@ impl ReplicaError {
         ReplicaError::Protocol(m.into())
     }
 
-    /// Whether the error is a transient transport failure the
-    /// supervisor should retry (with backoff) rather than escalate.
+    /// Whether the error is a transient transport failure worth
+    /// retrying rather than escalating.
     pub fn is_transient(&self) -> bool {
         matches!(self, ReplicaError::Transport(_))
     }

@@ -1,10 +1,10 @@
 //! `mvolap-replica` — WAL-shipping replication for the temporal
-//! warehouse: followers, divergence detection and fault-injected
-//! failover.
+//! warehouse: followers, divergence detection and the cross-process
+//! serve/follow path.
 //!
 //! The durability crate journals every evolution operator as a
 //! CRC-framed, LSN-addressed WAL record; this crate ships those frames
-//! to follower nodes and supervises the ensemble:
+//! to follower nodes:
 //!
 //! * **Tailing** ([`WalTailer`]). The primary serves its log from any
 //!   LSN; positions already pruned by checkpointing are served as a
@@ -22,29 +22,25 @@
 //!   past the primary's head) is refused with a typed
 //!   [`ReplicaError::Diverged`] — never patched, never silently
 //!   rewound.
-//! * **Supervision** ([`ReplicaSet`]). Heartbeat-based liveness,
-//!   bounded retry with exponential backoff on transport errors, and
-//!   explicit promotion: the epoch is bumped and the deposed primary
-//!   is *fenced* — it refuses every further write with
+//! * **Fenced primary** ([`PrimaryNode`]). The write-accepting node
+//!   carries an epoch and a fencing flag: once a newer primary is
+//!   proven to exist it refuses every further write with
 //!   [`ReplicaError::Fenced`].
-//! * **Fault-injected failover proof** ([`replica_sweep`]). The
-//!   durable crate's crash sweep, extended: the primary or follower is
-//!   killed at every I/O primitive (torn writes included) and the
-//!   transport faulted at every step; at each point the promoted
-//!   follower must answer queries byte-identically to the surviving
-//!   prefix.
 //! * **Networked transport** ([`net`]). The same protocol over real
 //!   TCP or unix sockets: every request and reply is one CRC frame of
 //!   canonical escaped-token text, with explicit connect/read/write
 //!   timeouts, bounded reconnect, and epoch fencing enforced at the
-//!   protocol layer by [`ReplicaServer`]. The failover sweep also runs
-//!   over loopback TCP ([`replica_sweep_net`]), with socket faults —
-//!   dropped and stalled connections — injected by a [`FaultProxy`].
+//!   protocol layer by [`ReplicaServer`]; [`sync_follower`] is the
+//!   follower's side of that exchange. A [`FaultProxy`] injects socket
+//!   faults — dropped and stalled connections — for sweeps.
 //!
-//! The supervision core is deterministic and single-threaded; time
-//! advances only through [`ReplicaSet::tick`], driven in deployments by
-//! a [`Clock`] ([`SystemClock`] for real time, [`ManualClock`] for
-//! tests).
+//! Supervision of a whole group — quorum commit, election, rejoin and
+//! the fault sweeps that prove them — lives one crate up, in
+//! `mvolap-cluster`: its `ClusterSet` drives the [`Follower`],
+//! [`WalTailer`] and [`ReplicaTransport`] pieces defined here, one
+//! deterministic tick at a time. Real time enters only through
+//! [`Clock`] ([`SystemClock`] in the deployed serve/follow loops,
+//! [`ManualClock`] in tests).
 
 #![warn(missing_docs)]
 
@@ -52,9 +48,8 @@ pub mod clock;
 pub mod error;
 pub mod follower;
 pub mod net;
+pub mod primary;
 pub mod record;
-pub mod set;
-pub mod sweep;
 pub mod tailer;
 pub mod transport;
 
@@ -66,8 +61,7 @@ pub use net::{
     FaultProxy, FrameReader, MsgRouter, NetAddr, NetClient, NetConfig, NetListener, NetStream,
     ProxyFault, ReplicaServer, ServerConfig, SyncRound, TcpTransport,
 };
+pub use primary::PrimaryNode;
 pub use record::{esc_bytes, unesc_bytes, ReplicaMsg};
-pub use set::{LinkState, PrimaryNode, ReplicaConfig, ReplicaSet, SetStats, TickEvent};
-pub use sweep::{replica_sweep, replica_sweep_net, ReplicaSweepOutcome};
-pub use tailer::{TailSource, WalTailer};
-pub use transport::{ChannelTransport, FaultyTransport, LossMode, ReplicaTransport};
+pub use tailer::{HelloAnswer, TailSource, WalTailer};
+pub use transport::{ChannelTransport, ReplicaTransport};

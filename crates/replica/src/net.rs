@@ -14,8 +14,9 @@
 //! * [`MsgRouter`] — a loopback message router: a dumb, byte-level
 //!   mailbox server (`send <to> <msg>` / `recv <node>`) that never
 //!   decodes replication messages. [`TcpTransport`] speaks to it,
-//!   giving [`crate::set::ReplicaSet`] (and the failover sweep) a real
-//!   socket under the unchanged supervision protocol.
+//!   giving a tick-driven supervisor (`mvolap-cluster`'s `ClusterSet`
+//!   and its loopback sweep) a real socket under the unchanged
+//!   supervision protocol.
 //! * [`ReplicaServer`] — the deployable primary-side server: each
 //!   request is one [`ReplicaMsg`] (hello/ack/fence) answered from a
 //!   shared [`PrimaryNode`] with a batch of replies (heartbeat +
@@ -44,9 +45,8 @@ use mvolap_durable::{frame, FaultPlan};
 
 use crate::error::{ReplicaError, TransportError};
 use crate::follower::Follower;
+use crate::primary::PrimaryNode;
 use crate::record::{esc_bytes, unesc_bytes, ReplicaMsg};
-use crate::set::PrimaryNode;
-use crate::tailer::TailSource;
 use crate::transport::ReplicaTransport;
 
 /// Upper bound on reply-batch counts, mirroring the record grammar cap.
@@ -109,7 +109,7 @@ pub struct NetConfig {
     /// after a transient failure before the error surfaces.
     pub reconnect_attempts: u32,
     /// Wait before the first reconnect, milliseconds; doubles per
-    /// consecutive failure — the supervisor's backoff shape.
+    /// consecutive failure.
     pub backoff_start_ms: u64,
 }
 
@@ -958,8 +958,7 @@ pub struct ServerConfig {
     pub read_timeout_ms: u64,
     /// Per-connection write timeout, milliseconds.
     pub write_timeout_ms: u64,
-    /// Max WAL frames shipped per hello, as
-    /// [`crate::set::ReplicaConfig::batch_frames`].
+    /// Max WAL frames shipped per hello.
     pub batch_frames: usize,
 }
 
@@ -1123,48 +1122,17 @@ fn answer_request(
         ReplicaMsg::Hello {
             next_lsn, last_crc, ..
         } => {
-            let my_epoch = p.epoch();
-            let head = p.wal_position();
-            let tailer = p.tailer();
-            match tailer.verify_position(next_lsn, last_crc, head) {
-                Ok(()) => {}
-                Err(ReplicaError::Diverged {
-                    lsn,
-                    expected_crc,
-                    got_crc,
-                }) => {
-                    return reply_batch(&[ReplicaMsg::Diverged {
-                        epoch: my_epoch,
-                        lsn,
-                        expected_crc,
-                        got_crc,
-                    }]);
-                }
-                Err(e) => return reply_err(&format!("position check failed: {e}")),
+            let answer = p.tailer().answer_hello(
+                p.epoch(),
+                p.wal_position(),
+                next_lsn,
+                last_crc,
+                batch_frames,
+            );
+            match answer {
+                Ok(answer) => reply_batch(&answer.msgs),
+                Err(e) => reply_err(&format!("position check failed: {e}")),
             }
-            let mut out = vec![ReplicaMsg::Heartbeat {
-                epoch: my_epoch,
-                next_lsn: head,
-            }];
-            if next_lsn < head {
-                match tailer.fetch(next_lsn, batch_frames) {
-                    Ok(TailSource::Frames(frames)) => out.push(ReplicaMsg::Frames {
-                        epoch: my_epoch,
-                        frames,
-                    }),
-                    Ok(TailSource::Snapshot { next_lsn, snapshot }) => {
-                        out.push(ReplicaMsg::Snapshot {
-                            epoch: my_epoch,
-                            next_lsn,
-                            snapshot,
-                        });
-                    }
-                    // Serving-side read trouble: heartbeat only, the
-                    // follower simply asks again.
-                    Err(_) => {}
-                }
-            }
-            reply_batch(&out)
         }
         ReplicaMsg::Ack { node, next_lsn, .. } => {
             let mut map = acked.lock().unwrap_or_else(|e| e.into_inner());

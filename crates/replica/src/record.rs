@@ -735,6 +735,52 @@ mod tests {
         });
     }
 
+    /// Member names full of wire metacharacters (spaces, backslashes,
+    /// tabs, newlines, non-ASCII) ride inside frame payloads: the
+    /// escaped token encoding must hand back records that decode to
+    /// the very operators that were journaled.
+    #[test]
+    fn frames_roundtrip_awkward_member_names() {
+        use mvolap_durable::WalRecord;
+        let records: Vec<WalRecord> = [
+            "Dept with spaces",
+            "back\\slash\\dept",
+            "tab\tand\nnewline",
+            "unicode—départ№7",
+            " leading and trailing ",
+        ]
+        .into_iter()
+        .map(|name| WalRecord::Create {
+            dim: mvolap_core::DimensionId(0),
+            name: name.into(),
+            level: Some("Department".into()),
+            at: mvolap_temporal::Instant::ym(2004, 1),
+            parents: vec![mvolap_core::MemberVersionId(1)],
+        })
+        .collect();
+        let msg = ReplicaMsg::Frames {
+            epoch: 0,
+            frames: records
+                .iter()
+                .zip(2u64..)
+                .map(|(r, lsn)| TailFrame {
+                    lsn,
+                    crc: lsn as u32,
+                    payload: r.encode(),
+                })
+                .collect(),
+        };
+        roundtrip(&msg);
+        let ReplicaMsg::Frames { frames, .. } = ReplicaMsg::decode(&msg.encode()).unwrap() else {
+            panic!("frames decode to frames");
+        };
+        let back: Vec<WalRecord> = frames
+            .iter()
+            .map(|f| WalRecord::decode(&f.payload).unwrap())
+            .collect();
+        assert_eq!(back, records);
+    }
+
     #[test]
     fn snapshot_roundtrip_binary_body() {
         let body: Vec<u8> = (0..=255u8).collect();

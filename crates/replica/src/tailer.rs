@@ -9,6 +9,7 @@ use mvolap_durable::wal::{self, TailCursor};
 use mvolap_durable::{checkpoint, DurableError, TailFrame};
 
 use crate::error::ReplicaError;
+use crate::record::ReplicaMsg;
 
 /// What a fetch produced: either log frames from the requested LSN, or
 /// a full snapshot when that part of the log is already pruned.
@@ -24,6 +25,19 @@ pub enum TailSource {
         /// Serialised schema covering everything below `next_lsn`.
         snapshot: Vec<u8>,
     },
+}
+
+/// The primary's answer to one follower hello: the replies to send,
+/// in order, and what they ship beyond the heartbeat.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HelloAnswer {
+    /// `Diverged` alone, or `Heartbeat` followed by at most one
+    /// `Frames` or `Snapshot`.
+    pub msgs: Vec<ReplicaMsg>,
+    /// WAL frames shipped in `msgs`.
+    pub frames: usize,
+    /// Whether `msgs` carries a snapshot (the pruned-log path).
+    pub snapshot: bool,
 }
 
 /// Reads a store's log directly from its directory. The store fsyncs
@@ -180,5 +194,67 @@ impl WalTailer {
             }),
             None => Ok(()), // Pruned here; unverifiable, accepted.
         }
+    }
+
+    /// Answers a follower's hello (`next_lsn`, `last_crc`) from this
+    /// log, for a primary at `epoch` whose head is `head`: the
+    /// divergence gate first — a forked follower is told `Diverged`
+    /// and nothing else — then a heartbeat carrying the head, then up
+    /// to `max_frames` frames from `next_lsn` (or the covering
+    /// snapshot) when the follower is behind. A failed tail read ships
+    /// the heartbeat alone; the follower simply asks again.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplicaError::Durable`] when the position check cannot read
+    /// the log.
+    pub fn answer_hello(
+        &self,
+        epoch: u64,
+        head: u64,
+        next_lsn: u64,
+        last_crc: u32,
+        max_frames: usize,
+    ) -> Result<HelloAnswer, ReplicaError> {
+        let mut answer = HelloAnswer::default();
+        if let Err(e) = self.verify_position(next_lsn, last_crc, head) {
+            let ReplicaError::Diverged {
+                lsn,
+                expected_crc,
+                got_crc,
+            } = e
+            else {
+                return Err(e);
+            };
+            answer.msgs.push(ReplicaMsg::Diverged {
+                epoch,
+                lsn,
+                expected_crc,
+                got_crc,
+            });
+            return Ok(answer);
+        }
+        answer.msgs.push(ReplicaMsg::Heartbeat {
+            epoch,
+            next_lsn: head,
+        });
+        if next_lsn < head {
+            match self.fetch(next_lsn, max_frames) {
+                Ok(TailSource::Frames(frames)) => {
+                    answer.frames = frames.len();
+                    answer.msgs.push(ReplicaMsg::Frames { epoch, frames });
+                }
+                Ok(TailSource::Snapshot { next_lsn, snapshot }) => {
+                    answer.snapshot = true;
+                    answer.msgs.push(ReplicaMsg::Snapshot {
+                        epoch,
+                        next_lsn,
+                        snapshot,
+                    });
+                }
+                Err(_) => {}
+            }
+        }
+        Ok(answer)
     }
 }

@@ -1,8 +1,8 @@
 //! Networked replication over real sockets on loopback: follower
 //! catch-up through a [`ReplicaServer`], snapshot bootstrap, the
-//! unix-socket variant, a full [`ReplicaSet`] over [`TcpTransport`],
-//! clock-driven ticking with time-based checkpoints, and the complete
-//! fault-injection sweep over TCP (socket faults included).
+//! unix-socket variant, and manual-clock time-based checkpoints. (A
+//! whole supervised group over `TcpTransport`, and the fault sweep
+//! over loopback TCP, live in `mvolap-cluster`'s tests.)
 //!
 //! Every test is named `net_*` so CI can run exactly this surface with
 //! `cargo test -p mvolap-replica net_`.
@@ -15,9 +15,8 @@ use mvolap_core::persist::write_tmd;
 use mvolap_core::Tmd;
 use mvolap_durable::{CheckpointPolicy, DurableTmd, FactRow, Io, Options, WalRecord};
 use mvolap_replica::{
-    replica_sweep_net, sync_follower, Clock, Follower, ManualClock, MsgRouter, NetAddr, NetClient,
-    NetConfig, PrimaryNode, ReplicaConfig, ReplicaError, ReplicaMsg, ReplicaServer, ReplicaSet,
-    ServerConfig, SyncRound, TcpTransport,
+    sync_follower, Clock, Follower, ManualClock, NetAddr, NetClient, NetConfig, PrimaryNode,
+    ReplicaError, ReplicaMsg, ReplicaServer, ServerConfig, SyncRound,
 };
 use mvolap_temporal::Instant;
 
@@ -225,60 +224,9 @@ fn net_unix_socket_serves_the_same_protocol() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A whole [`ReplicaSet`] supervises over [`TcpTransport`]: every
-/// protocol message crosses a loopback socket through a [`MsgRouter`],
-/// and the clock-driven tick loop drives it while a manual clock keeps
-/// the test deterministic.
-#[test]
-fn net_replica_set_supervises_over_tcp_transport() {
-    let base = tmp("tcp_set");
-    let cs = case_study::case_study();
-    let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
-    let transport = TcpTransport::connect(router.addr().clone(), client_cfg());
-    let mut set = ReplicaSet::bootstrap(
-        &base,
-        cs.tmd.clone(),
-        opts(),
-        ReplicaConfig::default(),
-        transport,
-        Io::plain(),
-    )
-    .unwrap();
-    set.add_follower("f1", Io::plain());
-    for m in 1..=4 {
-        set.apply(facts(cs.paul, m, 3.0)).unwrap();
-    }
-
-    let clock = ManualClock::new(0);
-    let mut rounds = 0u64;
-    for _ in 0..64 {
-        set.run_ticks(&clock, 250, 1);
-        rounds += 1;
-        let head = set.primary().unwrap().wal_position();
-        if set.follower("f1").unwrap().next_lsn() >= head {
-            break;
-        }
-    }
-    assert_eq!(
-        clock.now_ms(),
-        rounds * 250,
-        "each tick slept one interval on the supervision clock"
-    );
-    let primary = set.primary().unwrap();
-    let follower = set.follower("f1").unwrap();
-    assert_eq!(follower.next_lsn(), primary.wal_position());
-    assert_eq!(set.acked_lsn("f1"), primary.wal_position());
-    assert_eq!(
-        serialise(follower.schema().unwrap()),
-        serialise(primary.schema())
-    );
-    assert!(set.transport_steps() > 0);
-    std::fs::remove_dir_all(&base).ok();
-}
-
 /// `CheckpointPolicy::max_tail_age_ms` + [`ManualClock`]: the clock the
-/// supervisor sleeps on is the clock the store ages its tail by, so a
-/// tick loop checkpoints the primary once the tail sits long enough.
+/// serving loop sleeps on is the clock the store ages its tail by, so
+/// the loop checkpoints the primary once the tail sits long enough.
 #[test]
 fn net_manual_clock_drives_time_based_checkpoints() {
     let base = tmp("clock_ckpt");
@@ -312,34 +260,5 @@ fn net_manual_clock_drives_time_based_checkpoints() {
     clock.sleep_ms(5_000);
     p.fence(1);
     assert!(p.maybe_checkpoint().unwrap().is_none(), "fenced: frozen");
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// The full failover sweep over loopback TCP: primary and follower
-/// I/O crashes, plus *socket* faults — dropped and stalled connections
-/// injected by the byte-level proxy — at every transport step. Every
-/// injection point must leave a promotable, byte-identical ensemble.
-#[test]
-fn net_replica_sweep_holds_over_loopback_tcp() {
-    let base = tmp("sweep");
-    // Debug builds sweep a smaller workload: same stages, same
-    // invariants, fewer points. CI's network job runs this in release
-    // at the full size.
-    let (records, floor) = if cfg!(debug_assertions) {
-        (6, 60)
-    } else {
-        (12, 200)
-    };
-    let outcome = replica_sweep_net(&base, 0xFA11_0FE8, records).expect("net sweep invariants");
-    assert!(
-        outcome.injection_points >= floor,
-        "need a real sweep, got {outcome:?}"
-    );
-    assert!(outcome.primary_crashes > 0, "{outcome:?}");
-    assert!(outcome.follower_crashes > 0, "{outcome:?}");
-    assert!(outcome.transport_faults > 0, "{outcome:?}");
-    assert!(outcome.promotions > 0, "{outcome:?}");
-    assert!(outcome.fenced_refusals > 0, "{outcome:?}");
-    assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -11,8 +11,7 @@
 //!   `read`, `commit`, `ping` — to the workers over a bounded queue.
 //!   An idle session costs a file descriptor, not a thread, so
 //!   hundreds of mostly-idle clients are held by a handful of threads.
-//!   `workers: 0` keeps the legacy one-thread-per-session loop as the
-//!   measured baseline. The query memo is sharded by session affinity
+//!   The query memo is sharded by session affinity
 //!   ([`mvolap_core::ShardedMemo`]) so workers serving different
 //!   sessions stop contending on one cache's locks.
 //! - **Admission control.** At most `max_sessions` sessions hold a

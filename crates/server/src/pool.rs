@@ -37,8 +37,7 @@ use crate::server::{handle_request, lock, GatePermit, SessionCtx};
 /// observability surface behind the shell's `\status`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolStats {
-    /// Worker threads serving requests (`0` on a server running the
-    /// unpooled one-thread-per-session baseline).
+    /// Worker threads serving requests.
     pub workers: usize,
     /// Connected sessions holding a slot (parked, queued or being
     /// served).
@@ -184,7 +183,6 @@ pub(crate) fn poll_loop(
     ctx: &Arc<SessionCtx>,
     queue: &Arc<JobQueue>,
     returned: &mpsc::Receiver<Conn>,
-    read_ms: u64,
     write_ms: u64,
 ) {
     let mut parked: Vec<Conn> = Vec::new();
@@ -213,7 +211,10 @@ pub(crate) fn poll_loop(
         // lifetime) or schedule a typed refusal.
         while let Ok(Some(stream)) = listener.try_accept() {
             progress = true;
-            stream.set_timeouts(read_ms, write_ms).ok();
+            // Parked sessions are read nonblocking, without a
+            // deadline; only the workers' blocking reply write is
+            // timed.
+            stream.set_timeouts(0, write_ms).ok();
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }

@@ -1,21 +1,16 @@
 //! The session server: admission gate, a fixed worker pool
-//! multiplexing nonblocking sessions (or the legacy thread-per-session
-//! baseline), request dispatch through the group-committed store, and
-//! read routing — to an optional local follower or across a remote
-//! fleet of members.
+//! multiplexing nonblocking sessions, request dispatch through the
+//! group-committed store, and read routing — to an optional local
+//! follower or across a remote fleet of members.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use mvolap_core::{ExecContext, QueryMemo, ShardedMemo, Tmd};
 use mvolap_durable::{DurableError, GroupCommit};
 use mvolap_query::{run_compare_par, run_with_versions_par};
-use mvolap_replica::{
-    accept_loop, read_frame, stop_listener, write_frame, Follower, NetAddr, NetConfig, NetListener,
-    NetStream, ReplicaMsg,
-};
+use mvolap_replica::{stop_listener, Follower, NetAddr, NetConfig, NetListener};
 
 use crate::client::SessionClient;
 use crate::pool::{self, JobQueue, PoolCounters, PoolStats};
@@ -24,21 +19,16 @@ use crate::proto::{self, Reply, Request, ServerError};
 /// Tuning for [`SessionServer`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Pool worker threads multiplexing the connected sessions. `0`
-    /// selects the legacy one-thread-per-session loop — kept as the
-    /// measured baseline the pooled path is benchmarked against.
+    /// Pool worker threads multiplexing the connected sessions (at
+    /// least one: `0` is served as `1`).
     pub workers: usize,
     /// Sessions held concurrently (each parked session costs a file
     /// descriptor, not a thread); the `max_sessions + 1`st is refused.
     pub max_sessions: usize,
     /// Requests allowed to wait for a free worker beyond one in flight
     /// per worker; one more is refused with a typed
-    /// [`ServerError::Busy`]. (Under `workers: 0` this bounds sessions
-    /// waiting for a thread slot instead.)
+    /// [`ServerError::Busy`].
     pub max_queued: usize,
-    /// Per-connection socket read timeout for blocking reads (legacy
-    /// mode; pooled sessions park without a deadline).
-    pub read_timeout_ms: u64,
     /// Per-connection socket write timeout.
     pub write_timeout_ms: u64,
     /// Worker threads per query execution (morsel parallelism).
@@ -56,7 +46,6 @@ impl Default for ServerOptions {
             workers: 4,
             max_sessions: 256,
             max_queued: 64,
-            read_timeout_ms: 30_000,
             write_timeout_ms: 10_000,
             exec_threads: 2,
             quorum_timeout_ms: 2_000,
@@ -91,84 +80,38 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-#[derive(Debug)]
-struct GateState {
-    active: usize,
-    queued: usize,
-}
-
-/// Bounded admission: at most `max_sessions` served at once, at most
-/// `max_queued` waiting; everyone else is refused immediately.
+/// Bounded admission: at most `max_sessions` hold a slot at once;
+/// everyone else is refused immediately.
 #[derive(Debug)]
 pub(crate) struct Gate {
-    state: Mutex<GateState>,
-    changed: Condvar,
+    active: Mutex<usize>,
     max_sessions: usize,
-    max_queued: usize,
 }
 
 impl Gate {
-    fn new(max_sessions: usize, max_queued: usize) -> Gate {
+    fn new(max_sessions: usize) -> Gate {
         Gate {
-            state: Mutex::new(GateState {
-                active: 0,
-                queued: 0,
-            }),
-            changed: Condvar::new(),
+            active: Mutex::new(0),
             max_sessions: max_sessions.max(1),
-            max_queued,
-        }
-    }
-
-    /// Waits for a session slot, or refuses with `Busy` when the queue
-    /// is full (or `Shutdown` when the server stops while waiting).
-    fn admit(self: &Arc<Gate>, shutdown: &AtomicBool) -> Result<GatePermit, ServerError> {
-        let mut st = lock(&self.state);
-        if st.active >= self.max_sessions && st.queued >= self.max_queued {
-            return Err(ServerError::Busy {
-                active: st.active,
-                queued: st.queued,
-            });
-        }
-        st.queued += 1;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                st.queued -= 1;
-                return Err(ServerError::Shutdown);
-            }
-            if st.active < self.max_sessions {
-                st.queued -= 1;
-                st.active += 1;
-                return Ok(GatePermit {
-                    gate: Arc::clone(self),
-                });
-            }
-            // Timeout slices keep the wait responsive to shutdown even
-            // if a notification is missed.
-            st = self
-                .changed
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
         }
     }
 
     /// Nonblocking admission for the poll loop: a free slot or an
     /// immediate typed `Busy` carrying the pool's occupancy (`queued`
     /// reports requests waiting for a worker, passed in by the caller —
-    /// a pooled server has no sessions waiting on admission).
+    /// sessions never wait on admission).
     pub(crate) fn try_admit(
         self: &Arc<Gate>,
         queued_now: usize,
     ) -> Result<GatePermit, ServerError> {
-        let mut st = lock(&self.state);
-        if st.active >= self.max_sessions {
+        let mut active = lock(&self.active);
+        if *active >= self.max_sessions {
             return Err(ServerError::Busy {
-                active: st.active,
+                active: *active,
                 queued: queued_now,
             });
         }
-        st.active += 1;
+        *active += 1;
         Ok(GatePermit {
             gate: Arc::clone(self),
         })
@@ -176,21 +119,20 @@ impl Gate {
 
     /// Sessions currently holding a slot.
     pub(crate) fn active(&self) -> usize {
-        lock(&self.state).active
+        *lock(&self.active)
     }
 }
 
 /// RAII session slot: dropping it (normal end, disconnect, panic
-/// unwind) frees the slot and wakes a queued session.
+/// unwind) frees the slot.
 pub(crate) struct GatePermit {
     gate: Arc<Gate>,
 }
 
 impl Drop for GatePermit {
     fn drop(&mut self) {
-        let mut st = lock(&self.gate.state);
-        st.active = st.active.saturating_sub(1);
-        self.gate.changed.notify_all();
+        let mut active = lock(&self.gate.active);
+        *active = active.saturating_sub(1);
     }
 }
 
@@ -210,14 +152,13 @@ pub(crate) struct SessionCtx {
 
 /// A concurrent session server over a group-committed store.
 ///
-/// With `workers > 0` (the default) a single poll loop owns every
-/// connection: idle sessions are parked nonblocking and a fixed pool of
-/// `workers` threads serves ready, fully-framed requests from a bounded
-/// queue — see [`crate::pool`]. With `workers: 0` the server runs the
-/// legacy one-thread-per-session loop. Either way `spawn` binds a
-/// [`NetAddr`], and [`SessionServer::stop`] (also run on drop) stops
-/// accepting, joins the loop and flushes the group-commit batch so
-/// everything acknowledged — and everything applied — is on disk.
+/// A single poll loop owns every connection: idle sessions are parked
+/// nonblocking and a fixed pool of `workers` threads serves ready,
+/// fully-framed requests from a bounded queue — see [`crate::pool`].
+/// `spawn` binds a [`NetAddr`], and [`SessionServer::stop`] (also run
+/// on drop) stops accepting, joins the loop and flushes the
+/// group-commit batch so everything acknowledged — and everything
+/// applied — is on disk.
 pub struct SessionServer {
     addr: NetAddr,
     commit: GroupCommit,
@@ -225,7 +166,7 @@ pub struct SessionServer {
     fleet: Option<Arc<Mutex<Vec<FleetMember>>>>,
     ctx: Arc<SessionCtx>,
     workers: usize,
-    queue: Option<Arc<JobQueue>>,
+    queue: Arc<JobQueue>,
     pool: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -247,8 +188,9 @@ impl SessionServer {
 
     /// Like [`SessionServer::spawn`], with a local read follower:
     /// `read` requests are routed to it when it satisfies the staleness
-    /// bound. The follower only advances when [`SessionServer::pump_follower`]
-    /// is called — tests and the example drive replication explicitly.
+    /// bound. The follower only advances as a shipper — a member pump,
+    /// or a test fetching from the log itself — delivers to
+    /// [`SessionServer::follower_handle`].
     ///
     /// # Errors
     ///
@@ -315,64 +257,41 @@ impl SessionServer {
         let addr = listener.local_addr().clone();
         let shutdown = Arc::new(AtomicBool::new(false));
         let fleet_handle = fleet.as_ref().map(|f| Arc::clone(&f.members));
+        let workers = opts.workers.max(1);
         let ctx = Arc::new(SessionCtx {
             commit: commit.clone(),
             follower: follower.clone(),
             fleet,
-            gate: Arc::new(Gate::new(opts.max_sessions, opts.max_queued)),
+            gate: Arc::new(Gate::new(opts.max_sessions)),
             shutdown: Arc::clone(&shutdown),
             exec: ExecContext::new(opts.exec_threads.max(1)),
-            memo: ShardedMemo::new(opts.workers.max(1)),
+            memo: ShardedMemo::new(workers),
             counters: PoolCounters::default(),
             quorum_timeout_ms: opts.quorum_timeout_ms,
         });
-        let (read_ms, write_ms) = (opts.read_timeout_ms, opts.write_timeout_ms);
-        let (queue, pool, accept) = if opts.workers == 0 {
-            // Legacy baseline: one thread per connection, blocking
-            // request/reply loop behind the admission gate.
-            let served_ctx = Arc::clone(&ctx);
-            let sessions = AtomicU64::new(0);
-            let serve = Arc::new(move |stream: NetStream| {
-                let session = sessions.fetch_add(1, Ordering::Relaxed) + 1;
-                serve_conn(&served_ctx, session, stream);
-            });
-            let flag = Arc::clone(&shutdown);
-            let accept = std::thread::spawn(move || {
-                accept_loop(&listener, &flag, read_ms, write_ms, &serve);
-            });
-            (None, Vec::new(), accept)
-        } else {
-            let queue = Arc::new(JobQueue::new(opts.workers, opts.max_queued));
-            let (back, returned) = mpsc::channel();
-            let pool = (0..opts.workers)
-                .map(|_| {
-                    let ctx = Arc::clone(&ctx);
-                    let queue = Arc::clone(&queue);
-                    let back = back.clone();
-                    std::thread::spawn(move || pool::worker_loop(&ctx, &queue, &back))
-                })
-                .collect();
-            let poll_ctx = Arc::clone(&ctx);
-            let poll_queue = Arc::clone(&queue);
-            let accept = std::thread::spawn(move || {
-                pool::poll_loop(
-                    &listener,
-                    &poll_ctx,
-                    &poll_queue,
-                    &returned,
-                    read_ms,
-                    write_ms,
-                );
-            });
-            (Some(queue), pool, accept)
-        };
+        let queue = Arc::new(JobQueue::new(workers, opts.max_queued));
+        let (back, returned) = mpsc::channel();
+        let pool = (0..workers)
+            .map(|_| {
+                let ctx = Arc::clone(&ctx);
+                let queue = Arc::clone(&queue);
+                let back = back.clone();
+                std::thread::spawn(move || pool::worker_loop(&ctx, &queue, &back))
+            })
+            .collect();
+        let poll_ctx = Arc::clone(&ctx);
+        let poll_queue = Arc::clone(&queue);
+        let write_ms = opts.write_timeout_ms;
+        let accept = std::thread::spawn(move || {
+            pool::poll_loop(&listener, &poll_ctx, &poll_queue, &returned, write_ms);
+        });
         Ok(SessionServer {
             addr,
             commit,
             follower,
             fleet: fleet_handle,
             ctx,
-            workers: opts.workers,
+            workers,
             queue,
             pool,
             shutdown,
@@ -422,68 +341,19 @@ impl SessionServer {
 
     /// A point-in-time snapshot of the pool counters: occupancy
     /// (active / queued / parked), lifetime served / refused /
-    /// forwarded totals and per-shard memo hit/miss counters. On a
-    /// `workers: 0` server `workers`, `queued` and `parked` read 0 and
-    /// the served counter stays at whatever the legacy loop pushed
-    /// through it.
+    /// forwarded totals and per-shard memo hit/miss counters.
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
             workers: self.workers,
             active: self.ctx.gate.active(),
-            queued: self.queue.as_ref().map_or(0, |q| q.waiting()),
+            queued: self.queue.waiting(),
             parked: self.ctx.counters.parked.load(Ordering::Relaxed),
             served: self.ctx.counters.served.load(Ordering::Relaxed),
             refused: self.ctx.counters.refused.load(Ordering::Relaxed),
             forwarded: self.ctx.counters.forwarded.load(Ordering::Relaxed),
             memo: self.ctx.memo.shard_stats(),
         }
-    }
-
-    /// Ships the primary's WAL tail (or a checkpoint snapshot when the
-    /// tail is pruned) to the attached follower and returns the highest
-    /// LSN the follower has applied.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::Protocol`] when no follower is attached;
-    /// [`ServerError::Commit`] when the primary log cannot be read;
-    /// [`ServerError::Transport`] when the follower refuses the batch.
-    pub fn pump_follower(&self) -> Result<u64, ServerError> {
-        /// Frames per `Frames` message: the tail is delivered in
-        /// bounded envelopes — the same batch shape the async pump
-        /// ships over the wire — instead of one unbounded message.
-        const PUMP_BATCH: usize = 64;
-        let Some(follower) = &self.follower else {
-            return Err(ServerError::Protocol("no follower attached".to_string()));
-        };
-        let mut f = lock(follower);
-        let epoch = f.epoch();
-        let from = f.next_lsn();
-        let msgs = self.commit.with_store(|s| match s.tail(from) {
-            Ok(frames) => Ok(frames
-                .chunks(PUMP_BATCH)
-                .map(|chunk| ReplicaMsg::Frames {
-                    epoch,
-                    frames: chunk.to_vec(),
-                })
-                .collect::<Vec<_>>()),
-            Err(DurableError::Pruned { .. }) => {
-                let mut snapshot = Vec::new();
-                mvolap_core::persist::write_tmd(s.schema(), &mut snapshot)
-                    .map_err(|e| ServerError::Commit(e.to_string()))?;
-                Ok(vec![ReplicaMsg::Snapshot {
-                    epoch,
-                    next_lsn: s.wal_position(),
-                    snapshot,
-                }])
-            }
-            Err(e) => Err(ServerError::Commit(e.to_string())),
-        })?;
-        for msg in msgs {
-            f.handle(msg).map_err(ServerError::Transport)?;
-        }
-        Ok(f.next_lsn().saturating_sub(1))
     }
 
     /// The attached read follower, shared for out-of-band shipping —
@@ -510,9 +380,7 @@ impl SessionServer {
     pub fn stop(&mut self) {
         if self.accept.is_some() {
             stop_listener(&self.shutdown, &mut self.accept);
-            if let Some(queue) = &self.queue {
-                queue.wake_all();
-            }
+            self.queue.wake_all();
             for worker in self.pool.drain(..) {
                 worker.join().ok();
             }
@@ -527,40 +395,6 @@ impl Drop for SessionServer {
     }
 }
 
-/// One legacy connection worker: admission, then a blocking
-/// request/reply loop until the peer disconnects, times out or the
-/// server stops. A mid-query disconnect ends only this worker — the
-/// permit drop frees the slot and no shared lock is left poisoned.
-fn serve_conn(ctx: &Arc<SessionCtx>, session: u64, mut stream: NetStream) {
-    let _permit = match ctx.gate.admit(&ctx.shutdown) {
-        Ok(p) => p,
-        Err(refusal) => {
-            ctx.counters.refused.fetch_add(1, Ordering::Relaxed);
-            write_frame(&mut stream, &proto::encode_reply(&Reply::Err(refusal))).ok();
-            return;
-        }
-    };
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            write_frame(
-                &mut stream,
-                &proto::encode_reply(&Reply::Err(ServerError::Shutdown)),
-            )
-            .ok();
-            return;
-        }
-        let Ok(payload) = read_frame(&mut stream) else {
-            return; // disconnect, timeout or a corrupt frame
-        };
-        let reply = handle_request(ctx, session, &payload);
-        let sent = write_frame(&mut stream, &proto::encode_reply(&reply)).is_ok();
-        ctx.counters.served.fetch_add(1, Ordering::Relaxed);
-        if !sent {
-            return;
-        }
-    }
-}
-
 /// Decodes and executes one request for `session` (the id picks the
 /// memo shard and the fleet pin; it is server-assigned and stable for
 /// the connection's lifetime).
@@ -571,8 +405,16 @@ pub(crate) fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> 
     };
     match req {
         Request::Ping => Reply::Result("pong".to_string()),
+        // Sessions spread across the fleet: the bound is the quorum
+        // watermark (everything a quorum-acked commit was acknowledged
+        // for — so a session that just committed reads its own write
+        // from any qualifying member), the session's pinned member
+        // serves when it qualifies, and the primary when nobody does.
         Request::Query(text) => match &ctx.fleet {
-            Some(fleet) => fleet_query(ctx, fleet, session, &text),
+            Some(fleet) => {
+                let watermark = ctx.commit.quorum_lsn().saturating_sub(1);
+                fleet_route(ctx, fleet, session, &text, watermark, Some(session), true)
+            }
             None => primary_query(ctx, session, &text),
         },
         Request::Read { min_lsn, text } => follower_read(ctx, session, min_lsn, &text),
@@ -610,17 +452,27 @@ fn primary_query(ctx: &SessionCtx, session: u64, text: &str) -> Reply {
     }
 }
 
-/// Spreads a session's `query` across the fleet: the bound is the
-/// quorum watermark (everything a quorum-acked commit was acknowledged
-/// for — so a session that just committed reads its own write from any
-/// qualifying member), the session's pinned member serves when it
-/// qualifies, the freshest qualifying member otherwise, and the
-/// primary when nobody qualifies or the forward fails. A member that
-/// acked LSN `n` has fsynced **and applied** through `n`, so the
-/// forwarded `read` renders the same bytes the primary would at that
-/// watermark.
-fn fleet_query(ctx: &SessionCtx, fleet: &FleetRouting, session: u64, text: &str) -> Reply {
-    let bound = ctx.commit.quorum_lsn().saturating_sub(1);
+/// Routes one request across the fleet: to the member `pin` selects
+/// (a session id, reduced modulo the fleet) when that member's
+/// quorum-acked position covers `bound`, else to the freshest member,
+/// ties broken on the name so routing is deterministic. Positions come
+/// from the acks the group-commit layer already collects — a member
+/// that acked LSN `n` has fsynced **and applied** through `n`, so the
+/// forwarded `read` renders the same bytes the primary would there and
+/// no extra probe is needed. When nobody covers the bound (a typed
+/// `TooStale` naming the freshest member consulted) or the forward
+/// fails — the member restarted, refused after a membership race,
+/// timed out — `or_primary` decides between answering from the primary
+/// and surfacing the error.
+fn fleet_route(
+    ctx: &SessionCtx,
+    fleet: &FleetRouting,
+    session: u64,
+    text: &str,
+    bound: u64,
+    pin: Option<u64>,
+    or_primary: bool,
+) -> Reply {
     let positions = ctx.commit.member_positions();
     // The tracker speaks next-LSN ("synced everything below");
     // subtract one to get the highest LSN the member has applied.
@@ -630,32 +482,38 @@ fn fleet_query(ctx: &SessionCtx, fleet: &FleetRouting, session: u64, text: &str)
             .find(|(n, _)| n == name)
             .map_or(0, |(_, p)| p.saturating_sub(1))
     };
+    // Snapshot the member list: membership can change under a live
+    // server, and the forwarding round-trip below must not hold the
+    // list lock.
     let members: Vec<FleetMember> = lock(&fleet.members).clone();
-    if members.is_empty() {
+    let Some(freshest) = members
+        .iter()
+        .max_by_key(|&m| (acked_of(&m.name), m.name.as_str()))
+    else {
+        // An empty fleet: the primary serves, as without a follower.
         return primary_query(ctx, session, text);
-    }
-    let pinned = &members[(session % members.len() as u64) as usize];
-    let target = if acked_of(&pinned.name) >= bound {
-        Some(pinned)
+    };
+    let target = pin
+        .map(|s| &members[(s % members.len() as u64) as usize])
+        .filter(|m| acked_of(&m.name) >= bound)
+        .unwrap_or(freshest);
+    let applied = acked_of(&target.name);
+    let forwarded = if applied < bound {
+        Err(ServerError::TooStale {
+            required: bound,
+            applied,
+            member: Some(target.name.clone()),
+        })
     } else {
-        members
-            .iter()
-            .filter(|m| acked_of(&m.name) >= bound)
-            .max_by_key(|m| (acked_of(&m.name), std::cmp::Reverse(m.name.clone())))
+        SessionClient::connect(target.addr.clone(), fleet.net.clone()).read_at(bound, text)
     };
-    let Some(target) = target else {
-        return primary_query(ctx, session, text);
-    };
-    let mut client = SessionClient::connect(target.addr.clone(), fleet.net.clone());
-    match client.read_at(bound, text) {
+    match forwarded {
         Ok(out) => {
             ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
             Reply::Result(out)
         }
-        // Any forward failure — the member restarted, refused as stale
-        // after a membership race, or timed out — degrades to the
-        // primary instead of surfacing a routing artefact.
-        Err(_) => primary_query(ctx, session, text),
+        Err(_) if or_primary => primary_query(ctx, session, text),
+        Err(e) => Reply::Err(e),
     }
 }
 
@@ -665,7 +523,7 @@ fn fleet_query(ctx: &SessionCtx, fleet: &FleetRouting, session: u64, text: &str)
 /// primary serves it (a primary is never stale).
 fn follower_read(ctx: &SessionCtx, session: u64, min_lsn: u64, text: &str) -> Reply {
     if let Some(fleet) = &ctx.fleet {
-        return fleet_read(ctx, fleet, session, min_lsn, text);
+        return fleet_route(ctx, fleet, session, text, min_lsn, None, false);
     }
     let Some(follower) = &ctx.follower else {
         return primary_query(ctx, session, text);
@@ -689,59 +547,6 @@ fn follower_read(ctx: &SessionCtx, session: u64, min_lsn: u64, text: &str) -> Re
     };
     match render_query(tmd, text, &ctx.exec, ctx.memo.for_session(session)) {
         Ok(out) => Reply::Result(out),
-        Err(e) => Reply::Err(e),
-    }
-}
-
-/// Forwards a `read` to the freshest fleet member whose quorum-acked
-/// position covers `min_lsn`. The bound is derived from the acks the
-/// group-commit layer collects — a member that acked LSN `n` has
-/// fsynced and applied through `n`, so no extra probe is needed. Ties
-/// break on the member name, making routing deterministic.
-fn fleet_read(
-    ctx: &SessionCtx,
-    fleet: &FleetRouting,
-    session: u64,
-    min_lsn: u64,
-    text: &str,
-) -> Reply {
-    let positions = ctx.commit.member_positions();
-    // The tracker speaks next-LSN ("synced everything below");
-    // subtract one to get the highest LSN the member has applied.
-    let acked_of = |name: &str| {
-        positions
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, p)| p.saturating_sub(1))
-    };
-    // Snapshot the member list: membership can change under a live
-    // server, and the forwarding round-trip below must not hold the
-    // list lock.
-    let members: Vec<FleetMember> = lock(&fleet.members).clone();
-    let mut best: Option<(&FleetMember, u64)> = None;
-    for m in &members {
-        let acked = acked_of(&m.name);
-        if best.is_none_or(|(b, p)| (acked, m.name.as_str()) > (p, b.name.as_str())) {
-            best = Some((m, acked));
-        }
-    }
-    let Some((freshest, applied)) = best else {
-        // An empty fleet: the primary serves, as without a follower.
-        return primary_query(ctx, session, text);
-    };
-    if applied < min_lsn {
-        return Reply::Err(ServerError::TooStale {
-            required: min_lsn,
-            applied,
-            member: Some(freshest.name.clone()),
-        });
-    }
-    let mut client = SessionClient::connect(freshest.addr.clone(), fleet.net.clone());
-    match client.read_at(min_lsn, text) {
-        Ok(out) => {
-            ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-            Reply::Result(out)
-        }
         Err(e) => Reply::Err(e),
     }
 }

@@ -5,8 +5,7 @@
 //!   interleaving commits and queries leave the store in a state
 //!   bit-identical to replaying the same records sequentially in LSN
 //!   order (snapshot bytes + result-table digests) — swept across pool
-//!   sizes 1, 2 and the host's CPU count, plus the `workers: 0`
-//!   thread-per-session baseline.
+//!   sizes 1, 2 and the host's CPU count.
 //! - **Pool admission.** Queue overflow under a busy pool refuses with
 //!   a typed `Busy` from the poll loop without blocking the worker;
 //!   a parked session dropping releases its slot (RAII permit).
@@ -28,7 +27,7 @@ use mvolap_core::persist::write_tmd;
 use mvolap_durable::{
     DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, TimeSource, WalRecord,
 };
-use mvolap_replica::{Follower, NetAddr, NetConfig, NetStream};
+use mvolap_replica::{Follower, NetAddr, NetConfig, NetStream, ReplicaMsg, TailSource, WalTailer};
 use mvolap_server::{proto, Request, ServerError, ServerOptions, SessionClient, SessionServer};
 use mvolap_storage::persist::table_digest;
 use mvolap_temporal::Instant;
@@ -56,17 +55,36 @@ const QUERY: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2003 IN 
 /// final state equals a sequential replay of the journaled records in
 /// LSN order, and every rendered query matches the replayed store.
 /// Swept across pool sizes — multiplexing sessions over 1, 2 or
-/// `host_cpus` workers must not change a single byte — and the
-/// `workers: 0` thread-per-session baseline.
+/// `host_cpus` workers must not change a single byte.
 #[test]
 fn concurrent_sessions_are_bit_identical_to_a_sequential_replay() {
     let host_cpus = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-    let mut sweep = vec![0, 1, 2, host_cpus];
+    let mut sweep = vec![1, 2, host_cpus];
     sweep.sort_unstable();
     sweep.dedup();
     for workers in sweep {
         bit_identity_at(workers);
     }
+}
+
+/// `workers: 0` is not a mode: the pool is clamped to one worker.
+#[test]
+fn zero_workers_is_served_by_one() {
+    let dir = tmp("zero_workers");
+    let store = DurableTmd::create(&dir, case_study().tmd).unwrap();
+    let opts = ServerOptions {
+        workers: 0,
+        ..ServerOptions::default()
+    };
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let server = SessionServer::spawn(&local_addr(), group, opts).unwrap();
+    SessionClient::connect(server.addr().clone(), NetConfig::default())
+        .ping()
+        .unwrap();
+    let stats = server.pool_stats();
+    assert_eq!((stats.workers, stats.memo.len()), (1, 1));
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bit_identity_at(workers: usize) {
@@ -155,7 +173,7 @@ fn bit_identity_at(workers: usize) {
         "20 commits + 20 queries must be counted, got {}",
         stats.served
     );
-    assert_eq!(stats.memo.len(), workers.max(1));
+    assert_eq!(stats.memo.len(), workers);
     let memo_total = stats.memo.iter().fold(0u64, |acc, m| {
         acc + m.routes.hits + m.routes.misses + m.ancestors.hits + m.ancestors.misses
     });
@@ -477,8 +495,8 @@ fn mid_query_disconnect_leaves_the_server_serving() {
 }
 
 /// Read routing: a follower behind the reader's staleness bound
-/// refuses with a typed `TooStale`; after `pump_follower` it serves
-/// bytes identical to the primary.
+/// refuses with a typed `TooStale`; once the log's tail is shipped to
+/// it, it serves bytes identical to the primary.
 #[test]
 fn stale_follower_reads_are_refused_then_served_after_catch_up() {
     let dir = tmp("routing_primary");
@@ -518,9 +536,20 @@ fn stale_follower_reads_are_refused_then_served_after_catch_up() {
         other => panic!("expected TooStale, got {other:?}"),
     }
 
-    let applied = server.pump_follower().unwrap();
+    // Ship the tail the way a member pump does: fetch from the
+    // primary's log, deliver to the follower's handle.
+    let handle = server.follower_handle().expect("follower attached");
+    {
+        let mut f = handle.lock().unwrap();
+        let TailSource::Frames(frames) = WalTailer::new(&dir).fetch(f.next_lsn(), 64).unwrap()
+        else {
+            panic!("nothing is pruned: the tail ships as frames");
+        };
+        let epoch = f.epoch();
+        f.handle(ReplicaMsg::Frames { epoch, frames }).unwrap();
+    }
+    let applied = server.follower_applied();
     assert!(applied >= lsn, "follower applied through {applied}");
-    assert_eq!(server.follower_applied(), applied);
 
     let from_follower = client.read_at(lsn, QUERY).unwrap();
     let from_primary = client.query(QUERY).unwrap();

@@ -2,8 +2,8 @@
 //! on loopback, a follower syncing through the socket protocol,
 //! promotion, and a fenced-write probe against the deposed server.
 //!
-//! The same steps as `examples/replication.rs`, but every frame crosses
-//! a socket: the primary sits behind a [`ReplicaServer`], the follower
+//! Every frame crosses a socket: the primary sits behind a
+//! [`ReplicaServer`], the follower
 //! pulls hello → heartbeat/frames → ack round trips through a
 //! [`NetClient`], and epoch fencing is enforced at the protocol layer —
 //! a single `fence` request at a newer epoch deposes the server for

@@ -4,9 +4,8 @@
 //! `\q`.
 //!
 //! This is the smoke test for the pooled session server's reason to
-//! exist: under the legacy thread-per-session loop, 64 held sessions
-//! meant 64 server threads; under the pool they are parked file
-//! descriptors polled by one loop, served by a handful of workers.
+//! exist: 64 held sessions are 64 parked file descriptors polled by
+//! one loop and served by a handful of workers, not 64 server threads.
 //! The soak holds every session open for the whole window — the idle
 //! ones ping once in a while, the hot ones hammer queries and commits
 //! — and then checks that

@@ -19,9 +19,9 @@
 //!    sharded query memo absorbing the repeated lookups.
 //! 3. **Follower reads.** A `read` request carries an explicit
 //!    staleness bound: while the follower is behind it is refused with
-//!    the typed `TooStale` error, and after one replication pump the
-//!    same request is served from the follower byte-identically to the
-//!    primary's answer.
+//!    the typed `TooStale` error, and once a member pump has shipped
+//!    it the log's tail the same request is served from the follower
+//!    byte-identically to the primary's answer.
 //!
 //! ```text
 //! cargo run --example serving
@@ -32,6 +32,7 @@
 //! commit spends no more fsyncs than commits, and the follower read
 //! matches the primary's answer byte-for-byte.
 
+use mvolap::cluster::{MemberPump, PumpConfig, PumpShared, PumpStep, PumpTracker};
 use mvolap::core::case_study;
 use mvolap::durable::{DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, WalRecord};
 use mvolap::prelude::*;
@@ -161,11 +162,26 @@ fn main() {
         other => panic!("expected TooStale, got {other:?}"),
     }
 
-    // ...until one replication pump catches it up, after which the same
-    // bounded read is served from the follower, byte-identical to the
-    // primary's answer.
-    let applied = server.pump_follower().expect("pump follower");
-    println!("follower pumped to LSN {applied}");
+    // ...until a member pump — the served fleet's shipper, stepped by
+    // hand here instead of running on its thread — catches it up, after
+    // which the same bounded read is served from the follower,
+    // byte-identical to the primary's answer.
+    let mut pump = MemberPump::new(
+        PumpShared::new(group.clone(), 0),
+        "reader",
+        server.follower_handle().expect("follower attached"),
+        &base.join("primary"),
+        PumpConfig::default(),
+        PumpTracker::new(),
+    );
+    loop {
+        match pump.step() {
+            PumpStep::Idle => break,
+            PumpStep::Progress { .. } | PumpStep::Blocked { .. } => {}
+            other => panic!("pump derailed: {other:?}"),
+        }
+    }
+    println!("follower pumped to LSN {}", server.follower_applied());
     let from_follower = client.read_at(latest, Q1).expect("follower read");
     let from_primary = client.query(Q1).expect("primary read");
     assert_eq!(

@@ -99,6 +99,14 @@ impl Session {
     }
 }
 
+const USAGE: &str = "usage: mvolap [--two-measures | --workload SEED | --load FILE] \
+     [--store DIR] [--serve ADDR | --follow ADDR | --listen ADDR] \
+     [--cluster SPEC] [--workers N] [--connect ADDR] [-c QUERY]\n\
+     ADDR is host:port or unix:/path/to.sock; serve/follow/listen need \
+     --store DIR; --connect talks to a --listen server; --cluster \
+     name=ADDR,... with --listen starts a quorum group; --workers N \
+     sizes the session pool (N >= 1)";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut schema: Option<Tmd> = None;
@@ -191,20 +199,17 @@ fn main() {
             }
             "--workers" => {
                 i += 1;
-                workers = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    die("--workers requires a number (0 = thread per session)")
-                }));
+                workers = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n: &usize| n >= 1)
+                        .unwrap_or_else(|| {
+                            die(&format!("--workers requires a number >= 1\n{USAGE}"))
+                        }),
+                );
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: mvolap [--two-measures | --workload SEED | --load FILE] \
-                     [--store DIR] [--serve ADDR | --follow ADDR | --listen ADDR] \
-                     [--cluster SPEC] [--workers N] [--connect ADDR] [-c QUERY]\n\
-                     ADDR is host:port or unix:/path/to.sock; serve/follow/listen need \
-                     --store DIR; --connect talks to a --listen server; --cluster \
-                     name=ADDR,... with --listen starts a quorum group; --workers N \
-                     sizes the session pool (0 = one thread per session)"
-                );
+                println!("{USAGE}");
                 return;
             }
             other => die(&format!("unknown argument `{other}` (try --help)")),
@@ -472,9 +477,9 @@ fn server_opts(workers: Option<usize>) -> ServerOptions {
 }
 
 /// `--listen`: the concurrent session server — a fixed worker pool
-/// multiplexing nonblocking sessions (`--workers N`; 0 = the legacy
-/// thread-per-session loop). Writes group-commit (one shared fsync per
-/// batch); queries run under a shared read lock.
+/// multiplexing nonblocking sessions (`--workers N`). Writes
+/// group-commit (one shared fsync per batch); queries run under a
+/// shared read lock.
 fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, workers: Option<usize>) -> ! {
     let path = std::path::PathBuf::from(dir);
     let store = match DurableTmd::open(&path) {
@@ -562,7 +567,7 @@ fn cluster(
     group.spawn_pumps(PumpConfig::default());
     println!(
         "mvolap — quorum group under `{dir}`: primary on {} ({} members, quorum {}/{}, \
-         async replication). \\join NAME=ADDR, \\leave NAME, \\status, \\pump; `\\q`, \
+         async replication). \\join NAME=ADDR, \\leave NAME, \\status; `\\q`, \
          `quit` or EOF stops.",
         group.primary_addr(),
         members.len(),
@@ -629,37 +634,8 @@ fn cluster(
                 );
             }
             print_pool(&group.primary_stats());
-        } else if line == "\\pump" {
-            // One explicit shipping round over *every* member — an
-            // unpromoted learner still catching up included, labelled
-            // with its role: each slot reports success (its applied
-            // LSN) or exactly why it stalled or was fenced — the
-            // threads keep running regardless.
-            let membership = group.membership();
-            for (name, round) in group.pump() {
-                let role =
-                    membership
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map_or(
-                            "voter",
-                            |&(_, learner)| {
-                                if learner {
-                                    "learner"
-                                } else {
-                                    "voter"
-                                }
-                            },
-                        );
-                match round {
-                    Ok(applied) => {
-                        println!("  {name} ({role}): ok, applied through LSN {applied}");
-                    }
-                    Err(e) => println!("  {name} ({role}): stalled — {e}"),
-                }
-            }
         } else if !line.is_empty() {
-            println!("commands: \\join NAME=ADDR, \\leave NAME, \\status, \\pump, \\q (or `quit`)");
+            println!("commands: \\join NAME=ADDR, \\leave NAME, \\status, \\q (or `quit`)");
         }
         std::io::stdout().flush().ok();
     }
