@@ -25,6 +25,7 @@
 //! | §3.2 | Evolution operators | [`evolution`] |
 //! | §4–5 | Logical adaptation / relational export | [`logical`] |
 //! | §5.2 | Metadata | [`metadata`] |
+//! | §5.1 | The Temporal DW on disk: snapshot image over the shared token layer | [`persist`], [`token`] |
 //!
 //! ## Quick start
 //!
@@ -68,6 +69,7 @@ pub mod persist;
 pub mod schema;
 pub mod structure_version;
 pub mod tmp;
+pub mod token;
 
 pub use aggregate::{evaluate, evaluate_par, AggregateQuery, ResultRow, ResultSet, TimeLevel};
 pub use confidence::{CellColour, Confidence, ConfidenceAlgebra, ConfidenceWeights};

@@ -110,6 +110,12 @@ impl From<CoreError> for DurableError {
     }
 }
 
+impl From<mvolap_core::token::TokenError> for DurableError {
+    fn from(e: mvolap_core::token::TokenError) -> Self {
+        DurableError::corrupt(format!("record: {e}"))
+    }
+}
+
 impl DurableError {
     pub(crate) fn corrupt(message: impl Into<String>) -> Self {
         DurableError::Corrupt {

@@ -10,18 +10,16 @@
 //! yield a cyclic `D(t)`, dangling edges or non-leaf facts — replay
 //! refuses instead.
 //!
-//! Payloads are space-separated escaped tokens (same escaping idiom as
-//! the snapshot format: `\\`, `\s`, `\t`, `\n`, `\e`, empty = `\0`),
-//! with count-prefixed lists so the grammar needs no lookahead. Floats
-//! use Rust's shortest round-tripping `Display`, so mapping factors and
-//! measures survive bit-exactly.
+//! Payloads are space-separated tokens over [`mvolap_core::token`]
+//! (escapes, instant/float/mapping forms, counted lists); this module
+//! owns only the grammar of each record kind.
 
 use std::collections::BTreeMap;
 
 use mvolap_core::evolution::{self, BasicOp, MergeSource, SplitPart};
+use mvolap_core::token::{Escapes, TokenError, TokenReader, TokenWriter};
 use mvolap_core::{
-    Confidence, CoreError, DimensionId, MappingFunction, MappingRelationship, MeasureMapping,
-    MemberVersionId, Tmd,
+    CoreError, DimensionId, MappingRelationship, MeasureMapping, MemberVersionId, Tmd,
 };
 use mvolap_temporal::Instant;
 
@@ -198,274 +196,67 @@ pub enum WalRecord {
     },
 }
 
-// ---------------------------------------------------------------------
-// Token encoding
-// ---------------------------------------------------------------------
-
-pub(crate) fn esc(s: &str) -> String {
-    if s.is_empty() {
-        return "\\0".to_owned();
-    }
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\s"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+/// The record-level token forms the operators share, written over the
+/// shared writer.
+trait RecordWriter {
+    fn level(&mut self, level: &Option<String>) -> &mut Self;
+    fn ids(&mut self, ids: &[MemberVersionId]) -> &mut Self;
+    fn mappings(&mut self, ms: &[MeasureMapping]) -> &mut Self;
 }
 
-pub(crate) fn unesc(s: &str) -> Result<String, DurableError> {
-    if s == "\\0" {
-        return Ok(String::new());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('s') => out.push(' '),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            other => {
-                return Err(DurableError::corrupt(format!(
-                    "bad token escape \\{other:?}"
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn enc_instant(t: Instant) -> String {
-    if t.is_forever() {
-        "now".to_owned()
-    } else if t.is_dawn() {
-        "dawn".to_owned()
-    } else {
-        t.tick().to_string()
-    }
-}
-
-fn enc_f64(x: f64) -> String {
-    if x.is_nan() {
-        "NaN".to_owned()
-    } else if x == f64::INFINITY {
-        "inf".to_owned()
-    } else if x == f64::NEG_INFINITY {
-        "-inf".to_owned()
-    } else {
-        format!("{x}")
-    }
-}
-
-fn enc_mm(m: &MeasureMapping) -> String {
-    let f = match m.func {
-        MappingFunction::Identity => "id".to_owned(),
-        MappingFunction::Unknown => "u".to_owned(),
-        MappingFunction::Scale(k) => format!("s{}", enc_f64(k)),
-        MappingFunction::Affine { a, b } => format!("a{}:{}", enc_f64(a), enc_f64(b)),
-    };
-    format!("{f}@{}", m.confidence.code())
-}
-
-/// A space-joined token writer.
-#[derive(Default)]
-struct Enc {
-    out: String,
-}
-
-impl Enc {
-    fn raw(&mut self, token: impl std::fmt::Display) -> &mut Self {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-        let _ = std::fmt::Write::write_fmt(&mut self.out, format_args!("{token}"));
-        self
-    }
-
-    fn text(&mut self, s: &str) -> &mut Self {
-        let escaped = esc(s);
-        self.raw(escaped)
-    }
-
+impl RecordWriter for TokenWriter {
     fn level(&mut self, level: &Option<String>) -> &mut Self {
         match level {
-            Some(l) => {
-                self.raw(1);
-                self.text(l)
-            }
+            Some(l) => self.raw(1).text(l),
             None => self.raw(0),
         }
     }
 
     fn ids(&mut self, ids: &[MemberVersionId]) -> &mut Self {
-        self.raw(ids.len());
-        for id in ids {
-            self.raw(id.0);
-        }
-        self
+        self.list(ids, |w, id| {
+            w.raw(id.0);
+        })
     }
 
     fn mappings(&mut self, ms: &[MeasureMapping]) -> &mut Self {
-        self.raw(ms.len());
-        for m in ms {
-            self.raw(enc_mm(m));
-        }
-        self
+        self.list(ms, |w, m| {
+            w.mapping(m);
+        })
     }
 }
 
-/// A token reader with positional error reporting.
-struct Dec<'a> {
-    toks: std::str::Split<'a, char>,
-    at: usize,
+/// The same forms, read back.
+trait RecordReader {
+    fn dim(&mut self) -> Result<DimensionId, TokenError>;
+    fn id(&mut self) -> Result<MemberVersionId, TokenError>;
+    fn level(&mut self) -> Result<Option<String>, TokenError>;
+    fn ids(&mut self) -> Result<Vec<MemberVersionId>, TokenError>;
+    fn mappings(&mut self) -> Result<Vec<MeasureMapping>, TokenError>;
 }
 
-impl<'a> Dec<'a> {
-    fn new(s: &'a str) -> Self {
-        Dec {
-            toks: s.split(' '),
-            at: 0,
+impl RecordReader for TokenReader<'_> {
+    fn dim(&mut self) -> Result<DimensionId, TokenError> {
+        self.parse("dimension").map(DimensionId)
+    }
+
+    fn id(&mut self) -> Result<MemberVersionId, TokenError> {
+        self.parse("member version id").map(MemberVersionId)
+    }
+
+    fn level(&mut self) -> Result<Option<String>, TokenError> {
+        match self.token()? {
+            "0" => Ok(None),
+            "1" => self.text().map(Some),
+            flag => Err(self.bad("level flag", flag)),
         }
     }
 
-    fn next(&mut self) -> Result<&'a str, DurableError> {
-        self.at += 1;
-        self.toks
-            .next()
-            .ok_or_else(|| DurableError::corrupt(format!("record truncated at token {}", self.at)))
+    fn ids(&mut self) -> Result<Vec<MemberVersionId>, TokenError> {
+        self.list(Self::id)
     }
 
-    fn bad(&self, what: &str, tok: &str) -> DurableError {
-        DurableError::corrupt(format!("bad {what} `{tok}` at token {}", self.at))
-    }
-
-    fn text(&mut self) -> Result<String, DurableError> {
-        let t = self.next()?;
-        unesc(t)
-    }
-
-    fn u32(&mut self) -> Result<u32, DurableError> {
-        let t = self.next()?;
-        t.parse().map_err(|_| self.bad("integer", t))
-    }
-
-    fn u64(&mut self) -> Result<u64, DurableError> {
-        let t = self.next()?;
-        t.parse().map_err(|_| self.bad("integer", t))
-    }
-
-    fn usize(&mut self) -> Result<usize, DurableError> {
-        let t = self.next()?;
-        let n: usize = t.parse().map_err(|_| self.bad("count", t))?;
-        if n > 1 << 24 {
-            return Err(self.bad("count (too large)", t));
-        }
-        Ok(n)
-    }
-
-    fn f64(&mut self) -> Result<f64, DurableError> {
-        let t = self.next()?;
-        match t {
-            "NaN" => Ok(f64::NAN),
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            _ => t.parse().map_err(|_| self.bad("float", t)),
-        }
-    }
-
-    fn instant(&mut self) -> Result<Instant, DurableError> {
-        let t = self.next()?;
-        match t {
-            "now" => Ok(Instant::FOREVER),
-            "dawn" => Ok(Instant::DAWN),
-            _ => t
-                .parse::<i64>()
-                .map(Instant::at)
-                .map_err(|_| self.bad("instant", t)),
-        }
-    }
-
-    fn dim(&mut self) -> Result<DimensionId, DurableError> {
-        Ok(DimensionId(self.u32()?))
-    }
-
-    fn id(&mut self) -> Result<MemberVersionId, DurableError> {
-        Ok(MemberVersionId(self.u32()?))
-    }
-
-    fn level(&mut self) -> Result<Option<String>, DurableError> {
-        match self.u32()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.text()?)),
-            n => Err(self.bad("level flag", &n.to_string())),
-        }
-    }
-
-    fn ids(&mut self) -> Result<Vec<MemberVersionId>, DurableError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.id()).collect()
-    }
-
-    fn mapping(&mut self) -> Result<MeasureMapping, DurableError> {
-        let t = self.next()?;
-        let (f, cf) = t
-            .rsplit_once('@')
-            .ok_or_else(|| self.bad("mapping (missing @cf)", t))?;
-        let confidence = match cf {
-            "sd" => Confidence::Source,
-            "em" => Confidence::Exact,
-            "am" => Confidence::Approx,
-            "uk" => Confidence::Unknown,
-            _ => return Err(self.bad("confidence", cf)),
-        };
-        let parse_f = |s: &str| -> Option<f64> {
-            match s {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => s.parse().ok(),
-            }
-        };
-        let func = if f == "id" {
-            MappingFunction::Identity
-        } else if f == "u" {
-            MappingFunction::Unknown
-        } else if let Some(k) = f.strip_prefix('s') {
-            MappingFunction::Scale(parse_f(k).ok_or_else(|| self.bad("scale", k))?)
-        } else if let Some(ab) = f.strip_prefix('a') {
-            let (a, b) = ab.split_once(':').ok_or_else(|| self.bad("affine", ab))?;
-            MappingFunction::Affine {
-                a: parse_f(a).ok_or_else(|| self.bad("affine a", a))?,
-                b: parse_f(b).ok_or_else(|| self.bad("affine b", b))?,
-            }
-        } else {
-            return Err(self.bad("mapping function", f));
-        };
-        Ok(MeasureMapping { func, confidence })
-    }
-
-    fn mappings(&mut self) -> Result<Vec<MeasureMapping>, DurableError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.mapping()).collect()
-    }
-
-    fn done(mut self) -> Result<(), DurableError> {
-        match self.toks.next() {
-            None => Ok(()),
-            Some(t) => Err(DurableError::corrupt(format!(
-                "trailing token `{t}` after record"
-            ))),
-        }
+    fn mappings(&mut self) -> Result<Vec<MeasureMapping>, TokenError> {
+        self.list(Self::mapping)
     }
 }
 
@@ -491,7 +282,7 @@ impl WalRecord {
 
     /// Serialises the record into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut e = TokenWriter::new(Escapes::Separators);
         match self {
             WalRecord::Bootstrap { snapshot } => {
                 // The snapshot is an opaque blob; frame it after a single
@@ -508,10 +299,10 @@ impl WalRecord {
                 parents,
             } => {
                 e.raw("create").raw(dim.0).text(name).level(level);
-                e.raw(enc_instant(*at)).ids(parents);
+                e.instant(*at).ids(parents);
             }
             WalRecord::Delete { dim, id, at } => {
-                e.raw("delete").raw(dim.0).raw(id.0).raw(enc_instant(*at));
+                e.raw("delete").raw(dim.0).raw(id.0).instant(*at);
             }
             WalRecord::Transform {
                 dim,
@@ -521,7 +312,7 @@ impl WalRecord {
                 at,
             } => {
                 e.raw("transform").raw(dim.0).raw(id.0).text(new_name);
-                e.raw(enc_instant(*at)).raw(new_attributes.len());
+                e.instant(*at).raw(new_attributes.len());
                 for (k, v) in new_attributes {
                     e.text(k).text(v);
                 }
@@ -535,10 +326,9 @@ impl WalRecord {
                 parents,
             } => {
                 e.raw("merge").raw(dim.0).text(new_name).level(level);
-                e.raw(enc_instant(*at)).ids(parents).raw(sources.len());
-                for s in sources {
+                e.instant(*at).ids(parents).list(sources, |e, s| {
                     e.raw(s.id.0).mappings(&s.forward).mappings(&s.backward);
-                }
+                });
             }
             WalRecord::Split {
                 dim,
@@ -547,14 +337,10 @@ impl WalRecord {
                 at,
                 parents,
             } => {
-                e.raw("split")
-                    .raw(dim.0)
-                    .raw(source.0)
-                    .raw(enc_instant(*at));
-                e.ids(parents).raw(parts.len());
-                for p in parts {
+                e.raw("split").raw(dim.0).raw(source.0).instant(*at);
+                e.ids(parents).list(parts, |e, p| {
                     e.text(&p.name).mappings(&p.forward).mappings(&p.backward);
-                }
+                });
             }
             WalRecord::Reclassify {
                 dim,
@@ -564,7 +350,7 @@ impl WalRecord {
                 new_parents,
             } => {
                 e.raw("reclassify").raw(dim.0).raw(id.0);
-                e.raw(enc_instant(*at)).ids(old_parents).ids(new_parents);
+                e.instant(*at).ids(old_parents).ids(new_parents);
             }
             WalRecord::Associate { dim, rel } => {
                 e.raw("associate").raw(dim.0).raw(rel.from.0).raw(rel.to.0);
@@ -589,7 +375,7 @@ impl WalRecord {
                 parents,
             } => {
                 e.raw("increase").raw(dim.0).raw(id.0).text(new_name);
-                e.raw(enc_f64(*factor)).raw(enc_instant(*at)).ids(parents);
+                e.f64(*factor).instant(*at).ids(parents);
             }
             WalRecord::Decrease {
                 dim,
@@ -600,20 +386,14 @@ impl WalRecord {
                 parents,
             } => {
                 e.raw("decrease").raw(dim.0).raw(id.0).text(new_name);
-                e.raw(enc_f64(*kept)).raw(enc_instant(*at)).ids(parents);
+                e.f64(*kept).instant(*at).ids(parents);
             }
             WalRecord::FactBatch { rows } => {
-                e.raw("facts").raw(rows.len());
-                for r in rows {
-                    e.raw(enc_instant(r.at)).raw(r.coords.len());
-                    for c in &r.coords {
-                        e.raw(c.0);
-                    }
-                    e.raw(r.values.len());
-                    for v in &r.values {
-                        e.raw(enc_f64(*v));
-                    }
-                }
+                e.raw("facts").list(rows, |e, r| {
+                    e.instant(r.at).ids(&r.coords).list(&r.values, |e, v| {
+                        e.f64(*v);
+                    });
+                });
             }
             WalRecord::Reconfig {
                 epoch,
@@ -627,7 +407,7 @@ impl WalRecord {
                 e.text(member).text(addr);
             }
         }
-        e.out.into_bytes()
+        e.finish()
     }
 
     /// Deserialises a record from a frame payload.
@@ -641,11 +421,12 @@ impl WalRecord {
                 snapshot: snapshot.to_vec(),
             });
         }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| DurableError::corrupt("record payload is not UTF-8"))?;
-        let mut d = Dec::new(text);
-        let tag = d.next()?;
-        let record = match tag {
+        Ok(WalRecord::decode_tokens(payload)?)
+    }
+
+    fn decode_tokens(payload: &[u8]) -> Result<WalRecord, TokenError> {
+        let mut d = TokenReader::from_bytes(payload)?;
+        let record = match d.token()? {
             "create" => WalRecord::Create {
                 dim: d.dim()?,
                 name: d.text()?,
@@ -663,18 +444,12 @@ impl WalRecord {
                 let id = d.id()?;
                 let new_name = d.text()?;
                 let at = d.instant()?;
-                let n = d.usize()?;
-                let mut new_attributes = BTreeMap::new();
-                for _ in 0..n {
-                    let k = d.text()?;
-                    let v = d.text()?;
-                    new_attributes.insert(k, v);
-                }
+                let new_attributes = d.list(|d| Ok((d.text()?, d.text()?)))?;
                 WalRecord::Transform {
                     dim,
                     id,
                     new_name,
-                    new_attributes,
+                    new_attributes: new_attributes.into_iter().collect(),
                     at,
                 }
             }
@@ -684,15 +459,13 @@ impl WalRecord {
                 let level = d.level()?;
                 let at = d.instant()?;
                 let parents = d.ids()?;
-                let n = d.usize()?;
-                let mut sources = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sources.push(MergeSource {
+                let sources = d.list(|d| {
+                    Ok(MergeSource {
                         id: d.id()?,
                         forward: d.mappings()?,
                         backward: d.mappings()?,
-                    });
-                }
+                    })
+                })?;
                 WalRecord::Merge {
                     dim,
                     sources,
@@ -707,15 +480,13 @@ impl WalRecord {
                 let source = d.id()?;
                 let at = d.instant()?;
                 let parents = d.ids()?;
-                let n = d.usize()?;
-                let mut parts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    parts.push(SplitPart {
+                let parts = d.list(|d| {
+                    Ok(SplitPart {
                         name: d.text()?,
                         forward: d.mappings()?,
                         backward: d.mappings()?,
-                    });
-                }
+                    })
+                })?;
                 WalRecord::Split {
                     dim,
                     source,
@@ -763,22 +534,18 @@ impl WalRecord {
                 at: d.instant()?,
                 parents: d.ids()?,
             },
-            "facts" => {
-                let n = d.usize()?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let at = d.instant()?;
-                    let nc = d.usize()?;
-                    let coords = (0..nc).map(|_| d.id()).collect::<Result<Vec<_>, _>>()?;
-                    let nv = d.usize()?;
-                    let values = (0..nv).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
-                    rows.push(FactRow { coords, at, values });
-                }
-                WalRecord::FactBatch { rows }
-            }
+            "facts" => WalRecord::FactBatch {
+                rows: d.list(|d| {
+                    Ok(FactRow {
+                        at: d.instant()?,
+                        coords: d.ids()?,
+                        values: d.list(TokenReader::f64)?,
+                    })
+                })?,
+            },
             "reconfig" => {
-                let epoch = d.u64()?;
-                let add = match d.next()? {
+                let epoch = d.parse("epoch")?;
+                let add = match d.token()? {
                     "add" => true,
                     "remove" => false,
                     t => return Err(d.bad("reconfig direction", t)),
@@ -790,9 +557,9 @@ impl WalRecord {
                     addr: d.text()?,
                 }
             }
-            other => return Err(DurableError::corrupt(format!("unknown record `{other}`"))),
+            other => return Err(d.bad("record kind", other)),
         };
-        d.done()?;
+        d.finish()?;
         Ok(record)
     }
 
@@ -975,6 +742,7 @@ impl WalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvolap_core::{Confidence, MappingFunction};
 
     fn roundtrip(r: &WalRecord) -> WalRecord {
         let payload = r.encode();

@@ -26,9 +26,8 @@
 
 use std::path::{Path, PathBuf};
 
-use mvolap_core::evolution::{MergeSource, SplitPart};
-use mvolap_core::{DimensionId, MeasureMapping, MemberVersionId, Tmd};
-use mvolap_temporal::Instant;
+use mvolap_core::token::{Escapes, TokenError, TokenReader, TokenWriter};
+use mvolap_core::Tmd;
 
 use crate::checkpoint::{self, CheckpointId};
 use crate::clock::TimeSource;
@@ -167,24 +166,19 @@ fn write_membership(
     dir: &Path,
     io: &mut Io,
 ) -> Result<(), DurableError> {
-    use crate::record::esc;
-    let mut buf = String::from(MEMBERSHIP_MAGIC);
-    buf.push('\n');
+    let mut w = TokenWriter::new(Escapes::Separators);
+    w.raw(MEMBERSHIP_MAGIC).end_line();
     for e in entries {
-        buf.push_str(&format!(
-            "{} {} {} {} {}\n",
-            e.lsn,
-            e.epoch,
-            if e.add { "add" } else { "remove" },
-            esc(&e.member),
-            esc(&e.addr)
-        ));
+        w.raw(e.lsn).raw(e.epoch);
+        w.raw(if e.add { "add" } else { "remove" });
+        w.text(&e.member).text(&e.addr).end_line();
     }
+    let buf = w.finish();
     let finals = membership_path(dir);
     let tmp = dir.join("membership.tmp");
     let f = io.create(&tmp)?;
     let res = io
-        .write(&f, buf.as_bytes())
+        .write(&f, &buf)
         .and_then(|()| io.sync(&f))
         .and_then(|()| {
             drop(f);
@@ -202,44 +196,32 @@ fn write_membership(
 /// malformed line ends the parse (never fatal — the WAL scan re-adds
 /// anything it still holds).
 fn load_membership(dir: &Path) -> Vec<ReconfigEntry> {
-    use crate::record::unesc;
     let Ok(text) = std::fs::read_to_string(membership_path(dir)) else {
         return Vec::new();
     };
-    let mut lines = text.lines();
+    // Split on `\n` alone: `lines()` would also eat a carriage return
+    // that ends a member's address.
+    let mut lines = text.split('\n');
     if lines.next() != Some(MEMBERSHIP_MAGIC) {
         return Vec::new();
     }
-    let mut entries = Vec::new();
-    for line in lines {
-        let mut toks = line.split(' ');
-        let parsed = (|| {
-            let lsn = toks.next()?.parse().ok()?;
-            let epoch = toks.next()?.parse().ok()?;
-            let add = match toks.next()? {
+    let entry = |line| -> Result<ReconfigEntry, TokenError> {
+        let mut r = TokenReader::new(line);
+        let entry = ReconfigEntry {
+            lsn: r.parse("lsn")?,
+            epoch: r.parse("epoch")?,
+            add: match r.token()? {
                 "add" => true,
                 "remove" => false,
-                _ => return None,
-            };
-            let member = unesc(toks.next()?).ok()?;
-            let addr = unesc(toks.next()?).ok()?;
-            if toks.next().is_some() {
-                return None;
-            }
-            Some(ReconfigEntry {
-                lsn,
-                epoch,
-                add,
-                member,
-                addr,
-            })
-        })();
-        match parsed {
-            Some(e) => entries.push(e),
-            None => break,
-        }
-    }
-    entries
+                other => return Err(r.bad("direction", other)),
+            },
+            member: r.text()?,
+            addr: r.text()?,
+        };
+        r.finish()?;
+        Ok(entry)
+    };
+    lines.map_while(|line| entry(line).ok()).collect()
 }
 
 /// A durable temporal multidimensional schema: [`Tmd`] + WAL +
@@ -796,156 +778,6 @@ impl DurableTmd {
                 Err(e)
             }
         }
-    }
-
-    // -- journaled evolution operators --------------------------------
-
-    /// Journaled [`mvolap_core::evolution::create`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn create_member(
-        &mut self,
-        dim: DimensionId,
-        name: impl Into<String>,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Create {
-            dim,
-            name: name.into(),
-            level,
-            at,
-            parents: parents.to_vec(),
-        })
-    }
-
-    /// Journaled [`mvolap_core::evolution::delete`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn delete_member(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Delete { dim, id, at })
-    }
-
-    /// Journaled [`mvolap_core::evolution::transform`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn transform_member(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        new_name: impl Into<String>,
-        new_attributes: std::collections::BTreeMap<String, String>,
-        at: Instant,
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Transform {
-            dim,
-            id,
-            new_name: new_name.into(),
-            new_attributes,
-            at,
-        })
-    }
-
-    /// Journaled [`mvolap_core::evolution::merge`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn merge_members(
-        &mut self,
-        dim: DimensionId,
-        sources: Vec<MergeSource>,
-        new_name: impl Into<String>,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Merge {
-            dim,
-            sources,
-            new_name: new_name.into(),
-            level,
-            at,
-            parents: parents.to_vec(),
-        })
-    }
-
-    /// Journaled [`mvolap_core::evolution::split`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn split_member(
-        &mut self,
-        dim: DimensionId,
-        source: MemberVersionId,
-        parts: Vec<SplitPart>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Split {
-            dim,
-            source,
-            parts,
-            at,
-            parents: parents.to_vec(),
-        })
-    }
-
-    /// Journaled [`mvolap_core::evolution::reclassify`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn reclassify_member(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-        old_parents: &[MemberVersionId],
-        new_parents: &[MemberVersionId],
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Reclassify {
-            dim,
-            id,
-            at,
-            old_parents: old_parents.to_vec(),
-            new_parents: new_parents.to_vec(),
-        })
-    }
-
-    /// Journaled [`mvolap_core::evolution::change_confidence`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableTmd::apply`].
-    pub fn change_confidence(
-        &mut self,
-        dim: DimensionId,
-        from: MemberVersionId,
-        to: MemberVersionId,
-        forward: Vec<MeasureMapping>,
-        backward: Vec<MeasureMapping>,
-    ) -> Result<u64, DurableError> {
-        self.apply(WalRecord::Confidence {
-            dim,
-            from,
-            to,
-            forward,
-            backward,
-        })
     }
 
     /// Journaled fact-batch append (the ETL load path).

@@ -14,7 +14,9 @@ use std::path::PathBuf;
 
 use mvolap_core::case_study;
 use mvolap_core::persist::write_tmd;
-use mvolap_durable::{crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow};
+use mvolap_durable::{
+    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, WalRecord,
+};
 use mvolap_temporal::Instant;
 
 fn tmp(name: &str) -> PathBuf {
@@ -98,13 +100,13 @@ fn journaled_operations_survive_reopen() {
     let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
     // One evolution + one fact batch through the journal.
     store
-        .transform_member(
-            cs.org,
-            cs.brian,
-            "Dpt.Brian-renamed",
-            BTreeMap::new(),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Transform {
+            dim: cs.org,
+            id: cs.brian,
+            new_name: "Dpt.Brian-renamed".into(),
+            new_attributes: BTreeMap::new(),
+            at: Instant::ym(2004, 1),
+        })
         .unwrap();
     let renamed = {
         let d = &store.schema().dimensions()[cs.org.0 as usize];
@@ -178,11 +180,11 @@ fn invalid_operations_leave_no_journal_trace() {
     assert!(matches!(err, DurableError::Core(_)));
     // Deleting an unknown member: rejected by the clone validation.
     let err = store
-        .delete_member(
-            cs.org,
-            mvolap_core::MemberVersionId(999),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Delete {
+            dim: cs.org,
+            id: mvolap_core::MemberVersionId(999),
+            at: Instant::ym(2004, 1),
+        })
         .unwrap_err();
     assert!(matches!(err, DurableError::Core(_)));
     assert!(!store.is_poisoned());
@@ -207,21 +209,50 @@ fn confidence_change_survives_recovery() {
     // The case study maps Jones -> Bill with an approximate 0.4 share;
     // revise it to an exact 0.45.
     store
-        .change_confidence(
-            cs.org,
-            cs.jones,
-            cs.bill,
-            vec![mvolap_core::MeasureMapping {
+        .apply(WalRecord::Confidence {
+            dim: cs.org,
+            from: cs.jones,
+            to: cs.bill,
+            forward: vec![mvolap_core::MeasureMapping {
                 func: mvolap_core::MappingFunction::Scale(0.45),
                 confidence: mvolap_core::Confidence::Exact,
             }],
-            vec![mvolap_core::MeasureMapping::EXACT_IDENTITY],
-        )
+            backward: vec![mvolap_core::MeasureMapping::EXACT_IDENTITY],
+        })
         .unwrap();
     let before = snapshot(store.schema());
     drop(store);
     let reopened = DurableTmd::open(&dir).unwrap();
     assert_eq!(snapshot(reopened.schema()), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A name ending in a carriage return sits last on its snapshot line,
+/// where a line reader would take it for a CRLF ending: the checkpoint
+/// image must bring it back, or the reopened schema is not the one the
+/// WAL replays onto.
+#[test]
+fn trailing_carriage_return_survives_checkpoint_and_reopen() {
+    let dir = tmp("cr_name");
+    let cs = case_study::case_study();
+    let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
+    store
+        .apply(WalRecord::Create {
+            dim: cs.org,
+            name: "Dpt.Return\r".into(),
+            level: Some("Department".into()),
+            at: Instant::ym(2004, 1),
+            parents: vec![cs.sales],
+        })
+        .unwrap();
+    store.checkpoint().unwrap();
+    let before = snapshot(store.schema());
+    drop(store);
+    let reopened = DurableTmd::open(&dir).unwrap();
+    assert_eq!(snapshot(reopened.schema()), before);
+    assert!(reopened.schema().dimensions()[cs.org.0 as usize]
+        .version_named_at("Dpt.Return\r", Instant::ym(2004, 2))
+        .is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
 

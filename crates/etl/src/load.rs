@@ -7,6 +7,7 @@
 
 use mvolap_core::evolution::{MergeSource, SplitPart};
 use mvolap_core::{CoreError, DimensionId, MemberVersionId, Result, Tmd};
+use mvolap_durable::WalRecord;
 use mvolap_temporal::Instant;
 
 use crate::snapshot::ChangeEvent;
@@ -106,7 +107,13 @@ pub fn apply_changes_in<T: EvolutionTarget>(
                 },
                 None => Vec::new(),
             };
-            target.create(dim, &row.member, row.level.clone(), at, &parents)?;
+            target.apply(WalRecord::Create {
+                dim,
+                name: row.member.clone(),
+                level: row.level.clone(),
+                at,
+                parents,
+            })?;
             report.created += 1;
         }
         if rest.len() == before {
@@ -126,7 +133,7 @@ pub fn apply_changes_in<T: EvolutionTarget>(
             ChangeEvent::Created { .. } => {} // handled above
             ChangeEvent::Deleted { member } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                target.delete(dim, id, at)?;
+                target.apply(WalRecord::Delete { dim, id, at })?;
                 report.deleted += 1;
             }
             ChangeEvent::Reclassified {
@@ -135,21 +142,33 @@ pub fn apply_changes_in<T: EvolutionTarget>(
                 new_parent,
             } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                let old: Vec<MemberVersionId> = match old_parent {
+                let old_parents = match old_parent {
                     Some(p) => vec![resolve(target.schema(), dim, p, at)?],
                     None => Vec::new(),
                 };
-                let new: Vec<MemberVersionId> = match new_parent {
+                let new_parents = match new_parent {
                     Some(p) => vec![resolve(target.schema(), dim, p, at)?],
                     None => Vec::new(),
                 };
-                target.reclassify(dim, id, at, &old, &new)?;
+                target.apply(WalRecord::Reclassify {
+                    dim,
+                    id,
+                    at,
+                    old_parents,
+                    new_parents,
+                })?;
                 report.reclassified += 1;
             }
             ChangeEvent::AttributesChanged { member, attributes } => {
                 let id = resolve(target.schema(), dim, member, at)?;
-                let name = target.schema().dimension(dim)?.version(id)?.name.clone();
-                target.transform(dim, id, &name, attributes.clone(), at)?;
+                let new_name = target.schema().dimension(dim)?.version(id)?.name.clone();
+                target.apply(WalRecord::Transform {
+                    dim,
+                    id,
+                    new_name,
+                    new_attributes: attributes.clone(),
+                    at,
+                })?;
                 report.transformed += 1;
             }
         }
@@ -231,7 +250,13 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
                     split_parts.push(SplitPart::proportional(part.clone(), *share, measures));
                 }
                 let source = resolve(target.schema(), dim, member, at)?;
-                target.split(dim, source, split_parts, at, &parents)?;
+                target.apply(WalRecord::Split {
+                    dim,
+                    source,
+                    parts: split_parts,
+                    at,
+                    parents,
+                })?;
                 consumed_deletes.push(member.clone());
                 consumed_creates.extend(parts.iter().map(|(p, _)| p.clone()));
                 report.deleted += 1;
@@ -258,7 +283,14 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
                     let id = resolve(target.schema(), dim, source, at)?;
                     merge_sources.push(MergeSource::with_share(id, *share, measures));
                 }
-                target.merge(dim, merge_sources, into, row.level.clone(), at, &parents)?;
+                target.apply(WalRecord::Merge {
+                    dim,
+                    sources: merge_sources,
+                    new_name: into.clone(),
+                    level: row.level.clone(),
+                    at,
+                    parents,
+                })?;
                 consumed_deletes.extend(sources.iter().map(|(s, _)| s.clone()));
                 consumed_creates.push(into.clone());
                 report.deleted += sources.len();
@@ -332,8 +364,13 @@ pub fn bootstrap_in<T: EvolutionTarget>(
                     }
                 },
             };
-            let parents: Vec<MemberVersionId> = parent_id.into_iter().collect();
-            target.create(dim, &row.member, row.level.clone(), at, &parents)?;
+            target.apply(WalRecord::Create {
+                dim,
+                name: row.member.clone(),
+                level: row.level.clone(),
+                at,
+                parents: parent_id.into_iter().collect(),
+            })?;
             report.created += 1;
         }
         if rest.len() == before {

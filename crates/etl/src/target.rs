@@ -1,21 +1,17 @@
 //! [`EvolutionTarget`]: the load destination abstraction.
 //!
-//! The loaders in [`crate::load`] apply detected changes through the
-//! §3.2 evolution operators. Historically they took a bare
-//! [`Tmd`]; with the durability subsystem the same change stream must
-//! be able to land in a [`DurableTmd`], where every operator is
-//! journaled to the write-ahead log before it is applied. This trait
-//! abstracts the destination so each loader is written once:
+//! The loaders in [`crate::load`] resolve source names against the
+//! current schema and spell each detected change as the
+//! [`WalRecord`] of its §3.2 evolution operator — the one operator
+//! vocabulary the journal, the shell and replication already share. A
+//! destination only has to take such a record:
 //!
-//! * [`Tmd`] — in-memory application, errors are [`CoreError`];
-//! * [`DurableTmd`] — journal-then-apply, errors are
-//!   [`DurableError`] (which subsumes `CoreError` via `From`).
+//! * [`Tmd`] — applies it in memory, errors are [`CoreError`];
+//! * [`DurableTmd`] — journals it to the write-ahead log, then applies
+//!   it; errors are [`DurableError`] (which subsumes `CoreError`).
 
-use std::collections::BTreeMap;
-
-use mvolap_core::evolution::{self, MergeSource, SplitPart};
-use mvolap_core::{CoreError, DimensionId, MemberVersionId, Tmd};
-use mvolap_durable::{DurableError, DurableTmd, FactRow};
+use mvolap_core::{CoreError, Tmd};
+use mvolap_durable::{DurableError, DurableTmd, FactRow, WalRecord};
 use mvolap_temporal::Instant;
 
 /// A destination the ETL loaders can apply evolution operators and fact
@@ -28,98 +24,14 @@ pub trait EvolutionTarget {
     /// Read access to the current schema (name resolution, arity).
     fn schema(&self) -> &Tmd;
 
-    /// *Creation of a member* (Insert).
+    /// Applies one evolution operator or fact batch (one WAL record on
+    /// a durable destination).
     ///
     /// # Errors
     ///
-    /// Evolution-operator violations; journaling failures for durable
-    /// destinations.
-    fn create(
-        &mut self,
-        dim: DimensionId,
-        name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), Self::Error>;
-
-    /// *Deletion of a member* (Exclude).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionTarget::create`].
-    fn delete(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-    ) -> Result<(), Self::Error>;
-
-    /// *Reclassification of a member*.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionTarget::create`].
-    fn reclassify(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-        old_parents: &[MemberVersionId],
-        new_parents: &[MemberVersionId],
-    ) -> Result<(), Self::Error>;
-
-    /// *Transformation of a member* (name/attribute change).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionTarget::create`].
-    fn transform(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        new_name: &str,
-        new_attributes: BTreeMap<String, String>,
-        at: Instant,
-    ) -> Result<(), Self::Error>;
-
-    /// *Splitting of one member into n*.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionTarget::create`].
-    fn split(
-        &mut self,
-        dim: DimensionId,
-        source: MemberVersionId,
-        parts: Vec<SplitPart>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), Self::Error>;
-
-    /// *Merging of n members into one*.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionTarget::create`].
-    fn merge(
-        &mut self,
-        dim: DimensionId,
-        sources: Vec<MergeSource>,
-        new_name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), Self::Error>;
-
-    /// Appends a batch of validated fact rows (one WAL record for
-    /// durable destinations).
-    ///
-    /// # Errors
-    ///
-    /// Fact-validation failures (Definition 5); journaling failures for
-    /// durable destinations.
-    fn append_facts(&mut self, rows: Vec<FactRow>) -> Result<(), Self::Error>;
+    /// Evolution-operator and fact-validation violations; journaling
+    /// failures for durable destinations.
+    fn apply(&mut self, record: WalRecord) -> Result<(), Self::Error>;
 }
 
 impl EvolutionTarget for Tmd {
@@ -129,76 +41,8 @@ impl EvolutionTarget for Tmd {
         self
     }
 
-    fn create(
-        &mut self,
-        dim: DimensionId,
-        name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), CoreError> {
-        evolution::create(self, dim, name, level, at, parents).map(|_| ())
-    }
-
-    fn delete(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-    ) -> Result<(), CoreError> {
-        evolution::delete(self, dim, id, at).map(|_| ())
-    }
-
-    fn reclassify(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-        old_parents: &[MemberVersionId],
-        new_parents: &[MemberVersionId],
-    ) -> Result<(), CoreError> {
-        evolution::reclassify(self, dim, id, at, old_parents, new_parents).map(|_| ())
-    }
-
-    fn transform(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        new_name: &str,
-        new_attributes: BTreeMap<String, String>,
-        at: Instant,
-    ) -> Result<(), CoreError> {
-        evolution::transform(self, dim, id, new_name, new_attributes, at).map(|_| ())
-    }
-
-    fn split(
-        &mut self,
-        dim: DimensionId,
-        source: MemberVersionId,
-        parts: Vec<SplitPart>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), CoreError> {
-        evolution::split(self, dim, source, &parts, at, parents).map(|_| ())
-    }
-
-    fn merge(
-        &mut self,
-        dim: DimensionId,
-        sources: Vec<MergeSource>,
-        new_name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), CoreError> {
-        evolution::merge(self, dim, &sources, new_name, level, at, parents).map(|_| ())
-    }
-
-    fn append_facts(&mut self, rows: Vec<FactRow>) -> Result<(), CoreError> {
-        for r in &rows {
-            self.add_fact(&r.coords, r.at, &r.values)?;
-        }
-        Ok(())
+    fn apply(&mut self, record: WalRecord) -> Result<(), CoreError> {
+        record.apply(self)
     }
 }
 
@@ -209,78 +53,8 @@ impl EvolutionTarget for DurableTmd {
         DurableTmd::schema(self)
     }
 
-    fn create(
-        &mut self,
-        dim: DimensionId,
-        name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), DurableError> {
-        self.create_member(dim, name, level, at, parents)
-            .map(|_| ())
-    }
-
-    fn delete(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-    ) -> Result<(), DurableError> {
-        self.delete_member(dim, id, at).map(|_| ())
-    }
-
-    fn reclassify(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        at: Instant,
-        old_parents: &[MemberVersionId],
-        new_parents: &[MemberVersionId],
-    ) -> Result<(), DurableError> {
-        self.reclassify_member(dim, id, at, old_parents, new_parents)
-            .map(|_| ())
-    }
-
-    fn transform(
-        &mut self,
-        dim: DimensionId,
-        id: MemberVersionId,
-        new_name: &str,
-        new_attributes: BTreeMap<String, String>,
-        at: Instant,
-    ) -> Result<(), DurableError> {
-        self.transform_member(dim, id, new_name, new_attributes, at)
-            .map(|_| ())
-    }
-
-    fn split(
-        &mut self,
-        dim: DimensionId,
-        source: MemberVersionId,
-        parts: Vec<SplitPart>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), DurableError> {
-        self.split_member(dim, source, parts, at, parents)
-            .map(|_| ())
-    }
-
-    fn merge(
-        &mut self,
-        dim: DimensionId,
-        sources: Vec<MergeSource>,
-        new_name: &str,
-        level: Option<String>,
-        at: Instant,
-        parents: &[MemberVersionId],
-    ) -> Result<(), DurableError> {
-        self.merge_members(dim, sources, new_name, level, at, parents)
-            .map(|_| ())
-    }
-
-    fn append_facts(&mut self, rows: Vec<FactRow>) -> Result<(), DurableError> {
-        DurableTmd::append_facts(self, rows).map(|_| ())
+    fn apply(&mut self, record: WalRecord) -> Result<(), DurableError> {
+        DurableTmd::apply(self, record).map(|_| ())
     }
 }
 
@@ -298,8 +72,8 @@ pub struct FactRecord {
 
 /// Loads a batch of source facts into `target`: every name is resolved
 /// to the member version valid at the row's own time, then the whole
-/// batch lands in one [`EvolutionTarget::append_facts`] call — one WAL
-/// record on a durable destination. Returns the number of rows loaded.
+/// batch lands as one [`WalRecord::FactBatch`]. Returns the number of
+/// rows loaded.
 ///
 /// # Errors
 ///
@@ -334,7 +108,7 @@ pub fn load_facts<T: EvolutionTarget>(
         }
     }
     let n = rows.len();
-    target.append_facts(rows)?;
+    target.apply(WalRecord::FactBatch { rows })?;
     Ok(n)
 }
 

@@ -111,6 +111,12 @@ impl From<DurableError> for ReplicaError {
     }
 }
 
+impl From<mvolap_core::token::TokenError> for ReplicaError {
+    fn from(e: mvolap_core::token::TokenError) -> Self {
+        ReplicaError::Protocol(format!("message: {e}"))
+    }
+}
+
 impl From<TransportError> for ReplicaError {
     fn from(e: TransportError) -> Self {
         ReplicaError::Transport(e)

@@ -10,6 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
+use mvolap_core::token::TokenReader;
 use mvolap_core::Tmd;
 use mvolap_durable::checksum::crc32;
 use mvolap_durable::{DurableError, DurableTmd, Io, Options, TailFrame, WalRecord};
@@ -648,15 +649,14 @@ impl Follower {
         let path = dir.join(SNAP_SPILL);
         let data = std::fs::read(&path).ok()?;
         let nl = data.iter().position(|&b| b == b'\n')?;
-        let header = std::str::from_utf8(&data[..nl]).ok()?;
-        let mut toks = header.split(' ');
-        if (toks.next()?, toks.next()?) != ("mvolap-snap", "v1") {
+        let mut header = TokenReader::from_bytes(&data[..nl]).ok()?;
+        if (header.token().ok()?, header.token().ok()?) != ("mvolap-snap", "v1") {
             return None;
         }
-        let next_lsn: u64 = toks.next()?.parse().ok()?;
-        let total: u64 = toks.next()?.parse().ok()?;
-        let total_bytes: u64 = toks.next()?.parse().ok()?;
-        if toks.next().is_some() || total == 0 {
+        let next_lsn: u64 = header.parse("lsn").ok()?;
+        let total: u64 = header.parse("chunk total").ok()?;
+        let total_bytes: u64 = header.parse("byte total").ok()?;
+        if header.finish().is_err() || total == 0 {
             return None;
         }
         let mut bytes = Vec::new();

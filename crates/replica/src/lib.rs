@@ -38,13 +38,13 @@
 //! the fault sweeps that prove them — lives one crate up, in
 //! `mvolap-cluster`: its `ClusterSet` drives the [`Follower`],
 //! [`WalTailer`] and [`ReplicaTransport`] pieces defined here, one
-//! deterministic tick at a time. Real time enters only through
-//! [`Clock`] ([`SystemClock`] in the deployed serve/follow loops,
-//! [`ManualClock`] in tests).
+//! deterministic tick at a time. Nothing here reads a clock: time-based
+//! checkpoint policies read the store's `mvolap_durable::TimeSource`,
+//! and the deployed serve/follow loops pace themselves with
+//! `std::thread::sleep`.
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod error;
 pub mod follower;
 pub mod net;
@@ -53,7 +53,6 @@ pub mod record;
 pub mod tailer;
 pub mod transport;
 
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{ReplicaError, TransportError};
 pub use follower::Follower;
 pub use net::{
@@ -62,6 +61,6 @@ pub use net::{
     ProxyFault, ReplicaServer, ServerConfig, SyncRound, TcpTransport,
 };
 pub use primary::PrimaryNode;
-pub use record::{esc_bytes, unesc_bytes, ReplicaMsg};
+pub use record::ReplicaMsg;
 pub use tailer::{HelloAnswer, TailSource, WalTailer};
 pub use transport::{ChannelTransport, ReplicaTransport};

@@ -3,9 +3,9 @@
 //! Everything the in-process transport moves as byte vectors crosses a
 //! real socket here, framed exactly like the WAL itself: each request
 //! and each reply is **one** `[len u32 LE][crc32 u32 LE][payload]`
-//! frame ([`mvolap_durable::frame`]), and every payload is
-//! space-separated escaped-token text reusing the canonical
-//! [`ReplicaMsg`] encoding. TCP and unix sockets share one code path
+//! frame ([`mvolap_durable::frame`]), and every payload is a line of
+//! [`mvolap_core::token`] tokens reusing the canonical [`ReplicaMsg`]
+//! encoding. TCP and unix sockets share one code path
 //! ([`NetAddr`] / `NetStream`); every socket carries explicit connect,
 //! read and write timeouts, so no request can hang an endpoint.
 //!
@@ -40,17 +40,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use mvolap_core::token::{Escapes, TokenReader, TokenWriter};
 use mvolap_durable::checksum::crc32;
 use mvolap_durable::{frame, FaultPlan};
 
 use crate::error::{ReplicaError, TransportError};
 use crate::follower::Follower;
 use crate::primary::PrimaryNode;
-use crate::record::{esc_bytes, unesc_bytes, ReplicaMsg};
+use crate::record::ReplicaMsg;
 use crate::transport::ReplicaTransport;
-
-/// Upper bound on reply-batch counts, mirroring the record grammar cap.
-const MAX_BATCH: u64 = 1 << 20;
 
 // ---------------------------------------------------------------- addr
 
@@ -456,70 +454,46 @@ pub fn encode_batch(msgs: &[ReplicaMsg]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`ReplicaError::Protocol`] on a malformed envelope: a count over
-/// the cap, a truncated message list, trailing tokens, or any inner
-/// message that fails its own decode.
+/// [`ReplicaError::Protocol`] on a malformed envelope: a count the
+/// payload cannot hold, a truncated message list, trailing tokens, or
+/// any inner message that fails its own decode.
 pub fn decode_batch(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
     parse_reply(payload)
 }
 
 /// `batch <n> <msg-token>*` — a server reply carrying n messages.
 fn reply_batch(msgs: &[ReplicaMsg]) -> Vec<u8> {
-    let mut out = format!("batch {}", msgs.len());
-    for m in msgs {
-        out.push(' ');
-        out.push_str(&esc_bytes(&m.encode()));
-    }
-    out.into_bytes()
+    let mut w = TokenWriter::new(Escapes::Binary);
+    w.raw("batch").list(msgs, |w, m| {
+        w.bytes(&m.encode());
+    });
+    w.finish()
 }
 
 /// `err <reason-token>` — a server-side refusal.
 fn reply_err(reason: &str) -> Vec<u8> {
-    format!("err {}", esc_bytes(reason.as_bytes())).into_bytes()
+    let mut w = TokenWriter::new(Escapes::Binary);
+    w.raw("err").text(reason);
+    w.finish()
 }
 
 /// Decodes a reply envelope into its messages; an `err` reply becomes
 /// a typed [`ReplicaError::Protocol`].
 fn parse_reply(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| ReplicaError::protocol("reply is not UTF-8"))?;
-    let mut toks = text.split(' ');
-    match toks.next() {
-        Some("batch") => {
-            let n: u64 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| ReplicaError::protocol("batch reply missing count"))?;
-            if n > MAX_BATCH {
-                return Err(ReplicaError::Protocol(format!(
-                    "batch count {n} exceeds cap {MAX_BATCH}"
-                )));
-            }
-            let mut msgs = Vec::with_capacity(n as usize);
-            for i in 0..n {
-                let tok = toks.next().ok_or_else(|| {
-                    ReplicaError::Protocol(format!("batch reply truncated at message {i}"))
-                })?;
-                msgs.push(ReplicaMsg::decode(&unesc_bytes(tok, "batch message")?)?);
-            }
-            match toks.next() {
-                None => Ok(msgs),
-                Some(extra) => Err(ReplicaError::Protocol(format!(
-                    "trailing token `{extra}` after batch"
-                ))),
-            }
+    let mut r = TokenReader::from_bytes(payload)?;
+    match r.token()? {
+        "batch" => {
+            let msgs = (0..r.count()?)
+                .map(|_| ReplicaMsg::decode(&r.bytes()?))
+                .collect::<Result<_, _>>()?;
+            r.finish()?;
+            Ok(msgs)
         }
-        Some("err") => {
-            let tok = toks
-                .next()
-                .ok_or_else(|| ReplicaError::protocol("err reply missing reason"))?;
-            let reason = String::from_utf8(unesc_bytes(tok, "err reason")?)
-                .map_err(|_| ReplicaError::protocol("err reason is not UTF-8"))?;
-            Err(ReplicaError::Protocol(format!("server refused: {reason}")))
-        }
-        other => Err(ReplicaError::Protocol(format!(
-            "unknown reply envelope {other:?}"
+        "err" => Err(ReplicaError::Protocol(format!(
+            "server refused: {}",
+            r.text()?
         ))),
+        other => Err(r.bad("reply envelope", other).into()),
     }
 }
 
@@ -579,51 +553,32 @@ fn route_request(
     req: &[u8],
     inboxes: &Mutex<BTreeMap<String, std::collections::VecDeque<Vec<u8>>>>,
 ) -> Result<Vec<u8>, ReplicaError> {
-    let text =
-        std::str::from_utf8(req).map_err(|_| ReplicaError::protocol("request is not UTF-8"))?;
-    let mut toks = text.split(' ');
-    let op = toks.next().unwrap_or("");
-    let node = |t: Option<&str>| -> Result<String, ReplicaError> {
-        let tok = t.ok_or_else(|| ReplicaError::protocol("request missing node"))?;
-        String::from_utf8(unesc_bytes(tok, "node")?)
-            .map_err(|_| ReplicaError::protocol("node is not UTF-8"))
-    };
-    match op {
+    let mut r = TokenReader::from_bytes(req)?;
+    let mut reply = TokenWriter::new(Escapes::Binary);
+    reply.raw("batch");
+    // The router never decodes: a message is an opaque token both ways
+    // and the *client* decodes, exactly as the in-process transport
+    // does on its own inboxes.
+    match r.token()? {
         "send" => {
-            let to = node(toks.next())?;
-            let msg = unesc_bytes(
-                toks.next()
-                    .ok_or_else(|| ReplicaError::protocol("send missing message"))?,
-                "send message",
-            )?;
-            if toks.next().is_some() {
-                return Err(ReplicaError::protocol("trailing tokens after send"));
-            }
+            let (to, msg) = (r.text()?, r.bytes()?);
+            r.finish()?;
             let mut map = inboxes.lock().unwrap_or_else(|e| e.into_inner());
             map.entry(to).or_default().push_back(msg);
-            Ok(b"batch 0".to_vec())
+            reply.raw(0);
         }
         "recv" => {
-            let who = node(toks.next())?;
-            if toks.next().is_some() {
-                return Err(ReplicaError::protocol("trailing tokens after recv"));
-            }
+            let who = r.text()?;
+            r.finish()?;
             let mut map = inboxes.lock().unwrap_or_else(|e| e.into_inner());
-            match map
-                .get_mut(&who)
-                .and_then(std::collections::VecDeque::pop_front)
-            {
-                // The router never decodes: the popped bytes ship as an
-                // opaque token and the *client* decodes, exactly as the
-                // in-process transport does on its own inboxes.
-                Some(wire) => Ok(format!("batch 1 {}", esc_bytes(&wire)).into_bytes()),
-                None => Ok(b"batch 0".to_vec()),
-            }
+            match map.get_mut(&who).and_then(|inbox| inbox.pop_front()) {
+                Some(wire) => reply.raw(1).bytes(&wire),
+                None => reply.raw(0),
+            };
         }
-        other => Err(ReplicaError::Protocol(format!(
-            "unknown router request `{other}`"
-        ))),
+        other => return Err(r.bad("router request", other).into()),
     }
+    Ok(reply.finish())
 }
 
 /// A loopback message router: per-node FIFO inboxes behind a socket.
@@ -796,14 +751,11 @@ impl TcpTransport {
 impl ReplicaTransport for TcpTransport {
     fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
         self.steps += 1;
-        let req = format!(
-            "send {} {}",
-            esc_bytes(to.as_bytes()),
-            esc_bytes(&msg.encode())
-        );
+        let mut req = TokenWriter::new(Escapes::Binary);
+        req.raw("send").text(to).bytes(&msg.encode());
         let reply = self
             .client
-            .rpc(req.as_bytes())
+            .rpc(&req.finish())
             .map_err(|e| as_transport(&e))?;
         parse_reply(&reply).map_err(|_| TransportError::Lost)?;
         Ok(())
@@ -811,10 +763,11 @@ impl ReplicaTransport for TcpTransport {
 
     fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
         self.steps += 1;
-        let req = format!("recv {}", esc_bytes(node.as_bytes()));
+        let mut req = TokenWriter::new(Escapes::Binary);
+        req.raw("recv").text(node);
         let reply = self
             .client
-            .rpc(req.as_bytes())
+            .rpc(&req.finish())
             .map_err(|e| as_transport(&e))?;
         // A popped message that does not decode is lost on the wire,
         // exactly as on the in-process transport.

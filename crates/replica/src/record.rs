@@ -1,19 +1,15 @@
 //! Wire grammar of the replication protocol.
 //!
-//! Messages are space-separated ASCII tokens, mirroring the WAL record
-//! grammar in `mvolap-durable`: human-readable, canonical (decode ∘
-//! encode is the identity on valid input) and self-describing. Binary
+//! Messages are space-separated ASCII tokens over
+//! [`mvolap_core::token`], like the WAL record grammar in
+//! `mvolap-durable`: human-readable, canonical (decode ∘ encode is the
+//! identity on valid input) and self-describing. Names and binary
 //! payloads (WAL frame bodies, checkpoint snapshots) travel as one
-//! token under a byte-level escape: printable ASCII stays literal,
-//! space becomes `\s`, backslash `\\`, tab `\t`, newline `\n`, any
-//! other byte `\xHH`, and the empty payload is `\0`.
+//! token each under [`Escapes::Binary`].
 
 use crate::error::ReplicaError;
+use mvolap_core::token::{Escapes, TokenReader, TokenWriter};
 use mvolap_durable::TailFrame;
-
-/// Upper bound on list counts, guarding against corrupt headers
-/// allocating unbounded memory.
-const MAX_COUNT: u64 = 1 << 20;
 
 /// A replication protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,45 +184,24 @@ impl ReplicaMsg {
 
     /// Canonical wire encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = TokenWriter::new(Escapes::Binary);
+        e.raw(self.kind());
         match self {
             ReplicaMsg::Hello {
                 node,
                 epoch,
                 next_lsn,
                 last_crc,
-            } => {
-                e.tok("hello");
-                e.bytes(node.as_bytes());
-                e.u64(*epoch);
-                e.u64(*next_lsn);
-                e.u64(u64::from(*last_crc));
-            }
-            ReplicaMsg::Heartbeat { epoch, next_lsn } => {
-                e.tok("heartbeat");
-                e.u64(*epoch);
-                e.u64(*next_lsn);
-            }
-            ReplicaMsg::Frames { epoch, frames } => {
-                e.tok("frames");
-                e.u64(*epoch);
-                e.u64(frames.len() as u64);
-                for f in frames {
-                    e.u64(f.lsn);
-                    e.u64(u64::from(f.crc));
-                    e.bytes(&f.payload);
-                }
-            }
+            } => e.text(node).raw(epoch).raw(next_lsn).raw(last_crc),
+            ReplicaMsg::Heartbeat { epoch, next_lsn } => e.raw(epoch).raw(next_lsn),
+            ReplicaMsg::Frames { epoch, frames } => e.raw(epoch).list(frames, |e, f| {
+                e.raw(f.lsn).raw(f.crc).bytes(&f.payload);
+            }),
             ReplicaMsg::Snapshot {
                 epoch,
                 next_lsn,
                 snapshot,
-            } => {
-                e.tok("snapshot");
-                e.u64(*epoch);
-                e.u64(*next_lsn);
-                e.bytes(snapshot);
-            }
+            } => e.raw(epoch).raw(next_lsn).bytes(snapshot),
             ReplicaMsg::SnapChunk {
                 epoch,
                 next_lsn,
@@ -235,13 +210,8 @@ impl ReplicaMsg {
                 total_bytes,
                 chunk,
             } => {
-                e.tok("snap");
-                e.u64(*epoch);
-                e.u64(*next_lsn);
-                e.u64(*seq);
-                e.u64(*total);
-                e.u64(*total_bytes);
-                e.bytes(chunk);
+                e.raw(epoch).raw(next_lsn).raw(seq).raw(total);
+                e.raw(total_bytes).bytes(chunk)
             }
             ReplicaMsg::Reconfig {
                 epoch,
@@ -249,122 +219,79 @@ impl ReplicaMsg {
                 member,
                 addr,
             } => {
-                e.tok("reconfig");
-                e.u64(*epoch);
-                e.tok(if *add { "add" } else { "remove" });
-                e.bytes(member.as_bytes());
-                e.bytes(addr.as_bytes());
+                e.raw(epoch).raw(if *add { "add" } else { "remove" });
+                e.text(member).text(addr)
             }
             ReplicaMsg::Ack {
                 node,
                 epoch,
                 next_lsn,
-            } => {
-                e.tok("ack");
-                e.bytes(node.as_bytes());
-                e.u64(*epoch);
-                e.u64(*next_lsn);
-            }
-            ReplicaMsg::Promote { node, epoch } => {
-                e.tok("promote");
-                e.bytes(node.as_bytes());
-                e.u64(*epoch);
-            }
-            ReplicaMsg::Fence { epoch } => {
-                e.tok("fence");
-                e.u64(*epoch);
-            }
+            } => e.text(node).raw(epoch).raw(next_lsn),
+            ReplicaMsg::Promote { node, epoch } => e.text(node).raw(epoch),
+            ReplicaMsg::Fence { epoch } => e.raw(epoch),
             ReplicaMsg::Diverged {
                 epoch,
                 lsn,
                 expected_crc,
                 got_crc,
-            } => {
-                e.tok("diverged");
-                e.u64(*epoch);
-                e.u64(*lsn);
-                e.u64(u64::from(*expected_crc));
-                e.u64(u64::from(*got_crc));
-            }
+            } => e.raw(epoch).raw(lsn).raw(expected_crc).raw(got_crc),
             ReplicaMsg::QuorumAck {
                 node,
                 epoch,
                 applied_lsn,
                 synced_lsn,
-            } => {
-                e.tok("qack");
-                e.bytes(node.as_bytes());
-                e.u64(*epoch);
-                e.u64(*applied_lsn);
-                e.u64(*synced_lsn);
-            }
+            } => e.text(node).raw(epoch).raw(applied_lsn).raw(synced_lsn),
             ReplicaMsg::VoteRequest {
                 candidate,
                 epoch,
                 synced_lsn,
-            } => {
-                e.tok("votereq");
-                e.bytes(candidate.as_bytes());
-                e.u64(*epoch);
-                e.u64(*synced_lsn);
-            }
+            } => e.text(candidate).raw(epoch).raw(synced_lsn),
             ReplicaMsg::VoteGrant {
                 node,
                 epoch,
                 candidate,
                 synced_lsn,
-            } => {
-                e.tok("vote");
-                e.bytes(node.as_bytes());
-                e.u64(*epoch);
-                e.bytes(candidate.as_bytes());
-                e.u64(*synced_lsn);
-            }
-        }
-        e.out.into_bytes()
+            } => e.text(node).raw(epoch).text(candidate).raw(synced_lsn),
+        };
+        e.finish()
     }
 
     /// Decode a wire message; rejects trailing garbage.
     pub fn decode(bytes: &[u8]) -> Result<ReplicaMsg, ReplicaError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| ReplicaError::protocol("message is not UTF-8"))?;
-        let mut d = Dec::new(text);
-        let kind = d.tok("message kind")?.to_string();
-        let msg = match kind.as_str() {
+        let mut d = TokenReader::from_bytes(bytes)?;
+        let msg = match d.token()? {
             "hello" => ReplicaMsg::Hello {
-                node: d.name("hello node")?,
-                epoch: d.u64("hello epoch")?,
-                next_lsn: d.u64("hello next_lsn")?,
-                last_crc: d.u32("hello last_crc")?,
+                node: d.text()?,
+                epoch: d.parse("epoch")?,
+                next_lsn: d.parse("lsn")?,
+                last_crc: d.parse("crc")?,
             },
             "heartbeat" => ReplicaMsg::Heartbeat {
-                epoch: d.u64("heartbeat epoch")?,
-                next_lsn: d.u64("heartbeat next_lsn")?,
+                epoch: d.parse("epoch")?,
+                next_lsn: d.parse("lsn")?,
             },
-            "frames" => {
-                let epoch = d.u64("frames epoch")?;
-                let n = d.count("frames count")?;
-                let mut frames = Vec::with_capacity(n);
-                for i in 0..n {
-                    let lsn = d.u64(&format!("frame {i} lsn"))?;
-                    let crc = d.u32(&format!("frame {i} crc"))?;
-                    let payload = d.bytes(&format!("frame {i} payload"))?;
-                    frames.push(TailFrame { lsn, crc, payload });
-                }
-                ReplicaMsg::Frames { epoch, frames }
-            }
+            "frames" => ReplicaMsg::Frames {
+                epoch: d.parse("epoch")?,
+                frames: d.list(|d| {
+                    Ok(TailFrame {
+                        lsn: d.parse("lsn")?,
+                        crc: d.parse("crc")?,
+                        payload: d.bytes()?,
+                    })
+                })?,
+            },
             "snapshot" => ReplicaMsg::Snapshot {
-                epoch: d.u64("snapshot epoch")?,
-                next_lsn: d.u64("snapshot next_lsn")?,
-                snapshot: d.bytes("snapshot body")?,
+                epoch: d.parse("epoch")?,
+                next_lsn: d.parse("lsn")?,
+                snapshot: d.bytes()?,
             },
             "snap" => {
-                let epoch = d.u64("snap epoch")?;
-                let next_lsn = d.u64("snap next_lsn")?;
-                let seq = d.u64("snap seq")?;
-                let total = d.u64("snap total")?;
-                let total_bytes = d.u64("snap total_bytes")?;
-                let chunk = d.bytes("snap chunk")?;
+                let epoch = d.parse("epoch")?;
+                let next_lsn = d.parse("lsn")?;
+                let seq: u64 = d.parse("chunk index")?;
+                let total: u64 = d.parse("chunk total")?;
+                let total_bytes: u64 = d.parse("byte total")?;
+                let chunk = d.bytes()?;
                 // Structural sanity only; the follower enforces the
                 // assembly rules (ordering, byte-count honesty).
                 if total == 0 || seq >= total {
@@ -387,234 +314,55 @@ impl ReplicaMsg {
                     chunk,
                 }
             }
-            "reconfig" => {
-                let epoch = d.u64("reconfig epoch")?;
-                let add = match d.tok("reconfig direction")? {
+            "reconfig" => ReplicaMsg::Reconfig {
+                epoch: d.parse("epoch")?,
+                add: match d.token()? {
                     "add" => true,
                     "remove" => false,
-                    t => {
-                        return Err(ReplicaError::Protocol(format!(
-                            "reconfig direction: expected add|remove, got `{t}`"
-                        )))
-                    }
-                };
-                ReplicaMsg::Reconfig {
-                    epoch,
-                    add,
-                    member: d.name("reconfig member")?,
-                    addr: d.name("reconfig addr")?,
-                }
-            }
+                    t => return Err(d.bad("reconfig direction", t).into()),
+                },
+                member: d.text()?,
+                addr: d.text()?,
+            },
             "ack" => ReplicaMsg::Ack {
-                node: d.name("ack node")?,
-                epoch: d.u64("ack epoch")?,
-                next_lsn: d.u64("ack next_lsn")?,
+                node: d.text()?,
+                epoch: d.parse("epoch")?,
+                next_lsn: d.parse("lsn")?,
             },
             "promote" => ReplicaMsg::Promote {
-                node: d.name("promote node")?,
-                epoch: d.u64("promote epoch")?,
+                node: d.text()?,
+                epoch: d.parse("epoch")?,
             },
             "fence" => ReplicaMsg::Fence {
-                epoch: d.u64("fence epoch")?,
+                epoch: d.parse("epoch")?,
             },
             "diverged" => ReplicaMsg::Diverged {
-                epoch: d.u64("diverged epoch")?,
-                lsn: d.u64("diverged lsn")?,
-                expected_crc: d.u32("diverged expected_crc")?,
-                got_crc: d.u32("diverged got_crc")?,
+                epoch: d.parse("epoch")?,
+                lsn: d.parse("lsn")?,
+                expected_crc: d.parse("crc")?,
+                got_crc: d.parse("crc")?,
             },
             "qack" => ReplicaMsg::QuorumAck {
-                node: d.name("qack node")?,
-                epoch: d.u64("qack epoch")?,
-                applied_lsn: d.u64("qack applied_lsn")?,
-                synced_lsn: d.u64("qack synced_lsn")?,
+                node: d.text()?,
+                epoch: d.parse("epoch")?,
+                applied_lsn: d.parse("lsn")?,
+                synced_lsn: d.parse("lsn")?,
             },
             "votereq" => ReplicaMsg::VoteRequest {
-                candidate: d.name("votereq candidate")?,
-                epoch: d.u64("votereq epoch")?,
-                synced_lsn: d.u64("votereq synced_lsn")?,
+                candidate: d.text()?,
+                epoch: d.parse("epoch")?,
+                synced_lsn: d.parse("lsn")?,
             },
             "vote" => ReplicaMsg::VoteGrant {
-                node: d.name("vote node")?,
-                epoch: d.u64("vote epoch")?,
-                candidate: d.name("vote candidate")?,
-                synced_lsn: d.u64("vote synced_lsn")?,
+                node: d.text()?,
+                epoch: d.parse("epoch")?,
+                candidate: d.text()?,
+                synced_lsn: d.parse("lsn")?,
             },
-            other => {
-                return Err(ReplicaError::Protocol(format!(
-                    "unknown message kind `{other}`"
-                )))
-            }
+            other => return Err(d.bad("message kind", other).into()),
         };
         d.finish()?;
         Ok(msg)
-    }
-}
-
-/// Escape arbitrary bytes into a single space-free ASCII token — the
-/// wire grammar's token encoding, shared by the replication protocol
-/// and the session server's request grammar.
-pub fn esc_bytes(b: &[u8]) -> String {
-    if b.is_empty() {
-        return "\\0".to_string();
-    }
-    let mut out = String::with_capacity(b.len() + 8);
-    for &c in b {
-        match c {
-            b'\\' => out.push_str("\\\\"),
-            b' ' => out.push_str("\\s"),
-            b'\t' => out.push_str("\\t"),
-            b'\n' => out.push_str("\\n"),
-            0x21..=0x7e => out.push(c as char),
-            other => {
-                out.push_str(&format!("\\x{other:02x}"));
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`esc_bytes`]; `what` names the token in error messages.
-///
-/// # Errors
-///
-/// [`ReplicaError::Protocol`] on a malformed escape sequence.
-pub fn unesc_bytes(tok: &str, what: &str) -> Result<Vec<u8>, ReplicaError> {
-    if tok == "\\0" {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::with_capacity(tok.len());
-    let mut chars = tok.bytes();
-    while let Some(c) = chars.next() {
-        if c != b'\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some(b'\\') => out.push(b'\\'),
-            Some(b's') => out.push(b' '),
-            Some(b't') => out.push(b'\t'),
-            Some(b'n') => out.push(b'\n'),
-            Some(b'x') => {
-                let hi = chars.next();
-                let lo = chars.next();
-                let (Some(hi), Some(lo)) = (hi, lo) else {
-                    return Err(ReplicaError::Protocol(format!(
-                        "{what}: truncated \\x escape"
-                    )));
-                };
-                let hex = |d: u8| -> Option<u8> {
-                    match d {
-                        b'0'..=b'9' => Some(d - b'0'),
-                        b'a'..=b'f' => Some(d - b'a' + 10),
-                        _ => None,
-                    }
-                };
-                let (Some(hi), Some(lo)) = (hex(hi), hex(lo)) else {
-                    return Err(ReplicaError::Protocol(format!(
-                        "{what}: bad \\x escape digits"
-                    )));
-                };
-                out.push(hi << 4 | lo);
-            }
-            other => {
-                return Err(ReplicaError::Protocol(format!(
-                    "{what}: bad escape {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Enc {
-    out: String,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { out: String::new() }
-    }
-
-    fn sep(&mut self) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-    }
-
-    fn tok(&mut self, t: &str) {
-        self.sep();
-        self.out.push_str(t);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.sep();
-        self.out.push_str(&v.to_string());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.sep();
-        self.out.push_str(&esc_bytes(b));
-    }
-}
-
-struct Dec<'a> {
-    toks: std::str::Split<'a, char>,
-}
-
-impl<'a> Dec<'a> {
-    fn new(text: &'a str) -> Dec<'a> {
-        Dec {
-            toks: text.split(' '),
-        }
-    }
-
-    fn tok(&mut self, what: &str) -> Result<&'a str, ReplicaError> {
-        self.toks
-            .next()
-            .ok_or_else(|| ReplicaError::Protocol(format!("{what}: message truncated")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, ReplicaError> {
-        let t = self.tok(what)?;
-        t.parse::<u64>()
-            .map_err(|_| ReplicaError::Protocol(format!("{what}: bad integer `{t}`")))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, ReplicaError> {
-        let v = self.u64(what)?;
-        u32::try_from(v)
-            .map_err(|_| ReplicaError::Protocol(format!("{what}: value {v} exceeds u32")))
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize, ReplicaError> {
-        let v = self.u64(what)?;
-        if v > MAX_COUNT {
-            return Err(ReplicaError::Protocol(format!(
-                "{what}: count {v} exceeds cap {MAX_COUNT}"
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>, ReplicaError> {
-        let t = self.tok(what)?;
-        unesc_bytes(t, what)
-    }
-
-    fn name(&mut self, what: &str) -> Result<String, ReplicaError> {
-        let b = self.bytes(what)?;
-        String::from_utf8(b)
-            .map_err(|_| ReplicaError::Protocol(format!("{what}: node name is not UTF-8")))
-    }
-
-    fn finish(&mut self) -> Result<(), ReplicaError> {
-        match self.toks.next() {
-            None => Ok(()),
-            Some(extra) => Err(ReplicaError::Protocol(format!(
-                "trailing token `{extra}` after message"
-            ))),
-        }
     }
 }
 

@@ -40,10 +40,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use mvolap_core::case_study;
+use mvolap_core::token::{Escapes, TokenWriter};
 use mvolap_durable::checksum::crc32;
 use mvolap_durable::{frame, CheckpointPolicy, DurableTmd, Io, Options};
 use mvolap_replica::{
-    decode_batch, encode_batch, esc_bytes, sync_follower, Follower, NetAddr, NetClient, NetConfig,
+    decode_batch, encode_batch, sync_follower, Follower, NetAddr, NetClient, NetConfig,
     PrimaryNode, ReplicaError, ReplicaMsg, ReplicaServer, ServerConfig,
 };
 
@@ -72,6 +73,13 @@ fn strict_cfg() -> NetConfig {
         reconnect_attempts: 0,
         backoff_start_ms: 0,
     }
+}
+
+/// `inner` as the single message of a `batch` envelope, undecoded.
+fn wrap(inner: &str) -> Vec<u8> {
+    let mut w = TokenWriter::new(Escapes::Binary);
+    w.raw("batch").raw(1).text(inner);
+    w.finish()
 }
 
 fn hello() -> ReplicaMsg {
@@ -438,7 +446,6 @@ fn net_batched_frame_envelope_rejects_truncated_and_oversized_inners() {
 
     // An envelope whose inner frames message is cut anywhere — or
     // lies about its counts — is a typed protocol refusal.
-    let wrap = |inner: &str| format!("batch 1 {}", esc_bytes(inner.as_bytes())).into_bytes();
     let truncated_or_oversized = [
         // Truncations of `frames <epoch> <n> (<lsn> <crc> <payload>)*`.
         "frames",
@@ -527,9 +534,8 @@ fn net_snap_chunk_and_reconfig_rows_are_typed_refusals() {
             ),
             "row {row:?} was not a typed protocol error"
         );
-        let enveloped = format!("batch 1 {}", esc_bytes(row.as_bytes())).into_bytes();
         assert!(
-            matches!(decode_batch(&enveloped), Err(ReplicaError::Protocol(_))),
+            matches!(decode_batch(&wrap(row)), Err(ReplicaError::Protocol(_))),
             "enveloped row {row:?} was not a typed protocol error"
         );
     }

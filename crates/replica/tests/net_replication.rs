@@ -13,10 +13,10 @@ use std::sync::{Arc, Mutex};
 use mvolap_core::case_study;
 use mvolap_core::persist::write_tmd;
 use mvolap_core::Tmd;
-use mvolap_durable::{CheckpointPolicy, DurableTmd, FactRow, Io, Options, WalRecord};
+use mvolap_durable::{CheckpointPolicy, DurableTmd, FactRow, Io, Options, TimeSource, WalRecord};
 use mvolap_replica::{
-    sync_follower, Clock, Follower, ManualClock, NetAddr, NetClient, NetConfig, PrimaryNode,
-    ReplicaError, ReplicaMsg, ReplicaServer, ServerConfig, SyncRound,
+    sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError, ReplicaMsg,
+    ReplicaServer, ServerConfig, SyncRound,
 };
 use mvolap_temporal::Instant;
 
@@ -224,14 +224,14 @@ fn net_unix_socket_serves_the_same_protocol() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// `CheckpointPolicy::max_tail_age_ms` + [`ManualClock`]: the clock the
-/// serving loop sleeps on is the clock the store ages its tail by, so
-/// the loop checkpoints the primary once the tail sits long enough.
+/// `CheckpointPolicy::max_tail_age_ms` + a manual [`TimeSource`]: the
+/// store ages its tail by the source it was given, so the serving loop
+/// checkpoints the primary once the tail sits long enough.
 #[test]
 fn net_manual_clock_drives_time_based_checkpoints() {
     let base = tmp("clock_ckpt");
     let cs = case_study::case_study();
-    let clock = ManualClock::new(0);
+    let clock = TimeSource::manual(0);
     let mut store = DurableTmd::create_with(
         &base,
         cs.tmd.clone(),
@@ -243,21 +243,21 @@ fn net_manual_clock_drives_time_based_checkpoints() {
         Io::plain(),
     )
     .unwrap();
-    store.set_time_source(clock.time_source());
+    store.set_time_source(clock.clone());
     let mut p = PrimaryNode::from_store("primary", store, 0);
 
     p.apply(facts(cs.brian, 1, 1.0)).unwrap();
     assert!(p.maybe_checkpoint().unwrap().is_none(), "tail too young");
-    clock.sleep_ms(999);
+    clock.advance(999);
     assert!(p.maybe_checkpoint().unwrap().is_none(), "one ms short");
-    clock.sleep_ms(1);
+    clock.advance(1);
     let id = p.maybe_checkpoint().unwrap().expect("tail aged out");
     assert_eq!(id.next_lsn, p.wal_position());
     assert!(p.maybe_checkpoint().unwrap().is_none(), "tail now empty");
 
     // A fenced node's store is frozen: no more checkpoint driving.
     p.apply(facts(cs.brian, 2, 2.0)).unwrap();
-    clock.sleep_ms(5_000);
+    clock.advance(5_000);
     p.fence(1);
     assert!(p.maybe_checkpoint().unwrap().is_none(), "fenced: frozen");
     std::fs::remove_dir_all(&base).ok();

@@ -3,8 +3,8 @@
 //! The grammar reuses the replication transport's building blocks — a
 //! length-prefixed CRC-32 frame per message ([`mvolap_replica::read_frame`]
 //! / [`mvolap_replica::write_frame`]) whose payload is a line of
-//! space-separated tokens, every variable-length field escaped with
-//! [`mvolap_replica::esc_bytes`] so tokens never contain separators.
+//! [`mvolap_core::token`] tokens; `<esc(…)>` below is one token under
+//! [`Escapes::Binary`].
 //!
 //! Requests:
 //!
@@ -37,8 +37,9 @@
 
 use std::fmt;
 
+use mvolap_core::token::{Escapes, TokenError, TokenReader, TokenWriter};
 use mvolap_durable::WalRecord;
-use mvolap_replica::{esc_bytes, unesc_bytes, ReplicaError};
+use mvolap_replica::ReplicaError;
 
 /// One client request, a single frame on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,37 +200,23 @@ impl From<ReplicaError> for ServerError {
     }
 }
 
-fn proto_err(msg: impl Into<String>) -> ServerError {
-    ServerError::Protocol(msg.into())
-}
-
-fn text_token(tok: &str, what: &str) -> Result<String, ServerError> {
-    let bytes = unesc_bytes(tok, what).map_err(|e| proto_err(e.to_string()))?;
-    String::from_utf8(bytes).map_err(|_| proto_err(format!("{what}: not UTF-8")))
-}
-
-fn u64_token(tok: &str, what: &str) -> Result<u64, ServerError> {
-    tok.parse()
-        .map_err(|_| proto_err(format!("{what}: bad integer {tok:?}")))
-}
-
-fn usize_token(tok: &str, what: &str) -> Result<usize, ServerError> {
-    tok.parse()
-        .map_err(|_| proto_err(format!("{what}: bad integer {tok:?}")))
+impl From<TokenError> for ServerError {
+    fn from(e: TokenError) -> Self {
+        ServerError::Protocol(format!("frame: {e}"))
+    }
 }
 
 /// Serialises a request into a frame payload.
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut w = TokenWriter::new(Escapes::Binary);
     match req {
-        Request::Query(text) => format!("query {}", esc_bytes(text.as_bytes())),
-        Request::Read { min_lsn, text } => {
-            format!("read {min_lsn} {}", esc_bytes(text.as_bytes()))
-        }
-        Request::Commit(record) => format!("commit {}", esc_bytes(&record.encode())),
-        Request::Ping => "ping".to_string(),
-    }
-    .into_bytes()
+        Request::Query(text) => w.raw("query").text(text),
+        Request::Read { min_lsn, text } => w.raw("read").raw(min_lsn).text(text),
+        Request::Commit(record) => w.raw("commit").bytes(&record.encode()),
+        Request::Ping => w.raw("ping"),
+    };
+    w.finish()
 }
 
 /// Parses a frame payload into a request.
@@ -240,57 +227,60 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// wrong token count, bad escape, non-UTF-8 query text or an
 /// undecodable journal record.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ServerError> {
-    let line = std::str::from_utf8(payload).map_err(|_| proto_err("request: not UTF-8"))?;
-    let toks: Vec<&str> = line.split(' ').collect();
-    match toks.as_slice() {
-        ["query", text] => Ok(Request::Query(text_token(text, "query text")?)),
-        ["read", min_lsn, text] => Ok(Request::Read {
-            min_lsn: u64_token(min_lsn, "read min_lsn")?,
-            text: text_token(text, "read text")?,
-        }),
-        ["commit", rec] => {
-            let bytes = unesc_bytes(rec, "commit record").map_err(|e| proto_err(e.to_string()))?;
-            let record =
-                WalRecord::decode(&bytes).map_err(|e| proto_err(format!("commit record: {e}")))?;
-            Ok(Request::Commit(record))
-        }
-        ["ping"] => Ok(Request::Ping),
-        _ => Err(proto_err(format!("unknown request {line:?}"))),
-    }
+    let mut r = TokenReader::from_bytes(payload)?;
+    let req = match r.token()? {
+        "query" => Request::Query(r.text()?),
+        "read" => Request::Read {
+            min_lsn: r.parse("lsn")?,
+            text: r.text()?,
+        },
+        "commit" => Request::Commit(
+            WalRecord::decode(&r.bytes()?)
+                .map_err(|e| ServerError::Protocol(format!("commit record: {e}")))?,
+        ),
+        "ping" => Request::Ping,
+        other => return Err(r.bad("request", other).into()),
+    };
+    r.finish()?;
+    Ok(req)
 }
 
 /// Serialises a reply into a frame payload. [`ServerError::Transport`]
 /// is client-local; encoding it degrades to `err proto`.
 #[must_use]
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
+    let mut w = TokenWriter::new(Escapes::Binary);
     match reply {
-        Reply::Result(text) => format!("ok {}", esc_bytes(text.as_bytes())),
-        Reply::Lsn(lsn) => format!("lsn {lsn}"),
+        Reply::Result(text) => w.raw("ok").text(text),
+        Reply::Lsn(lsn) => w.raw("lsn").raw(lsn),
         Reply::Err(e) => match e {
-            ServerError::Busy { active, queued } => format!("err busy {active} {queued}"),
+            ServerError::Busy { active, queued } => {
+                w.raw("err").raw("busy").raw(active).raw(queued)
+            }
             ServerError::TooStale {
                 required,
                 applied,
                 member,
-            } => match member {
+            } => {
+                w.raw("err").raw("stale").raw(required).raw(applied);
                 // The member token is optional for wire compatibility
                 // with pre-fleet servers: omitted when unknown.
-                Some(m) => format!("err stale {required} {applied} {}", esc_bytes(m.as_bytes())),
-                None => format!("err stale {required} {applied}"),
-            },
+                match member {
+                    Some(m) => w.text(m),
+                    None => &mut w,
+                }
+            }
             ServerError::Unreplicated { lsn, acked } => {
-                format!("err unreplicated {lsn} {acked}")
+                w.raw("err").raw("unreplicated").raw(lsn).raw(acked)
             }
-            ServerError::Query(m) => format!("err query {}", esc_bytes(m.as_bytes())),
-            ServerError::Commit(m) => format!("err commit {}", esc_bytes(m.as_bytes())),
-            ServerError::Protocol(m) => format!("err proto {}", esc_bytes(m.as_bytes())),
-            ServerError::Transport(e) => {
-                format!("err proto {}", esc_bytes(e.to_string().as_bytes()))
-            }
-            ServerError::Shutdown => "err shutdown".to_string(),
+            ServerError::Query(m) => w.raw("err").raw("query").text(m),
+            ServerError::Commit(m) => w.raw("err").raw("commit").text(m),
+            ServerError::Protocol(m) => w.raw("err").raw("proto").text(m),
+            ServerError::Transport(e) => w.raw("err").raw("proto").text(&e.to_string()),
+            ServerError::Shutdown => w.raw("err").raw("shutdown"),
         },
-    }
-    .into_bytes()
+    };
+    w.finish()
 }
 
 /// Parses a frame payload into a reply.
@@ -299,41 +289,37 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 ///
 /// [`ServerError::Protocol`] when the payload violates the grammar.
 pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServerError> {
-    let line = std::str::from_utf8(payload).map_err(|_| proto_err("reply: not UTF-8"))?;
-    let toks: Vec<&str> = line.split(' ').collect();
-    match toks.as_slice() {
-        ["ok", text] => Ok(Reply::Result(text_token(text, "ok payload")?)),
-        ["lsn", lsn] => Ok(Reply::Lsn(u64_token(lsn, "lsn")?)),
-        ["err", "busy", active, queued] => Ok(Reply::Err(ServerError::Busy {
-            active: usize_token(active, "busy active")?,
-            queued: usize_token(queued, "busy queued")?,
-        })),
-        ["err", "stale", required, applied] => Ok(Reply::Err(ServerError::TooStale {
-            required: u64_token(required, "stale required")?,
-            applied: u64_token(applied, "stale applied")?,
-            member: None,
-        })),
-        ["err", "stale", required, applied, member] => Ok(Reply::Err(ServerError::TooStale {
-            required: u64_token(required, "stale required")?,
-            applied: u64_token(applied, "stale applied")?,
-            member: Some(text_token(member, "stale member")?),
-        })),
-        ["err", "unreplicated", lsn, acked] => Ok(Reply::Err(ServerError::Unreplicated {
-            lsn: u64_token(lsn, "unreplicated lsn")?,
-            acked: usize_token(acked, "unreplicated acked")?,
-        })),
-        ["err", "query", m] => Ok(Reply::Err(ServerError::Query(text_token(m, "query msg")?))),
-        ["err", "commit", m] => Ok(Reply::Err(ServerError::Commit(text_token(
-            m,
-            "commit msg",
-        )?))),
-        ["err", "proto", m] => Ok(Reply::Err(ServerError::Protocol(text_token(
-            m,
-            "proto msg",
-        )?))),
-        ["err", "shutdown"] => Ok(Reply::Err(ServerError::Shutdown)),
-        _ => Err(proto_err(format!("unknown reply {line:?}"))),
-    }
+    let mut r = TokenReader::from_bytes(payload)?;
+    let reply = match r.token()? {
+        "ok" => Reply::Result(r.text()?),
+        "lsn" => Reply::Lsn(r.parse("lsn")?),
+        "err" => Reply::Err(match r.token()? {
+            "busy" => ServerError::Busy {
+                active: r.parse("session count")?,
+                queued: r.parse("session count")?,
+            },
+            "stale" => ServerError::TooStale {
+                required: r.parse("lsn")?,
+                applied: r.parse("lsn")?,
+                member: match r.peek() {
+                    Some(_) => Some(r.text()?),
+                    None => None,
+                },
+            },
+            "unreplicated" => ServerError::Unreplicated {
+                lsn: r.parse("lsn")?,
+                acked: r.parse("member count")?,
+            },
+            "query" => ServerError::Query(r.text()?),
+            "commit" => ServerError::Commit(r.text()?),
+            "proto" => ServerError::Protocol(r.text()?),
+            "shutdown" => ServerError::Shutdown,
+            other => return Err(r.bad("error kind", other).into()),
+        }),
+        other => return Err(r.bad("reply", other).into()),
+    };
+    r.finish()?;
+    Ok(reply)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use mvolap::core::case_study;
 use mvolap::durable::store::faulty_io;
-use mvolap::durable::{DurableTmd, FactRow, Options};
+use mvolap::durable::{DurableTmd, FactRow, Options, WalRecord};
 use mvolap::prelude::*;
 
 const Q1: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2004 IN MODE tcm";
@@ -50,13 +50,13 @@ fn main() {
     // 2. Evolve and load through the journal: every operation is
     //    validated, appended to the WAL, fsync'd, then applied.
     store
-        .transform_member(
-            cs.org,
-            cs.brian,
-            "Dpt.Brian-NanoTech",
-            std::collections::BTreeMap::new(),
-            Instant::ym(2004, 1),
-        )
+        .apply(WalRecord::Transform {
+            dim: cs.org,
+            id: cs.brian,
+            new_name: "Dpt.Brian-NanoTech".into(),
+            new_attributes: std::collections::BTreeMap::new(),
+            at: Instant::ym(2004, 1),
+        })
         .expect("transform");
     store
         .append_facts(vec![

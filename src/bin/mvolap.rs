@@ -56,8 +56,8 @@ use mvolap::durable::{
 };
 use mvolap::query::{is_all_modes, parse, run_compare, run_with_versions, QueryError};
 use mvolap::replica::{
-    sync_follower, Clock as _, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
-    ReplicaServer, ServerConfig, SystemClock,
+    sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
+    ReplicaServer, ServerConfig,
 };
 use mvolap::server::{ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
@@ -362,7 +362,7 @@ fn serve(addr: &NetAddr, dir: &str, schema: Option<Tmd>) -> ! {
         let primary = Arc::clone(&primary);
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
-                SystemClock.sleep_ms(250);
+                std::thread::sleep(std::time::Duration::from_millis(250));
                 let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
                 match p.maybe_checkpoint() {
                     Ok(Some(id)) => println!(
@@ -440,7 +440,7 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
                 announced = false;
             }
         }
-        SystemClock.sleep_ms(500);
+        std::thread::sleep(std::time::Duration::from_millis(500));
     }
     println!("mvolap: follower of {addr} stopped at LSN {}", f.next_lsn());
     std::process::exit(0)
