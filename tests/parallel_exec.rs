@@ -12,8 +12,11 @@ use mvolap::core::aggregate::{evaluate, evaluate_par, AggregateQuery, ResultSet}
 use mvolap::core::evolution::{self, SplitPart};
 use mvolap::core::multiversion::{present, present_par, MultiVersionFactTable, PresentedFacts};
 use mvolap::core::tmp::{all_modes, TemporalMode};
-use mvolap::core::{Confidence, ExecContext, QueryMemo};
-use mvolap::temporal::Instant;
+use mvolap::core::{
+    Confidence, CoreError, ExecContext, MeasureDef, MemberVersionSpec, QueryMemo,
+    TemporalDimension, Tmd,
+};
+use mvolap::temporal::{Granularity, Instant, Interval};
 use mvolap::workload::{generate, GeneratedWorkload, WorkloadConfig};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -192,6 +195,64 @@ fn mvft_infer_par_is_bit_identical_across_threads() {
             );
         }
     }
+}
+
+/// Each worker keeps the first error of its morsels and the morsel-order
+/// merge keeps the earliest, so every thread count reports the error a
+/// sequential run meets first. A department sits under a Team (2001
+/// only) inside a Unit (2001–2002), then directly under its Division:
+/// grouping by Unit and Team succeeds on the 2001 facts, fails on Team
+/// from 2002 and on Unit from 2003 — one fact per morsel, so later
+/// morsels carry a different error than the earliest failing one.
+#[test]
+fn earliest_error_wins_at_every_thread_count() {
+    let mut org = TemporalDimension::new("Org");
+    let since = Interval::since(Instant::ym(2001, 1));
+    let y2001 = Interval::years(2001, 2001);
+    let y2002 = Interval::years(2002, 2002);
+    let div = org.add_version(MemberVersionSpec::named("Div").at_level("Division"), since);
+    let unit = org.add_version(
+        MemberVersionSpec::named("Unit1").at_level("Unit"),
+        Interval::years(2001, 2002),
+    );
+    let team = org.add_version(MemberVersionSpec::named("Team1").at_level("Team"), y2001);
+    let dept = org.add_version(
+        MemberVersionSpec::named("Dept").at_level("Department"),
+        since,
+    );
+    org.add_relationship(team, unit, y2001).unwrap();
+    org.add_relationship(unit, div, Interval::years(2001, 2002))
+        .unwrap();
+    org.add_relationship(dept, team, y2001).unwrap();
+    org.add_relationship(dept, unit, y2002).unwrap();
+    org.add_relationship(dept, div, Interval::since(Instant::ym(2003, 1)))
+        .unwrap();
+    let mut tmd = Tmd::new("partial levels", Granularity::Month);
+    let org = tmd.add_dimension(org).unwrap();
+    tmd.add_measure(MeasureDef::summed("Amount")).unwrap();
+    for year in [2001, 2002, 2003] {
+        for month in [2, 6, 10] {
+            tmd.add_fact(&[dept], Instant::ym(year, month), &[1.0])
+                .unwrap();
+        }
+    }
+    let svs = tmd.structure_versions();
+    let mut q = AggregateQuery::by_year(org, "Unit", TemporalMode::Consistent);
+    q.group_by.push((org, "Team".into()));
+    let expected = CoreError::UnknownLevel {
+        dimension: "Org".into(),
+        level: "Team".into(),
+    };
+    for threads in [1, 2, 4] {
+        let ctx = ExecContext::new(threads).with_morsel_size(1);
+        let err = evaluate_par(&tmd, &svs, &q, &ctx, &QueryMemo::new()).unwrap_err();
+        assert_eq!(err, expected, "threads {threads}");
+    }
+    // Without the Team column the 2002 morsels succeed and 2003's fail
+    // on Unit: the fixture does reach both errors.
+    q.group_by.pop();
+    let err = evaluate_par(&tmd, &svs, &q, &ExecContext::new(2), &QueryMemo::new()).unwrap_err();
+    assert!(matches!(err, CoreError::UnknownLevel { level, .. } if level == "Unit"));
 }
 
 /// Proptest: a shared memo cache and a cache-bypassing run (fresh memo
