@@ -7,14 +7,12 @@
 //! The motivating queries Q1 ("total amount by year and division") and
 //! Q2 ("total amounts per department") are both instances.
 
-use std::collections::HashMap;
-
 use mvolap_exec::ExecContext;
 use mvolap_temporal::{Instant, Interval};
 
-use crate::confidence::{Confidence, ConfidenceWeights};
+use crate::confidence::ConfidenceWeights;
 use crate::error::{CoreError, Result};
-use crate::fact::MeasureAccumulator;
+use crate::fold::{next_combination, Cell, Groups};
 use crate::ids::{DimensionId, MeasureId};
 use crate::levels::ancestors_at_level;
 use crate::memo::QueryMemo;
@@ -266,67 +264,10 @@ pub fn render_rows_grid(rows: &[ResultRow], measure: usize) -> String {
     out
 }
 
-/// Internal cell accumulator mirroring the multiversion layer's
-/// semantics: `⊕m` on values, `⊗cf` on confidences, unknown poisons.
-struct Acc {
-    acc: MeasureAccumulator,
-    confidence: Confidence,
-    unknown: bool,
-}
-
-impl Acc {
-    /// Merges another partial group cell in (second-stage fold of the
-    /// morsel-parallel engine).
-    fn merge(&mut self, other: &Acc) {
-        self.acc.merge(&other.acc);
-        self.confidence = self.confidence.combine(other.confidence);
-        self.unknown |= other.unknown;
-    }
-}
-
-/// Per-worker partial state of an aggregation fold: groups in
-/// first-contribution order, plus the earliest row error (the fold
+/// Per-worker partial state of an aggregation fold: the groups keyed by
+/// time key and member names, plus the earliest row error (the fold
 /// itself cannot early-return across workers).
-struct EvalAcc {
-    index: HashMap<(String, Vec<String>), usize>,
-    keys: Vec<(String, Vec<String>)>,
-    accs: Vec<Vec<Acc>>,
-    error: Option<CoreError>,
-}
-
-impl EvalAcc {
-    fn new() -> Self {
-        EvalAcc {
-            index: HashMap::new(),
-            keys: Vec::new(),
-            accs: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// Merges a later partial in, appending its new groups in their own
-    /// order. The earliest error (in morsel order) wins, matching the
-    /// error the sequential row loop would have surfaced first.
-    fn merge(&mut self, other: EvalAcc) {
-        if self.error.is_none() {
-            self.error = other.error;
-        }
-        for (key, cells) in other.keys.into_iter().zip(other.accs) {
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (a, b) in self.accs[i].iter_mut().zip(&cells) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.index.insert(key.clone(), self.keys.len());
-                    self.keys.push(key);
-                    self.accs.push(cells);
-                }
-            }
-        }
-    }
-}
+type Partial = (Groups<(String, Vec<String>)>, Option<CoreError>);
 
 /// Evaluates an aggregation query (Definition 12) against a schema.
 ///
@@ -414,7 +355,7 @@ pub fn evaluate_par(
 
     // Per-row grouping, shared by every worker. Errors return through
     // the fold state (the engine's fold is infallible).
-    let process = |state: &mut EvalAcc, row: &crate::multiversion::MvRow| -> Result<()> {
+    let process = |groups: &mut Groups<_>, row: &crate::multiversion::MvRow| -> Result<()> {
         if let Some(range) = query.time_range {
             if !range.contains(row.time) {
                 return Ok(());
@@ -486,101 +427,61 @@ pub fn evaluate_par(
                 .zip(&combo)
                 .map(|(opts, &i)| opts[i].clone())
                 .collect();
-            let full_key = (time_key.clone(), group_keys);
-            let idx = *state.index.entry(full_key.clone()).or_insert_with(|| {
-                state.keys.push(full_key);
-                state.accs.push(
-                    measure_ids
-                        .iter()
-                        .map(|&m| Acc {
-                            // Second-stage fold over MVFT cells: partial
-                            // counts add (`combining`), sums add,
-                            // min/max nest.
-                            acc: MeasureAccumulator::new(
-                                tmd.measures()[m.index()].aggregator.combining(),
-                            ),
-                            confidence: Confidence::Source,
-                            unknown: false,
-                        })
-                        .collect(),
-                );
-                state.keys.len() - 1
+            let cells = groups.cells((time_key.clone(), group_keys), || {
+                // Second-stage fold over MVFT cells: partial counts add
+                // (`combining`), sums add, min/max nest.
+                measure_ids
+                    .iter()
+                    .map(|&m| Cell::new(tmd.measures()[m.index()].aggregator.combining()))
+                    .collect()
             });
-            for (slot, &m) in measure_ids.iter().enumerate() {
-                let cell = &row.cells[m.index()];
-                let acc = &mut state.accs[idx][slot];
-                acc.confidence = acc.confidence.combine(cell.confidence);
-                match cell.value {
-                    Some(v) => acc.acc.update(v),
-                    None => acc.unknown = true,
-                }
+            for (cell, &m) in cells.iter_mut().zip(&measure_ids) {
+                let MvCell { value, confidence } = row.cells[m.index()];
+                cell.add(value, confidence);
             }
-            // Advance the mixed-radix counter.
-            let mut d = 0;
-            loop {
-                if d == combo.len() {
-                    break;
-                }
-                combo[d] += 1;
-                if combo[d] < key_options[d].len() {
-                    break;
-                }
-                combo[d] = 0;
-                d += 1;
-            }
-            if d == combo.len() {
+            if !next_combination(&mut combo, |d| key_options[d].len()) {
                 break;
             }
         }
         Ok(())
     };
 
-    let folded = ctx.parallel_fold(
+    let (groups, error): Partial = ctx.parallel_fold(
         &presented.rows,
-        EvalAcc::new,
-        |state, _row_index, row| {
+        Partial::default,
+        |(groups, error), _row_index, row| {
             // After an error, stop doing work in this partial — results
             // are discarded once the error surfaces.
-            if state.error.is_some() {
-                return;
-            }
-            if let Err(e) = process(state, row) {
-                state.error = Some(e);
+            if error.is_none() {
+                *error = process(groups, row).err();
             }
         },
-        |into, from| into.merge(from),
+        // The earliest error in morsel order wins: the one the
+        // sequential row loop would have surfaced first.
+        |(groups, error), (more, later)| {
+            groups.merge(more);
+            if error.is_none() {
+                *error = later;
+            }
+        },
     );
-    if let Some(e) = folded.error {
+    if let Some(e) = error {
         return Err(e);
     }
-    let EvalAcc { keys, accs, .. } = folded;
 
     // Order: by time key (numeric-aware), preserving first-contribution
-    // order within a time group — the paper's table layout.
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ta = &keys[a].0;
-        let tb = &keys[b].0;
-        match (ta.parse::<i64>(), tb.parse::<i64>()) {
-            (Ok(x), Ok(y)) => x.cmp(&y).then(a.cmp(&b)),
-            _ => ta.cmp(tb).then(a.cmp(&b)),
-        }
-    });
-
-    let rows: Vec<ResultRow> = order
-        .into_iter()
-        .map(|i| ResultRow {
-            time: keys[i].0.clone(),
-            keys: keys[i].1.clone(),
-            cells: accs[i]
-                .iter()
-                .map(|a| MvCell {
-                    value: if a.unknown { None } else { a.acc.finish() },
-                    confidence: a.confidence,
-                })
-                .collect(),
-        })
+    // order within a time group (the sort is stable) — the paper's
+    // table layout.
+    let mut rows: Vec<ResultRow> = groups
+        .finish()
+        .map(|((time, keys), cells)| ResultRow { time, keys, cells })
         .collect();
+    rows.sort_by(
+        |a, b| match (a.time.parse::<i64>(), b.time.parse::<i64>()) {
+            (Ok(x), Ok(y)) => x.cmp(&y),
+            _ => a.time.cmp(&b.time),
+        },
+    );
 
     Ok(ResultSet {
         mode: query.mode.clone(),
@@ -605,6 +506,7 @@ pub fn evaluate_par(
 mod tests {
     use super::*;
     use crate::case_study::case_study;
+    use crate::confidence::Confidence;
     use crate::ids::StructureVersionId;
 
     fn q1(mode: TemporalMode) -> AggregateQuery {

@@ -189,64 +189,6 @@ impl FactTable {
     }
 }
 
-/// Running aggregate state shared by the aggregation and cube layers.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasureAccumulator {
-    aggregator: Aggregator,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeasureAccumulator {
-    /// A fresh accumulator for the given aggregate function.
-    pub fn new(aggregator: Aggregator) -> Self {
-        MeasureAccumulator {
-            aggregator,
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Folds one value in.
-    #[inline]
-    pub fn update(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Merges another accumulator's partial state in (the second-stage
-    /// fold of the morsel-parallel engine). Count/min/max merge
-    /// exactly; the sum associates in merge order, so merging partial
-    /// states in morsel order keeps results deterministic for any
-    /// worker count.
-    pub fn merge(&mut self, other: &MeasureAccumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The aggregate result, or `None` when nothing was folded.
-    pub fn finish(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(match self.aggregator {
-            Aggregator::Sum => self.sum,
-            Aggregator::Min => self.min,
-            Aggregator::Max => self.max,
-            Aggregator::Avg => self.sum / self.count as f64,
-            Aggregator::Count => self.count as f64,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,31 +238,5 @@ mod tests {
             assert_eq!(Aggregator::parse(a.name()), Some(a));
         }
         assert_eq!(Aggregator::parse("median"), None);
-    }
-
-    #[test]
-    fn accumulator_all_functions() {
-        let vals = [3.0, 1.0, 2.0];
-        let mut acc: Vec<MeasureAccumulator> = [
-            Aggregator::Sum,
-            Aggregator::Min,
-            Aggregator::Max,
-            Aggregator::Avg,
-            Aggregator::Count,
-        ]
-        .iter()
-        .map(|&a| MeasureAccumulator::new(a))
-        .collect();
-        for v in vals {
-            for a in &mut acc {
-                a.update(v);
-            }
-        }
-        assert_eq!(acc[0].finish(), Some(6.0));
-        assert_eq!(acc[1].finish(), Some(1.0));
-        assert_eq!(acc[2].finish(), Some(3.0));
-        assert_eq!(acc[3].finish(), Some(2.0));
-        assert_eq!(acc[4].finish(), Some(3.0));
-        assert_eq!(MeasureAccumulator::new(Aggregator::Sum).finish(), None);
     }
 }

@@ -22,6 +22,7 @@
 //! | 10 | Temporal Mode of Presentation | [`tmp`] |
 //! | 11 | MultiVersion Fact Table | [`multiversion`] |
 //! | 12 | Data Aggregation | [`aggregate`] |
+//! | 11–12 | The one `⊕m`/`⊗cf` cell and ordered group-by under both | [`fold`] |
 //! | §3.2 | Evolution operators | [`evolution`] |
 //! | §4–5 | Logical adaptation / relational export | [`logical`] |
 //! | §5.2 | Metadata | [`metadata`] |
@@ -57,6 +58,7 @@ pub mod dimension;
 pub mod error;
 pub mod evolution;
 pub mod fact;
+pub mod fold;
 pub mod ids;
 pub mod levels;
 pub mod logical;

@@ -19,7 +19,6 @@
 //! and the [`DeltaMvft`] extension that stores only mapped rows per
 //! version and reconstructs the rest from the consistent fact table.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mvolap_exec::ExecContext;
@@ -27,7 +26,7 @@ use mvolap_temporal::Instant;
 
 use crate::confidence::Confidence;
 use crate::error::{CoreError, Result};
-use crate::fact::MeasureAccumulator;
+use crate::fold::{next_combination, Cell, Groups};
 use crate::ids::{DimensionId, MemberVersionId};
 use crate::mapping::MappingRoute;
 use crate::memo::QueryMemo;
@@ -79,126 +78,27 @@ pub struct PresentedFacts {
     pub unmapped_rows: usize,
 }
 
-/// Accumulates contributions to one cell: values fold through the
-/// measure's `⊕m`, confidences through `⊗cf`, and an unknown-mapping
-/// contribution poisons the value (the `uk` row of the truth table).
-struct CellAcc {
-    acc: MeasureAccumulator,
-    confidence: Confidence,
-    unknown: bool,
+/// A presentation's cells, keyed by `(coords, t)`.
+type PresentedCells = Groups<(Vec<MemberVersionId>, Instant)>;
+
+/// One [`Cell`] per measure, each folding with the measure's `⊕m`.
+fn measure_cells(tmd: &Tmd) -> Vec<Cell> {
+    tmd.measures()
+        .iter()
+        .map(|m| Cell::new(m.aggregator))
+        .collect()
 }
 
-impl CellAcc {
-    fn new(aggregator: crate::fact::Aggregator) -> Self {
-        CellAcc {
-            acc: MeasureAccumulator::new(aggregator),
-            confidence: Confidence::Source,
-            unknown: false,
-        }
-    }
-
-    fn update(&mut self, value: Option<f64>, confidence: Confidence) {
-        self.confidence = self.confidence.combine(confidence);
-        match value {
-            Some(v) => self.acc.update(v),
-            None => self.unknown = true,
-        }
-    }
-
-    /// Merges another partial cell in (second-stage fold of the
-    /// morsel-parallel engine). Sound because `⊗cf` is a meet with
-    /// `Source` as identity and the accumulator merges exactly.
-    fn merge(&mut self, other: &CellAcc) {
-        self.acc.merge(&other.acc);
-        self.confidence = self.confidence.combine(other.confidence);
-        self.unknown |= other.unknown;
-    }
-
-    fn finish(&self) -> MvCell {
-        MvCell {
-            value: if self.unknown {
-                None
-            } else {
-                self.acc.finish()
-            },
-            confidence: self.confidence,
-        }
-    }
-}
-
-/// Per-worker partial state of a presentation fold: the grouped cells
-/// contributed by one set of morsels, in first-contribution order.
-struct PresentAcc {
-    index: HashMap<(Vec<MemberVersionId>, Instant), usize>,
-    keys: Vec<(Vec<MemberVersionId>, Instant)>,
-    cells: Vec<Vec<CellAcc>>,
-    unmapped: usize,
-}
-
-impl PresentAcc {
-    fn new() -> Self {
-        PresentAcc {
-            index: HashMap::new(),
-            keys: Vec::new(),
-            cells: Vec::new(),
-            unmapped: 0,
-        }
-    }
-
-    /// The cell row for `key`, creating it on first contribution.
-    fn cells_for(&mut self, key: (Vec<MemberVersionId>, Instant), tmd: &Tmd) -> &mut Vec<CellAcc> {
-        let idx = *self.index.entry(key.clone()).or_insert_with(|| {
-            self.keys.push(key);
-            self.cells.push(
-                tmd.measures()
-                    .iter()
-                    .map(|m| CellAcc::new(m.aggregator))
-                    .collect(),
-            );
-            self.keys.len() - 1
-        });
-        &mut self.cells[idx]
-    }
-
-    /// Merges a later partial in. Appending `other`'s new keys in their
-    /// own order keeps the global order equal to the sequential
-    /// first-contribution order, because partials are merged in morsel
-    /// order.
-    fn merge(&mut self, other: PresentAcc) {
-        self.unmapped += other.unmapped;
-        for (key, accs) in other.keys.into_iter().zip(other.cells) {
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (a, b) in self.cells[i].iter_mut().zip(&accs) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.index.insert(key.clone(), self.keys.len());
-                    self.keys.push(key);
-                    self.cells.push(accs);
-                }
-            }
-        }
-    }
-
-    fn finish(self, mode: &TemporalMode) -> PresentedFacts {
-        let rows = self
-            .keys
-            .into_iter()
-            .zip(&self.cells)
-            .map(|((coords, time), accs)| MvRow {
-                coords,
-                time,
-                cells: accs.iter().map(CellAcc::finish).collect(),
-            })
-            .collect();
-        PresentedFacts {
-            mode: mode.clone(),
-            rows,
-            unmapped_rows: self.unmapped,
-        }
-    }
+/// Presented rows in first-contribution order.
+fn rows_of(cells: PresentedCells) -> Vec<MvRow> {
+    cells
+        .finish()
+        .map(|((coords, time), cells)| MvRow {
+            coords,
+            time,
+            cells,
+        })
+        .collect()
 }
 
 /// Presents the schema's facts under `mode`, resolving mappings against
@@ -270,10 +170,10 @@ pub fn present_par(
     // The fold walks row indices; the items slice only sets the length.
     let row_markers = vec![(); facts.len()];
 
-    let acc = ctx.parallel_fold(
+    let (cells, unmapped_rows) = ctx.parallel_fold(
         &row_markers,
-        PresentAcc::new,
-        |state, row, &()| {
+        || (PresentedCells::default(), 0),
+        |(cells, unmapped), row, &()| {
             let t = facts.time(row);
             // Resolve per-dimension routes for this fact. The index
             // drives three parallel structures (fact coordinates,
@@ -325,7 +225,7 @@ pub fn present_par(
                                 .resolve(c, n_measures, direction, |id| sv.contains(dim_id, id))
                         });
                         if rs.is_empty() {
-                            state.unmapped += 1;
+                            *unmapped += 1;
                             return;
                         }
                         routes.push(rs);
@@ -339,8 +239,8 @@ pub fn present_par(
             loop {
                 let coords: Vec<MemberVersionId> =
                     (0..n_dims).map(|d| routes[d][combo[d]].target).collect();
-                let cells = state.cells_for((coords, t), tmd);
-                for (m, cell) in cells.iter_mut().enumerate() {
+                let row_cells = cells.cells((coords, t), || measure_cells(tmd));
+                for (m, cell) in row_cells.iter_mut().enumerate() {
                     // Compose this measure's mapping across dimensions
                     // and apply it to the source value.
                     let mut mapping = crate::mapping::MeasureMapping::SOURCE_IDENTITY;
@@ -348,29 +248,23 @@ pub fn present_par(
                         mapping = mapping.compose(r[combo[d]].per_measure[m]);
                     }
                     let value = mapping.func.apply(facts.value(row, m));
-                    cell.update(value, mapping.confidence);
+                    cell.add(value, mapping.confidence);
                 }
-                // Advance the mixed-radix counter.
-                let mut d = 0;
-                loop {
-                    if d == n_dims {
-                        break;
-                    }
-                    combo[d] += 1;
-                    if combo[d] < routes[d].len() {
-                        break;
-                    }
-                    combo[d] = 0;
-                    d += 1;
-                }
-                if d == n_dims {
+                if !next_combination(&mut combo, |d| routes[d].len()) {
                     break;
                 }
             }
         },
-        |into, from| into.merge(from),
+        |(cells, unmapped), (more, more_unmapped)| {
+            cells.merge(more);
+            *unmapped += more_unmapped;
+        },
     );
-    Ok(acc.finish(mode))
+    Ok(PresentedFacts {
+        mode: mode.clone(),
+        rows: rows_of(cells),
+        unmapped_rows,
+    })
 }
 
 /// The fully materialised MultiVersion Fact Table: every temporal mode's
@@ -530,71 +424,44 @@ impl DeltaMvft {
         // version. Accumulate duplicates exactly as `present` does.
         let facts = tmd.facts();
         let n_dims = tmd.dimensions().len();
-        let mut index: HashMap<(Vec<MemberVersionId>, Instant), usize> = HashMap::new();
-        let mut keys: Vec<(Vec<MemberVersionId>, Instant)> = Vec::new();
-        let mut cells: Vec<Vec<CellAcc>> = Vec::new();
+        let mut cells = PresentedCells::default();
         for row in 0..facts.len() {
             let coords = facts.row_coords(row);
             let all_valid = (0..n_dims).all(|d| sv.contains(DimensionId(d as u32), coords[d]));
             if !all_valid {
                 continue;
             }
-            let key = (coords, facts.time(row));
-            let idx = *index.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                cells.push(
-                    tmd.measures()
-                        .iter()
-                        .map(|m| CellAcc::new(m.aggregator))
-                        .collect(),
-                );
-                keys.len() - 1
-            });
-            for (m, cell) in cells[idx].iter_mut().enumerate() {
-                cell.update(Some(facts.value(row, m)), Confidence::Source);
+            let row_cells = cells.cells((coords, facts.time(row)), || measure_cells(tmd));
+            for (m, cell) in row_cells.iter_mut().enumerate() {
+                cell.add(Some(facts.value(row, m)), Confidence::Source);
             }
         }
-        let mut rows: Vec<MvRow> = keys
-            .into_iter()
-            .zip(&cells)
-            .map(|((coords, time), accs)| MvRow {
-                coords,
-                time,
-                cells: accs.iter().map(CellAcc::finish).collect(),
-            })
+        let positions: Vec<Option<usize>> = self.deltas[idx]
+            .iter()
+            .map(|d| cells.position(&(d.coords.clone(), d.time)))
             .collect();
+        let mut rows = rows_of(cells);
 
         // Merge in the stored deltas; a delta row may target the same cell
         // as a source row (a mapped contribution landing on live data).
-        for delta in &self.deltas[idx] {
-            match rows
+        for (delta, position) in self.deltas[idx].iter().zip(positions) {
+            let Some(i) = position else {
+                rows.push(delta.clone());
+                continue;
+            };
+            for ((cell, d), measure) in rows[i]
+                .cells
                 .iter_mut()
-                .find(|r| r.coords == delta.coords && r.time == delta.time)
+                .zip(&delta.cells)
+                .zip(tmd.measures())
             {
-                Some(existing) => {
-                    for ((cell, d), measure) in existing
-                        .cells
-                        .iter_mut()
-                        .zip(&delta.cells)
-                        .zip(tmd.measures())
-                    {
-                        // The stored delta already folded the mapped
-                        // contributions; merge the two partial cells with
-                        // the measure's second-stage (combining) form.
-                        cell.value = match (cell.value, d.value) {
-                            (Some(a), Some(b)) => {
-                                let mut acc =
-                                    MeasureAccumulator::new(measure.aggregator.combining());
-                                acc.update(a);
-                                acc.update(b);
-                                acc.finish()
-                            }
-                            _ => None,
-                        };
-                        cell.confidence = cell.confidence.combine(d.confidence);
-                    }
-                }
-                None => rows.push(delta.clone()),
+                // The stored delta already folded the mapped contributions;
+                // merge the two partial cells with the measure's
+                // second-stage (combining) form.
+                let mut merged = Cell::new(measure.aggregator.combining());
+                merged.add(cell.value, cell.confidence);
+                merged.add(d.value, d.confidence);
+                *cell = merged.finish();
             }
         }
         Ok(PresentedFacts {

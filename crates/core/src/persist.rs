@@ -107,9 +107,11 @@ pub fn write_tmd(tmd: &Tmd, out: &mut impl Write) -> Result<(), PersistError> {
         for v in d.versions() {
             w.raw("version").raw(di).raw(v.id.0);
             w.instant(v.validity.start()).instant(v.validity.end());
-            match &v.level {
-                Some(level) => w.text(level),
+            match v.level.as_deref() {
                 None => w.raw("-"),
+                // Spelled out, or it would read back as "no level".
+                Some("-") => w.raw("\\x2d"),
+                Some(level) => w.text(level),
             };
             w.text(&v.name);
             for (k, val) in &v.attributes {

@@ -24,12 +24,11 @@ use mvolap_core::aggregate::{
     evaluate, evaluate_par, AggregateQuery, ResultRow, ResultSet, TimeLevel,
 };
 use mvolap_core::error::{CoreError, Result};
-use mvolap_core::fact::MeasureAccumulator;
+use mvolap_core::fold::{next_combination, Cell, Groups};
 use mvolap_core::levels::{all_level_names, ancestors_at_level};
-use mvolap_core::multiversion::MvCell;
 use mvolap_core::structure_version::StructureVersion;
 use mvolap_core::tmp::TemporalMode;
-use mvolap_core::{Aggregator, Confidence, DimensionId, ExecContext, QueryMemo, Tmd};
+use mvolap_core::{Aggregator, DimensionId, ExecContext, QueryMemo, Tmd};
 use mvolap_temporal::{Instant, Interval};
 
 /// The specification of a cube to materialise.
@@ -128,65 +127,22 @@ impl Cube {
     ) -> Result<Self> {
         let dimension_levels: Vec<Vec<String>> =
             tmd.dimensions().iter().map(all_level_names).collect();
-        let dimension_names: Vec<String> = tmd
-            .dimensions()
-            .iter()
-            .map(|d| d.name().to_owned())
-            .collect();
-
-        // Enumerate level choices per dimension: None (All) + each level.
-        let mut choice_sets: Vec<Vec<Option<String>>> = Vec::with_capacity(dimension_levels.len());
-        for levels in &dimension_levels {
-            let mut choices: Vec<Option<String>> = vec![None];
-            choices.extend(levels.iter().cloned().map(Some));
-            choice_sets.push(choices);
-        }
+        let choices = level_choices(&dimension_levels);
 
         // Materialise the node list first; evaluation fans out below.
         let mut planned: Vec<(LatticeNode, AggregateQuery)> = Vec::new();
-        let mut combo = vec![0usize; choice_sets.len()];
+        let mut combo = vec![0usize; choices.len()];
         loop {
-            let levels: Vec<Option<String>> = choice_sets
-                .iter()
-                .zip(&combo)
-                .map(|(set, &i)| set[i].clone())
-                .collect();
+            let levels = chosen(&choices, &combo);
             for &tl in &spec.time_levels {
-                let group_by: Vec<(DimensionId, String)> = levels
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(d, l)| l.as_ref().map(|l| (DimensionId(d as u32), l.clone())))
-                    .collect();
-                let query = AggregateQuery {
-                    group_by,
+                let query = node_query(&spec, &levels, tl);
+                let node = LatticeNode {
+                    levels: levels.clone(),
                     time_level: tl,
-                    measures: Vec::new(),
-                    mode: spec.mode.clone(),
-                    time_range: spec.time_range,
-                    filters: Vec::new(),
                 };
-                planned.push((
-                    LatticeNode {
-                        levels: levels.clone(),
-                        time_level: tl,
-                    },
-                    query,
-                ));
+                planned.push((node, query));
             }
-            // Advance the mixed-radix counter over level choices.
-            let mut d = 0;
-            loop {
-                if d == combo.len() {
-                    break;
-                }
-                combo[d] += 1;
-                if combo[d] < choice_sets[d].len() {
-                    break;
-                }
-                combo[d] = 0;
-                d += 1;
-            }
-            if d == combo.len() || choice_sets.is_empty() {
+            if !next_combination(&mut combo, |d| choices[d].len()) {
                 break;
             }
         }
@@ -207,13 +163,7 @@ impl Cube {
             from_facts: nodes.len(),
             derived: 0,
         };
-        Ok(Cube {
-            spec,
-            dimension_levels,
-            dimension_names,
-            nodes,
-            stats,
-        })
+        Ok(Cube::assemble(tmd, spec, dimension_levels, nodes, stats))
     }
 
     /// Materialises the lattice, deriving coarser nodes from finer ones
@@ -248,23 +198,17 @@ impl Cube {
 
         let dimension_levels: Vec<Vec<String>> =
             tmd.dimensions().iter().map(all_level_names).collect();
-        let dimension_names: Vec<String> = tmd
-            .dimensions()
-            .iter()
-            .map(|d| d.name().to_owned())
-            .collect();
-        let n_dims = dimension_levels.len();
+        let choices = level_choices(&dimension_levels);
 
-        // Level choices per dimension, coarse → fine: index 0 is All,
-        // the last index the deepest level.
-        let choice_sets: Vec<Vec<Option<String>>> = dimension_levels
-            .iter()
-            .map(|levels| {
-                std::iter::once(None)
-                    .chain(levels.iter().cloned().map(Some))
-                    .collect()
-            })
-            .collect();
+        // Every combination of level choices, ordered by descending
+        // fineness (sum of choice indexes), so every node's finer child
+        // exists before it.
+        let mut combo = vec![0usize; choices.len()];
+        let mut combos = vec![combo.clone()];
+        while next_combination(&mut combo, |d| choices[d].len()) {
+            combos.push(combo.clone());
+        }
+        combos.sort_by_key(|c| std::cmp::Reverse(c.iter().sum::<usize>()));
 
         let mut stats = BuildStats::default();
         let mut nodes: Vec<(LatticeNode, ResultSet)> = Vec::new();
@@ -272,63 +216,28 @@ impl Cube {
         let mut computed: HashMap<(Vec<usize>, TimeLevel), usize> = HashMap::new();
 
         for &tl in &spec.time_levels {
-            // Enumerate combos ordered by descending fineness (sum of
-            // choice indexes), so every parent's finer child exists.
-            let mut combos: Vec<Vec<usize>> = enumerate_combos(&choice_sets);
-            combos.sort_by_key(|c| std::cmp::Reverse(c.iter().sum::<usize>()));
-
-            for combo in combos {
-                let levels: Vec<Option<String>> = combo
+            for combo in &combos {
+                let levels = chosen(&choices, combo);
+                // The first dimension not yet at its finest level.
+                let coarser = combo
                     .iter()
-                    .zip(&choice_sets)
-                    .map(|(&i, set)| set[i].clone())
-                    .collect();
-                let is_finest = combo
-                    .iter()
-                    .zip(&choice_sets)
-                    .all(|(&i, set)| i + 1 == set.len());
-
-                let result = if is_finest {
-                    stats.from_facts += 1;
-                    let group_by: Vec<(DimensionId, String)> = levels
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(d, l)| l.as_ref().map(|l| (DimensionId(d as u32), l.clone())))
-                        .collect();
-                    evaluate(
-                        tmd,
-                        structure_versions,
-                        &AggregateQuery {
-                            group_by,
-                            time_level: tl,
-                            measures: Vec::new(),
-                            mode: spec.mode.clone(),
-                            time_range: spec.time_range,
-                            filters: Vec::new(),
-                        },
-                    )?
-                } else {
-                    // Derive from the child combo that is one step finer
-                    // in the first non-finest dimension.
-                    let d = combo
-                        .iter()
-                        .zip(&choice_sets)
-                        .position(|(&i, set)| i + 1 < set.len())
-                        .expect("non-finest combo has a refinable dimension");
-                    let mut child = combo.clone();
-                    child[d] += 1;
-                    let child_idx = computed[&(child.clone(), tl)];
-                    let child_result = &nodes[child_idx].1;
-                    stats.derived += 1;
-                    derive_rollup(
-                        tmd,
-                        child_result,
-                        &choice_sets,
-                        &child,
-                        d,
-                        levels[d].as_deref(),
-                        at,
-                    )?
+                    .zip(&choices)
+                    .position(|(&i, set)| i + 1 < set.len());
+                let result = match coarser {
+                    None => {
+                        stats.from_facts += 1;
+                        let query = node_query(&spec, &levels, tl);
+                        evaluate(tmd, structure_versions, &query)?
+                    }
+                    Some(d) => {
+                        // Derive from the child one step finer in `d`.
+                        let mut child = combo.clone();
+                        child[d] += 1;
+                        let child = (child, tl);
+                        stats.derived += 1;
+                        let child_result = &nodes[computed[&child]].1;
+                        derive_rollup(tmd, child_result, &child.0, d, levels[d].as_deref(), at)?
+                    }
                 };
                 computed.insert((combo.clone(), tl), nodes.len());
                 nodes.push((
@@ -340,17 +249,27 @@ impl Cube {
                 ));
             }
         }
+        Ok(Cube::assemble(tmd, spec, dimension_levels, nodes, stats))
+    }
 
-        // Restore `build`'s node ordering contract is not required —
-        // lookup is by (levels, time_level) — but keep dims stable.
-        let _ = n_dims;
-        Ok(Cube {
+    fn assemble(
+        tmd: &Tmd,
+        spec: CubeSpec,
+        dimension_levels: Vec<Vec<String>>,
+        nodes: Vec<(LatticeNode, ResultSet)>,
+        stats: BuildStats,
+    ) -> Cube {
+        Cube {
             spec,
             dimension_levels,
-            dimension_names,
+            dimension_names: tmd
+                .dimensions()
+                .iter()
+                .map(|d| d.name().to_owned())
+                .collect(),
             nodes,
             stats,
-        })
+        }
     }
 
     /// How this cube's nodes were computed.
@@ -407,27 +326,41 @@ impl Cube {
     }
 }
 
-/// All index combinations over the per-dimension choice sets.
-fn enumerate_combos(choice_sets: &[Vec<Option<String>>]) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut combo = vec![0usize; choice_sets.len()];
-    loop {
-        out.push(combo.clone());
-        let mut d = 0;
-        loop {
-            if d == combo.len() {
-                return out;
-            }
-            combo[d] += 1;
-            if combo[d] < choice_sets[d].len() {
-                break;
-            }
-            combo[d] = 0;
-            d += 1;
-        }
-        if choice_sets.is_empty() {
-            return out;
-        }
+/// Per dimension, its level choices coarse to fine: `None` (All), then
+/// each level top-down.
+fn level_choices(dimension_levels: &[Vec<String>]) -> Vec<Vec<Option<String>>> {
+    dimension_levels
+        .iter()
+        .map(|levels| {
+            std::iter::once(None)
+                .chain(levels.iter().cloned().map(Some))
+                .collect()
+        })
+        .collect()
+}
+
+/// The level each dimension takes under one combination of choices.
+fn chosen(choices: &[Vec<Option<String>>], combo: &[usize]) -> Vec<Option<String>> {
+    choices
+        .iter()
+        .zip(combo)
+        .map(|(set, &i)| set[i].clone())
+        .collect()
+}
+
+/// The aggregation one lattice node materialises.
+fn node_query(spec: &CubeSpec, levels: &[Option<String>], time_level: TimeLevel) -> AggregateQuery {
+    AggregateQuery {
+        group_by: levels
+            .iter()
+            .enumerate()
+            .filter_map(|(d, l)| l.as_ref().map(|l| (DimensionId(d as u32), l.clone())))
+            .collect(),
+        time_level,
+        measures: Vec::new(),
+        mode: spec.mode.clone(),
+        time_range: spec.time_range,
+        filters: Vec::new(),
     }
 }
 
@@ -439,7 +372,6 @@ fn enumerate_combos(choice_sets: &[Vec<Option<String>>]) -> Vec<Vec<usize>> {
 fn derive_rollup(
     tmd: &Tmd,
     child: &ResultSet,
-    choice_sets: &[Vec<Option<String>>],
     child_combo: &[usize],
     d: usize,
     target_level: Option<&str>,
@@ -453,20 +385,13 @@ fn derive_rollup(
     debug_assert!(child_combo[d] > 0, "child must group dimension d");
 
     // Derivation aggregators: counts add up; sums add; min/max nest.
-    let derive_aggs: Vec<Aggregator> = tmd
-        .measures()
-        .iter()
-        .map(|m| m.aggregator.combining())
-        .collect();
-
-    struct Acc {
-        acc: MeasureAccumulator,
-        confidence: Confidence,
-        unknown: bool,
-    }
-    let mut index: HashMap<(String, Vec<String>), usize> = HashMap::new();
-    let mut keys: Vec<(String, Vec<String>)> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
+    let new_cells = || {
+        tmd.measures()
+            .iter()
+            .map(|m| Cell::new(m.aggregator.combining()))
+            .collect()
+    };
+    let mut groups: Groups<(String, Vec<String>)> = Groups::default();
     // Ancestor-name cache: every row with the same member maps alike.
     let mut ancestor_cache: HashMap<String, Vec<String>> = HashMap::new();
 
@@ -513,27 +438,9 @@ fn derive_rollup(
                     new_keys.remove(key_pos);
                 }
             }
-            let key = (row.time.clone(), new_keys);
-            let idx = *index.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                accs.push(
-                    derive_aggs
-                        .iter()
-                        .map(|&a| Acc {
-                            acc: MeasureAccumulator::new(a),
-                            confidence: Confidence::Source,
-                            unknown: false,
-                        })
-                        .collect(),
-                );
-                keys.len() - 1
-            });
-            for (cell, acc) in row.cells.iter().zip(&mut accs[idx]) {
-                acc.confidence = acc.confidence.combine(cell.confidence);
-                match cell.value {
-                    Some(v) => acc.acc.update(v),
-                    None => acc.unknown = true,
-                }
+            let cells = groups.cells((row.time.clone(), new_keys), new_cells);
+            for (cell, from) in cells.iter_mut().zip(&row.cells) {
+                cell.add(from.value, from.confidence);
             }
         }
     }
@@ -546,23 +453,11 @@ fn derive_rollup(
         }
     }
     // Child rows arrive time-ordered; first-seen preserves that order.
-    let rows: Vec<ResultRow> = keys
-        .into_iter()
-        .zip(&accs)
-        .map(|((time, group_keys), cell_accs)| ResultRow {
-            time,
-            keys: group_keys,
-            cells: cell_accs
-                .iter()
-                .map(|a| MvCell {
-                    value: if a.unknown { None } else { a.acc.finish() },
-                    confidence: a.confidence,
-                })
-                .collect(),
-        })
+    let rows: Vec<ResultRow> = groups
+        .finish()
+        .map(|((time, keys), cells)| ResultRow { time, keys, cells })
         .collect();
 
-    let _ = choice_sets;
     Ok(ResultSet {
         mode: child.mode.clone(),
         time_header: child.time_header.clone(),

@@ -256,6 +256,35 @@ fn trailing_carriage_return_survives_checkpoint_and_reopen() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A level named `-` is the snapshot's bare "no level" token unless the
+/// image spells it out: the checkpoint must bring the level back, or
+/// the reopened schema is not the one the WAL replays onto.
+#[test]
+fn level_named_dash_survives_checkpoint_and_reopen() {
+    let dir = tmp("dash_level");
+    let cs = case_study::case_study();
+    let mut store = DurableTmd::create(&dir, cs.tmd.clone()).unwrap();
+    store
+        .apply(WalRecord::Create {
+            dim: cs.org,
+            name: "Dpt.Dash".into(),
+            level: Some("-".into()),
+            at: Instant::ym(2004, 1),
+            parents: vec![cs.sales],
+        })
+        .unwrap();
+    store.checkpoint().unwrap();
+    let before = snapshot(store.schema());
+    drop(store);
+    let reopened = DurableTmd::open(&dir).unwrap();
+    assert_eq!(snapshot(reopened.schema()), before);
+    let dash = reopened.schema().dimensions()[cs.org.0 as usize]
+        .version_named_at("Dpt.Dash", Instant::ym(2004, 2))
+        .unwrap();
+    assert_eq!(dash.level.as_deref(), Some("-"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Opening an empty or missing directory reports `NoStore`, not a
 /// panic or a silently empty warehouse.
 #[test]

@@ -52,6 +52,6 @@ pub use error::QueryError;
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::parse;
 pub use plan::{
-    is_all_modes, plan, run, run_compare, run_compare_par, run_par, run_with_versions,
-    run_with_versions_par, ModeResult,
+    is_all_modes, plan, render_answer, run, run_compare, run_compare_par, run_par,
+    run_with_versions, run_with_versions_par, ModeResult,
 };

@@ -286,6 +286,49 @@ pub fn run_compare_par(
     Ok(out)
 }
 
+/// Runs `input` and renders its answer, the bytes the shell prints and
+/// the session server replies: for `IN ALL MODES` one table per mode,
+/// best quality first, each under a `== mode … ==` banner; otherwise the
+/// one table, after a note when some facts have no representation in
+/// the mode.
+///
+/// # Errors
+///
+/// Any lexing, parsing, planning, execution or rendering failure.
+pub fn render_answer(
+    tmd: &Tmd,
+    input: &str,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<String> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    if is_all_modes(input) {
+        for r in run_compare_par(tmd, input, ctx, memo)? {
+            let _ = writeln!(
+                out,
+                "== mode {} (Q = {:.3}, {} unmapped) ==",
+                r.result.mode.label(),
+                r.quality,
+                r.result.unmapped_rows
+            );
+            let _ = writeln!(out, "{}", r.result.render("result")?);
+        }
+    } else {
+        let svs = tmd.structure_versions();
+        let rs = run_with_versions_par(tmd, &svs, input, ctx, memo)?;
+        if rs.unmapped_rows > 0 {
+            let _ = writeln!(
+                out,
+                "note: {} source facts have no representation in this mode",
+                rs.unmapped_rows
+            );
+        }
+        out.push_str(&rs.render("result")?);
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use mvolap_core::{ExecContext, QueryMemo, ShardedMemo, Tmd};
+use mvolap_core::{ExecContext, ShardedMemo};
 use mvolap_durable::{DurableError, GroupCommit};
-use mvolap_query::{run_compare_par, run_with_versions_par};
+use mvolap_query::{render_answer, QueryError};
 use mvolap_replica::{stop_listener, Follower, NetAddr, NetConfig, NetListener};
 
 use crate::client::SessionClient;
@@ -443,12 +443,17 @@ pub(crate) fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> 
 /// concurrent sessions execute in parallel and only commits serialise.
 fn primary_query(ctx: &SessionCtx, session: u64, text: &str) -> Reply {
     let memo = ctx.memo.for_session(session);
-    let rendered = ctx
-        .commit
-        .with_store(|s| render_query(s.schema(), text, &ctx.exec, memo));
-    match rendered {
+    answer_reply(
+        ctx.commit
+            .with_store(|s| render_answer(s.schema(), text, &ctx.exec, memo)),
+    )
+}
+
+/// A rendered answer as the session's reply.
+fn answer_reply(answer: Result<String, QueryError>) -> Reply {
+    match answer {
         Ok(out) => Reply::Result(out),
-        Err(e) => Reply::Err(e),
+        Err(e) => Reply::Err(ServerError::Query(e.to_string())),
     }
 }
 
@@ -545,48 +550,10 @@ fn follower_read(ctx: &SessionCtx, session: u64, min_lsn: u64, text: &str) -> Re
             member: None,
         });
     };
-    match render_query(tmd, text, &ctx.exec, ctx.memo.for_session(session)) {
-        Ok(out) => Reply::Result(out),
-        Err(e) => Reply::Err(e),
-    }
-}
-
-/// Executes `text` against `tmd` and renders exactly what the
-/// interactive shell prints, so a served query is byte-identical to a
-/// local one.
-fn render_query(
-    tmd: &Tmd,
-    text: &str,
-    exec: &ExecContext,
-    memo: &QueryMemo,
-) -> Result<String, ServerError> {
-    use std::fmt::Write as _;
-    fn qerr(e: impl std::fmt::Display) -> ServerError {
-        ServerError::Query(e.to_string())
-    }
-    let mut out = String::new();
-    if mvolap_query::is_all_modes(text) {
-        for r in run_compare_par(tmd, text, exec, memo).map_err(qerr)? {
-            let _ = writeln!(
-                out,
-                "== mode {} (Q = {:.3}, {} unmapped) ==",
-                r.result.mode.label(),
-                r.quality,
-                r.result.unmapped_rows
-            );
-            let _ = writeln!(out, "{}", r.result.render("result").map_err(qerr)?);
-        }
-    } else {
-        let svs = tmd.structure_versions();
-        let rs = run_with_versions_par(tmd, &svs, text, exec, memo).map_err(qerr)?;
-        if rs.unmapped_rows > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} source facts have no representation in this mode",
-                rs.unmapped_rows
-            );
-        }
-        out.push_str(&rs.render("result").map_err(qerr)?);
-    }
-    Ok(out)
+    answer_reply(render_answer(
+        tmd,
+        text,
+        &ctx.exec,
+        ctx.memo.for_session(session),
+    ))
 }

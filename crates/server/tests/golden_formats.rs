@@ -547,3 +547,30 @@ fn snapshot_images_match_the_golden_bytes() {
     });
     assert_eq!(fnv, CASE_STUDY_FNV1A, "{}", show(&image));
 }
+
+/// Not a 7b1cc36 image: that encoder wrote a level named `-` as the
+/// bare `-`, which reads back as "no level". `\x2d` is a spelling every
+/// decoder already accepted, so no earlier image changes.
+const DASH_LEVEL_GOLDEN: &[u8] =
+    b"mvolap-tmd v1\nschema s month\ndimension d\nversion 0 0 24012 now \\x2d m\nversion 0 1 24012 now - n\n";
+
+#[test]
+fn a_level_named_dash_is_spelled_out_and_reads_back() {
+    let mut tmd = Tmd::new("s", Granularity::Month);
+    let dim = tmd.add_dimension(TemporalDimension::new("d")).unwrap();
+    let since = Interval::since(Instant::ym(2001, 1));
+    let m = MemberVersionSpec::named("m").at_level("-");
+    tmd.add_version(dim, m, since).unwrap();
+    tmd.add_version(dim, MemberVersionSpec::named("n"), since)
+        .unwrap();
+    let mut image = Vec::new();
+    write_tmd(&tmd, &mut image).unwrap();
+    assert_eq!(show(&image), show(DASH_LEVEL_GOLDEN));
+    let back = read_tmd(&mut &DASH_LEVEL_GOLDEN[..]).unwrap();
+    let levels: Vec<Option<String>> = back.dimensions()[0]
+        .versions()
+        .iter()
+        .map(|v| v.level.clone())
+        .collect();
+    assert_eq!(levels, [Some("-".to_owned()), None]);
+}

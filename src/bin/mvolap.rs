@@ -49,12 +49,12 @@ use std::sync::{Arc, Mutex};
 
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
-use mvolap::core::{ConfidenceWeights, DimensionId, MemberVersionId, Tmd};
+use mvolap::core::{ConfidenceWeights, DimensionId, ExecContext, MemberVersionId, QueryMemo, Tmd};
 use mvolap::cube::mode_qualities;
 use mvolap::durable::{
     CheckpointPolicy, DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord,
 };
-use mvolap::query::{is_all_modes, parse, run_compare, run_with_versions, QueryError};
+use mvolap::query::{parse, render_answer, run_with_versions};
 use mvolap::replica::{
     sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
     ReplicaServer, ServerConfig,
@@ -760,7 +760,7 @@ fn command(session: &mut Session, cmd: &str) -> bool {
             let svs = session.tmd().structure_versions();
             match run_with_versions(session.tmd(), &svs, &rest.join(" ")) {
                 Ok(rs) => print!("{}", rs.render_grid(0)),
-                Err(e) => report(e),
+                Err(e) => println!("error: {e}"),
             }
         }
         "create" => {
@@ -921,45 +921,9 @@ fn quality(session: &Session, query: &str) {
 
 /// Executes one query line.
 fn execute(session: &Session, query: &str) {
-    // ALL MODES queries go through the comparison path.
-    if is_all_modes(query) {
-        match run_compare(session.tmd(), query) {
-            Ok(results) => {
-                for r in results {
-                    println!(
-                        "== mode {} (Q = {:.3}, {} unmapped) ==",
-                        r.result.mode.label(),
-                        r.quality,
-                        r.result.unmapped_rows
-                    );
-                    match r.result.render("result") {
-                        Ok(text) => println!("{text}"),
-                        Err(e) => println!("render error: {e}"),
-                    }
-                }
-            }
-            Err(e) => report(e),
-        }
-        return;
+    let exec = ExecContext::sequential();
+    match render_answer(session.tmd(), query, &exec, &QueryMemo::new()) {
+        Ok(text) => print!("{text}"),
+        Err(e) => println!("error: {e}"),
     }
-    let svs = session.tmd().structure_versions();
-    match run_with_versions(session.tmd(), &svs, query) {
-        Ok(rs) => {
-            if rs.unmapped_rows > 0 {
-                println!(
-                    "note: {} source facts have no representation in this mode",
-                    rs.unmapped_rows
-                );
-            }
-            match rs.render("result") {
-                Ok(text) => print!("{text}"),
-                Err(e) => println!("render error: {e}"),
-            }
-        }
-        Err(e) => report(e),
-    }
-}
-
-fn report(e: QueryError) {
-    println!("error: {e}");
 }
