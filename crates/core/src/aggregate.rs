@@ -16,7 +16,7 @@ use crate::fold::{next_combination, Cell, Groups};
 use crate::ids::{DimensionId, MeasureId};
 use crate::levels::ancestors_at_level;
 use crate::memo::QueryMemo;
-use crate::multiversion::{present_par, MvCell};
+use crate::multiversion::{present_cached, MvCell};
 use crate::schema::Tmd;
 use crate::structure_version::StructureVersion;
 use crate::tmp::TemporalMode;
@@ -304,10 +304,11 @@ pub fn evaluate(
 /// order — bit-identical to the sequential evaluation for every
 /// `ctx.threads`.
 ///
-/// `memo` caches mapping routes (through the presentation) and roll-up
-/// ancestor sets per `(dimension, leaf, level, instant)`; share one
-/// [`QueryMemo`] across queries to amortise both, evolution operators
-/// invalidate it via [`Tmd::generation`].
+/// `memo` caches the presented fact table of `tcm` and each `Version`
+/// mode (extending it when facts were appended since), mapping routes
+/// and roll-up ancestor sets per `(dimension, leaf, level, instant)`;
+/// share one [`QueryMemo`] across queries to amortise all three,
+/// evolution operators invalidate it via [`Tmd::stamp`].
 ///
 /// # Errors
 ///
@@ -336,7 +337,7 @@ pub fn evaluate_par(
         tmd.dimension(dim)?;
     }
 
-    let presented = present_par(tmd, structure_versions, &query.mode, ctx, memo)?;
+    let presented = present_cached(tmd, structure_versions, &query.mode, ctx, memo)?;
 
     // The instant at which each grouped dimension's hierarchy is read:
     // fixed at the structure version's start for version modes, the

@@ -6,7 +6,9 @@
 //! groupings merge in morsel order, which is what makes every parallel
 //! result bit-identical to the sequential one. Presentation (`f'`),
 //! aggregation, delta reconstruction and cube roll-up are this fold over
-//! different keys.
+//! different keys. A presentation kept between queries resumes the fold
+//! from a clone of its state after the last whole morsel, merging each
+//! later morsel onto it in order — the same association tree.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -87,7 +89,7 @@ impl Cell {
 }
 
 /// Cells grouped by key, in first-contribution order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Groups<K> {
     index: HashMap<K, usize>,
     keys: Vec<K>,

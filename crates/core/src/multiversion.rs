@@ -18,6 +18,9 @@
 //! (duplicating values in every version — the redundancy §5.1 concedes)
 //! and the [`DeltaMvft`] extension that stores only mapped rows per
 //! version and reconstructs the rest from the consistent fact table.
+//! The served path keeps a third: one presented table per mode in
+//! [`QueryMemo`]'s presentation store, extended in place as facts are
+//! appended (§5.1's MultiVersion DW tier).
 
 use std::sync::Arc;
 
@@ -29,7 +32,7 @@ use crate::error::{CoreError, Result};
 use crate::fold::{next_combination, Cell, Groups};
 use crate::ids::{DimensionId, MemberVersionId};
 use crate::mapping::MappingRoute;
-use crate::memo::QueryMemo;
+use crate::memo::{Cached, CachedPresentation, QueryMemo};
 use crate::schema::Tmd;
 use crate::structure_version::StructureVersion;
 use crate::tmp::TemporalMode;
@@ -81,6 +84,30 @@ pub struct PresentedFacts {
 /// A presentation's cells, keyed by `(coords, t)`.
 type PresentedCells = Groups<(Vec<MemberVersionId>, Instant)>;
 
+/// The presentation fold's state: cells keyed by `(coords, t)` plus the
+/// fact rows no route could present.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Presentation {
+    cells: PresentedCells,
+    unmapped: usize,
+}
+
+impl Presentation {
+    /// Merges the partial of a later morsel in.
+    fn merge(&mut self, later: Presentation) {
+        self.cells.merge(later.cells);
+        self.unmapped += later.unmapped;
+    }
+
+    fn finish(self, mode: &TemporalMode) -> PresentedFacts {
+        PresentedFacts {
+            mode: mode.clone(),
+            rows: rows_of(self.cells),
+            unmapped_rows: self.unmapped,
+        }
+    }
+}
+
 /// One [`Cell`] per measure, each folding with the measure's `⊕m`.
 fn measure_cells(tmd: &Tmd) -> Vec<Cell> {
     tmd.measures()
@@ -131,9 +158,12 @@ pub fn present(
 /// presentation is the `threads = 1` case of the same decomposition).
 ///
 /// `memo` caches mapping-closure routes per `(dimension, member
-/// version, structure version)` keyed to [`Tmd::generation`]; share one
+/// version, structure version)` keyed to [`Tmd::stamp`]; share one
 /// [`QueryMemo`] across calls to reuse routes between modes and
-/// queries, evolution operators invalidate it automatically.
+/// queries, evolution operators invalidate it automatically. The
+/// presentation itself is always folded afresh here; the served path
+/// ([`crate::evaluate_par`]) reads the same fold through the memo's
+/// presentation store instead.
 ///
 /// # Errors
 ///
@@ -146,125 +176,195 @@ pub fn present_par(
     ctx: &ExecContext,
     memo: &QueryMemo,
 ) -> Result<PresentedFacts> {
-    let n_dims = tmd.dimensions().len();
-    let n_measures = tmd.measures().len();
-    let facts = tmd.facts();
+    let targets = targets(tmd, structure_versions, mode)?;
+    let (_, presented) = fold_facts(tmd, &targets, ctx, memo, Presentation::default(), 0, false);
+    Ok(presented.finish(mode))
+}
 
-    // Pre-resolve the target structure version per dimension (None =>
-    // temporally consistent presentation for that dimension).
-    let mut per_dim_sv: Vec<Option<&StructureVersion>> = Vec::with_capacity(n_dims);
+/// [`present_par`] through `memo`'s presentation store — the
+/// MultiVersion tier [`crate::evaluate_par`] reads. `tcm` and `Version`
+/// tables are kept per schema stamp, mode and morsel size: a table over
+/// the current facts is served as is; one over fewer facts (appends
+/// never draw a new stamp) is extended by folding only the morsels from
+/// its last whole one on. `Mixed` modes are presented afresh, so the
+/// store holds at most one table per structure version plus `tcm`.
+pub(crate) fn present_cached(
+    tmd: &Tmd,
+    structure_versions: &[StructureVersion],
+    mode: &TemporalMode,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<Arc<PresentedFacts>> {
+    if let TemporalMode::Mixed(_) = mode {
+        return present_par(tmd, structure_versions, mode, ctx, memo).map(Arc::new);
+    }
+    let targets = targets(tmd, structure_versions, mode)?;
+    let (state, from) = match memo.cached_presentation(tmd, mode, ctx.morsel_size) {
+        Cached::Hit(table) => return Ok(table),
+        Cached::Extend(whole, rows) => (whole, rows),
+        Cached::Miss => (Presentation::default(), 0),
+    };
+    let (whole, presented) = fold_facts(tmd, &targets, ctx, memo, state, from, true);
+    let table = Arc::new(presented.finish(mode));
+    if let Some(whole) = whole {
+        memo.keep_presentation(
+            tmd,
+            CachedPresentation {
+                morsel_size: ctx.morsel_size,
+                whole,
+                facts: tmd.facts().len(),
+                table: Arc::clone(&table),
+            },
+        );
+    }
+    Ok(table)
+}
+
+/// The structure version `mode` presents each dimension in (`None`:
+/// temporally consistent).
+fn targets<'a>(
+    tmd: &Tmd,
+    structure_versions: &'a [StructureVersion],
+    mode: &TemporalMode,
+) -> Result<Vec<Option<&'a StructureVersion>>> {
+    (0..tmd.dimensions().len())
+        .map(|d| match mode.version_for(DimensionId(d as u32)) {
+            None => Ok(None),
+            Some(svid) => structure_versions
+                .get(svid.index())
+                .filter(|sv| sv.id == svid)
+                .map(Some)
+                .ok_or(CoreError::UnknownStructureVersion(svid.index())),
+        })
+        .collect()
+}
+
+/// Folds fact rows `from..` onto `state`, the fold of rows `..from`
+/// (a whole number of morsels): one partial per morsel, each merged
+/// onto `state` on its own and in morsel order. That is the association
+/// tree [`ExecContext::parallel_fold`] builds from row 0, so resuming a
+/// kept state is bit-identical to folding afresh at every thread count.
+/// Returns the state after the last whole morsel (when `keep_whole`)
+/// and the state after every row.
+fn fold_facts(
+    tmd: &Tmd,
+    targets: &[Option<&StructureVersion>],
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+    mut state: Presentation,
+    from: usize,
+    keep_whole: bool,
+) -> (Option<Presentation>, Presentation) {
+    // The morsels walk row indices; the markers only set the length.
+    let rows = vec![(); tmd.facts().len() - from];
+    let mut partials = ctx.map_morsels(&rows, |start, morsel| {
+        let mut partial = Presentation::default();
+        for row in from + start..from + start + morsel.len() {
+            present_row(tmd, targets, memo, &mut partial, row);
+        }
+        partial
+    });
+    let tail = if rows.len().is_multiple_of(ctx.morsel_size) {
+        None
+    } else {
+        partials.pop()
+    };
+    for partial in partials {
+        state.merge(partial);
+    }
+    let whole = keep_whole.then(|| state.clone());
+    if let Some(tail) = tail {
+        state.merge(tail);
+    }
+    (whole, state)
+}
+
+/// Presents fact row `row` into `partial`: each coordinate is routed
+/// into its target structure version, the route product fans out, and
+/// every measure folds its mapped value with its mapped confidence.
+fn present_row(
+    tmd: &Tmd,
+    targets: &[Option<&StructureVersion>],
+    memo: &QueryMemo,
+    partial: &mut Presentation,
+    row: usize,
+) {
+    let facts = tmd.facts();
+    let n_dims = targets.len();
+    let n_measures = tmd.measures().len();
+    let t = facts.time(row);
+    // Resolve per-dimension routes for this fact. The index drives
+    // three parallel structures (fact coordinates, per-dim targets, the
+    // routes vector), so a range loop is the clearest form.
+    let mut routes: Vec<Arc<Vec<MappingRoute>>> = Vec::with_capacity(n_dims);
+    #[allow(clippy::needless_range_loop)]
     for d in 0..n_dims {
-        match mode.version_for(DimensionId(d as u32)) {
-            None => per_dim_sv.push(None),
-            Some(svid) => {
-                let sv = structure_versions
-                    .get(svid.index())
-                    .filter(|sv| sv.id == svid)
-                    .ok_or(CoreError::UnknownStructureVersion(svid.index()))?;
-                per_dim_sv.push(Some(sv));
+        let c = facts.coord(row, d);
+        match targets[d] {
+            None => {
+                // Temporally consistent: facts were validated at insert
+                // time to be valid at their own time.
+                routes.push(Arc::new(vec![MappingRoute {
+                    target: c,
+                    per_measure: vec![crate::mapping::MeasureMapping::SOURCE_IDENTITY; n_measures],
+                    hops: 0,
+                }]));
+            }
+            Some(sv) => {
+                let dim_id = DimensionId(d as u32);
+                let rs = memo.routes(tmd, (dim_id, c, sv.id), || {
+                    // Routes must move monotonically through time toward
+                    // the target structure version: forward edges for
+                    // data older than it, backward edges for newer data
+                    // (see `RouteDirection`).
+                    let validity = tmd
+                        .dimension(dim_id)
+                        .and_then(|dim| dim.version(c))
+                        .expect("fact coordinates are validated on insert")
+                        .validity;
+                    let direction = if validity.end() < sv.interval.start() {
+                        crate::mapping::RouteDirection::Forward
+                    } else if sv.interval.end() < validity.start() {
+                        crate::mapping::RouteDirection::Backward
+                    } else {
+                        // Valid coordinates short-circuit in `resolve`;
+                        // partial overlap cannot occur because structure
+                        // versions refine every validity interval.
+                        crate::mapping::RouteDirection::Any
+                    };
+                    tmd.mapping_graph(dim_id)
+                        .expect("dimension exists")
+                        .resolve(c, n_measures, direction, |id| sv.contains(dim_id, id))
+                });
+                if rs.is_empty() {
+                    partial.unmapped += 1;
+                    return;
+                }
+                routes.push(rs);
             }
         }
     }
-    let per_dim_sv = &per_dim_sv;
 
-    // The fold walks row indices; the items slice only sets the length.
-    let row_markers = vec![(); facts.len()];
-
-    let (cells, unmapped_rows) = ctx.parallel_fold(
-        &row_markers,
-        || (PresentedCells::default(), 0),
-        |(cells, unmapped), row, &()| {
-            let t = facts.time(row);
-            // Resolve per-dimension routes for this fact. The index
-            // drives three parallel structures (fact coordinates,
-            // per-dim targets, the routes vector), so a range loop is
-            // the clearest form.
-            let mut routes: Vec<Arc<Vec<MappingRoute>>> = Vec::with_capacity(n_dims);
-            #[allow(clippy::needless_range_loop)]
-            for d in 0..n_dims {
-                let c = facts.coord(row, d);
-                match per_dim_sv[d] {
-                    None => {
-                        // Temporally consistent: facts were validated
-                        // at insert time to be valid at their own time.
-                        routes.push(Arc::new(vec![MappingRoute {
-                            target: c,
-                            per_measure: vec![
-                                crate::mapping::MeasureMapping::SOURCE_IDENTITY;
-                                n_measures
-                            ],
-                            hops: 0,
-                        }]));
-                    }
-                    Some(sv) => {
-                        let dim_id = DimensionId(d as u32);
-                        let rs = memo.routes(tmd, (dim_id, c, sv.id), || {
-                            // Routes must move monotonically through
-                            // time toward the target structure version:
-                            // forward edges for data older than it,
-                            // backward edges for newer data (see
-                            // `RouteDirection`).
-                            let validity = tmd
-                                .dimension(dim_id)
-                                .and_then(|dim| dim.version(c))
-                                .expect("fact coordinates are validated on insert")
-                                .validity;
-                            let direction = if validity.end() < sv.interval.start() {
-                                crate::mapping::RouteDirection::Forward
-                            } else if sv.interval.end() < validity.start() {
-                                crate::mapping::RouteDirection::Backward
-                            } else {
-                                // Valid coordinates short-circuit in
-                                // `resolve`; partial overlap cannot
-                                // occur because structure versions
-                                // refine every validity interval.
-                                crate::mapping::RouteDirection::Any
-                            };
-                            tmd.mapping_graph(dim_id)
-                                .expect("dimension exists")
-                                .resolve(c, n_measures, direction, |id| sv.contains(dim_id, id))
-                        });
-                        if rs.is_empty() {
-                            *unmapped += 1;
-                            return;
-                        }
-                        routes.push(rs);
-                    }
-                }
+    // Cartesian product of per-dimension routes (splits fan out).
+    let mut combo = vec![0usize; n_dims];
+    loop {
+        let coords: Vec<MemberVersionId> =
+            (0..n_dims).map(|d| routes[d][combo[d]].target).collect();
+        let row_cells = partial.cells.cells((coords, t), || measure_cells(tmd));
+        for (m, cell) in row_cells.iter_mut().enumerate() {
+            // Compose this measure's mapping across dimensions and
+            // apply it to the source value.
+            let mut mapping = crate::mapping::MeasureMapping::SOURCE_IDENTITY;
+            for (d, r) in routes.iter().enumerate() {
+                mapping = mapping.compose(r[combo[d]].per_measure[m]);
             }
-
-            // Cartesian product of per-dimension routes (splits fan
-            // out).
-            let mut combo = vec![0usize; n_dims];
-            loop {
-                let coords: Vec<MemberVersionId> =
-                    (0..n_dims).map(|d| routes[d][combo[d]].target).collect();
-                let row_cells = cells.cells((coords, t), || measure_cells(tmd));
-                for (m, cell) in row_cells.iter_mut().enumerate() {
-                    // Compose this measure's mapping across dimensions
-                    // and apply it to the source value.
-                    let mut mapping = crate::mapping::MeasureMapping::SOURCE_IDENTITY;
-                    for (d, r) in routes.iter().enumerate() {
-                        mapping = mapping.compose(r[combo[d]].per_measure[m]);
-                    }
-                    let value = mapping.func.apply(facts.value(row, m));
-                    cell.add(value, mapping.confidence);
-                }
-                if !next_combination(&mut combo, |d| routes[d].len()) {
-                    break;
-                }
-            }
-        },
-        |(cells, unmapped), (more, more_unmapped)| {
-            cells.merge(more);
-            *unmapped += more_unmapped;
-        },
-    );
-    Ok(PresentedFacts {
-        mode: mode.clone(),
-        rows: rows_of(cells),
-        unmapped_rows,
-    })
+            let value = mapping.func.apply(facts.value(row, m));
+            cell.add(value, mapping.confidence);
+        }
+        if !next_combination(&mut combo, |d| routes[d].len()) {
+            break;
+        }
+    }
 }
 
 /// The fully materialised MultiVersion Fact Table: every temporal mode's

@@ -8,6 +8,8 @@
 //! matches the paper's treatment of time as a distinguished, non-evolving
 //! dimension.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use mvolap_temporal::{Granularity, Instant, Interval};
 
 use crate::dimension::TemporalDimension;
@@ -19,8 +21,16 @@ use crate::member::MemberVersionSpec;
 use crate::metadata::{EvolutionEntry, EvolutionLog};
 use crate::structure_version::{infer_structure_versions, StructureVersion};
 
+/// Source of [`Tmd::stamp`]: one process-wide counter, so no two schema
+/// instances (or structural states of one) ever share a stamp.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A Temporal Multidimensional Schema: the root object of the model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tmd {
     name: String,
     granularity: Granularity,
@@ -35,9 +45,28 @@ pub struct Tmd {
     /// can invalidate derived lookups (new versions, relationships,
     /// mappings, dimensions, measures — and explicitly by the evolution
     /// operators). Fact appends do *not* bump it: mapping routes and
-    /// roll-up paths never depend on fact rows. [`crate::QueryMemo`]
-    /// keys its caches on this value.
+    /// roll-up paths never depend on fact rows.
     generation: u64,
+    /// Process-unique name of this instance in its current structural
+    /// state; see [`Tmd::stamp`].
+    stamp: u64,
+}
+
+impl Clone for Tmd {
+    /// A copy with a stamp of its own: the two may evolve apart.
+    fn clone(&self) -> Self {
+        Tmd {
+            name: self.name.clone(),
+            granularity: self.granularity,
+            dimensions: self.dimensions.clone(),
+            measures: self.measures.clone(),
+            mappings: self.mappings.clone(),
+            facts: self.facts.clone(),
+            log: self.log.clone(),
+            generation: self.generation,
+            stamp: next_stamp(),
+        }
+    }
 }
 
 impl Tmd {
@@ -52,22 +81,35 @@ impl Tmd {
             facts: FactTable::new(0, 0),
             log: EvolutionLog::new(),
             generation: 0,
+            stamp: next_stamp(),
         }
     }
 
     /// The current structural generation. Any change to dimensions,
-    /// member versions, relationships, mappings or measures moves it;
-    /// memo caches keyed on it ([`crate::QueryMemo`]) are thereby
-    /// invalidated atomically.
+    /// member versions, relationships, mappings or measures moves it.
+    /// It counts per instance — two schemas can share a number while
+    /// holding different structures — so caches key on
+    /// [`Tmd::stamp`]; checkpoint file names use this.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Explicitly advances the structural generation, invalidating
-    /// every generation-keyed cache. The evolution operators call this
-    /// on completion; callers holding external derived state may too.
+    /// A process-unique name for this instance in its current
+    /// structural state: drawn from one global counter by
+    /// [`Tmd::new`], by `clone` and by every [`Tmd::bump_generation`].
+    /// Within one stamp the structure is fixed and facts only grow,
+    /// which is what [`crate::QueryMemo`] keys its caches on.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Explicitly advances the structural generation (and draws a new
+    /// stamp), invalidating every cache keyed on the schema. The
+    /// evolution operators call this on completion; callers holding
+    /// external derived state may too.
     pub fn bump_generation(&mut self) {
         self.generation += 1;
+        self.stamp = next_stamp();
     }
 
     /// Schema name.

@@ -109,7 +109,7 @@ impl ExecContext {
         F: Fn(&mut S, usize, &T) + Sync,
         M: FnMut(&mut S, S),
     {
-        let partials = self.run_morsels(items, |morsel_start, morsel| {
+        let partials = self.map_morsels(items, |morsel_start, morsel| {
             let mut state = init();
             for (offset, item) in morsel.iter().enumerate() {
                 fold(&mut state, morsel_start + offset, item);
@@ -132,7 +132,7 @@ impl ExecContext {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let per_morsel = self.run_morsels(items, |morsel_start, morsel| {
+        let per_morsel = self.map_morsels(items, |morsel_start, morsel| {
             morsel
                 .iter()
                 .enumerate()
@@ -146,9 +146,12 @@ impl ExecContext {
         out
     }
 
-    /// Runs `work` once per morsel and returns the results in morsel
-    /// order. The scheduling core shared by fold and map.
-    fn run_morsels<T, R, W>(&self, items: &[T], work: W) -> Vec<R>
+    /// Runs `work(morsel_start, morsel)` once per morsel and returns the
+    /// results in morsel order. The scheduling core shared by fold and
+    /// map; callers that merge partials onto a state of their own (an
+    /// incremental fold resuming after its last whole morsel) use it
+    /// directly.
+    pub fn map_morsels<T, R, W>(&self, items: &[T], work: W) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -243,9 +246,10 @@ struct GenCacheInner<K, V> {
 
 /// A shared memo cache with explicit generation-based invalidation.
 ///
-/// Every lookup carries the caller's current *generation* (in mvolap, a
-/// counter the schema bumps on structural mutation — evolution
-/// operators, new mappings, new versions). When the presented
+/// Every lookup carries the caller's current *generation* (in mvolap,
+/// the schema's stamp: a process-unique number it redraws on every
+/// structural mutation — evolution operators, new mappings, new
+/// versions). When the presented
 /// generation differs from the cache's stored one, the whole map is
 /// dropped before the lookup proceeds: entries can never outlive the
 /// schema state they were computed from.

@@ -52,7 +52,10 @@ pub struct PoolStats {
     pub refused: u64,
     /// Non-commit requests forwarded to a fleet member.
     pub forwarded: u64,
-    /// Per-shard memo hit/miss counters, in shard order.
+    /// Per-shard memo counters, in shard order: route, roll-up and
+    /// presented-table hits/misses plus presented tables extended over
+    /// appended facts (the tables themselves sit in one store all
+    /// shards share).
     pub memo: Vec<MemoStats>,
 }
 

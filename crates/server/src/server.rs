@@ -341,7 +341,8 @@ impl SessionServer {
 
     /// A point-in-time snapshot of the pool counters: occupancy
     /// (active / queued / parked), lifetime served / refused /
-    /// forwarded totals and per-shard memo hit/miss counters.
+    /// forwarded totals and per-shard memo counters (routes, roll-ups,
+    /// presented tables).
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {

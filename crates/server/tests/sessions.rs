@@ -562,3 +562,98 @@ fn stale_follower_reads_are_refused_then_served_after_catch_up() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&fdir).ok();
 }
+
+/// One session alternates `read` (the follower's schema) and `query`
+/// (the primary's) through the same memo shard while the two schemas
+/// differ — the primary revised Jones's split after the follower caught
+/// up, and both keep receiving facts. Every reply must equal the answer
+/// rendered on its own schema with a fresh memo: routes and presented
+/// tables of one instance are never served for the other.
+#[test]
+fn interleaved_follower_reads_and_primary_queries_never_share_cache_entries() {
+    let dir = tmp("interleave_primary");
+    let fdir = tmp("interleave_follower");
+    let cs = case_study();
+    let store = DurableTmd::create(&dir, cs.tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let follower = Follower::create("reader", fdir.clone(), Options::default(), Io::plain());
+    let server = SessionServer::spawn_with_follower(
+        &local_addr(),
+        group,
+        follower,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let handle = server.follower_handle().expect("follower attached");
+    let ship = || {
+        let mut f = handle.lock().unwrap();
+        let TailSource::Frames(frames) = WalTailer::new(&dir).fetch(f.next_lsn(), 64).unwrap()
+        else {
+            panic!("nothing is pruned: the tail ships as frames");
+        };
+        let epoch = f.epoch();
+        f.handle(ReplicaMsg::Frames { epoch, frames }).unwrap();
+    };
+    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+    let fact = |leaf, month, value| WalRecord::FactBatch {
+        rows: vec![FactRow {
+            coords: vec![leaf],
+            at: Instant::ym(2002, month),
+            values: vec![value],
+        }],
+    };
+    client.commit(&fact(cs.jones, 3, 12.5)).unwrap();
+    ship();
+    client
+        .commit(&WalRecord::Confidence {
+            dim: cs.org,
+            from: cs.jones,
+            to: cs.bill,
+            forward: vec![mvolap_core::MeasureMapping::approx_scale(0.25)],
+            backward: vec![mvolap_core::MeasureMapping::EXACT_IDENTITY],
+        })
+        .unwrap();
+
+    const ALL_MODES: &str =
+        "SELECT sum(Amount) BY year, Org.Department FOR 2001..2003 IN ALL MODES";
+    let exec = mvolap_core::ExecContext::new(ServerOptions::default().exec_threads);
+    let fresh = |tmd: &mvolap_core::Tmd| {
+        mvolap_query::render_answer(tmd, ALL_MODES, &exec, &mvolap_core::QueryMemo::new()).unwrap()
+    };
+    // Rounds 0–1: the follower stays behind the revision while the
+    // primary's facts grow. Rounds 2–3: the follower is shipped every
+    // commit — the same structure and facts in another instance.
+    for round in 0..4u32 {
+        if round >= 2 {
+            ship();
+        }
+        for read_first in [true, false] {
+            let expected_read = fresh(handle.lock().unwrap().schema().unwrap());
+            let expected_query = server.group().with_store(|s| fresh(s.schema()));
+            if round == 0 {
+                assert_ne!(expected_read, expected_query, "the two schemas differ");
+            }
+            let (read, query) = if read_first {
+                let read = client.read_at(0, ALL_MODES).unwrap();
+                (read, client.query(ALL_MODES).unwrap())
+            } else {
+                let query = client.query(ALL_MODES).unwrap();
+                (client.read_at(0, ALL_MODES).unwrap(), query)
+            };
+            assert_eq!(read, expected_read, "round {round}: follower read");
+            assert_eq!(query, expected_query, "round {round}: primary query");
+        }
+        client
+            .commit(&fact(cs.jones, 4 + round, 0.1 + f64::from(round)))
+            .unwrap();
+    }
+    let memo = server.pool_stats().memo;
+    assert!(
+        memo.iter().any(|m| m.presentations.hits > 0),
+        "the session's repeated answers must come from presented tables"
+    );
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}

@@ -16,7 +16,10 @@
 //!    fewer whenever commits arrive while another's fsync is in flight
 //!    or within the 1 ms pace between syncs — and the pool counters
 //!    show every request flowing through the fixed worker set with the
-//!    sharded query memo absorbing the repeated lookups.
+//!    sharded query memo absorbing the repeated lookups. A repeated Q1
+//!    is then served from the kept presented fact table, and a commit
+//!    between two identical queries extends that table rather than
+//!    rebuilding it.
 //! 3. **Follower reads.** A `read` request carries an explicit
 //!    staleness bound: while the follower is behind it is refused with
 //!    the typed `TooStale` error, and once a member pump has shipped
@@ -29,11 +32,12 @@
 //!
 //! CI runs this binary as the serving acceptance check: it exits
 //! non-zero unless the concurrent commits are all journaled, group
-//! commit spends no more fsyncs than commits, and the follower read
-//! matches the primary's answer byte-for-byte.
+//! commit spends no more fsyncs than commits, the presented table is
+//! hit and extended as above, and the follower read matches the
+//! primary's answer byte-for-byte.
 
 use mvolap::cluster::{MemberPump, PumpConfig, PumpShared, PumpStep, PumpTracker};
-use mvolap::core::case_study;
+use mvolap::core::{case_study, MemoStats};
 use mvolap::durable::{DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, WalRecord};
 use mvolap::prelude::*;
 use mvolap::replica::{Follower, NetAddr, NetConfig};
@@ -148,10 +152,50 @@ fn main() {
         .sum();
     assert!(memo_hits > 0, "repeated Q1 must hit the sharded memo");
 
+    // The presented fact table (the MultiVersion tier) is kept across
+    // queries: a repeated Q1 touches no fact row, and a commit between
+    // two identical queries extends the table over the appended row
+    // instead of presenting every fact again.
+    let memo_total = || {
+        server
+            .pool_stats()
+            .memo
+            .into_iter()
+            .fold(MemoStats::default(), |acc, m| acc + m)
+    };
+    let mut client = SessionClient::connect(addr.clone(), NetConfig::default());
+    client.query(Q1).expect("query");
+    let before = memo_total();
+    client.query(Q1).expect("query");
+    let repeated = memo_total();
+    assert!(
+        repeated.presentations.hits > before.presentations.hits,
+        "repeated Q1 must hit the presented table"
+    );
+    client
+        .commit(&WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.smith],
+                at: Instant::ym(2003, 6),
+                values: vec![1.5],
+            }],
+        })
+        .expect("commit");
+    client.query(Q1).expect("query");
+    let appended = memo_total();
+    assert_eq!(
+        (appended.extended, appended.presentations.misses),
+        (repeated.extended + 1, repeated.presentations.misses),
+        "a commit between two identical queries must extend the presented table, not rebuild it"
+    );
+    println!(
+        "presented tables: {} hits, {} extended over appended facts, {} built",
+        appended.presentations.hits, appended.extended, appended.presentations.misses
+    );
+
     // 3. Read routing with an explicit staleness bound. The follower
     //    has applied nothing yet, so a read demanding the latest commit
     //    is refused with the typed error...
-    let mut client = SessionClient::connect(addr.clone(), NetConfig::default());
     let latest = group.wal_position() - 1;
     match client.read_at(latest, Q1) {
         Err(ServerError::TooStale {

@@ -66,7 +66,7 @@ use mvolap::workload::{generate, WorkloadConfig};
 /// Where the schema lives: plain memory, or a durable WAL+checkpoint
 /// store whose every evolution is journaled.
 enum Backing {
-    Memory(Tmd),
+    Memory(Box<Tmd>),
     Durable(Box<DurableTmd>),
 }
 
@@ -267,7 +267,7 @@ fn main() {
                 Err(e) => die(&format!("cannot open store at {dir}: {e}")),
             }
         }
-        None => Backing::Memory(schema.unwrap_or_else(|| case_study().tmd)),
+        None => Backing::Memory(Box::new(schema.unwrap_or_else(|| case_study().tmd))),
     };
     let mut session = Session { backing };
 
@@ -461,8 +461,15 @@ fn print_pool(stats: &mvolap::server::PoolStats) {
     );
     for (i, m) in stats.memo.iter().enumerate() {
         println!(
-            "  memo shard {i}: routes {}/{} hits/misses, ancestors {}/{}",
-            m.routes.hits, m.routes.misses, m.ancestors.hits, m.ancestors.misses
+            "  memo shard {i}: routes {}/{} hits/misses, ancestors {}/{}, \
+             presentations {}/{} (+{} extended)",
+            m.routes.hits,
+            m.routes.misses,
+            m.ancestors.hits,
+            m.ancestors.misses,
+            m.presentations.hits,
+            m.presentations.misses,
+            m.extended
         );
     }
 }
