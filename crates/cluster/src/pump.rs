@@ -41,19 +41,22 @@
 //!
 //! # Fencing
 //!
-//! Pumps serve exactly one primary epoch. [`PumpShared::fence`] (the
-//! election path deposing this primary) flips a flag every step
-//! checks first: a fenced pump drops its in-flight window and ships
-//! nothing further. The member side is independently safe — a stale
-//! epoch in a delivered envelope is refused by the member's own epoch
-//! check — but the pump stops at the source. A pump can also *learn*
-//! it is deposed from the member: an ack or refusal carrying a higher
-//! epoch parks it in [`PumpState::Fenced`] the same way. The new
-//! primary's pumps, built at the higher epoch, take over shipping.
+//! Pumps serve exactly one primary epoch — the primary's
+//! [`GroupCommit::epoch`], stamped on every envelope. Every step checks
+//! the group's fence first ([`GroupCommit::fence`], called by the
+//! election path deposing this primary): a fenced pump drops its
+//! in-flight window and ships nothing further. The member side is
+//! independently safe — a stale epoch in a delivered envelope is
+//! refused by the member's own epoch check — but the pump stops at the
+//! source. A pump can also *learn* it is deposed from the member: an
+//! ack or refusal carrying a higher epoch fences the group itself, so
+//! every pump of that primary stops and its sessions refuse commits,
+//! not just the pump that heard. The new primary's pumps, built on its
+//! own group at the higher epoch, take over shipping.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -217,25 +220,21 @@ impl PumpTracker {
     }
 }
 
-/// State shared by every pump serving one primary at one epoch: the
-/// group-commit handle, the epoch envelopes are stamped with, and the
-/// fence/stop flags the steps check first.
+/// State shared by every pump serving one primary: the group-commit
+/// handle (whose epoch envelopes are stamped with, and whose fence
+/// every step checks first) and the stop flag.
 #[derive(Debug)]
 pub struct PumpShared {
     commit: GroupCommit,
-    epoch: AtomicU64,
-    fenced: AtomicBool,
     stop: AtomicBool,
 }
 
 impl PumpShared {
-    /// Shared state for pumps of `commit`'s primary at `epoch`.
+    /// Shared state for pumps of `commit`'s primary.
     #[must_use]
-    pub fn new(commit: GroupCommit, epoch: u64) -> Arc<PumpShared> {
+    pub fn new(commit: GroupCommit) -> Arc<PumpShared> {
         Arc::new(PumpShared {
             commit,
-            epoch: AtomicU64::new(epoch),
-            fenced: AtomicBool::new(false),
             stop: AtomicBool::new(false),
         })
     }
@@ -244,28 +243,6 @@ impl PumpShared {
     #[must_use]
     pub fn commit(&self) -> &GroupCommit {
         &self.commit
-    }
-
-    /// The epoch envelopes are currently stamped with.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Fences every pump sharing this state: the primary was deposed
-    /// by `epoch`. Steps in flight finish their current envelope at
-    /// most; nothing further ships, and parked threads are woken so
-    /// they observe the fence immediately.
-    pub fn fence(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::SeqCst);
-        self.fenced.store(true, Ordering::SeqCst);
-        self.commit.notify_waiters();
-    }
-
-    /// Whether [`PumpShared::fence`] was called.
-    #[must_use]
-    pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::SeqCst)
     }
 
     /// Asks every pump sharing this state to stop, waking parked
@@ -414,8 +391,12 @@ impl MemberPump {
             self.set_state(PumpState::Stopped);
             return PumpStep::Stopped;
         }
-        if self.shared.is_fenced() {
-            return self.fenced(self.shared.epoch());
+        // Epoch first, fence second: a fence raises its flag before the
+        // epoch, so an epoch read here that is already the successor's
+        // is always caught by the fence check.
+        let epoch = self.shared.commit.epoch();
+        if self.shared.commit.is_fenced() {
+            return self.fenced(self.shared.commit.epoch());
         }
         if let Some(at) = self.retry_at {
             if self.cfg.time.now_ms() < at {
@@ -450,13 +431,13 @@ impl MemberPump {
                         self.inflight_bytes -= env.bytes;
                         acked += env.frames;
                         self.acked(&ack);
-                        if ack.epoch > self.shared.epoch() {
-                            return self.fenced(ack.epoch);
+                        if ack.epoch > epoch {
+                            return self.deposed(ack.epoch);
                         }
                     }
                     Err(ReplicaError::Fenced { epoch }) => {
                         drop(f);
-                        return self.fenced(epoch);
+                        return self.deposed(epoch);
                     }
                     Err(e) => {
                         drop(f);
@@ -519,10 +500,7 @@ impl MemberPump {
                         env_frames += frames.len();
                         env_bytes += frames.iter().map(|f| f.payload.len()).sum::<usize>();
                         cur = frames.last().expect("non-empty").lsn + 1;
-                        msgs.push(ReplicaMsg::Frames {
-                            epoch: self.shared.epoch(),
-                            frames,
-                        });
+                        msgs.push(ReplicaMsg::Frames { epoch, frames });
                     }
                     Ok(TailSource::Snapshot {
                         next_lsn,
@@ -575,7 +553,7 @@ impl MemberPump {
                             let chunk = image[start.min(image.len())..end].to_vec();
                             env_bytes += chunk.len();
                             msgs.push(ReplicaMsg::SnapChunk {
-                                epoch: self.shared.epoch(),
+                                epoch,
                                 next_lsn,
                                 seq,
                                 total,
@@ -707,6 +685,14 @@ impl MemberPump {
             s.replies += 1;
             s.acked_lsn = s.acked_lsn.max(synced);
         });
+    }
+
+    /// The member proved a newer primary exists: fence the whole group
+    /// — every pump of this primary, and its sessions — not just this
+    /// pump.
+    fn deposed(&mut self, epoch: u64) -> PumpStep {
+        self.shared.commit.fence(epoch);
+        self.fenced(epoch)
     }
 
     fn fenced(&mut self, epoch: u64) -> PumpStep {

@@ -142,7 +142,7 @@ impl LocalCluster {
         if self.pump_shared.is_some() {
             return;
         }
-        let shared = PumpShared::new(self.commit.clone(), self.current_epoch());
+        let shared = PumpShared::new(self.commit.clone());
         for (name, server) in &self.readers {
             let Some(follower) = server.follower_handle() else {
                 continue;
@@ -199,7 +199,7 @@ impl LocalCluster {
         let lsn = self
             .commit
             .commit(WalRecord::Reconfig {
-                epoch: self.current_epoch(),
+                epoch: self.commit.epoch(),
                 add: true,
                 member: name.to_string(),
                 addr: bind.to_string(),
@@ -274,7 +274,7 @@ impl LocalCluster {
         let lsn = self
             .commit
             .commit(WalRecord::Reconfig {
-                epoch: self.current_epoch(),
+                epoch: self.commit.epoch(),
                 add: false,
                 member: name.to_string(),
                 addr: String::new(),
@@ -419,20 +419,6 @@ impl LocalCluster {
         for (_, server) in &mut self.readers {
             server.stop();
         }
-    }
-
-    /// The epoch pumps stamp on shipped envelopes: the members'
-    /// current epoch (they all start aligned in this assembly).
-    fn current_epoch(&self) -> u64 {
-        self.readers
-            .first()
-            .and_then(|(_, s)| s.follower_handle())
-            .map(|f| {
-                f.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .epoch()
-            })
-            .unwrap_or(0)
     }
 }
 

@@ -62,24 +62,23 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The write-accepting node of a quorum group: a [`GroupCommit`] (so
-/// server sessions can share it) behind an epoch and a fencing flag.
+/// The write-accepting node of a quorum group: a named [`GroupCommit`]
+/// (so server sessions can share it). The epoch and the fence live on
+/// the group itself, so fencing this node refuses writes through every
+/// clone of the handle.
 #[derive(Debug)]
 pub struct QuorumPrimary {
     name: String,
     group: GroupCommit,
-    epoch: u64,
-    fenced: bool,
 }
 
 impl QuorumPrimary {
     /// Wraps a group-commit handle as primary at `epoch`.
     pub fn new(name: impl Into<String>, group: GroupCommit, epoch: u64) -> QuorumPrimary {
+        group.adopt_epoch(epoch);
         QuorumPrimary {
             name: name.into(),
             group,
-            epoch,
-            fenced: false,
         }
     }
 
@@ -90,12 +89,12 @@ impl QuorumPrimary {
 
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.group.epoch()
     }
 
     /// Whether this node has been fenced.
     pub fn is_fenced(&self) -> bool {
-        self.fenced
+        self.group.is_fenced()
     }
 
     /// The shared group-commit handle (clone it into server sessions).
@@ -137,10 +136,7 @@ impl QuorumPrimary {
     ///
     /// [`ReplicaError::Fenced`] after fencing; otherwise as
     /// [`GroupCommit::commit`].
-    pub fn commit(&mut self, record: WalRecord) -> Result<u64, ReplicaError> {
-        if self.fenced {
-            return Err(ReplicaError::Fenced { epoch: self.epoch });
-        }
+    pub fn commit(&self, record: WalRecord) -> Result<u64, ReplicaError> {
         Ok(self.group.commit(record)?)
     }
 
@@ -150,26 +146,15 @@ impl QuorumPrimary {
     ///
     /// [`ReplicaError::Fenced`] after fencing; otherwise as
     /// [`DurableTmd::checkpoint`].
-    pub fn checkpoint(&mut self) -> Result<(), ReplicaError> {
-        if self.fenced {
-            return Err(ReplicaError::Fenced { epoch: self.epoch });
-        }
-        self.group.with_store_mut(|s| s.checkpoint())?;
+    pub fn checkpoint(&self) -> Result<(), ReplicaError> {
+        self.group.checkpoint()?;
         Ok(())
     }
 
-    /// Fences this node at `epoch`: every further write is refused.
-    pub fn fence(&mut self, epoch: u64) {
-        self.fenced = true;
-        self.epoch = epoch;
-    }
-
-    /// Adopts a newer epoch without fencing — the supervisor re-asserts
-    /// a standing primary after an aborted election, so members that
-    /// granted a vote (and adopted the new epoch) accept its
-    /// heartbeats again.
-    pub fn adopt_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
+    /// Fences this node at `epoch`: every further write through any
+    /// clone of its group is refused.
+    pub fn fence(&self, epoch: u64) {
+        self.group.fence(epoch);
     }
 }
 
@@ -550,7 +535,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// as [`QuorumPrimary::commit`].
     pub fn commit_local(&mut self, record: WalRecord) -> Result<u64, ReplicaError> {
         self.primary
-            .as_mut()
+            .as_ref()
             .ok_or(ReplicaError::NotPrimary)?
             .commit(record)
     }
@@ -597,7 +582,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// as [`QuorumPrimary::checkpoint`].
     pub fn checkpoint(&mut self) -> Result<(), ReplicaError> {
         self.primary
-            .as_mut()
+            .as_ref()
             .ok_or(ReplicaError::NotPrimary)?
             .checkpoint()
     }
@@ -944,7 +929,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                 group.member_synced(n, m.synced_lsn);
             }
         }
-        if let Some(mut old) = self.primary.take() {
+        if let Some(old) = self.primary.take() {
             old.fence(new_epoch);
             if self
                 .transport
@@ -967,7 +952,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         // fresh record lands at or before the stale LSN, so scheduling
         // the resize there also drops the stale schedule.
         if let Some(pd) = self.pending_reconfig.as_mut() {
-            let p = self.primary.as_mut().expect("just installed");
+            let p = self.primary.as_ref().expect("just installed");
             if p.wal_position() <= pd.lsn {
                 let lsn = p.commit(WalRecord::Reconfig {
                     epoch: new_epoch,
@@ -993,8 +978,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// forward) accept its heartbeats again. There is still exactly one
     /// writer, so raising its fencing token is safe.
     fn reassert_primary(&mut self, epoch: u64) {
-        if let Some(p) = self.primary.as_mut() {
-            p.adopt_epoch(epoch);
+        if let Some(p) = &self.primary {
+            p.group.adopt_epoch(epoch);
         }
     }
 
@@ -1186,20 +1171,10 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.primary.as_ref()
     }
 
-    /// The live primary, mutable.
-    pub fn primary_mut(&mut self) -> Option<&mut QuorumPrimary> {
-        self.primary.as_mut()
-    }
-
-    /// The most recently deposed primary.
+    /// The most recently deposed primary (fencing probes write through
+    /// it and must be refused).
     pub fn retired(&self) -> Option<&QuorumPrimary> {
         self.retired.as_ref()
-    }
-
-    /// The most recently deposed primary, mutable (for fencing
-    /// probes).
-    pub fn retired_mut(&mut self) -> Option<&mut QuorumPrimary> {
-        self.retired.as_mut()
     }
 
     /// Member by name.

@@ -847,7 +847,7 @@ pub fn cluster_sweep(
                 // The elected member must be a fully functional
                 // durable store: checkpoint, then recover from disk to
                 // the same state.
-                let p = set.primary_mut().expect("elected");
+                let p = set.primary().expect("elected");
                 p.checkpoint()
                     .map_err(|e| format!("primary crash {k}: elected checkpoint failed: {e}"))?;
                 let reopened = DurableTmd::open(&p.dir())
@@ -923,7 +923,7 @@ pub fn cluster_sweep(
                         workload.org,
                         &format!("partition {j} failover"),
                     )?;
-                    let old = set.retired_mut().expect("deposed primary retained");
+                    let old = set.retired().expect("deposed primary retained");
                     if !old.is_fenced() {
                         return Err(format!("partition {j}: deposed primary not fenced"));
                     }
@@ -1540,7 +1540,7 @@ fn reconfig_failover_scenario(
             if epoch2 <= epoch {
                 return Err("failover scenario: epoch did not advance".to_string());
             }
-            let old = set.retired_mut().expect("deposed primary retained");
+            let old = set.retired().expect("deposed primary retained");
             if !old.is_fenced() {
                 return Err("failover scenario: deposed primary not fenced".to_string());
             }

@@ -360,7 +360,7 @@ fn operator_failover_fences_live_primary() {
     assert_eq!(answer(&after), answer(&before));
     assert_eq!(warehouse(&after), warehouse(&before));
     // The deposed primary refuses every further write.
-    let retired = set.retired_mut().expect("deposed primary retained");
+    let retired = set.retired().expect("deposed primary retained");
     assert!(retired.is_fenced());
     match retired.commit(rest.remove(0)) {
         Err(ReplicaError::Fenced { epoch: at }) => assert_eq!(at, epoch),
@@ -370,6 +370,14 @@ fn operator_failover_fences_live_primary() {
         retired.checkpoint(),
         Err(ReplicaError::Fenced { .. })
     ));
+    // The fence lives on the group commit itself: a session holding a
+    // clone of the deposed primary's handle is refused, typed, too.
+    let head = retired.wal_position();
+    match retired.group().clone().commit(rest.remove(0)) {
+        Err(DurableError::Fenced { epoch: at }) => assert_eq!(at, epoch),
+        other => panic!("a clone of the deposed group journaled a write: {other:?}"),
+    }
+    assert_eq!(retired.wal_position(), head, "nothing journaled");
     // A member that joins under the new primary learns its epoch.
     set.add_member("m3", Io::plain());
     drain(&mut set, "m3");
@@ -641,7 +649,7 @@ fn pump_backpressure_caps_window_and_recovers_on_heal() {
         retry_wait_ms: 30,
         time: time.clone(),
     };
-    let shared = PumpShared::new(commit.clone(), 0);
+    let shared = PumpShared::new(commit.clone());
     let tracker = PumpTracker::new();
     let mut pump = MemberPump::new(
         shared.clone(),
@@ -781,7 +789,8 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
         time: TimeSource::manual(0),
         ..PumpConfig::default()
     };
-    let shared = PumpShared::new(commit.clone(), 1);
+    commit.adopt_epoch(1);
+    let shared = PumpShared::new(commit.clone());
     let tracker = PumpTracker::new();
     let mut p1 = MemberPump::new(
         shared.clone(),
@@ -825,10 +834,16 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
 
     // An election deposes this primary. Both pumps observe the fence
     // on their next step, drop their windows, and ship nothing more —
-    // ever.
-    shared.fence(2);
+    // ever; and the primary's own handle refuses commits, typed.
+    commit.fence(2);
     assert_eq!(p1.step(), PumpStep::Fenced { epoch: 2 });
     assert_eq!(p2.step(), PumpStep::Fenced { epoch: 2 });
+    let head = commit.wal_position();
+    match commit.commit(records[6].clone()) {
+        Err(DurableError::Fenced { epoch }) => assert_eq!(epoch, 2),
+        other => panic!("the deposed primary journaled a write: {other:?}"),
+    }
+    assert_eq!(commit.wal_position(), head, "nothing journaled");
     let requests_at_fence = tracker.status("m1").unwrap().requests;
     assert_eq!(tracker.status("m1").unwrap().inflight_frames, 0);
     drop(wedge);
@@ -846,7 +861,10 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
         let mut f = m1.lock().unwrap();
         f.handle(ReplicaMsg::Fence { epoch: 2 }).unwrap();
         let before = f.next_lsn();
-        let stale = match WalTailer::new(&primary_dir).fetch(before, 8).unwrap() {
+        let stale = match WalTailer::new(&primary_dir)
+            .fetch_budget(before, u64::MAX, 8, usize::MAX)
+            .unwrap()
+        {
             TailSource::Frames(frames) => frames,
             other => panic!("expected frames, got {other:?}"),
         };
@@ -871,7 +889,8 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
     let new_store = promoted.into_primary_store().expect("promotable");
     let new_commit = GroupCommit::new(new_store, group_cfg());
     new_commit.configure_quorum(3);
-    let new_shared = PumpShared::new(new_commit.clone(), 2);
+    new_commit.adopt_epoch(2);
+    let new_shared = PumpShared::new(new_commit.clone());
     let takeover = PumpTracker::new();
     let mut np1 = MemberPump::new(
         new_shared,
@@ -896,6 +915,75 @@ fn fenced_pump_stops_shipping_and_new_primary_pumps_take_over() {
         "primary + m1 = 2 of 3: quorum commits resumed at epoch 2"
     );
     assert_eq!(takeover.status("m1").unwrap().acked_lsn, new_head);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A member that reports a newer epoch deposes the whole primary, not
+/// just the pump that heard it: the group is fenced, so every other
+/// pump of that primary stops too and the primary refuses commits.
+#[test]
+fn member_reported_newer_epoch_stops_every_pump_of_the_primary() {
+    let dir = tmp("pumplearn");
+    let workload = generate(13, 8);
+    let records = ops(&workload);
+    let primary_dir = dir.join("primary");
+    let store = DurableTmd::create_with(
+        &primary_dir,
+        workload.seed_schema.clone(),
+        opts(),
+        Io::plain(),
+    )
+    .unwrap();
+    let commit = GroupCommit::new(store, group_cfg());
+    commit.configure_quorum(3);
+    commit.adopt_epoch(1);
+    let member = |name: &str| {
+        Arc::new(Mutex::new(Follower::create(
+            name,
+            dir.join(name),
+            opts(),
+            Io::plain(),
+        )))
+    };
+    let (m1, m2) = (member("m1"), member("m2"));
+    let cfg = PumpConfig {
+        time: TimeSource::manual(0),
+        ..PumpConfig::default()
+    };
+    let shared = PumpShared::new(commit.clone());
+    let tracker = PumpTracker::new();
+    let mut p1 = MemberPump::new(
+        shared.clone(),
+        "m1",
+        m1.clone(),
+        &primary_dir,
+        cfg.clone(),
+        tracker.clone(),
+    );
+    let mut p2 = MemberPump::new(shared, "m2", m2, &primary_dir, cfg, tracker.clone());
+    commit.commit(records[0].clone()).unwrap();
+    drive_to_idle(&mut p1);
+    drive_to_idle(&mut p2);
+
+    // m1 learns of epoch 2 elsewhere; the next envelope it is handed
+    // carries the old epoch and is refused.
+    m1.lock()
+        .unwrap()
+        .handle(ReplicaMsg::Fence { epoch: 2 })
+        .unwrap();
+    commit.commit(records[1].clone()).unwrap();
+    assert!(matches!(p1.step(), PumpStep::Progress { shipped: 1, .. }));
+    assert_eq!(p1.step(), PumpStep::Fenced { epoch: 2 });
+
+    // The whole primary is deposed: m2's pump — which never heard
+    // from m1 — ships nothing, and the primary refuses commits.
+    assert!(commit.is_fenced());
+    let requests = tracker.status("m2").unwrap().requests;
+    commit
+        .commit(records[2].clone())
+        .expect_err("a deposed primary journals nothing");
+    assert_eq!(p2.step(), PumpStep::Fenced { epoch: 2 });
+    assert_eq!(tracker.status("m2").unwrap().requests, requests);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1035,9 +1123,7 @@ fn joiner_crash_mid_snapshot_resumes_from_last_chunk() {
     for r in &records {
         commit.commit(r.clone()).unwrap();
     }
-    commit
-        .with_store_mut(|s| s.checkpoint())
-        .expect("checkpoint");
+    commit.checkpoint().expect("checkpoint");
     let oldest = commit.with_store(|s| s.oldest_lsn()).expect("oldest");
     assert!(
         oldest > 1,
@@ -1061,7 +1147,7 @@ fn joiner_crash_mid_snapshot_resumes_from_last_chunk() {
         retry_wait_ms: 30,
         time: TimeSource::manual(0),
     };
-    let shared = PumpShared::new(commit.clone(), 0);
+    let shared = PumpShared::new(commit.clone());
     let tracker = PumpTracker::new();
     let joiner_dir = dir.join("joiner");
     let follower = Arc::new(Mutex::new(Follower::create(
@@ -1169,10 +1255,7 @@ fn live_join_and_leave_reconfigure_the_served_group() {
     }
     // Prune the tail so the joiner must bootstrap via the pump's
     // chunked snapshot, not a frame replay from LSN 1.
-    cluster
-        .group()
-        .with_store_mut(|s| s.checkpoint())
-        .expect("checkpoint");
+    cluster.group().checkpoint().expect("checkpoint");
     let oldest = cluster
         .group()
         .with_store(|s| s.oldest_lsn())
@@ -1281,7 +1364,7 @@ fn pump_thread_stop_interrupts_parked_wait() {
         retry_wait_ms: 10,
         ..PumpConfig::default()
     };
-    let shared = PumpShared::new(commit.clone(), 0);
+    let shared = PumpShared::new(commit.clone());
     let tracker = PumpTracker::new();
     let pump = MemberPump::new(
         shared,
@@ -1345,7 +1428,7 @@ fn stopped_pump_reports_stopped_not_idle() {
         opts(),
         Io::plain(),
     )));
-    let shared = PumpShared::new(commit.clone(), 0);
+    let shared = PumpShared::new(commit.clone());
     let tracker = PumpTracker::new();
     let pump = MemberPump::new(
         shared,

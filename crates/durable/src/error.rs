@@ -52,6 +52,12 @@ pub enum DurableError {
         /// The member the pending reconfiguration concerns.
         member: String,
     },
+    /// The primary was fenced at `epoch` — a newer primary exists — so
+    /// this handle, and every clone of it, refuses writes.
+    Fenced {
+        /// The epoch the primary was fenced at.
+        epoch: u64,
+    },
     /// Checkpoint (de)serialisation failure.
     Persist(PersistError),
     /// Replaying a record violated the model — validated replay refused
@@ -84,6 +90,9 @@ impl std::fmt::Display for DurableError {
                 "a reconfiguration is already in flight (member `{member}` \
                  since LSN {lsn}); one membership change at a time"
             ),
+            DurableError::Fenced { epoch } => {
+                write!(f, "fenced at epoch {epoch}: a newer primary exists")
+            }
             DurableError::Persist(e) => write!(f, "checkpoint error: {e}"),
             DurableError::Core(e) => write!(f, "replay error: {e}"),
         }

@@ -56,11 +56,21 @@
 //! quorum does not form within its deadline — the record is then still
 //! locally durable, just not majority-committed. With a group of one
 //! (no quorum configured) the two watermarks coincide.
+//!
+//! # Epoch and fence
+//!
+//! The handle also carries the primary's replication epoch and its
+//! fence — once, for every clone. [`GroupCommit::fence`] marks the
+//! primary deposed: from then on every clone refuses commits and
+//! checkpoints with the typed [`DurableError::Fenced`], whoever holds
+//! it (a server session, a shipping thread, a supervisor).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
+use crate::checkpoint::CheckpointId;
 use crate::clock::TimeSource;
 use crate::error::DurableError;
 use crate::record::WalRecord;
@@ -188,6 +198,10 @@ struct Inner {
     sync: Mutex<SyncState>,
     arrivals: Condvar,
     cfg: GroupConfig,
+    /// The replication epoch this primary writes under.
+    epoch: AtomicU64,
+    /// Set once a newer primary is proven to exist; never cleared.
+    fenced: AtomicBool,
 }
 
 /// A shareable group-commit handle over a [`DurableTmd`]. Clones share
@@ -235,8 +249,50 @@ impl GroupCommit {
                 }),
                 arrivals: Condvar::new(),
                 cfg,
+                epoch: AtomicU64::new(0),
+                fenced: AtomicBool::new(false),
             }),
         }
+    }
+
+    /// The replication epoch this primary writes under (0 until set).
+    pub fn epoch(&self) -> u64 {
+        self.inner.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Raises the epoch to `epoch` without fencing: a primary's
+    /// starting epoch, or a standing primary re-asserting itself after
+    /// an aborted election consumed one. Never lowers it.
+    pub fn adopt_epoch(&self, epoch: u64) {
+        self.inner.epoch.fetch_max(epoch, Ordering::SeqCst);
+    }
+
+    /// Fences this primary: a newer one exists at `epoch`. Every clone
+    /// refuses commits and checkpoints from here on with
+    /// [`DurableError::Fenced`], and parked waiters are woken so they
+    /// observe it at once. The flag is raised before the epoch, so a
+    /// reader that sees the newer epoch ([`GroupCommit::epoch`] then
+    /// [`GroupCommit::is_fenced`]) also sees the fence — a deposed
+    /// primary never stamps anything with its successor's epoch.
+    pub fn fence(&self, epoch: u64) {
+        self.inner.fenced.store(true, Ordering::SeqCst);
+        self.adopt_epoch(epoch);
+        self.inner.arrivals.notify_all();
+    }
+
+    /// Whether [`GroupCommit::fence`] was called on any clone.
+    pub fn is_fenced(&self) -> bool {
+        self.inner.fenced.load(Ordering::SeqCst)
+    }
+
+    /// `Err(Fenced)` once the primary is deposed.
+    fn unfenced(&self) -> Result<(), DurableError> {
+        if self.is_fenced() {
+            return Err(DurableError::Fenced {
+                epoch: self.epoch(),
+            });
+        }
+        Ok(())
     }
 
     /// Commits one record: validate + journal (unsynced) + apply under
@@ -245,12 +301,14 @@ impl GroupCommit {
     ///
     /// # Errors
     ///
+    /// [`DurableError::Fenced`] once the primary is deposed and
     /// [`DurableError::Core`] when the record is invalid (nothing
-    /// journaled); I/O-class errors when journaling or the covering
-    /// sync failed (the store is then poisoned).
+    /// journaled either way); I/O-class errors when journaling or the
+    /// covering sync failed (the store is then poisoned).
     pub fn commit(&self, record: WalRecord) -> Result<u64, DurableError> {
         let lsn = {
             let mut store = write_lock(&self.inner.store);
+            self.unfenced()?;
             let lsn = store.apply_unsynced(record)?;
             self.publish(store.capture_sync()?);
             lsn
@@ -460,8 +518,8 @@ impl GroupCommit {
     /// Wakes every thread parked on this group's condvar — quorum
     /// waiters in [`GroupCommit::commit_replicated`] and shipping
     /// threads in [`GroupCommit::wait_synced_past`] — without changing
-    /// any state. Shutdown and fencing call this so parked threads
-    /// re-check their stop flags immediately.
+    /// any state. Shutdown calls this so parked threads re-check their
+    /// stop flags immediately.
     pub fn notify_waiters(&self) {
         self.inner.arrivals.notify_all();
     }
@@ -612,18 +670,37 @@ impl GroupCommit {
     /// Runs `f` with shared read access to the store (queries,
     /// replication taps) — readers run concurrently with each other
     /// and only block while a commit appends, never behind an fsync.
-    /// Writes must go through [`GroupCommit::commit`] or
-    /// [`GroupCommit::with_store_mut`].
+    /// Writes go through [`GroupCommit::commit`] and the checkpoint
+    /// methods, so none bypasses the fence.
     pub fn with_store<R>(&self, f: impl FnOnce(&DurableTmd) -> R) -> R {
         f(&read_lock(&self.inner.store))
     }
 
-    /// Runs `f` with exclusive access to the store — checkpoint drivers
-    /// and other maintenance that needs `&mut DurableTmd`. Do not
-    /// append unsynced records here; their acknowledgement protocol
-    /// lives in [`GroupCommit::commit`].
-    pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut DurableTmd) -> R) -> R {
-        f(&mut write_lock(&self.inner.store))
+    /// Checkpoints the store — refused once the primary is fenced.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::Fenced`] after fencing; otherwise as
+    /// [`DurableTmd::checkpoint`].
+    pub fn checkpoint(&self) -> Result<CheckpointId, DurableError> {
+        let mut store = write_lock(&self.inner.store);
+        self.unfenced()?;
+        store.checkpoint()
+    }
+
+    /// Runs the store's policy-gated checkpoint check — the periodic
+    /// driver behind `CheckpointPolicy::max_tail_age_ms`. A fenced
+    /// primary's store is frozen, so the check is skipped (`Ok(None)`).
+    ///
+    /// # Errors
+    ///
+    /// As [`DurableTmd::maybe_checkpoint`].
+    pub fn maybe_checkpoint(&self) -> Result<Option<CheckpointId>, DurableError> {
+        let mut store = write_lock(&self.inner.store);
+        if self.is_fenced() {
+            return Ok(None);
+        }
+        store.maybe_checkpoint()
     }
 
     /// The LSN the next committed record will receive.
@@ -803,8 +880,8 @@ mod tests {
         // The fsync is parked with no lock held: a reader and an
         // append both complete behind it.
         assert_eq!(g.with_store(DurableTmd::wal_position), base + 1);
-        let late = g
-            .with_store_mut(|s| s.apply_unsynced(fact(leaf, 2.0)))
+        let late = write_lock(&g.inner.store)
+            .apply_unsynced(fact(leaf, 2.0))
             .unwrap();
         assert_eq!(late, base + 1);
 
@@ -986,6 +1063,35 @@ mod tests {
             Err(DurableError::Poisoned) => {}
             other => panic!("expected Poisoned, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fence_refuses_commits_and_checkpoints_through_every_clone() {
+        let (dir, g, _io, leaf) = gated("fence");
+        g.adopt_epoch(2);
+        g.adopt_epoch(1);
+        assert_eq!(g.epoch(), 2, "adopting never lowers the epoch");
+        let clone = g.clone();
+        let head = g.commit(fact(leaf, 1.0)).unwrap() + 1;
+        clone.fence(3);
+        assert!(g.is_fenced());
+        for refused in [
+            g.commit(fact(leaf, 2.0)),
+            clone.commit_replicated(fact(leaf, 3.0), 0),
+            g.checkpoint().map(|id| id.next_lsn),
+        ] {
+            match refused {
+                Err(DurableError::Fenced { epoch: 3 }) => {}
+                other => panic!("expected Fenced at 3, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            g.maybe_checkpoint().unwrap(),
+            None,
+            "a fenced store is frozen"
+        );
+        assert_eq!(g.wal_position(), head, "nothing journaled after the fence");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,7 +70,7 @@ struct Shared {
     fault: Option<Mutex<FaultPlan>>,
     ops: AtomicU64,
     fsyncs: AtomicU64,
-    #[cfg(test)]
+    #[cfg(any(test, feature = "sync-gate"))]
     gate: Mutex<Option<Arc<gate::SyncGate>>>,
 }
 
@@ -99,7 +99,8 @@ impl Io {
 
     /// A second handle on the same counters and crash schedule: what
     /// it performs counts (and crashes) exactly as if this handle had.
-    pub(crate) fn share(&self) -> Io {
+    #[must_use]
+    pub fn share(&self) -> Io {
         Io {
             shared: Arc::clone(&self.shared),
         }
@@ -155,7 +156,7 @@ impl Io {
     /// `fsync` on a file.
     pub fn sync(&mut self, file: &File) -> Result<(), DurableError> {
         self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
-        #[cfg(test)]
+        #[cfg(any(test, feature = "sync-gate"))]
         gate::pass(&self.shared.gate)?;
         self.tick("fsync")?;
         file.sync_all()?;
@@ -208,9 +209,10 @@ impl Io {
 
 /// Test-only fsync gate: parks the next [`Io::sync`] until the test
 /// releases or fails it, so a test can act while an fsync is in flight
-/// without sleeping.
-#[cfg(test)]
-pub(crate) mod gate {
+/// without sleeping. Other crates' tests reach it through the
+/// `sync-gate` feature; no shipped build enables it.
+#[cfg(any(test, feature = "sync-gate"))]
+pub mod gate {
     use std::sync::{Arc, Condvar, Mutex};
 
     use crate::error::DurableError;
@@ -222,8 +224,9 @@ pub(crate) mod gate {
         Released { fail: bool },
     }
 
+    /// One armed gate; see [`super::Io::gate_next_sync`].
     #[derive(Debug)]
-    pub(crate) struct SyncGate {
+    pub struct SyncGate {
         state: Mutex<State>,
         changed: Condvar,
     }
@@ -243,17 +246,17 @@ pub(crate) mod gate {
         }
 
         /// Blocks until a sync is parked at the gate.
-        pub(crate) fn wait_parked(&self) {
+        pub fn wait_parked(&self) {
             self.wait_while(|s| s == State::Armed);
         }
 
         /// Lets the parked sync proceed to the disk.
-        pub(crate) fn release(&self) {
+        pub fn release(&self) {
             self.set(State::Released { fail: false });
         }
 
         /// Makes the parked sync fail as an injected fault.
-        pub(crate) fn fail(&self) {
+        pub fn fail(&self) {
             self.set(State::Released { fail: true });
         }
     }
@@ -261,7 +264,7 @@ pub(crate) mod gate {
     impl super::Io {
         /// Arms a gate the next [`super::Io::sync`] on this handle (or
         /// any sharing it) parks at.
-        pub(crate) fn gate_next_sync(&self) -> Arc<SyncGate> {
+        pub fn gate_next_sync(&self) -> Arc<SyncGate> {
             let gate = Arc::new(SyncGate {
                 state: Mutex::new(State::Armed),
                 changed: Condvar::new(),

@@ -106,8 +106,13 @@ impl std::fmt::Display for ReplicaError {
 impl std::error::Error for ReplicaError {}
 
 impl From<DurableError> for ReplicaError {
+    /// A fenced group commit is the replication-level refusal, so it
+    /// surfaces as [`ReplicaError::Fenced`]; everything else wraps.
     fn from(e: DurableError) -> Self {
-        ReplicaError::Durable(e)
+        match e {
+            DurableError::Fenced { epoch } => ReplicaError::Fenced { epoch },
+            e => ReplicaError::Durable(e),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! `mvolap-replica` — WAL-shipping replication for the temporal
-//! warehouse: followers, divergence detection and the cross-process
-//! serve/follow path.
+//! warehouse: followers, divergence detection and the follower
+//! protocol a primary answers on its session port.
 //!
 //! The durability crate journals every evolution operator as a
 //! CRC-framed, LSN-addressed WAL record; this crate ships those frames
@@ -22,17 +22,18 @@
 //!   past the primary's head) is refused with a typed
 //!   [`ReplicaError::Diverged`] — never patched, never silently
 //!   rewound.
-//! * **Fenced primary** ([`PrimaryNode`]). The write-accepting node
-//!   carries an epoch and a fencing flag: once a newer primary is
-//!   proven to exist it refuses every further write with
-//!   [`ReplicaError::Fenced`].
 //! * **Networked transport** ([`net`]). The same protocol over real
 //!   TCP or unix sockets: every request and reply is one CRC frame of
 //!   canonical escaped-token text, with explicit connect/read/write
-//!   timeouts, bounded reconnect, and epoch fencing enforced at the
-//!   protocol layer by [`ReplicaServer`]; [`sync_follower`] is the
-//!   follower's side of that exchange. A [`FaultProxy`] injects socket
-//!   faults — dropped and stalled connections — for sweeps.
+//!   timeouts and bounded reconnect. [`answer_follower`] is the
+//!   primary's side — one hello/ack/fence frame answered from a
+//!   `GroupCommit`, whose epoch and fence are the primary's only ones:
+//!   a request proving a newer primary exists fences the group, and a
+//!   fenced group refuses every commit with
+//!   `mvolap_durable::DurableError::Fenced` ([`ReplicaError::Fenced`]
+//!   here). [`sync_follower`] is the follower's side. A [`FaultProxy`]
+//!   injects socket faults — dropped and stalled connections — for
+//!   sweeps.
 //!
 //! Supervision of a whole group — quorum commit, election, rejoin and
 //! the fault sweeps that prove them — lives one crate up, in
@@ -40,15 +41,13 @@
 //! [`WalTailer`] and [`ReplicaTransport`] pieces defined here, one
 //! deterministic tick at a time. Nothing here reads a clock: time-based
 //! checkpoint policies read the store's `mvolap_durable::TimeSource`,
-//! and the deployed serve/follow loops pace themselves with
-//! `std::thread::sleep`.
+//! and the deployed follow loop paces itself with `std::thread::sleep`.
 
 #![warn(missing_docs)]
 
 pub mod error;
 pub mod follower;
 pub mod net;
-pub mod primary;
 pub mod record;
 pub mod tailer;
 pub mod transport;
@@ -56,11 +55,10 @@ pub mod transport;
 pub use error::{ReplicaError, TransportError};
 pub use follower::Follower;
 pub use net::{
-    accept_loop, decode_batch, encode_batch, read_frame, stop_listener, sync_follower, write_frame,
-    FaultProxy, FrameReader, MsgRouter, NetAddr, NetClient, NetConfig, NetListener, NetStream,
-    ProxyFault, ReplicaServer, ServerConfig, SyncRound, TcpTransport,
+    answer_follower, decode_batch, encode_batch, is_follower_request, read_frame, stop_listener,
+    sync_follower, write_frame, FaultProxy, FrameReader, MsgRouter, NetAddr, NetClient, NetConfig,
+    NetListener, NetStream, ProxyFault, SyncRound, TcpTransport,
 };
-pub use primary::PrimaryNode;
 pub use record::ReplicaMsg;
 pub use tailer::{HelloAnswer, TailSource, WalTailer};
 pub use transport::{ChannelTransport, ReplicaTransport};

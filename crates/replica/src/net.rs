@@ -9,7 +9,7 @@
 //! ([`NetAddr`] / `NetStream`); every socket carries explicit connect,
 //! read and write timeouts, so no request can hang an endpoint.
 //!
-//! Three endpoints live here:
+//! Two endpoints live here:
 //!
 //! * [`MsgRouter`] — a loopback message router: a dumb, byte-level
 //!   mailbox server (`send <to> <msg>` / `recv <node>`) that never
@@ -17,17 +17,17 @@
 //!   giving a tick-driven supervisor (`mvolap-cluster`'s `ClusterSet`
 //!   and its loopback sweep) a real socket under the unchanged
 //!   supervision protocol.
-//! * [`ReplicaServer`] — the deployable primary-side server: each
-//!   request is one [`ReplicaMsg`] (hello/ack/fence) answered from a
-//!   shared [`PrimaryNode`] with a batch of replies (heartbeat +
-//!   frames or snapshot). Epoch fencing is enforced at this layer: a
-//!   request from a stale epoch is answered only with `fence`, and a
-//!   request *proving* a newer primary exists fences the server
-//!   itself.
 //! * [`FaultProxy`] — a byte-level man-in-the-middle for the sweep: it
 //!   counts request frames against a deterministic [`FaultPlan`] and,
 //!   when the plan fires, drops or stalls the connection — the socket
 //!   version of a lost or hung link.
+//!
+//! The primary's side of the follower protocol is a function, not a
+//! server: [`answer_follower`] answers one hello/ack/fence frame from a
+//! [`GroupCommit`] — epoch fencing enforced on the group's own fence —
+//! and the session server in `mvolap-server` calls it for every frame
+//! [`is_follower_request`] recognises, on the same port as its queries.
+//! [`sync_follower`] is the follower's side of that exchange.
 
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -42,12 +42,12 @@ use std::time::Duration;
 
 use mvolap_core::token::{Escapes, TokenReader, TokenWriter};
 use mvolap_durable::checksum::crc32;
-use mvolap_durable::{frame, FaultPlan};
+use mvolap_durable::{frame, FaultPlan, GroupCommit};
 
 use crate::error::{ReplicaError, TransportError};
 use crate::follower::Follower;
-use crate::primary::PrimaryNode;
 use crate::record::ReplicaMsg;
+use crate::tailer::WalTailer;
 use crate::transport::ReplicaTransport;
 
 // ---------------------------------------------------------------- addr
@@ -127,7 +127,7 @@ impl Default for NetConfig {
 
 /// One connected socket, TCP or unix, with uniform Read/Write. Public
 /// so higher-level servers (the session front-end in `mvolap-server`)
-/// can reuse [`accept_loop`] and the framing helpers.
+/// can reuse the listener and the framing helpers.
 #[derive(Debug)]
 pub enum NetStream {
     /// A TCP connection.
@@ -445,24 +445,6 @@ impl FrameReader {
 /// request/reply round-trip ships a whole in-flight window of WAL
 /// frames.
 pub fn encode_batch(msgs: &[ReplicaMsg]) -> Vec<u8> {
-    reply_batch(msgs)
-}
-
-/// Decodes a `batch`/`err` envelope back into its messages — the
-/// inverse of [`encode_batch`]; an `err` envelope becomes a typed
-/// [`ReplicaError::Protocol`].
-///
-/// # Errors
-///
-/// [`ReplicaError::Protocol`] on a malformed envelope: a count the
-/// payload cannot hold, a truncated message list, trailing tokens, or
-/// any inner message that fails its own decode.
-pub fn decode_batch(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
-    parse_reply(payload)
-}
-
-/// `batch <n> <msg-token>*` — a server reply carrying n messages.
-fn reply_batch(msgs: &[ReplicaMsg]) -> Vec<u8> {
     let mut w = TokenWriter::new(Escapes::Binary);
     w.raw("batch").list(msgs, |w, m| {
         w.bytes(&m.encode());
@@ -477,9 +459,16 @@ fn reply_err(reason: &str) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a reply envelope into its messages; an `err` reply becomes
-/// a typed [`ReplicaError::Protocol`].
-fn parse_reply(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
+/// Decodes a `batch`/`err` envelope back into its messages — the
+/// inverse of [`encode_batch`]; an `err` envelope becomes a typed
+/// [`ReplicaError::Protocol`].
+///
+/// # Errors
+///
+/// [`ReplicaError::Protocol`] on a malformed envelope: a count the
+/// payload cannot hold, a truncated message list, trailing tokens, or
+/// any inner message that fails its own decode.
+pub fn decode_batch(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
     let mut r = TokenReader::from_bytes(payload)?;
     match r.token()? {
         "batch" => {
@@ -500,16 +489,11 @@ fn parse_reply(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
 // -------------------------------------------------------- accept loop
 
 /// Polls `listener` until `flag` is raised, handing each accepted
-/// connection (timeouts applied) to `serve` on its own thread. Polling
-/// — not blocking — accept keeps shutdown bounded even when the
-/// listener can no longer be woken by a connection.
-pub fn accept_loop<F>(
-    listener: &NetListener,
-    flag: &AtomicBool,
-    read_timeout_ms: u64,
-    write_timeout_ms: u64,
-    serve: &Arc<F>,
-) where
+/// connection (10 s read and write timeouts) to `serve` on its own
+/// thread. Polling — not blocking — accept keeps shutdown bounded even
+/// when the listener can no longer be woken by a connection.
+fn accept_loop<F>(listener: &NetListener, flag: &AtomicBool, serve: &Arc<F>)
+where
     F: Fn(NetStream) + Send + Sync + 'static,
 {
     loop {
@@ -518,7 +502,7 @@ pub fn accept_loop<F>(
         }
         match listener.try_accept() {
             Ok(Some(conn)) => {
-                conn.set_timeouts(read_timeout_ms, write_timeout_ms).ok();
+                conn.set_timeouts(10_000, 10_000).ok();
                 let serve = Arc::clone(serve);
                 std::thread::spawn(move || serve(conn));
             }
@@ -607,8 +591,7 @@ impl MsgRouter {
         let inboxes: Arc<Mutex<BTreeMap<String, std::collections::VecDeque<Vec<u8>>>>> =
             Arc::new(Mutex::new(BTreeMap::new()));
         let serve = Arc::new(move |conn| router_conn(conn, &inboxes));
-        let accept =
-            std::thread::spawn(move || accept_loop(&listener, &flag, 10_000, 10_000, &serve));
+        let accept = std::thread::spawn(move || accept_loop(&listener, &flag, &serve));
         Ok(MsgRouter {
             addr,
             shutdown,
@@ -716,7 +699,7 @@ impl NetClient {
     /// As [`NetClient::rpc`], plus [`ReplicaError::Protocol`] for an
     /// `err` reply or a malformed batch.
     pub fn request(&mut self, msg: &ReplicaMsg) -> Result<Vec<ReplicaMsg>, ReplicaError> {
-        parse_reply(&self.rpc(&msg.encode())?)
+        decode_batch(&self.rpc(&msg.encode())?)
     }
 }
 
@@ -757,7 +740,7 @@ impl ReplicaTransport for TcpTransport {
             .client
             .rpc(&req.finish())
             .map_err(|e| as_transport(&e))?;
-        parse_reply(&reply).map_err(|_| TransportError::Lost)?;
+        decode_batch(&reply).map_err(|_| TransportError::Lost)?;
         Ok(())
     }
 
@@ -771,7 +754,7 @@ impl ReplicaTransport for TcpTransport {
             .map_err(|e| as_transport(&e))?;
         // A popped message that does not decode is lost on the wire,
         // exactly as on the in-process transport.
-        let msgs = parse_reply(&reply).map_err(|_| TransportError::Lost)?;
+        let msgs = decode_batch(&reply).map_err(|_| TransportError::Lost)?;
         Ok(msgs.into_iter().next())
     }
 
@@ -828,8 +811,7 @@ impl FaultProxy {
         // the schedule survives reconnects.
         let state = Arc::new(Mutex::new((plan, 0u64)));
         let serve = Arc::new(move |conn| proxy_conn(conn, &upstream, &state, outage_len, fault));
-        let accept =
-            std::thread::spawn(move || accept_loop(&listener, &flag, 10_000, 10_000, &serve));
+        let accept = std::thread::spawn(move || accept_loop(&listener, &flag, &serve));
         Ok(FaultProxy {
             addr,
             shutdown,
@@ -901,152 +883,49 @@ fn proxy_conn(
     }
 }
 
-// ------------------------------------------------------- replicaserver
+// ---------------------------------------------------- follower answers
 
-/// Tuning knobs of a [`ReplicaServer`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Per-connection read timeout, milliseconds; an idle connection
-    /// past it is closed (clients reconnect transparently).
-    pub read_timeout_ms: u64,
-    /// Per-connection write timeout, milliseconds.
-    pub write_timeout_ms: u64,
-    /// Max WAL frames shipped per hello.
-    pub batch_frames: usize,
+/// Max WAL frames shipped per hello.
+const HELLO_BATCH_FRAMES: usize = 64;
+
+/// Whether a request frame speaks the follower protocol: its first
+/// token is a [`ReplicaMsg`] kind. The session grammar's verbs
+/// (`query`, `read`, `commit`, `ping`) are none of them, so one
+/// listener serves both by this peek alone.
+#[must_use]
+pub fn is_follower_request(payload: &[u8]) -> bool {
+    let verb = payload.split(|&b| b == b' ').next().unwrap_or_default();
+    ReplicaMsg::KINDS.iter().any(|k| k.as_bytes() == verb)
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
-            batch_frames: 64,
-        }
-    }
-}
-
-/// The deployable primary-side server: blocking, one thread per
-/// connection, each request one [`ReplicaMsg`] frame answered with one
-/// reply-batch frame from a shared [`PrimaryNode`].
+/// Answers one follower-protocol request for the primary behind
+/// `group`, whose log `tailer` reads: a `batch` of replies, or an
+/// `err` refusal for anything but a hello, ack or fence.
 ///
-/// **Fencing at the protocol layer.** Every stateful request carries
-/// the sender's epoch. A request from an older epoch is answered only
-/// with `fence <current>` — a deposed node can never extract frames or
-/// plant acks here. A request carrying a *newer* epoch proves a newer
-/// primary exists: the server fences its own node on the spot and
-/// answers `fence`, so a partitioned ex-primary cut off from the
-/// supervisor still stops serving the moment any newer-epoch traffic
-/// reaches it.
-#[derive(Debug)]
-pub struct ReplicaServer {
-    addr: NetAddr,
-    primary: Arc<Mutex<PrimaryNode>>,
-    acked: Arc<Mutex<BTreeMap<String, u64>>>,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ReplicaServer {
-    /// Binds `bind` and serves `primary` until stopped or dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Transport`] when the address cannot be bound.
-    pub fn spawn(
-        bind: &NetAddr,
-        primary: Arc<Mutex<PrimaryNode>>,
-        cfg: ServerConfig,
-    ) -> Result<ReplicaServer, ReplicaError> {
-        let listener = NetListener::bind(bind).map_err(|e| io_err(&e))?;
-        let addr = listener.addr.clone();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let acked: Arc<Mutex<BTreeMap<String, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let node = Arc::clone(&primary);
-        let acks = Arc::clone(&acked);
-        let batch = cfg.batch_frames;
-        let serve = Arc::new(move |conn| server_conn(conn, &node, &acks, batch));
-        let accept = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &flag,
-                cfg.read_timeout_ms,
-                cfg.write_timeout_ms,
-                &serve,
-            )
-        });
-        Ok(ReplicaServer {
-            addr,
-            primary,
-            acked,
-            shutdown,
-            accept: Some(accept),
-        })
-    }
-
-    /// The actually-bound address.
-    pub fn addr(&self) -> &NetAddr {
-        &self.addr
-    }
-
-    /// The served node, shared — lock it to apply writes or checkpoint.
-    pub fn primary(&self) -> Arc<Mutex<PrimaryNode>> {
-        Arc::clone(&self.primary)
-    }
-
-    /// Highest LSN `node` has acknowledged as durable over this server.
-    pub fn acked_lsn(&self, node: &str) -> u64 {
-        self.acked
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(node)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Stops accepting and joins the accept thread. Connection threads
-    /// end on their own as peers hang up or time out.
-    pub fn stop(&mut self) {
-        stop_listener(&self.shutdown, &mut self.accept);
-    }
-}
-
-impl Drop for ReplicaServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn server_conn(
-    mut s: NetStream,
-    primary: &Mutex<PrimaryNode>,
-    acked: &Mutex<BTreeMap<String, u64>>,
-    batch_frames: usize,
-) {
-    loop {
-        let Ok(req) = read_frame(&mut s) else { return };
-        let reply = match ReplicaMsg::decode(&req) {
-            Ok(msg) => answer_request(primary, acked, batch_frames, msg),
-            Err(e) => {
-                // A garbage frame taints the stream; answer and close.
-                let _ = write_frame(&mut s, &reply_err(&e.to_string()));
-                return;
-            }
-        };
-        if write_frame(&mut s, &reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// Answers one request from the shared primary, fencing rules first.
-fn answer_request(
-    primary: &Mutex<PrimaryNode>,
-    acked: &Mutex<BTreeMap<String, u64>>,
-    batch_frames: usize,
-    msg: ReplicaMsg,
+/// **Fencing on the group's own fence.** Every stateful request
+/// carries the sender's epoch. A request from an older epoch is
+/// answered only with `fence <current>` — a deposed node can never
+/// extract frames or plant acks here. A request carrying a *newer*
+/// epoch proves a newer primary exists: the group is fenced on the
+/// spot ([`GroupCommit::fence`] — every clone then refuses commits)
+/// and the answer is `fence`, so a partitioned ex-primary still stops
+/// writing the moment any newer-epoch traffic reaches it.
+///
+/// Hellos are answered from fsynced frames only: the heartbeat carries
+/// [`GroupCommit::synced_lsn`] as the head and nothing at or past it
+/// ships. Acks are recorded per follower in `acks`, clamped at that
+/// head so a forged ack cannot claim records the primary never wrote;
+/// they are never fed to the quorum tracker.
+pub fn answer_follower(
+    group: &GroupCommit,
+    tailer: &WalTailer,
+    acks: &Mutex<BTreeMap<String, u64>>,
+    req: &[u8],
 ) -> Vec<u8> {
-    let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
+    let msg = match ReplicaMsg::decode(req) {
+        Ok(msg) => msg,
+        Err(e) => return reply_err(&e.to_string()),
+    };
     let epoch = match &msg {
         ReplicaMsg::Hello { epoch, .. }
         | ReplicaMsg::Ack { epoch, .. }
@@ -1055,47 +934,38 @@ fn answer_request(
             return reply_err(&format!("unexpected {} request", other.kind()));
         }
     };
-    if epoch > p.epoch() {
+    let current = group.epoch();
+    if epoch > current {
         // Proof of a newer primary: fence ourselves, answer fence.
-        p.fence(epoch);
-        return reply_batch(&[ReplicaMsg::Fence { epoch }]);
+        group.fence(epoch);
+        return encode_batch(&[ReplicaMsg::Fence { epoch }]);
     }
-    if p.is_fenced() {
-        // Deposed: nothing but fence, whoever asks.
-        return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
+    if group.is_fenced() || (epoch < current && !matches!(msg, ReplicaMsg::Hello { .. })) {
+        // Deposed: nothing but fence, whoever asks. And stale senders
+        // are refused — except hellos: the primary is authoritative
+        // for the epoch, and a fresh or restarted follower
+        // legitimately hellos at epoch 0 to be taught the current one
+        // (via the heartbeat it gets back).
+        return encode_batch(&[ReplicaMsg::Fence {
+            epoch: group.epoch(),
+        }]);
     }
-    if epoch < p.epoch() && !matches!(msg, ReplicaMsg::Hello { .. }) {
-        // Stale senders are refused — except hellos: the server is
-        // authoritative for the epoch, and a fresh or restarted
-        // follower legitimately hellos at epoch 0 to be taught the
-        // current one (via the heartbeat it gets back).
-        return reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]);
-    }
+    let head = group.synced_lsn();
     match msg {
         ReplicaMsg::Hello {
             next_lsn, last_crc, ..
-        } => {
-            let answer = p.tailer().answer_hello(
-                p.epoch(),
-                p.wal_position(),
-                next_lsn,
-                last_crc,
-                batch_frames,
-            );
-            match answer {
-                Ok(answer) => reply_batch(&answer.msgs),
-                Err(e) => reply_err(&format!("position check failed: {e}")),
-            }
-        }
+        } => match tailer.answer_hello(current, head, next_lsn, last_crc, HELLO_BATCH_FRAMES) {
+            Ok(answer) => encode_batch(&answer.msgs),
+            Err(e) => reply_err(&format!("position check failed: {e}")),
+        },
         ReplicaMsg::Ack { node, next_lsn, .. } => {
-            let mut map = acked.lock().unwrap_or_else(|e| e.into_inner());
+            let mut map = acks.lock().unwrap_or_else(|e| e.into_inner());
             let entry = map.entry(node).or_insert(0);
-            *entry = (*entry).max(next_lsn);
-            reply_batch(&[])
+            *entry = (*entry).max(next_lsn.min(head));
+            encode_batch(&[])
         }
         // epoch == current and not newer: nothing to do, report state.
-        ReplicaMsg::Fence { .. } => reply_batch(&[ReplicaMsg::Fence { epoch: p.epoch() }]),
-        _ => unreachable!("filtered above"),
+        _ => encode_batch(&[ReplicaMsg::Fence { epoch: current }]),
     }
 }
 
@@ -1117,9 +987,10 @@ impl SyncRound {
     }
 }
 
-/// One synchronisation round of a [`Follower`] against a
-/// [`ReplicaServer`]: send the follower's hello, apply whatever comes
-/// back (heartbeat, frames or snapshot), forward the resulting ack.
+/// One synchronisation round of a [`Follower`] against a primary that
+/// answers with [`answer_follower`] (a session server's port): send
+/// the follower's hello, apply whatever comes back (heartbeat, frames
+/// or snapshot), forward the resulting ack.
 ///
 /// # Errors
 ///
@@ -1178,14 +1049,14 @@ mod tests {
             },
             ReplicaMsg::Fence { epoch: 2 },
         ];
-        assert_eq!(parse_reply(&reply_batch(&msgs)).unwrap(), msgs);
-        assert_eq!(parse_reply(&reply_batch(&[])).unwrap(), vec![]);
-        match parse_reply(&reply_err("no such thing")) {
+        assert_eq!(decode_batch(&encode_batch(&msgs)).unwrap(), msgs);
+        assert_eq!(decode_batch(&encode_batch(&[])).unwrap(), vec![]);
+        match decode_batch(&reply_err("no such thing")) {
             Err(ReplicaError::Protocol(m)) => assert!(m.contains("no such thing")),
             other => panic!("expected protocol error, got {other:?}"),
         }
-        assert!(parse_reply(b"batch").is_err());
-        assert!(parse_reply(b"batch 2 \\0").is_err());
-        assert!(parse_reply(b"warp 1").is_err());
+        assert!(decode_batch(b"batch").is_err());
+        assert!(decode_batch(b"batch 2 \\0").is_err());
+        assert!(decode_batch(b"warp 1").is_err());
     }
 }

@@ -163,6 +163,25 @@ pub enum ReplicaMsg {
 }
 
 impl ReplicaMsg {
+    /// Every variant's [`ReplicaMsg::kind`] — the leading token of its
+    /// encoding. None is a session-protocol verb, so one listener can
+    /// tell the two grammars apart by the first token alone.
+    pub const KINDS: [&'static str; 13] = [
+        "hello",
+        "heartbeat",
+        "frames",
+        "snapshot",
+        "snap",
+        "reconfig",
+        "ack",
+        "promote",
+        "fence",
+        "diverged",
+        "qack",
+        "votereq",
+        "vote",
+    ];
+
     /// Short tag naming the variant, for logs and errors.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -76,20 +76,7 @@ impl WalTailer {
         &self.dir
     }
 
-    /// Up to `max` frames starting at `from_lsn`; falls back to the
-    /// covering checkpoint snapshot when the log below `from_lsn` is
-    /// pruned.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Durable`] on log damage or I/O failure;
-    /// [`ReplicaError::Protocol`] when the log is pruned but no
-    /// covering checkpoint exists (a store invariant violation).
-    pub fn fetch(&self, from_lsn: u64, max: usize) -> Result<TailSource, ReplicaError> {
-        self.fetch_budget(from_lsn, u64::MAX, max, usize::MAX)
-    }
-
-    /// Like [`WalTailer::fetch`], but bounded three ways — the batch
+    /// Frames starting at `from_lsn`, bounded three ways — the batch
     /// shape the async pump ships: at most `max_frames` frames, at
     /// most `max_bytes` of cumulative payload (always at least one
     /// frame, so a single oversized record still moves), and nothing
@@ -98,11 +85,14 @@ impl WalTailer {
     /// a concurrent committer, so only frames already covered by an
     /// fsync are eligible to ship — a torn in-flight tail is never
     /// observed, and no member can ack a record the primary could
-    /// still lose.
+    /// still lose. Falls back to the covering checkpoint snapshot when
+    /// the log below `from_lsn` is pruned.
     ///
     /// # Errors
     ///
-    /// As [`WalTailer::fetch`].
+    /// [`ReplicaError::Durable`] on log damage or I/O failure;
+    /// [`ReplicaError::Protocol`] when the log is pruned but no
+    /// covering checkpoint exists (a store invariant violation).
     pub fn fetch_budget(
         &self,
         from_lsn: u64,
@@ -201,8 +191,10 @@ impl WalTailer {
     /// divergence gate first — a forked follower is told `Diverged`
     /// and nothing else — then a heartbeat carrying the head, then up
     /// to `max_frames` frames from `next_lsn` (or the covering
-    /// snapshot) when the follower is behind. A failed tail read ships
-    /// the heartbeat alone; the follower simply asks again.
+    /// snapshot) when the follower is behind. Nothing at or past
+    /// `head` ships, so a primary that passes its durable watermark
+    /// never ships a frame it could still lose. A failed tail read
+    /// ships the heartbeat alone; the follower simply asks again.
     ///
     /// # Errors
     ///
@@ -239,7 +231,7 @@ impl WalTailer {
             next_lsn: head,
         });
         if next_lsn < head {
-            match self.fetch(next_lsn, max_frames) {
+            match self.fetch_budget(next_lsn, head, max_frames, usize::MAX) {
                 Ok(TailSource::Frames(frames)) => {
                     answer.frames = frames.len();
                     answer.msgs.push(ReplicaMsg::Frames { epoch, frames });

@@ -7,12 +7,9 @@
 //! * oversized length field         → `Protocol`
 //! * CRC-mismatched frame           → `Protocol`
 //! * mid-stream disconnect          → `Transport`
-//! * stale-epoch request            → fence reply / `Fenced`
-//! * undecodable message payload    → `Protocol` (server survives)
 //!
 //! and for the quorum envelope (`qack` / `votereq` / `vote`):
 //!
-//! * truncated quorum ack           → `Protocol` (server survives)
 //! * stale-epoch vote request       → `Fenced`
 //! * duplicate vote                 → idempotent re-grant; a second
 //!   candidate in the same epoch is a typed `Protocol` violation
@@ -25,27 +22,23 @@
 //! * oversized inner frame count      → `Protocol`
 //! * lying outer batch count          → `Protocol`
 //!
-//! and for the membership wire records (`snap` / `reconfig`):
-//!
-//! * truncated `snap` chunk           → `Protocol`
-//! * lying chunk count                → `Protocol` (assembly dropped)
-//! * stale-epoch reconfig             → `Fenced`
-//! * unexpected chunk at a server     → typed `err` (server survives)
+//! The rows that need a live primary answering the follower protocol
+//! (stale epoch, truncated `qack`, undecodable payload, `snap` /
+//! `reconfig`, forged acks) run against the session server, in
+//! `mvolap-server`'s `tests/net_protocol.rs`.
 //!
 //! Named `net_*` so CI's network job runs exactly this surface.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 use mvolap_core::case_study;
 use mvolap_core::token::{Escapes, TokenWriter};
 use mvolap_durable::checksum::crc32;
 use mvolap_durable::{frame, CheckpointPolicy, DurableTmd, Io, Options};
 use mvolap_replica::{
-    decode_batch, encode_batch, sync_follower, Follower, NetAddr, NetClient, NetConfig,
-    PrimaryNode, ReplicaError, ReplicaMsg, ReplicaServer, ServerConfig,
+    decode_batch, encode_batch, Follower, NetAddr, NetClient, NetConfig, ReplicaError, ReplicaMsg,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -177,111 +170,6 @@ fn net_mid_stream_disconnect_is_a_typed_transport_error() {
     }
 }
 
-/// A stale-epoch request against a real server is answered with
-/// nothing but `fence`, and a fenced server refuses everyone: the
-/// syncing client surfaces it as the typed [`ReplicaError::Fenced`].
-#[test]
-fn net_stale_epoch_request_is_fenced_at_the_protocol_layer() {
-    let base = tmp("stale");
-    let cs = case_study::case_study();
-    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 3)));
-    let server = ReplicaServer::spawn(
-        &NetAddr::Tcp("127.0.0.1:0".into()),
-        primary,
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
-
-    // A stale ack (epoch 0 against a server at 3) plants nothing — the
-    // server answers only with its fence.
-    let reply = client
-        .request(&ReplicaMsg::Ack {
-            node: "old".into(),
-            epoch: 0,
-            next_lsn: 99,
-        })
-        .unwrap();
-    assert_eq!(reply, vec![ReplicaMsg::Fence { epoch: 3 }]);
-    assert_eq!(server.acked_lsn("old"), 0, "stale ack was not recorded");
-
-    // A newer-epoch fence deposes the server; syncing against it now
-    // surfaces the typed refusal.
-    client.request(&ReplicaMsg::Fence { epoch: 4 }).unwrap();
-    let mut f = Follower::create("f1", base.join("f"), opts(), Io::plain());
-    match sync_follower(&mut client, &mut f) {
-        Err(ReplicaError::Fenced { epoch }) => assert_eq!(epoch, 4),
-        other => panic!("expected Fenced, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// Truncated or garbled quorum-envelope messages must die in the
-/// decoder as typed `Protocol` errors — and when one arrives over the
-/// wire, the server refuses it cleanly and keeps serving.
-#[test]
-fn net_truncated_quorum_ack_is_refused_and_server_survives() {
-    // The decoder first: every truncation of a valid qack (and a vote
-    // with a non-numeric LSN) is a typed refusal, never a panic.
-    let full = ReplicaMsg::QuorumAck {
-        node: "m1".into(),
-        epoch: 3,
-        applied_lsn: 9,
-        synced_lsn: 9,
-    }
-    .encode();
-    let text = String::from_utf8(full.clone()).unwrap();
-    for cut in ["qack", "qack m1", "qack m1 3", "qack m1 3 9"] {
-        assert!(
-            matches!(
-                ReplicaMsg::decode(cut.as_bytes()),
-                Err(ReplicaError::Protocol(_))
-            ),
-            "truncation {cut:?} was not a typed protocol error"
-        );
-    }
-    assert!(
-        matches!(
-            ReplicaMsg::decode(format!("{text} trailing").as_bytes()),
-            Err(ReplicaError::Protocol(_))
-        ),
-        "trailing garbage accepted"
-    );
-    assert!(matches!(
-        ReplicaMsg::decode(b"vote m1 3 cand notanumber"),
-        Err(ReplicaError::Protocol(_))
-    ));
-
-    // Then the wire: a real replica server answers the truncated ack
-    // with a typed `err` frame and survives for the next client.
-    let base = tmp("qack");
-    let cs = case_study::case_study();
-    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
-    let server = ReplicaServer::spawn(
-        &NetAddr::Tcp("127.0.0.1:0".into()),
-        primary,
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let mut rogue = NetClient::connect(server.addr().clone(), strict_cfg());
-    let reply = rogue
-        .rpc(b"qack m1 3 9")
-        .expect("the refusal must be a clean frame");
-    let reply_text = String::from_utf8(reply).unwrap();
-    assert!(reply_text.starts_with("err "), "{reply_text}");
-    assert_eq!(server.acked_lsn("m1"), 0, "truncated ack was recorded");
-
-    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
-    let replies = client.request(&hello()).unwrap();
-    assert!(
-        matches!(replies.first(), Some(ReplicaMsg::Heartbeat { .. })),
-        "{replies:?}"
-    );
-    std::fs::remove_dir_all(&base).ok();
-}
-
 /// A vote request that does not open a new epoch is refused with the
 /// typed `Fenced` error carrying the voter's current epoch.
 #[test]
@@ -376,42 +264,6 @@ fn net_under_ranked_candidate_is_refused() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A frame that passes the CRC but does not decode as a protocol
-/// message gets a typed `err` refusal — and the server survives to
-/// serve the next, well-formed client.
-#[test]
-fn net_undecodable_payload_is_refused_and_server_survives() {
-    let base = tmp("garbage");
-    let cs = case_study::case_study();
-    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
-    let server = ReplicaServer::spawn(
-        &NetAddr::Tcp("127.0.0.1:0".into()),
-        primary,
-        ServerConfig::default(),
-    )
-    .unwrap();
-
-    let mut rogue = NetClient::connect(server.addr().clone(), strict_cfg());
-    let reply = rogue
-        .rpc(b"warp speed")
-        .expect("the refusal itself must be a clean frame");
-    let text = String::from_utf8(reply).unwrap();
-    assert!(text.starts_with("err "), "{text}");
-
-    // A fresh, well-formed client is served normally afterwards.
-    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
-    let replies = client.request(&hello()).unwrap();
-    assert!(
-        matches!(
-            replies.first(),
-            Some(ReplicaMsg::Heartbeat { epoch: 0, .. })
-        ),
-        "{replies:?}"
-    );
-    std::fs::remove_dir_all(&base).ok();
-}
-
 /// Fuzz rows for the **batched frame envelope** — the async pump's
 /// wire shape: one `batch` envelope carrying several `frames`
 /// messages (many WAL frames per request/reply round-trip). A valid
@@ -500,109 +352,4 @@ fn net_batched_frame_envelope_rejects_truncated_and_oversized_inners() {
             String::from_utf8_lossy(envelope)
         );
     }
-}
-
-/// The membership wire records: truncated `snap` chunks and malformed
-/// `reconfig` records die in the decoder as typed `Protocol` errors; a
-/// reassembly whose bytes do not add up to the declared image size (a
-/// lying chunk count) is refused and the assembly dropped; a
-/// stale-epoch reconfig is fenced; and a server that receives a chunk
-/// it never asked for answers with a typed `err` frame and survives.
-#[test]
-fn net_snap_chunk_and_reconfig_rows_are_typed_refusals() {
-    // Decoder rows: truncations and structural lies, also wrapped in
-    // the pump's batch envelope (the only way these ship for real).
-    let rows = [
-        "snap",                      // bare tag
-        "snap 1",                    // epoch only
-        "snap 1 2 0 1",              // no byte count, no chunk
-        "snap 1 2 0 1 3",            // no chunk payload
-        "snap 1 2 3 3 10 abc",       // seq outside total
-        "snap 1 2 0 0 10 abc",       // zero total
-        "snap 1 2 0 1 2 abc",        // chunk larger than declared image
-        "snap 1 2 0 1 3 abc extra",  // trailing garbage
-        "reconfig",                  // bare tag
-        "reconfig 1 add m3",         // no address
-        "reconfig 1 sideways m3 a",  // unknown direction
-        "reconfig notanint add m a", // non-numeric epoch
-    ];
-    for row in rows {
-        assert!(
-            matches!(
-                ReplicaMsg::decode(row.as_bytes()),
-                Err(ReplicaError::Protocol(_))
-            ),
-            "row {row:?} was not a typed protocol error"
-        );
-        assert!(
-            matches!(decode_batch(&wrap(row)), Err(ReplicaError::Protocol(_))),
-            "enveloped row {row:?} was not a typed protocol error"
-        );
-    }
-
-    // Lying chunk count: both chunks arrive and the sequence is
-    // complete, but the bytes do not add up to the declared image
-    // size. The follower refuses with a typed `Protocol` error, drops
-    // the assembly, and accepts a fresh (honest) restart at seq 0.
-    let base = tmp("snapfuzz");
-    let mut f = Follower::create("f1", base.join("f"), opts(), Io::plain());
-    let chunk = |seq: u64, total_bytes: u64, body: &[u8]| ReplicaMsg::SnapChunk {
-        epoch: 0,
-        next_lsn: 9,
-        seq,
-        total: 2,
-        total_bytes,
-        chunk: body.to_vec(),
-    };
-    f.handle(chunk(0, 10, b"abc"))
-        .expect("first chunk accepted");
-    match f.handle(chunk(1, 10, b"def")) {
-        Err(ReplicaError::Protocol(m)) => assert!(m.contains("lying"), "{m}"),
-        other => panic!("lying chunk count accepted: {other:?}"),
-    }
-    // The poisoned assembly is gone: a continuation is refused as an
-    // out-of-order start, not resumed.
-    match f.handle(chunk(1, 6, b"def")) {
-        Err(ReplicaError::Protocol(_)) => {}
-        other => panic!("continuation after drop accepted: {other:?}"),
-    }
-
-    // Stale-epoch reconfig: a follower fenced at epoch 3 refuses an
-    // epoch-1 reconfig with the typed `Fenced`, like any stale write.
-    f.handle(ReplicaMsg::Fence { epoch: 3 }).unwrap();
-    match f.handle(ReplicaMsg::Reconfig {
-        epoch: 1,
-        add: true,
-        member: "m9".into(),
-        addr: "tcp:127.0.0.1:0".into(),
-    }) {
-        Err(ReplicaError::Fenced { epoch }) => assert_eq!(epoch, 3),
-        other => panic!("stale-epoch reconfig accepted: {other:?}"),
-    }
-
-    // A chunk the server never asked for: answered with a typed `err`
-    // frame — no hang, and the next client is served normally.
-    let cs = case_study::case_study();
-    let store = DurableTmd::create_with(&base.join("p"), cs.tmd, opts(), Io::plain()).unwrap();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
-    let server = ReplicaServer::spawn(
-        &NetAddr::Tcp("127.0.0.1:0".into()),
-        primary,
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let mut rogue = NetClient::connect(server.addr().clone(), strict_cfg());
-    let reply = rogue
-        .rpc(&chunk(0, 3, b"abc").encode())
-        .expect("the refusal must be a clean frame");
-    let reply_text = String::from_utf8(reply).unwrap();
-    assert!(reply_text.starts_with("err "), "{reply_text}");
-
-    let mut client = NetClient::connect(server.addr().clone(), strict_cfg());
-    let replies = client.request(&hello()).unwrap();
-    assert!(
-        matches!(replies.first(), Some(ReplicaMsg::Heartbeat { .. })),
-        "{replies:?}"
-    );
-    std::fs::remove_dir_all(&base).ok();
 }

@@ -47,6 +47,15 @@
 //!   majority of members acked it; on timeout the session gets a typed
 //!   [`ServerError::Unreplicated`] (the record is locally durable but
 //!   not majority-committed).
+//! - **Followers on the same port.** A frame whose first token is a
+//!   replication message kind (`hello`, `ack`, `fence`, …) speaks the
+//!   follower protocol instead ([`mvolap_replica::answer_follower`]):
+//!   hellos are answered from fsynced frames only, acks are recorded
+//!   per follower ([`SessionServer::follower_acks`]), and a request
+//!   proving a newer epoch fences the group — every clone of the
+//!   [`mvolap_durable::GroupCommit`] then refuses commits. One
+//!   listener per node; [`mvolap_replica::sync_follower`] is the
+//!   client.
 //!
 //! ```no_run
 //! use mvolap_durable::{DurableTmd, GroupCommit, GroupConfig};

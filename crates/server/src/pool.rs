@@ -31,7 +31,7 @@ use mvolap_core::MemoStats;
 use mvolap_replica::{write_frame, FrameReader, NetListener, NetStream};
 
 use crate::proto::{self, Reply, ServerError};
-use crate::server::{handle_request, lock, GatePermit, SessionCtx};
+use crate::server::{handle_frame, lock, GatePermit, SessionCtx};
 
 /// A point-in-time snapshot of the pool's occupancy counters — the
 /// observability surface behind the shell's `\status`.
@@ -322,18 +322,19 @@ pub(crate) fn poll_loop(
     ctx.counters.parked.store(0, Ordering::Relaxed);
 }
 
-/// One pool worker: pop a ready request, execute it against the shared
-/// context, write the reply in blocking mode and hand the connection
+/// One pool worker: pop a ready request (a session request or a
+/// follower-protocol frame), execute it against the shared context,
+/// write the reply in blocking mode and hand the connection
 /// back to the poll loop. Any socket failure just drops the connection
 /// — its permit releases the session slot, the worker moves on.
 pub(crate) fn worker_loop(ctx: &Arc<SessionCtx>, queue: &Arc<JobQueue>, back: &mpsc::Sender<Conn>) {
     while let Some(Job { mut conn, payload }) = queue.pop(&ctx.shutdown) {
-        let reply = handle_request(ctx, conn.session, &payload);
+        let reply = handle_frame(ctx, conn.session, &payload);
         // Count before the reply goes out: a client that has its answer
         // must already be visible in `served`.
         ctx.counters.served.fetch_add(1, Ordering::Relaxed);
         let wrote = conn.stream.set_nonblocking(false).is_ok()
-            && write_frame(&mut conn.stream, &proto::encode_reply(&reply)).is_ok();
+            && write_frame(&mut conn.stream, &reply).is_ok();
         queue.done();
         if wrote && conn.stream.set_nonblocking(true).is_ok() {
             back.send(conn).ok(); // a gone poll loop drops the conn here

@@ -1,8 +1,10 @@
 //! The session server: admission gate, a fixed worker pool
 //! multiplexing nonblocking sessions, request dispatch through the
-//! group-committed store, and read routing — to an optional local
-//! follower or across a remote fleet of members.
+//! group-committed store, read routing — to an optional local
+//! follower or across a remote fleet of members — and the primary's
+//! side of the follower protocol, on the same port.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -10,7 +12,10 @@ use std::thread::JoinHandle;
 use mvolap_core::{ExecContext, ShardedMemo};
 use mvolap_durable::{DurableError, GroupCommit};
 use mvolap_query::{render_answer, QueryError};
-use mvolap_replica::{stop_listener, Follower, NetAddr, NetConfig, NetListener};
+use mvolap_replica::{
+    answer_follower, is_follower_request, stop_listener, Follower, NetAddr, NetConfig, NetListener,
+    WalTailer,
+};
 
 use crate::client::SessionClient;
 use crate::pool::{self, JobQueue, PoolCounters, PoolStats};
@@ -148,6 +153,10 @@ pub(crate) struct SessionCtx {
     pub(crate) memo: ShardedMemo,
     pub(crate) counters: PoolCounters,
     pub(crate) quorum_timeout_ms: u64,
+    /// The primary's log, as followers are served from it.
+    pub(crate) tailer: WalTailer,
+    /// Each follower's acked position, clamped at the synced head.
+    pub(crate) follower_acks: Mutex<BTreeMap<String, u64>>,
 }
 
 /// A concurrent session server over a group-committed store.
@@ -159,6 +168,14 @@ pub(crate) struct SessionCtx {
 /// on drop) stops accepting, joins the loop and flushes the
 /// group-commit batch so everything acknowledged — and everything
 /// applied — is on disk.
+///
+/// The same port answers followers: a frame whose first token is a
+/// replication message kind (`hello`, `ack`, `fence`, …) is answered
+/// by [`mvolap_replica::answer_follower`] from the group's fsynced
+/// log, under the group's own epoch and fence — so
+/// [`mvolap_replica::sync_follower`] follows a session server
+/// directly, and a newer-epoch request fences the group for every
+/// session at once.
 pub struct SessionServer {
     addr: NetAddr,
     commit: GroupCommit,
@@ -258,6 +275,7 @@ impl SessionServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let fleet_handle = fleet.as_ref().map(|f| Arc::clone(&f.members));
         let workers = opts.workers.max(1);
+        let tailer = WalTailer::new(commit.with_store(|s| s.dir().to_path_buf()));
         let ctx = Arc::new(SessionCtx {
             commit: commit.clone(),
             follower: follower.clone(),
@@ -268,6 +286,8 @@ impl SessionServer {
             memo: ShardedMemo::new(workers),
             counters: PoolCounters::default(),
             quorum_timeout_ms: opts.quorum_timeout_ms,
+            tailer,
+            follower_acks: Mutex::new(BTreeMap::new()),
         });
         let queue = Arc::new(JobQueue::new(workers, opts.max_queued));
         let (back, returned) = mpsc::channel();
@@ -357,6 +377,17 @@ impl SessionServer {
         }
     }
 
+    /// Every follower that acked over this port, with its acked
+    /// position (next-LSN convention, never past the synced head) —
+    /// the operator's view of who follows and how far behind.
+    #[must_use]
+    pub fn follower_acks(&self) -> Vec<(String, u64)> {
+        lock(&self.ctx.follower_acks)
+            .iter()
+            .map(|(n, &p)| (n.clone(), p))
+            .collect()
+    }
+
     /// The attached read follower, shared for out-of-band shipping —
     /// this is the handle an async pump engine delivers envelopes to.
     /// `None` on servers spawned without a follower.
@@ -396,10 +427,19 @@ impl Drop for SessionServer {
     }
 }
 
+/// Answers one request frame for `session`: follower-protocol frames
+/// from the group's log, everything else as a session request.
+pub(crate) fn handle_frame(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Vec<u8> {
+    if is_follower_request(payload) {
+        return answer_follower(&ctx.commit, &ctx.tailer, &ctx.follower_acks, payload);
+    }
+    proto::encode_reply(&handle_request(ctx, session, payload))
+}
+
 /// Decodes and executes one request for `session` (the id picks the
 /// memo shard and the fleet pin; it is server-assigned and stable for
 /// the connection's lifetime).
-pub(crate) fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
+fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
     let req = match proto::decode_request(payload) {
         Ok(req) => req,
         Err(e) => return Reply::Err(e),

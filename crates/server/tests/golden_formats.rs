@@ -4,7 +4,8 @@
 //! peers on the wire still speak; a decoder that refuses them lost the
 //! ability to read what is already written. One value of each kind:
 //! 13 `WalRecord`s, 13 `ReplicaMsg`s, every `Request`/`Reply` shape, a
-//! `batch` envelope, a membership sidecar and two snapshot images.
+//! `batch` envelope, a membership sidecar and two snapshot images —
+//! plus the session port's replies to a follower.
 
 use std::collections::BTreeMap;
 
@@ -546,6 +547,69 @@ fn snapshot_images_match_the_golden_bytes() {
         (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(fnv, CASE_STUDY_FNV1A, "{}", show(&image));
+}
+
+/// The session port's replies to a follower, as the stand-alone replica
+/// server that port replaced wrote them (captured from it, not from
+/// 7b1cc36): a hello from LSN 2 against a primary at epoch 3 whose log
+/// holds one fact batch there, and a stale-epoch fence.
+const FOLLOWER_HELLO_GOLDEN: &[u8] = b"batch 2 heartbeat\\s3\\s3 frames\\s3\\s1\\s2\\s3541906585\\sfacts\\\\s1\\\\s24040\\\\s1\\\\s5\\\\s1\\\\s55";
+const FOLLOWER_FENCE_GOLDEN: &[u8] = b"batch 1 fence\\s3";
+
+#[test]
+fn follower_replies_on_the_session_port_match_the_golden_bytes() {
+    use mvolap_durable::{CheckpointPolicy, GroupCommit, GroupConfig, Io, Options};
+    use mvolap_replica::{NetAddr, NetClient, NetConfig};
+    use mvolap_server::{ServerOptions, SessionServer};
+
+    assert_eq!(ReplicaMsg::KINDS.len(), replica_msgs().len());
+    for msg in replica_msgs() {
+        assert!(ReplicaMsg::KINDS.contains(&msg.kind()), "{}", msg.kind());
+    }
+    for kind in ReplicaMsg::KINDS {
+        assert!(!["query", "read", "commit", "ping"].contains(&kind));
+    }
+    let dir = std::env::temp_dir().join(format!("mvolap_golden_follow_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cs = case_study();
+    let opts = Options {
+        policy: CheckpointPolicy::manual(),
+        ..Options::default()
+    };
+    let store = DurableTmd::create_with(&dir, cs.tmd, opts, Io::plain()).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    group.adopt_epoch(3);
+    let lsn = group
+        .commit(WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.bill],
+                at: Instant::ym(2003, 5),
+                values: vec![55.0],
+            }],
+        })
+        .unwrap();
+    assert_eq!(lsn, 2);
+    let server = SessionServer::spawn(
+        &NetAddr::parse("127.0.0.1:0").unwrap(),
+        group,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.addr().clone(), NetConfig::default());
+    let hello = ReplicaMsg::Hello {
+        node: "f".into(),
+        epoch: 0,
+        next_lsn: lsn,
+        last_crc: 0,
+    };
+    let reply = client.rpc(&hello.encode()).unwrap();
+    assert_eq!(show(&reply), show(FOLLOWER_HELLO_GOLDEN));
+    let reply = client
+        .rpc(&ReplicaMsg::Fence { epoch: 1 }.encode())
+        .unwrap();
+    assert_eq!(show(&reply), show(FOLLOWER_FENCE_GOLDEN));
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Not a 7b1cc36 image: that encoder wrote a level named `-` as the

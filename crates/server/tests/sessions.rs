@@ -541,7 +541,9 @@ fn stale_follower_reads_are_refused_then_served_after_catch_up() {
     let handle = server.follower_handle().expect("follower attached");
     {
         let mut f = handle.lock().unwrap();
-        let TailSource::Frames(frames) = WalTailer::new(&dir).fetch(f.next_lsn(), 64).unwrap()
+        let TailSource::Frames(frames) = WalTailer::new(&dir)
+            .fetch_budget(f.next_lsn(), u64::MAX, 64, usize::MAX)
+            .unwrap()
         else {
             panic!("nothing is pruned: the tail ships as frames");
         };
@@ -587,7 +589,9 @@ fn interleaved_follower_reads_and_primary_queries_never_share_cache_entries() {
     let handle = server.follower_handle().expect("follower attached");
     let ship = || {
         let mut f = handle.lock().unwrap();
-        let TailSource::Frames(frames) = WalTailer::new(&dir).fetch(f.next_lsn(), 64).unwrap()
+        let TailSource::Frames(frames) = WalTailer::new(&dir)
+            .fetch_budget(f.next_lsn(), u64::MAX, 64, usize::MAX)
+            .unwrap()
         else {
             panic!("nothing is pruned: the tail ships as frames");
         };

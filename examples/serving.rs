@@ -211,7 +211,7 @@ fn main() {
     // which the same bounded read is served from the follower,
     // byte-identical to the primary's answer.
     let mut pump = MemberPump::new(
-        PumpShared::new(group.clone(), 0),
+        PumpShared::new(group.clone()),
         "reader",
         server.follower_handle().expect("follower attached"),
         &base.join("primary"),

@@ -7,9 +7,8 @@
 //! mvolap --workload 42          # seeded synthetic evolving workload
 //! mvolap --load FILE            # a schema saved with \save FILE
 //! mvolap --store DIR            # durable store: WAL + checkpoints in DIR
-//! mvolap --store DIR --serve ADDR    # serve the store to replicas
-//! mvolap --store DIR --follow ADDR   # tail a served store as a follower
 //! mvolap --store DIR --listen ADDR   # session server: queries + commits
+//! mvolap --store DIR --follow ADDR   # tail a --listen server as a follower
 //! mvolap --store DIR --listen ADDR --cluster SPEC
 //!                                    # quorum group: primary + members
 //! mvolap --connect ADDR              # client REPL against --listen
@@ -17,17 +16,18 @@
 //! mvolap -c "SELECT sum(Amount) BY year, Org.Division IN MODE tcm"
 //! ```
 //!
-//! `ADDR` is `host:port` or `unix:/path/to.sock`. A serving primary
-//! answers hello/ack/fence requests over CRC-framed sockets and runs a
-//! real-clock loop that takes policy-gated checkpoints
-//! ([`CheckpointPolicy::max_tail_age`]); a follower syncs continuously
-//! and exits non-zero the moment it is fenced or diverged. Both stop
+//! `ADDR` is `host:port` or `unix:/path/to.sock`. `--listen` runs the
+//! *session* server (`mvolap-server`): many concurrent clients,
+//! group-committed writes, bounded admission — and, on the same port,
+//! the follower protocol (hello/ack/fence over CRC-framed sockets). It
+//! runs a real-clock loop that takes policy-gated checkpoints
+//! ([`CheckpointPolicy::max_tail_age_ms`], 30 s), and `\status` prints
+//! the pool and each follower's acked LSN and lag. `--connect` is its
+//! line-oriented client — every line is a query, answered with the
+//! same rendering the local REPL prints. `--follow` syncs a follower
+//! store continuously, acking under the store directory's name, and
+//! exits non-zero the moment it is fenced or diverged. Both stop
 //! cleanly on `quit` or EOF on stdin.
-//!
-//! `--listen` runs the *session* server (`mvolap-server`): many
-//! concurrent clients, group-committed writes, bounded admission.
-//! `--connect` is its line-oriented client — every line is a query,
-//! answered with the same rendering the local REPL prints.
 //!
 //! `--cluster SPEC` (with `--listen` and a fresh `--store`) starts a
 //! quorum-replicated group instead: `SPEC` is a comma-separated list of
@@ -45,7 +45,7 @@
 
 use std::io::{BufRead, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
@@ -55,10 +55,7 @@ use mvolap::durable::{
     CheckpointPolicy, DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord,
 };
 use mvolap::query::{parse, render_answer, run_with_versions};
-use mvolap::replica::{
-    sync_follower, Follower, NetAddr, NetClient, NetConfig, PrimaryNode, ReplicaError,
-    ReplicaServer, ServerConfig,
-};
+use mvolap::replica::{sync_follower, Follower, NetAddr, NetClient, NetConfig, ReplicaError};
 use mvolap::server::{ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
 use mvolap::workload::{generate, WorkloadConfig};
@@ -100,19 +97,18 @@ impl Session {
 }
 
 const USAGE: &str = "usage: mvolap [--two-measures | --workload SEED | --load FILE] \
-     [--store DIR] [--serve ADDR | --follow ADDR | --listen ADDR] \
+     [--store DIR] [--listen ADDR | --follow ADDR] \
      [--cluster SPEC] [--workers N] [--connect ADDR] [-c QUERY]\n\
-     ADDR is host:port or unix:/path/to.sock; serve/follow/listen need \
-     --store DIR; --connect talks to a --listen server; --cluster \
-     name=ADDR,... with --listen starts a quorum group; --workers N \
-     sizes the session pool (N >= 1)";
+     ADDR is host:port or unix:/path/to.sock; listen/follow need \
+     --store DIR; --connect and --follow talk to a --listen server; \
+     --cluster name=ADDR,... with --listen starts a quorum group; \
+     --workers N sizes the session pool (N >= 1)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut schema: Option<Tmd> = None;
     let mut one_shot: Option<String> = None;
     let mut store_dir: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
     let mut follow_addr: Option<String> = None;
     let mut listen_addr: Option<String> = None;
     let mut connect_addr: Option<String> = None;
@@ -155,14 +151,6 @@ fn main() {
                     args.get(i)
                         .cloned()
                         .unwrap_or_else(|| die("-c requires a query string")),
-                );
-            }
-            "--serve" => {
-                i += 1;
-                serve_addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--serve requires an address")),
                 );
             }
             "--follow" => {
@@ -217,18 +205,13 @@ fn main() {
         i += 1;
     }
 
-    if [&serve_addr, &follow_addr, &listen_addr, &connect_addr]
+    if [&follow_addr, &listen_addr, &connect_addr]
         .iter()
         .filter(|a| a.is_some())
         .count()
         > 1
     {
-        die("--serve, --follow, --listen and --connect are mutually exclusive");
-    }
-    if let Some(addr) = serve_addr {
-        let dir = store_dir.unwrap_or_else(|| die("--serve requires --store DIR"));
-        let addr = NetAddr::parse(&addr).unwrap_or_else(|e| die(&format!("bad address: {e}")));
-        serve(&addr, &dir, schema);
+        die("--follow, --listen and --connect are mutually exclusive");
     }
     if let Some(addr) = follow_addr {
         let dir = store_dir.unwrap_or_else(|| die("--follow requires --store DIR"));
@@ -321,82 +304,17 @@ fn die(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// How long the serving primary lets the WAL tail age before the
-/// real-clock loop takes a checkpoint.
-const SERVE_TAIL_AGE_MS: u64 = 30_000;
-
-/// Opens (or seeds) the store in `dir` under a time-based checkpoint
-/// policy, serves it on `addr`, and runs the real-clock checkpoint loop
-/// until `quit` or EOF arrives on stdin.
-fn serve(addr: &NetAddr, dir: &str, schema: Option<Tmd>) -> ! {
-    let path = std::path::PathBuf::from(dir);
-    let opts = Options {
-        policy: CheckpointPolicy::max_tail_age(SERVE_TAIL_AGE_MS),
-        ..Options::default()
-    };
-    let store = match DurableTmd::open_with(&path, opts.clone(), Io::plain()) {
-        Ok(store) => store,
-        Err(DurableError::NoStore) => {
-            let seed = schema.unwrap_or_else(|| case_study().tmd);
-            DurableTmd::create_with(&path, seed, opts, Io::plain())
-                .unwrap_or_else(|e| die(&format!("cannot create store: {e}")))
-        }
-        Err(e) => die(&format!("cannot open store at {dir}: {e}")),
-    };
-    let next_lsn = store.wal_position();
-    let primary = Arc::new(Mutex::new(PrimaryNode::from_store("primary", store, 0)));
-    let mut server = ReplicaServer::spawn(addr, Arc::clone(&primary), ServerConfig::default())
-        .unwrap_or_else(|e| die(&format!("cannot serve on {addr}: {e}")));
-    println!(
-        "mvolap — serving store `{dir}` on {} (epoch 0, next LSN {next_lsn}). \
-         `quit` or EOF stops.",
-        server.addr()
-    );
-    std::io::stdout().flush().ok();
-
-    // Real-clock loop: the policy decides, the clock only paces it. A
-    // fenced primary's store is frozen, so the check is a no-op then.
-    let stop = Arc::new(AtomicBool::new(false));
-    let ticker = {
-        let stop = Arc::clone(&stop);
-        let primary = Arc::clone(&primary);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-                let mut p = primary.lock().unwrap_or_else(|e| e.into_inner());
-                match p.maybe_checkpoint() {
-                    Ok(Some(id)) => println!(
-                        "checkpoint at generation {}, next LSN {}",
-                        id.generation, id.next_lsn
-                    ),
-                    Ok(None) => {}
-                    Err(e) => eprintln!("checkpoint error: {e}"),
-                }
-            }
-        })
-    };
-
-    let stdin = std::io::stdin();
-    loop {
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if line.trim() == "quit" => break,
-            Ok(_) => {}
-        }
-    }
-    stop.store(true, Ordering::SeqCst);
-    ticker.join().ok();
-    server.stop();
-    println!("mvolap: server on {addr} stopped");
-    std::process::exit(0)
-}
-
-/// Tails a served store into the follower at `dir`, printing progress,
-/// until stdin closes (clean exit) or the server fences or refuses the
-/// follower as diverged (exit 1 — the operator must intervene).
+/// Tails a `--listen` server's store into the follower at `dir`,
+/// printing progress, until stdin closes (clean exit) or the server
+/// fences or refuses the follower as diverged (exit 1 — the operator
+/// must intervene). The follower acks under its directory's name, so
+/// the server's `\status` tells followers apart.
 fn follow(addr: &NetAddr, dir: &str) -> ! {
-    let mut f = Follower::open("follower", dir, Options::default(), Io::plain())
+    let path = std::path::Path::new(dir);
+    let name = path
+        .file_name()
+        .map_or_else(|| dir.to_string(), |n| n.to_string_lossy().into_owned());
+    let mut f = Follower::open(name, path, Options::default(), Io::plain())
         .unwrap_or_else(|e| die(&format!("cannot open follower store at {dir}: {e}")));
     let mut client = NetClient::connect(addr.clone(), NetConfig::default());
     println!("mvolap — following {addr} into store `{dir}`. `quit` or EOF stops.");
@@ -483,31 +401,64 @@ fn server_opts(workers: Option<usize>) -> ServerOptions {
     opts
 }
 
+/// How long a listening primary lets the WAL tail age before the
+/// real-clock loop takes a checkpoint.
+const LISTEN_TAIL_AGE_MS: u64 = 30_000;
+
 /// `--listen`: the concurrent session server — a fixed worker pool
-/// multiplexing nonblocking sessions (`--workers N`). Writes
-/// group-commit (one shared fsync per batch); queries run under a
-/// shared read lock.
+/// multiplexing nonblocking sessions (`--workers N`) that also answers
+/// followers on the same port. Writes group-commit (one shared fsync
+/// per batch); queries run under a shared read lock; a real-clock loop
+/// drives the store's tail-age checkpoint policy.
 fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, workers: Option<usize>) -> ! {
     let path = std::path::PathBuf::from(dir);
-    let store = match DurableTmd::open(&path) {
+    let opts = Options {
+        policy: CheckpointPolicy {
+            max_tail_age_ms: LISTEN_TAIL_AGE_MS,
+            ..CheckpointPolicy::default()
+        },
+        ..Options::default()
+    };
+    let store = match DurableTmd::open_with(&path, opts.clone(), Io::plain()) {
         Ok(store) => store,
         Err(DurableError::NoStore) => {
             let seed = schema.unwrap_or_else(|| case_study().tmd);
-            DurableTmd::create(&path, seed)
+            DurableTmd::create_with(&path, seed, opts, Io::plain())
                 .unwrap_or_else(|e| die(&format!("cannot create store: {e}")))
         }
         Err(e) => die(&format!("cannot open store at {dir}: {e}")),
     };
     let next_lsn = store.wal_position();
     let group = GroupCommit::new(store, GroupConfig::default());
-    let mut server = SessionServer::spawn(addr, group, server_opts(workers))
+    let mut server = SessionServer::spawn(addr, group.clone(), server_opts(workers))
         .unwrap_or_else(|e| die(&format!("cannot listen on {addr}: {e}")));
     println!(
         "mvolap — session server for store `{dir}` on {} (next LSN {next_lsn}). \
-         \\status shows the pool; `\\q`, `quit` or EOF stops.",
+         \\status shows the pool and followers; `\\q`, `quit` or EOF stops.",
         server.addr()
     );
     std::io::stdout().flush().ok();
+
+    // Real-clock loop: the policy decides, the clock only paces it. A
+    // fenced primary's store is frozen, so the check is a no-op then.
+    let stop = Arc::new(AtomicBool::new(false));
+    let ticker = {
+        let stop = Arc::clone(&stop);
+        let group = group.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(250));
+                match group.maybe_checkpoint() {
+                    Ok(Some(id)) => println!(
+                        "checkpoint at generation {}, next LSN {}",
+                        id.generation, id.next_lsn
+                    ),
+                    Ok(None) => {}
+                    Err(e) => eprintln!("checkpoint error: {e}"),
+                }
+            }
+        })
+    };
 
     let stdin = std::io::stdin();
     loop {
@@ -522,12 +473,21 @@ fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, workers: Option<usize>
         }
         if line == "\\status" {
             print_pool(&server.pool_stats());
+            let head = group.synced_lsn();
+            for (name, acked) in server.follower_acks() {
+                println!(
+                    "  follower {name}: acked LSN {acked}, lag {}",
+                    head.saturating_sub(acked)
+                );
+            }
             std::io::stdout().flush().ok();
         } else if !line.is_empty() {
             println!("commands: \\status, \\q (or `quit`)");
             std::io::stdout().flush().ok();
         }
     }
+    stop.store(true, Ordering::SeqCst);
+    ticker.join().ok();
     server.stop();
     println!("mvolap: session server on {addr} stopped");
     std::process::exit(0)
