@@ -1,13 +1,15 @@
-//! Cube costs (DESIGN.md `bench_cube`): materialising the aggregate
-//! lattice, and the navigation operators against the precomputed cube.
+//! Cube navigation costs (DESIGN.md `bench_cube`): navigation is a
+//! rewrite of the view's query, and every read re-evaluates it against
+//! the caller's memo.
 //!
-//! Expected shape: lattice build is (levels+1) × time-levels evaluations;
-//! navigation (roll-up + read) is orders of magnitude cheaper than
-//! re-aggregation because it only consults precomputed nodes.
+//! Expected shape: opening a view on a cold memo pays the mode's
+//! presentation; a roll-up or a slice on a warm memo pays only the
+//! second-stage aggregation over the cached presented table, so it is
+//! much cheaper than the cold open.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mvolap_core::TemporalMode;
-use mvolap_cube::{Cube, CubeSpec, CubeView};
+use mvolap_core::{QueryMemo, TemporalMode};
+use mvolap_query::CubeView;
 use mvolap_workload::{generate, GeneratedWorkload, WorkloadConfig};
 
 fn workload(departments: usize) -> GeneratedWorkload {
@@ -20,76 +22,52 @@ fn workload(departments: usize) -> GeneratedWorkload {
     generate(&cfg).expect("workload generates")
 }
 
-fn bench_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cube/build");
-    group.sample_size(10);
-    for departments in [20usize, 80] {
-        let w = workload(departments);
-        let svs = w.tmd.structure_versions();
-        group.bench_with_input(BenchmarkId::from_parameter(departments), &w, |b, w| {
-            b.iter(|| {
-                Cube::build(&w.tmd, &svs, CubeSpec::for_mode(TemporalMode::Consistent))
-                    .expect("cube builds")
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Ablation: building every node from facts vs deriving coarser nodes
-/// from finer precomputed ones (sound in version modes with
-/// decomposable aggregates).
-fn bench_build_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cube/build_strategy");
+/// Opening a view and reading it on a fresh memo: presentation plus
+/// aggregation.
+fn bench_open_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cube/open_cold");
     group.sample_size(10);
     for departments in [20usize, 80] {
         let w = workload(departments);
         let svs = w.tmd.structure_versions();
         let mode = TemporalMode::Version(svs.last().expect("versions").id);
-        group.bench_with_input(BenchmarkId::new("from_facts", departments), &w, |b, w| {
+        group.bench_with_input(BenchmarkId::from_parameter(departments), &w, |b, w| {
             b.iter(|| {
-                Cube::build(&w.tmd, &svs, CubeSpec::for_mode(mode.clone())).expect("cube builds")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("incremental", departments), &w, |b, w| {
-            b.iter(|| {
-                let cube = Cube::build_incremental(&w.tmd, &svs, CubeSpec::for_mode(mode.clone()))
-                    .expect("cube builds");
-                assert!(cube.stats().derived > 0, "derivation path must engage");
-                cube
+                let memo = QueryMemo::new();
+                let view = CubeView::open(&w.tmd, &svs, mode.clone(), &memo);
+                view.rows().expect("view evaluates")
             })
         });
     }
     group.finish();
 }
 
+/// Navigation on a warm memo: each read re-aggregates the cached
+/// presentation.
 fn bench_navigation(c: &mut Criterion) {
     let w = workload(40);
     let svs = w.tmd.structure_versions();
-    let cube = Cube::build(&w.tmd, &svs, CubeSpec::for_mode(TemporalMode::Consistent))
-        .expect("cube builds");
+    let memo = QueryMemo::new();
+    CubeView::open(&w.tmd, &svs, TemporalMode::Consistent, &memo)
+        .rows()
+        .expect("warms the memo");
 
     c.bench_function("cube/rollup_and_read", |b| {
         b.iter(|| {
-            let mut view = CubeView::open(&cube);
+            let mut view = CubeView::open(&w.tmd, &svs, TemporalMode::Consistent, &memo);
             view.roll_up(w.dim).expect("dimension exists");
-            view.rows()
+            view.rows().expect("view evaluates")
         })
     });
 
     c.bench_function("cube/slice_and_render", |b| {
         b.iter(|| {
-            let mut view = CubeView::open(&cube);
+            let mut view = CubeView::open(&w.tmd, &svs, TemporalMode::Consistent, &memo);
             view.slice(w.dim, "Dept0").expect("dimension exists");
-            view.render()
+            view.render().expect("view evaluates")
         })
     });
 }
 
-criterion_group!(
-    benches,
-    bench_build,
-    bench_build_incremental,
-    bench_navigation
-);
+criterion_group!(benches, bench_open_cold, bench_navigation);
 criterion_main!(benches);

@@ -21,10 +21,10 @@
 use mvolap_core::case_study::{case_study, case_study_two_measures, CaseStudy, TABLE_3};
 use mvolap_core::evolution::{self, MergeSource, PartialAnnexationSpec, SplitPart};
 use mvolap_core::{
-    Confidence, ConfidenceWeights, MeasureDef, MemberVersionSpec, TemporalDimension, Tmd,
+    Confidence, ConfidenceWeights, ExecContext, MeasureDef, MemberVersionSpec, QueryMemo,
+    TemporalDimension, Tmd,
 };
-use mvolap_cube::mode_qualities;
-use mvolap_query::run;
+use mvolap_query::{compare_modes, run};
 use mvolap_storage::render::render_table;
 use mvolap_storage::{ColumnDef, DataType, Table, TableSchema};
 use mvolap_temporal::{Granularity, Instant, Interval};
@@ -349,16 +349,23 @@ pub fn quality_listing() -> String {
         mvolap_core::TemporalMode::Consistent,
     )
     .in_range(Interval::years(2002, 2003));
-    let scores = mode_qualities(&cs.tmd, &svs, &q, &ConfidenceWeights::DEFAULT)
-        .expect("Q2 evaluates in every mode");
+    let scores = compare_modes(
+        &cs.tmd,
+        &svs,
+        &q,
+        &ConfidenceWeights::DEFAULT,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+    .expect("Q2 evaluates in every mode");
     let mut out = String::new();
     for s in scores {
         out.push_str(&format!(
             "{:<6} Q = {:.3}  ({} rows, {} unmapped)\n",
-            s.mode.label(),
+            s.result.mode.label(),
             s.quality,
-            s.rows,
-            s.unmapped_rows
+            s.result.rows.len(),
+            s.result.unmapped_rows
         ));
     }
     out

@@ -205,9 +205,9 @@ impl ResultSet {
     }
 }
 
-/// Pivot-grid rendering over result rows (shared by [`ResultSet`] and
-/// the cube view): time × first-key-member grid of one measure.
-pub fn render_rows_grid(rows: &[ResultRow], measure: usize) -> String {
+/// [`ResultSet::render_grid`] over `rows`: time × first-key-member grid
+/// of one measure.
+fn render_rows_grid(rows: &[ResultRow], measure: usize) -> String {
     // Column headers: distinct first-key members in first-seen order.
     let mut columns: Vec<String> = Vec::new();
     for r in rows {

@@ -5,8 +5,8 @@
 //! Cells group by key in first-contribution order, and per-morsel
 //! groupings merge in morsel order, which is what makes every parallel
 //! result bit-identical to the sequential one. Presentation (`f'`),
-//! aggregation, delta reconstruction and cube roll-up are this fold over
-//! different keys. A presentation kept between queries resumes the fold
+//! aggregation (which cube navigation re-runs) and delta reconstruction
+//! are this fold over different keys. A presentation kept between queries resumes the fold
 //! from a clone of its state after the last whole morsel, merging each
 //! later morsel onto it in order — the same association tree.
 

@@ -4,7 +4,7 @@
 //! built entirely on `std::thread` (scoped threads, no external
 //! dependencies). The paper's MultiVersion Fact Table inference
 //! (Definition 11) and Data Aggregation (Definition 12) are
-//! embarrassingly parallel over fact rows and lattice nodes; this crate
+//! embarrassingly parallel over fact rows; this crate
 //! supplies the two primitives those hot paths need:
 //!
 //! * [`ExecContext::parallel_fold`] — chunk a slice into fixed-size
@@ -123,34 +123,10 @@ impl ExecContext {
         acc
     }
 
-    /// Maps `items` in parallel, preserving order: `result[i] = f(i,
-    /// &items[i])`. Scheduling is morsel-granular, so neighbouring
-    /// items share a worker.
-    pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let per_morsel = self.map_morsels(items, |morsel_start, morsel| {
-            morsel
-                .iter()
-                .enumerate()
-                .map(|(offset, item)| f(morsel_start + offset, item))
-                .collect::<Vec<R>>()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in per_morsel {
-            out.extend(chunk);
-        }
-        out
-    }
-
     /// Runs `work(morsel_start, morsel)` once per morsel and returns the
-    /// results in morsel order. The scheduling core shared by fold and
-    /// map; callers that merge partials onto a state of their own (an
-    /// incremental fold resuming after its last whole morsel) use it
-    /// directly.
+    /// results in morsel order. The scheduling core of the fold; callers
+    /// that merge partials onto a state of their own (an incremental
+    /// fold resuming after its last whole morsel) use it directly.
     pub fn map_morsels<T, R, W>(&self, items: &[T], work: W) -> Vec<R>
     where
         T: Sync,
@@ -420,11 +396,11 @@ mod tests {
         for threads in [1, 2, 8] {
             let out = ExecContext::new(threads)
                 .with_morsel_size(10)
-                .parallel_map(&items, |i, &x| (i as u32, x * 2));
-            assert_eq!(out.len(), items.len());
-            for (i, (idx, doubled)) in out.iter().enumerate() {
-                assert_eq!(*idx as usize, i);
-                assert_eq!(*doubled, items[i] * 2);
+                .map_morsels(&items, |start, morsel| (start, morsel.to_vec()));
+            assert_eq!(out.len(), 52);
+            for (m, (start, morsel)) in out.iter().enumerate() {
+                assert_eq!(*start, m * 10);
+                assert_eq!(morsel[..], items[*start..(*start + 10).min(513)]);
             }
         }
     }

@@ -27,7 +27,13 @@
 //!   `VERSION n` (the n-th inferred structure version), or `AT mm/yyyy`
 //!   (the structure version valid at that instant). `IN ALL MODES`
 //!   evaluates every mode and ranks them by the §5.2 quality factor
-//!   (execute with [`run_compare`]).
+//!   (execute with [`run_compare`]; [`compare_modes`] scores a planned
+//!   query in every mode, in TMP order).
+//!
+//! [`CubeView`] navigates a query the way the §5.2 front end does:
+//! roll-up and drill-down rewrite its group-by and time levels, slice,
+//! dice and rotate act on the rendered rows, and every read re-evaluates
+//! the query against the caller's memo.
 //!
 //! ## Example
 //!
@@ -46,12 +52,14 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod view;
 
 pub use ast::{GroupKey, ModeSpec, Query, Select};
 pub use error::QueryError;
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::parse;
 pub use plan::{
-    is_all_modes, plan, render_answer, run, run_compare, run_compare_par, run_par,
+    compare_modes, is_all_modes, plan, render_answer, run, run_compare, run_compare_par, run_par,
     run_with_versions, run_with_versions_par, ModeResult,
 };
+pub use view::CubeView;

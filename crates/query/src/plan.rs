@@ -2,8 +2,8 @@
 
 use mvolap_core::aggregate::{evaluate_par, AggregateQuery, ResultSet, TimeLevel};
 use mvolap_core::structure_version::{structure_version_at, StructureVersion};
-use mvolap_core::tmp::TemporalMode;
-use mvolap_core::{Aggregator, ExecContext, QueryMemo, StructureVersionId, Tmd};
+use mvolap_core::tmp::{all_modes, TemporalMode};
+use mvolap_core::{Aggregator, ConfidenceWeights, ExecContext, QueryMemo, StructureVersionId, Tmd};
 use mvolap_temporal::{Instant, Interval};
 
 use crate::ast::{GroupKey, ModeSpec, Query};
@@ -245,44 +245,56 @@ pub fn run_compare_par(
     ctx: &ExecContext,
     memo: &QueryMemo,
 ) -> Result<Vec<ModeResult>> {
-    use mvolap_core::ConfidenceWeights;
-
     let svs = tmd.structure_versions();
     let ast = parse(input)?;
-    let (modes, weights) = match &ast.mode {
+    let mut out = match &ast.mode {
         ModeSpec::AllModes { weights } => {
-            let w = weights
+            let weights = weights
                 .map(|(s, e, a, u)| ConfidenceWeights::new(s, e, a, u))
                 .unwrap_or_default();
-            (mvolap_core::all_modes(&svs), w)
+            let mut concrete = ast.clone();
+            concrete.mode = ModeSpec::Tcm;
+            let query = plan(tmd, &svs, &concrete)?;
+            compare_modes(tmd, &svs, &query, &weights, ctx, memo)?
         }
         _ => {
-            let planned = plan(tmd, &svs, &ast)?;
-            (vec![planned.mode], ConfidenceWeights::default())
+            let result = evaluate_par(tmd, &svs, &plan(tmd, &svs, &ast)?, ctx, memo)?;
+            let quality = result.quality(&ConfidenceWeights::default());
+            vec![ModeResult { result, quality }]
         }
     };
-
-    // Plan once with a concrete mode, then swap modes per evaluation.
-    let mut template = {
-        let mut concrete = ast.clone();
-        if matches!(concrete.mode, ModeSpec::AllModes { .. }) {
-            concrete.mode = ModeSpec::Tcm;
-        }
-        plan(tmd, &svs, &concrete)?
-    };
-
-    let mut out = Vec::with_capacity(modes.len());
-    for mode in modes {
-        template.mode = mode;
-        let result = evaluate_par(tmd, &svs, &template, ctx, memo)?;
-        let quality = result.quality(&weights);
-        out.push(ModeResult { result, quality });
-    }
     out.sort_by(|a, b| {
         b.quality
             .partial_cmp(&a.quality)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    Ok(out)
+}
+
+/// Evaluates `query` under **every** temporal mode in TMP order (tcm,
+/// then each structure version), scoring each presentation with the
+/// §5.2 quality factor under `weights`. The query's own `mode` is
+/// ignored. All evaluations share `memo`.
+///
+/// # Errors
+///
+/// Propagates evaluation failures.
+pub fn compare_modes(
+    tmd: &Tmd,
+    structure_versions: &[StructureVersion],
+    query: &AggregateQuery,
+    weights: &ConfidenceWeights,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<Vec<ModeResult>> {
+    let mut query = query.clone();
+    let mut out = Vec::new();
+    for mode in all_modes(structure_versions) {
+        query.mode = mode;
+        let result = evaluate_par(tmd, structure_versions, &query, ctx, memo)?;
+        let quality = result.quality(weights);
+        out.push(ModeResult { result, quality });
+    }
     Ok(out)
 }
 
@@ -473,6 +485,49 @@ mod tests {
             .find(|r| r.result.mode.label() == "VS1")
             .unwrap();
         assert!((vs1.quality - 1.0).abs() < 1e-12);
+    }
+
+    /// Q2 (departments by year over 2002..2003) in every mode.
+    fn compare_q2(weights: &ConfidenceWeights) -> Vec<ModeResult> {
+        let cs = case_study();
+        let q = AggregateQuery::by_year(cs.org, "Department", TemporalMode::Consistent)
+            .in_range(Interval::years(2002, 2003));
+        let svs = cs.tmd.structure_versions();
+        let (ctx, memo) = (ExecContext::sequential(), QueryMemo::new());
+        compare_modes(&cs.tmd, &svs, &q, weights, &ctx, &memo).unwrap()
+    }
+
+    #[test]
+    fn tcm_scores_perfect_quality() {
+        let scores = compare_q2(&ConfidenceWeights::DEFAULT);
+        assert_eq!(scores.len(), 4); // tcm + 3 versions, in TMP order
+        assert_eq!(scores[0].result.mode, TemporalMode::Consistent);
+        assert!((scores[0].quality - 1.0).abs() < 1e-12);
+        // Mapped modes lose quality.
+        assert!(scores[3].quality < 1.0);
+    }
+
+    #[test]
+    fn tcm_ranks_first_with_default_weights() {
+        let scores = compare_q2(&ConfidenceWeights::DEFAULT);
+        assert!(scores[1..].iter().all(|s| s.quality < scores[0].quality));
+    }
+
+    #[test]
+    fn weights_change_the_ranking_between_mapped_modes() {
+        // A user who trusts exact mappings as much as source data: the
+        // 2002 mode (exact merge of Bill+Paul into Jones) ties tcm and
+        // beats the 2003 mode (approximate split).
+        let scores = compare_q2(&ConfidenceWeights::new(10, 10, 0, 0));
+        let by_mode = |label: &str| {
+            scores
+                .iter()
+                .find(|s| s.result.mode.label() == label)
+                .map(|s| s.quality)
+                .unwrap()
+        };
+        assert!((by_mode("VS1") - 1.0).abs() < 1e-12);
+        assert!(by_mode("VS1") > by_mode("VS2"));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use mvolap::core::evolution::{self, MergeSource, PartialAnnexationSpec, SplitPart};
 use mvolap::core::{ConfidenceWeights, MeasureDef, MemberVersionSpec, TemporalDimension, Tmd};
-use mvolap::cube::mode_qualities;
 use mvolap::prelude::*;
+use mvolap::query::compare_modes;
 
 fn main() {
     let mut tmd = Tmd::new("university", Granularity::Month);
@@ -190,20 +190,30 @@ fn main() {
     // §5.2 quality factor guiding the choice of mode.
     let q = AggregateQuery::by_year(dim, "Institute", TemporalMode::Consistent);
     println!("== Quality factor of `budget by institute and year` per mode ==");
-    let scores =
-        mode_qualities(&tmd, &svs, &q, &ConfidenceWeights::DEFAULT).expect("query evaluates");
+    let scores = compare_modes(
+        &tmd,
+        &svs,
+        &q,
+        &ConfidenceWeights::DEFAULT,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+    .expect("query evaluates");
     for s in &scores {
         println!(
             "  {:<6} Q = {:.3}  ({} rows, {} unmapped facts)",
-            s.mode.label(),
+            s.result.mode.label(),
             s.quality,
-            s.rows,
-            s.unmapped_rows
+            s.result.rows.len(),
+            s.result.unmapped_rows
         );
     }
     let best = scores
         .iter()
         .max_by(|a, b| a.quality.partial_cmp(&b.quality).expect("no NaN"))
         .expect("nonempty");
-    println!("\nBest mode under these weights: {}", best.mode.label());
+    println!(
+        "\nBest mode under these weights: {}",
+        best.result.mode.label()
+    );
 }

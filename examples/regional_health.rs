@@ -14,9 +14,8 @@
 use mvolap::core::evolution;
 use mvolap::core::levels::{levels_at, LevelDerivation};
 use mvolap::core::{MeasureDef, MemberVersionSpec, TemporalDimension, Tmd};
-use mvolap::cube::{Cube, CubeSpec, CubeView};
 use mvolap::prelude::*;
-use mvolap::query::run;
+use mvolap::query::{run, CubeView};
 
 fn main() {
     let mut tmd = Tmd::new("health", Granularity::Month);
@@ -117,18 +116,11 @@ fn main() {
     print!("{}", rs.render("admissions").expect("renderable"));
     println!();
 
-    // The cube works identically over derived levels.
-    let cube = Cube::build_incremental(&tmd, &svs, CubeSpec::for_mode(TemporalMode::Version(last)))
-        .expect("cube builds");
-    println!(
-        "Cube: {} nodes ({} from facts, {} derived incrementally)",
-        cube.node_count(),
-        cube.stats().from_facts,
-        cube.stats().derived
-    );
-    let mut view = CubeView::open(&cube);
+    // Navigation works identically over derived levels.
+    let memo = QueryMemo::new();
+    let mut view = CubeView::open(&tmd, &svs, TemporalMode::Version(last), &memo);
     view.roll_up(dim).expect("geo exists"); // facilities -> districts
     view.roll_up(dim).expect("geo exists"); // districts -> regions
-    println!("\n== Regions by year (rolled up twice) ==");
-    print!("{}", view.render());
+    println!("== Regions by year (rolled up twice) ==");
+    print!("{}", view.render().expect("view evaluates"));
 }

@@ -50,11 +50,10 @@ use std::sync::Arc;
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
 use mvolap::core::{ConfidenceWeights, DimensionId, ExecContext, MemberVersionId, QueryMemo, Tmd};
-use mvolap::cube::mode_qualities;
 use mvolap::durable::{
     CheckpointPolicy, DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord,
 };
-use mvolap::query::{parse, render_answer, run_with_versions};
+use mvolap::query::{compare_modes, parse, render_answer, run_with_versions};
 use mvolap::replica::{sync_follower, Follower, NetAddr, NetClient, NetConfig, ReplicaError};
 use mvolap::server::{ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
@@ -868,15 +867,22 @@ fn quality(session: &Session, query: &str) {
     let svs = session.tmd().structure_versions();
     let planned = parse(query).and_then(|ast| mvolap::query::plan(session.tmd(), &svs, &ast));
     match planned {
-        Ok(q) => match mode_qualities(session.tmd(), &svs, &q, &ConfidenceWeights::DEFAULT) {
+        Ok(q) => match compare_modes(
+            session.tmd(),
+            &svs,
+            &q,
+            &ConfidenceWeights::DEFAULT,
+            &ExecContext::sequential(),
+            &QueryMemo::new(),
+        ) {
             Ok(scores) => {
                 for s in scores {
                     println!(
                         "{:<6} Q = {:.3}  ({} rows, {} unmapped)",
-                        s.mode.label(),
+                        s.result.mode.label(),
                         s.quality,
-                        s.rows,
-                        s.unmapped_rows
+                        s.result.rows.len(),
+                        s.result.unmapped_rows
                     );
                 }
             }

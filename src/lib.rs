@@ -7,7 +7,7 @@
 //! and whose mapping relationships keep data comparable across merges,
 //! splits and reclassifications — plus the full substrate stack the
 //! paper's prototype sat on (relational warehouse engine, ETL with SCD
-//! baselines, OLAP cube, query language, workload generators).
+//! baselines, query language with cube navigation, workload generators).
 //!
 //! This facade re-exports the workspace crates:
 //!
@@ -22,8 +22,7 @@
 //! | [`replica`] | WAL-shipping replication, divergence detection, failover |
 //! | [`server`] | Concurrent session server: group commit, replica read routing |
 //! | [`cluster`] | Quorum-replicated commit, leader election, fleet read bounds |
-//! | [`query`] | Textual query language with `IN MODE` temporal presentation |
-//! | [`cube`] | Aggregate lattice, navigation operators, quality factor |
+//! | [`query`] | Textual query language with `IN MODE` temporal presentation; cube navigation as query rewrites |
 //! | [`workload`] | Seeded evolving-hierarchy and fact generators |
 //!
 //! ## Quick start
@@ -48,7 +47,6 @@
 
 pub use mvolap_cluster as cluster;
 pub use mvolap_core as core;
-pub use mvolap_cube as cube;
 pub use mvolap_durable as durable;
 pub use mvolap_etl as etl;
 pub use mvolap_exec as exec;

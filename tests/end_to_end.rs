@@ -1,12 +1,12 @@
 //! End-to-end pipeline tests: generated workloads flow through the full
 //! stack (schema → structure versions → multiversion fact table → query
-//! language → cube → logical export) with cross-layer invariants.
+//! language → cube navigation → logical export) with cross-layer
+//! invariants.
 
 use mvolap::core::aggregate::{evaluate, AggregateQuery, TimeLevel};
 use mvolap::core::logical;
-use mvolap::core::{Confidence, MultiVersionFactTable, TemporalMode};
-use mvolap::cube::{Cube, CubeSpec, CubeView};
-use mvolap::query::run_with_versions;
+use mvolap::core::{Confidence, MultiVersionFactTable, QueryMemo, TemporalMode};
+use mvolap::query::{run_with_versions, CubeView};
 use mvolap::workload::{generate, WorkloadConfig};
 
 fn evolving_workload(seed: u64) -> mvolap::workload::GeneratedWorkload {
@@ -93,32 +93,53 @@ fn query_language_agrees_with_programmatic_api() {
 
 #[test]
 fn cube_nodes_are_consistent_with_direct_queries() {
+    // Every node a view navigates to (each level or All × year or all
+    // time) answers exactly what the equivalent direct query answers.
     let w = evolving_workload(55);
     let svs = w.tmd.structure_versions();
     let mode = TemporalMode::Version(svs.last().expect("has versions").id);
-    let cube = Cube::build(&w.tmd, &svs, CubeSpec::for_mode(mode.clone())).expect("cube");
-    let node = cube
-        .node(&[Some("Division".into())], TimeLevel::Year)
-        .expect("node exists");
-    let direct = evaluate(
-        &w.tmd,
-        &svs,
-        &AggregateQuery::by_year(w.dim, "Division", mode),
-    )
-    .expect("evaluates");
-    assert_eq!(node.rows, direct.rows);
+    let memo = QueryMemo::new();
+    let mut view = CubeView::open(&w.tmd, &svs, mode.clone(), &memo);
+    for level in [Some("Department"), Some("Division"), None] {
+        for time_level in [TimeLevel::Year, TimeLevel::All] {
+            match time_level {
+                TimeLevel::All => view.roll_up_time(),
+                _ => view.drill_down_time(),
+            }
+            let direct = AggregateQuery {
+                group_by: level
+                    .map(|l| vec![(w.dim, l.to_owned())])
+                    .unwrap_or_default(),
+                time_level,
+                measures: vec![],
+                mode: mode.clone(),
+                time_range: None,
+                filters: Vec::new(),
+            };
+            let direct = evaluate(&w.tmd, &svs, &direct).expect("evaluates");
+            assert_eq!(
+                view.rows().expect("view evaluates"),
+                direct.rows,
+                "{level:?} by {time_level:?}"
+            );
+        }
+        view.roll_up(w.dim).expect("dimension exists");
+    }
 }
 
 #[test]
 fn cube_view_rollup_preserves_totals() {
     let w = evolving_workload(56);
     let svs = w.tmd.structure_versions();
-    let cube =
-        Cube::build(&w.tmd, &svs, CubeSpec::for_mode(TemporalMode::Consistent)).expect("cube");
-    let mut view = CubeView::open(&cube);
-    let dept_total: f64 = view.rows().iter().filter_map(|r| r.cells[0].value).sum();
+    let memo = QueryMemo::new();
+    let mut view = CubeView::open(&w.tmd, &svs, TemporalMode::Consistent, &memo);
+    let total = |view: &CubeView<'_>| -> f64 {
+        let rows = view.rows().expect("view evaluates");
+        rows.iter().filter_map(|r| r.cells[0].value).sum()
+    };
+    let dept_total = total(&view);
     view.roll_up(w.dim).expect("dimension exists");
-    let div_total: f64 = view.rows().iter().filter_map(|r| r.cells[0].value).sum();
+    let div_total = total(&view);
     assert!(
         (dept_total - div_total).abs() < 1e-6 * dept_total.abs().max(1.0),
         "roll-up changed the total: {dept_total} vs {div_total}"
@@ -207,4 +228,84 @@ fn frozen_workload_has_single_version_and_pure_source_data() {
             }
         }
     }
+}
+
+/// The steps of `examples/cube_navigation.rs` on the case study, each
+/// rendering pinned byte for byte.
+#[test]
+fn cube_navigation_walk_renders_the_recorded_bytes() {
+    use mvolap::core::case_study::case_study;
+    use mvolap::core::{ConfidenceWeights, StructureVersionId};
+
+    let cs = case_study();
+    let svs = cs.tmd.structure_versions();
+    let memo = QueryMemo::new();
+    let mode = TemporalMode::Version(StructureVersionId(2));
+    let mut view = CubeView::open(&cs.tmd, &svs, mode, &memo);
+    let render = |view: &CubeView<'_>| view.render().expect("view evaluates");
+
+    assert_eq!(
+        render(&view),
+        "2001 | Dpt.Bill : 40 [yellow]\n\
+         2001 | Dpt.Paul : 60 [yellow]\n\
+         2001 | Dpt.Smith : 50 [white]\n\
+         2001 | Dpt.Brian : 100 [white]\n\
+         2002 | Dpt.Bill : 40 [yellow]\n\
+         2002 | Dpt.Paul : 60 [yellow]\n\
+         2002 | Dpt.Smith : 100 [white]\n\
+         2002 | Dpt.Brian : 50 [white]\n\
+         2003 | Dpt.Bill : 150 [white]\n\
+         2003 | Dpt.Paul : 50 [white]\n\
+         2003 | Dpt.Smith : 110 [white]\n\
+         2003 | Dpt.Brian : 40 [white]\n"
+    );
+
+    view.roll_up(cs.org).expect("org exists");
+    assert_eq!(
+        render(&view),
+        "2001 | Sales : 100 [yellow]\n\
+         2001 | R&D : 150 [white]\n\
+         2002 | Sales : 100 [yellow]\n\
+         2002 | R&D : 150 [white]\n\
+         2003 | Sales : 200 [white]\n\
+         2003 | R&D : 150 [white]\n"
+    );
+
+    view.roll_up_time();
+    assert_eq!(
+        render(&view),
+        "all | Sales : 400 [yellow]\n\
+         all | R&D : 450 [white]\n"
+    );
+
+    view.drill_down_time();
+    view.drill_down(cs.org).expect("org exists");
+    view.slice(cs.org, "Dpt.Bill").expect("org exists");
+    assert_eq!(
+        render(&view),
+        "2001 | Dpt.Bill : 40 [yellow]\n\
+         2002 | Dpt.Bill : 40 [yellow]\n\
+         2003 | Dpt.Bill : 150 [white]\n"
+    );
+
+    view.dice(cs.org, vec!["Dpt.Bill".into(), "Dpt.Paul".into()])
+        .expect("org exists");
+    view.dice_time(vec!["2002".into()]);
+    assert_eq!(
+        render(&view),
+        "2002 | Dpt.Bill : 40 [yellow]\n\
+         2002 | Dpt.Paul : 60 [yellow]\n"
+    );
+
+    view.rotate(vec![1, 0]).expect("valid permutation");
+    assert_eq!(
+        render(&view),
+        "Dpt.Bill | 2002 : 40 [yellow]\n\
+         Dpt.Paul | 2002 : 60 [yellow]\n"
+    );
+
+    let q = view
+        .quality(&ConfidenceWeights::DEFAULT)
+        .expect("view evaluates");
+    assert_eq!(format!("{q:.3}"), "0.500");
 }

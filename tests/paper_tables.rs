@@ -258,9 +258,13 @@ fn figure_2_dot_graph() {
 
 #[test]
 fn quality_listing_orders_modes_sensibly() {
-    let listing = paper::quality_listing();
-    assert!(listing.contains("tcm    Q = 1.000"));
-    assert!(listing.contains("VS2    Q = 0.875"));
+    assert_eq!(
+        paper::quality_listing(),
+        "tcm    Q = 1.000  (7 rows, 0 unmapped)\n\
+         VS0    Q = 0.967  (6 rows, 0 unmapped)\n\
+         VS1    Q = 0.967  (6 rows, 0 unmapped)\n\
+         VS2    Q = 0.875  (8 rows, 0 unmapped)\n"
+    );
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! replaces the external `proptest` crate, which the offline build
 //! cannot fetch).
 
-use mvolap::core::aggregate::{evaluate, AggregateQuery, TimeLevel};
+use mvolap::core::aggregate::{evaluate, AggregateQuery, ResultRow, TimeLevel};
 use mvolap::core::{
-    infer_structure_versions, Confidence, DeltaMvft, MultiVersionFactTable, TemporalMode,
+    infer_structure_versions, Confidence, DeltaMvft, MultiVersionFactTable, QueryMemo, TemporalMode,
 };
+use mvolap::query::CubeView;
 use mvolap::workload::{generate, GeneratedWorkload, WorkloadConfig};
 use mvolap_prng::{check, Rng};
 
@@ -259,34 +260,105 @@ fn persistence_roundtrips_any_workload() {
     });
 }
 
-/// The incremental cube build agrees with the from-facts build for
-/// every version mode of any conservative workload.
+/// Every temporal mode of a workload: tcm, then each structure version.
+fn modes_of(w: &GeneratedWorkload) -> Vec<TemporalMode> {
+    mvolap::core::all_modes(&w.tmd.structure_versions())
+}
+
+/// `drill_down ∘ roll_up` is the identity on a view: after rolling a
+/// dimension (or time) up and drilling back down, the rows are the
+/// opening view's, bit for bit.
 #[test]
-fn incremental_cube_matches_base() {
+fn drill_down_undoes_roll_up() {
     check(CASES, 0xa009, |rng| {
-        use mvolap::cube::{Cube, CubeSpec};
+        let w = any_workload(rng);
+        let svs = w.tmd.structure_versions();
+        let memo = QueryMemo::new();
+        for mode in modes_of(&w) {
+            let mut view = CubeView::open(&w.tmd, &svs, mode, &memo);
+            let opening = view.rows().expect("view evaluates");
+            let bits = |rows: &[ResultRow]| -> Vec<(String, Vec<String>, Vec<_>)> {
+                rows.iter()
+                    .map(|r| {
+                        let cells = r.cells.iter();
+                        let cells = cells.map(|c| (c.value.map(f64::to_bits), c.confidence));
+                        (r.time.clone(), r.keys.clone(), cells.collect())
+                    })
+                    .collect()
+            };
+            view.roll_up(w.dim).expect("dimension exists");
+            view.drill_down(w.dim).expect("dimension exists");
+            assert_eq!(bits(&view.rows().expect("view evaluates")), bits(&opening));
+            view.roll_up_time();
+            view.drill_down_time();
+            assert_eq!(bits(&view.rows().expect("view evaluates")), bits(&opening));
+        }
+    });
+}
+
+/// In a `Version` mode every roll-up step — each dimension level up to
+/// All, then time up to all time — keeps the grand total of a sum
+/// measure on conservative workloads.
+#[test]
+fn version_mode_roll_ups_keep_the_grand_total() {
+    check(CASES, 0xa00a, |rng| {
         let w = conservative_workload(rng);
         let svs = w.tmd.structure_versions();
-        let mode = TemporalMode::Version(svs.last().expect("versions").id);
-        let base = Cube::build(&w.tmd, &svs, CubeSpec::for_mode(mode.clone())).expect("builds");
-        let incr = Cube::build_incremental(&w.tmd, &svs, CubeSpec::for_mode(mode)).expect("builds");
-        for (node, base_rs) in base.iter() {
-            let incr_rs = incr.node(&node.levels, node.time_level).expect("node");
-            assert_eq!(incr_rs.rows.len(), base_rs.rows.len());
-            for row in &base_rs.rows {
-                let other = incr_rs
-                    .rows
-                    .iter()
-                    .find(|r| r.time == row.time && r.keys == row.keys)
-                    .expect("row present");
-                for (a, b) in row.cells.iter().zip(&other.cells) {
-                    assert_eq!(a.confidence, b.confidence);
-                    match (a.value, b.value) {
-                        (Some(x), Some(y)) => assert!((x - y).abs() < 1e-6),
-                        (x, y) => assert_eq!(x, y),
-                    }
-                }
+        let memo = QueryMemo::new();
+        for sv in &svs {
+            let mut view = CubeView::open(&w.tmd, &svs, TemporalMode::Version(sv.id), &memo);
+            let total = |view: &CubeView<'_>| -> f64 {
+                let rows = view.rows().expect("view evaluates");
+                rows.iter().filter_map(|r| r.cells[0].value).sum()
+            };
+            let opening = total(&view);
+            while view.levels()[w.dim.index()].is_some() {
+                view.roll_up(w.dim).expect("dimension exists");
+                let t = total(&view);
+                assert!((t - opening).abs() < 1e-6 * opening.abs().max(1.0));
             }
+            view.roll_up_time();
+            let t = total(&view);
+            assert!((t - opening).abs() < 1e-6 * opening.abs().max(1.0));
+        }
+    });
+}
+
+/// Rotating a view changes only the order of each row's labels: every
+/// row keeps its cells and its set of labels, at every level.
+#[test]
+fn rotate_keeps_cells_and_labels() {
+    check(CASES, 0xa00b, |rng| {
+        let w = any_workload(rng);
+        let svs = w.tmd.structure_versions();
+        let memo = QueryMemo::new();
+        let mode = modes_of(&w).swap_remove(rng.usize_in(0, svs.len() + 1));
+        let mut view = CubeView::open(&w.tmd, &svs, mode, &memo);
+        // Splits a rendered line into its sorted labels and its cells.
+        let split = |text: String| -> Vec<(Vec<String>, String)> {
+            text.lines()
+                .map(|line| {
+                    let (labels, cells) = line.split_once(" :").expect("row has cells");
+                    let mut labels: Vec<String> = labels.split(" | ").map(str::to_owned).collect();
+                    labels.sort();
+                    (labels, cells.to_owned())
+                })
+                .collect()
+        };
+        let axes = w.tmd.dimensions().len() + 1;
+        for _ in 0..3 {
+            let plain = split(view.render().expect("view evaluates"));
+            let mut order: Vec<usize> = (0..axes).collect();
+            for i in (1..axes).rev() {
+                order.swap(i, rng.usize_in(0, i + 1));
+            }
+            if order.iter().enumerate().all(|(i, &o)| i == o) {
+                order.reverse();
+            }
+            view.rotate(order).expect("a permutation");
+            assert_eq!(split(view.render().expect("view evaluates")), plain);
+            view.rotate((0..axes).collect()).expect("a permutation");
+            view.roll_up(w.dim).expect("dimension exists");
         }
     });
 }
