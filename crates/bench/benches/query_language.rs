@@ -5,7 +5,8 @@
 //! data volume; execution dominates and scales with facts.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mvolap_query::{parse, plan, run_with_versions};
+use mvolap_core::{ExecContext, QueryMemo};
+use mvolap_query::{parse, plan, run_with_versions_par};
 use mvolap_workload::{generate, WorkloadConfig};
 
 const Q: &str = "SELECT sum(Amount) BY year, Org.Division FOR 2001..2004 IN MODE tcm";
@@ -34,7 +35,10 @@ fn bench_plan_and_run(c: &mut Criterion) {
     group.sample_size(20);
     for (label, text) in [("tcm", Q), ("mapped", Q_MAPPED)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &text, |b, text| {
-            b.iter(|| run_with_versions(&w.tmd, &svs, text).expect("runs"))
+            let exec = ExecContext::sequential();
+            b.iter(|| {
+                run_with_versions_par(&w.tmd, &svs, text, &exec, &QueryMemo::new()).expect("runs")
+            })
         });
     }
     group.finish();

@@ -10,8 +10,10 @@
 //!   ([`mvolap_durable::GroupCommit`]) and threaded up to sessions.
 //! - **Deterministic election** ([`ClusterSet::elect`]): members vote
 //!   for the candidate with the highest `(synced_lsn, member_id)`
-//!   credential; the winner fences the deposed primary by bumping the
-//!   epoch. Because a majority acked every quorum commit and the
+//!   credential; the winner fences the deposed primary's
+//!   [`mvolap_durable::GroupCommit`] by bumping the epoch (the primary
+//!   is a named group commit: [`ClusterSet::primary`] returns the
+//!   group, [`ClusterSet::primary_name`] the name). Because a majority acked every quorum commit and the
 //!   winner outranks a majority, the winner's log contains every
 //!   acknowledged record — the winner never truncates.
 //! - **Truncation on rejoin** ([`ClusterSet::rejoin_member`]): a
@@ -24,7 +26,9 @@
 //!   stall the socket under the whole group, fork two histories —
 //!   asserting that no quorum-acknowledged commit is ever lost, no
 //!   two primaries accept writes in the same epoch, survivors
-//!   reconverge byte-identically and every refusal is typed.
+//!   reconverge byte-identically and every refusal is typed. All three
+//!   drive one scripted run and check against the durable crate's
+//!   replay of the script ([`mvolap_durable::fault::Prefixes`]).
 //! - **Async pump** ([`MemberPump`]): per-member shipping engines
 //!   that tail the primary's WAL and ship batched frame envelopes
 //!   with a bounded in-flight window; [`MemberPump::spawn`] runs one
@@ -52,8 +56,7 @@ pub use pump::{
 };
 pub use serve::LocalCluster;
 pub use set::{
-    ClusterConfig, ClusterEvent, ClusterSet, ClusterStats, PendingReconfig, QuorumPrimary,
-    RejoinOutcome,
+    ClusterConfig, ClusterEvent, ClusterSet, ClusterStats, PendingReconfig, RejoinOutcome,
 };
 pub use sweep::{
     cluster_sweep, cluster_sweep_net, membership_sweep, ClusterSweepOutcome, MembershipSweepOutcome,

@@ -62,100 +62,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// The write-accepting node of a quorum group: a named [`GroupCommit`]
-/// (so server sessions can share it). The epoch and the fence live on
-/// the group itself, so fencing this node refuses writes through every
-/// clone of the handle.
-#[derive(Debug)]
-pub struct QuorumPrimary {
-    name: String,
-    group: GroupCommit,
-}
-
-impl QuorumPrimary {
-    /// Wraps a group-commit handle as primary at `epoch`.
-    pub fn new(name: impl Into<String>, group: GroupCommit, epoch: u64) -> QuorumPrimary {
-        group.adopt_epoch(epoch);
-        QuorumPrimary {
-            name: name.into(),
-            group,
-        }
-    }
-
-    /// Node name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.group.epoch()
-    }
-
-    /// Whether this node has been fenced.
-    pub fn is_fenced(&self) -> bool {
-        self.group.is_fenced()
-    }
-
-    /// The shared group-commit handle (clone it into server sessions).
-    pub fn group(&self) -> &GroupCommit {
-        &self.group
-    }
-
-    /// Store directory (the log the group tails).
-    pub fn dir(&self) -> PathBuf {
-        self.group.with_store(|s| s.dir().to_path_buf())
-    }
-
-    /// A tailer over this node's log.
-    pub fn tailer(&self) -> WalTailer {
-        WalTailer::new(self.dir())
-    }
-
-    /// Log head (next LSN).
-    pub fn wal_position(&self) -> u64 {
-        self.group.wal_position()
-    }
-
-    /// Highest LSN below which every record is majority-durable.
-    pub fn quorum_lsn(&self) -> u64 {
-        self.group.quorum_lsn()
-    }
-
-    /// Current schema, cloned out of the shared store.
-    pub fn schema(&self) -> Tmd {
-        self.group.with_store(|s| s.schema().clone())
-    }
-
-    /// Journals and locally fsyncs one record — refused once fenced.
-    /// Quorum acknowledgement is the *supervisor's* business
-    /// ([`ClusterSet::commit_quorum`]); this only establishes local
-    /// durability.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Fenced`] after fencing; otherwise as
-    /// [`GroupCommit::commit`].
-    pub fn commit(&self, record: WalRecord) -> Result<u64, ReplicaError> {
-        Ok(self.group.commit(record)?)
-    }
-
-    /// Checkpoints the store — refused once fenced.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Fenced`] after fencing; otherwise as
-    /// [`DurableTmd::checkpoint`].
-    pub fn checkpoint(&self) -> Result<(), ReplicaError> {
-        self.group.checkpoint()?;
-        Ok(())
-    }
-
-    /// Fences this node at `epoch`: every further write through any
-    /// clone of its group is refused.
-    pub fn fence(&self, epoch: u64) {
-        self.group.fence(epoch);
-    }
+/// A tailer over the log of `group`'s store.
+pub(crate) fn tailer(group: &GroupCommit) -> WalTailer {
+    WalTailer::new(group.with_store(|s| s.dir().to_path_buf()))
 }
 
 /// Supervisor's view of one member.
@@ -308,8 +217,11 @@ pub struct ClusterSet<T: ReplicaTransport> {
     /// an add counts here only once its learner is promoted, a remove
     /// counts immediately. Elections and rejoins do not change it.
     group_size: usize,
-    primary: Option<QuorumPrimary>,
-    retired: Option<QuorumPrimary>,
+    /// The write-accepting node: its name and its [`GroupCommit`],
+    /// which holds the epoch and the fence (so server sessions sharing
+    /// a clone of it are fenced with it).
+    primary: Option<(String, GroupCommit)>,
+    retired: Option<GroupCommit>,
     members: BTreeMap<String, MemberLink>,
     /// The one membership change in flight, if any; a second is
     /// refused with [`DurableError::ReconfigInFlight`].
@@ -346,7 +258,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             transport,
             epoch: 0,
             group_size: 1,
-            primary: Some(QuorumPrimary::new("primary", group, 0)),
+            primary: Some(("primary".to_string(), group)),
             retired: None,
             members: BTreeMap::new(),
             pending_reconfig: None,
@@ -365,8 +277,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             MemberLink::new(Follower::create(name, dir, self.opts.clone(), io)),
         );
         self.group_size += 1;
-        if let Some(p) = &self.primary {
-            p.group.configure_quorum(self.group_size);
+        if let Some(p) = self.primary() {
+            p.configure_quorum(self.group_size);
         }
     }
 
@@ -398,12 +310,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// change is incomplete; [`ReplicaError::Protocol`] when `name` is
     /// already in the group; otherwise as [`ClusterSet::commit_local`].
     pub fn reconfig_add(&mut self, name: &str, addr: &str, io: Io) -> Result<u64, ReplicaError> {
-        let primary_name = self
-            .primary
-            .as_ref()
-            .ok_or(ReplicaError::NotPrimary)?
-            .name()
-            .to_string();
+        let primary_name = self.primary_name().ok_or(ReplicaError::NotPrimary)?;
         if let Some(p) = &self.pending_reconfig {
             return Err(ReplicaError::Durable(DurableError::ReconfigInFlight {
                 lsn: p.lsn,
@@ -421,9 +328,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             member: name.to_string(),
             addr: addr.to_string(),
         })?;
-        let p = self.primary.as_ref().expect("primary exists");
-        p.group.configure_quorum_at(lsn, self.group_size + 1);
-        p.group.add_learner(name);
+        let p = self.primary().expect("primary exists");
+        p.configure_quorum_at(lsn, self.group_size + 1);
+        p.add_learner(name);
         let dir = self.base.join(name);
         let mut link = MemberLink::new(Follower::create(name, dir, self.opts.clone(), io));
         link.learner = true;
@@ -453,7 +360,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// change is incomplete; [`ReplicaError::UnknownNode`] for a
     /// non-member; otherwise as [`ClusterSet::commit_local`].
     pub fn reconfig_remove(&mut self, name: &str) -> Result<u64, ReplicaError> {
-        self.primary.as_ref().ok_or(ReplicaError::NotPrimary)?;
+        self.primary().ok_or(ReplicaError::NotPrimary)?;
         if let Some(p) = &self.pending_reconfig {
             return Err(ReplicaError::Durable(DurableError::ReconfigInFlight {
                 lsn: p.lsn,
@@ -470,9 +377,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             addr: String::new(),
         })?;
         self.group_size -= 1;
-        let p = self.primary.as_ref().expect("primary exists");
-        p.group.configure_quorum_at(lsn, self.group_size);
-        p.group.ban_member(name);
+        let p = self.primary().expect("primary exists");
+        p.configure_quorum_at(lsn, self.group_size);
+        p.ban_member(name);
         self.members.remove(name);
         self.pending_reconfig = Some(PendingReconfig {
             lsn,
@@ -502,7 +409,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         let Some(pending) = self.pending_reconfig.clone() else {
             return;
         };
-        let Some(watermark) = self.primary.as_ref().map(QuorumPrimary::quorum_lsn) else {
+        let Some(watermark) = self.primary().map(GroupCommit::quorum_lsn) else {
             return;
         };
         if pending.add {
@@ -512,8 +419,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             if ready {
                 let link = self.members.get_mut(&pending.member).expect("checked");
                 link.learner = false;
-                if let Some(p) = &self.primary {
-                    p.group.promote_voter(&pending.member);
+                if let Some(p) = self.primary() {
+                    p.promote_voter(&pending.member);
                 }
                 self.group_size += 1;
                 self.pending_reconfig = None;
@@ -532,12 +439,12 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary; otherwise
-    /// as [`QuorumPrimary::commit`].
+    /// as [`GroupCommit::commit`].
     pub fn commit_local(&mut self, record: WalRecord) -> Result<u64, ReplicaError> {
-        self.primary
-            .as_ref()
+        Ok(self
+            .primary()
             .ok_or(ReplicaError::NotPrimary)?
-            .commit(record)
+            .commit(record)?)
     }
 
     /// Journals one record and pumps supervision rounds until it is
@@ -571,7 +478,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     }
 
     fn quorum_covers(&self, lsn: u64) -> bool {
-        self.primary.as_ref().is_some_and(|p| p.quorum_lsn() > lsn)
+        self.primary().is_some_and(|p| p.quorum_lsn() > lsn)
     }
 
     /// Checkpoints the primary.
@@ -579,20 +486,20 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary; otherwise
-    /// as [`QuorumPrimary::checkpoint`].
+    /// as [`GroupCommit::checkpoint`].
     pub fn checkpoint(&mut self) -> Result<(), ReplicaError> {
-        self.primary
-            .as_ref()
+        self.primary()
             .ok_or(ReplicaError::NotPrimary)?
-            .checkpoint()
+            .checkpoint()?;
+        Ok(())
     }
 
-    /// Removes the primary, simulating its crash or loss; returns the
-    /// node for inspection. Drop it before
+    /// Removes the primary, simulating its crash or loss; returns its
+    /// group for inspection. Drop it before
     /// [`ClusterSet::rejoin_member`] reopens its directory.
-    pub fn kill_primary(&mut self) -> Option<QuorumPrimary> {
+    pub fn kill_primary(&mut self) -> Option<GroupCommit> {
         self.leaderless_rounds = 0;
-        self.primary.take()
+        self.primary.take().map(|(_, group)| group)
     }
 
     /// One supervision round. With a primary: each member's
@@ -641,12 +548,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// fault (retry next tick); member-side failures are reported via
     /// `events` and the link flags.
     fn round(&mut self, name: &str, events: &mut Vec<ClusterEvent>) -> Result<(), bool> {
-        let primary_name = self
-            .primary
-            .as_ref()
-            .expect("primary exists")
-            .name()
-            .to_string();
+        let primary_name = self.primary_name().expect("primary exists").to_string();
         let hello = self
             .members
             .get(name)
@@ -675,10 +577,10 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     last_crc,
                     ..
                 } => {
-                    let primary = self.primary.as_ref().expect("primary exists");
+                    let primary = self.primary().expect("primary exists");
                     // A position check that cannot read the log skips
                     // the round; the member asks again next tick.
-                    let Ok(answer) = primary.tailer().answer_hello(
+                    let Ok(answer) = tailer(primary).answer_hello(
                         self.epoch,
                         primary.wal_position(),
                         next_lsn,
@@ -718,10 +620,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                     // or lying ack cannot advance the quorum watermark
                     // (or the routing positions) beyond records that
                     // exist.
-                    let head = self.primary.as_ref().map(QuorumPrimary::wal_position);
-                    if let Some(p) = &self.primary {
-                        p.group
-                            .member_synced(&node, synced_lsn.min(p.wal_position()));
+                    let head = self.primary().map(GroupCommit::wal_position);
+                    if let Some(p) = self.primary() {
+                        p.member_synced(&node, synced_lsn.min(p.wal_position()));
                     }
                     if let Some(link) = self.members.get_mut(&node) {
                         let cap = head.unwrap_or(u64::MAX);
@@ -843,7 +744,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                                 // watermark, so no quorum-acknowledged record can be lost by
                                 // the handover. An unsafe candidate simply does not get the
                                 // yield, and the election falls short.
-        if let Some(p) = &self.primary {
+        if let Some(p) = self.primary() {
             if cand_lsn >= p.quorum_lsn() {
                 votes += 1;
             }
@@ -929,18 +830,19 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                 group.member_synced(n, m.synced_lsn);
             }
         }
-        if let Some(old) = self.primary.take() {
+        if let Some((old_name, old)) = self.primary.take() {
             old.fence(new_epoch);
             if self
                 .transport
-                .send(old.name(), &ReplicaMsg::Fence { epoch: new_epoch })
+                .send(&old_name, &ReplicaMsg::Fence { epoch: new_epoch })
                 .is_ok()
             {
                 self.stats.fences += 1;
             }
             self.retired = Some(old);
         }
-        self.primary = Some(QuorumPrimary::new(cand_name.clone(), group, new_epoch));
+        group.adopt_epoch(new_epoch);
+        self.primary = Some((cand_name.clone(), group));
         self.leaderless_rounds = 0;
         self.stats.elections += 1;
         // An in-flight reconfiguration whose journaled record did not
@@ -952,7 +854,11 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         // fresh record lands at or before the stale LSN, so scheduling
         // the resize there also drops the stale schedule.
         if let Some(pd) = self.pending_reconfig.as_mut() {
-            let p = self.primary.as_ref().expect("just installed");
+            let p = self
+                .primary
+                .as_ref()
+                .map(|(_, g)| g)
+                .expect("just installed");
             if p.wal_position() <= pd.lsn {
                 let lsn = p.commit(WalRecord::Reconfig {
                     epoch: new_epoch,
@@ -965,7 +871,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
                 } else {
                     self.group_size
                 };
-                p.group().configure_quorum_at(lsn, size);
+                p.configure_quorum_at(lsn, size);
                 pd.lsn = lsn;
                 self.stats.reconfigs += 1;
             }
@@ -978,8 +884,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// forward) accept its heartbeats again. There is still exactly one
     /// writer, so raising its fencing token is safe.
     fn reassert_primary(&mut self, epoch: u64) {
-        if let Some(p) = &self.primary {
-            p.group.adopt_epoch(epoch);
+        if let Some(p) = self.primary() {
+            p.adopt_epoch(epoch);
         }
     }
 
@@ -997,18 +903,18 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// the primary; [`ReplicaError::Durable`] when the directory's
     /// recovery or truncation fails non-faultily.
     pub fn rejoin_member(&mut self, name: &str) -> Result<RejoinOutcome, ReplicaError> {
-        let primary = self.primary.as_ref().ok_or(ReplicaError::NotPrimary)?;
+        let primary = self.primary().ok_or(ReplicaError::NotPrimary)?;
         if self.members.contains_key(name) {
             return Err(ReplicaError::Protocol(format!(
                 "`{name}` is already a member"
             )));
         }
-        if primary.name() == name {
+        if self.primary_name() == Some(name) {
             return Err(ReplicaError::Protocol(format!(
                 "`{name}` is the serving primary"
             )));
         }
-        let p_tailer = primary.tailer();
+        let p_tailer = tailer(primary);
         let p_head = primary.wal_position();
         let dir = self.base.join(name);
         let store = match DurableTmd::open_with(&dir, self.opts.clone(), Io::plain()) {
@@ -1125,8 +1031,8 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             name,
             Follower::create(name, dir, self.opts.clone(), Io::plain()),
         );
-        if let Some(p) = &self.primary {
-            p.group.forget_member(name);
+        if let Some(p) = self.primary() {
+            p.forget_member(name);
         }
         Ok(())
     }
@@ -1166,14 +1072,20 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.epoch
     }
 
-    /// The live primary.
-    pub fn primary(&self) -> Option<&QuorumPrimary> {
-        self.primary.as_ref()
+    /// The live primary's group commit (clone it into server
+    /// sessions).
+    pub fn primary(&self) -> Option<&GroupCommit> {
+        self.primary.as_ref().map(|(_, group)| group)
     }
 
-    /// The most recently deposed primary (fencing probes write through
-    /// it and must be refused).
-    pub fn retired(&self) -> Option<&QuorumPrimary> {
+    /// The live primary's node name.
+    pub fn primary_name(&self) -> Option<&str> {
+        self.primary.as_ref().map(|(name, _)| name.as_str())
+    }
+
+    /// The most recently deposed primary's group commit (fencing probes
+    /// write through it and must be refused).
+    pub fn retired(&self) -> Option<&GroupCommit> {
         self.retired.as_ref()
     }
 

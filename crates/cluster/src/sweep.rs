@@ -35,20 +35,23 @@
 //! protocol message on loopback TCP ([`TcpTransport`] to a
 //! [`MsgRouter`]) and a [`FaultProxy`] dropping or stalling the
 //! connection at every transport step.
+//!
+//! These sweeps and [`membership_sweep`] share one harness: one
+//! scripted run (the same bootstrap and the same classification of
+//! every write: acknowledged, unreplicated, primary crashed, or a hard
+//! error), one convergence check against expected schema bytes, and the
+//! durable crate's [`Prefixes`] as the reference states.
 
 use std::path::Path;
 
-use mvolap_core::{DimensionId, Tmd};
-use mvolap_durable::fault::{
-    generate, query_fingerprint, serialise, sweep_options, Step, Workload,
-};
+use mvolap_durable::fault::{generate, serialise, sweep_options, Prefixes, Step, Workload};
 use mvolap_durable::{DurableError, DurableTmd, FaultPlan, GroupConfig, Io, TimeSource, WalRecord};
 use mvolap_replica::{
     ChannelTransport, FaultProxy, MsgRouter, NetAddr, NetConfig, ProxyFault, ReplicaError,
     ReplicaMsg, ReplicaTransport, TcpTransport, TransportError, WalTailer,
 };
 
-use crate::set::{ClusterConfig, ClusterEvent, ClusterSet, RejoinOutcome};
+use crate::set::{tailer, ClusterConfig, ClusterEvent, ClusterSet, RejoinOutcome};
 
 /// Ticks the drain loop will spend waiting for convergence. Generous:
 /// a cut member burns only a couple of transport operations per tick,
@@ -61,7 +64,7 @@ const DRAIN_TICKS: usize = 128;
 const OUTAGE_OPS: u64 = 32;
 
 /// What a [`cluster_sweep`] established.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ClusterSweepOutcome {
     /// Total injection points exercised across all classes.
     pub injection_points: u64,
@@ -289,10 +292,9 @@ fn socket_faults(transport: LoopbackTransport) -> Faults<LoopbackTransport> {
     }
 }
 
-/// Result of one clustered workload run.
+/// One scripted run of a workload on a primary + m1 + m2 group.
 struct ClusterRun<T: ReplicaTransport> {
-    /// The set, unless the primary crashed while bootstrapping.
-    set: Option<ClusterSet<T>>,
+    set: ClusterSet<T>,
     /// Every commit the cluster *acknowledged* at quorum: `(lsn, frame
     /// crc)` — the records no failure is allowed to lose.
     acked: Vec<(u64, u32)>,
@@ -301,185 +303,267 @@ struct ClusterRun<T: ReplicaTransport> {
     /// Times `m1`'s store crashed and was restarted from its directory.
     member_crashes: u64,
     primary_crashed: bool,
+    /// The membership script's learner was promoted to voter.
+    promoted: bool,
+    /// The membership script's journaled remove completed.
+    remove_done: bool,
+}
+
+impl<T: ReplicaTransport> ClusterRun<T> {
+    /// Bootstraps the group under `base` with majority-ack commits;
+    /// `None` when the primary crashed creating its store.
+    fn bootstrap(
+        base: &Path,
+        workload: &Workload,
+        faults: Faults<T>,
+    ) -> Result<Option<ClusterRun<T>>, String> {
+        std::fs::remove_dir_all(base).ok();
+        let mut set = match ClusterSet::bootstrap(
+            base,
+            workload.seed_schema.clone(),
+            sweep_options(),
+            sweep_group_config(),
+            faults.cfg,
+            faults.transport,
+            faults.primary_io,
+        ) {
+            Ok(set) => set,
+            Err(ReplicaError::Durable(e)) if e.is_io_class() => return Ok(None),
+            Err(e) => return Err(format!("cluster bootstrap failed non-faultily: {e}")),
+        };
+        set.add_member("m1", faults.m1_io);
+        set.add_member("m2", Io::plain());
+        Ok(Some(ClusterRun {
+            set,
+            acked: Vec::new(),
+            committed: 0,
+            unreplicated: 0,
+            member_crashes: 0,
+            primary_crashed: false,
+            promoted: false,
+            remove_done: false,
+        }))
+    }
+
+    /// Classifies one scripted write: `Ok(Some(lsn))` is a commit
+    /// acknowledged at quorum (its `(lsn, crc)` is recorded), `Ok(None)`
+    /// a step that commits nothing, a typed `Unreplicated` refusal is
+    /// counted and the script presses on. An I/O-class failure means
+    /// the primary crashed: the script must stop (`false`). Anything
+    /// else is a hard error.
+    fn settle(
+        &mut self,
+        what: &str,
+        res: Result<Option<u64>, ReplicaError>,
+    ) -> Result<bool, String> {
+        match res {
+            Ok(Some(lsn)) => {
+                self.committed += 1;
+                let crc = tailer(self.set.primary().expect("primary lives"))
+                    .crc_at(lsn)
+                    .map_err(|e| format!("crc_at({lsn}) failed: {e}"))?;
+                self.acked.extend(crc.map(|crc| (lsn, crc)));
+            }
+            Ok(None) => {}
+            Err(ReplicaError::Durable(DurableError::Unreplicated { .. })) => {
+                // Locally durable, never cluster-acknowledged: the
+                // session would see a typed `unreplicated` error.
+                self.unreplicated += 1;
+            }
+            Err(ReplicaError::Durable(e)) if e.is_io_class() => {
+                self.primary_crashed = true;
+                return Ok(false);
+            }
+            Err(e) => return Err(format!("{what} failed non-faultily: {e}")),
+        }
+        Ok(true)
+    }
+
+    /// Commits `record` at quorum; `false` when the primary crashed.
+    fn commit(&mut self, record: WalRecord) -> Result<bool, String> {
+        let res = self.set.commit_quorum(record).map(Some);
+        self.settle("commit", res)
+    }
+
+    /// Runs one workload step; `false` when the primary crashed.
+    fn step(&mut self, step: &Step) -> Result<bool, String> {
+        match step {
+            Step::Op(record) => self.commit(record.clone()),
+            Step::Checkpoint => {
+                let res = self.set.checkpoint().map(|()| None);
+                self.settle("checkpoint", res)
+            }
+        }
+    }
+
+    /// Asserts every quorum-acknowledged `(lsn, crc)` pair is present in
+    /// the current primary's log (or pruned into a covering checkpoint —
+    /// never *different*).
+    fn check_acked(&self, what: &str) -> Result<(), String> {
+        let tailer = tailer(self.set.primary().expect("primary lives"));
+        for (lsn, crc) in &self.acked {
+            match tailer.crc_at(*lsn) {
+                Ok(Some(c)) if c == *crc => {}
+                Ok(Some(c)) => {
+                    return Err(format!(
+                        "{what}: acked LSN {lsn} rewritten (crc {crc:#010x} -> {c:#010x})"
+                    ))
+                }
+                Ok(None) => {} // Pruned into a checkpoint; still durable.
+                Err(e) => return Err(format!("{what}: acked LSN {lsn} unreadable: {e}")),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs `workload` on a fresh primary + m1 + m2 group under `base`
 /// with majority-ack commits. Injected crashes are recorded — a
 /// crashed `m1` is at once reopened from its directory (with plain
 /// I/O) and replication continues; non-faulty failures are hard
-/// errors.
+/// errors. `None` when the primary crashed bootstrapping.
 fn run_cluster<T: ReplicaTransport>(
     base: &Path,
     workload: &Workload,
     faults: Faults<T>,
-) -> Result<ClusterRun<T>, String> {
-    std::fs::remove_dir_all(base).ok();
-    let mut run = ClusterRun {
-        set: None,
-        acked: Vec::new(),
-        committed: 0,
-        unreplicated: 0,
-        member_crashes: 0,
-        primary_crashed: false,
+) -> Result<Option<ClusterRun<T>>, String> {
+    let Some(mut run) = ClusterRun::bootstrap(base, workload, faults)? else {
+        return Ok(None);
     };
-    let mut set = match ClusterSet::bootstrap(
-        base,
-        workload.seed_schema.clone(),
-        sweep_options(),
-        sweep_group_config(),
-        faults.cfg,
-        faults.transport,
-        faults.primary_io,
-    ) {
-        Ok(set) => set,
-        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            run.primary_crashed = true;
-            return Ok(run);
-        }
-        Err(e) => return Err(format!("cluster bootstrap failed non-faultily: {e}")),
-    };
-    set.add_member("m1", faults.m1_io);
-    set.add_member("m2", Io::plain());
-
     for step in &workload.steps {
-        let res = match step {
-            Step::Op(record) => set.commit_quorum(record.clone()).map(Some),
-            Step::Checkpoint => set.checkpoint().map(|()| None),
-        };
-        match res {
-            Ok(Some(lsn)) => {
-                run.committed += 1;
-                let crc = set
-                    .primary()
-                    .expect("primary lives")
-                    .tailer()
-                    .crc_at(lsn)
-                    .map_err(|e| format!("crc_at({lsn}) failed: {e}"))?;
-                if let Some(crc) = crc {
-                    run.acked.push((lsn, crc));
-                }
-            }
-            Ok(None) => {}
-            Err(ReplicaError::Durable(DurableError::Unreplicated { .. })) => {
-                // Locally durable, never cluster-acknowledged: the
-                // session would see a typed `unreplicated` error. The
-                // workload presses on.
-                run.unreplicated += 1;
-            }
-            Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-                run.primary_crashed = true;
-                break;
-            }
-            Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
+        if !run.step(step)? {
+            break;
         }
-        if set.member_crashed("m1") {
+        if run.set.member_crashed("m1") {
             run.member_crashes += 1;
-            set.restart_member("m1")
+            run.set
+                .restart_member("m1")
                 .map_err(|e| format!("member restart failed: {e}"))?;
         }
     }
-    run.set = Some(set);
-    Ok(run)
+    Ok(Some(run))
 }
 
-/// Asserts every quorum-acknowledged `(lsn, crc)` pair is present in
-/// the current primary's log (or pruned into a covering checkpoint —
-/// never *different*).
-fn assert_acked_present<T: ReplicaTransport>(
-    set: &ClusterSet<T>,
-    acked: &[(u64, u32)],
+/// The run of a script whose primary no fault targets: it must not
+/// have crashed.
+fn undisturbed<T: ReplicaTransport>(
+    run: Option<ClusterRun<T>>,
     what: &str,
-) -> Result<(), String> {
-    let tailer = set.primary().expect("primary lives").tailer();
-    for (lsn, crc) in acked {
-        match tailer.crc_at(*lsn) {
-            Ok(Some(c)) if c == *crc => {}
-            Ok(Some(c)) => {
-                return Err(format!(
-                    "{what}: acked LSN {lsn} rewritten (crc {crc:#010x} -> {c:#010x})"
-                ))
-            }
-            Ok(None) => {} // Pruned into a checkpoint; still durable.
-            Err(e) => return Err(format!("{what}: acked LSN {lsn} unreadable: {e}")),
-        }
-    }
-    Ok(())
+) -> Result<ClusterRun<T>, String> {
+    run.filter(|r| !r.primary_crashed)
+        .ok_or_else(|| format!("{what}: primary was disturbed"))
 }
 
-/// Asserts the primary's state equals the in-memory replay of its own
-/// log length, and answers the reference query identically.
+/// The records the primary's log holds past its bootstrap record —
+/// the prefix of the workload it claims to be.
+fn primary_records<T: ReplicaTransport>(set: &ClusterSet<T>) -> usize {
+    (set.primary().expect("primary lives").wal_position() - 2) as usize
+}
+
+/// Asserts the primary's state is the in-memory replay of its own log
+/// length, byte for byte and answer for answer.
 fn assert_prefix_consistent<T: ReplicaTransport>(
     set: &ClusterSet<T>,
-    prefix_bytes: &[Vec<u8>],
-    prefix_tmds: &[Tmd],
-    org: DimensionId,
+    prefixes: &Prefixes,
     what: &str,
-) -> Result<usize, String> {
-    let p = set.primary().expect("primary lives");
-    let q = (p.wal_position() - 2) as usize;
-    if q >= prefix_bytes.len() {
-        return Err(format!("{what}: primary holds {q} records, out of range"));
-    }
-    let schema = p.schema();
-    if serialise(&schema) != prefix_bytes[q] {
-        return Err(format!(
-            "{what}: primary state is not byte-identical to prefix {q}"
-        ));
-    }
-    if query_fingerprint(&schema, org)? != query_fingerprint(&prefix_tmds[q], org)? {
-        return Err(format!(
-            "{what}: primary answers the reference query differently at prefix {q}"
-        ));
-    }
-    Ok(q)
+) -> Result<(), String> {
+    let q = primary_records(set);
+    set.primary()
+        .expect("primary lives")
+        .with_store(|s| prefixes.find(s.schema(), q..=q))
+        .map(drop)
+        .map_err(|e| format!("{what}: primary {e}"))
 }
 
-/// Pumps ticks until member `name` catches the primary's head (or the
-/// tick budget runs out); asserts byte-identity once caught.
-fn converge_member<T: ReplicaTransport>(
+/// Pumps ticks until each member in `names` catches the primary's head
+/// (or the tick budget runs out); asserts its replicated schema then
+/// serialises to `expect`.
+fn converge<T: ReplicaTransport>(
     set: &mut ClusterSet<T>,
-    name: &str,
-    prefix_bytes: &[Vec<u8>],
+    names: &[&str],
+    expect: &[u8],
     what: &str,
 ) -> Result<(), String> {
     let head = set.primary().expect("primary lives").wal_position();
-    for _ in 0..DRAIN_TICKS {
-        if set.member(name).is_some_and(|f| f.next_lsn() >= head) {
-            break;
+    for name in names {
+        for _ in 0..DRAIN_TICKS {
+            if set.member(name).is_some_and(|f| f.next_lsn() >= head) {
+                break;
+            }
+            set.tick();
         }
-        set.tick();
-    }
-    let f = set
-        .member(name)
-        .ok_or_else(|| format!("{what}: member {name} missing"))?;
-    if f.next_lsn() < head {
-        return Err(format!(
-            "{what}: member {name} stopped at LSN {} of {head}",
-            f.next_lsn()
-        ));
-    }
-    let q = (head - 2) as usize;
-    let schema = f
-        .schema()
-        .ok_or_else(|| format!("{what}: member {name} never bootstrapped"))?;
-    if serialise(schema) != prefix_bytes[q] {
-        return Err(format!(
-            "{what}: member {name} diverged from the applied sequence"
-        ));
+        let f = set
+            .member(name)
+            .ok_or_else(|| format!("{what}: member {name} missing"))?;
+        if f.next_lsn() < head {
+            return Err(format!(
+                "{what}: member {name} stopped at LSN {} of {head}",
+                f.next_lsn()
+            ));
+        }
+        let schema = f
+            .schema()
+            .ok_or_else(|| format!("{what}: member {name} never bootstrapped"))?;
+        if serialise(schema) != expect {
+            return Err(format!("{what}: member {name} diverged from the primary"));
+        }
     }
     Ok(())
+}
+
+/// The primary's schema bytes.
+fn primary_bytes<T: ReplicaTransport>(set: &ClusterSet<T>) -> Vec<u8> {
+    set.primary()
+        .expect("primary lives")
+        .with_store(|s| serialise(s.schema()))
 }
 
 /// A probe record for fencing checks.
 fn probe_record(workload: &Workload) -> WalRecord {
     workload
-        .steps
-        .iter()
-        .find_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
+        .ops()
+        .next()
+        .cloned()
         .expect("workload has records")
+}
+
+/// The dual-primary probe: the deposed primary must be fenced at
+/// `epoch` and refuse a write.
+fn probe_fence<T: ReplicaTransport>(
+    set: &ClusterSet<T>,
+    workload: &Workload,
+    epoch: u64,
+    what: &str,
+) -> Result<(), String> {
+    let old = set.retired().expect("deposed primary retained");
+    if !old.is_fenced() {
+        return Err(format!("{what}: deposed primary not fenced"));
+    }
+    match old.commit(probe_record(workload)) {
+        Err(DurableError::Fenced { epoch: at }) if at == epoch => Ok(()),
+        Err(DurableError::Fenced { epoch: at }) => {
+            Err(format!("{what}: fenced at epoch {at}, expected {epoch}"))
+        }
+        other => Err(format!(
+            "{what}: deposed primary accepted a write ({other:?})"
+        )),
+    }
+}
+
+/// Rejoins the deposed primary as a member and tallies how it
+/// re-entered.
+fn rejoin_primary<T: ReplicaTransport>(
+    set: &mut ClusterSet<T>,
+    outcome: &mut ClusterSweepOutcome,
+    what: &str,
+) -> Result<(), String> {
+    match set.rejoin_member("primary") {
+        Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
+        Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
+        Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
+        Err(e) => return Err(format!("{what}: rejoin failed: {e}")),
+    }
+    Ok(())
 }
 
 /// Staged quorum-loss scenario: the primary dies while `m1` is
@@ -492,44 +576,16 @@ fn quorum_loss_scenario(
     workload: &Workload,
     outcome: &mut ClusterSweepOutcome,
 ) -> Result<(), String> {
-    // Partition m1 after the workload replicates (large from_step
-    // would be fragile; instead cut from step 0 of the *post-workload*
-    // phase by running the workload on a clean transport first is not
-    // possible with one transport — so cut m1 late, after more steps
-    // than the clean run ever used).
-    let transport = MemberPartition::new(&["m1"], u64::MAX / 2, u64::MAX);
-    let run = run_cluster(base, workload, Faults::on(transport))?;
-    if run.primary_crashed {
-        return Err("quorum-loss scenario: primary crashed faultlessly".to_string());
-    }
-    if run.committed != workload.records as u64 {
-        return Err(format!(
-            "quorum-loss scenario committed {}/{}",
-            run.committed, workload.records
-        ));
-    }
-    // Now cut m1 for a bounded outage and kill the primary: only m2
-    // answers, and 1 vote of 2 required must be refused.
-    // Reach into the transport via a fresh partition window: rebuild
-    // the set is unnecessary — m1 is still healthy here, so emulate
-    // the outage by crashing m1's link instead: partition semantics
-    // need the transport, so this scenario uses its own transport cut
-    // from the start of the leaderless phase.
-    drop(run);
-
-    // Rebuild with a partition that starts early enough to suppress
-    // m1's vote but heals: measure the clean run's steps first.
+    // The outage must start when the leaderless phase does: measure
+    // the transport steps a clean run of the workload takes, then cut
+    // m1 from there for a bounded outage.
     let clean = run_cluster(base, workload, Faults::on(MemberPartition::clean()))?;
-    let steps_after_workload = clean.set.as_ref().map_or(0, ClusterSet::transport_steps);
-    drop(clean);
+    let steps_after_workload = clean.map_or(0, |run| run.set.transport_steps());
     let transport = MemberPartition::new(&["m1"], steps_after_workload, OUTAGE_OPS);
-    let mut run = run_cluster(base, workload, Faults::on(transport))?;
-    let set = run.set.as_mut().expect("set lives");
-    let acked = run.acked.clone();
-    let old = set.kill_primary().expect("primary present");
-    drop(old);
+    let mut run = run_cluster(base, workload, Faults::on(transport))?.expect("set lives");
+    drop(run.set.kill_primary().expect("primary present"));
     // Direct election while m1 is cut: m2 stands, m1 cannot vote.
-    match set.elect() {
+    match run.set.elect() {
         Err(ReplicaError::NoQuorum {
             votes, required, ..
         }) => {
@@ -544,27 +600,22 @@ fn quorum_loss_scenario(
             ))
         }
     }
-    if set.primary().is_some() {
+    if run.set.primary().is_some() {
         return Err("quorum-loss scenario: a primary appeared without quorum".to_string());
     }
     // Heartbeat-miss driven: once the outage window is consumed, the
     // supervisor's own tick must elect.
-    let mut elected = false;
-    for _ in 0..DRAIN_TICKS {
-        let events = set.tick();
-        if events
+    let elected = (0..DRAIN_TICKS).any(|_| {
+        run.set
+            .tick()
             .iter()
             .any(|e| matches!(e, ClusterEvent::Elected { .. }))
-        {
-            elected = true;
-            break;
-        }
-    }
+    });
     if !elected {
         return Err("quorum-loss scenario: healed partition never elected".to_string());
     }
     outcome.elections += 1;
-    assert_acked_present(set, &acked, "quorum-loss scenario")?;
+    run.check_acked("quorum-loss scenario")?;
     std::fs::remove_dir_all(base).ok();
     Ok(())
 }
@@ -577,22 +628,14 @@ fn quorum_loss_scenario(
 /// election bar).
 fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
     let workload = generate(seed, 8);
-    let records: Vec<&WalRecord> = workload
-        .steps
-        .iter()
-        .filter_map(|s| match s {
-            Step::Op(r) => Some(r),
-            Step::Checkpoint => None,
-        })
-        .collect();
 
     // History A: the full workload, quorum-committed on primary + m1 + m2.
-    let run = run_cluster(
+    let mut run = run_cluster(
         &base.join("a"),
         &workload,
         Faults::on(MemberPartition::clean()),
-    )?;
-    let mut set = run.set.expect("fault-free run has a set");
+    )?
+    .expect("fault-free run has a set");
     if run.committed != workload.records as u64 {
         return Err(format!(
             "fork scenario committed {}/{}",
@@ -610,8 +653,8 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
         Io::plain(),
     )
     .map_err(|e| format!("fork scenario history B create: {e}"))?;
-    for r in &records[..records.len() - 1] {
-        b.apply((*r).clone())
+    for r in workload.ops().take(workload.records - 1) {
+        b.apply(r.clone())
             .map_err(|e| format!("fork scenario history B apply: {e}"))?;
     }
     b.apply(WalRecord::Create {
@@ -631,7 +674,7 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
     // typed `Diverged` and nothing else.
     let ReplicaMsg::Hello {
         next_lsn, last_crc, ..
-    } = set.member("m2").expect("m2 registered").hello()
+    } = run.set.member("m2").expect("m2 registered").hello()
     else {
         unreachable!("hello() builds a Hello")
     };
@@ -653,8 +696,9 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
     let forked_frames = b
         .tail(fork_lsn)
         .map_err(|e| format!("fork scenario tail: {e}"))?;
-    let epoch = set.epoch();
-    set.transport_mut()
+    let epoch = run.set.epoch();
+    run.set
+        .transport_mut()
         .send(
             "m2",
             &ReplicaMsg::Frames {
@@ -663,14 +707,15 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
             },
         )
         .map_err(|e| format!("fork scenario send: {e}"))?;
-    let refused = set
+    let refused = run
+        .set
         .tick()
         .iter()
         .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == "m2"));
-    let m2 = set.member("m2").expect("m2 registered");
+    let m2 = run.set.member("m2").expect("m2 registered");
     match m2.refusal_error() {
         Some(ReplicaError::Diverged { lsn, .. })
-            if refused && lsn == fork_lsn && set.member_refusing("m2") =>
+            if refused && lsn == fork_lsn && run.set.member_refusing("m2") =>
         {
             refusals += 1;
         }
@@ -683,7 +728,7 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
 
     // A refusing member never stands: m2 would win the tie on its name,
     // yet the operator failover must elect m1.
-    match set.elect() {
+    match run.set.elect() {
         Ok((winner, _)) if winner == "m1" => refusals += 1,
         other => {
             return Err(format!(
@@ -691,31 +736,10 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
             ))
         }
     }
-    assert_acked_present(&set, &run.acked, "fork scenario")?;
+    run.check_acked("fork scenario")?;
 
     std::fs::remove_dir_all(base).ok();
     Ok(refusals)
-}
-
-/// Prefix states, exactly as in the durable crash sweep: the schema's
-/// bytes and the schema itself after each committed record (index `q`
-/// = state after `q` records).
-fn prefix_states(workload: &Workload) -> Result<(Vec<Vec<u8>>, Vec<Tmd>), String> {
-    let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
-    let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
-    let mut state = workload.seed_schema.clone();
-    prefix_bytes.push(serialise(&state));
-    prefix_tmds.push(state.clone());
-    for step in &workload.steps {
-        if let Step::Op(record) = step {
-            record
-                .apply(&mut state)
-                .map_err(|e| format!("prefix replay failed: {e}"))?;
-            prefix_bytes.push(serialise(&state));
-            prefix_tmds.push(state.clone());
-        }
-    }
-    Ok((prefix_bytes, prefix_tmds))
 }
 
 /// The fault-free run every sweep starts from: the whole workload must
@@ -726,11 +750,10 @@ fn fault_free_run<T: ReplicaTransport>(
     dir: &Path,
     workload: &Workload,
     faults: Faults<T>,
-    prefix_bytes: &[Vec<u8>],
+    prefixes: &Prefixes,
 ) -> Result<ClusterSet<T>, String> {
-    let free = run_cluster(dir, workload, faults)?;
-    let mut set = free.set.expect("fault-free run has a set");
-    if free.primary_crashed || free.unreplicated != 0 || free.committed != workload.records as u64 {
+    let free = undisturbed(run_cluster(dir, workload, faults)?, "fault-free run")?;
+    if free.unreplicated != 0 || free.committed != workload.records as u64 {
         return Err(format!(
             "fault-free run committed {}/{} ({} unreplicated)",
             free.committed, workload.records, free.unreplicated
@@ -743,12 +766,13 @@ fn fault_free_run<T: ReplicaTransport>(
             workload.records
         ));
     }
-    let head = set.primary().expect("primary lives").wal_position();
-    if set.primary().expect("primary lives").quorum_lsn() < head {
+    let mut set = free.set;
+    let p = set.primary().expect("primary lives");
+    if p.quorum_lsn() < p.wal_position() {
         return Err("fault-free watermark never caught the head".to_string());
     }
-    converge_member(&mut set, "m1", prefix_bytes, "fault-free")?;
-    converge_member(&mut set, "m2", prefix_bytes, "fault-free")?;
+    let expect = prefixes.bytes(primary_records(&set));
+    converge(&mut set, &["m1", "m2"], expect, "fault-free")?;
     Ok(set)
 }
 
@@ -768,7 +792,7 @@ pub fn cluster_sweep(
     target_records: usize,
 ) -> Result<ClusterSweepOutcome, String> {
     let workload = generate(seed, target_records);
-    let (prefix_bytes, prefix_tmds) = prefix_states(&workload)?;
+    let prefixes = Prefixes::replay(&workload)?;
     let mut outcome = ClusterSweepOutcome {
         records: workload.records,
         ..ClusterSweepOutcome::default()
@@ -780,13 +804,12 @@ pub fn cluster_sweep(
         &free_dir,
         &workload,
         Faults::on(MemberPartition::clean()),
-        &prefix_bytes,
+        &prefixes,
     )?;
     let primary_points = set
         .primary()
         .expect("primary lives")
-        .group()
-        .with_store(mvolap_durable::DurableTmd::io_ops);
+        .with_store(DurableTmd::io_ops);
     let member_points = set.member("m1").expect("m1 registered").io_ops();
     let transport_points = set.transport_steps();
     drop(set);
@@ -795,13 +818,12 @@ pub fn cluster_sweep(
     let a_dir = base_dir.join("p-crash");
     for k in 0..primary_points {
         outcome.injection_points += 1;
-        let io = Io::faulty(FaultPlan::crash_after(k, seed));
+        let what = format!("primary crash {k}");
         let faults = Faults {
-            primary_io: io,
+            primary_io: Io::faulty(FaultPlan::crash_after(k, seed)),
             ..Faults::on(MemberPartition::clean())
         };
-        let run = run_cluster(&a_dir, &workload, faults)?;
-        let Some(mut set) = run.set else {
+        let Some(mut run) = run_cluster(&a_dir, &workload, faults)? else {
             outcome.primary_crashes += 1;
             outcome.unpromotable += 1; // Crashed creating the primary.
             continue;
@@ -810,52 +832,36 @@ pub fn cluster_sweep(
             // The fault fired inside a read path or not at all on this
             // run's shorter op sequence; the workload completed — treat
             // as a clean point.
-            assert_acked_present(&set, &run.acked, &format!("primary crash {k} (no-fire)"))?;
+            run.check_acked(&format!("{what} (no-fire)"))?;
             continue;
         }
         outcome.primary_crashes += 1;
         outcome.unreplicated_commits += run.unreplicated;
-        let old = set.kill_primary().expect("primary present before kill");
-        drop(old); // Release the store handle; rejoin reopens the dir.
-        match set.elect() {
-            Ok((_winner, _epoch)) => {
+        // Release the store handle; rejoin reopens the dir.
+        drop(run.set.kill_primary().expect("primary present before kill"));
+        match run.set.elect() {
+            Ok(_) => {
                 outcome.elections += 1;
-                assert_acked_present(&set, &run.acked, &format!("primary crash {k}"))?;
-                assert_prefix_consistent(
-                    &set,
-                    &prefix_bytes,
-                    &prefix_tmds,
-                    workload.org,
-                    &format!("primary crash {k}"),
-                )?;
+                run.check_acked(&what)?;
+                assert_prefix_consistent(&run.set, &prefixes, &what)?;
                 // The crashed primary rejoins: recovery, then the
                 // truncation-on-rejoin invariant — any suffix beyond
                 // the CRC match point with the new primary is cut.
-                match set.rejoin_member("primary") {
-                    Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
-                    Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
-                    Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
-                    Err(e) => return Err(format!("primary crash {k}: rejoin failed: {e}")),
-                }
-                converge_member(
-                    &mut set,
-                    "primary",
-                    &prefix_bytes,
-                    &format!("primary crash {k}"),
-                )?;
-                assert_acked_present(&set, &run.acked, &format!("primary crash {k} post-rejoin"))?;
+                rejoin_primary(&mut run.set, &mut outcome, &what)?;
+                let expect = prefixes.bytes(primary_records(&run.set));
+                converge(&mut run.set, &["primary"], expect, &what)?;
+                run.check_acked(&format!("{what} post-rejoin"))?;
                 // The elected member must be a fully functional
                 // durable store: checkpoint, then recover from disk to
                 // the same state.
-                let p = set.primary().expect("elected");
+                let p = run.set.primary().expect("elected");
                 p.checkpoint()
-                    .map_err(|e| format!("primary crash {k}: elected checkpoint failed: {e}"))?;
-                let reopened = DurableTmd::open(&p.dir())
-                    .map_err(|e| format!("primary crash {k}: elected reopen failed: {e}"))?;
-                if serialise(reopened.schema()) != serialise(&p.schema()) {
-                    return Err(format!(
-                        "primary crash {k}: elected store does not survive reopen"
-                    ));
+                    .map_err(|e| format!("{what}: elected checkpoint failed: {e}"))?;
+                let dir = p.with_store(|s| s.dir().to_path_buf());
+                let reopened = DurableTmd::open(&dir)
+                    .map_err(|e| format!("{what}: elected reopen failed: {e}"))?;
+                if serialise(reopened.schema()) != primary_bytes(&run.set) {
+                    return Err(format!("{what}: elected store does not survive reopen"));
                 }
             }
             Err(ReplicaError::NoQuorum { .. }) if run.acked.is_empty() => {
@@ -865,7 +871,7 @@ pub fn cluster_sweep(
             }
             Err(e) => {
                 return Err(format!(
-                    "primary crash {k}: election failed despite {} acked commits: {e}",
+                    "{what}: election failed despite {} acked commits: {e}",
                     run.acked.len()
                 ))
             }
@@ -874,103 +880,71 @@ pub fn cluster_sweep(
 
     // ---- Stage B: partition member m1 at every transport step ------
     let b_dir = base_dir.join("partition");
-    for j in (0..transport_points).step_by(1) {
+    for j in 0..transport_points {
         outcome.injection_points += 1;
         outcome.partitions += 1;
+        let what = format!("partition {j}");
         if j % 2 == 0 {
             // Healing outage: the group must reconverge exactly, and
             // no commit may be lost or rewritten.
             let transport = MemberPartition::new(&["m1"], j, OUTAGE_OPS);
-            let run = run_cluster(&b_dir, &workload, Faults::on(transport))?;
-            if run.primary_crashed {
-                return Err(format!("partition {j}: primary was disturbed"));
-            }
-            let mut set = run.set.expect("set lives");
+            let mut run = undisturbed(
+                run_cluster(&b_dir, &workload, Faults::on(transport))?,
+                &what,
+            )?;
             outcome.unreplicated_commits += run.unreplicated;
-            assert_acked_present(&set, &run.acked, &format!("partition {j}"))?;
-            converge_member(&mut set, "m1", &prefix_bytes, &format!("partition {j}"))?;
-            converge_member(&mut set, "m2", &prefix_bytes, &format!("partition {j}"))?;
+            run.check_acked(&what)?;
+            let expect = prefixes.bytes(primary_records(&run.set));
+            converge(&mut run.set, &["m1", "m2"], expect, &what)?;
             outcome.healed_outages += 1;
-        } else {
-            // Permanent partition of m1, then an operator failover:
-            // the quorum must have stayed reachable through m2, the
-            // deposed primary must be fenced, and it must refuse a
-            // write in the new epoch — no two primaries ever accept
-            // writes in the same epoch.
-            let transport = MemberPartition::new(&["m1"], j, u64::MAX);
-            let run = run_cluster(&b_dir, &workload, Faults::on(transport))?;
-            if run.primary_crashed {
-                return Err(format!("partition {j}: primary was disturbed"));
+            continue;
+        }
+        // Permanent partition of m1, then an operator failover: the
+        // quorum must have stayed reachable through m2, the deposed
+        // primary must be fenced, and it must refuse a write in the
+        // new epoch — no two primaries ever accept writes in the same
+        // epoch.
+        let transport = MemberPartition::new(&["m1"], j, u64::MAX);
+        let mut run = undisturbed(
+            run_cluster(&b_dir, &workload, Faults::on(transport))?,
+            &what,
+        )?;
+        outcome.unreplicated_commits += run.unreplicated;
+        if run.unreplicated > 0 {
+            return Err(format!(
+                "{what}: quorum unreachable with a single member cut ({} unreplicated)",
+                run.unreplicated
+            ));
+        }
+        run.check_acked(&what)?;
+        match run.set.elect() {
+            Ok((_winner, epoch)) => {
+                outcome.elections += 1;
+                let what = format!("{what} failover");
+                run.check_acked(&what)?;
+                assert_prefix_consistent(&run.set, &prefixes, &what)?;
+                probe_fence(&run.set, &workload, epoch, &what)?;
+                outcome.fenced_refusals += 1;
+                // The deposed primary rejoins the group it lost.
+                rejoin_primary(&mut run.set, &mut outcome, &what)?;
+                let expect = prefixes.bytes(primary_records(&run.set));
+                converge(&mut run.set, &["primary"], expect, &what)?;
             }
-            let mut set = run.set.expect("set lives");
-            outcome.unreplicated_commits += run.unreplicated;
-            if run.unreplicated > 0 {
-                return Err(format!(
-                    "partition {j}: quorum unreachable with a single member cut \
-                     ({} unreplicated)",
-                    run.unreplicated
-                ));
-            }
-            assert_acked_present(&set, &run.acked, &format!("partition {j}"))?;
-            match set.elect() {
-                Ok((_winner, epoch)) => {
-                    outcome.elections += 1;
-                    assert_acked_present(&set, &run.acked, &format!("partition {j} failover"))?;
-                    assert_prefix_consistent(
-                        &set,
-                        &prefix_bytes,
-                        &prefix_tmds,
-                        workload.org,
-                        &format!("partition {j} failover"),
-                    )?;
-                    let old = set.retired().expect("deposed primary retained");
-                    if !old.is_fenced() {
-                        return Err(format!("partition {j}: deposed primary not fenced"));
-                    }
-                    match old.commit(probe_record(&workload)) {
-                        Err(ReplicaError::Fenced { epoch: at }) => {
-                            if at != epoch {
-                                return Err(format!(
-                                    "partition {j}: fenced at epoch {at}, expected {epoch}"
-                                ));
-                            }
-                            outcome.fenced_refusals += 1;
-                        }
-                        other => {
-                            return Err(format!(
-                                "partition {j}: deposed primary accepted a write ({other:?})"
-                            ))
-                        }
-                    }
-                    // The deposed primary rejoins the group it lost.
-                    match set.rejoin_member("primary") {
-                        Ok(RejoinOutcome::Truncated { .. }) => outcome.truncated_rejoins += 1,
-                        Ok(RejoinOutcome::Rebuilt) => outcome.rebuilt_rejoins += 1,
-                        Ok(RejoinOutcome::Clean) => outcome.clean_rejoins += 1,
-                        Err(e) => return Err(format!("partition {j}: rejoin failed: {e}")),
-                    }
-                    converge_member(
-                        &mut set,
-                        "primary",
-                        &prefix_bytes,
-                        &format!("partition {j} rejoin"),
-                    )?;
+            Err(ReplicaError::NoQuorum { .. }) => {
+                // The partition fired before m2 replicated enough
+                // to stand safely; the standing primary must keep
+                // serving.
+                outcome.failed_elections += 1;
+                let lsn = run
+                    .set
+                    .commit_local(probe_record(&workload))
+                    .map_err(|e| format!("{what}: standing primary refused: {e}"))?;
+                if lsn == 0 {
+                    return Err(format!("{what}: probe commit returned LSN 0"));
                 }
-                Err(ReplicaError::NoQuorum { .. }) => {
-                    // The partition fired before m2 replicated enough
-                    // to stand safely; the standing primary must keep
-                    // serving.
-                    outcome.failed_elections += 1;
-                    let lsn = set
-                        .commit_local(probe_record(&workload))
-                        .map_err(|e| format!("partition {j}: standing primary refused: {e}"))?;
-                    if lsn == 0 {
-                        return Err(format!("partition {j}: probe commit returned LSN 0"));
-                    }
-                    assert_acked_present(&set, &run.acked, &format!("partition {j} no-quorum"))?;
-                }
-                Err(e) => return Err(format!("partition {j}: election failed oddly: {e}")),
+                run.check_acked(&format!("{what} no-quorum"))?;
             }
+            Err(e) => return Err(format!("{what}: election failed oddly: {e}")),
         }
     }
 
@@ -978,28 +952,27 @@ pub fn cluster_sweep(
     let c_dir = base_dir.join("m-crash");
     for k in 0..member_points {
         outcome.injection_points += 1;
-        let io = Io::faulty(FaultPlan::crash_after(k, seed ^ 0x5EED_F011));
+        let what = format!("member crash {k}");
         let faults = Faults {
-            m1_io: io,
+            m1_io: Io::faulty(FaultPlan::crash_after(k, seed ^ 0x5EED_F011)),
             ..Faults::on(MemberPartition::clean())
         };
         let run = run_cluster(&c_dir, &workload, faults)?;
-        if run.member_crashes == 0 {
+        if run.as_ref().is_none_or(|run| run.member_crashes == 0) {
             return Err(format!("member crash point {k} never fired"));
         }
         outcome.member_crashes += 1;
         // The quorum carries on through m2: the primary never notices.
-        if run.primary_crashed || run.unreplicated != 0 || run.committed != workload.records as u64
-        {
+        let mut run = undisturbed(run, &what)?;
+        if run.unreplicated != 0 || run.committed != workload.records as u64 {
             return Err(format!(
-                "member crash {k}: primary was disturbed ({} committed, {} unreplicated)",
+                "{what}: primary was disturbed ({} committed, {} unreplicated)",
                 run.committed, run.unreplicated
             ));
         }
-        let mut set = run.set.expect("set lives");
-        assert_acked_present(&set, &run.acked, &format!("member crash {k}"))?;
-        converge_member(&mut set, "m1", &prefix_bytes, &format!("member crash {k}"))?;
-        converge_member(&mut set, "m2", &prefix_bytes, &format!("member crash {k}"))?;
+        run.check_acked(&what)?;
+        let expect = prefixes.bytes(primary_records(&run.set));
+        converge(&mut run.set, &["m1", "m2"], expect, &what)?;
     }
 
     // ---- Staged scenario: quorum loss refuses election -------------
@@ -1047,7 +1020,7 @@ pub fn cluster_sweep_net(
     /// A stalled proxy stays silent this long — three read timeouts.
     const STALL_MS: u64 = 150;
     let workload = generate(seed, target_records);
-    let (prefix_bytes, _) = prefix_states(&workload)?;
+    let prefixes = Prefixes::replay(&workload)?;
     let mut outcome = ClusterSweepOutcome {
         records: workload.records,
         ..ClusterSweepOutcome::default()
@@ -1058,7 +1031,7 @@ pub fn cluster_sweep_net(
         &free_dir,
         &workload,
         socket_faults(LoopbackTransport::build(None)?),
-        &prefix_bytes,
+        &prefixes,
     )?;
     let transport_points = set.transport_steps();
     drop(set);
@@ -1070,58 +1043,55 @@ pub fn cluster_sweep_net(
         outcome.partitions += 1;
         let plan = FaultPlan::crash_after(j, seed);
         if j % 2 == 0 {
+            let what = format!("socket outage {j}");
             let kind = if j % 8 == 2 {
                 ProxyFault::Stall(STALL_MS)
             } else {
                 ProxyFault::Drop
             };
             let transport = LoopbackTransport::build(Some((plan, 3, kind)))?;
-            let run = run_cluster(&dir, &workload, socket_faults(transport))?;
-            if run.primary_crashed {
-                return Err(format!("socket outage {j}: primary was disturbed"));
-            }
-            let mut set = run.set.expect("set lives");
+            let mut run = undisturbed(
+                run_cluster(&dir, &workload, socket_faults(transport))?,
+                &what,
+            )?;
             outcome.unreplicated_commits += run.unreplicated;
-            assert_acked_present(&set, &run.acked, &format!("socket outage {j}"))?;
-            converge_member(&mut set, "m1", &prefix_bytes, &format!("socket outage {j}"))?;
-            converge_member(&mut set, "m2", &prefix_bytes, &format!("socket outage {j}"))?;
+            run.check_acked(&what)?;
+            let expect = prefixes.bytes(primary_records(&run.set));
+            converge(&mut run.set, &["m1", "m2"], expect, &what)?;
             outcome.healed_outages += 1;
-            if set.stats().retries > 0 {
+            if run.set.stats().retries > 0 {
                 loud_runs += 1;
             }
-        } else {
-            let transport = LoopbackTransport::build(Some((plan, u64::MAX, ProxyFault::Drop)))?;
-            let run = run_cluster(&dir, &workload, socket_faults(transport))?;
-            if run.primary_crashed {
-                return Err(format!("socket partition {j}: primary was disturbed"));
-            }
-            // Every step came back acknowledged or refused typed.
-            if run.committed + run.unreplicated != workload.records as u64 {
+            continue;
+        }
+        let what = format!("socket partition {j}");
+        let transport = LoopbackTransport::build(Some((plan, u64::MAX, ProxyFault::Drop)))?;
+        let mut run = undisturbed(
+            run_cluster(&dir, &workload, socket_faults(transport))?,
+            &what,
+        )?;
+        // Every step came back acknowledged or refused typed.
+        if run.committed + run.unreplicated != workload.records as u64 {
+            return Err(format!(
+                "{what}: {} acked + {} unreplicated of {} commits",
+                run.committed, run.unreplicated, workload.records
+            ));
+        }
+        outcome.unreplicated_commits += run.unreplicated;
+        run.check_acked(&what)?;
+        drop(run.set.kill_primary());
+        match run.set.elect() {
+            Err(ReplicaError::NoQuorum {
+                votes, required, ..
+            }) if votes < required => outcome.failed_elections += 1,
+            other => {
                 return Err(format!(
-                    "socket partition {j}: {} acked + {} unreplicated of {} commits",
-                    run.committed, run.unreplicated, workload.records
-                ));
+                    "{what}: election without a reachable majority did not refuse ({other:?})"
+                ))
             }
-            let mut set = run.set.expect("set lives");
-            outcome.unreplicated_commits += run.unreplicated;
-            assert_acked_present(&set, &run.acked, &format!("socket partition {j}"))?;
-            drop(set.kill_primary());
-            match set.elect() {
-                Err(ReplicaError::NoQuorum {
-                    votes, required, ..
-                }) if votes < required => outcome.failed_elections += 1,
-                other => {
-                    return Err(format!(
-                        "socket partition {j}: election without a reachable majority \
-                         did not refuse ({other:?})"
-                    ))
-                }
-            }
-            if set.primary().is_some() {
-                return Err(format!(
-                    "socket partition {j}: a primary appeared without quorum"
-                ));
-            }
+        }
+        if run.set.primary().is_some() {
+            return Err(format!("{what}: a primary appeared without quorum"));
         }
     }
     if transport_points >= 8 && loud_runs == 0 {
@@ -1139,7 +1109,7 @@ pub fn cluster_sweep_net(
 // ---------------------------------------------------- membership sweep
 
 /// What a [`membership_sweep`] established.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct MembershipSweepOutcome {
     /// Total injection points exercised across all classes.
     pub injection_points: u64,
@@ -1170,163 +1140,57 @@ pub struct MembershipSweepOutcome {
     pub records: usize,
 }
 
-/// Result of one scripted membership-change run.
-struct MembershipRun {
-    set: Option<ClusterSet<MemberPartition>>,
-    /// Every quorum-acknowledged `(lsn, crc)` pair.
-    acked: Vec<(u64, u32)>,
-    /// LSN of the journaled add, once issued.
-    add_lsn: Option<u64>,
-    /// The learner was promoted to voter.
-    promoted: bool,
-    /// The journaled remove completed.
-    remove_done: bool,
-    unreplicated: u64,
-    primary_crashed: bool,
-}
-
-/// Commits one record under quorum inside the scripted run; returns
-/// `false` when the primary crashed (script must stop).
-fn script_commit(
-    set: &mut ClusterSet<MemberPartition>,
-    record: WalRecord,
-    run: &mut MembershipRun,
-) -> Result<bool, String> {
-    match set.commit_quorum(record) {
-        Ok(lsn) => {
-            let crc = set
-                .primary()
-                .expect("primary lives")
-                .tailer()
-                .crc_at(lsn)
-                .map_err(|e| format!("crc_at({lsn}) failed: {e}"))?;
-            if let Some(crc) = crc {
-                run.acked.push((lsn, crc));
-            }
-            Ok(true)
-        }
-        Err(ReplicaError::Durable(DurableError::Unreplicated { .. })) => {
-            run.unreplicated += 1;
-            Ok(true)
-        }
-        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            run.primary_crashed = true;
-            Ok(false)
-        }
-        Err(e) => Err(format!("scripted commit failed non-faultily: {e}")),
-    }
-}
-
 /// Drives one scripted membership-change workload: base traffic on
 /// primary + m1 + m2, a checkpoint (pruning the tail the joiner will
 /// need, forcing the snapshot path), a journaled **add** of `m3`
 /// (learner until caught up), traffic during catch-up, a journaled
-/// **remove** of `m1`, and tail traffic under the shrunk group. Ends
-/// with the forged-ack probe: a stale ack from the removed id must
-/// never move the watermark.
+/// **remove** of `m1`, and tail traffic under the shrunk group. `None`
+/// when the primary crashed bootstrapping.
 fn run_membership(
     base: &Path,
     workload: &Workload,
-    primary_io: Io,
-    transport: MemberPartition,
-) -> Result<MembershipRun, String> {
-    std::fs::remove_dir_all(base).ok();
-    let mut run = MembershipRun {
-        set: None,
-        acked: Vec::new(),
-        add_lsn: None,
-        promoted: false,
-        remove_done: false,
-        unreplicated: 0,
-        primary_crashed: false,
+    faults: Faults<MemberPartition>,
+) -> Result<Option<ClusterRun<MemberPartition>>, String> {
+    let Some(mut run) = ClusterRun::bootstrap(base, workload, faults)? else {
+        return Ok(None);
     };
-    let mut set = match ClusterSet::bootstrap(
-        base,
-        workload.seed_schema.clone(),
-        sweep_options(),
-        sweep_group_config(),
-        sweep_cluster_config(),
-        transport,
-        primary_io,
-    ) {
-        Ok(set) => set,
-        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            run.primary_crashed = true;
-            return Ok(run);
-        }
-        Err(e) => return Err(format!("membership bootstrap failed non-faultily: {e}")),
-    };
-    set.add_member("m1", Io::plain());
-    set.add_member("m2", Io::plain());
-
     // Split the workload: the last six ops are reserved as the
     // traffic that rides *through* the reconfiguration phases.
-    let op_positions: Vec<usize> = workload
+    let first_reserved = workload.records - 6.min(workload.records.saturating_sub(1));
+    let phase_cut = workload
         .steps
         .iter()
         .enumerate()
         .filter(|(_, s)| matches!(s, Step::Op(_)))
+        .nth(first_reserved)
         .map(|(i, _)| i)
-        .collect();
-    let reserve = 6.min(op_positions.len().saturating_sub(1));
-    let phase_cut = op_positions[op_positions.len() - reserve];
-    let tail_ops: Vec<WalRecord> = workload.steps[phase_cut..]
-        .iter()
-        .filter_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
-        .collect();
+        .expect("workload has records");
+    let mut tail = workload.ops().skip(first_reserved).cloned();
 
     // Phase 1 — base traffic.
     for step in &workload.steps[..phase_cut] {
-        let ok = match step {
-            Step::Op(record) => script_commit(&mut set, record.clone(), &mut run)?,
-            Step::Checkpoint => match set.checkpoint() {
-                Ok(()) => true,
-                Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-                    run.primary_crashed = true;
-                    false
-                }
-                Err(e) => return Err(format!("scripted checkpoint failed: {e}")),
-            },
-        };
-        if !ok {
-            run.set = Some(set);
-            return Ok(run);
+        if !run.step(step)? {
+            return Ok(Some(run));
         }
     }
     // Checkpoint so the joiner's tail is pruned: its bootstrap must go
     // through the snapshot path, not a frame replay from LSN 1.
-    if let Err(e) = set.checkpoint() {
-        match e {
-            ReplicaError::Durable(e) if e.is_io_class() => {
-                run.primary_crashed = true;
-                run.set = Some(set);
-                return Ok(run);
-            }
-            e => return Err(format!("pre-join checkpoint failed: {e}")),
-        }
+    let res = run.set.checkpoint().map(|()| None);
+    if !run.settle("pre-join checkpoint", res)? {
+        return Ok(Some(run));
     }
 
     // Phase 2 — journaled add of m3; it enters as a learner.
-    match set.reconfig_add("m3", "local://m3", Io::plain()) {
-        Ok(lsn) => run.add_lsn = Some(lsn),
-        Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-            run.primary_crashed = true;
-            run.set = Some(set);
-            return Ok(run);
-        }
-        Err(e) => return Err(format!("reconfig_add failed non-faultily: {e}")),
+    let res = run.set.reconfig_add("m3", "local://m3", Io::plain());
+    if !run.settle("reconfig_add", res.map(|_| None))? {
+        return Ok(Some(run));
     }
-    if !set.is_learner("m3") {
+    if !run.set.is_learner("m3") {
         return Err("joiner did not enter as a learner".to_string());
     }
-    let mut tail = tail_ops.into_iter();
     for record in tail.by_ref().take(2) {
-        if !script_commit(&mut set, record, &mut run)? {
-            run.set = Some(set);
-            return Ok(run);
+        if !run.commit(record)? {
+            return Ok(Some(run));
         }
     }
     // Catch-up: ticks until the learner's synced position reaches the
@@ -1334,48 +1198,41 @@ fn run_membership(
     // have happened inside a commit's own supervision rounds, so the
     // *state* — not the event stream — is the authority.
     for _ in 0..DRAIN_TICKS {
-        if set.pending_reconfig().is_none() && !set.is_learner("m3") {
+        if run.set.pending_reconfig().is_none() && !run.set.is_learner("m3") {
             run.promoted = true;
             break;
         }
-        set.tick();
+        run.set.tick();
+    }
+    if !run.promoted {
+        return Ok(Some(run));
     }
 
     // Phase 3 — journaled remove of m1 (even while it is partitioned:
     // removal must never need the removed member's cooperation).
-    if run.promoted {
-        match set.reconfig_remove("m1") {
-            Ok(_) => {}
-            Err(ReplicaError::Durable(e)) if e.is_io_class() => {
-                run.primary_crashed = true;
-                run.set = Some(set);
-                return Ok(run);
-            }
-            Err(e) => return Err(format!("reconfig_remove failed non-faultily: {e}")),
-        }
-        for record in tail.by_ref().take(2) {
-            if !script_commit(&mut set, record, &mut run)? {
-                run.set = Some(set);
-                return Ok(run);
-            }
-        }
-        for _ in 0..DRAIN_TICKS {
-            if set.pending_reconfig().is_none() {
-                run.remove_done = true;
-                break;
-            }
-            set.tick();
-        }
-        // Tail traffic under the shrunk group.
-        for record in tail {
-            if !script_commit(&mut set, record, &mut run)? {
-                run.set = Some(set);
-                return Ok(run);
-            }
+    let res = run.set.reconfig_remove("m1");
+    if !run.settle("reconfig_remove", res.map(|_| None))? {
+        return Ok(Some(run));
+    }
+    for record in tail.by_ref().take(2) {
+        if !run.commit(record)? {
+            return Ok(Some(run));
         }
     }
-    run.set = Some(set);
-    Ok(run)
+    for _ in 0..DRAIN_TICKS {
+        if run.set.pending_reconfig().is_none() {
+            run.remove_done = true;
+            break;
+        }
+        run.set.tick();
+    }
+    // Tail traffic under the shrunk group.
+    for record in tail {
+        if !run.commit(record)? {
+            break;
+        }
+    }
+    Ok(Some(run))
 }
 
 /// Probes that a forged ack from the removed member id cannot move
@@ -1389,7 +1246,7 @@ fn probe_stale_ack(
         return Ok(());
     };
     let before = p.quorum_lsn();
-    p.group().member_synced("m1", u64::MAX);
+    p.member_synced("m1", u64::MAX);
     if p.quorum_lsn() != before {
         return Err(format!(
             "{what}: a forged ack from removed `m1` moved the watermark \
@@ -1401,64 +1258,30 @@ fn probe_stale_ack(
     Ok(())
 }
 
-/// Ticks until member `name` reaches the primary's head, then asserts
-/// its replicated schema is byte-identical to the primary's.
-fn converge_membership(
-    set: &mut ClusterSet<MemberPartition>,
-    name: &str,
-    what: &str,
-) -> Result<(), String> {
-    let head = set.primary().expect("primary lives").wal_position();
-    for _ in 0..DRAIN_TICKS {
-        if set.member(name).is_some_and(|f| f.next_lsn() >= head) {
-            break;
-        }
-        set.tick();
-    }
-    let primary_bytes = serialise(&set.primary().expect("primary lives").schema());
-    let f = set
-        .member(name)
-        .ok_or_else(|| format!("{what}: member {name} missing"))?;
-    if f.next_lsn() < head {
-        return Err(format!(
-            "{what}: member {name} stopped at LSN {} of {head}",
-            f.next_lsn()
-        ));
-    }
-    let schema = f
-        .schema()
-        .ok_or_else(|| format!("{what}: member {name} never bootstrapped"))?;
-    if serialise(schema) != primary_bytes {
-        return Err(format!("{what}: member {name} diverged from the primary"));
-    }
-    Ok(())
-}
-
 /// After a crash-driven failover, completes whatever reconfiguration
 /// was still in flight: a pending add must still promote the learner
 /// under the new primary; a pending remove must still commit under
 /// the shrunk group (probe commits push the watermark past it).
 fn resume_reconfig(
-    set: &mut ClusterSet<MemberPartition>,
+    run: &mut ClusterRun<MemberPartition>,
     workload: &Workload,
-    run: &mut MembershipRun,
     outcome: &mut MembershipSweepOutcome,
     what: &str,
 ) -> Result<(), String> {
-    let Some(pending) = set.pending_reconfig().cloned() else {
+    let Some(pending) = run.set.pending_reconfig().cloned() else {
         return Ok(());
     };
     if pending.add {
-        if set.member(&pending.member).is_none() {
+        if run.set.member(&pending.member).is_none() {
             return Err(format!("{what}: pending joiner vanished across failover"));
         }
         for _ in 0..DRAIN_TICKS {
-            if set.pending_reconfig().is_none() {
+            if run.set.pending_reconfig().is_none() {
                 break;
             }
-            set.tick();
+            run.set.tick();
         }
-        if set.pending_reconfig().is_some() {
+        if run.set.pending_reconfig().is_some() {
             return Err(format!(
                 "{what}: in-flight add never completed after the failover"
             ));
@@ -1466,12 +1289,12 @@ fn resume_reconfig(
         run.promoted = true;
     } else {
         for _ in 0..8 {
-            if set.pending_reconfig().is_none() {
+            if run.set.pending_reconfig().is_none() {
                 break;
             }
-            let _ = script_commit(set, probe_record(workload), run)?;
+            run.commit(probe_record(workload))?;
         }
-        if set.pending_reconfig().is_some() {
+        if run.set.pending_reconfig().is_some() {
             return Err(format!(
                 "{what}: in-flight remove never committed after the failover"
             ));
@@ -1491,72 +1314,59 @@ fn reconfig_failover_scenario(
     workload: &Workload,
     outcome: &mut MembershipSweepOutcome,
 ) -> Result<(), String> {
-    let mut run = run_membership(base, workload, Io::plain(), MemberPartition::clean())?;
-    let mut set = run.set.take().expect("clean run has a set");
+    let what = "failover scenario";
+    let mut run = run_membership(base, workload, Faults::on(MemberPartition::clean()))?
+        .expect("clean run has a set");
     // Re-issue a fresh add so a reconfiguration is in flight now: the
     // clean run completed both changes, so add a fourth member.
-    let lsn = set
+    let lsn = run
+        .set
         .reconfig_add("m4", "local://m4", Io::plain())
-        .map_err(|e| format!("failover scenario: add refused: {e}"))?;
+        .map_err(|e| format!("{what}: add refused: {e}"))?;
     // A second change while this one is in flight must be refused with
     // the typed error.
-    match set.reconfig_remove("m2") {
+    match run.set.reconfig_remove("m2") {
         Err(ReplicaError::Durable(DurableError::ReconfigInFlight { lsn: at, member })) => {
             if at != lsn || member != "m4" {
                 return Err(format!(
-                    "failover scenario: ReconfigInFlight names ({member}, {at}), \
-                     expected (m4, {lsn})"
+                    "{what}: ReconfigInFlight names ({member}, {at}), expected (m4, {lsn})"
                 ));
             }
         }
         other => {
             return Err(format!(
-                "failover scenario: overlapping reconfig not refused ({other:?})"
+                "{what}: overlapping reconfig not refused ({other:?})"
             ))
         }
     }
-    let old = set.kill_primary().expect("primary present");
-    drop(old);
-    let (winner, epoch) = set
+    drop(run.set.kill_primary().expect("primary present"));
+    let (winner, epoch) = run
+        .set
         .elect()
-        .map_err(|e| format!("failover scenario: election failed: {e}"))?;
+        .map_err(|e| format!("{what}: election failed: {e}"))?;
     outcome.elections += 1;
     if winner == "m4" {
-        return Err("failover scenario: unpromoted learner won the election".to_string());
+        return Err(format!("{what}: unpromoted learner won the election"));
     }
-    assert_acked_present(&set, &run.acked, "failover scenario")?;
+    run.check_acked(what)?;
     // Rejoin the deposed primary, then probe the dual-primary
     // invariant through a retired handle: a second operator failover
     // fences the *standing* primary.
-    match set.rejoin_member("primary") {
-        Ok(_) => {}
-        Err(e) => return Err(format!("failover scenario: rejoin failed: {e}")),
+    run.set
+        .rejoin_member("primary")
+        .map_err(|e| format!("{what}: rejoin failed: {e}"))?;
+    resume_reconfig(&mut run, workload, outcome, what)?;
+    let _ = run.set.run_ticks(8);
+    let (_, epoch2) = run
+        .set
+        .elect()
+        .map_err(|e| format!("{what}: second election failed: {e}"))?;
+    outcome.elections += 1;
+    if epoch2 <= epoch {
+        return Err(format!("{what}: epoch did not advance"));
     }
-    resume_reconfig(&mut set, workload, &mut run, outcome, "failover scenario")?;
-    let _ = set.run_ticks(8);
-    match set.elect() {
-        Ok((_, epoch2)) => {
-            outcome.elections += 1;
-            if epoch2 <= epoch {
-                return Err("failover scenario: epoch did not advance".to_string());
-            }
-            let old = set.retired().expect("deposed primary retained");
-            if !old.is_fenced() {
-                return Err("failover scenario: deposed primary not fenced".to_string());
-            }
-            match old.commit(probe_record(workload)) {
-                Err(ReplicaError::Fenced { epoch: at }) if at == epoch2 => {
-                    outcome.fenced_refusals += 1;
-                }
-                other => {
-                    return Err(format!(
-                        "failover scenario: deposed primary accepted a write ({other:?})"
-                    ))
-                }
-            }
-        }
-        Err(e) => return Err(format!("failover scenario: second election failed: {e}")),
-    }
+    probe_fence(&run.set, workload, epoch2, what)?;
+    outcome.fenced_refusals += 1;
     std::fs::remove_dir_all(base).ok();
     Ok(())
 }
@@ -1587,85 +1397,82 @@ pub fn membership_sweep(
 
     // ---- Stage 0: fault-free membership run ------------------------
     let free_dir = base_dir.join("m-free");
-    let free = run_membership(&free_dir, &workload, Io::plain(), MemberPartition::clean())?;
-    if free.primary_crashed {
-        return Err("fault-free membership run crashed".to_string());
-    }
+    let free = run_membership(&free_dir, &workload, Faults::on(MemberPartition::clean()))?;
+    let mut free = free
+        .filter(|run| !run.primary_crashed)
+        .ok_or("fault-free membership run crashed")?;
     if !free.promoted || !free.remove_done {
         return Err(format!(
             "fault-free membership run: promoted={}, remove_done={}",
             free.promoted, free.remove_done
         ));
     }
-    let mut set = free.set.expect("fault-free run has a set");
-    if set.group_size() != 3 {
+    if free.set.group_size() != 3 {
         return Err(format!(
             "fault-free membership run: group size {} after add+remove, expected 3",
-            set.group_size()
+            free.set.group_size()
         ));
     }
-    probe_stale_ack(&set, &mut outcome, "fault-free")?;
-    assert_acked_present(&set, &free.acked, "fault-free membership")?;
-    converge_membership(&mut set, "m2", "fault-free membership")?;
-    converge_membership(&mut set, "m3", "fault-free membership")?;
+    probe_stale_ack(&free.set, &mut outcome, "fault-free")?;
+    free.check_acked("fault-free membership")?;
+    let expect = primary_bytes(&free.set);
+    converge(
+        &mut free.set,
+        &["m2", "m3"],
+        &expect,
+        "fault-free membership",
+    )?;
     outcome.promotions += 1;
     outcome.removals += 1;
-    let primary_points = set
+    let primary_points = free
+        .set
         .primary()
         .expect("primary lives")
-        .group()
-        .with_store(mvolap_durable::DurableTmd::io_ops);
-    let transport_points = set.transport_steps();
-    drop(set);
+        .with_store(DurableTmd::io_ops);
+    let transport_points = free.set.transport_steps();
+    drop(free);
 
     // ---- Stage A: crash the primary at every I/O primitive ---------
     let a_dir = base_dir.join("m-crash");
     for k in 0..primary_points {
         outcome.injection_points += 1;
-        let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let mut run = run_membership(&a_dir, &workload, io, MemberPartition::clean())?;
-        let Some(mut set) = run.set.take() else {
+        let what = format!("primary crash {k}");
+        let faults = Faults {
+            primary_io: Io::faulty(FaultPlan::crash_after(k, seed)),
+            ..Faults::on(MemberPartition::clean())
+        };
+        let Some(mut run) = run_membership(&a_dir, &workload, faults)? else {
             outcome.primary_crashes += 1;
             outcome.unpromotable += 1;
             continue;
         };
         if !run.primary_crashed {
-            assert_acked_present(&set, &run.acked, &format!("member crash {k} (no-fire)"))?;
+            run.check_acked(&format!("{what} (no-fire)"))?;
             continue;
         }
         outcome.primary_crashes += 1;
         outcome.unreplicated_commits += run.unreplicated;
-        let learner_standing = set.is_learner("m3");
-        let old = set.kill_primary().expect("primary present before kill");
-        drop(old);
-        match set.elect() {
+        let learner_standing = run.set.is_learner("m3");
+        drop(run.set.kill_primary().expect("primary present before kill"));
+        match run.set.elect() {
             Ok((winner, _epoch)) => {
                 outcome.elections += 1;
                 if learner_standing && winner == "m3" {
-                    return Err(format!(
-                        "member crash {k}: unpromoted learner won the election"
-                    ));
+                    return Err(format!("{what}: unpromoted learner won the election"));
                 }
-                assert_acked_present(&set, &run.acked, &format!("member crash {k}"))?;
-                match set.rejoin_member("primary") {
-                    Ok(_) => {}
-                    Err(e) => return Err(format!("member crash {k}: rejoin failed: {e}")),
-                }
-                resume_reconfig(
-                    &mut set,
-                    &workload,
-                    &mut run,
-                    &mut outcome,
-                    &format!("member crash {k}"),
-                )?;
-                assert_acked_present(&set, &run.acked, &format!("member crash {k} post-resume"))?;
+                run.check_acked(&what)?;
+                run.set
+                    .rejoin_member("primary")
+                    .map_err(|e| format!("{what}: rejoin failed: {e}"))?;
+                resume_reconfig(&mut run, &workload, &mut outcome, &what)?;
+                run.check_acked(&format!("{what} post-resume"))?;
             }
             Err(ReplicaError::NoQuorum { .. }) if run.acked.is_empty() => {
                 outcome.unpromotable += 1;
             }
             Err(e) => {
                 return Err(format!(
-                    "member crash {k}: election failed despite {} acked commits: {e}",
+                    "{what}: election failed despite {} acked commits: {e}",
                     run.acked.len()
                 ))
             }
@@ -1680,59 +1487,47 @@ pub fn membership_sweep(
     for j in (0..transport_points).step_by(stride) {
         outcome.injection_points += 1;
         outcome.partitions += 1;
-        if (j / stride as u64).is_multiple_of(2) {
-            // The *joiner* suffers a healing outage mid-catch-up: the
-            // snapshot transfer and promotion must still complete.
-            let transport = MemberPartition::new(&["m3"], j, OUTAGE_OPS);
-            let run = run_membership(&b_dir, &workload, Io::plain(), transport)?;
-            if run.primary_crashed {
-                return Err(format!("member partition {j}: primary was disturbed"));
-            }
-            let mut set = run.set.expect("set lives");
-            outcome.unreplicated_commits += run.unreplicated;
-            if !run.promoted {
-                return Err(format!(
-                    "member partition {j}: joiner never promoted after the outage healed"
-                ));
-            }
-            if !run.remove_done {
-                return Err(format!("member partition {j}: removal never completed"));
-            }
-            assert_acked_present(&set, &run.acked, &format!("member partition {j}"))?;
-            probe_stale_ack(&set, &mut outcome, &format!("member partition {j}"))?;
-            converge_membership(&mut set, "m3", &format!("member partition {j}"))?;
-            outcome.promotions += 1;
-            outcome.removals += 1;
+        let what = format!("member partition {j}");
+        // Even strides: the *joiner* suffers a healing outage
+        // mid-catch-up, and the snapshot transfer and promotion must
+        // still complete. Odd strides: the member being *removed* is
+        // cut permanently — removal must never need its cooperation,
+        // and the group must re-route quorum through the surviving
+        // voters.
+        let heal = (j / stride as u64).is_multiple_of(2);
+        let transport = if heal {
+            MemberPartition::new(&["m3"], j, OUTAGE_OPS)
         } else {
-            // The member being *removed* is cut permanently: removal
-            // must never need its cooperation, and the group must
-            // re-route quorum through the surviving voters.
-            let transport = MemberPartition::new(&["m1"], j, u64::MAX);
-            let run = run_membership(&b_dir, &workload, Io::plain(), transport)?;
-            if run.primary_crashed {
-                return Err(format!("member partition {j}: primary was disturbed"));
-            }
-            let mut set = run.set.expect("set lives");
-            outcome.unreplicated_commits += run.unreplicated;
-            if !run.promoted {
-                return Err(format!(
-                    "member partition {j}: joiner never promoted with m1 cut"
-                ));
-            }
-            if !run.remove_done {
-                return Err(format!(
-                    "member partition {j}: removing a partitioned member never completed"
-                ));
-            }
-            if set.member("m1").is_some() {
-                return Err(format!("member partition {j}: removed member still routed"));
-            }
-            assert_acked_present(&set, &run.acked, &format!("member partition {j}"))?;
-            probe_stale_ack(&set, &mut outcome, &format!("member partition {j}"))?;
-            converge_membership(&mut set, "m3", &format!("member partition {j}"))?;
-            outcome.promotions += 1;
-            outcome.removals += 1;
+            MemberPartition::new(&["m1"], j, u64::MAX)
+        };
+        let mut run = undisturbed(
+            run_membership(&b_dir, &workload, Faults::on(transport))?,
+            &what,
+        )?;
+        outcome.unreplicated_commits += run.unreplicated;
+        if !run.promoted {
+            return Err(if heal {
+                format!("{what}: joiner never promoted after the outage healed")
+            } else {
+                format!("{what}: joiner never promoted with m1 cut")
+            });
         }
+        if !run.remove_done {
+            return Err(if heal {
+                format!("{what}: removal never completed")
+            } else {
+                format!("{what}: removing a partitioned member never completed")
+            });
+        }
+        if !heal && run.set.member("m1").is_some() {
+            return Err(format!("{what}: removed member still routed"));
+        }
+        run.check_acked(&what)?;
+        probe_stale_ack(&run.set, &mut outcome, &what)?;
+        let expect = primary_bytes(&run.set);
+        converge(&mut run.set, &["m3"], &expect, &what)?;
+        outcome.promotions += 1;
+        outcome.removals += 1;
     }
 
     // ---- Staged scenario: failover mid-reconfiguration -------------

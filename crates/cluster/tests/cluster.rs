@@ -8,10 +8,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use mvolap_cluster::{
-    cluster_sweep, cluster_sweep_net, ClusterConfig, ClusterEvent, ClusterSet, LocalCluster,
-    MemberPump, PumpConfig, PumpShared, PumpState, PumpStep, PumpTracker, RejoinOutcome,
+    cluster_sweep, cluster_sweep_net, membership_sweep, ClusterConfig, ClusterEvent, ClusterSet,
+    ClusterSweepOutcome, LocalCluster, MemberPump, MembershipSweepOutcome, PumpConfig, PumpShared,
+    PumpState, PumpStep, PumpTracker, RejoinOutcome,
 };
-use mvolap_durable::fault::{generate, serialise, Step};
+use mvolap_durable::fault::{generate, serialise};
 use mvolap_durable::{
     CheckpointPolicy, DurableError, DurableTmd, FaultPlan, GroupCommit, GroupConfig, Io, Options,
     TailFrame, TimeSource, WalRecord,
@@ -51,7 +52,14 @@ fn answer(tmd: &mvolap_core::Tmd) -> String {
     let versions = tmd.structure_versions();
     format!(
         "{:?}",
-        mvolap_query::run_with_versions(tmd, &versions, QUERY).unwrap()
+        mvolap_query::run_with_versions_par(
+            tmd,
+            &versions,
+            QUERY,
+            &mvolap_core::ExecContext::sequential(),
+            &mvolap_core::QueryMemo::new(),
+        )
+        .unwrap()
     )
 }
 
@@ -109,7 +117,7 @@ fn assert_twin<T: ReplicaTransport>(set: &ClusterSet<T>, name: &str) {
     let primary = set.primary().expect("primary alive");
     let member = set.member(name).expect("member exists");
     assert_eq!(member.next_lsn(), primary.wal_position());
-    let schema = primary.schema();
+    let schema = primary.with_store(|s| s.schema().clone());
     assert_eq!(
         serialise(member.schema().expect("bootstrapped")),
         serialise(&schema),
@@ -143,7 +151,7 @@ fn quorum_commit_advances_watermark_and_members() {
     // Members replayed the evolutions through the validated path into
     // a log that is byte-identical frame by frame, and answer the
     // reference query exactly as the primary does.
-    let ours = p.group().with_store(|s| s.tail(1)).unwrap();
+    let ours = p.with_store(|s| s.tail(1)).unwrap();
     for m in ["m1", "m2"] {
         assert_twin(&set, m);
         assert_eq!(set.member_applied(m), head);
@@ -168,7 +176,6 @@ fn late_joiner_bootstraps_from_snapshot() {
     let oldest = set
         .primary()
         .unwrap()
-        .group()
         .with_store(|s| s.oldest_lsn())
         .unwrap();
     assert!(oldest > 1, "256-byte segments must have pruned");
@@ -221,11 +228,7 @@ fn divergent_frame_is_refused_and_bars_the_member_from_election() {
     let (mut set, _) = three_nodes(&dir, 3);
     let epoch = set.epoch();
     let tail_from = |set: &ClusterSet<ChannelTransport>, lsn: u64| {
-        set.primary()
-            .unwrap()
-            .group()
-            .with_store(|s| s.tail(lsn))
-            .unwrap()
+        set.primary().unwrap().with_store(|s| s.tail(lsn)).unwrap()
     };
 
     // Forge a duplicate of LSN 2 with a different checksum — the claim
@@ -271,14 +274,7 @@ fn divergent_frame_is_refused_and_bars_the_member_from_election() {
 fn commit_without_reachable_members_is_unreplicated() {
     let dir = tmp("unreplicated");
     let workload = generate(3, 2);
-    let record = workload
-        .steps
-        .iter()
-        .find_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
-        .unwrap();
+    let record = workload.ops().next().cloned().unwrap();
     // Both members crash on their very first I/O primitive: they exist
     // but can never fsync, so no ack ever arrives and the commit must
     // surface the typed unreplicated error while staying locally
@@ -326,7 +322,7 @@ fn election_is_deterministic_and_fences_the_deposed_primary() {
     // member id — deterministically the lexically greatest.
     assert_eq!(winner, "m2");
     assert!(epoch > epoch_before);
-    assert_eq!(set.primary().expect("new primary").name(), "m2");
+    assert_eq!(set.primary_name(), Some("m2"));
     assert_eq!(set.primary().expect("new primary").epoch(), epoch);
     // m2 left the member set; m1 remains.
     assert_eq!(set.member_names(), vec!["m1".to_string()]);
@@ -341,7 +337,7 @@ fn election_is_deterministic_and_fences_the_deposed_primary() {
 fn operator_failover_fences_live_primary() {
     let dir = tmp("failover");
     let (mut set, mut rest) = three_nodes(&dir, 5);
-    let before = set.primary().unwrap().schema();
+    let before = set.primary().unwrap().with_store(|s| s.schema().clone());
     let warehouse = |tmd: &mvolap_core::Tmd| {
         mvolap_storage::persist::catalog_digest(
             &mvolap_core::logical::build_multiversion_warehouse(tmd).unwrap(),
@@ -355,7 +351,7 @@ fn operator_failover_fences_live_primary() {
     // tables.
     let promoted = set.primary().unwrap();
     assert_eq!(promoted.epoch(), epoch);
-    let after = promoted.schema();
+    let after = promoted.with_store(|s| s.schema().clone());
     assert_eq!(serialise(&after), serialise(&before));
     assert_eq!(answer(&after), answer(&before));
     assert_eq!(warehouse(&after), warehouse(&before));
@@ -363,17 +359,17 @@ fn operator_failover_fences_live_primary() {
     let retired = set.retired().expect("deposed primary retained");
     assert!(retired.is_fenced());
     match retired.commit(rest.remove(0)) {
-        Err(ReplicaError::Fenced { epoch: at }) => assert_eq!(at, epoch),
+        Err(DurableError::Fenced { epoch: at }) => assert_eq!(at, epoch),
         other => panic!("deposed primary accepted a write: {other:?}"),
     }
     assert!(matches!(
         retired.checkpoint(),
-        Err(ReplicaError::Fenced { .. })
+        Err(DurableError::Fenced { .. })
     ));
     // The fence lives on the group commit itself: a session holding a
     // clone of the deposed primary's handle is refused, typed, too.
     let head = retired.wal_position();
-    match retired.group().clone().commit(rest.remove(0)) {
+    match retired.clone().commit(rest.remove(0)) {
         Err(DurableError::Fenced { epoch: at }) => assert_eq!(at, epoch),
         other => panic!("a clone of the deposed group journaled a write: {other:?}"),
     }
@@ -511,14 +507,7 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
 fn served_cluster_quorums_commits_and_routes_reads() {
     let dir = tmp("served");
     let workload = generate(5, 3);
-    let records: Vec<WalRecord> = workload
-        .steps
-        .iter()
-        .filter_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
-        .collect();
+    let records = ops(&workload);
     let loopback = NetAddr::parse("127.0.0.1:0").unwrap();
     let mut cluster = LocalCluster::start(
         &dir,
@@ -588,14 +577,7 @@ fn served_cluster_quorums_commits_and_routes_reads() {
 
 /// Extracts the plain ops of a generated workload.
 fn ops(workload: &mvolap_durable::fault::Workload) -> Vec<WalRecord> {
-    workload
-        .steps
-        .iter()
-        .filter_map(|s| match s {
-            Step::Op(r) => Some(r.clone()),
-            Step::Checkpoint => None,
-        })
-        .collect()
+    workload.ops().cloned().collect()
 }
 
 /// Drives a pump until it reports Idle, panicking on anything other
@@ -988,7 +970,8 @@ fn member_reported_newer_epoch_stops_every_pump_of_the_primary() {
 }
 
 /// The tentpole guarantee: the full fault sweep. Debug builds run a
-/// smaller workload (the release CI job runs the big one).
+/// smaller workload (the release CI job runs the big one); every
+/// outcome field is pinned at both sizes.
 #[test]
 fn cluster_sweep_holds_every_invariant() {
     let records = if cfg!(debug_assertions) { 6 } else { 12 };
@@ -1011,6 +994,44 @@ fn cluster_sweep_holds_every_invariant() {
         "no rejoin exercised"
     );
     assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
+    let expected = if cfg!(debug_assertions) {
+        ClusterSweepOutcome {
+            injection_points: 232,
+            primary_crashes: 20,
+            member_crashes: 20,
+            partitions: 192,
+            healed_outages: 96,
+            elections: 107,
+            failed_elections: 1,
+            fenced_refusals: 96,
+            truncated_rejoins: 6,
+            rebuilt_rejoins: 0,
+            clean_rejoins: 100,
+            unpromotable: 10,
+            unreplicated_commits: 0,
+            divergence_refusals: 3,
+            records: 6,
+        }
+    } else {
+        ClusterSweepOutcome {
+            injection_points: 448,
+            primary_crashes: 32,
+            member_crashes: 32,
+            partitions: 384,
+            healed_outages: 192,
+            elections: 215,
+            failed_elections: 1,
+            fenced_refusals: 192,
+            truncated_rejoins: 12,
+            rebuilt_rejoins: 0,
+            clean_rejoins: 202,
+            unpromotable: 10,
+            unreplicated_commits: 0,
+            divergence_refusals: 3,
+            records: 12,
+        }
+    };
+    assert_eq!(outcome, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1060,19 +1081,23 @@ fn net_cluster_sweep_holds_over_loopback_tcp() {
     assert!(outcome.healed_outages > 0, "{outcome:?}");
     assert!(outcome.unreplicated_commits > 0, "{outcome:?}");
     assert!(outcome.failed_elections > 0, "{outcome:?}");
+    // Only the point count is pinned: the unreplicated and
+    // failed-election tallies depend on socket timeouts.
+    let points = if cfg!(debug_assertions) { 156 } else { 416 };
+    assert_eq!(outcome.injection_points, points, "{outcome:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The membership sweep: crash the primary at every I/O primitive and
 /// partition the joiner / the removed member during a journaled
 /// reconfiguration. Debug builds run a smaller workload (the release
-/// CI job runs the big one and asserts the ≥200-point floor).
+/// CI job runs the big one and asserts the ≥200-point floor); every
+/// outcome field is pinned at both sizes.
 #[test]
 fn membership_sweep_holds_every_invariant() {
     let records = if cfg!(debug_assertions) { 6 } else { 18 };
     let dir = tmp("membership-sweep");
-    let outcome =
-        mvolap_cluster::membership_sweep(&dir, 0xA11u64, records).expect("membership invariants");
+    let outcome = membership_sweep(&dir, 0xA11u64, records).expect("membership invariants");
     let floor = if cfg!(debug_assertions) { 60 } else { 200 };
     assert!(
         outcome.injection_points >= floor,
@@ -1090,6 +1115,38 @@ fn membership_sweep_holds_every_invariant() {
         outcome.resumed_reconfigs > 0,
         "no in-flight reconfiguration survived a failover"
     );
+    let expected = if cfg!(debug_assertions) {
+        MembershipSweepOutcome {
+            injection_points: 256,
+            primary_crashes: 31,
+            partitions: 224,
+            promotions: 225,
+            removals: 225,
+            elections: 23,
+            fenced_refusals: 1,
+            stale_acks_fenced: 225,
+            resumed_reconfigs: 5,
+            unpromotable: 10,
+            unreplicated_commits: 0,
+            records: 6,
+        }
+    } else {
+        MembershipSweepOutcome {
+            injection_points: 208,
+            primary_crashes: 55,
+            partitions: 152,
+            promotions: 153,
+            removals: 153,
+            elections: 47,
+            fenced_refusals: 1,
+            stale_acks_fenced: 153,
+            resumed_reconfigs: 5,
+            unpromotable: 10,
+            unreplicated_commits: 0,
+            records: 18,
+        }
+    };
+    assert_eq!(outcome, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -23,8 +23,15 @@
 //! crash *after* the record reached the disk but *before* the
 //! acknowledgement returns leaves a fully journaled record the caller
 //! was never told about; recovery legitimately surfaces it.
+//!
+//! [`crash_sweep`] and [`group_crash_sweep`] are two instances of one
+//! crash-point harness that differ only in how often a record is
+//! fsynced and in the upper end of that window. [`Prefixes`] holds the
+//! prefix states; the cluster crate's sweeps check replicated schemas
+//! against it too.
 
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 use mvolap_core::evolution::{MergeSource, SplitPart};
@@ -63,8 +70,18 @@ pub struct Workload {
     pub records: usize,
 }
 
+impl Workload {
+    /// The logical records, in order, without the checkpoints.
+    pub fn ops(&self) -> impl Iterator<Item = &WalRecord> {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Op(r) => Some(r),
+            Step::Checkpoint => None,
+        })
+    }
+}
+
 /// What a [`crash_sweep`] established.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SweepOutcome {
     /// Crash points exercised (= I/O primitives in the fault-free run).
     pub crash_points: u64,
@@ -376,36 +393,6 @@ pub fn sweep_options() -> Options {
     }
 }
 
-/// Runs `workload` against a fresh store in `dir`. Returns the number
-/// of records committed and, when the run finished without a fault,
-/// the total number of I/O primitives performed.
-fn run_workload(dir: &Path, workload: &Workload, io: Io) -> Result<(u64, Option<u64>), String> {
-    std::fs::remove_dir_all(dir).ok();
-    let mut store =
-        match DurableTmd::create_with(dir, workload.seed_schema.clone(), sweep_options(), io) {
-            Ok(s) => s,
-            Err(e) if e.is_io_class() => return Ok((0, None)),
-            Err(e) => return Err(format!("create failed non-faultily: {e}")),
-        };
-    let mut committed = 0u64;
-    for step in &workload.steps {
-        let res = match step {
-            Step::Op(record) => store.apply(record.clone()).map(|_| ()),
-            Step::Checkpoint => store.checkpoint().map(|_| ()),
-        };
-        match res {
-            Ok(()) => {
-                if matches!(step, Step::Op(_)) {
-                    committed += 1;
-                }
-            }
-            Err(e) if e.is_io_class() => return Ok((committed, None)),
-            Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
-        }
-    }
-    Ok((committed, Some(store.io_ops())))
-}
-
 /// The schema's canonical bytes — what "byte-identical" means in every
 /// sweep assertion.
 #[must_use]
@@ -413,68 +400,6 @@ pub fn serialise(tmd: &Tmd) -> Vec<u8> {
     let mut buf = Vec::new();
     write_tmd(tmd, &mut buf).expect("in-memory serialisation cannot fail");
     buf
-}
-
-/// Runs `workload` with the group-commit building blocks: records are
-/// appended unsynced and a shared fsync lands after every `sync_every`
-/// records (checkpoints also make everything applied durable). Returns
-/// `(committed, attempted, ops)` — records durably acknowledged by a
-/// completed sync, records applied (possibly awaiting one), and the
-/// primitive count when the run finished fault-free.
-fn run_workload_batched(
-    dir: &Path,
-    workload: &Workload,
-    io: Io,
-    sync_every: u64,
-) -> Result<(u64, u64, Option<u64>), String> {
-    std::fs::remove_dir_all(dir).ok();
-    let mut store =
-        match DurableTmd::create_with(dir, workload.seed_schema.clone(), sweep_options(), io) {
-            Ok(s) => s,
-            Err(e) if e.is_io_class() => return Ok((0, 0, None)),
-            Err(e) => return Err(format!("create failed non-faultily: {e}")),
-        };
-    let mut committed = 0u64;
-    let mut attempted = 0u64;
-    let mut unsynced = 0u64;
-    for step in &workload.steps {
-        match step {
-            Step::Op(record) => match store.apply_unsynced(record.clone()) {
-                Ok(_) => {
-                    attempted += 1;
-                    unsynced += 1;
-                    if unsynced >= sync_every {
-                        match store.sync_wal() {
-                            Ok(_) => {
-                                committed = attempted;
-                                unsynced = 0;
-                            }
-                            Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                            Err(e) => return Err(format!("sync failed non-faultily: {e}")),
-                        }
-                    }
-                }
-                Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
-            },
-            Step::Checkpoint => match store.checkpoint() {
-                Ok(_) => {
-                    // The snapshot durably contains every applied
-                    // record, synced or not.
-                    committed = attempted;
-                    unsynced = 0;
-                }
-                Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-                Err(e) => return Err(format!("checkpoint failed non-faultily: {e}")),
-            },
-        }
-    }
-    match store.sync_wal() {
-        Ok(_) => committed = attempted,
-        Err(e) if e.is_io_class() => return Ok((committed, attempted, None)),
-        Err(e) => return Err(format!("final sync failed non-faultily: {e}")),
-    }
-    Ok((committed, attempted, Some(store.io_ops())))
 }
 
 /// Fingerprints the answer a schema gives to the reference aggregate
@@ -502,8 +427,212 @@ pub fn query_fingerprint(tmd: &Tmd, org: DimensionId) -> Result<Vec<String>, Str
         .collect())
 }
 
-/// Sweeps every crash point of the seeded workload under `base_dir` and
-/// checks prefix-consistent recovery at each one.
+/// Every committed prefix of a workload, replayed in memory: the
+/// schema and its bytes after each record (index `q` = state after `q`
+/// records). Recovered and replicated schemas are checked against it.
+#[derive(Debug)]
+pub struct Prefixes {
+    org: DimensionId,
+    bytes: Vec<Vec<u8>>,
+    tmds: Vec<Tmd>,
+}
+
+impl Prefixes {
+    /// Replays `workload`'s records onto its seed schema.
+    ///
+    /// # Errors
+    ///
+    /// A record that does not apply to its own prefix.
+    pub fn replay(workload: &Workload) -> Result<Prefixes, String> {
+        let mut state = workload.seed_schema.clone();
+        let mut tmds = vec![state.clone()];
+        for record in workload.ops() {
+            record
+                .apply(&mut state)
+                .map_err(|e| format!("prefix replay failed: {e}"))?;
+            tmds.push(state.clone());
+        }
+        Ok(Prefixes {
+            org: workload.org,
+            bytes: tmds.iter().map(serialise).collect(),
+            tmds,
+        })
+    }
+
+    /// The canonical bytes of the state after `q` records.
+    ///
+    /// # Panics
+    ///
+    /// When `q` exceeds the workload's record count.
+    #[must_use]
+    pub fn bytes(&self, q: usize) -> &[u8] {
+        &self.bytes[q]
+    }
+
+    /// The first prefix `q` in `window` that `schema` serialises to,
+    /// after checking that `schema` also answers the reference query
+    /// ([`query_fingerprint`]) exactly as that prefix does.
+    ///
+    /// # Errors
+    ///
+    /// No prefix in `window` matches, or the matching one answers
+    /// differently.
+    pub fn find(&self, schema: &Tmd, window: RangeInclusive<usize>) -> Result<usize, String> {
+        let got = serialise(schema);
+        let q = window
+            .clone()
+            .find(|&q| self.bytes.get(q) == Some(&got))
+            .ok_or_else(|| format!("state is not the applied prefix in {window:?}"))?;
+        if query_fingerprint(schema, self.org)? != query_fingerprint(&self.tmds[q], self.org)? {
+            return Err(format!(
+                "answers the reference query differently at prefix {q}"
+            ));
+        }
+        Ok(q)
+    }
+}
+
+/// One run of a workload against a store.
+struct Run {
+    /// Records made durable by a completed sync (or checkpoint).
+    committed: u64,
+    /// Records applied, durable or not.
+    attempted: u64,
+    /// I/O primitives performed, when the run finished without a fault.
+    ops: Option<u64>,
+}
+
+/// Runs `workload` against a fresh store in `dir`, appending each
+/// record unsynced and fsyncing after every `sync_every` of them (and,
+/// when batched, once at the end); checkpoints make everything applied
+/// durable.
+fn run_workload(dir: &Path, workload: &Workload, io: Io, sync_every: u64) -> Result<Run, String> {
+    std::fs::remove_dir_all(dir).ok();
+    let mut run = Run {
+        committed: 0,
+        attempted: 0,
+        ops: None,
+    };
+    let mut store =
+        match DurableTmd::create_with(dir, workload.seed_schema.clone(), sweep_options(), io) {
+            Ok(s) => s,
+            Err(e) if e.is_io_class() => return Ok(run),
+            Err(e) => return Err(format!("create failed non-faultily: {e}")),
+        };
+    // `None` closes the run.
+    for step in workload.steps.iter().map(Some).chain([None]) {
+        let res = match step {
+            Some(Step::Op(record)) => store
+                .apply_unsynced(record.clone())
+                .map(|_| run.attempted += 1),
+            Some(Step::Checkpoint) => store.checkpoint().map(|_| run.committed = run.attempted),
+            None => Ok(()),
+        }
+        .and_then(|()| {
+            // A batched run closes with one flush of its last batch,
+            // pending or not (one more primitive); at `sync_every` 1
+            // nothing is ever pending, so there is no such flush.
+            let due = match step {
+                Some(_) => run.attempted - run.committed >= sync_every,
+                None => sync_every > 1,
+            };
+            if !due {
+                return Ok(());
+            }
+            store.sync_wal().map(|_| run.committed = run.attempted)
+        });
+        match res {
+            Ok(()) => {}
+            Err(e) if e.is_io_class() => return Ok(run),
+            Err(e) => return Err(format!("workload step failed non-faultily: {e}")),
+        }
+    }
+    run.ops = Some(store.io_ops());
+    Ok(run)
+}
+
+/// The crash-point harness both sweeps instantiate: a fault-free run
+/// that counts the I/O primitives and must reopen to the final prefix,
+/// then one run per primitive `k` that crashes there, recovers, and
+/// must land on a prefix `q` with `committed ≤ q ≤ hi(run)` that also
+/// answers the reference query identically.
+fn sweep_crash_points(
+    base_dir: &Path,
+    seed: u64,
+    target_records: usize,
+    sync_every: u64,
+    hi: impl Fn(&Run) -> usize,
+) -> Result<SweepOutcome, String> {
+    let workload = generate(seed, target_records);
+    let prefixes = Prefixes::replay(&workload)?;
+
+    let free_dir = base_dir.join("fault-free");
+    let free = run_workload(&free_dir, &workload, Io::plain(), sync_every)?;
+    let total_ops = free
+        .ops
+        .ok_or_else(|| "fault-free run reported a fault".to_owned())?;
+    if free.committed != workload.records as u64 {
+        return Err(format!(
+            "fault-free run committed {}/{} records",
+            free.committed, workload.records
+        ));
+    }
+    // The fault-free store must recover to its own final state.
+    let reopened = DurableTmd::open(&free_dir).map_err(|e| format!("clean reopen failed: {e}"))?;
+    if serialise(reopened.schema()) != prefixes.bytes(workload.records) {
+        return Err("clean reopen diverged from the applied sequence".to_owned());
+    }
+
+    let mut outcome = SweepOutcome {
+        crash_points: total_ops,
+        records: workload.records,
+        ..SweepOutcome::default()
+    };
+    let crash_dir = base_dir.join("crash");
+    for k in 0..total_ops {
+        let io = Io::faulty(FaultPlan::crash_after(k, seed));
+        let run = run_workload(&crash_dir, &workload, io, sync_every)?;
+        if run.ops.is_some() {
+            return Err(format!("crash point {k} never fired (T={total_ops})"));
+        }
+        let committed = run.committed as usize;
+        match DurableTmd::open(&crash_dir) {
+            Err(DurableError::NoStore) if committed == 0 => outcome.recovered_empty += 1,
+            Err(DurableError::NoStore) => {
+                return Err(format!(
+                    "crash {k}: {committed} committed records but recovery found no store"
+                ))
+            }
+            Err(e) => {
+                return Err(format!(
+                    "crash {k}: recovery failed ({committed} committed): {e}"
+                ))
+            }
+            Ok(store) => {
+                let q = prefixes
+                    .find(store.schema(), committed..=hi(&run))
+                    .map_err(|e| {
+                        format!(
+                            "crash {k}: recovered store {e} ({committed} committed, {} attempted)",
+                            run.attempted
+                        )
+                    })?;
+                if q == committed {
+                    outcome.recovered_at_committed += 1;
+                } else {
+                    outcome.recovered_ahead += 1;
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&crash_dir).ok();
+    std::fs::remove_dir_all(&free_dir).ok();
+    Ok(outcome)
+}
+
+/// Sweeps every crash point of the seeded workload under `base_dir`,
+/// each record committed (fsynced) on its own, and checks
+/// prefix-consistent recovery at each one.
 ///
 /// # Errors
 ///
@@ -514,100 +643,9 @@ pub fn crash_sweep(
     seed: u64,
     target_records: usize,
 ) -> Result<SweepOutcome, String> {
-    let workload = generate(seed, target_records);
-
-    // Prefix states: serialised schema + query fingerprint after each
-    // committed record. Index q = state after q records.
-    let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
-    let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
-    let mut state = workload.seed_schema.clone();
-    prefix_bytes.push(serialise(&state));
-    prefix_tmds.push(state.clone());
-    for step in &workload.steps {
-        if let Step::Op(record) = step {
-            record
-                .apply(&mut state)
-                .map_err(|e| format!("prefix replay failed: {e}"))?;
-            prefix_bytes.push(serialise(&state));
-            prefix_tmds.push(state.clone());
-        }
-    }
-
-    // Fault-free run: establishes the crash-point count.
-    let free_dir = base_dir.join("fault-free");
-    let (committed, ops) = run_workload(&free_dir, &workload, Io::plain())?;
-    let total_ops = ops.ok_or_else(|| "fault-free run reported a fault".to_owned())?;
-    if committed != workload.records as u64 {
-        return Err(format!(
-            "fault-free run committed {committed}/{} records",
-            workload.records
-        ));
-    }
-    // The fault-free store must recover to its own final state.
-    let reopened = DurableTmd::open(&free_dir).map_err(|e| format!("clean reopen failed: {e}"))?;
-    if serialise(reopened.schema()) != prefix_bytes[workload.records] {
-        return Err("clean reopen diverged from the applied sequence".to_owned());
-    }
-
-    let mut outcome = SweepOutcome {
-        crash_points: total_ops,
-        records: workload.records,
-        ..SweepOutcome::default()
-    };
-
-    let crash_dir = base_dir.join("crash");
-    for k in 0..total_ops {
-        let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let (committed, finished) = run_workload(&crash_dir, &workload, io)?;
-        if finished.is_some() {
-            return Err(format!("crash point {k} never fired (T={total_ops})"));
-        }
-        match DurableTmd::open(&crash_dir) {
-            Err(DurableError::NoStore) => {
-                if committed != 0 {
-                    return Err(format!(
-                        "crash {k}: {committed} committed records but recovery found no store"
-                    ));
-                }
-                outcome.recovered_empty += 1;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "crash {k}: recovery failed ({committed} committed): {e}"
-                ))
-            }
-            Ok(store) => {
-                let got = serialise(store.schema());
-                let committed = committed as usize;
-                let q = (committed..=committed + 1)
-                    .find(|&q| prefix_bytes.get(q) == Some(&got))
-                    .ok_or_else(|| {
-                        format!(
-                            "crash {k}: recovered state is not the applied prefix \
-                             ({committed} committed, {} attempted-at-most)",
-                            committed + 1
-                        )
-                    })?;
-                if q == committed {
-                    outcome.recovered_at_committed += 1;
-                } else {
-                    outcome.recovered_ahead += 1;
-                }
-                // The recovered store must answer queries exactly like
-                // the in-memory prefix replay.
-                let expect = query_fingerprint(&prefix_tmds[q], workload.org)?;
-                let actual = query_fingerprint(store.schema(), workload.org)?;
-                if expect != actual {
-                    return Err(format!(
-                        "crash {k}: recovered store answers differently at prefix {q}"
-                    ));
-                }
-            }
-        }
-    }
-    std::fs::remove_dir_all(&crash_dir).ok();
-    std::fs::remove_dir_all(&free_dir).ok();
-    Ok(outcome)
+    sweep_crash_points(base_dir, seed, target_records, 1, |run| {
+        run.committed as usize + 1
+    })
 }
 
 /// [`crash_sweep`] for the **group-commit path**: the workload runs
@@ -631,99 +669,10 @@ pub fn group_crash_sweep(
     target_records: usize,
     sync_every: u64,
 ) -> Result<SweepOutcome, String> {
-    let workload = generate(seed, target_records);
-
-    let mut prefix_bytes = Vec::with_capacity(workload.records + 1);
-    let mut prefix_tmds = Vec::with_capacity(workload.records + 1);
-    let mut state = workload.seed_schema.clone();
-    prefix_bytes.push(serialise(&state));
-    prefix_tmds.push(state.clone());
-    for step in &workload.steps {
-        if let Step::Op(record) = step {
-            record
-                .apply(&mut state)
-                .map_err(|e| format!("prefix replay failed: {e}"))?;
-            prefix_bytes.push(serialise(&state));
-            prefix_tmds.push(state.clone());
-        }
-    }
-
-    // Fault-free run: establishes the crash-point count and proves the
-    // batched path commits everything.
-    let free_dir = base_dir.join("fault-free");
-    let (committed, attempted, ops) =
-        run_workload_batched(&free_dir, &workload, Io::plain(), sync_every)?;
-    let total_ops = ops.ok_or_else(|| "fault-free run reported a fault".to_owned())?;
-    if committed != workload.records as u64 || attempted != committed {
-        return Err(format!(
-            "fault-free batched run committed {committed}/{} records",
-            workload.records
-        ));
-    }
-    let reopened = DurableTmd::open(&free_dir).map_err(|e| format!("clean reopen failed: {e}"))?;
-    if serialise(reopened.schema()) != prefix_bytes[workload.records] {
-        return Err("clean batched reopen diverged from the applied sequence".to_owned());
-    }
-
-    let mut outcome = SweepOutcome {
-        crash_points: total_ops,
-        records: workload.records,
-        ..SweepOutcome::default()
-    };
-
-    let crash_dir = base_dir.join("crash");
-    for k in 0..total_ops {
-        let io = Io::faulty(FaultPlan::crash_after(k, seed));
-        let (committed, attempted, finished) =
-            run_workload_batched(&crash_dir, &workload, io, sync_every)?;
-        if finished.is_some() {
-            return Err(format!("crash point {k} never fired (T={total_ops})"));
-        }
-        match DurableTmd::open(&crash_dir) {
-            Err(DurableError::NoStore) => {
-                if committed != 0 {
-                    return Err(format!(
-                        "crash {k}: {committed} committed records but recovery found no store"
-                    ));
-                }
-                outcome.recovered_empty += 1;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "crash {k}: recovery failed ({committed} committed): {e}"
-                ))
-            }
-            Ok(store) => {
-                let got = serialise(store.schema());
-                let committed = committed as usize;
-                // `attempted + 1` slack: the crash may have hit the
-                // write of the next record after a complete frame
-                // reached the disk, exactly as in the classic sweep.
-                let hi = (attempted as usize + 1).min(workload.records);
-                let q = (committed..=hi)
-                    .find(|&q| prefix_bytes.get(q) == Some(&got))
-                    .ok_or_else(|| {
-                        format!(
-                            "crash {k}: recovered state is not an applied prefix \
-                             ({committed} committed, {attempted} attempted)"
-                        )
-                    })?;
-                if q == committed {
-                    outcome.recovered_at_committed += 1;
-                } else {
-                    outcome.recovered_ahead += 1;
-                }
-                let expect = query_fingerprint(&prefix_tmds[q], workload.org)?;
-                let actual = query_fingerprint(store.schema(), workload.org)?;
-                if expect != actual {
-                    return Err(format!(
-                        "crash {k}: recovered store answers differently at prefix {q}"
-                    ));
-                }
-            }
-        }
-    }
-    std::fs::remove_dir_all(&crash_dir).ok();
-    std::fs::remove_dir_all(&free_dir).ok();
-    Ok(outcome)
+    // `attempted + 1` slack: the crash may have hit the write of the
+    // next record after a complete frame reached the disk, exactly as
+    // in the classic sweep.
+    sweep_crash_points(base_dir, seed, target_records, sync_every, |run| {
+        (run.attempted as usize + 1).min(target_records)
+    })
 }

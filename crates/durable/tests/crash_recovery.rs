@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use mvolap_core::case_study;
 use mvolap_core::persist::write_tmd;
 use mvolap_durable::{
-    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, WalRecord,
+    crash_sweep, group_crash_sweep, DurableError, DurableTmd, FactRow, SweepOutcome, WalRecord,
 };
 use mvolap_temporal::Instant;
 
@@ -33,7 +33,8 @@ fn snapshot(tmd: &mvolap_core::Tmd) -> Vec<u8> {
 }
 
 /// The acceptance criterion: every crash point of the seeded workload
-/// recovers prefix-consistently, and there are at least 200 of them.
+/// recovers prefix-consistently, and there are at least 200 of them
+/// (282, with every outcome field pinned).
 #[test]
 fn crash_sweep_recovers_a_prefix_at_every_point() {
     let dir = tmp("sweep");
@@ -54,6 +55,16 @@ fn crash_sweep_recovers_a_prefix_at_every_point() {
         outcome.recovered_empty + outcome.recovered_at_committed + outcome.recovered_ahead,
         outcome.crash_points
     );
+    assert_eq!(
+        outcome,
+        SweepOutcome {
+            crash_points: 282,
+            records: 110,
+            recovered_empty: 7,
+            recovered_at_committed: 163,
+            recovered_ahead: 112,
+        }
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -64,6 +75,16 @@ fn crash_sweep_holds_under_a_different_seed() {
     let dir = tmp("sweep2");
     let outcome = crash_sweep(&dir, 42, 60).expect("sweep invariant violated");
     assert!(outcome.crash_points >= 120);
+    assert_eq!(
+        outcome,
+        SweepOutcome {
+            crash_points: 133,
+            records: 60,
+            recovered_empty: 7,
+            recovered_at_committed: 64,
+            recovered_ahead: 62,
+        }
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -88,6 +109,16 @@ fn group_commit_crash_sweep_recovers_a_prefix_at_every_point() {
     assert_eq!(
         outcome.recovered_empty + outcome.recovered_at_committed + outcome.recovered_ahead,
         outcome.crash_points
+    );
+    assert_eq!(
+        outcome,
+        SweepOutcome {
+            crash_points: 149,
+            records: 90,
+            recovered_empty: 7,
+            recovered_at_committed: 26,
+            recovered_ahead: 116,
+        }
     );
     std::fs::remove_dir_all(&dir).ok();
 }

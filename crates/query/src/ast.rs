@@ -57,7 +57,7 @@ pub enum ModeSpec {
     },
     /// `ALL MODES [WITH WEIGHTS s,e,a,u]` — evaluate under every
     /// temporal mode and score each with the §5.2 quality factor
-    /// (execute via [`crate::run_compare`]).
+    /// (execute via [`crate::run_compare_par`]).
     AllModes {
         /// Optional `pds` weights for (source, exact, approx, unknown).
         weights: Option<(u8, u8, u8, u8)>,

@@ -27,7 +27,7 @@
 //!   `VERSION n` (the n-th inferred structure version), or `AT mm/yyyy`
 //!   (the structure version valid at that instant). `IN ALL MODES`
 //!   evaluates every mode and ranks them by the §5.2 quality factor
-//!   (execute with [`run_compare`]; [`compare_modes`] scores a planned
+//!   (execute with [`run_compare_par`]; [`compare_modes`] scores a planned
 //!   query in every mode, in TMP order).
 //!
 //! [`CubeView`] navigates a query the way the §5.2 front end does:
@@ -59,7 +59,7 @@ pub use error::QueryError;
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::parse;
 pub use plan::{
-    compare_modes, is_all_modes, plan, render_answer, run, run_compare, run_compare_par, run_par,
-    run_with_versions, run_with_versions_par, ModeResult,
+    compare_modes, is_all_modes, plan, render_answer, run, run_compare_par, run_with_versions_par,
+    ModeResult,
 };
 pub use view::CubeView;

@@ -82,7 +82,8 @@ pub fn plan(
     let mode = match &query.mode {
         ModeSpec::AllModes { .. } => {
             return Err(QueryError::Unresolved(
-                "ALL MODES queries compare presentations; execute them with `run_compare`".into(),
+                "ALL MODES compares one presentation per temporal mode and has no single plan"
+                    .into(),
             ))
         }
         ModeSpec::Tcm => TemporalMode::Consistent,
@@ -138,29 +139,9 @@ pub fn plan(
 }
 
 /// Parses, plans and executes a query string against a schema, reusing
-/// pre-inferred structure versions.
-///
-/// # Errors
-///
-/// Any lexing, parsing, planning or execution failure.
-pub fn run_with_versions(
-    tmd: &Tmd,
-    structure_versions: &[StructureVersion],
-    input: &str,
-) -> Result<ResultSet> {
-    run_with_versions_par(
-        tmd,
-        structure_versions,
-        input,
-        &ExecContext::sequential(),
-        &QueryMemo::new(),
-    )
-}
-
-/// Morsel-parallel [`run_with_versions`]: execution routes through
+/// pre-inferred structure versions. Execution routes through
 /// [`evaluate_par`] with the caller's [`ExecContext`] and shared
-/// [`QueryMemo`]. Results are bit-identical to the sequential run for
-/// any thread count.
+/// [`QueryMemo`]; results are bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -184,17 +165,13 @@ pub fn run_with_versions_par(
 /// Any lexing, parsing, planning or execution failure.
 pub fn run(tmd: &Tmd, input: &str) -> Result<ResultSet> {
     let svs = tmd.structure_versions();
-    run_with_versions(tmd, &svs, input)
-}
-
-/// Morsel-parallel [`run`]; see [`run_with_versions_par`].
-///
-/// # Errors
-///
-/// Any lexing, parsing, planning or execution failure.
-pub fn run_par(tmd: &Tmd, input: &str, ctx: &ExecContext, memo: &QueryMemo) -> Result<ResultSet> {
-    let svs = tmd.structure_versions();
-    run_with_versions_par(tmd, &svs, input, ctx, memo)
+    run_with_versions_par(
+        tmd,
+        &svs,
+        input,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
 }
 
 /// One entry of an `IN ALL MODES` comparison: the mode's result plus its
@@ -208,7 +185,7 @@ pub struct ModeResult {
 }
 
 /// True when `input` parses as an `IN ALL MODES` query, i.e. the
-/// comparison path ([`run_compare`] / [`run_compare_par`]) applies
+/// comparison path ([`run_compare_par`]) applies
 /// rather than the single-mode runners. Unparseable input is `false` —
 /// the single-mode runner will surface the parse error.
 #[must_use]
@@ -223,18 +200,9 @@ pub fn is_all_modes(input: &str) -> bool {
 /// ordered best-quality first (ties keep TMP order).
 ///
 /// Plain `IN MODE …` queries are also accepted and yield a single entry.
-///
-/// # Errors
-///
-/// Any lexing, parsing, planning or execution failure.
-pub fn run_compare(tmd: &Tmd, input: &str) -> Result<Vec<ModeResult>> {
-    run_compare_par(tmd, input, &ExecContext::sequential(), &QueryMemo::new())
-}
-
-/// Morsel-parallel [`run_compare`]: every mode's evaluation shares
-/// `memo`, so mapping routes resolved for one presentation are reused
-/// by the others. Bit-identical to [`run_compare`] for any thread
-/// count.
+/// Every mode's evaluation shares `memo`, so mapping routes resolved
+/// for one presentation are reused by the others; results are
+/// bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -347,6 +315,10 @@ mod tests {
     use mvolap_core::case_study::case_study;
     use mvolap_core::Confidence;
 
+    fn compare(tmd: &Tmd, input: &str) -> Result<Vec<ModeResult>> {
+        run_compare_par(tmd, input, &ExecContext::sequential(), &QueryMemo::new())
+    }
+
     #[test]
     fn q1_tcm_matches_table_4() {
         let cs = case_study();
@@ -454,7 +426,7 @@ mod tests {
     #[test]
     fn all_modes_comparison_ranks_by_quality() {
         let cs = case_study();
-        let results = run_compare(
+        let results = compare(
             &cs.tmd,
             "SELECT sum(Amount) BY year, Org.Department FOR 2002..2003 IN ALL MODES",
         )
@@ -474,7 +446,7 @@ mod tests {
         let cs = case_study();
         // A user who fully trusts exact mappings: the 2002 structure
         // (exact merge) ties tcm at 1.0.
-        let results = run_compare(
+        let results = compare(
             &cs.tmd,
             "SELECT sum(Amount) BY year, Org.Department FOR 2002..2003 \
              IN ALL MODES WITH WEIGHTS 10,10,0,0",
@@ -540,7 +512,7 @@ mod tests {
     #[test]
     fn run_compare_accepts_single_mode_queries() {
         let cs = case_study();
-        let results = run_compare(
+        let results = compare(
             &cs.tmd,
             "SELECT sum(Amount) BY year, Org.Division FOR 2001..2002 IN MODE VERSION 1",
         )

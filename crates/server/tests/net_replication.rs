@@ -60,7 +60,14 @@ fn answer(tmd: &Tmd) -> String {
     let versions = tmd.structure_versions();
     format!(
         "{:?}",
-        mvolap_query::run_with_versions(tmd, &versions, QUERY).unwrap()
+        mvolap_query::run_with_versions_par(
+            tmd,
+            &versions,
+            QUERY,
+            &mvolap_core::ExecContext::sequential(),
+            &mvolap_core::QueryMemo::new(),
+        )
+        .unwrap()
     )
 }
 
@@ -130,7 +137,7 @@ fn net_follower_syncs_over_tcp_then_promotion_fences_old_server() {
     );
 
     // Promote: the follower's store becomes a primary at epoch 1 and
-    // answers run_with_versions byte-identically to the deposed one.
+    // answers the reference query byte-identically to the deposed one.
     let promoted = GroupCommit::new(f.into_primary_store().unwrap(), GroupConfig::default());
     promoted.adopt_epoch(1);
     assert_eq!(promoted.with_store(|s| serialise(s.schema())), expect_bytes);

@@ -53,7 +53,7 @@ use mvolap::core::{ConfidenceWeights, DimensionId, ExecContext, MemberVersionId,
 use mvolap::durable::{
     CheckpointPolicy, DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord,
 };
-use mvolap::query::{compare_modes, parse, render_answer, run_with_versions};
+use mvolap::query::{compare_modes, parse, render_answer, run_with_versions_par};
 use mvolap::replica::{sync_follower, Follower, NetAddr, NetClient, NetConfig, ReplicaError};
 use mvolap::server::{ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
@@ -722,9 +722,9 @@ fn command(session: &mut Session, cmd: &str) -> bool {
             quality(session, &rest.join(" "));
         }
         "grid" => {
-            let rest: Vec<&str> = parts.collect();
-            let svs = session.tmd().structure_versions();
-            match run_with_versions(session.tmd(), &svs, &rest.join(" ")) {
+            let (tmd, query) = (session.tmd(), parts.collect::<Vec<_>>().join(" "));
+            let (svs, exec) = (tmd.structure_versions(), ExecContext::sequential());
+            match run_with_versions_par(tmd, &svs, &query, &exec, &QueryMemo::new()) {
                 Ok(rs) => print!("{}", rs.render_grid(0)),
                 Err(e) => println!("error: {e}"),
             }

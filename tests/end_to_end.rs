@@ -5,8 +5,8 @@
 
 use mvolap::core::aggregate::{evaluate, AggregateQuery, TimeLevel};
 use mvolap::core::logical;
-use mvolap::core::{Confidence, MultiVersionFactTable, QueryMemo, TemporalMode};
-use mvolap::query::{run_with_versions, CubeView};
+use mvolap::core::{Confidence, ExecContext, MultiVersionFactTable, QueryMemo, TemporalMode};
+use mvolap::query::{run_with_versions_par, CubeView};
 use mvolap::workload::{generate, WorkloadConfig};
 
 fn evolving_workload(seed: u64) -> mvolap::workload::GeneratedWorkload {
@@ -76,10 +76,12 @@ fn consistent_mode_rows_equal_fact_count() {
 fn query_language_agrees_with_programmatic_api() {
     let w = evolving_workload(33);
     let svs = w.tmd.structure_versions();
-    let rs_text = run_with_versions(
+    let rs_text = run_with_versions_par(
         &w.tmd,
         &svs,
         "SELECT sum(Amount) BY year, Org.Division IN MODE tcm",
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
     )
     .expect("query runs");
     let rs_api = evaluate(

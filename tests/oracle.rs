@@ -691,3 +691,40 @@ fn engine_agrees_with_the_naive_oracle_for_every_aggregator() {
         "the unknown merge share must poison some cell"
     );
 }
+
+/// Operator scripts: the durable crate's generated `WalRecord`
+/// sequences — `Reclassify`, `Transform`, `Confidence` and bare
+/// `UNKNOWN` associates among them — applied through `WalRecord::apply`
+/// and checked on every 25th prefix and on each final state.
+#[test]
+fn engine_agrees_with_the_naive_oracle_on_operator_scripts() {
+    let (mut confidences, mut unmapped) = (BTreeSet::new(), 0);
+    for (seed, records) in [(0xD15C_0B0B, 110), (7, 200)] {
+        let script = mvolap::durable::generate(seed, records);
+        let mut tmd = script.seed_schema.clone();
+        for (n, record) in (1..).zip(script.ops()) {
+            record.apply(&mut tmd).unwrap();
+            if n % 25 == 0 || n == script.records {
+                let (c, u) = check(&Input {
+                    name: format!("script {seed:#x}, prefix {n}"),
+                    tmd: tmd.clone(),
+                    division: "North",
+                });
+                confidences.extend(c);
+                unmapped = unmapped.max(u);
+            }
+        }
+    }
+    assert!(
+        [
+            Confidence::Source,
+            Confidence::Exact,
+            Confidence::Approx,
+            Confidence::Unknown
+        ]
+        .iter()
+        .all(|c| confidences.contains(c)),
+        "scripts must reach sd, em, am and uk cells: {confidences:?}"
+    );
+    assert!(unmapped > 0, "deletions must leave facts unmapped");
+}

@@ -4,8 +4,8 @@
 //! through the public facade.
 
 use mvolap::core::case_study::case_study_two_measures;
-use mvolap::core::Confidence;
-use mvolap::query::{run, run_compare, QueryError};
+use mvolap::core::{Confidence, ExecContext, QueryMemo};
+use mvolap::query::{run, run_compare_par, QueryError};
 
 #[test]
 fn multi_measure_select_returns_both_columns() {
@@ -97,10 +97,12 @@ fn grid_rendering_from_query_results() {
 #[test]
 fn all_modes_over_two_measures() {
     let cs = case_study_two_measures();
-    let results = run_compare(
+    let results = run_compare_par(
         &cs.tmd,
         "SELECT sum(Turnover), sum(Profit) BY year, Org.Department \
          FOR 2002..2003 IN ALL MODES",
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
     )
     .expect("comparison runs");
     assert_eq!(results.len(), 4);
