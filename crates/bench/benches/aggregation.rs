@@ -5,10 +5,14 @@
 //! Expected shape: tcm is cheapest (no mapping-route resolution); mapped
 //! modes pay per distinct coordinate needing routes, then converge to
 //! the same group-by cost.
+//!
+//! `aggregate/warm` times what a serving process pays per repeated
+//! query: `evaluate_par` through one shared `QueryMemo` (the presented
+//! table and roll-up tables already built) plus `ResultSet::render`.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mvolap_core::aggregate::{evaluate, AggregateQuery};
-use mvolap_core::TemporalMode;
+use mvolap_core::aggregate::{evaluate, evaluate_par, AggregateQuery};
+use mvolap_core::{ExecContext, QueryMemo, TemporalMode};
 use mvolap_workload::{generate, WorkloadConfig};
 
 fn bench_modes(c: &mut Criterion) {
@@ -65,5 +69,37 @@ fn bench_fact_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_modes, bench_fact_scaling);
+fn bench_warm(c: &mut Criterion) {
+    let cfg = WorkloadConfig::small(23)
+        .with_departments(60)
+        .with_periods(6)
+        .with_facts_per_department(20);
+    let w = generate(&cfg).expect("workload generates");
+    let memo = QueryMemo::new();
+    let svs = memo.structure_versions(&w.tmd);
+    let exec = ExecContext::new(2);
+    let last = svs.last().expect("a structure version").id;
+
+    let mut group = c.benchmark_group("aggregate/warm");
+    group.sample_size(20);
+    for (label, mode) in [
+        ("tcm", TemporalMode::Consistent),
+        ("version", TemporalMode::Version(last)),
+    ] {
+        for level in ["Division", "Department"] {
+            let q = AggregateQuery::by_year(w.dim, level, mode.clone());
+            let answer = || {
+                evaluate_par(&w.tmd, &svs, &q, &exec, &memo)
+                    .expect("evaluates")
+                    .render("result")
+                    .expect("renders")
+            };
+            answer(); // warm the memo
+            group.bench_function(&format!("{label}/{level}"), |b| b.iter(answer));
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_modes, bench_fact_scaling, bench_warm);
 criterion_main!(benches);

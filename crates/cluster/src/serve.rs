@@ -301,10 +301,11 @@ impl LocalCluster {
     }
 
     /// Completes the in-flight membership change when its condition
-    /// holds — an add once the joiner's synced position covers both
-    /// the reconfig record and the quorum watermark
-    /// (catch-up-before-vote), a remove once its record is
-    /// quorum-committed under the shrunk group. Returns the settled
+    /// holds — an add once its record is quorum-committed by the
+    /// voters that existed before it and the joiner's synced position
+    /// covers the quorum watermark (catch-up-before-vote), a remove
+    /// once its record is quorum-committed under the shrunk group.
+    /// Returns the settled
     /// member's name, or `None` while the change is still in flight
     /// (or none is).
     pub fn settle_membership(&mut self) -> Option<String> {
@@ -316,7 +317,8 @@ impl LocalCluster {
                 .into_iter()
                 .find(|(n, _)| *n == pending.member)
                 .map_or(0, |(_, p)| p);
-            if synced > pending.lsn && synced >= self.commit.quorum_lsn() {
+            let quorum = self.commit.quorum_lsn();
+            if quorum > pending.lsn && synced >= quorum {
                 self.commit.promote_voter(&pending.member);
                 self.voters += 1;
                 if let Some((_, server)) = self.readers.iter().find(|(n, _)| *n == pending.member) {

@@ -1387,6 +1387,56 @@ fn live_join_and_leave_reconfigure_the_served_group() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A joiner that has synced past its own reconfig record is still a
+/// learner until the voters that existed before it have committed that
+/// record. Acks are fed by hand (no pumps), so the old voters can be
+/// held below the record while the joiner runs ahead.
+#[test]
+fn joiner_is_promoted_only_after_its_reconfig_record_commits() {
+    let dir = tmp("joinorder");
+    let workload = generate(13, 8);
+    let records = ops(&workload);
+    let loopback = NetAddr::parse("127.0.0.1:0").unwrap();
+    let mut cluster = LocalCluster::start(
+        &dir,
+        workload.seed_schema.clone(),
+        &loopback,
+        &[
+            ("m1".to_string(), loopback.clone()),
+            ("m2".to_string(), loopback.clone()),
+        ],
+        opts(),
+        group_cfg(),
+        ServerOptions::default(),
+        NetConfig::default(),
+    )
+    .expect("cluster starts");
+    let group = cluster.group();
+    let before = group.commit(records[0].clone()).expect("journaled");
+    for voter in ["m1", "m2"] {
+        group.member_synced(voter, before + 1);
+    }
+    assert!(group.quorum_lsn() > before);
+
+    let join_lsn = cluster.join("m3", &loopback).expect("join journaled");
+    // The joiner has every record; the old voters have not acked the
+    // reconfig record, so it is not yet committed.
+    group.member_synced("m3", join_lsn + 1);
+    assert!(group.quorum_lsn() <= join_lsn);
+    assert_eq!(cluster.settle_membership(), None);
+    assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && *l));
+
+    // One old voter's ack is not a majority of the grown group.
+    group.member_synced("m1", join_lsn + 1);
+    assert_eq!(cluster.settle_membership(), None);
+    group.member_synced("m2", join_lsn + 1);
+    assert!(group.quorum_lsn() > join_lsn);
+    assert_eq!(cluster.settle_membership().as_deref(), Some("m3"));
+    assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && !l));
+    cluster.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Regression (bounded parking): a pump thread parked on
 /// `wait_synced_past` under a `ManualClock` — its member effectively
 /// vanished, nothing will ever advance the commit — must still

@@ -1,22 +1,25 @@
 //! Data aggregation over the multiversion fact table (paper
-//! Definition 12) and the result tables the paper reports.
+//! Definition 12).
 //!
 //! An [`AggregateQuery`] groups the presented facts by a level per
 //! dimension (roll-up through the temporal relationships) and a time
 //! level, folding measures through `⊕m` and confidences through `⊗cf`.
 //! The motivating queries Q1 ("total amount by year and division") and
-//! Q2 ("total amounts per department") are both instances.
+//! Q2 ("total amounts per department") are both instances; their
+//! answers are [`ResultSet`]s.
 
-use mvolap_exec::ExecContext;
-use mvolap_temporal::{Instant, Interval};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::confidence::ConfidenceWeights;
+use mvolap_exec::{CacheStats, ExecContext};
+use mvolap_temporal::{Granularity, Instant, Interval};
+
 use crate::error::{CoreError, Result};
 use crate::fold::{next_combination, Cell, Groups};
-use crate::ids::{DimensionId, MeasureId};
-use crate::levels::ancestors_at_level;
-use crate::memo::QueryMemo;
-use crate::multiversion::{present_cached, MvCell};
+use crate::ids::{DimensionId, MeasureId, MemberVersionId};
+use crate::memo::{QueryMemo, Rollup};
+use crate::multiversion::{present_cached, MvCell, MvRow};
+pub use crate::result::{ResultRow, ResultSet};
 use crate::schema::Tmd;
 use crate::structure_version::StructureVersion;
 use crate::tmp::TemporalMode;
@@ -34,6 +37,34 @@ pub enum TimeLevel {
     Instant,
     /// A single all-time group.
     All,
+}
+
+impl TimeLevel {
+    /// The group of instant `t` on this level: one integer per label.
+    fn bucket(self, t: Instant) -> i64 {
+        let ym = t.to_ym();
+        match self {
+            TimeLevel::Year => i64::from(ym.year),
+            TimeLevel::Quarter => i64::from(ym.year) * 4 + i64::from((ym.month - 1) / 3),
+            TimeLevel::Month => i64::from(ym.year) * 12 + i64::from(ym.month - 1),
+            TimeLevel::Instant => t.tick(),
+            TimeLevel::All => 0,
+        }
+    }
+
+    /// The rendered time key of `bucket` (`"2001"`, `"2001-Q2"`,
+    /// `"2001-06"`, an instant, or `"all"`).
+    fn label(self, bucket: i64, granularity: Granularity) -> String {
+        match self {
+            TimeLevel::Year => bucket.to_string(),
+            TimeLevel::Quarter => format!("{}-Q{}", bucket.div_euclid(4), bucket.rem_euclid(4) + 1),
+            TimeLevel::Month => {
+                format!("{}-{:02}", bucket.div_euclid(12), bucket.rem_euclid(12) + 1)
+            }
+            TimeLevel::Instant => Instant::at(bucket).display(granularity),
+            TimeLevel::All => "all".to_owned(),
+        }
+    }
 }
 
 /// A slice/dice restriction: keep only facts whose coordinate in
@@ -107,167 +138,28 @@ impl AggregateQuery {
     }
 }
 
-/// One result row: the time key, the group keys (member names) and one
-/// cell per measure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultRow {
-    /// Rendered time key (`"2001"`, an instant, or `"all"`).
-    pub time: String,
-    /// One member name per group-by column; `"(unclassified)"` marks a
-    /// non-covering roll-up.
-    pub keys: Vec<String>,
-    /// One aggregated cell per queried measure.
-    pub cells: Vec<MvCell>,
+/// One grouped or filtered dimension of a query: its roll-up table and,
+/// for a dimension presented in a structure version, the instant its
+/// hierarchy is read at (the version's start; otherwise each fact's
+/// own time).
+type Axis = (Arc<Rollup>, Option<Instant>);
+
+/// Per-worker state of the second stage: the groups keyed by time
+/// bucket then group ids, the earliest row error (the fold itself
+/// cannot early-return across workers), the roll-up lookups, and the
+/// buffers every row reuses so that no row allocates.
+#[derive(Default)]
+struct Partial {
+    groups: Groups<Vec<i64>>,
+    error: Option<CoreError>,
+    lookups: CacheStats,
+    /// The row's group ids on the filter being checked.
+    filtered: Vec<MemberVersionId>,
+    /// Per grouped dimension: the row's group ids.
+    options: Vec<Vec<MemberVersionId>>,
+    combo: Vec<usize>,
+    key: Vec<i64>,
 }
-
-/// The result of an [`AggregateQuery`].
-#[derive(Debug, Clone)]
-pub struct ResultSet {
-    /// The mode the data is presented in.
-    pub mode: TemporalMode,
-    /// Header for the time column.
-    pub time_header: String,
-    /// Headers for the group-by columns (level names).
-    pub key_headers: Vec<String>,
-    /// Headers for the measure columns.
-    pub measure_headers: Vec<String>,
-    /// Result rows, ordered by time then first contribution.
-    pub rows: Vec<ResultRow>,
-    /// Source fact rows not representable in this mode.
-    pub unmapped_rows: usize,
-}
-
-impl ResultSet {
-    /// The §5.2 global quality factor
-    /// `Q = (Σᵢⱼ pds(fb(i,j))) / (Ni·Nj·10)` over the result grid, with
-    /// `pds` the user's confidence weighting. Empty results score 0.
-    pub fn quality(&self, weights: &ConfidenceWeights) -> f64 {
-        let ni = self.rows.len();
-        let nj = self.measure_headers.len();
-        if ni == 0 || nj == 0 {
-            return 0.0;
-        }
-        let sum: u64 = self
-            .rows
-            .iter()
-            .flat_map(|r| r.cells.iter())
-            .map(|c| weights.weight(c.confidence) as u64)
-            .sum();
-        sum as f64 / (ni as f64 * nj as f64 * 10.0)
-    }
-
-    /// Exports the result as a relational table (time, keys, one value
-    /// and one confidence-code column per measure) for rendering or
-    /// further relational work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage-schema errors (duplicate headers).
-    pub fn to_storage_table(&self, name: &str) -> Result<mvolap_storage::Table> {
-        use mvolap_storage::{ColumnDef, DataType, Table, TableSchema, Value};
-        let mut defs = vec![ColumnDef::required(self.time_header.clone(), DataType::Str)];
-        for k in &self.key_headers {
-            defs.push(ColumnDef::required(k.clone(), DataType::Str));
-        }
-        for m in &self.measure_headers {
-            defs.push(ColumnDef::nullable(m.clone(), DataType::Float));
-            defs.push(ColumnDef::required(format!("{m}_cf"), DataType::Str));
-        }
-        let schema = TableSchema::new(defs).map_err(CoreError::from)?;
-        let mut table = Table::with_capacity(name, schema, self.rows.len());
-        for row in &self.rows {
-            let mut values: Vec<Value> =
-                Vec::with_capacity(1 + row.keys.len() + 2 * row.cells.len());
-            values.push(row.time.clone().into());
-            values.extend(row.keys.iter().map(|k| Value::from(k.clone())));
-            for cell in &row.cells {
-                values.push(cell.value.map(Value::Float).unwrap_or(Value::Null));
-                values.push(cell.confidence.code().into());
-            }
-            table.push_row(values).map_err(CoreError::from)?;
-        }
-        Ok(table)
-    }
-
-    /// Plain-text rendering in the paper's tabular style.
-    pub fn render(&self, name: &str) -> Result<String> {
-        Ok(mvolap_storage::render::render_table(
-            &self.to_storage_table(name)?,
-        ))
-    }
-
-    /// Pivot-grid rendering: time down the side, the first group key's
-    /// members across the top, one measure per call — the layout of the
-    /// prototype's result grids. Cells carry their confidence code;
-    /// blank cells are impossible cross-points.
-    pub fn render_grid(&self, measure: usize) -> String {
-        render_rows_grid(&self.rows, measure)
-    }
-}
-
-/// [`ResultSet::render_grid`] over `rows`: time × first-key-member grid
-/// of one measure.
-fn render_rows_grid(rows: &[ResultRow], measure: usize) -> String {
-    // Column headers: distinct first-key members in first-seen order.
-    let mut columns: Vec<String> = Vec::new();
-    for r in rows {
-        if let Some(k) = r.keys.first() {
-            if !columns.contains(k) {
-                columns.push(k.clone());
-            }
-        }
-    }
-    let mut times: Vec<String> = Vec::new();
-    for r in rows {
-        if !times.contains(&r.time) {
-            times.push(r.time.clone());
-        }
-    }
-    let mut grid: Vec<Vec<String>> = vec![vec![String::new(); columns.len()]; times.len()];
-    for r in rows {
-        let Some(k) = r.keys.first() else { continue };
-        let ti = times.iter().position(|t| t == &r.time).expect("collected");
-        let ci = columns.iter().position(|c| c == k).expect("collected");
-        if let Some(cell) = r.cells.get(measure) {
-            grid[ti][ci] = match cell.value {
-                Some(v) => format!("{v} ({})", cell.confidence.code()),
-                None => format!("? ({})", cell.confidence.code()),
-            };
-        }
-    }
-    let mut widths: Vec<usize> = columns.iter().map(String::len).collect();
-    for row in &grid {
-        for (w, c) in widths.iter_mut().zip(row) {
-            *w = (*w).max(c.len());
-        }
-    }
-    let t_width = times.iter().map(String::len).max().unwrap_or(4).max(4);
-    let mut out = String::new();
-    out.push_str(&format!("{:<t_width$}", ""));
-    for (c, w) in columns.iter().zip(&widths) {
-        out.push_str(&format!("  {c:<w$}"));
-    }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out.push('\n');
-    for (t, row) in times.iter().zip(&grid) {
-        out.push_str(&format!("{t:<t_width$}"));
-        for (c, w) in row.iter().zip(&widths) {
-            out.push_str(&format!("  {c:<w$}"));
-        }
-        while out.ends_with(' ') {
-            out.pop();
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Per-worker partial state of an aggregation fold: the groups keyed by
-/// time key and member names, plus the earliest row error (the fold
-/// itself cannot early-return across workers).
-type Partial = (Groups<(String, Vec<String>)>, Option<CoreError>);
 
 /// Evaluates an aggregation query (Definition 12) against a schema.
 ///
@@ -306,9 +198,11 @@ pub fn evaluate(
 ///
 /// `memo` caches the presented fact table of `tcm` and each `Version`
 /// mode (extending it when facts were appended since), mapping routes
-/// and roll-up ancestor sets per `(dimension, leaf, level, instant)`;
-/// share one [`QueryMemo`] across queries to amortise all three,
-/// evolution operators invalidate it via [`Tmd::stamp`].
+/// and one roll-up table per `(dimension, level)`; share one
+/// [`QueryMemo`] across queries to amortise all three, evolution
+/// operators invalidate it via [`Tmd::stamp`]. Rows group by a time
+/// bucket and group ids; labels and member names are resolved once
+/// per group.
 ///
 /// # Errors
 ///
@@ -339,24 +233,45 @@ pub fn evaluate_par(
 
     let presented = present_cached(tmd, structure_versions, &query.mode, ctx, memo)?;
 
-    // The instant at which each grouped dimension's hierarchy is read:
-    // fixed at the structure version's start for version modes, the
-    // fact's own time for consistent presentation.
-    let hierarchy_instant = |dim: DimensionId, fact_time: Instant| -> Result<Instant> {
-        match query.mode.version_for(dim) {
-            None => Ok(fact_time),
-            Some(svid) => {
-                let sv = structure_versions
-                    .get(svid.index())
-                    .ok_or(CoreError::UnknownStructureVersion(svid.index()))?;
-                Ok(sv.interval.start())
-            }
-        }
+    // Each grouped or filtered dimension's roll-up. Errors surface at
+    // the first row that needs the dimension, as a per-row lookup would.
+    let axis = |dim: DimensionId, level: &str| -> Result<Axis> {
+        tmd.dimension(dim)?;
+        let fixed = match query.mode.version_for(dim) {
+            None => None,
+            Some(svid) => Some(
+                (structure_versions.get(svid.index()))
+                    .ok_or(CoreError::UnknownStructureVersion(svid.index()))?
+                    .interval
+                    .start(),
+            ),
+        };
+        Ok((memo.rollup(tmd, dim, level)?, fixed))
+    };
+    // A filter accepts the groups of its member names.
+    let filters: Vec<(Result<Axis>, Vec<MemberVersionId>)> = (query.filters.iter())
+        .map(|f| {
+            let versions = tmd.dimension(f.dimension).map_or(&[][..], |d| d.versions());
+            let named = |n: &String| versions.iter().find(|v| &v.name == n).map(|v| v.id);
+            (
+                axis(f.dimension, &f.level),
+                f.members.iter().filter_map(named).collect(),
+            )
+        })
+        .collect();
+    let axes: Vec<Result<Axis>> = query.group_by.iter().map(|(d, l)| axis(*d, l)).collect();
+    // Replaces `out` with a row's group ids on one axis (none when it
+    // has no ancestor at the level).
+    let groups_of = |axis: &Result<Axis>, row: &MvRow, out: &mut Vec<_>, lookups: &mut _| {
+        let (rollup, fixed) = axis.as_ref().map_err(Clone::clone)?;
+        let leaf = row.coords[rollup.dimension().index()];
+        out.clear();
+        rollup.extend(tmd, leaf, fixed.unwrap_or(row.time), out, lookups)
     };
 
     // Per-row grouping, shared by every worker. Errors return through
     // the fold state (the engine's fold is infallible).
-    let process = |groups: &mut Groups<_>, row: &crate::multiversion::MvRow| -> Result<()> {
+    let process = |p: &mut Partial, row: &MvRow| -> Result<()> {
         if let Some(range) = query.time_range {
             if !range.contains(row.time) {
                 return Ok(());
@@ -365,70 +280,34 @@ pub fn evaluate_par(
         // Member filters: the row survives when, in every filtered
         // dimension, at least one of its ancestors at the filter level
         // carries an accepted name.
-        for filter in &query.filters {
-            let dimension = tmd.dimension(filter.dimension)?;
-            let at = hierarchy_instant(filter.dimension, row.time)?;
-            let leaf = row.coords[filter.dimension.index()];
-            let ancestors = memo.try_ancestors(
-                tmd,
-                (filter.dimension, leaf, filter.level.clone(), at),
-                || ancestors_at_level(dimension, leaf, &filter.level, at),
-            )?;
-            let accepted = ancestors.iter().any(|&a| {
-                dimension
-                    .version(a)
-                    .map(|v| filter.members.contains(&v.name))
-                    .unwrap_or(false)
-            });
-            if !accepted {
+        for (axis, accepted) in &filters {
+            groups_of(axis, row, &mut p.filtered, &mut p.lookups)?;
+            if !p.filtered.iter().any(|g| accepted.contains(g)) {
                 return Ok(());
             }
         }
-        let time_key = match query.time_level {
-            TimeLevel::Year => row.time.year().to_string(),
-            TimeLevel::Quarter => {
-                let ym = row.time.to_ym();
-                format!("{}-Q{}", ym.year, (ym.month - 1) / 3 + 1)
-            }
-            TimeLevel::Month => {
-                let ym = row.time.to_ym();
-                format!("{}-{:02}", ym.year, ym.month)
-            }
-            TimeLevel::Instant => row.time.display(tmd.granularity()),
-            TimeLevel::All => "all".to_owned(),
-        };
+        p.options.resize_with(axes.len(), Vec::new);
         // Roll the row's coordinates up to the requested levels; a
         // dimension may fan out (multiple hierarchies) — the row then
         // contributes to every combination.
-        let mut key_options: Vec<Vec<String>> = Vec::with_capacity(query.group_by.len());
-        for &(dim, ref level) in &query.group_by {
-            let dimension = tmd.dimension(dim)?;
-            let at = hierarchy_instant(dim, row.time)?;
-            let leaf = row.coords[dim.index()];
-            let ancestors = memo.try_ancestors(tmd, (dim, leaf, level.clone(), at), || {
-                ancestors_at_level(dimension, leaf, level, at)
-            })?;
-            if ancestors.is_empty() {
-                key_options.push(vec!["(unclassified)".to_owned()]);
-            } else {
-                key_options.push(
-                    ancestors
-                        .iter()
-                        .map(|&a| dimension.version(a).map(|v| v.name.clone()))
-                        .collect::<Result<Vec<_>>>()?,
-                );
+        for (axis, out) in axes.iter().zip(&mut p.options) {
+            groups_of(axis, row, out, &mut p.lookups)?;
+            if let (true, Ok((rollup, _))) = (out.is_empty(), axis) {
+                out.push(rollup.unclassified());
             }
         }
-
-        // Cartesian product over fan-outs (usually a single combination).
-        let mut combo = vec![0usize; key_options.len()];
+        let (options, bucket) = (&p.options, query.time_level.bucket(row.time));
+        p.combo.clear();
+        p.combo.resize(axes.len(), 0);
         loop {
-            let group_keys: Vec<String> = key_options
+            p.key.clear();
+            p.key.push(bucket);
+            let ids = options
                 .iter()
-                .zip(&combo)
-                .map(|(opts, &i)| opts[i].clone())
-                .collect();
-            let cells = groups.cells((time_key.clone(), group_keys), || {
+                .zip(&p.combo)
+                .map(|(o, &i)| i64::from(o[i].0));
+            p.key.extend(ids);
+            let cells = p.groups.cells(p.key.as_slice(), || {
                 // Second-stage fold over MVFT cells: partial counts add
                 // (`combining`), sums add, min/max nest.
                 measure_ids
@@ -440,49 +319,74 @@ pub fn evaluate_par(
                 let MvCell { value, confidence } = row.cells[m.index()];
                 cell.add(value, confidence);
             }
-            if !next_combination(&mut combo, |d| key_options[d].len()) {
+            if !next_combination(&mut p.combo, |d| options[d].len()) {
                 break;
             }
         }
         Ok(())
     };
 
-    let (groups, error): Partial = ctx.parallel_fold(
+    let Partial {
+        groups,
+        error,
+        lookups,
+        ..
+    } = ctx.parallel_fold(
         &presented.rows,
         Partial::default,
-        |(groups, error), _row_index, row| {
+        |p, _row_index, row| {
             // After an error, stop doing work in this partial — results
             // are discarded once the error surfaces.
-            if error.is_none() {
-                *error = process(groups, row).err();
+            if p.error.is_none() {
+                p.error = process(p, row).err();
             }
         },
         // The earliest error in morsel order wins: the one the
         // sequential row loop would have surfaced first.
-        |(groups, error), (more, later)| {
-            groups.merge(more);
-            if error.is_none() {
-                *error = later;
+        |p, later| {
+            p.groups.merge(later.groups);
+            p.lookups += later.lookups;
+            if p.error.is_none() {
+                p.error = later.error;
             }
         },
     );
+    memo.count_rollups(lookups.hits, lookups.misses);
     if let Some(e) = error {
         return Err(e);
     }
 
-    // Order: by time key (numeric-aware), preserving first-contribution
-    // order within a time group (the sort is stable) — the paper's
-    // table layout.
-    let mut rows: Vec<ResultRow> = groups
+    // Labels and names, once per group. Order: by time key (labels that
+    // parse as integers numerically, others as strings), preserving
+    // first-contribution order within a time group (the sort is
+    // stable) — the paper's table layout.
+    let mut times: Vec<(String, Option<i64>)> = Vec::new();
+    let mut time_of: HashMap<i64, usize> = HashMap::new();
+    let mut rows: Vec<(usize, ResultRow)> = groups
         .finish()
-        .map(|((time, keys), cells)| ResultRow { time, keys, cells })
+        .map(|(key, cells)| {
+            let t = *time_of.entry(key[0]).or_insert_with(|| {
+                let label = query.time_level.label(key[0], tmd.granularity());
+                times.push((label.clone(), label.parse::<i64>().ok()));
+                times.len() - 1
+            });
+            let keys = (axes.iter().flatten().zip(&key[1..]))
+                .map(|((rollup, _), &g)| rollup.group_name(tmd, MemberVersionId(g as u32)))
+                .collect();
+            (
+                t,
+                ResultRow {
+                    time: times[t].0.clone(),
+                    keys,
+                    cells,
+                },
+            )
+        })
         .collect();
-    rows.sort_by(
-        |a, b| match (a.time.parse::<i64>(), b.time.parse::<i64>()) {
-            (Ok(x), Ok(y)) => x.cmp(&y),
-            _ => a.time.cmp(&b.time),
-        },
-    );
+    rows.sort_by(|(a, _), (b, _)| match (&times[*a], &times[*b]) {
+        ((_, Some(x)), (_, Some(y))) => x.cmp(y),
+        ((x, _), (y, _)) => x.cmp(y),
+    });
 
     Ok(ResultSet {
         mode: query.mode.clone(),
@@ -498,7 +402,7 @@ pub fn evaluate_par(
             .iter()
             .map(|&m| tmd.measures()[m.index()].name.clone())
             .collect(),
-        rows,
+        rows: rows.into_iter().map(|(_, row)| row).collect(),
         unmapped_rows: presented.unmapped_rows,
     })
 }
@@ -507,7 +411,7 @@ pub fn evaluate_par(
 mod tests {
     use super::*;
     use crate::case_study::case_study;
-    use crate::confidence::Confidence;
+    use crate::confidence::{Confidence, ConfidenceWeights};
     use crate::ids::StructureVersionId;
 
     fn q1(mode: TemporalMode) -> AggregateQuery {
@@ -811,6 +715,65 @@ mod tests {
         q.time_level = TimeLevel::Instant;
         let rs = evaluate(&cs.tmd, &svs, &q).unwrap();
         assert!(rs.rows.iter().any(|r| r.time == "06/2001"));
+    }
+
+    /// The case study with Brian transformed at 01/2004 into a new
+    /// version that keeps the name `Dpt.Brian`, plus one fact of 7 on
+    /// that version at 06/2004.
+    fn brian_keeps_his_name() -> (Tmd, DimensionId) {
+        let mut cs = case_study();
+        let outcome = crate::evolution::transform(
+            &mut cs.tmd,
+            cs.org,
+            cs.brian,
+            "Dpt.Brian",
+            Default::default(),
+            Instant::ym(2004, 1),
+        )
+        .unwrap();
+        let renamed = outcome.created[0];
+        assert_ne!(renamed, cs.brian);
+        cs.tmd
+            .add_fact(&[renamed], Instant::ym(2004, 6), &[7.0])
+            .unwrap();
+        (cs.tmd, cs.org)
+    }
+
+    #[test]
+    fn same_named_versions_form_one_group() {
+        let (tmd, org) = brian_keeps_his_name();
+        let svs = tmd.structure_versions();
+        let mut q = AggregateQuery::by_year(org, "Department", TemporalMode::Consistent);
+        q.time_level = TimeLevel::All;
+        let rs = evaluate(&tmd, &svs, &q).unwrap();
+        let brian: Vec<_> = rs
+            .rows
+            .iter()
+            .filter(|r| r.keys[0] == "Dpt.Brian")
+            .collect();
+        assert_eq!(brian.len(), 1, "one group per name: {:?}", rs.rows);
+        assert_eq!(brian[0].cells[0].value, Some(197.0));
+    }
+
+    #[test]
+    fn a_filter_on_a_kept_name_keeps_both_versions_facts() {
+        let (tmd, org) = brian_keeps_his_name();
+        let svs = tmd.structure_versions();
+        let mut q = AggregateQuery::by_year(org, "Division", TemporalMode::Consistent).filtered(
+            MemberFilter {
+                dimension: org,
+                level: "Department".into(),
+                members: vec!["Dpt.Brian".into()],
+            },
+        );
+        q.time_level = TimeLevel::All;
+        let rs = evaluate(&tmd, &svs, &q).unwrap();
+        let rows: Vec<_> = rs
+            .rows
+            .iter()
+            .map(|r| (r.keys[0].as_str(), r.cells[0].value))
+            .collect();
+        assert_eq!(rows, [("R&D", Some(197.0))]);
     }
 
     #[test]

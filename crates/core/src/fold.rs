@@ -10,8 +10,9 @@
 //! from a clone of its state after the last whole morsel, merging each
 //! later morsel onto it in order — the same association tree.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::confidence::Confidence;
 use crate::fact::Aggregator;
@@ -88,10 +89,53 @@ impl Cell {
     }
 }
 
+/// A multiply-rotate hasher (the FxHash scheme) for the folds' integer
+/// keys: a group's order is its first contribution, never the hash, so
+/// no key needs a keyed hash.
+#[derive(Debug, Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Cells grouped by key, in first-contribution order.
 #[derive(Debug, Clone)]
 pub struct Groups<K> {
-    index: HashMap<K, usize>,
+    index: HashMap<K, usize, BuildHasherDefault<FxHasher>>,
     keys: Vec<K>,
     cells: Vec<Vec<Cell>>,
 }
@@ -99,7 +143,7 @@ pub struct Groups<K> {
 impl<K: Hash + Eq + Clone> Default for Groups<K> {
     fn default() -> Self {
         Groups {
-            index: HashMap::new(),
+            index: HashMap::default(),
             keys: Vec::new(),
             cells: Vec::new(),
         }
@@ -107,13 +151,23 @@ impl<K: Hash + Eq + Clone> Default for Groups<K> {
 }
 
 impl<K: Hash + Eq + Clone> Groups<K> {
-    /// The cells of `key`, made by `init` on its first contribution.
-    pub fn cells(&mut self, key: K, init: impl FnOnce() -> Vec<Cell>) -> &mut [Cell] {
-        let i = *self.index.entry(key.clone()).or_insert_with(|| {
-            self.keys.push(key);
-            self.cells.push(init());
-            self.keys.len() - 1
-        });
+    /// The cells of `key`, made by `init` on its first contribution;
+    /// only a first contribution copies the key.
+    pub fn cells<Q>(&mut self, key: &Q, init: impl FnOnce() -> Vec<Cell>) -> &mut [Cell]
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let i = match self.index.get(key) {
+            Some(&i) => i,
+            None => {
+                let i = self.keys.len();
+                self.index.insert(key.to_owned(), i);
+                self.keys.push(key.to_owned());
+                self.cells.push(init());
+                i
+            }
+        };
         &mut self.cells[i]
     }
 
@@ -126,6 +180,10 @@ impl<K: Hash + Eq + Clone> Groups<K> {
     /// order: partials merged in morsel order keep the order a
     /// sequential fold would give.
     pub fn merge(&mut self, other: Groups<K>) {
+        if self.keys.is_empty() {
+            *self = other;
+            return;
+        }
         for (key, cells) in other.keys.into_iter().zip(other.cells) {
             match self.index.get(&key) {
                 Some(&i) => {
@@ -226,10 +284,10 @@ mod tests {
     fn merge_appends_unseen_keys_in_the_partials_order() {
         let one = || vec![Cell::new(Aggregator::Count)];
         let mut first = Groups::default();
-        first.cells("b", one)[0].add(Some(0.0), Confidence::Source);
+        first.cells(&"b", one)[0].add(Some(0.0), Confidence::Source);
         let mut second = Groups::default();
         for key in ["c", "b", "a"] {
-            second.cells(key, one)[0].add(Some(0.0), Confidence::Source);
+            second.cells(&key, one)[0].add(Some(0.0), Confidence::Source);
         }
         first.merge(second);
         assert_eq!(first.position(&"a"), Some(2));

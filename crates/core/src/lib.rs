@@ -68,6 +68,7 @@ pub mod memo;
 pub mod metadata;
 pub mod multiversion;
 pub mod persist;
+pub mod result;
 pub mod schema;
 pub mod structure_version;
 pub mod tmp;

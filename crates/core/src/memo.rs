@@ -6,8 +6,9 @@
 //!
 //! * **mapping-closure routes** — where a member version's data lands
 //!   in a target structure version ([`crate::mapping::MappingGraph::resolve`]);
-//! * **roll-up paths** — a leaf's ancestors at a named level and
-//!   instant ([`crate::levels::ancestors_at_level`]).
+//! * **roll-ups** — a leaf's ancestors at a named level
+//!   ([`crate::levels::ancestors_at_level`]), tabulated once per
+//!   structure version in a [`Rollup`].
 //!
 //! A third piece of state is the paper's middle tier itself (§5.1,
 //! Temporal DW → MultiVersion DW → cube): the **presented fact table**
@@ -15,43 +16,45 @@
 //! [`crate::evaluate_par`] reads instead of re-presenting every fact on
 //! every query.
 //!
-//! [`QueryMemo`] wraps one stamp-keyed cache ([`mvolap_exec::GenCache`])
-//! per lookup kind plus the presentation store. Every lookup carries
-//! [`Tmd::stamp`], which names one schema instance in one structural
-//! state: any structural mutation (evolution operators, new
-//! versions/mappings) draws a new stamp and thereby flushes every
-//! cache on its next access, and two instances — a primary and its
-//! follower — never share an entry. The memo is `Arc`-shareable across
-//! worker threads and across queries: hand one `Arc<QueryMemo>` to
-//! every `*_par` entry point of a serving process and routes computed
-//! by one query are reused by all.
+//! [`QueryMemo`] wraps a stamp-keyed route cache
+//! ([`mvolap_exec::GenCache`]) plus one schema store holding the
+//! structure versions, the roll-up tables and the presented tables.
+//! Every lookup carries [`Tmd::stamp`], which names one schema instance
+//! in one structural state: any structural mutation (evolution
+//! operators, new versions/mappings) draws a new stamp and thereby
+//! flushes every cache on its next access, and two instances — a
+//! primary and its follower — never share an entry. The memo is
+//! `Arc`-shareable across worker threads and across queries: hand one
+//! `Arc<QueryMemo>` to every `*_par` entry point of a serving process
+//! and routes computed by one query are reused by all.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mvolap_exec::{CacheStats, GenCache};
-use mvolap_temporal::Instant;
+use mvolap_temporal::{Instant, Interval};
 
+use crate::error::{CoreError, Result};
 use crate::ids::{DimensionId, MemberVersionId, StructureVersionId};
+use crate::levels::{ancestors_at_level, levels_at};
 use crate::mapping::MappingRoute;
 use crate::multiversion::{Presentation, PresentedFacts};
 use crate::schema::Tmd;
+use crate::structure_version::StructureVersion;
 use crate::tmp::TemporalMode;
 
 /// Cache key of a mapping-closure resolution: which member version's
 /// data, presented in which structure version of which dimension.
 pub type RouteKey = (DimensionId, MemberVersionId, StructureVersionId);
 
-/// Cache key of a roll-up resolution: leaf member version, target level
-/// name, and the hierarchy instant it is resolved at.
-pub type AncestorKey = (DimensionId, MemberVersionId, String, Instant);
-
 /// Hit/miss counters of a [`QueryMemo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Mapping-closure route cache counters.
     pub routes: CacheStats,
-    /// Roll-up ancestor cache counters.
+    /// Roll-up lookups: a hit read a [`Rollup`] table, a miss built a
+    /// table or derived one leaf's ancestors outside every table.
     pub ancestors: CacheStats,
     /// Presented-table lookups: a hit touched no fact row, a miss
     /// folded every fact from row 0.
@@ -100,41 +103,242 @@ pub(crate) enum Cached {
     Miss,
 }
 
-/// The presented tables of one schema instance, at most one per
-/// cacheable mode (`tcm` and each `Version`); shared by every shard of
-/// a [`ShardedMemo`].
-#[derive(Default)]
-struct PresentationStore {
-    inner: Mutex<(u64, Vec<Arc<CachedPresentation>>)>,
+/// Marks a member version not valid in a structure version.
+const ABSENT: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The roll-up of one `(dimension, level)` under one schema stamp: for
+/// each structure version and each member version valid in it, the
+/// member's ancestors at the level (Definition 4) as *group ids*.
+///
+/// A group is a member *name*: versions may share one (a Transform can
+/// keep its name), so a name's group id is the first version, in id
+/// order, that carries it. The table is exact because structure
+/// versions partition time so that every member and relationship
+/// validity is constant inside each one (Definition 9).
+#[derive(Debug)]
+pub struct Rollup {
+    dim: DimensionId,
+    /// The dimension's name, for the error of a missing level.
+    dimension: String,
+    level: String,
+    /// Per member version id: its group id.
+    group_of: Vec<MemberVersionId>,
+    /// The group of rows with no ancestor at the level.
+    unclassified: MemberVersionId,
+    /// The valid time of each structure version, in order (they
+    /// partition time, so a binary search finds the one holding an
+    /// instant).
+    intervals: Vec<Interval>,
+    /// Per structure version of the stamp, in order: `None` when the
+    /// level does not exist in it.
+    versions: Vec<Option<LeafGroups>>,
 }
 
-impl PresentationStore {
-    /// The store, past a panic of another holder: every update is one
-    /// assignment or push, so the data is valid at every step.
-    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, Vec<Arc<CachedPresentation>>)> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// One structure version's row of a [`Rollup`].
+#[derive(Debug)]
+struct LeafGroups {
+    /// Per member version id: its range of `groups`, or [`ABSENT`].
+    spans: Vec<(u32, u32)>,
+    groups: Vec<MemberVersionId>,
+}
+
+impl Rollup {
+    /// Builds the table of `level` over `structure_versions`, deriving
+    /// each structure version's levels once, at its start.
+    fn build(
+        tmd: &Tmd,
+        dim: DimensionId,
+        level: &str,
+        structure_versions: &[StructureVersion],
+    ) -> Result<Rollup> {
+        let dimension = tmd.dimension(dim)?;
+        let mut first: HashMap<&str, MemberVersionId> = HashMap::new();
+        let group_of: Vec<MemberVersionId> = dimension
+            .versions()
+            .iter()
+            .map(|v| *first.entry(v.name.as_str()).or_insert(v.id))
+            .collect();
+        let versions = structure_versions
+            .iter()
+            .map(|sv| {
+                let at = sv.interval.start();
+                let (_, levels) = levels_at(dimension, at);
+                let target = levels.iter().find(|l| l.name == level)?;
+                let mut in_level = vec![false; group_of.len()];
+                for &m in &target.members {
+                    in_level[m.index()] = true;
+                }
+                let mut row = LeafGroups {
+                    spans: vec![ABSENT; group_of.len()],
+                    groups: Vec::new(),
+                };
+                for &leaf in sv.members.get(dim.index()).map_or(&[][..], Vec::as_slice) {
+                    let start = row.groups.len();
+                    if in_level[leaf.index()] {
+                        row.groups.push(group_of[leaf.index()]);
+                    } else {
+                        let mut ancestors = dimension.ancestors_at(leaf, at);
+                        ancestors.retain(|a| in_level[a.index()]);
+                        ancestors.sort_unstable();
+                        ancestors.dedup();
+                        row.groups
+                            .extend(ancestors.iter().map(|a| group_of[a.index()]));
+                    }
+                    row.spans[leaf.index()] = (start as u32, row.groups.len() as u32);
+                }
+                Some(row)
+            })
+            .collect();
+        Ok(Rollup {
+            dim,
+            dimension: dimension.name().to_owned(),
+            level: level.to_owned(),
+            unclassified: first
+                .get(UNCLASSIFIED)
+                .copied()
+                .unwrap_or(MemberVersionId(u32::MAX)),
+            group_of,
+            intervals: structure_versions.iter().map(|sv| sv.interval).collect(),
+            versions,
+        })
+    }
+
+    /// The dimension this table rolls up.
+    #[must_use]
+    pub fn dimension(&self) -> DimensionId {
+        self.dim
+    }
+
+    /// The group ids of `leaf`'s ancestors at the level in structure
+    /// version `sv` (an index into [`QueryMemo::structure_versions`]),
+    /// in ancestor id order; `Ok(None)` when `leaf` is not valid in
+    /// `sv` or `sv` is out of range.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownLevel`] when the level does not exist in `sv`.
+    pub fn groups(&self, sv: usize, leaf: MemberVersionId) -> Result<Option<&[MemberVersionId]>> {
+        match self.versions.get(sv) {
+            None => Ok(None),
+            Some(None) => Err(CoreError::UnknownLevel {
+                dimension: self.dimension.clone(),
+                level: self.level.clone(),
+            }),
+            Some(Some(row)) => Ok(match row.spans.get(leaf.index()) {
+                Some(&(start, end)) if (start, end) != ABSENT => {
+                    Some(&row.groups[start as usize..end as usize])
+                }
+                _ => None,
+            }),
+        }
+    }
+
+    /// The group id of member version `id`: the first version carrying
+    /// its name.
+    #[must_use]
+    pub fn group_of(&self, id: MemberVersionId) -> MemberVersionId {
+        self.group_of[id.index()]
+    }
+
+    /// Appends the group ids of `leaf`'s ancestors at the level at
+    /// instant `at` to `out`: from the row of the structure version
+    /// holding `at` when `leaf` is valid there (a hit), else derived by
+    /// [`ancestors_at_level`] (a miss).
+    pub(crate) fn extend(
+        &self,
+        tmd: &Tmd,
+        leaf: MemberVersionId,
+        at: Instant,
+        out: &mut Vec<MemberVersionId>,
+        lookups: &mut CacheStats,
+    ) -> Result<()> {
+        let sv = Some(self.intervals.partition_point(|iv| iv.end() < at))
+            .filter(|&v| self.intervals.get(v).is_some_and(|iv| iv.contains(at)));
+        if let Some(groups) = sv.map(|v| self.groups(v, leaf)).transpose()?.flatten() {
+            lookups.hits += 1;
+            out.extend_from_slice(groups);
+            return Ok(());
+        }
+        lookups.misses += 1;
+        let ancestors = ancestors_at_level(tmd.dimension(self.dim)?, leaf, &self.level, at)?;
+        out.extend(ancestors.into_iter().map(|a| self.group_of(a)));
+        Ok(())
+    }
+
+    /// The member name group `group` renders as.
+    pub(crate) fn group_name(&self, tmd: &Tmd, group: MemberVersionId) -> String {
+        let version = tmd.dimension(self.dim).and_then(|d| d.version(group));
+        version.map_or_else(|_| UNCLASSIFIED.to_owned(), |v| v.name.clone())
+    }
+
+    /// The group id of rows without an ancestor at the level: the group
+    /// of a member named `(unclassified)` when there is one.
+    #[must_use]
+    pub fn unclassified(&self) -> MemberVersionId {
+        self.unclassified
     }
 }
 
-impl std::fmt::Debug for PresentationStore {
+/// The key name of a row without an ancestor at the grouped level.
+const UNCLASSIFIED: &str = "(unclassified)";
+
+/// Everything the memo keeps for one schema stamp besides routes.
+#[derive(Default)]
+struct Stamped {
+    stamp: u64,
+    structure_versions: Option<Arc<Vec<StructureVersion>>>,
+    rollups: Vec<Arc<Rollup>>,
+    presentations: Vec<Arc<CachedPresentation>>,
+}
+
+/// The structure versions, roll-up tables and presented tables of one
+/// schema instance; shared by every shard of a [`ShardedMemo`].
+#[derive(Default)]
+struct SchemaStore {
+    inner: Mutex<Stamped>,
+}
+
+impl std::fmt::Debug for SchemaStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.lock();
-        f.debug_struct("PresentationStore")
-            .field("stamp", &inner.0)
-            .field("entries", &inner.1.len())
+        f.debug_struct("SchemaStore")
+            .field("stamp", &inner.stamp)
+            .field("rollups", &inner.rollups.len())
+            .field("presentations", &inner.presentations.len())
             .finish()
     }
 }
 
-/// Shared memo for mapping routes, roll-up paths and presented fact
-/// tables, invalidated by the schema stamp.
+impl SchemaStore {
+    /// The store, past a panic of another holder: every update is one
+    /// assignment or push, so the data is valid at every step.
+    fn lock(&self) -> MutexGuard<'_, Stamped> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The store's state for `stamp`, dropping another stamp's first.
+    fn at(&self, stamp: u64) -> MutexGuard<'_, Stamped> {
+        let mut inner = self.lock();
+        if inner.stamp != stamp {
+            *inner = Stamped {
+                stamp,
+                ..Stamped::default()
+            };
+        }
+        inner
+    }
+}
+
+/// Shared memo for mapping routes, structure versions, roll-ups and
+/// presented fact tables, invalidated by the schema stamp.
 #[derive(Debug, Default)]
 pub struct QueryMemo {
     routes: GenCache<RouteKey, Vec<MappingRoute>>,
-    ancestors: GenCache<AncestorKey, Vec<MemberVersionId>>,
-    presentations: Arc<PresentationStore>,
+    store: Arc<SchemaStore>,
+    rollup_hits: AtomicU64,
+    rollup_misses: AtomicU64,
     presented_hits: AtomicU64,
     presented_misses: AtomicU64,
     presented_extended: AtomicU64,
@@ -163,37 +367,49 @@ impl QueryMemo {
         self.routes.get_or_insert_with(tmd.stamp(), key, make)
     }
 
-    /// The roll-up ancestors for `key` under `tmd`'s current stamp,
-    /// computing them with `make` on a miss.
-    pub fn ancestors<F>(&self, tmd: &Tmd, key: AncestorKey, make: F) -> Arc<Vec<MemberVersionId>>
-    where
-        F: FnOnce() -> Vec<MemberVersionId>,
-    {
-        self.ancestors.get_or_insert_with(tmd.stamp(), key, make)
+    /// [`Tmd::structure_versions`] of `tmd`, inferred once per stamp.
+    pub fn structure_versions(&self, tmd: &Tmd) -> Arc<Vec<StructureVersion>> {
+        if let Some(svs) = &self.store.at(tmd.stamp()).structure_versions {
+            return Arc::clone(svs);
+        }
+        let svs = Arc::new(tmd.structure_versions());
+        let mut inner = self.store.at(tmd.stamp());
+        Arc::clone(inner.structure_versions.get_or_insert(svs))
     }
 
-    /// The roll-up ancestors for `key`, computing them with the
-    /// fallible `make` on a miss. Failures propagate and are **not**
-    /// cached — roll-up errors are time-dependent and must resurface on
-    /// every affected lookup.
+    /// The roll-up table of `dim` at `level` over
+    /// [`QueryMemo::structure_versions`], built on first use per stamp
+    /// (and counted as one roll-up miss).
     ///
     /// # Errors
     ///
-    /// Whatever `make` returns.
-    pub fn try_ancestors<F, E>(
-        &self,
-        tmd: &Tmd,
-        key: AncestorKey,
-        make: F,
-    ) -> std::result::Result<Arc<Vec<MemberVersionId>>, E>
-    where
-        F: FnOnce() -> std::result::Result<Vec<MemberVersionId>, E>,
-    {
-        if let Some(v) = self.ancestors.get(tmd.stamp(), &key) {
-            return Ok(v);
+    /// [`CoreError::UnknownDimension`] for a bad `dim`.
+    pub fn rollup(&self, tmd: &Tmd, dim: DimensionId, level: &str) -> Result<Arc<Rollup>> {
+        let find = |inner: &Stamped| {
+            let mut rollups = inner.rollups.iter();
+            rollups.find(|r| r.dim == dim && r.level == level).cloned()
+        };
+        if let Some(r) = find(&self.store.at(tmd.stamp())) {
+            return Ok(r);
         }
-        let v = make()?;
-        Ok(self.ancestors.get_or_insert_with(tmd.stamp(), key, || v))
+        let built = Arc::new(Rollup::build(
+            tmd,
+            dim,
+            level,
+            &self.structure_versions(tmd),
+        )?);
+        self.count_rollups(0, 1);
+        let mut inner = self.store.at(tmd.stamp());
+        Ok(find(&inner).unwrap_or_else(|| {
+            inner.rollups.push(Arc::clone(&built));
+            built
+        }))
+    }
+
+    /// Adds one query's roll-up lookups to the counters.
+    pub(crate) fn count_rollups(&self, hits: u64, misses: u64) {
+        self.rollup_hits.fetch_add(hits, Ordering::Relaxed);
+        self.rollup_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Looks up `mode`'s presented table for `tmd` at `morsel_size`,
@@ -205,12 +421,13 @@ impl QueryMemo {
         mode: &TemporalMode,
         morsel_size: usize,
     ) -> Cached {
-        let entry = {
-            let inner = self.presentations.lock();
-            (inner.0 == tmd.stamp())
-                .then(|| inner.1.iter().find(|e| &e.table.mode == mode).cloned())
-                .flatten()
-        };
+        let entry = self
+            .store
+            .at(tmd.stamp())
+            .presentations
+            .iter()
+            .find(|e| &e.table.mode == mode)
+            .cloned();
         let facts = tmd.facts().len();
         match entry {
             Some(e) if e.morsel_size == morsel_size && e.facts == facts => {
@@ -232,11 +449,8 @@ impl QueryMemo {
     /// tables are dropped first; a racing fold that already stored a
     /// table over more facts at the same morsel size wins.
     pub(crate) fn keep_presentation(&self, tmd: &Tmd, entry: CachedPresentation) {
-        let mut inner = self.presentations.lock();
-        if inner.0 != tmd.stamp() {
-            *inner = (tmd.stamp(), Vec::new());
-        }
-        let entries = &mut inner.1;
+        let mut inner = self.store.at(tmd.stamp());
+        let entries = &mut inner.presentations;
         match entries
             .iter()
             .position(|e| e.table.mode == entry.table.mode)
@@ -256,8 +470,12 @@ impl QueryMemo {
     /// [`ShardedMemo`] reports the same store.
     #[must_use]
     pub fn presented_modes(&self) -> Vec<TemporalMode> {
-        let inner = self.presentations.lock();
-        inner.1.iter().map(|e| e.table.mode.clone()).collect()
+        let inner = self.store.lock();
+        inner
+            .presentations
+            .iter()
+            .map(|e| e.table.mode.clone())
+            .collect()
     }
 
     /// Lifetime counters of every cache.
@@ -265,7 +483,10 @@ impl QueryMemo {
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             routes: self.routes.stats(),
-            ancestors: self.ancestors.stats(),
+            ancestors: CacheStats {
+                hits: self.rollup_hits.load(Ordering::Relaxed),
+                misses: self.rollup_misses.load(Ordering::Relaxed),
+            },
             presentations: CacheStats {
                 hits: self.presented_hits.load(Ordering::Relaxed),
                 misses: self.presented_misses.load(Ordering::Relaxed),
@@ -274,16 +495,17 @@ impl QueryMemo {
         }
     }
 
-    /// Cached entries (routes, ancestors) — diagnostics.
+    /// Cached entries (routes, roll-up tables) — diagnostics.
     #[must_use]
     pub fn len(&self) -> (usize, usize) {
-        (self.routes.len(), self.ancestors.len())
+        let inner = self.store.lock();
+        (self.routes.len(), inner.rollups.len())
     }
 
     /// True when no route, roll-up or presented table is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty() && self.ancestors.is_empty() && self.presented_modes().is_empty()
+        self.len() == (0, 0) && self.presented_modes().is_empty()
     }
 }
 
@@ -293,8 +515,9 @@ impl QueryMemo {
 /// keep landing on the same warm shard. Each shard invalidates
 /// independently on the schema stamp, exactly like a lone
 /// [`QueryMemo`] — sharding changes contention, never answers. The
-/// presented tables are the exception: every shard reads **one**
-/// shared store, so a server holds one table per mode, not one per
+/// schema store is the exception: every shard reads **one** shared
+/// store of structure versions, roll-up tables and presented tables,
+/// so a server holds one table per mode and per roll-up, not one per
 /// shard; each shard still counts its own lookups.
 #[derive(Debug)]
 pub struct ShardedMemo {
@@ -302,16 +525,15 @@ pub struct ShardedMemo {
 }
 
 impl ShardedMemo {
-    /// `shards` memos (clamped to at least one) over one presentation
-    /// store.
+    /// `shards` memos (clamped to at least one) over one schema store.
     #[must_use]
     pub fn new(shards: usize) -> ShardedMemo {
-        let store = Arc::new(PresentationStore::default());
+        let store = Arc::new(SchemaStore::default());
         ShardedMemo {
             shards: (0..shards.max(1))
                 .map(|_| {
                     Arc::new(QueryMemo {
-                        presentations: Arc::clone(&store),
+                        store: Arc::clone(&store),
                         ..QueryMemo::default()
                     })
                 })
@@ -358,7 +580,7 @@ mod tests {
     use crate::evolution;
     use crate::mapping::MeasureMapping;
     use mvolap_exec::ExecContext;
-    use mvolap_temporal::Interval;
+    use mvolap_temporal::{Instant, Interval};
 
     #[test]
     fn routes_cached_until_schema_mutates() {
@@ -392,13 +614,12 @@ mod tests {
     fn plain_version_insert_also_invalidates() {
         let mut cs = case_study();
         let memo = QueryMemo::new();
-        let akey = (
-            DimensionId(0),
-            MemberVersionId(0),
-            "Division".to_string(),
-            Instant::ym(2001, 6),
-        );
-        memo.ancestors(&cs.tmd, akey.clone(), Vec::new);
+        let before = memo.rollup(&cs.tmd, cs.org, "Division").unwrap();
+        let svs = memo.structure_versions(&cs.tmd);
+        assert!(Arc::ptr_eq(
+            &before,
+            &memo.rollup(&cs.tmd, cs.org, "Division").unwrap()
+        ));
         cs.tmd
             .add_version(
                 cs.org,
@@ -406,12 +627,10 @@ mod tests {
                 Interval::since(Instant::ym(2004, 1)),
             )
             .unwrap();
-        let recomputed = std::cell::Cell::new(false);
-        memo.ancestors(&cs.tmd, akey, || {
-            recomputed.set(true);
-            Vec::new()
-        });
-        assert!(recomputed.get());
+        let after = memo.rollup(&cs.tmd, cs.org, "Division").unwrap();
+        assert!(!Arc::ptr_eq(&before, &after), "a new stamp must rebuild");
+        assert!(!Arc::ptr_eq(&svs, &memo.structure_versions(&cs.tmd)));
+        assert_eq!(memo.stats().ancestors, CacheStats { hits: 0, misses: 2 });
     }
 
     /// Two instances whose generation numbers coincide but whose

@@ -350,7 +350,7 @@ fn present_row(
     loop {
         let coords: Vec<MemberVersionId> =
             (0..n_dims).map(|d| routes[d][combo[d]].target).collect();
-        let row_cells = partial.cells.cells((coords, t), || measure_cells(tmd));
+        let row_cells = partial.cells.cells(&(coords, t), || measure_cells(tmd));
         for (m, cell) in row_cells.iter_mut().enumerate() {
             // Compose this measure's mapping across dimensions and
             // apply it to the source value.
@@ -531,7 +531,7 @@ impl DeltaMvft {
             if !all_valid {
                 continue;
             }
-            let row_cells = cells.cells((coords, facts.time(row)), || measure_cells(tmd));
+            let row_cells = cells.cells(&(coords, facts.time(row)), || measure_cells(tmd));
             for (m, cell) in row_cells.iter_mut().enumerate() {
                 cell.add(Some(facts.value(row, m)), Confidence::Source);
             }

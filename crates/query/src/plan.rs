@@ -153,8 +153,18 @@ pub fn run_with_versions_par(
     ctx: &ExecContext,
     memo: &QueryMemo,
 ) -> Result<ResultSet> {
-    let ast = parse(input)?;
-    let q = plan(tmd, structure_versions, &ast)?;
+    run_parsed(tmd, structure_versions, &parse(input)?, ctx, memo)
+}
+
+/// Plans and executes a parsed single-mode query.
+fn run_parsed(
+    tmd: &Tmd,
+    structure_versions: &[StructureVersion],
+    ast: &Query,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<ResultSet> {
+    let q = plan(tmd, structure_versions, ast)?;
     Ok(evaluate_par(tmd, structure_versions, &q, ctx, memo)?)
 }
 
@@ -164,14 +174,9 @@ pub fn run_with_versions_par(
 ///
 /// Any lexing, parsing, planning or execution failure.
 pub fn run(tmd: &Tmd, input: &str) -> Result<ResultSet> {
-    let svs = tmd.structure_versions();
-    run_with_versions_par(
-        tmd,
-        &svs,
-        input,
-        &ExecContext::sequential(),
-        &QueryMemo::new(),
-    )
+    let memo = QueryMemo::new();
+    let svs = memo.structure_versions(tmd);
+    run_with_versions_par(tmd, &svs, input, &ExecContext::sequential(), &memo)
 }
 
 /// One entry of an `IN ALL MODES` comparison: the mode's result plus its
@@ -213,8 +218,18 @@ pub fn run_compare_par(
     ctx: &ExecContext,
     memo: &QueryMemo,
 ) -> Result<Vec<ModeResult>> {
-    let svs = tmd.structure_versions();
-    let ast = parse(input)?;
+    let svs = memo.structure_versions(tmd);
+    compare_parsed(tmd, &svs, &parse(input)?, ctx, memo)
+}
+
+/// [`run_compare_par`] over a parsed query.
+fn compare_parsed(
+    tmd: &Tmd,
+    structure_versions: &[StructureVersion],
+    ast: &Query,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<Vec<ModeResult>> {
     let mut out = match &ast.mode {
         ModeSpec::AllModes { weights } => {
             let weights = weights
@@ -222,11 +237,11 @@ pub fn run_compare_par(
                 .unwrap_or_default();
             let mut concrete = ast.clone();
             concrete.mode = ModeSpec::Tcm;
-            let query = plan(tmd, &svs, &concrete)?;
-            compare_modes(tmd, &svs, &query, &weights, ctx, memo)?
+            let query = plan(tmd, structure_versions, &concrete)?;
+            compare_modes(tmd, structure_versions, &query, &weights, ctx, memo)?
         }
         _ => {
-            let result = evaluate_par(tmd, &svs, &plan(tmd, &svs, &ast)?, ctx, memo)?;
+            let result = run_parsed(tmd, structure_versions, ast, ctx, memo)?;
             let quality = result.quality(&ConfidenceWeights::default());
             vec![ModeResult { result, quality }]
         }
@@ -270,7 +285,8 @@ pub fn compare_modes(
 /// the session server replies: for `IN ALL MODES` one table per mode,
 /// best quality first, each under a `== mode … ==` banner; otherwise the
 /// one table, after a note when some facts have no representation in
-/// the mode.
+/// the mode. The text is parsed once, and the structure versions are
+/// read from `memo`.
 ///
 /// # Errors
 ///
@@ -282,9 +298,11 @@ pub fn render_answer(
     memo: &QueryMemo,
 ) -> Result<String> {
     use std::fmt::Write as _;
+    let ast = parse(input)?;
+    let svs = memo.structure_versions(tmd);
     let mut out = String::new();
-    if is_all_modes(input) {
-        for r in run_compare_par(tmd, input, ctx, memo)? {
+    if let ModeSpec::AllModes { .. } = ast.mode {
+        for r in compare_parsed(tmd, &svs, &ast, ctx, memo)? {
             let _ = writeln!(
                 out,
                 "== mode {} (Q = {:.3}, {} unmapped) ==",
@@ -295,8 +313,7 @@ pub fn render_answer(
             let _ = writeln!(out, "{}", r.result.render("result")?);
         }
     } else {
-        let svs = tmd.structure_versions();
-        let rs = run_with_versions_par(tmd, &svs, input, ctx, memo)?;
+        let rs = run_parsed(tmd, &svs, &ast, ctx, memo)?;
         if rs.unmapped_rows > 0 {
             let _ = writeln!(
                 out,

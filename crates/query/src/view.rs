@@ -43,7 +43,8 @@ pub struct CubeView<'a> {
 impl<'a> CubeView<'a> {
     /// Opens a view of `mode` at the finest granularity: the deepest
     /// level of every dimension, by year. `structure_versions` must be
-    /// [`Tmd::structure_versions`] of `tmd`.
+    /// [`Tmd::structure_versions`] of `tmd`, as
+    /// [`QueryMemo::structure_versions`] keeps them.
     pub fn open(
         tmd: &'a Tmd,
         structure_versions: &'a [StructureVersion],
@@ -320,8 +321,8 @@ mod tests {
 
     fn with_view(mode: TemporalMode, f: impl FnOnce(CubeView<'_>, DimensionId)) {
         let CaseStudy { tmd, org, .. } = case_study();
-        let svs = tmd.structure_versions();
         let memo = QueryMemo::new();
+        let svs = memo.structure_versions(&tmd);
         f(CubeView::open(&tmd, &svs, mode, &memo), org);
     }
 
@@ -420,8 +421,8 @@ mod tests {
     #[test]
     fn rotate_skips_dimensions_rolled_up_to_all() {
         let (tmd, org) = org_product();
-        let svs = tmd.structure_versions();
         let memo = QueryMemo::new();
+        let svs = memo.structure_versions(&tmd);
         let mut view = CubeView::open(&tmd, &svs, TemporalMode::Consistent, &memo);
         view.rotate(vec![1, 0, 2]).unwrap();
         assert_eq!(

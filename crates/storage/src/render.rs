@@ -24,45 +24,63 @@ use crate::Table;
 /// assert!(text.contains("150"));
 /// ```
 pub fn render_table(table: &Table) -> String {
-    let headers: Vec<String> = table
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| c.name.clone())
+    let cells: Vec<Vec<String>> = table
+        .rows()
+        .map(|row| row.iter().map(ToString::to_string).collect())
         .collect();
-    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(table.len());
-    for row in table.rows() {
-        let cells: Vec<String> = row.iter().map(ToString::to_string).collect();
-        for (w, c) in widths.iter_mut().zip(&cells) {
-            *w = (*w).max(c.len());
-        }
-        rows.push(cells);
-    }
+    render_text(&table.schema().names(), &cells)
+}
 
+/// Writes rows of cells as aligned plain text: the header row, a rule
+/// of dashes, then one line per row. Each column is padded to its
+/// widest cell (in bytes), columns are two spaces apart, and trailing
+/// padding is trimmed from every line. The one text layout of every
+/// rendered table.
+///
+/// ```
+/// use mvolap_storage::render::render_text;
+///
+/// let text = render_text(&["Division", "Amount"], [["Sales", "150"]]);
+/// assert_eq!(text, "Division  Amount\n----------------\nSales     150\n");
+/// ```
+pub fn render_text<R, C>(headers: &[&str], rows: R) -> String
+where
+    R: IntoIterator + Clone,
+    R::Item: AsRef<[C]>,
+    C: AsRef<str>,
+{
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows.clone() {
+        for (w, c) in widths.iter_mut().zip(row.as_ref()) {
+            *w = (*w).max(c.as_ref().len());
+        }
+    }
     let mut out = String::new();
-    let write_row = |out: &mut String, cells: &[String]| {
-        for (i, (c, w)) in cells.iter().zip(&widths).enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(c);
-            out.extend(std::iter::repeat_n(' ', w - c.len()));
-        }
-        // Trim trailing padding.
-        while out.ends_with(' ') {
-            out.pop();
-        }
-        out.push('\n');
-    };
-    write_row(&mut out, &headers);
+    write_line(&mut out, headers, &widths);
     let rule_len = widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1));
     out.extend(std::iter::repeat_n('-', rule_len));
     out.push('\n');
-    for r in &rows {
-        write_row(&mut out, r);
+    for row in rows {
+        write_line(&mut out, row.as_ref(), &widths);
     }
     out
+}
+
+/// One line of [`render_text`].
+fn write_line<C: AsRef<str>>(out: &mut String, cells: &[C], widths: &[usize]) {
+    for (i, (c, w)) in cells.iter().zip(widths).enumerate() {
+        let c = c.as_ref();
+        if i > 0 {
+            out.push_str("  ");
+        }
+        out.push_str(c);
+        out.extend(std::iter::repeat_n(' ', w - c.len()));
+    }
+    // Trim trailing padding.
+    while out.ends_with(' ') {
+        out.pop();
+    }
+    out.push('\n');
 }
 
 /// Renders a table as comma-separated values (no quoting of commas — the

@@ -139,8 +139,15 @@ impl std::fmt::Display for Value {
             Value::Null => f.write_str("NULL"),
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => {
+                // Whole values print as integers; below 1e15 they are
+                // exact in an `i64`, which formats faster than `{v:.0}`
+                // and the same but for the sign of zero.
                 if v.fract() == 0.0 && v.abs() < 1e15 {
-                    write!(f, "{v:.0}")
+                    if *v == 0.0 && v.is_sign_negative() {
+                        f.write_str("-0")
+                    } else {
+                        write!(f, "{}", *v as i64)
+                    }
                 } else {
                     write!(f, "{v}")
                 }
@@ -211,6 +218,24 @@ mod tests {
     fn display_formats() {
         assert_eq!(Value::Float(4.0).to_string(), "4");
         assert_eq!(Value::Float(0.4).to_string(), "0.4");
+        for v in [
+            0.0,
+            -0.0,
+            -4.0,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15,
+            2.5e15,
+            -0.5,
+        ] {
+            assert_eq!(Value::Float(v).to_string(), {
+                if v.fract() == 0.0 && v.abs() < 1e15 {
+                    format!("{v:.0}")
+                } else {
+                    format!("{v}")
+                }
+            });
+        }
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::from("Sales").to_string(), "Sales");
     }

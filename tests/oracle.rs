@@ -692,6 +692,43 @@ fn engine_agrees_with_the_naive_oracle_for_every_aggregator() {
     );
 }
 
+/// A Transform that keeps its name: Brian re-versioned at 07/2003 as
+/// `Dpt.Brian` again, with one fact on the new version in 09/2003, so
+/// both versions hold facts in 2003. They must roll up into one group
+/// per name.
+#[test]
+fn engine_agrees_with_the_naive_oracle_when_a_transform_keeps_its_name() {
+    let mut cs = case_study();
+    let at = Instant::ym(2003, 7);
+    let renamed = evolution::transform(
+        &mut cs.tmd,
+        cs.org,
+        cs.brian,
+        "Dpt.Brian",
+        Default::default(),
+        at,
+    )
+    .unwrap()
+    .created[0];
+    cs.tmd
+        .add_fact(&[renamed], Instant::ym(2003, 9), &[7.0])
+        .unwrap();
+    assert_eq!(
+        cs.tmd
+            .dimension(cs.org)
+            .unwrap()
+            .versions_named("Dpt.Brian")
+            .len(),
+        2
+    );
+    let (confidences, _) = check(&Input {
+        name: "a transform that keeps its name".into(),
+        tmd: cs.tmd,
+        division: "R&D",
+    });
+    assert!(confidences.contains(&Confidence::Exact));
+}
+
 /// Operator scripts: the durable crate's generated `WalRecord`
 /// sequences — `Reclassify`, `Transform`, `Confidence` and bare
 /// `UNKNOWN` associates among them — applied through `WalRecord::apply`
