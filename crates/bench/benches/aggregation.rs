@@ -11,7 +11,7 @@
 //! table and roll-up tables already built) plus `ResultSet::render`.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mvolap_core::aggregate::{evaluate, evaluate_par, AggregateQuery};
+use mvolap_core::aggregate::{evaluate_par, AggregateQuery};
 use mvolap_core::{ExecContext, QueryMemo, TemporalMode};
 use mvolap_workload::{generate, WorkloadConfig};
 
@@ -27,6 +27,7 @@ fn bench_modes(c: &mut Criterion) {
     let w = generate(&cfg).expect("workload generates");
     let svs = w.tmd.structure_versions();
     let n = w.tmd.facts().len() as u64;
+    let seq = ExecContext::sequential();
 
     let mut group = c.benchmark_group("aggregate/modes");
     group.sample_size(20);
@@ -41,7 +42,7 @@ fn bench_modes(c: &mut Criterion) {
     for (label, mode) in modes {
         let q = AggregateQuery::by_year(w.dim, "Division", mode);
         group.bench_with_input(BenchmarkId::from_parameter(label), &q, |b, q| {
-            b.iter(|| evaluate(&w.tmd, &svs, q).expect("evaluates"))
+            b.iter(|| evaluate_par(&w.tmd, &svs, q, &seq, &QueryMemo::new()).expect("evaluates"))
         });
     }
     group.finish();
@@ -50,6 +51,7 @@ fn bench_modes(c: &mut Criterion) {
 fn bench_fact_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("aggregate/fact_scaling");
     group.sample_size(10);
+    let seq = ExecContext::sequential();
     for facts in [4usize, 16, 64] {
         let mut cfg = WorkloadConfig::small(22)
             .with_departments(25)
@@ -63,7 +65,7 @@ fn bench_fact_scaling(c: &mut Criterion) {
         let q = AggregateQuery::by_year(w.dim, "Department", TemporalMode::Consistent);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &q, |b, q| {
-            b.iter(|| evaluate(&w.tmd, &svs, q).expect("evaluates"))
+            b.iter(|| evaluate_par(&w.tmd, &svs, q, &seq, &QueryMemo::new()).expect("evaluates"))
         });
     }
     group.finish();

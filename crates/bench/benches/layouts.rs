@@ -10,7 +10,7 @@
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mvolap_core::logical::{export_parent_child, export_snowflake, export_star};
-use mvolap_core::{logical, MultiVersionFactTable};
+use mvolap_core::{logical, ExecContext, MultiVersionFactTable, QueryMemo};
 use mvolap_storage::{AggCall, AggFunc, Predicate, Table};
 use mvolap_workload::{generate, WorkloadConfig};
 
@@ -31,7 +31,9 @@ fn setup(departments: usize) -> Setup {
     cfg.create_prob = 0.0;
     cfg.delete_prob = 0.0;
     let w = generate(&cfg).expect("workload generates");
-    let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+    let mv =
+        MultiVersionFactTable::infer_par(&w.tmd, &ExecContext::sequential(), &QueryMemo::new())
+            .expect("inference");
     Setup {
         star: export_star(&w.tmd, w.dim).expect("star"),
         snowflake: export_snowflake(&w.tmd, w.dim).expect("snowflake"),

@@ -8,7 +8,7 @@
 //! fraction.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mvolap_core::{DeltaMvft, MultiVersionFactTable};
+use mvolap_core::{DeltaMvft, ExecContext, MultiVersionFactTable, QueryMemo};
 use mvolap_workload::{generate, WorkloadConfig};
 
 fn evolving(
@@ -37,10 +37,20 @@ fn bench_fact_sweep(c: &mut Criterion) {
         let n = w.tmd.facts().len();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("full", n), &w, |b, w| {
-            b.iter(|| MultiVersionFactTable::infer(&w.tmd).expect("inference"))
+            b.iter(|| {
+                MultiVersionFactTable::infer_par(
+                    &w.tmd,
+                    &ExecContext::sequential(),
+                    &QueryMemo::new(),
+                )
+                .expect("inference")
+            })
         });
         group.bench_with_input(BenchmarkId::new("delta", n), &w, |b, w| {
-            b.iter(|| DeltaMvft::infer(&w.tmd).expect("inference"))
+            b.iter(|| {
+                DeltaMvft::infer_par(&w.tmd, &ExecContext::sequential(), &QueryMemo::new())
+                    .expect("inference")
+            })
         });
     }
     group.finish();
@@ -53,7 +63,14 @@ fn bench_version_sweep(c: &mut Criterion) {
         let w = evolving(11, 15, periods, 4);
         let versions = w.tmd.structure_versions().len();
         group.bench_with_input(BenchmarkId::new("full", versions), &w, |b, w| {
-            b.iter(|| MultiVersionFactTable::infer(&w.tmd).expect("inference"))
+            b.iter(|| {
+                MultiVersionFactTable::infer_par(
+                    &w.tmd,
+                    &ExecContext::sequential(),
+                    &QueryMemo::new(),
+                )
+                .expect("inference")
+            })
         });
     }
     group.finish();

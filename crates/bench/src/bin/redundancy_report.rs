@@ -15,7 +15,7 @@
 //! cargo run -p mvolap-bench --bin redundancy_report [--release]
 //! ```
 
-use mvolap_core::{DeltaMvft, MultiVersionFactTable};
+use mvolap_core::{DeltaMvft, ExecContext, MultiVersionFactTable, QueryMemo};
 use mvolap_workload::{generate, WorkloadConfig};
 
 fn main() {
@@ -36,8 +36,10 @@ fn main() {
         let w = generate(&cfg).expect("workload generates");
         let versions = w.tmd.structure_versions().len();
         let facts = w.tmd.facts().len();
-        let full = MultiVersionFactTable::infer(&w.tmd).expect("full inference");
-        let delta = DeltaMvft::infer(&w.tmd).expect("delta inference");
+        let seq = ExecContext::sequential();
+        let full = MultiVersionFactTable::infer_par(&w.tmd, &seq, &QueryMemo::new())
+            .expect("full inference");
+        let delta = DeltaMvft::infer_par(&w.tmd, &seq, &QueryMemo::new()).expect("delta inference");
         // Delta storage = the consistent cells (stored once) + only the
         // mapped cells of each version.
         let tcm_rows = full

@@ -19,7 +19,7 @@ use mvolap_durable::{
 };
 use mvolap_replica::{
     ChannelTransport, Follower, MsgRouter, NetAddr, NetConfig, ReplicaError, ReplicaMsg,
-    ReplicaTransport, TailSource, TcpTransport, WalTailer,
+    ReplicaTransport, TailSource, TcpTransport, TransportError, WalTailer,
 };
 use mvolap_server::{ServerError, ServerOptions};
 
@@ -1434,6 +1434,111 @@ fn joiner_is_promoted_only_after_its_reconfig_record_commits() {
     assert_eq!(cluster.settle_membership().as_deref(), Some("m3"));
     assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && !l));
     cluster.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A channel transport that drops every message to, from or naming
+/// the nodes in `cut`.
+#[derive(Default)]
+struct Cut {
+    inner: ChannelTransport,
+    cut: Vec<String>,
+}
+
+impl Cut {
+    fn cuts(&self, node: &str) -> bool {
+        self.cut.iter().any(|c| c == node)
+    }
+}
+
+impl ReplicaTransport for Cut {
+    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
+        let from = match msg {
+            ReplicaMsg::Hello { node, .. }
+            | ReplicaMsg::Ack { node, .. }
+            | ReplicaMsg::QuorumAck { node, .. }
+            | ReplicaMsg::VoteGrant { node, .. } => node.as_str(),
+            _ => "",
+        };
+        if self.cuts(to) || self.cuts(from) {
+            return Ok(());
+        }
+        self.inner.send(to, msg)
+    }
+
+    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
+        if self.cuts(node) {
+            return Ok(None);
+        }
+        self.inner.recv(node)
+    }
+
+    fn steps(&self) -> u64 {
+        self.inner.steps()
+    }
+}
+
+/// The model's supervisor should promote a joiner only once the voters
+/// that existed before it have committed its reconfig record, as the
+/// served group does: with both old voters cut off, the joiner syncs
+/// past its own record while the quorum watermark stays below it, and
+/// stays a learner until the voters heal and commit the record.
+///
+/// `ClusterSet::settle_reconfig` still promotes on `synced > record &&
+/// synced >= watermark`, so this fails: the joiner is promoted while
+/// the record is uncommitted. Requiring `watermark > record` as well
+/// makes it pass but breaks `membership_sweep`: its permanent-`m1`-cut
+/// strides add `m3` with one of two old voters gone, and since a
+/// learner does not vote while the majority threshold grows at the
+/// record, the record can never commit and the joiner is never
+/// promoted. Membership changes with a voter down need a rule that
+/// both engines share before this can run.
+#[test]
+#[ignore = "the model's promotion rule is not fixed yet: the fix stalls membership_sweep's m1-cut strides"]
+fn model_promotes_a_joiner_only_after_its_reconfig_record_commits() {
+    let dir = tmp("model-joinorder");
+    let workload = generate(13, 6);
+    let mut set = ClusterSet::bootstrap(
+        &dir,
+        workload.seed_schema.clone(),
+        opts(),
+        group_cfg(),
+        ClusterConfig::default(),
+        Cut::default(),
+        Io::plain(),
+    )
+    .expect("bootstrap");
+    set.add_member("m1", Io::plain());
+    set.add_member("m2", Io::plain());
+    for r in ops(&workload).into_iter().take(2) {
+        set.commit_quorum(r).expect("quorum commit");
+    }
+    let promoted = |events: &[ClusterEvent]| {
+        (events.iter()).any(|e| matches!(e, ClusterEvent::MemberPromoted { node } if node == "m3"))
+    };
+
+    set.transport_mut().cut = vec!["m1".to_string(), "m2".to_string()];
+    let join = set
+        .reconfig_add("m3", "m3", Io::plain())
+        .expect("join journaled");
+    let events = set.run_ticks(8);
+    assert!(
+        set.member_synced("m3") > join,
+        "the joiner ran past its record"
+    );
+    let watermark = set.primary().map(GroupCommit::quorum_lsn);
+    assert!(watermark <= Some(join), "the record is not yet committed");
+    assert!(set.is_learner("m3") && !promoted(&events), "{events:?}");
+
+    set.transport_mut().cut.clear();
+    let events = set.run_ticks(8);
+    let watermark = set.primary().map(GroupCommit::quorum_lsn);
+    assert!(
+        watermark > Some(join),
+        "the healed voters commit the record"
+    );
+    assert!(!set.is_learner("m3") && promoted(&events), "{events:?}");
+    assert_eq!(set.group_size(), 4);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -174,27 +174,10 @@ struct Partial {
 /// the average of the per-cell aggregates (cells are the values of the
 /// Definition 11 function `f'`), not a fact-weighted average.
 ///
-/// # Errors
-///
-/// Unknown dimensions, measures, levels or structure versions.
-pub fn evaluate(
-    tmd: &Tmd,
-    structure_versions: &[StructureVersion],
-    query: &AggregateQuery,
-) -> Result<ResultSet> {
-    evaluate_par(
-        tmd,
-        structure_versions,
-        query,
-        &ExecContext::sequential(),
-        &QueryMemo::new(),
-    )
-}
-
-/// Morsel-parallel [`evaluate`]: presented rows are folded in
-/// fixed-size morsels and per-worker partial groupings merged in morsel
-/// order — bit-identical to the sequential evaluation for every
-/// `ctx.threads`.
+/// Presented rows are folded in fixed-size morsels and per-worker
+/// partial groupings merged in morsel order — bit-identical for every
+/// `ctx.threads` (a sequential evaluation is
+/// `ExecContext::sequential()`).
 ///
 /// `memo` caches the presented fact table of `tcm` and each `Version`
 /// mode (extending it when facts were appended since), mapping routes
@@ -413,6 +396,17 @@ mod tests {
     use crate::case_study::case_study;
     use crate::confidence::{Confidence, ConfidenceWeights};
     use crate::ids::StructureVersionId;
+
+    /// A sequential evaluation through a fresh memo.
+    fn evaluate(tmd: &Tmd, svs: &[StructureVersion], query: &AggregateQuery) -> Result<ResultSet> {
+        evaluate_par(
+            tmd,
+            svs,
+            query,
+            &ExecContext::sequential(),
+            &QueryMemo::new(),
+        )
+    }
 
     fn q1(mode: TemporalMode) -> AggregateQuery {
         let cs = case_study();

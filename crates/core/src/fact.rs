@@ -35,7 +35,7 @@ impl Aggregator {
     /// The aggregator to use when folding *already aggregated* partial
     /// results (second-stage aggregation): partial counts **add**;
     /// sums add; min/max nest. `Avg` stays `Avg` — an average of
-    /// per-cell aggregates, documented on [`crate::aggregate::evaluate`].
+    /// per-cell aggregates, documented on [`crate::aggregate::evaluate_par`].
     #[must_use]
     pub fn combining(self) -> Aggregator {
         match self {

@@ -9,6 +9,12 @@
 //! are this fold over different keys. A presentation kept between queries resumes the fold
 //! from a clone of its state after the last whole morsel, merging each
 //! later morsel onto it in order — the same association tree.
+//!
+//! The per-row loops over these types take no lock, touch no atomic and
+//! allocate nothing but a cell's first contribution: a caller keeps one
+//! key buffer and one fan-out combination per morsel and rewrites them
+//! in place, and [`Groups::cells`] copies the key only when it opens a
+//! cell.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

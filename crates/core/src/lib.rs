@@ -32,8 +32,9 @@
 //!
 //! ```
 //! use mvolap_core::case_study::case_study;
-//! use mvolap_core::aggregate::{evaluate, AggregateQuery};
+//! use mvolap_core::aggregate::{evaluate_par, AggregateQuery};
 //! use mvolap_core::tmp::TemporalMode;
+//! use mvolap_core::{ExecContext, QueryMemo};
 //! use mvolap_temporal::Interval;
 //!
 //! // The paper's running example: an institution whose Organization
@@ -45,7 +46,8 @@
 //! // Q1: total amount by year and division, temporally consistent.
 //! let q1 = AggregateQuery::by_year(cs.org, "Division", TemporalMode::Consistent)
 //!     .in_range(Interval::years(2001, 2002));
-//! let result = evaluate(&cs.tmd, &svs, &q1).unwrap();
+//! let memo = QueryMemo::new();
+//! let result = evaluate_par(&cs.tmd, &svs, &q1, &ExecContext::sequential(), &memo).unwrap();
 //! assert_eq!(result.rows.len(), 4);
 //! assert_eq!(result.rows[0].keys[0], "Sales");
 //! assert_eq!(result.rows[0].cells[0].value, Some(150.0));
@@ -74,7 +76,7 @@ pub mod structure_version;
 pub mod tmp;
 pub mod token;
 
-pub use aggregate::{evaluate, evaluate_par, AggregateQuery, ResultRow, ResultSet, TimeLevel};
+pub use aggregate::{evaluate_par, AggregateQuery, ResultRow, ResultSet, TimeLevel};
 pub use confidence::{CellColour, Confidence, ConfidenceAlgebra, ConfidenceWeights};
 pub use dimension::{DimensionSnapshot, TemporalDimension, TemporalRelationship};
 pub use error::{CoreError, Result};
@@ -86,7 +88,7 @@ pub use mapping::{
 pub use member::{MemberVersion, MemberVersionSpec};
 pub use memo::{MemoStats, QueryMemo, ShardedMemo};
 pub use multiversion::{
-    present, present_par, DeltaMvft, MultiVersionFactTable, MvCell, MvRow, PresentedFacts,
+    present_par, DeltaMvft, MultiVersionFactTable, MvCell, MvRow, PresentedFacts,
 };
 pub use mvolap_exec::ExecContext;
 pub use schema::Tmd;

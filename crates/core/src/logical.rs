@@ -23,6 +23,7 @@
 //!
 //! [`build_multiversion_warehouse`] assembles the whole §5.1 middle tier.
 
+use mvolap_exec::ExecContext;
 use mvolap_storage::{Catalog, ColumnDef, DataType, Table, TableSchema, Value};
 use mvolap_temporal::Instant;
 
@@ -33,6 +34,7 @@ use crate::ids::{DimensionId, MemberVersionId};
 use crate::levels::{ancestors_at_level, levels_at};
 use crate::mapping::MappingRelationship;
 use crate::member::MemberVersionSpec;
+use crate::memo::QueryMemo;
 use crate::multiversion::MultiVersionFactTable;
 use crate::schema::Tmd;
 use crate::structure_version::StructureVersion;
@@ -548,7 +550,8 @@ pub fn export_evolution_log(tmd: &Tmd) -> Result<Table> {
 /// Propagates inference and export failures.
 pub fn build_multiversion_warehouse(tmd: &Tmd) -> Result<Catalog> {
     let svs = tmd.structure_versions();
-    let mvft = MultiVersionFactTable::infer(tmd)?;
+    let mvft =
+        MultiVersionFactTable::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())?;
     let mut catalog = Catalog::new();
     for (i, _) in tmd.dimensions().iter().enumerate() {
         let dim = DimensionId(i as u32);
@@ -685,7 +688,12 @@ mod tests {
     #[test]
     fn multiversion_fact_export_codes_confidence() {
         let cs = case_study();
-        let mvft = MultiVersionFactTable::infer(&cs.tmd).unwrap();
+        let mvft = MultiVersionFactTable::infer_par(
+            &cs.tmd,
+            &ExecContext::sequential(),
+            &QueryMemo::new(),
+        )
+        .unwrap();
         let t = export_multiversion_fact(&cs.tmd, &mvft).unwrap();
         assert_eq!(t.len(), mvft.total_rows());
         // tcm rows carry the source code 3.

@@ -31,7 +31,7 @@ use crate::confidence::Confidence;
 use crate::error::{CoreError, Result};
 use crate::fold::{next_combination, Cell, Groups};
 use crate::ids::{DimensionId, MemberVersionId};
-use crate::mapping::MappingRoute;
+use crate::mapping::{MappingRoute, MeasureMapping};
 use crate::memo::{Cached, CachedPresentation, QueryMemo};
 use crate::schema::Tmd;
 use crate::structure_version::StructureVersion;
@@ -130,32 +130,11 @@ fn rows_of(cells: PresentedCells) -> Vec<MvRow> {
 
 /// Presents the schema's facts under `mode`, resolving mappings against
 /// the supplied structure versions (obtain them once via
-/// [`Tmd::structure_versions`] and reuse across modes).
-///
-/// # Errors
-///
-/// [`CoreError::UnknownStructureVersion`] when the mode references a
-/// version id outside `structure_versions`.
-pub fn present(
-    tmd: &Tmd,
-    structure_versions: &[StructureVersion],
-    mode: &TemporalMode,
-) -> Result<PresentedFacts> {
-    // A fresh memo per call reproduces the historical behaviour of a
-    // local per-presentation route cache.
-    present_par(
-        tmd,
-        structure_versions,
-        mode,
-        &ExecContext::sequential(),
-        &QueryMemo::new(),
-    )
-}
-
-/// Morsel-parallel [`present`]: fact rows are folded in fixed-size
-/// morsels and the per-worker partials merged in morsel order, so the
-/// result is bit-identical for every `ctx.threads` (the sequential
-/// presentation is the `threads = 1` case of the same decomposition).
+/// [`Tmd::structure_versions`] and reuse across modes). Fact rows are
+/// folded in fixed-size morsels and the per-worker partials merged in
+/// morsel order, so the result is bit-identical for every
+/// `ctx.threads` (a sequential presentation is
+/// `ExecContext::sequential()`).
 ///
 /// `memo` caches mapping-closure routes per `(dimension, member
 /// version, structure version)` keyed to [`Tmd::stamp`]; share one
@@ -259,8 +238,9 @@ fn fold_facts(
     let rows = vec![(); tmd.facts().len() - from];
     let mut partials = ctx.map_morsels(&rows, |start, morsel| {
         let mut partial = Presentation::default();
+        let mut buffers = MorselBuffers::new(targets.len());
         for row in from + start..from + start + morsel.len() {
-            present_row(tmd, targets, memo, &mut partial, row);
+            present_row(tmd, targets, memo, &mut buffers, &mut partial, row);
         }
         partial
     });
@@ -279,89 +259,121 @@ fn fold_facts(
     (whole, state)
 }
 
+/// One morsel's working state for [`present_row`], reused by every row
+/// of the morsel.
+struct MorselBuffers {
+    /// Per dimension, indexed by [`MemberVersionId`]: the routes of each
+    /// leaf this morsel has met (empty for a temporally consistent
+    /// dimension, which presents a fact's own coordinate).
+    routes: Vec<Vec<Option<Arc<Vec<MappingRoute>>>>>,
+    /// The presented cell key of the current fan-out combination.
+    key: (Vec<MemberVersionId>, Instant),
+    /// The current fan-out combination: a route index per dimension.
+    combo: Vec<usize>,
+}
+
+impl MorselBuffers {
+    fn new(n_dims: usize) -> Self {
+        MorselBuffers {
+            routes: vec![Vec::new(); n_dims],
+            key: (vec![MemberVersionId(0); n_dims], Instant::at(0)),
+            combo: vec![0; n_dims],
+        }
+    }
+}
+
 /// Presents fact row `row` into `partial`: each coordinate is routed
-/// into its target structure version, the route product fans out, and
-/// every measure folds its mapped value with its mapped confidence.
+/// into its target structure version, the route product fans out
+/// (position 0 fastest), and every measure folds its mapped value with
+/// its mapped confidence, composing the dimensions' mappings left to
+/// right from [`MeasureMapping::SOURCE_IDENTITY`].
+///
+/// Only a leaf's first row in the morsel reads the shared memo (its
+/// routes are kept in `buffers`). Every other row takes no lock,
+/// touches no atomic and allocates nothing but a cell's first
+/// contribution: the cell key and fan-out combination live in
+/// `buffers`, rewritten in place.
 fn present_row(
     tmd: &Tmd,
     targets: &[Option<&StructureVersion>],
     memo: &QueryMemo,
+    buffers: &mut MorselBuffers,
     partial: &mut Presentation,
     row: usize,
 ) {
     let facts = tmd.facts();
-    let n_dims = targets.len();
     let n_measures = tmd.measures().len();
-    let t = facts.time(row);
-    // Resolve per-dimension routes for this fact. The index drives
-    // three parallel structures (fact coordinates, per-dim targets, the
-    // routes vector), so a range loop is the clearest form.
-    let mut routes: Vec<Arc<Vec<MappingRoute>>> = Vec::with_capacity(n_dims);
-    #[allow(clippy::needless_range_loop)]
-    for d in 0..n_dims {
+    for (d, target) in targets.iter().enumerate() {
+        let Some(sv) = target else { continue };
         let c = facts.coord(row, d);
-        match targets[d] {
-            None => {
-                // Temporally consistent: facts were validated at insert
-                // time to be valid at their own time.
-                routes.push(Arc::new(vec![MappingRoute {
-                    target: c,
-                    per_measure: vec![crate::mapping::MeasureMapping::SOURCE_IDENTITY; n_measures],
-                    hops: 0,
-                }]));
-            }
-            Some(sv) => {
-                let dim_id = DimensionId(d as u32);
-                let rs = memo.routes(tmd, (dim_id, c, sv.id), || {
-                    // Routes must move monotonically through time toward
-                    // the target structure version: forward edges for
-                    // data older than it, backward edges for newer data
-                    // (see `RouteDirection`).
-                    let validity = tmd
-                        .dimension(dim_id)
-                        .and_then(|dim| dim.version(c))
-                        .expect("fact coordinates are validated on insert")
-                        .validity;
-                    let direction = if validity.end() < sv.interval.start() {
-                        crate::mapping::RouteDirection::Forward
-                    } else if sv.interval.end() < validity.start() {
-                        crate::mapping::RouteDirection::Backward
-                    } else {
-                        // Valid coordinates short-circuit in `resolve`;
-                        // partial overlap cannot occur because structure
-                        // versions refine every validity interval.
-                        crate::mapping::RouteDirection::Any
-                    };
-                    tmd.mapping_graph(dim_id)
-                        .expect("dimension exists")
-                        .resolve(c, n_measures, direction, |id| sv.contains(dim_id, id))
-                });
-                if rs.is_empty() {
-                    partial.unmapped += 1;
-                    return;
-                }
-                routes.push(rs);
-            }
+        let table = &mut buffers.routes[d];
+        if table.len() <= c.index() {
+            table.resize(c.index() + 1, None);
+        }
+        let rs = table[c.index()].get_or_insert_with(|| {
+            let dim_id = DimensionId(d as u32);
+            memo.routes(tmd, (dim_id, c, sv.id), || {
+                // Routes must move monotonically through time toward
+                // the target structure version: forward edges for
+                // data older than it, backward edges for newer data
+                // (see `RouteDirection`).
+                let validity = tmd
+                    .dimension(dim_id)
+                    .and_then(|dim| dim.version(c))
+                    .expect("fact coordinates are validated on insert")
+                    .validity;
+                let direction = if validity.end() < sv.interval.start() {
+                    crate::mapping::RouteDirection::Forward
+                } else if sv.interval.end() < validity.start() {
+                    crate::mapping::RouteDirection::Backward
+                } else {
+                    // Valid coordinates short-circuit in `resolve`;
+                    // partial overlap cannot occur because structure
+                    // versions refine every validity interval.
+                    crate::mapping::RouteDirection::Any
+                };
+                tmd.mapping_graph(dim_id)
+                    .expect("dimension exists")
+                    .resolve(c, n_measures, direction, |id| sv.contains(dim_id, id))
+            })
+        });
+        if rs.is_empty() {
+            partial.unmapped += 1;
+            return;
         }
     }
 
-    // Cartesian product of per-dimension routes (splits fan out).
-    let mut combo = vec![0usize; n_dims];
+    // The row's routes in dimension `d`; `None` when `d` is temporally
+    // consistent (facts were validated at insert time to be valid at
+    // their own time, so the coordinate presents as itself).
+    let MorselBuffers { routes, key, combo } = buffers;
+    let routed = |d: usize| {
+        targets[d].map(|_| {
+            let rs = routes[d][facts.coord(row, d).index()].as_deref();
+            rs.expect("resolved above").as_slice()
+        })
+    };
+    key.1 = facts.time(row);
+    // Cartesian product of per-dimension routes (splits fan out);
+    // `combo` is all zeros between rows.
     loop {
-        let coords: Vec<MemberVersionId> =
-            (0..n_dims).map(|d| routes[d][combo[d]].target).collect();
-        let row_cells = partial.cells.cells(&(coords, t), || measure_cells(tmd));
+        for (d, target) in key.0.iter_mut().enumerate() {
+            *target = routed(d).map_or(facts.coord(row, d), |rs| rs[combo[d]].target);
+        }
+        let row_cells = partial.cells.cells(&*key, || measure_cells(tmd));
         for (m, cell) in row_cells.iter_mut().enumerate() {
             // Compose this measure's mapping across dimensions and
             // apply it to the source value.
-            let mut mapping = crate::mapping::MeasureMapping::SOURCE_IDENTITY;
-            for (d, r) in routes.iter().enumerate() {
-                mapping = mapping.compose(r[combo[d]].per_measure[m]);
+            let mut mapping = MeasureMapping::SOURCE_IDENTITY;
+            for (d, &i) in combo.iter().enumerate() {
+                let step =
+                    routed(d).map_or(MeasureMapping::SOURCE_IDENTITY, |rs| rs[i].per_measure[m]);
+                mapping = mapping.compose(step);
             }
             let value = mapping.func.apply(facts.value(row, m));
             cell.add(value, mapping.confidence);
         }
-        if !next_combination(&mut combo, |d| routes[d].len()) {
+        if !next_combination(combo, |d| routed(d).map_or(1, <[MappingRoute]>::len)) {
             break;
         }
     }
@@ -377,21 +389,9 @@ pub struct MultiVersionFactTable {
 
 impl MultiVersionFactTable {
     /// Infers the full table: `tcm` plus one presentation per structure
-    /// version (Definition 11).
-    ///
-    /// # Errors
-    ///
-    /// Propagates presentation errors.
-    pub fn infer(tmd: &Tmd) -> Result<Self> {
-        Self::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
-    }
-
-    /// Morsel-parallel [`MultiVersionFactTable::infer`]: each mode's
-    /// presentation runs through [`present_par`], sharing `memo`'s
-    /// route cache across modes. Bit-identical to [`infer`] for every
-    /// thread count.
-    ///
-    /// [`infer`]: MultiVersionFactTable::infer
+    /// version (Definition 11), each mode through [`present_par`],
+    /// sharing `memo`'s route cache across modes. Bit-identical for
+    /// every thread count.
     ///
     /// # Errors
     ///
@@ -454,17 +454,8 @@ pub struct DeltaMvft {
 }
 
 impl DeltaMvft {
-    /// Builds the delta representation for every structure-version mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates presentation errors.
-    pub fn infer(tmd: &Tmd) -> Result<Self> {
-        Self::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
-    }
-
-    /// Morsel-parallel [`DeltaMvft::infer`]; see
-    /// [`MultiVersionFactTable::infer_par`] for the contract.
+    /// Builds the delta representation for every structure-version
+    /// mode; see [`MultiVersionFactTable::infer_par`] for the contract.
     ///
     /// # Errors
     ///
@@ -521,7 +512,7 @@ impl DeltaMvft {
             .ok_or(CoreError::UnknownStructureVersion(svid.index()))?;
 
         // Source-valid rows: facts whose every coordinate is valid in the
-        // version. Accumulate duplicates exactly as `present` does.
+        // version. Accumulate duplicates exactly as `present_par` does.
         let facts = tmd.facts();
         let n_dims = tmd.dimensions().len();
         let mut cells = PresentedCells::default();
@@ -577,6 +568,26 @@ mod tests {
     use super::*;
     use crate::case_study::{case_study, CaseStudy};
     use crate::ids::StructureVersionId;
+
+    /// A sequential presentation through a fresh memo.
+    fn present(tmd: &Tmd, svs: &[StructureVersion], mode: &TemporalMode) -> Result<PresentedFacts> {
+        present_par(
+            tmd,
+            svs,
+            mode,
+            &ExecContext::sequential(),
+            &QueryMemo::new(),
+        )
+    }
+
+    fn full(tmd: &Tmd) -> MultiVersionFactTable {
+        MultiVersionFactTable::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
+            .unwrap()
+    }
+
+    fn delta(tmd: &Tmd) -> DeltaMvft {
+        DeltaMvft::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new()).unwrap()
+    }
 
     fn by_name<'a>(
         cs: &CaseStudy,
@@ -643,7 +654,7 @@ mod tests {
     #[test]
     fn full_mvft_has_all_modes() {
         let cs = case_study();
-        let mv = MultiVersionFactTable::infer(&cs.tmd).unwrap();
+        let mv = full(&cs.tmd);
         // tcm + three structure versions.
         assert_eq!(mv.presentations().len(), 4);
         assert!(mv.for_mode(&TemporalMode::Consistent).is_some());
@@ -653,7 +664,7 @@ mod tests {
     #[test]
     fn lookup_is_definition_11s_function() {
         let cs = case_study();
-        let mv = MultiVersionFactTable::infer(&cs.tmd).unwrap();
+        let mv = full(&cs.tmd);
         let dim = cs.tmd.dimension(cs.org).unwrap();
         let jones = dim
             .version_named_at("Dpt.Jones", Instant::ym(2002, 6))
@@ -686,8 +697,8 @@ mod tests {
     #[test]
     fn delta_reconstruction_matches_full_materialisation() {
         let cs = case_study();
-        let full = MultiVersionFactTable::infer(&cs.tmd).unwrap();
-        let delta = DeltaMvft::infer(&cs.tmd).unwrap();
+        let full = full(&cs.tmd);
+        let delta = delta(&cs.tmd);
         for sv in cs.tmd.structure_versions() {
             let mode = TemporalMode::Version(sv.id);
             let full_p = full.for_mode(&mode).unwrap();
@@ -715,8 +726,8 @@ mod tests {
     #[test]
     fn delta_stores_fewer_rows_than_full() {
         let cs = case_study();
-        let full = MultiVersionFactTable::infer(&cs.tmd).unwrap();
-        let delta = DeltaMvft::infer(&cs.tmd).unwrap();
+        let full = full(&cs.tmd);
+        let delta = delta(&cs.tmd);
         // Full duplicates everything; delta only the mapped rows.
         let full_version_rows =
             full.total_rows() - full.for_mode(&TemporalMode::Consistent).unwrap().rows.len();

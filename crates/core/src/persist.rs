@@ -466,8 +466,10 @@ mod tests {
         );
         let svs_a = cs.tmd.structure_versions();
         let svs_b = back.structure_versions();
-        let ra = crate::evaluate(&cs.tmd, &svs_a, &q).expect("evaluates");
-        let rb = crate::evaluate(&back, &svs_b, &q).expect("evaluates");
+        let seq = crate::ExecContext::sequential();
+        let ra = crate::evaluate_par(&cs.tmd, &svs_a, &q, &seq, &crate::QueryMemo::new());
+        let rb = crate::evaluate_par(&back, &svs_b, &q, &seq, &crate::QueryMemo::new());
+        let (ra, rb) = (ra.expect("evaluates"), rb.expect("evaluates"));
         assert_eq!(ra.rows, rb.rows);
     }
 

@@ -37,8 +37,8 @@ use std::path::Path;
 use mvolap_core::evolution::{MergeSource, SplitPart};
 use mvolap_core::persist::write_tmd;
 use mvolap_core::{
-    AggregateQuery, DimensionId, MappingRelationship, MeasureDef, MeasureMapping, MemberVersionId,
-    MemberVersionSpec, TemporalDimension, TemporalMode, Tmd,
+    AggregateQuery, DimensionId, ExecContext, MappingRelationship, MeasureDef, MeasureMapping,
+    MemberVersionId, MemberVersionSpec, QueryMemo, TemporalDimension, TemporalMode, Tmd,
 };
 use mvolap_prng::Rng;
 use mvolap_temporal::{Granularity, Instant, Interval};
@@ -412,7 +412,9 @@ pub fn serialise(tmd: &Tmd) -> Vec<u8> {
 pub fn query_fingerprint(tmd: &Tmd, org: DimensionId) -> Result<Vec<String>, String> {
     let q = AggregateQuery::by_year(org, "Division", TemporalMode::Consistent);
     let svs = tmd.structure_versions();
-    let rs = mvolap_core::evaluate(tmd, &svs, &q).map_err(|e| format!("query failed: {e}"))?;
+    let (seq, memo) = (ExecContext::sequential(), QueryMemo::new());
+    let rs = mvolap_core::evaluate_par(tmd, &svs, &q, &seq, &memo)
+        .map_err(|e| format!("query failed: {e}"))?;
     Ok(rs
         .rows
         .iter()

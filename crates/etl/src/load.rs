@@ -541,10 +541,12 @@ mod tests {
             .unwrap();
         let svs = tmd.structure_versions();
         let last = svs.last().unwrap().id;
-        let p = mvolap_core::multiversion::present(
+        let p = mvolap_core::present_par(
             &tmd,
             &svs,
             &mvolap_core::TemporalMode::Version(last),
+            &mvolap_core::ExecContext::sequential(),
+            &mvolap_core::QueryMemo::new(),
         )
         .unwrap();
         assert_eq!(p.unmapped_rows, 0);

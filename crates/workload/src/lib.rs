@@ -357,7 +357,9 @@ mod tests {
         assert!(w.stats.splits > 0, "stats: {:?}", w.stats);
         assert!(w.tmd.structure_versions().len() > 1);
         // The multiversion fact table is inferable end to end.
-        let mv = mvolap_core::MultiVersionFactTable::infer(&w.tmd).unwrap();
+        let seq = mvolap_core::ExecContext::sequential();
+        let memo = mvolap_core::QueryMemo::new();
+        let mv = mvolap_core::MultiVersionFactTable::infer_par(&w.tmd, &seq, &memo).unwrap();
         assert!(mv.total_rows() >= w.tmd.facts().len());
     }
 

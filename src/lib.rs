@@ -60,10 +60,9 @@ pub use mvolap_workload as workload;
 /// Commonly used items, one `use` away.
 pub mod prelude {
     pub use mvolap_core::{
-        evaluate, evaluate_par, AggregateQuery, Aggregator, Confidence, ConfidenceWeights,
-        DimensionId, ExecContext, MeasureDef, MemberVersionId, MemberVersionSpec,
-        MultiVersionFactTable, QueryMemo, StructureVersionId, TemporalDimension, TemporalMode,
-        TimeLevel, Tmd,
+        evaluate_par, AggregateQuery, Aggregator, Confidence, ConfidenceWeights, DimensionId,
+        ExecContext, MeasureDef, MemberVersionId, MemberVersionSpec, MultiVersionFactTable,
+        QueryMemo, StructureVersionId, TemporalDimension, TemporalMode, TimeLevel, Tmd,
     };
     pub use mvolap_temporal::{Granularity, Instant, Interval};
 }

@@ -3,11 +3,33 @@
 //! language → cube navigation → logical export) with cross-layer
 //! invariants.
 
-use mvolap::core::aggregate::{evaluate, AggregateQuery, TimeLevel};
+use mvolap::core::aggregate::{evaluate_par, AggregateQuery, ResultSet, TimeLevel};
 use mvolap::core::logical;
-use mvolap::core::{Confidence, ExecContext, MultiVersionFactTable, QueryMemo, TemporalMode};
+use mvolap::core::{
+    Confidence, ExecContext, MultiVersionFactTable, QueryMemo, StructureVersion, TemporalMode, Tmd,
+};
 use mvolap::query::{run_with_versions_par, CubeView};
 use mvolap::workload::{generate, WorkloadConfig};
+
+/// A sequential evaluation through a fresh memo.
+fn evaluate(
+    tmd: &Tmd,
+    svs: &[StructureVersion],
+    query: &AggregateQuery,
+) -> mvolap::core::Result<ResultSet> {
+    evaluate_par(
+        tmd,
+        svs,
+        query,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+}
+
+/// The full multiversion fact table, inferred sequentially.
+fn infer(tmd: &Tmd) -> mvolap::core::Result<MultiVersionFactTable> {
+    MultiVersionFactTable::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
+}
 
 fn evolving_workload(seed: u64) -> mvolap::workload::GeneratedWorkload {
     let mut cfg = WorkloadConfig::small(seed);
@@ -60,7 +82,7 @@ fn grand_total_is_identical_across_all_modes() {
 #[test]
 fn consistent_mode_rows_equal_fact_count() {
     let w = evolving_workload(7);
-    let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+    let mv = infer(&w.tmd).expect("inference");
     let tcm = mv.for_mode(&TemporalMode::Consistent).expect("tcm present");
     // Workload facts are unique per (leaf, time) except repeated inserts
     // on the same leaf/mid-year, which accumulate; row count is bounded
@@ -154,7 +176,7 @@ fn logical_export_round_trips_through_relational_group_by() {
     // the storage engine, must agree with the model's own aggregation.
     let w = evolving_workload(77);
     let svs = w.tmd.structure_versions();
-    let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+    let mv = infer(&w.tmd).expect("inference");
     let fact = logical::export_multiversion_fact(&w.tmd, &mv).expect("exports");
 
     use mvolap::storage::{AggCall, AggFunc, Predicate};
@@ -222,7 +244,7 @@ fn frozen_workload_has_single_version_and_pure_source_data() {
     let w = generate(&WorkloadConfig::small(5).frozen()).expect("generates");
     let svs = w.tmd.structure_versions();
     assert_eq!(svs.len(), 1);
-    let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+    let mv = infer(&w.tmd).expect("inference");
     for p in mv.presentations() {
         for row in &p.rows {
             for c in &row.cells {

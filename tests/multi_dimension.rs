@@ -3,13 +3,50 @@
 //! Product line — including simultaneous splits in both dimensions
 //! (cartesian route fan-out in the multiversion presentation).
 
-use mvolap::core::aggregate::{evaluate, AggregateQuery, TimeLevel};
+use mvolap::core::aggregate::{evaluate_par, AggregateQuery, ResultSet, TimeLevel};
 use mvolap::core::evolution::{self, SplitPart};
 use mvolap::core::{
-    Confidence, DimensionId, MeasureDef, MemberVersionId, MemberVersionSpec, MultiVersionFactTable,
-    TemporalDimension, TemporalMode, Tmd,
+    all_modes, present_par, Confidence, DimensionId, ExecContext, MappingFunction, MeasureDef,
+    MeasureMapping, MemberVersionId, MemberVersionSpec, MultiVersionFactTable, PresentedFacts,
+    QueryMemo, StructureVersion, TemporalDimension, TemporalMode, Tmd,
 };
 use mvolap::prelude::{Granularity, Instant, Interval};
+use mvolap::workload::{generate, WorkloadConfig};
+
+/// A sequential evaluation through a fresh memo.
+fn evaluate(
+    tmd: &Tmd,
+    svs: &[StructureVersion],
+    query: &AggregateQuery,
+) -> mvolap::core::Result<ResultSet> {
+    evaluate_par(
+        tmd,
+        svs,
+        query,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+}
+
+/// The full multiversion fact table, inferred sequentially.
+fn infer(tmd: &Tmd) -> mvolap::core::Result<MultiVersionFactTable> {
+    MultiVersionFactTable::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
+}
+
+/// A sequential presentation through a fresh memo.
+fn present(
+    tmd: &Tmd,
+    svs: &[StructureVersion],
+    mode: &TemporalMode,
+) -> mvolap::core::Result<PresentedFacts> {
+    present_par(
+        tmd,
+        svs,
+        mode,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+}
 
 struct TwoDim {
     tmd: Tmd,
@@ -120,7 +157,7 @@ fn simultaneous_splits_fan_out_cartesianly() {
     let s = build();
     let svs = s.tmd.structure_versions();
     let mode = TemporalMode::Version(svs[1].id);
-    let mv = MultiVersionFactTable::infer(&s.tmd).expect("inference");
+    let mv = infer(&s.tmd).expect("inference");
     let p = mv.for_mode(&mode).expect("mode present");
     let d_org = s.tmd.dimension(s.org).expect("org");
     let d_prod = s.tmd.dimension(s.product).expect("product");
@@ -219,7 +256,7 @@ fn mixed_mode_maps_one_dimension_only() {
     let s = build();
     let svs = s.tmd.structure_versions();
     let mode = TemporalMode::Mixed(vec![(s.org, svs[1].id)]);
-    let mv = mvolap::core::multiversion::present(&s.tmd, &svs, &mode).expect("presents");
+    let mv = present(&s.tmd, &svs, &mode).expect("presents");
     let d_org = s.tmd.dimension(s.org).expect("org");
     let d_prod = s.tmd.dimension(s.product).expect("product");
     let rows_2002: Vec<(String, String, f64)> = mv
@@ -273,8 +310,116 @@ fn unmapped_facts_are_counted_when_no_route_exists() {
     evolution::delete(&mut s.tmd, s.org, dept_b, Instant::ym(2003, 1)).expect("delete");
     let svs = s.tmd.structure_versions();
     let last = svs.last().expect("versions").id;
-    let p = mvolap::core::multiversion::present(&s.tmd, &svs, &TemporalMode::Version(last))
-        .expect("presents");
+    let p = present(&s.tmd, &svs, &TemporalMode::Version(last)).expect("presents");
     // DeptB had 2 facts (2001, 2002 gadget rows).
     assert_eq!(p.unmapped_rows, 2);
+}
+
+/// FNV-1a over every presented bit of one presentation: mode, unmapped
+/// count, and each row's coordinates, time, confidence codes and value
+/// bits, in row order.
+fn presented_digest(mut h: u64, p: &PresentedFacts) -> u64 {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(format!("{}|{}|", p.mode, p.unmapped_rows).as_bytes());
+    for r in &p.rows {
+        eat(format!("{:?}|{:?}|", r.coords, r.time).as_bytes());
+        for c in &r.cells {
+            eat(format!("{:?}|", c.confidence).as_bytes());
+            eat(&c.value.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The two-dimension schema plus a 2004 split of DeptB whose parts map
+/// *affinely*: DeptB × Gadget facts presented in the 2004 structure fan
+/// out over an affine Org route and a scaled Product route, so both the
+/// fan-out order and the left-to-right compose order across dimensions
+/// show in the presented bits (scale factors alone commute).
+fn build_affine() -> TwoDim {
+    let mut s = build();
+    let t4 = Instant::ym(2004, 1);
+    let org = s.tmd.dimension(s.org).expect("org");
+    let dept_b = org.version_named_at("DeptB", t4).expect("live").id;
+    let div = org.version_named_at("Division1", t4).expect("live").id;
+    let affine = |a, b| SplitPart {
+        name: format!("DeptB{a}"),
+        forward: vec![MeasureMapping {
+            func: MappingFunction::Affine { a, b },
+            confidence: Confidence::Approx,
+        }],
+        backward: vec![MeasureMapping::EXACT_IDENTITY],
+    };
+    evolution::split(
+        &mut s.tmd,
+        s.org,
+        dept_b,
+        &[affine(0.25, 7.0), affine(0.75, -7.0)],
+        t4,
+        &[div],
+    )
+    .expect("affine org split");
+    let product = s.tmd.dimension(s.product).expect("product");
+    let gadget_s = product.version_named_at("GadgetS", t4).expect("live").id;
+    let org = s.tmd.dimension(s.org).expect("org");
+    let b1 = org.version_named_at("DeptB0.25", t4).expect("live").id;
+    for month in [3, 9] {
+        s.tmd
+            .add_fact(&[b1, gadget_s], Instant::ym(2004, month), &[12.5])
+            .expect("fact");
+    }
+    s
+}
+
+/// Presented bits are pinned across the presentation fold's rewrites:
+/// every mode of two schemas, at threads {1, 2, 3} × morsel sizes
+/// {1, 7, 1024}. Thread count never changes a bit; morsel size fixes
+/// the association tree, so each size has its own digest. The digests
+/// were computed on the fold that built one route vector per fact row.
+#[test]
+fn presented_bits_are_pinned_across_threads_and_morsels() {
+    let mut heavy = WorkloadConfig::small(11).with_periods(6);
+    heavy.split_prob = 0.5;
+    heavy.merge_prob = 0.3;
+    let warehouse = generate(&heavy).expect("seeded config generates");
+    assert!(warehouse.stats.splits > 0 && warehouse.stats.merges > 0);
+    let schemas: [(&str, &Tmd, [u64; 3]); 2] = [
+        (
+            "two-dimension",
+            &build_affine().tmd,
+            [0x320b_360d_aa5f_02cf; 3],
+        ),
+        (
+            "warehouse",
+            &warehouse.tmd,
+            [
+                0x4535_c4e6_132c_4743,
+                0x44b3_171e_0467_29b7,
+                0xfb73_438b_cf4f_3734,
+            ],
+        ),
+    ];
+    for (name, tmd, pins) in schemas {
+        let svs = tmd.structure_versions();
+        for (morsel, pin) in [1, 7, 1024].into_iter().zip(pins) {
+            for threads in [1, 2, 3] {
+                let ctx = ExecContext::new(threads).with_morsel_size(morsel);
+                let memo = QueryMemo::new();
+                let digest = all_modes(&svs)
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325, |h, mode| {
+                        let p = present_par(tmd, &svs, mode, &ctx, &memo).expect("presents");
+                        presented_digest(h, &p)
+                    });
+                assert_eq!(
+                    digest, pin,
+                    "{name}: morsel {morsel}, threads {threads}: {digest:#x}"
+                );
+            }
+        }
+    }
 }

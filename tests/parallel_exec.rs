@@ -8,9 +8,9 @@
 //! and check that the shared generation-keyed memo cache never changes
 //! a result — even across interleaved evolution operations.
 
-use mvolap::core::aggregate::{evaluate, evaluate_par, AggregateQuery, ResultSet};
+use mvolap::core::aggregate::{evaluate_par, AggregateQuery, ResultSet};
 use mvolap::core::evolution::{self, SplitPart};
-use mvolap::core::multiversion::{present, present_par, MultiVersionFactTable, PresentedFacts};
+use mvolap::core::multiversion::{present_par, MultiVersionFactTable, PresentedFacts};
 use mvolap::core::tmp::{all_modes, TemporalMode};
 use mvolap::core::{
     Confidence, CoreError, ExecContext, MeasureDef, MemberVersionSpec, QueryMemo,
@@ -109,27 +109,6 @@ fn present_par_is_bit_identical_across_threads() {
 }
 
 #[test]
-fn present_delegates_to_the_sequential_engine() {
-    // The legacy entry point is literally the threads=1, fresh-memo
-    // case of the engine — no drift allowed between the two paths.
-    for (i, w) in workloads().iter().enumerate() {
-        let svs = w.tmd.structure_versions();
-        for mode in all_modes(&svs) {
-            let a = present(&w.tmd, &svs, &mode).unwrap();
-            let b = present_par(
-                &w.tmd,
-                &svs,
-                &mode,
-                &ExecContext::sequential(),
-                &QueryMemo::new(),
-            )
-            .unwrap();
-            assert_presented_identical(&a, &b, &format!("config {i}, mode {mode}"));
-        }
-    }
-}
-
-#[test]
 fn evaluate_par_is_bit_identical_across_threads() {
     for (i, w) in workloads().iter().enumerate() {
         let svs = w.tmd.structure_versions();
@@ -159,17 +138,6 @@ fn evaluate_par_is_bit_identical_across_threads() {
                     &format!("config {i}, mode {mode}, threads {threads}"),
                 );
             }
-            // And the legacy sequential path agrees with the engine.
-            let legacy = evaluate(&w.tmd, &svs, &q).unwrap();
-            let seq = evaluate_par(
-                &w.tmd,
-                &svs,
-                &q,
-                &ExecContext::sequential(),
-                &QueryMemo::new(),
-            )
-            .unwrap();
-            assert_result_identical(&legacy, &seq, &format!("config {i}, mode {mode}, legacy"));
         }
     }
 }
@@ -177,7 +145,9 @@ fn evaluate_par_is_bit_identical_across_threads() {
 #[test]
 fn mvft_infer_par_is_bit_identical_across_threads() {
     let w = &workloads()[1]; // the split/merge-heavy schema
-    let baseline = MultiVersionFactTable::infer(&w.tmd).unwrap();
+    let baseline =
+        MultiVersionFactTable::infer_par(&w.tmd, &ExecContext::sequential(), &QueryMemo::new())
+            .unwrap();
     for threads in THREADS {
         let ctx = ExecContext::new(threads); // default morsel size
         let memo = QueryMemo::new();
@@ -186,14 +156,20 @@ fn mvft_infer_par_is_bit_identical_across_threads() {
         for (a, b) in baseline.presentations().iter().zip(mv.presentations()) {
             assert_presented_identical(a, b, &format!("mvft threads {threads}"));
         }
-        // The shared memo must actually engage across modes.
-        if threads == 1 {
-            let stats = memo.stats();
-            assert!(
-                stats.routes.hits > 0,
-                "route cache should hit across presentation modes"
-            );
-        }
+        // The shared memo must actually engage: a second inference on
+        // it computes no route, and every lookup it makes is a hit.
+        let first = memo.stats().routes;
+        MultiVersionFactTable::infer_par(&w.tmd, &ctx, &memo).unwrap();
+        let second = memo.stats().routes;
+        assert_eq!(
+            second.misses, first.misses,
+            "threads {threads}: no route recomputed"
+        );
+        assert_eq!(
+            second.hits - first.hits,
+            first.hits + first.misses,
+            "threads {threads}: the second pass repeats the first's lookups as hits"
+        );
     }
 }
 

@@ -4,13 +4,34 @@
 //! replaces the external `proptest` crate, which the offline build
 //! cannot fetch).
 
-use mvolap::core::aggregate::{evaluate, AggregateQuery, ResultRow, TimeLevel};
+use mvolap::core::aggregate::{evaluate_par, AggregateQuery, ResultRow, ResultSet, TimeLevel};
 use mvolap::core::{
-    infer_structure_versions, Confidence, DeltaMvft, MultiVersionFactTable, QueryMemo, TemporalMode,
+    infer_structure_versions, Confidence, DeltaMvft, ExecContext, MultiVersionFactTable, QueryMemo,
+    StructureVersion, TemporalMode, Tmd,
 };
 use mvolap::query::CubeView;
 use mvolap::workload::{generate, GeneratedWorkload, WorkloadConfig};
 use mvolap_prng::{check, Rng};
+
+/// A sequential evaluation through a fresh memo.
+fn evaluate(
+    tmd: &Tmd,
+    svs: &[StructureVersion],
+    query: &AggregateQuery,
+) -> mvolap::core::Result<ResultSet> {
+    evaluate_par(
+        tmd,
+        svs,
+        query,
+        &ExecContext::sequential(),
+        &QueryMemo::new(),
+    )
+}
+
+/// The full multiversion fact table, inferred sequentially.
+fn infer(tmd: &Tmd) -> mvolap::core::Result<MultiVersionFactTable> {
+    MultiVersionFactTable::infer_par(tmd, &ExecContext::sequential(), &QueryMemo::new())
+}
 
 const CASES: u64 = 24;
 
@@ -113,7 +134,7 @@ fn structure_versions_partition_history() {
 fn tcm_presentation_is_source_data() {
     check(CASES, 0xa003, |rng| {
         let w = any_workload(rng);
-        let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+        let mv = infer(&w.tmd).expect("inference");
         let tcm = mv.for_mode(&TemporalMode::Consistent).expect("tcm");
         assert_eq!(tcm.unmapped_rows, 0);
         let total: f64 = tcm.rows.iter().filter_map(|r| r.cells[0].value).sum();
@@ -135,8 +156,9 @@ fn tcm_presentation_is_source_data() {
 fn delta_equals_full_materialisation() {
     check(CASES, 0xa004, |rng| {
         let w = any_workload(rng);
-        let full = MultiVersionFactTable::infer(&w.tmd).expect("full");
-        let delta = DeltaMvft::infer(&w.tmd).expect("delta");
+        let full = infer(&w.tmd).expect("full");
+        let delta = DeltaMvft::infer_par(&w.tmd, &ExecContext::sequential(), &QueryMemo::new())
+            .expect("delta");
         for sv in w.tmd.structure_versions() {
             let mode = TemporalMode::Version(sv.id);
             let f = full.for_mode(&mode).expect("mode present");
@@ -168,7 +190,7 @@ fn delta_equals_full_materialisation() {
 fn confidence_never_exceeds_source() {
     check(CASES, 0xa005, |rng| {
         let w = any_workload(rng);
-        let mv = MultiVersionFactTable::infer(&w.tmd).expect("inference");
+        let mv = infer(&w.tmd).expect("inference");
         for p in mv.presentations() {
             for row in &p.rows {
                 for c in &row.cells {
