@@ -9,10 +9,20 @@
 //! `aggregate/warm` times what a serving process pays per repeated
 //! query: `evaluate_par` through one shared `QueryMemo` (the presented
 //! table and roll-up tables already built) plus `ResultSet::render`.
+//!
+//! `answer/wide` follows the widest answer of the served mix (`BY year,
+//! Org.Department IN MODE tcm` on the 106,500-fact warehouse, 1,775
+//! rows) from the warm fold to the client's bytes: `render_answer` and
+//! its two halves (`evaluate_par`, `ResultSet::render`), the reply
+//! payload, the frame, the client's checksum and its decode.
+//! `wire/crc32` is the checksum alone over 1 MiB.
 
 use mvolap_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mvolap_core::aggregate::{evaluate_par, AggregateQuery};
 use mvolap_core::{ExecContext, QueryMemo, TemporalMode};
+use mvolap_durable::{checksum::crc32, frame};
+use mvolap_query::render_answer;
+use mvolap_server::{decode_reply, encode_reply, Reply};
 use mvolap_workload::{generate, WorkloadConfig};
 
 fn bench_modes(c: &mut Criterion) {
@@ -103,5 +113,64 @@ fn bench_warm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_modes, bench_fact_scaling, bench_warm);
+fn bench_wide_answer(c: &mut Criterion) {
+    let cfg = WorkloadConfig::small(2003)
+        .with_departments(200)
+        .with_periods(8)
+        .with_facts_per_department(60);
+    let w = generate(&cfg).expect("workload generates");
+    let (memo, seq) = (QueryMemo::new(), ExecContext::sequential());
+    let text = "SELECT sum(Amount) BY year, Org.Department IN MODE tcm";
+    let answer = || render_answer(&w.tmd, text, &seq, &memo).expect("answers");
+    let reply = Reply::Result(answer()); // warms the memo
+    let payload = encode_reply(&reply);
+    let framed = frame::encode(&payload);
+
+    let svs = memo.structure_versions(&w.tmd);
+    let q = AggregateQuery::by_year(w.dim, "Department", TemporalMode::Consistent);
+    let result = evaluate_par(&w.tmd, &svs, &q, &seq, &memo).expect("evaluates");
+
+    let mut group = c.benchmark_group("answer/wide");
+    group.sample_size(20);
+    group.bench_function("render_answer", |b| b.iter(answer));
+    group.bench_function("evaluate", |b| {
+        b.iter(|| evaluate_par(&w.tmd, &svs, &q, &seq, &memo).expect("evaluates"))
+    });
+    group.bench_function("render", |b| {
+        b.iter(|| result.render("result").expect("renders"))
+    });
+    group.throughput(Throughput::Bytes(payload.len() as u64));
+    group.bench_function("encode_reply", |b| b.iter(|| encode_reply(&reply)));
+    group.bench_function("frame_encode", |b| b.iter(|| frame::encode(&payload)));
+    group.bench_function("crc_check", |b| {
+        b.iter(|| crc32(&framed[frame::HEADER..]).to_le_bytes() == framed[4..8])
+    });
+    group.bench_function("decode_reply", |b| {
+        b.iter(|| decode_reply(&payload).expect("decodes"))
+    });
+    group.finish();
+
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mebibyte: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect();
+    let mut group = c.benchmark_group("wire/crc32");
+    group.sample_size(20);
+    group.throughput(Throughput::Bytes(mebibyte.len() as u64));
+    group.bench_function("1MiB", |b| b.iter(|| crc32(&mebibyte)));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_modes,
+    bench_fact_scaling,
+    bench_warm,
+    bench_wide_answer
+);
 criterion_main!(benches);

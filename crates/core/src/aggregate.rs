@@ -8,7 +8,6 @@
 //! Q2 ("total amounts per department") are both instances; their
 //! answers are [`ResultSet`]s.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mvolap_exec::{CacheStats, ExecContext};
@@ -150,7 +149,7 @@ type Axis = (Arc<Rollup>, Option<Instant>);
 /// buffers every row reuses so that no row allocates.
 #[derive(Default)]
 struct Partial {
-    groups: Groups<Vec<i64>>,
+    groups: Groups,
     error: Option<CoreError>,
     lookups: CacheStats,
     /// The row's group ids on the filter being checked.
@@ -252,6 +251,11 @@ pub fn evaluate_par(
         rollup.extend(tmd, leaf, fixed.unwrap_or(row.time), out, lookups)
     };
 
+    // Second-stage fold over MVFT cells: partial counts add
+    // (`combining`), sums add, min/max nest.
+    let init: Vec<Cell> = (measure_ids.iter())
+        .map(|&m| Cell::new(tmd.measures()[m.index()].aggregator.combining()))
+        .collect();
     // Per-row grouping, shared by every worker. Errors return through
     // the fold state (the engine's fold is infallible).
     let process = |p: &mut Partial, row: &MvRow| -> Result<()> {
@@ -290,14 +294,7 @@ pub fn evaluate_par(
                 .zip(&p.combo)
                 .map(|(o, &i)| i64::from(o[i].0));
             p.key.extend(ids);
-            let cells = p.groups.cells(p.key.as_slice(), || {
-                // Second-stage fold over MVFT cells: partial counts add
-                // (`combining`), sums add, min/max nest.
-                measure_ids
-                    .iter()
-                    .map(|&m| Cell::new(tmd.measures()[m.index()].aggregator.combining()))
-                    .collect()
-            });
+            let cells = p.groups.cells(&p.key, &init);
             for (cell, &m) in cells.iter_mut().zip(&measure_ids) {
                 let MvCell { value, confidence } = row.cells[m.index()];
                 cell.add(value, confidence);
@@ -339,37 +336,39 @@ pub fn evaluate_par(
         return Err(e);
     }
 
-    // Labels and names, once per group. Order: by time key (labels that
+    // Labels, once per time bucket. Order: by time key (labels that
     // parse as integers numerically, others as strings), preserving
     // first-contribution order within a time group (the sort is
-    // stable) — the paper's table layout.
-    let mut times: Vec<(String, Option<i64>)> = Vec::new();
-    let mut time_of: HashMap<i64, usize> = HashMap::new();
-    let mut rows: Vec<(usize, ResultRow)> = groups
-        .finish()
-        .map(|(key, cells)| {
-            let t = *time_of.entry(key[0]).or_insert_with(|| {
+    // stable) — the paper's table layout. The sort moves group
+    // numbers; each row is built once, in place.
+    let (mut times, mut time_index) = (Vec::<(String, Option<i64>)>::new(), Groups::default());
+    let mut order: Vec<(usize, usize)> = (groups.iter().enumerate())
+        .map(|(g, (key, _))| {
+            let (t, new) = time_index.insert(&key[..1], &[]);
+            if new {
                 let label = query.time_level.label(key[0], tmd.granularity());
-                times.push((label.clone(), label.parse::<i64>().ok()));
-                times.len() - 1
-            });
-            let keys = (axes.iter().flatten().zip(&key[1..]))
-                .map(|((rollup, _), &g)| rollup.group_name(tmd, MemberVersionId(g as u32)))
-                .collect();
-            (
-                t,
-                ResultRow {
-                    time: times[t].0.clone(),
-                    keys,
-                    cells,
-                },
-            )
+                let number = label.parse::<i64>().ok();
+                times.push((label, number));
+            }
+            (t, g)
         })
         .collect();
-    rows.sort_by(|(a, _), (b, _)| match (&times[*a], &times[*b]) {
+    order.sort_by(|(a, _), (b, _)| match (&times[*a], &times[*b]) {
         ((_, Some(x)), (_, Some(y))) => x.cmp(y),
         ((x, _), (y, _)) => x.cmp(y),
     });
+    let rows = (order.into_iter())
+        .map(|(t, g)| {
+            let (key, cells) = groups.group(g);
+            ResultRow {
+                time: times[t].0.clone(),
+                keys: (axes.iter().flatten().zip(&key[1..]))
+                    .map(|((rollup, _), &g)| rollup.group_name(tmd, MemberVersionId(g as u32)))
+                    .collect(),
+                cells: cells.iter().map(Cell::finish).collect(),
+            }
+        })
+        .collect();
 
     Ok(ResultSet {
         mode: query.mode.clone(),
@@ -385,7 +384,7 @@ pub fn evaluate_par(
             .iter()
             .map(|&m| tmd.measures()[m.index()].name.clone())
             .collect(),
-        rows: rows.into_iter().map(|(_, row)| row).collect(),
+        rows,
         unmapped_rows: presented.unmapped_rows,
     })
 }

@@ -11,14 +11,10 @@
 //! later morsel onto it in order — the same association tree.
 //!
 //! The per-row loops over these types take no lock, touch no atomic and
-//! allocate nothing but a cell's first contribution: a caller keeps one
-//! key buffer and one fan-out combination per morsel and rewrites them
-//! in place, and [`Groups::cells`] copies the key only when it opens a
-//! cell.
-
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+//! allocate nothing per row: a caller keeps one key buffer and one
+//! fan-out combination per morsel and rewrites them in place, and
+//! [`Groups::cells`] appends a new cell's key and cells to flat vectors
+//! (which grow by doubling).
 
 use crate::confidence::Confidence;
 use crate::fact::Aggregator;
@@ -95,123 +91,129 @@ impl Cell {
     }
 }
 
-/// A multiply-rotate hasher (the FxHash scheme) for the folds' integer
-/// keys: a group's order is its first contribution, never the hash, so
-/// no key needs a keyed hash.
-#[derive(Debug, Clone, Copy, Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+/// The FxHash multiply-rotate scheme over a key's words, rotated so
+/// the well-mixed high bits pick the slot: a group's order is its first
+/// contribution, never the hash, so no key needs a keyed hash.
+fn hash(key: &[i64]) -> u64 {
+    let mut h = 0u64;
+    for &word in key {
+        h = (h.rotate_left(5) ^ word as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
+    h.rotate_left(26)
 }
 
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The slot entry of group `g`.
+fn slot_mark(g: usize) -> u32 {
+    u32::try_from(g + 1).expect("fewer than 2^32 - 1 groups")
 }
 
 /// Cells grouped by key, in first-contribution order.
-#[derive(Debug, Clone)]
-pub struct Groups<K> {
-    index: HashMap<K, usize, BuildHasherDefault<FxHasher>>,
-    keys: Vec<K>,
-    cells: Vec<Vec<Cell>>,
+///
+/// Keys are integer words of one width and each is kept once, flat:
+/// group `g`'s key is `keys[g * key_width..][..key_width]` and its cells
+/// are `cells[g * width..][..width]`. An open-addressing table of group
+/// numbers finds a key. A new group allocates nothing of its own, and
+/// a clone of the whole state (a kept presentation) is three vectors.
+#[derive(Debug, Clone, Default)]
+pub struct Groups {
+    len: usize,
+    key_width: usize,
+    width: usize,
+    keys: Vec<i64>,
+    cells: Vec<Cell>,
+    /// Linear probing over a power-of-two table: a group number plus
+    /// one, or 0 for a free slot; at most half full.
+    slots: Vec<u32>,
 }
 
-impl<K: Hash + Eq + Clone> Default for Groups<K> {
-    fn default() -> Self {
-        Groups {
-            index: HashMap::default(),
-            keys: Vec::new(),
-            cells: Vec::new(),
+impl Groups {
+    fn key(&self, g: usize) -> &[i64] {
+        &self.keys[g * self.key_width..][..self.key_width]
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    fn slot(&self, key: &[i64]) -> (usize, Option<usize>) {
+        let mask = self.slots.len() - 1;
+        let mut s = hash(key) as usize & mask;
+        loop {
+            match self.slots[s] {
+                0 => return (s, None),
+                g if self.key(g as usize - 1) == key => return (s, Some(g as usize - 1)),
+                _ => s = (s + 1) & mask,
+            }
         }
     }
-}
 
-impl<K: Hash + Eq + Clone> Groups<K> {
-    /// The cells of `key`, made by `init` on its first contribution;
-    /// only a first contribution copies the key.
-    pub fn cells<Q>(&mut self, key: &Q, init: impl FnOnce() -> Vec<Cell>) -> &mut [Cell]
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        let i = match self.index.get(key) {
-            Some(&i) => i,
-            None => {
-                let i = self.keys.len();
-                self.index.insert(key.to_owned(), i);
-                self.keys.push(key.to_owned());
-                self.cells.push(init());
-                i
+    /// Where `key` sits in first-contribution order, appending it with
+    /// a copy of `init` as its cells on its first contribution; `true`
+    /// when it was appended.
+    pub fn insert(&mut self, key: &[i64], init: &[Cell]) -> (usize, bool) {
+        if self.len == 0 {
+            (self.key_width, self.width) = (key.len(), init.len());
+        }
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(16)];
+            for g in 0..self.len {
+                let (s, _) = self.slot(self.key(g));
+                self.slots[s] = slot_mark(g);
             }
-        };
-        &mut self.cells[i]
+        }
+        match self.slot(key) {
+            (_, Some(g)) => (g, false),
+            (s, None) => {
+                self.slots[s] = slot_mark(self.len);
+                self.keys.extend_from_slice(key);
+                self.cells.extend_from_slice(init);
+                self.len += 1;
+                (self.len - 1, true)
+            }
+        }
+    }
+
+    /// The cells of `key`, a copy of `init` on its first contribution.
+    pub fn cells(&mut self, key: &[i64], init: &[Cell]) -> &mut [Cell] {
+        let (g, _) = self.insert(key, init);
+        &mut self.cells[g * self.width..][..self.width]
     }
 
     /// Where `key` sits in first-contribution order.
-    pub fn position(&self, key: &K) -> Option<usize> {
-        self.index.get(key).copied()
+    #[must_use]
+    pub fn position(&self, key: &[i64]) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        self.slot(key).1
     }
 
     /// Merges a later partial in, appending its unseen keys in its own
     /// order: partials merged in morsel order keep the order a
     /// sequential fold would give.
-    pub fn merge(&mut self, other: Groups<K>) {
-        if self.keys.is_empty() {
+    pub fn merge(&mut self, other: Groups) {
+        if self.len == 0 {
             *self = other;
             return;
         }
-        for (key, cells) in other.keys.into_iter().zip(other.cells) {
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (a, b) in self.cells[i].iter_mut().zip(&cells) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.index.insert(key.clone(), self.keys.len());
-                    self.keys.push(key);
-                    self.cells.push(cells);
+        for (key, cells) in other.iter() {
+            if let (g, false) = self.insert(key, cells) {
+                for (a, b) in self.cells[g * self.width..][..self.width]
+                    .iter_mut()
+                    .zip(cells)
+                {
+                    a.merge(b);
                 }
             }
         }
     }
 
-    /// Every key with its finished cells, in first-contribution order.
-    pub fn finish(self) -> impl Iterator<Item = (K, Vec<MvCell>)> {
-        self.keys
-            .into_iter()
-            .zip(self.cells)
-            .map(|(key, cells)| (key, cells.iter().map(Cell::finish).collect()))
+    /// Group `g`'s key and cells.
+    #[must_use]
+    pub fn group(&self, g: usize) -> (&[i64], &[Cell]) {
+        (self.key(g), &self.cells[g * self.width..][..self.width])
+    }
+
+    /// Every key with its cells, in first-contribution order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[i64], &[Cell])> {
+        (0..self.len).map(|g| self.group(g))
     }
 }
 
@@ -288,23 +290,33 @@ mod tests {
 
     #[test]
     fn merge_appends_unseen_keys_in_the_partials_order() {
-        let one = || vec![Cell::new(Aggregator::Count)];
+        let one = [Cell::new(Aggregator::Count)];
         let mut first = Groups::default();
-        first.cells(&"b", one)[0].add(Some(0.0), Confidence::Source);
+        first.cells(&[2, 7], &one)[0].add(Some(0.0), Confidence::Source);
         let mut second = Groups::default();
-        for key in ["c", "b", "a"] {
-            second.cells(&key, one)[0].add(Some(0.0), Confidence::Source);
+        for key in [[3, 7], [2, 7], [1, 7]] {
+            second.cells(&key, &one)[0].add(Some(0.0), Confidence::Source);
         }
         first.merge(second);
-        assert_eq!(first.position(&"a"), Some(2));
-        let finished: Vec<(&str, Option<f64>)> = first
-            .finish()
-            .map(|(k, cells)| (k, cells[0].value))
+        assert_eq!(first.position(&[1, 7]), Some(2));
+        assert_eq!(first.position(&[7, 1]), None);
+        let finished: Vec<(i64, Option<f64>)> = first
+            .iter()
+            .map(|(k, cells)| (k[0], cells[0].finish().value))
             .collect();
-        assert_eq!(
-            finished,
-            [("b", Some(2.0)), ("c", Some(1.0)), ("a", Some(1.0))]
-        );
+        assert_eq!(finished, [(2, Some(2.0)), (3, Some(1.0)), (1, Some(1.0))]);
+    }
+
+    #[test]
+    fn keys_survive_every_growth_of_the_table() {
+        let mut groups = Groups::default();
+        for round in 0..2 {
+            for k in 0..1_000i64 {
+                let (g, new) = groups.insert(&[k % 7, k], &[]);
+                assert_eq!((g, new), (k as usize, round == 0));
+            }
+        }
+        assert!(groups.iter().map(|(k, _)| k[1]).eq(0..1_000));
     }
 
     #[test]

@@ -81,14 +81,11 @@ pub struct PresentedFacts {
     pub unmapped_rows: usize,
 }
 
-/// A presentation's cells, keyed by `(coords, t)`.
-type PresentedCells = Groups<(Vec<MemberVersionId>, Instant)>;
-
-/// The presentation fold's state: cells keyed by `(coords, t)` plus the
-/// fact rows no route could present.
+/// The presentation fold's state: cells keyed by `(coords, t)` (see
+/// [`cell_key`]) plus the fact rows no route could present.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Presentation {
-    cells: PresentedCells,
+    cells: Groups,
     unmapped: usize,
 }
 
@@ -102,7 +99,7 @@ impl Presentation {
     fn finish(self, mode: &TemporalMode) -> PresentedFacts {
         PresentedFacts {
             mode: mode.clone(),
-            rows: rows_of(self.cells),
+            rows: rows_of(&self.cells),
             unmapped_rows: self.unmapped,
         }
     }
@@ -116,14 +113,25 @@ fn measure_cells(tmd: &Tmd) -> Vec<Cell> {
         .collect()
 }
 
+/// The [`Groups`] key of presented cell `(coords, t)`: each coordinate's
+/// id, then `t`'s tick.
+fn cell_key(key: &mut Vec<i64>, coords: &[MemberVersionId], t: Instant) {
+    key.clear();
+    key.extend(coords.iter().map(|c| i64::from(c.0)));
+    key.push(t.tick());
+}
+
 /// Presented rows in first-contribution order.
-fn rows_of(cells: PresentedCells) -> Vec<MvRow> {
+fn rows_of(cells: &Groups) -> Vec<MvRow> {
     cells
-        .finish()
-        .map(|((coords, time), cells)| MvRow {
-            coords,
-            time,
-            cells,
+        .iter()
+        .map(|(key, cells)| {
+            let (time, coords) = key.split_last().expect("a cell key ends in its time");
+            MvRow {
+                coords: coords.iter().map(|&c| MemberVersionId(c as u32)).collect(),
+                time: Instant::at(*time),
+                cells: cells.iter().map(Cell::finish).collect(),
+            }
         })
         .collect()
 }
@@ -238,7 +246,7 @@ fn fold_facts(
     let rows = vec![(); tmd.facts().len() - from];
     let mut partials = ctx.map_morsels(&rows, |start, morsel| {
         let mut partial = Presentation::default();
-        let mut buffers = MorselBuffers::new(targets.len());
+        let mut buffers = MorselBuffers::new(tmd, targets.len());
         for row in from + start..from + start + morsel.len() {
             present_row(tmd, targets, memo, &mut buffers, &mut partial, row);
         }
@@ -266,18 +274,22 @@ struct MorselBuffers {
     /// leaf this morsel has met (empty for a temporally consistent
     /// dimension, which presents a fact's own coordinate).
     routes: Vec<Vec<Option<Arc<Vec<MappingRoute>>>>>,
-    /// The presented cell key of the current fan-out combination.
-    key: (Vec<MemberVersionId>, Instant),
+    /// The presented cell key of the current fan-out combination: a
+    /// coordinate per dimension, then the fact's time ([`cell_key`]).
+    key: Vec<i64>,
     /// The current fan-out combination: a route index per dimension.
     combo: Vec<usize>,
+    /// A new cell's measure cells.
+    init: Vec<Cell>,
 }
 
 impl MorselBuffers {
-    fn new(n_dims: usize) -> Self {
+    fn new(tmd: &Tmd, n_dims: usize) -> Self {
         MorselBuffers {
             routes: vec![Vec::new(); n_dims],
-            key: (vec![MemberVersionId(0); n_dims], Instant::at(0)),
+            key: vec![0; n_dims + 1],
             combo: vec![0; n_dims],
+            init: measure_cells(tmd),
         }
     }
 }
@@ -346,21 +358,28 @@ fn present_row(
     // The row's routes in dimension `d`; `None` when `d` is temporally
     // consistent (facts were validated at insert time to be valid at
     // their own time, so the coordinate presents as itself).
-    let MorselBuffers { routes, key, combo } = buffers;
+    let MorselBuffers {
+        routes,
+        key,
+        combo,
+        init,
+    } = buffers;
     let routed = |d: usize| {
         targets[d].map(|_| {
             let rs = routes[d][facts.coord(row, d).index()].as_deref();
             rs.expect("resolved above").as_slice()
         })
     };
-    key.1 = facts.time(row);
+    let n_dims = targets.len();
+    key[n_dims] = facts.time(row).tick();
     // Cartesian product of per-dimension routes (splits fan out);
     // `combo` is all zeros between rows.
     loop {
-        for (d, target) in key.0.iter_mut().enumerate() {
-            *target = routed(d).map_or(facts.coord(row, d), |rs| rs[combo[d]].target);
+        for (d, target) in key[..n_dims].iter_mut().enumerate() {
+            let coord = routed(d).map_or(facts.coord(row, d), |rs| rs[combo[d]].target);
+            *target = i64::from(coord.0);
         }
-        let row_cells = partial.cells.cells(&*key, || measure_cells(tmd));
+        let row_cells = partial.cells.cells(key, init);
         for (m, cell) in row_cells.iter_mut().enumerate() {
             // Compose this measure's mapping across dimensions and
             // apply it to the source value.
@@ -515,23 +534,27 @@ impl DeltaMvft {
         // version. Accumulate duplicates exactly as `present_par` does.
         let facts = tmd.facts();
         let n_dims = tmd.dimensions().len();
-        let mut cells = PresentedCells::default();
+        let (mut cells, mut key, init) = (Groups::default(), Vec::new(), measure_cells(tmd));
         for row in 0..facts.len() {
             let coords = facts.row_coords(row);
             let all_valid = (0..n_dims).all(|d| sv.contains(DimensionId(d as u32), coords[d]));
             if !all_valid {
                 continue;
             }
-            let row_cells = cells.cells(&(coords, facts.time(row)), || measure_cells(tmd));
+            cell_key(&mut key, &coords, facts.time(row));
+            let row_cells = cells.cells(&key, &init);
             for (m, cell) in row_cells.iter_mut().enumerate() {
                 cell.add(Some(facts.value(row, m)), Confidence::Source);
             }
         }
         let positions: Vec<Option<usize>> = self.deltas[idx]
             .iter()
-            .map(|d| cells.position(&(d.coords.clone(), d.time)))
+            .map(|d| {
+                cell_key(&mut key, &d.coords, d.time);
+                cells.position(&key)
+            })
             .collect();
-        let mut rows = rows_of(cells);
+        let mut rows = rows_of(&cells);
 
         // Merge in the stored deltas; a delta row may target the same cell
         // as a source row (a mapped contribution landing on live data).

@@ -106,11 +106,21 @@ impl ResultSet {
     /// Those of [`ResultSet::to_storage_table`].
     pub fn render(&self, _name: &str) -> Result<String> {
         use mvolap_storage::{StorageError, Value};
-        let (schema, mut cells) = (self.schema()?, Vec::new());
-        let values: Vec<String> = (self.rows.iter().flat_map(|r| &r.cells))
-            .map(|c| c.value.map_or(Value::Null, Value::Float).to_string())
-            .collect();
-        let (arity, mut values) = (schema.arity(), values.iter());
+        use std::fmt::Write as _;
+        let schema = self.schema()?;
+        let arity = schema.arity();
+        // Every value's text in one buffer; each cell borrows its range.
+        let (mut text, mut ends) = (String::new(), Vec::new());
+        for cell in self.rows.iter().flat_map(|r| &r.cells) {
+            let _ = write!(text, "{}", cell.value.map_or(Value::Null, Value::Float));
+            ends.push(text.len());
+        }
+        let mut values = ends.iter().scan(0, |start, &end| {
+            let value = &text[*start..end];
+            *start = end;
+            Some(value)
+        });
+        let mut cells = Vec::with_capacity(self.rows.len() * arity);
         for row in &self.rows {
             let actual = 1 + row.keys.len() + 2 * row.cells.len();
             if actual != arity {
@@ -123,7 +133,7 @@ impl ResultSet {
             cells.push(row.time.as_str());
             cells.extend(row.keys.iter().map(String::as_str));
             for (cell, value) in row.cells.iter().zip(&mut values) {
-                cells.extend([value.as_str(), cell.confidence.code()]);
+                cells.extend([value, cell.confidence.code()]);
             }
         }
         let rows = cells.chunks_exact(arity);
@@ -132,29 +142,38 @@ impl ResultSet {
 
     /// Pivot-grid rendering: time down the side, the first group key's
     /// members across the top, one measure per call — the layout of the
-    /// prototype's result grids. Cells carry their confidence code;
-    /// blank cells are impossible cross-points.
+    /// prototype's result grids. Further group keys go down the side
+    /// beside the time, one column each, so every result row has its
+    /// own cell. Cells carry their confidence code; blank cells are
+    /// impossible cross-points.
     pub fn render_grid(&self, measure: usize) -> String {
-        // Distinct first-key members and times, in first-seen order.
-        let (mut columns, mut times): (Vec<&str>, Vec<&str>) = (Vec::new(), Vec::new());
+        // A row's side label: its time, then its keys after the first.
+        fn side(r: &ResultRow) -> Vec<&str> {
+            let rest = r.keys.iter().skip(1).map(String::as_str);
+            std::iter::once(r.time.as_str()).chain(rest).collect()
+        }
+        // Distinct first-key members and side labels, in first-seen order.
+        let (mut columns, mut sides): (Vec<&str>, Vec<Vec<&str>>) = (Vec::new(), Vec::new());
         for r in &self.rows {
             match r.keys.first() {
                 Some(k) if !columns.contains(&k.as_str()) => columns.push(k),
                 _ => {}
             }
-            if !times.contains(&r.time.as_str()) {
-                times.push(&r.time);
+            let label = side(r);
+            if !sides.contains(&label) {
+                sides.push(label);
             }
         }
-        let mut grid = vec![vec![String::new(); columns.len()]; times.len()];
+        let mut grid = vec![vec![String::new(); columns.len()]; sides.len()];
         for r in &self.rows {
             let (Some(k), Some(cell)) = (r.keys.first(), r.cells.get(measure)) else {
                 continue;
             };
-            let ti = times.iter().position(|t| *t == r.time).expect("collected");
+            let label = side(r);
+            let si = sides.iter().position(|s| *s == label).expect("collected");
             let ci = columns.iter().position(|c| c == k).expect("collected");
             let value = cell.value.map_or("?".to_owned(), |v| v.to_string());
-            grid[ti][ci] = format!("{value} ({})", cell.confidence.code());
+            grid[si][ci] = format!("{value} ({})", cell.confidence.code());
         }
         let mut widths: Vec<usize> = columns.iter().map(|c| c.len()).collect();
         for row in &grid {
@@ -162,10 +181,19 @@ impl ResultSet {
                 *w = (*w).max(c.len());
             }
         }
-        let t_width = times.iter().map(|t| t.len()).max().unwrap_or(4).max(4);
+        // Each side column is as wide as its widest label, and at least 4.
+        let mut side_widths = vec![4; sides.first().map_or(1, Vec::len)];
+        for label in &sides {
+            for (w, part) in side_widths.iter_mut().zip(label) {
+                *w = (*w).max(part.len());
+            }
+        }
         let mut out = String::new();
-        let mut line = |label: &str, cells: &mut dyn Iterator<Item = &str>| {
-            out.push_str(&format!("{label:<t_width$}"));
+        let mut line = |label: &[&str], cells: &mut dyn Iterator<Item = &str>| {
+            for (i, (part, w)) in label.iter().zip(&side_widths).enumerate() {
+                let gap = if i == 0 { "" } else { "  " };
+                out.push_str(&format!("{gap}{part:<w$}"));
+            }
             for (c, w) in cells.zip(&widths) {
                 out.push_str(&format!("  {c:<w$}"));
             }
@@ -174,10 +202,75 @@ impl ResultSet {
             }
             out.push('\n');
         };
-        line("", &mut columns.iter().copied());
-        for (t, row) in times.iter().zip(&grid) {
-            line(t, &mut row.iter().map(String::as_str));
+        line(&vec![""; side_widths.len()], &mut columns.iter().copied());
+        for (label, row) in sides.iter().zip(&grid) {
+            line(label, &mut row.iter().map(String::as_str));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::confidence::Confidence;
+
+    fn row(time: &str, keys: &[&str], value: f64) -> ResultRow {
+        ResultRow {
+            time: time.to_owned(),
+            keys: keys.iter().map(|&k| k.to_owned()).collect(),
+            cells: vec![MvCell {
+                value: Some(value),
+                confidence: Confidence::Source,
+            }],
+        }
+    }
+
+    fn result(key_headers: &[&str], rows: Vec<ResultRow>) -> ResultSet {
+        ResultSet {
+            mode: TemporalMode::Consistent,
+            time_header: "Year".to_owned(),
+            key_headers: key_headers.iter().map(|&k| k.to_owned()).collect(),
+            measure_headers: vec!["Amount".to_owned()],
+            rows,
+            unmapped_rows: 0,
+        }
+    }
+
+    #[test]
+    fn grid_keeps_every_cell_when_rows_share_the_first_key() {
+        let rs = result(
+            &["Division", "Product"],
+            vec![
+                row("2001", &["Sales", "Gadget"], 10.0),
+                row("2001", &["Sales", "Widget"], 32.0),
+                row("2002", &["R&D", "Gadget"], 5.0),
+            ],
+        );
+        assert_eq!(
+            rs.render_grid(0),
+            "              Sales    R&D\n\
+             2001  Gadget  10 (sd)\n\
+             2001  Widget  32 (sd)\n\
+             2002  Gadget           5 (sd)\n"
+        );
+    }
+
+    #[test]
+    fn single_key_grid_keeps_its_layout() {
+        let rs = result(
+            &["Division"],
+            vec![
+                row("2001", &["Sales"], 150.0),
+                row("2001", &["R&D"], 100.0),
+                row("2002", &["Sales"], 100.0),
+            ],
+        );
+        assert_eq!(
+            rs.render_grid(0),
+            "      Sales     R&D\n\
+             2001  150 (sd)  100 (sd)\n\
+             2002  100 (sd)\n"
+        );
     }
 }

@@ -127,6 +127,10 @@ impl ExecContext {
     /// results in morsel order. The scheduling core of the fold; callers
     /// that merge partials onto a state of their own (an incremental
     /// fold resuming after its last whole morsel) use it directly.
+    ///
+    /// Two morsels or fewer run on the calling thread: a second thread
+    /// would at best halve work smaller than the spawn that starts it.
+    /// The decomposition is the same either way, so the bits are too.
     pub fn map_morsels<T, R, W>(&self, items: &[T], work: W) -> Vec<R>
     where
         T: Sync,
@@ -138,7 +142,7 @@ impl ExecContext {
             return Vec::new();
         }
         let workers = self.threads.min(morsel_count);
-        if workers <= 1 {
+        if workers <= 1 || morsel_count <= 2 {
             // Inline: identical decomposition, no spawn overhead.
             return items
                 .chunks(self.morsel_size)

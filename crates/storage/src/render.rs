@@ -50,14 +50,17 @@ where
     C: AsRef<str>,
 {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut lines = 2;
     for row in rows.clone() {
+        lines += 1;
         for (w, c) in widths.iter_mut().zip(row.as_ref()) {
             *w = (*w).max(c.as_ref().len());
         }
     }
-    let mut out = String::new();
-    write_line(&mut out, headers, &widths);
     let rule_len = widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1));
+    // No line is longer than the rule, so this is the one allocation.
+    let mut out = String::with_capacity((rule_len + 1) * lines);
+    write_line(&mut out, headers, &widths);
     out.extend(std::iter::repeat_n('-', rule_len));
     out.push('\n');
     for row in rows {
@@ -66,20 +69,28 @@ where
     out
 }
 
-/// One line of [`render_text`].
+/// Appends `n` spaces, a slice of a constant run at a time.
+fn pad(out: &mut String, mut n: usize) {
+    const SPACES: &str = "                                                                ";
+    while n > 0 {
+        let k = n.min(SPACES.len());
+        out.push_str(&SPACES[..k]);
+        n -= k;
+    }
+}
+
+/// One line of [`render_text`]: each cell after the padding and
+/// separator the cell before it left, then trailing spaces trimmed (the
+/// last cell's padding is never written).
 fn write_line<C: AsRef<str>>(out: &mut String, cells: &[C], widths: &[usize]) {
-    for (i, (c, w)) in cells.iter().zip(widths).enumerate() {
+    let mut pending = 0;
+    for (c, w) in cells.iter().zip(widths) {
         let c = c.as_ref();
-        if i > 0 {
-            out.push_str("  ");
-        }
+        pad(out, pending);
         out.push_str(c);
-        out.extend(std::iter::repeat_n(' ', w - c.len()));
+        pending = w - c.len() + 2;
     }
-    // Trim trailing padding.
-    while out.ends_with(' ') {
-        out.pop();
-    }
+    out.truncate(out.trim_end_matches(' ').len());
     out.push('\n');
 }
 

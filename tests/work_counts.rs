@@ -5,9 +5,13 @@
 //! schema: a change that moves one updates the pin in the same commit
 //! and says why.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use mvolap::core::{all_modes, present_par, ExecContext, QueryMemo, TemporalMode};
+use mvolap::query::render_answer;
+use mvolap::server::proto::{encode_reply, Reply};
 use mvolap::workload::{generate, WorkloadConfig};
 
 /// Mapping-route lookups of one cold presentation per mode of the
@@ -54,4 +58,88 @@ fn cold_presentation_reads_the_route_memo_once_per_leaf_per_morsel() {
             }
         }
     }
+}
+
+/// A std-only counting allocator: every `alloc`, `alloc_zeroed` and
+/// `realloc` on a thread counts on that thread, so tests running beside
+/// each other in this binary do not see each other's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counter is a `const` thread-local `Cell`, which neither allocates
+// nor takes a lock.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `work`'s result and the heap allocations it made on this thread.
+fn allocations<R>(work: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = work();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Heap allocations of a warm answer on the `scan_large` warehouse at
+/// `ExecContext::sequential()`: the widest template (the Department
+/// roll-up, 1,775 result rows) and the narrowest grouped one (the
+/// Division roll-up, 24 rows), each rendered a second time through the
+/// memo its first rendering filled, and the reply frame payload of the
+/// first. The fold is allocation-free per presented row; what remains
+/// per result row is the `ResultRow` itself (its time label, key
+/// vector, member name and cell vector).
+#[test]
+fn a_warm_wide_answer_allocates_a_fixed_budget_per_result_row() {
+    let cfg = WorkloadConfig::small(2003)
+        .with_departments(200)
+        .with_periods(8)
+        .with_facts_per_department(60);
+    let w = generate(&cfg).expect("seeded config generates");
+    let ctx = ExecContext::sequential();
+    let memo = QueryMemo::new();
+    let warm = |text: &str| {
+        let cold = render_answer(&w.tmd, text, &ctx, &memo).expect("answers");
+        let (answer, count) = allocations(|| render_answer(&w.tmd, text, &ctx, &memo));
+        assert_eq!(answer.expect("answers"), cold, "{text}");
+        (cold, count)
+    };
+    let (wide, wide_count) = warm("SELECT sum(Amount) BY year, Org.Department IN MODE tcm");
+    let (narrow, narrow_count) = warm("SELECT sum(Amount) BY year, Org.Division IN MODE tcm");
+    // Header and rule lines precede the rows.
+    let (wide_rows, narrow_rows) = (wide.lines().count() - 2, narrow.lines().count() - 2);
+    assert_eq!((wide_rows, narrow_rows), (1_775, 24));
+    let (_, reply_count) = allocations(|| encode_reply(&Reply::Result(wide)));
+    assert_eq!(
+        (wide_count, narrow_count, reply_count),
+        (7_250, 198, 2),
+        "allocations: Department answer, Division answer, reply payload"
+    );
+    assert!(wide_count <= 5 * wide_rows as u64);
 }
