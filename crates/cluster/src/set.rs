@@ -284,7 +284,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
 
     /// Votes a majority requires: `⌈(group_size + 1) / 2⌉`.
     pub fn quorum_required(&self) -> usize {
-        self.group_size / 2 + 1
+        mvolap_durable::majority(self.group_size)
     }
 
     /// Voting nodes in the group (members + primary). Unpromoted

@@ -21,7 +21,7 @@ use mvolap_replica::{
     ChannelTransport, Follower, MsgRouter, NetAddr, NetConfig, ReplicaError, ReplicaMsg,
     ReplicaTransport, TailSource, TcpTransport, TransportError, WalTailer,
 };
-use mvolap_server::{ServerError, ServerOptions};
+use mvolap_server::{quorum_figure, ServerError, ServerOptions};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mvolap_cluster_{name}_{}", std::process::id()));
@@ -499,6 +499,43 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
     set.run_ticks(4);
     assert!(set.member_synced("m1") <= head);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A served group of `n` members and the primary commits on a strict
+/// majority of `n + 1` votes; the shell's banner and the primary's
+/// `SHOW STATUS` print that figure.
+#[test]
+fn served_cluster_quorum_figure_is_a_majority_of_members_and_primary() {
+    let loopback = NetAddr::parse("127.0.0.1:0").unwrap();
+    for (n, expected) in [(1, "2/2"), (2, "2/3"), (3, "3/4")] {
+        let dir = tmp(&format!("quorum_figure_{n}"));
+        let members: Vec<_> = (1..=n)
+            .map(|i| (format!("m{i}"), loopback.clone()))
+            .collect();
+        let mut cluster = LocalCluster::start(
+            &dir,
+            mvolap_core::case_study::case_study().tmd,
+            &loopback,
+            &members,
+            opts(),
+            GroupConfig::default(),
+            ServerOptions {
+                workers: 1,
+                ..ServerOptions::default()
+            },
+            NetConfig::default(),
+        )
+        .expect("cluster starts");
+        assert_eq!(quorum_figure(&cluster.group()), expected, "{n} members");
+        let status = cluster.client(NetConfig::default()).query("SHOW STATUS");
+        let status = status.expect("the primary answers SHOW STATUS");
+        assert!(
+            status.contains(&format!("  quorum: {expected}\n")),
+            "{status}"
+        );
+        cluster.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The served three-node loopback group: quorum-gated commits over the

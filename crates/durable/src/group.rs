@@ -158,7 +158,7 @@ impl SyncState {
             let covered = if self.group_size <= 1 {
                 self.quorum_lsn.max(self.synced_lsn)
             } else {
-                let required = self.group_size / 2 + 1;
+                let required = majority(self.group_size);
                 let mut positions: Vec<u64> = Vec::with_capacity(self.members.len() + 1);
                 positions.push(self.synced_lsn);
                 positions.extend(
@@ -190,6 +190,13 @@ impl SyncState {
     fn head_size(&self) -> usize {
         self.resizes.last().map_or(self.group_size, |&(_, s)| s)
     }
+}
+
+/// Votes a commit needs in a group of `group_size` voting nodes: a
+/// strict majority, `group_size / 2 + 1`.
+#[must_use]
+pub fn majority(group_size: usize) -> usize {
+    group_size / 2 + 1
 }
 
 #[derive(Debug)]

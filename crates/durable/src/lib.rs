@@ -48,7 +48,7 @@ pub use checkpoint::CheckpointId;
 pub use clock::TimeSource;
 pub use error::DurableError;
 pub use fault::{crash_sweep, generate, group_crash_sweep, Step, SweepOutcome, Workload};
-pub use group::{GroupCommit, GroupConfig};
+pub use group::{majority, GroupCommit, GroupConfig};
 pub use io::{FaultPlan, Io};
 pub use record::{FactRow, WalRecord};
 pub use store::{CheckpointPolicy, DurableTmd, Options, ReconfigEntry};

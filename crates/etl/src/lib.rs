@@ -16,13 +16,11 @@
 //!   Type 3 (previous-value column) dimension maintainers, used as
 //!   baselines by the benchmark suite.
 
-pub mod durable;
 pub mod load;
 pub mod scd;
 pub mod snapshot;
 pub mod target;
 
-pub use durable::{DurableScd, ScdDurableError, ScdMaintainer};
 pub use load::{
     apply_changes, apply_changes_in, apply_changes_with_hints, apply_changes_with_hints_in,
     bootstrap, bootstrap_in, EvolutionHint, LoadReport,

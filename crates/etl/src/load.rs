@@ -55,7 +55,12 @@ pub struct LoadReport {
 
 /// Resolves a member name to its version valid at `t` (or the version
 /// valid just before `t`, for members being changed at `t`).
-fn resolve(tmd: &Tmd, dim: DimensionId, name: &str, t: Instant) -> Result<MemberVersionId> {
+///
+/// # Errors
+///
+/// [`mvolap_core::CoreError`] when no member of that name is valid at
+/// either instant.
+pub fn resolve(tmd: &Tmd, dim: DimensionId, name: &str, t: Instant) -> Result<MemberVersionId> {
     let d = tmd.dimension(dim)?;
     d.version_named_at(name, t)
         .or_else(|_| d.version_named_at(name, t.pred()))

@@ -78,3 +78,29 @@ pub struct Query {
     /// The temporal mode of presentation.
     pub mode: ModeSpec,
 }
+
+/// A parsed statement: a query, or a read-only `SHOW` over the §5
+/// metadata tier (structure versions, dimensions, measures, the
+/// evolution log, the quality factor) or over the serving node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Statement {
+    /// `SELECT …`.
+    Query(Query),
+    /// `SHOW VERSIONS` — the inferred structure versions.
+    Versions,
+    /// `SHOW DIMENSIONS` — each dimension's member versions and levels.
+    Dimensions,
+    /// `SHOW MEASURES` — each measure and its aggregator.
+    Measures,
+    /// `SHOW LOG` — the evolution log.
+    Log,
+    /// `SHOW DOT <dimension>` — a dimension as GraphViz DOT.
+    Dot(String),
+    /// `SHOW QUALITY <query>` — the query's quality factor per mode.
+    Quality(Query),
+    /// `SHOW GRID <query>` — the query's answer as a pivot grid.
+    Grid(Query),
+    /// `SHOW STATUS` — the serving node's pool, memo, quorum and
+    /// followers; only a session server answers it.
+    Status,
+}

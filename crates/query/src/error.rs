@@ -44,6 +44,9 @@ pub enum QueryError {
     MultipleTimeKeys,
     /// Execution failed in the core engine.
     Core(CoreError),
+    /// `SHOW STATUS` describes a serving node, and a schema alone has
+    /// none.
+    NoServer,
 }
 
 impl From<CoreError> for QueryError {
@@ -81,6 +84,7 @@ impl std::fmt::Display for QueryError {
                 write!(f, "at most one time key (year/instant) is allowed in BY")
             }
             QueryError::Core(e) => write!(f, "execution error: {e}"),
+            QueryError::NoServer => write!(f, "SHOW STATUS is answered by a session server"),
         }
     }
 }

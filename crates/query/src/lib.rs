@@ -15,6 +15,11 @@
 //! [FOR 2001..2002]
 //! IN MODE tcm | VERSION 2 | AT 06/2002
 //! IN ALL MODES [WITH WEIGHTS 10,8,5,0]
+//!
+//! SHOW VERSIONS | DIMENSIONS | MEASURES | LOG
+//! SHOW DOT <dimension>
+//! SHOW QUALITY <query> | GRID <query>
+//! SHOW STATUS
 //! ```
 //!
 //! * `BY` accepts `year`, `quarter`, `month`, `instant`, or
@@ -29,6 +34,11 @@
 //!   evaluates every mode and ranks them by the §5.2 quality factor
 //!   (execute with [`run_compare_par`]; [`compare_modes`] scores a planned
 //!   query in every mode, in TMP order).
+//! * `SHOW` reads the §5 metadata tier: structure versions, dimensions,
+//!   measures, the evolution log, a dimension as GraphViz DOT, a
+//!   query's quality factor per mode or its answer as a pivot grid.
+//!   [`parse_statement`] reads statements, [`parse`] queries only, and
+//!   [`render_answer`] renders either; only a server answers `STATUS`.
 //!
 //! [`CubeView`] navigates a query the way the §5.2 front end does:
 //! roll-up and drill-down rewrite its group-by and time levels, slice,
@@ -54,12 +64,12 @@ pub mod parser;
 pub mod plan;
 pub mod view;
 
-pub use ast::{GroupKey, ModeSpec, Query, Select};
+pub use ast::{GroupKey, ModeSpec, Query, Select, Statement};
 pub use error::QueryError;
 pub use lexer::{tokenize, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, parse_statement};
 pub use plan::{
-    compare_modes, is_all_modes, plan, render_answer, run, run_compare_par, run_with_versions_par,
-    ModeResult,
+    compare_modes, is_all_modes, plan, render_answer, render_statement, run, run_compare_par,
+    run_with_versions_par, ModeResult,
 };
 pub use view::CubeView;

@@ -1,26 +1,38 @@
 //! Recursive-descent parser.
 
-use crate::ast::{FilterSpec, GroupKey, ModeSpec, Query, Select};
+use crate::ast::{FilterSpec, GroupKey, ModeSpec, Query, Select, Statement};
 use crate::error::{QueryError, Result};
 use crate::lexer::{tokenize, Token, TokenKind};
 
-/// Parses a query string into its AST.
+/// Parses a query string into its AST. `SHOW` statements are not
+/// queries: [`parse_statement`] accepts them.
 ///
 /// # Errors
 ///
 /// Lexer errors and [`QueryError::Unexpected`] with byte positions.
 pub fn parse(input: &str) -> Result<Query> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        len: input.len(),
-    };
+    let mut p = Parser::new(input)?;
     let q = p.query()?;
-    p.eat_optional(&TokenKind::Semi);
-    p.expect_end()?;
+    p.finish()?;
     Ok(q)
 }
+
+/// Parses a statement: a query, or `SHOW` and its target. Keywords are
+/// case-insensitive; the first token decides, so a query is tokenized
+/// and parsed exactly as [`parse`] does.
+///
+/// # Errors
+///
+/// As [`parse`]; an unknown `SHOW` target is [`QueryError::Unexpected`]
+/// at the target's byte position.
+pub fn parse_statement(input: &str) -> Result<Statement> {
+    let mut p = Parser::new(input)?;
+    let s = p.statement()?;
+    p.finish()?;
+    Ok(s)
+}
+
+const SHOW_TARGETS: &str = "VERSIONS, DIMENSIONS, MEASURES, LOG, DOT, QUALITY, GRID or STATUS";
 
 struct Parser {
     tokens: Vec<Token>,
@@ -29,6 +41,42 @@ struct Parser {
 }
 
 impl Parser {
+    fn new(input: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: tokenize(input)?,
+            pos: 0,
+            len: input.len(),
+        })
+    }
+
+    /// An optional `;`, then the end of the input.
+    fn finish(&mut self) -> Result<()> {
+        self.eat(&TokenKind::Semi);
+        self.expect_end()
+    }
+
+    fn statement(&mut self) -> Result<Statement> {
+        if !self.at_keyword("SHOW") {
+            return self.query().map(Statement::Query);
+        }
+        self.pos += 1;
+        let target = self.ident(SHOW_TARGETS)?;
+        Ok(match target.to_ascii_uppercase().as_str() {
+            "VERSIONS" => Statement::Versions,
+            "DIMENSIONS" => Statement::Dimensions,
+            "MEASURES" => Statement::Measures,
+            "LOG" => Statement::Log,
+            "DOT" => Statement::Dot(self.ident("dimension name")?),
+            "QUALITY" => Statement::Quality(self.query()?),
+            "GRID" => Statement::Grid(self.query()?),
+            "STATUS" => Statement::Status,
+            _ => {
+                self.pos -= 1;
+                return Err(self.unexpected(SHOW_TARGETS));
+            }
+        })
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -71,10 +119,6 @@ impl Parser {
         } else {
             false
         }
-    }
-
-    fn eat_optional(&mut self, kind: &TokenKind) {
-        self.eat(kind);
     }
 
     fn expect(&mut self, kind: TokenKind, what: &str) -> Result<()> {

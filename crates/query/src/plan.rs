@@ -6,9 +6,9 @@ use mvolap_core::tmp::{all_modes, TemporalMode};
 use mvolap_core::{Aggregator, ConfidenceWeights, ExecContext, QueryMemo, StructureVersionId, Tmd};
 use mvolap_temporal::{Instant, Interval};
 
-use crate::ast::{GroupKey, ModeSpec, Query};
+use crate::ast::{GroupKey, ModeSpec, Query, Statement};
 use crate::error::{QueryError, Result};
-use crate::parser::parse;
+use crate::parser::{parse, parse_statement};
 
 /// Resolves a parsed query against a schema into an executable
 /// [`AggregateQuery`].
@@ -282,11 +282,8 @@ pub fn compare_modes(
 }
 
 /// Runs `input` and renders its answer, the bytes the shell prints and
-/// the session server replies: for `IN ALL MODES` one table per mode,
-/// best quality first, each under a `== mode … ==` banner; otherwise the
-/// one table, after a note when some facts have no representation in
-/// the mode. The text is parsed once, and the structure versions are
-/// read from `memo`.
+/// the session server replies. The text is tokenized once
+/// ([`parse_statement`]) and rendered by [`render_statement`].
 ///
 /// # Errors
 ///
@@ -297,31 +294,100 @@ pub fn render_answer(
     ctx: &ExecContext,
     memo: &QueryMemo,
 ) -> Result<String> {
+    render_statement(tmd, &parse_statement(input)?, ctx, memo)
+}
+
+/// Renders a parsed statement against a schema. A query answers with
+/// one table, after a note when some facts have no representation in
+/// the mode; `IN ALL MODES` with one table per mode, best quality
+/// first, each under a `== mode … ==` banner. A `SHOW` statement
+/// answers with the metadata it names, one line per item. Structure
+/// versions are read from `memo`.
+///
+/// # Errors
+///
+/// Planning, execution or rendering failures;
+/// [`QueryError::NoServer`] for `SHOW STATUS`.
+pub fn render_statement(
+    tmd: &Tmd,
+    statement: &Statement,
+    ctx: &ExecContext,
+    memo: &QueryMemo,
+) -> Result<String> {
     use std::fmt::Write as _;
-    let ast = parse(input)?;
     let svs = memo.structure_versions(tmd);
     let mut out = String::new();
-    if let ModeSpec::AllModes { .. } = ast.mode {
-        for r in compare_parsed(tmd, &svs, &ast, ctx, memo)? {
-            let _ = writeln!(
-                out,
-                "== mode {} (Q = {:.3}, {} unmapped) ==",
-                r.result.mode.label(),
-                r.quality,
-                r.result.unmapped_rows
-            );
-            let _ = writeln!(out, "{}", r.result.render("result")?);
+    match statement {
+        Statement::Query(ast) if matches!(ast.mode, ModeSpec::AllModes { .. }) => {
+            for r in compare_parsed(tmd, &svs, ast, ctx, memo)? {
+                let _ = writeln!(
+                    out,
+                    "== mode {} (Q = {:.3}, {} unmapped) ==",
+                    r.result.mode.label(),
+                    r.quality,
+                    r.result.unmapped_rows
+                );
+                let _ = writeln!(out, "{}", r.result.render("result")?);
+            }
         }
-    } else {
-        let rs = run_parsed(tmd, &svs, &ast, ctx, memo)?;
-        if rs.unmapped_rows > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} source facts have no representation in this mode",
-                rs.unmapped_rows
-            );
+        Statement::Query(ast) => {
+            let rs = run_parsed(tmd, &svs, ast, ctx, memo)?;
+            if rs.unmapped_rows > 0 {
+                let _ = writeln!(
+                    out,
+                    "note: {} source facts have no representation in this mode",
+                    rs.unmapped_rows
+                );
+            }
+            out.push_str(&rs.render("result")?);
         }
-        out.push_str(&rs.render("result")?);
+        Statement::Versions => {
+            for sv in svs.iter() {
+                let _ = writeln!(out, "{}", sv.label());
+            }
+        }
+        Statement::Dimensions => {
+            for d in tmd.dimensions() {
+                let levels = mvolap_core::levels::all_level_names(d).join(" > ");
+                let n = d.versions().len();
+                let _ = writeln!(out, "{}: {n} member versions, levels: {levels}", d.name());
+            }
+        }
+        Statement::Measures => {
+            for m in tmd.measures() {
+                let _ = writeln!(out, "{} ({})", m.name, m.aggregator.name());
+            }
+        }
+        Statement::Log => {
+            let entries = tmd.evolution_log().entries();
+            if entries.is_empty() {
+                out.push_str("(no evolutions recorded)\n");
+            }
+            for e in entries {
+                let _ = writeln!(out, "{} [{}] {}", e.at, e.operator, e.description);
+            }
+        }
+        Statement::Dot(name) => {
+            let dim = tmd
+                .dimension_by_name(name)
+                .map_err(|_| QueryError::Unresolved(format!("dimension `{name}`")))?;
+            let _ = writeln!(out, "{}", tmd.dimension(dim)?.to_dot(tmd.granularity()));
+        }
+        Statement::Quality(ast) => {
+            let q = plan(tmd, &svs, ast)?;
+            for s in compare_modes(tmd, &svs, &q, &ConfidenceWeights::DEFAULT, ctx, memo)? {
+                let _ = writeln!(
+                    out,
+                    "{:<6} Q = {:.3}  ({} rows, {} unmapped)",
+                    s.result.mode.label(),
+                    s.quality,
+                    s.result.rows.len(),
+                    s.result.unmapped_rows
+                );
+            }
+        }
+        Statement::Grid(ast) => out = run_parsed(tmd, &svs, ast, ctx, memo)?.render_grid(0),
+        Statement::Status => return Err(QueryError::NoServer),
     }
     Ok(out)
 }

@@ -19,7 +19,9 @@
 //!   next client gets a typed [`ServerError::Busy`] refusal instead of
 //!   an unbounded queue. [`SessionServer::pool_stats`] snapshots the
 //!   occupancy (active / queued / parked, served / refused /
-//!   forwarded, per-shard memo hits).
+//!   forwarded, per-shard memo hits); a session reads the same
+//!   counters, the quorum and each follower's lag with the statement
+//!   `SHOW STATUS`, which the receiving server answers itself.
 //! - **Group commit.** Writes go through
 //!   [`mvolap_durable::GroupCommit`]: concurrent committers append
 //!   unsynced and share a single fsync per batch, so N sessions
@@ -91,4 +93,4 @@ pub use pool::PoolStats;
 pub use proto::{
     decode_reply, decode_request, encode_reply, encode_request, Reply, Request, ServerError,
 };
-pub use server::{FleetMember, ServerOptions, SessionServer};
+pub use server::{quorum_figure, FleetMember, ServerOptions, SessionServer};

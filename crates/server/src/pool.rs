@@ -34,7 +34,7 @@ use crate::proto::{self, Reply, ServerError};
 use crate::server::{handle_frame, lock, GatePermit, SessionCtx};
 
 /// A point-in-time snapshot of the pool's occupancy counters — the
-/// observability surface behind the shell's `\status`.
+/// observability surface behind `SHOW STATUS`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolStats {
     /// Worker threads serving requests.
@@ -184,10 +184,10 @@ struct Doomed {
 pub(crate) fn poll_loop(
     listener: &NetListener,
     ctx: &Arc<SessionCtx>,
-    queue: &Arc<JobQueue>,
     returned: &mpsc::Receiver<Conn>,
     write_ms: u64,
 ) {
+    let queue = &ctx.queue;
     let mut parked: Vec<Conn> = Vec::new();
     let mut doomed: Vec<Doomed> = Vec::new();
     let mut next_session: u64 = 1;
@@ -327,7 +327,8 @@ pub(crate) fn poll_loop(
 /// write the reply in blocking mode and hand the connection
 /// back to the poll loop. Any socket failure just drops the connection
 /// — its permit releases the session slot, the worker moves on.
-pub(crate) fn worker_loop(ctx: &Arc<SessionCtx>, queue: &Arc<JobQueue>, back: &mpsc::Sender<Conn>) {
+pub(crate) fn worker_loop(ctx: &Arc<SessionCtx>, back: &mpsc::Sender<Conn>) {
+    let queue = &ctx.queue;
     while let Some(Job { mut conn, payload }) = queue.pop(&ctx.shutdown) {
         let reply = handle_frame(ctx, conn.session, &payload);
         // Count before the reply goes out: a client that has its answer

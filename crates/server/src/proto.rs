@@ -9,17 +9,23 @@
 //! Requests:
 //!
 //! ```text
-//! query  <esc(text)>              run a query on the primary
-//! read   <min_lsn> <esc(text)>    run a read-only query, follower-ok,
+//! query  <esc(text)>              run a statement on the primary
+//! read   <min_lsn> <esc(text)>    run a statement, follower-ok,
 //!                                 requiring LSNs 1..=min_lsn applied
 //! commit <esc(walrecord-bytes)>   group-commit one journal record
 //! ping                            liveness probe
 //! ```
 //!
+//! `text` is any statement of `mvolap-query`: a query or a `SHOW`
+//! (`SHOW VERSIONS`, `SHOW LOG`, `SHOW QUALITY <query>`, …), so the
+//! metadata tier needs no frame of its own. `read`s carry statements
+//! under the same staleness rule as queries. `SHOW STATUS` is answered
+//! by the server that receives it; a fleet primary never forwards it.
+//!
 //! Replies:
 //!
 //! ```text
-//! ok <esc(payload)>               rendered query result / "pong"
+//! ok <esc(payload)>               rendered answer / "pong"
 //! lsn <u64>                       commit durable at this LSN
 //! err busy <active> <queued>      admission refused (typed Busy)
 //! err stale <required> <applied> [<esc(member)>]

@@ -10,8 +10,8 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use mvolap_core::{ExecContext, ShardedMemo};
-use mvolap_durable::{DurableError, GroupCommit};
-use mvolap_query::{render_answer, QueryError};
+use mvolap_durable::{majority, DurableError, GroupCommit};
+use mvolap_query::{parse_statement, render_statement, QueryError, Statement};
 use mvolap_replica::{
     answer_follower, is_follower_request, stop_listener, Follower, NetAddr, NetConfig, NetListener,
     WalTailer,
@@ -20,6 +20,14 @@ use mvolap_replica::{
 use crate::client::SessionClient;
 use crate::pool::{self, JobQueue, PoolCounters, PoolStats};
 use crate::proto::{self, Reply, Request, ServerError};
+
+/// A group's commit quorum as `needed/voters` (`2/3`): a strict
+/// majority of its voting size at the head of the log.
+#[must_use]
+pub fn quorum_figure(commit: &GroupCommit) -> String {
+    let size = commit.quorum_size();
+    format!("{}/{size}", majority(size))
+}
 
 /// Tuning for [`SessionServer`].
 #[derive(Debug, Clone)]
@@ -151,12 +159,59 @@ pub(crate) struct SessionCtx {
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) exec: ExecContext,
     pub(crate) memo: ShardedMemo,
+    pub(crate) workers: usize,
+    pub(crate) queue: JobQueue,
     pub(crate) counters: PoolCounters,
     pub(crate) quorum_timeout_ms: u64,
     /// The primary's log, as followers are served from it.
     pub(crate) tailer: WalTailer,
     /// Each follower's acked position, clamped at the synced head.
     pub(crate) follower_acks: Mutex<BTreeMap<String, u64>>,
+}
+
+impl SessionCtx {
+    fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            workers: self.workers,
+            active: self.gate.active(),
+            queued: self.queue.waiting(),
+            parked: self.counters.parked.load(Ordering::Relaxed),
+            served: self.counters.served.load(Ordering::Relaxed),
+            refused: self.counters.refused.load(Ordering::Relaxed),
+            forwarded: self.counters.forwarded.load(Ordering::Relaxed),
+            memo: self.memo.shard_stats(),
+        }
+    }
+
+    /// What `SHOW STATUS` answers: one pool line, one line per memo
+    /// shard, the quorum when one is configured, and each follower's
+    /// acked LSN and lag behind the synced head.
+    fn status(&self) -> String {
+        use std::fmt::Write as _;
+        let p = self.pool_stats();
+        let mut out = format!(
+            "  pool: workers={} active={} queued={} parked={} served={} refused={} forwarded={}\n",
+            p.workers, p.active, p.queued, p.parked, p.served, p.refused, p.forwarded
+        );
+        for (i, m) in p.memo.iter().enumerate() {
+            let (r, a, t) = (&m.routes, &m.ancestors, &m.presentations);
+            let _ = writeln!(
+                out,
+                "  memo shard {i}: routes {}/{} hits/misses, ancestors {}/{}, \
+                 presentations {}/{} (+{} extended)",
+                r.hits, r.misses, a.hits, a.misses, t.hits, t.misses, m.extended
+            );
+        }
+        if self.commit.quorum_size() > 1 {
+            let _ = writeln!(out, "  quorum: {}", quorum_figure(&self.commit));
+        }
+        let head = self.commit.synced_lsn();
+        for (name, acked) in lock(&self.follower_acks).iter() {
+            let lag = head.saturating_sub(*acked);
+            let _ = writeln!(out, "  follower {name}: acked LSN {acked}, lag {lag}");
+        }
+        out
+    }
 }
 
 /// A concurrent session server over a group-committed store.
@@ -182,8 +237,6 @@ pub struct SessionServer {
     follower: Option<Arc<Mutex<Follower>>>,
     fleet: Option<Arc<Mutex<Vec<FleetMember>>>>,
     ctx: Arc<SessionCtx>,
-    workers: usize,
-    queue: Arc<JobQueue>,
     pool: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -284,26 +337,25 @@ impl SessionServer {
             shutdown: Arc::clone(&shutdown),
             exec: ExecContext::new(opts.exec_threads.max(1)),
             memo: ShardedMemo::new(workers),
+            workers,
+            queue: JobQueue::new(workers, opts.max_queued),
             counters: PoolCounters::default(),
             quorum_timeout_ms: opts.quorum_timeout_ms,
             tailer,
             follower_acks: Mutex::new(BTreeMap::new()),
         });
-        let queue = Arc::new(JobQueue::new(workers, opts.max_queued));
         let (back, returned) = mpsc::channel();
         let pool = (0..workers)
             .map(|_| {
                 let ctx = Arc::clone(&ctx);
-                let queue = Arc::clone(&queue);
                 let back = back.clone();
-                std::thread::spawn(move || pool::worker_loop(&ctx, &queue, &back))
+                std::thread::spawn(move || pool::worker_loop(&ctx, &back))
             })
             .collect();
         let poll_ctx = Arc::clone(&ctx);
-        let poll_queue = Arc::clone(&queue);
         let write_ms = opts.write_timeout_ms;
         let accept = std::thread::spawn(move || {
-            pool::poll_loop(&listener, &poll_ctx, &poll_queue, &returned, write_ms);
+            pool::poll_loop(&listener, &poll_ctx, &returned, write_ms);
         });
         Ok(SessionServer {
             addr,
@@ -311,8 +363,6 @@ impl SessionServer {
             follower,
             fleet: fleet_handle,
             ctx,
-            workers,
-            queue,
             pool,
             shutdown,
             accept: Some(accept),
@@ -365,16 +415,7 @@ impl SessionServer {
     /// presented tables).
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers,
-            active: self.ctx.gate.active(),
-            queued: self.queue.waiting(),
-            parked: self.ctx.counters.parked.load(Ordering::Relaxed),
-            served: self.ctx.counters.served.load(Ordering::Relaxed),
-            refused: self.ctx.counters.refused.load(Ordering::Relaxed),
-            forwarded: self.ctx.counters.forwarded.load(Ordering::Relaxed),
-            memo: self.ctx.memo.shard_stats(),
-        }
+        self.ctx.pool_stats()
     }
 
     /// Every follower that acked over this port, with its acked
@@ -412,7 +453,7 @@ impl SessionServer {
     pub fn stop(&mut self) {
         if self.accept.is_some() {
             stop_listener(&self.shutdown, &mut self.accept);
-            self.queue.wake_all();
+            self.ctx.queue.wake_all();
             for worker in self.pool.drain(..) {
                 worker.join().ok();
             }
@@ -446,19 +487,8 @@ fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
     };
     match req {
         Request::Ping => Reply::Result("pong".to_string()),
-        // Sessions spread across the fleet: the bound is the quorum
-        // watermark (everything a quorum-acked commit was acknowledged
-        // for — so a session that just committed reads its own write
-        // from any qualifying member), the session's pinned member
-        // serves when it qualifies, and the primary when nobody does.
-        Request::Query(text) => match &ctx.fleet {
-            Some(fleet) => {
-                let watermark = ctx.commit.quorum_lsn().saturating_sub(1);
-                fleet_route(ctx, fleet, session, &text, watermark, Some(session), true)
-            }
-            None => primary_query(ctx, session, &text),
-        },
-        Request::Read { min_lsn, text } => follower_read(ctx, session, min_lsn, &text),
+        Request::Query(text) => answer(ctx, session, None, &text),
+        Request::Read { min_lsn, text } => answer(ctx, session, Some(min_lsn), &text),
         Request::Commit(record) => {
             // With a replication quorum configured the session is only
             // acknowledged once a majority acked; without one this is
@@ -480,13 +510,41 @@ fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
     }
 }
 
-/// Runs a query on the primary under the store's shared read lock, so
-/// concurrent sessions execute in parallel and only commits serialise.
-fn primary_query(ctx: &SessionCtx, session: u64, text: &str) -> Reply {
+/// Answers a `query` (`min_lsn` `None`) or a `read` statement. The
+/// text is parsed once, here; `SHOW STATUS` describes this server, so
+/// it is answered here and never routed. A fleet primary forwards
+/// everything else by its text. Sessions spread across the fleet: the
+/// bound is the quorum watermark (everything a quorum-acked commit was
+/// acknowledged for — so a session that just committed reads its own
+/// write from any qualifying member), the session's pinned member
+/// serves when it qualifies, and the primary when nobody does.
+fn answer(ctx: &SessionCtx, session: u64, min_lsn: Option<u64>, text: &str) -> Reply {
+    let statement = match parse_statement(text) {
+        Ok(Statement::Status) => return Reply::Result(ctx.status()),
+        Ok(statement) => statement,
+        Err(e) => return answer_reply(Err(e)),
+    };
+    match (&ctx.fleet, min_lsn) {
+        (Some(fleet), None) => {
+            let watermark = ctx.commit.quorum_lsn().saturating_sub(1);
+            fleet_route(ctx, fleet, session, text, &statement, watermark, true)
+        }
+        (Some(fleet), Some(bound)) => {
+            fleet_route(ctx, fleet, session, text, &statement, bound, false)
+        }
+        (None, Some(bound)) => follower_read(ctx, session, bound, &statement),
+        (None, None) => primary_query(ctx, session, &statement),
+    }
+}
+
+/// Runs a statement on the primary under the store's shared read lock,
+/// so concurrent sessions execute in parallel and only commits
+/// serialise.
+fn primary_query(ctx: &SessionCtx, session: u64, statement: &Statement) -> Reply {
     let memo = ctx.memo.for_session(session);
     answer_reply(
         ctx.commit
-            .with_store(|s| render_answer(s.schema(), text, &ctx.exec, memo)),
+            .with_store(|s| render_statement(s.schema(), statement, &ctx.exec, memo)),
     )
 }
 
@@ -498,26 +556,26 @@ fn answer_reply(answer: Result<String, QueryError>) -> Reply {
     }
 }
 
-/// Routes one request across the fleet: to the member `pin` selects
-/// (a session id, reduced modulo the fleet) when that member's
-/// quorum-acked position covers `bound`, else to the freshest member,
-/// ties broken on the name so routing is deterministic. Positions come
-/// from the acks the group-commit layer already collects — a member
-/// that acked LSN `n` has fsynced **and applied** through `n`, so the
-/// forwarded `read` renders the same bytes the primary would there and
-/// no extra probe is needed. When nobody covers the bound (a typed
-/// `TooStale` naming the freshest member consulted) or the forward
-/// fails — the member restarted, refused after a membership race,
-/// timed out — `or_primary` decides between answering from the primary
-/// and surfacing the error.
+/// Routes one request across the fleet: a `pinned` session's query
+/// to the member its id selects (reduced modulo the fleet) when that
+/// member's quorum-acked position covers `bound`, else to the freshest
+/// member, ties broken on the name so routing is deterministic.
+/// Positions come from the acks the group-commit layer already
+/// collects — a member that acked LSN `n` has fsynced **and applied**
+/// through `n`, so the forwarded `read` of `text` renders the same
+/// bytes the primary would there and no extra probe is needed. When
+/// nobody covers the bound (a typed `TooStale` naming the freshest
+/// member consulted) or the forward fails — the member restarted,
+/// refused after a membership race, timed out — a pinned query is
+/// answered from the primary and an explicit `read` gets the error.
 fn fleet_route(
     ctx: &SessionCtx,
     fleet: &FleetRouting,
     session: u64,
     text: &str,
+    statement: &Statement,
     bound: u64,
-    pin: Option<u64>,
-    or_primary: bool,
+    pinned: bool,
 ) -> Reply {
     let positions = ctx.commit.member_positions();
     // The tracker speaks next-LSN ("synced everything below");
@@ -537,11 +595,10 @@ fn fleet_route(
         .max_by_key(|&m| (acked_of(&m.name), m.name.as_str()))
     else {
         // An empty fleet: the primary serves, as without a follower.
-        return primary_query(ctx, session, text);
+        return primary_query(ctx, session, statement);
     };
-    let target = pin
-        .map(|s| &members[(s % members.len() as u64) as usize])
-        .filter(|m| acked_of(&m.name) >= bound)
+    let target = Some(&members[(session % members.len() as u64) as usize])
+        .filter(|m| pinned && acked_of(&m.name) >= bound)
         .unwrap_or(freshest);
     let applied = acked_of(&target.name);
     let forwarded = if applied < bound {
@@ -558,42 +615,33 @@ fn fleet_route(
             ctx.counters.forwarded.fetch_add(1, Ordering::Relaxed);
             Reply::Result(out)
         }
-        Err(_) if or_primary => primary_query(ctx, session, text),
+        Err(_) if pinned => primary_query(ctx, session, statement),
         Err(e) => Reply::Err(e),
     }
 }
 
-/// Routes a `read`: across the fleet when one is configured, to the
-/// attached local follower otherwise; refuses with a typed `TooStale`
-/// when nothing satisfies the staleness bound. Without either, the
-/// primary serves it (a primary is never stale).
-fn follower_read(ctx: &SessionCtx, session: u64, min_lsn: u64, text: &str) -> Reply {
-    if let Some(fleet) = &ctx.fleet {
-        return fleet_route(ctx, fleet, session, text, min_lsn, None, false);
-    }
+/// Routes a `read` to the attached local follower; refuses with a
+/// typed `TooStale` when it does not satisfy the staleness bound.
+/// Without a follower, the primary serves it (a primary is never
+/// stale).
+fn follower_read(ctx: &SessionCtx, session: u64, min_lsn: u64, statement: &Statement) -> Reply {
     let Some(follower) = &ctx.follower else {
-        return primary_query(ctx, session, text);
+        return primary_query(ctx, session, statement);
     };
     let f = lock(follower);
     let applied = f.next_lsn().saturating_sub(1);
-    if applied < min_lsn {
-        return Reply::Err(ServerError::TooStale {
-            required: min_lsn,
-            applied,
-            member: None,
-        });
-    }
-    let Some(tmd) = f.schema() else {
-        // Empty follower and min_lsn == 0: nothing applied yet.
+    let tmd = f.schema().filter(|_| applied >= min_lsn);
+    // An empty follower has nothing applied yet, whatever the bound.
+    let Some(tmd) = tmd else {
         return Reply::Err(ServerError::TooStale {
             required: min_lsn,
             applied,
             member: None,
         });
     };
-    answer_reply(render_answer(
+    answer_reply(render_statement(
         tmd,
-        text,
+        statement,
         &ctx.exec,
         ctx.memo.for_session(session),
     ))

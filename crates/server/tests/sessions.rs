@@ -19,6 +19,10 @@
 //! - **Read routing.** A stale follower refuses a bounded read with a
 //!   typed `TooStale`; after catch-up it serves bytes identical to the
 //!   primary.
+//! - **Statements.** Every `SHOW` answers over the wire, from the
+//!   primary and from a follower, with the bytes `render_answer` gives
+//!   on the same schema; `SHOW STATUS` is answered by the server that
+//!   receives it, never forwarded.
 
 use std::path::PathBuf;
 
@@ -28,7 +32,9 @@ use mvolap_durable::{
     DurableTmd, FactRow, GroupCommit, GroupConfig, Io, Options, TimeSource, WalRecord,
 };
 use mvolap_replica::{Follower, NetAddr, NetConfig, NetStream, ReplicaMsg, TailSource, WalTailer};
-use mvolap_server::{proto, Request, ServerError, ServerOptions, SessionClient, SessionServer};
+use mvolap_server::{
+    proto, FleetMember, Request, ServerError, ServerOptions, SessionClient, SessionServer,
+};
 use mvolap_storage::persist::table_digest;
 use mvolap_temporal::Instant;
 
@@ -660,4 +666,152 @@ fn interleaved_follower_reads_and_primary_queries_never_share_cache_entries() {
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&fdir).ok();
+}
+
+/// Every `SHOW` statement travels in `query`/`read` text: the primary
+/// and a caught-up follower answer it with the bytes `render_answer`
+/// gives on their schema, the follower under the `read` staleness rule.
+/// `SHOW STATUS` describes the server; an unknown target is a typed
+/// query error with its position.
+#[test]
+fn show_statements_over_the_wire_match_render_answer() {
+    let dir = tmp("show_primary");
+    let fdir = tmp("show_follower");
+    let cs = case_study();
+    let store = DurableTmd::create(&dir, cs.tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let follower = Follower::create("reader", fdir.clone(), Options::default(), Io::plain());
+    let server = SessionServer::spawn_with_follower(
+        &local_addr(),
+        group,
+        follower,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+    let lsn = client
+        .commit(&WalRecord::FactBatch {
+            rows: vec![FactRow {
+                coords: vec![cs.paul],
+                at: Instant::ym(2003, 2),
+                values: vec![99.0],
+            }],
+        })
+        .unwrap();
+    let statements = [
+        "SHOW VERSIONS".to_string(),
+        "show dimensions".to_string(),
+        "SHOW MEASURES;".to_string(),
+        "SHOW LOG".to_string(),
+        "SHOW DOT Org".to_string(),
+        format!("SHOW QUALITY {QUERY}"),
+        format!("SHOW GRID {QUERY}"),
+    ];
+    assert!(
+        matches!(
+            client.read_at(lsn, "SHOW LOG"),
+            Err(ServerError::TooStale { .. })
+        ),
+        "a statement waits for its staleness bound like a query"
+    );
+    let handle = server.follower_handle().expect("follower attached");
+    {
+        let mut f = handle.lock().unwrap();
+        let TailSource::Frames(frames) = WalTailer::new(&dir)
+            .fetch_budget(f.next_lsn(), u64::MAX, 64, usize::MAX)
+            .unwrap()
+        else {
+            panic!("nothing is pruned: the tail ships as frames");
+        };
+        let epoch = f.epoch();
+        f.handle(ReplicaMsg::Frames { epoch, frames }).unwrap();
+    }
+    let exec = mvolap_core::ExecContext::new(ServerOptions::default().exec_threads);
+    let render = |tmd: &mvolap_core::Tmd, text: &str| {
+        mvolap_query::render_answer(tmd, text, &exec, &mvolap_core::QueryMemo::new()).unwrap()
+    };
+    for text in &statements {
+        let on_primary = server.group().with_store(|s| render(s.schema(), text));
+        let on_follower = render(handle.lock().unwrap().schema().unwrap(), text);
+        assert!(on_primary.len() > 10, "{text}: {on_primary}");
+        assert_eq!(
+            client.query(text).unwrap(),
+            on_primary,
+            "{text} from the primary"
+        );
+        assert_eq!(
+            client.read_at(lsn, text).unwrap(),
+            on_follower,
+            "{text} from the follower"
+        );
+        assert_eq!(
+            on_follower, on_primary,
+            "{text}: the caught-up follower agrees"
+        );
+    }
+
+    for status in [
+        client.query("SHOW STATUS"),
+        client.read_at(lsn, "show status"),
+    ] {
+        let status = status.unwrap();
+        assert!(status.starts_with("  pool: workers=4 "), "{status}");
+        assert_eq!(status.matches("  memo shard ").count(), 4, "{status}");
+    }
+    match client.query("SHOW BOGUS") {
+        Err(ServerError::Query(msg)) => assert!(msg.contains("found `BOGUS` at byte 5"), "{msg}"),
+        other => panic!("expected a typed query error, got {other:?}"),
+    }
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}
+
+/// A fleet primary forwards statements to its members like queries,
+/// but answers `SHOW STATUS` itself: its own pool, and the forward
+/// counter does not move.
+#[test]
+fn show_status_on_a_fleet_primary_is_answered_locally() {
+    let dir = tmp("status_fleet");
+    let store = DurableTmd::create(&dir, case_study().tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let member =
+        SessionServer::spawn(&local_addr(), group.clone(), ServerOptions::default()).unwrap();
+    // The member serves the primary's own store: it has everything.
+    group.member_synced("m1", group.wal_position());
+    let fleet = vec![FleetMember {
+        name: "m1".to_string(),
+        addr: member.addr().clone(),
+    }];
+    let primary = SessionServer::spawn_with_fleet(
+        &local_addr(),
+        group,
+        fleet,
+        NetConfig::default(),
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = SessionClient::connect(primary.addr().clone(), NetConfig::default());
+
+    let versions = client.query("SHOW VERSIONS").unwrap();
+    assert_eq!(
+        primary.pool_stats().forwarded,
+        1,
+        "a statement is forwarded"
+    );
+    assert_eq!(member.pool_stats().served, 1, "and the member answered it");
+    let status = client.query("SHOW STATUS").unwrap();
+    assert_eq!(
+        primary.pool_stats().forwarded,
+        1,
+        "SHOW STATUS is not forwarded"
+    );
+    assert_eq!(member.pool_stats().served, 1, "the member never saw it");
+    assert!(status.contains(" forwarded=1\n"), "{status}");
+    assert!(!versions.is_empty());
+
+    drop(primary);
+    drop(member);
+    std::fs::remove_dir_all(&dir).ok();
 }

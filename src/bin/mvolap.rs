@@ -9,85 +9,64 @@
 //! mvolap --store DIR            # durable store: WAL + checkpoints in DIR
 //! mvolap --store DIR --listen ADDR   # session server: queries + commits
 //! mvolap --store DIR --follow ADDR   # tail a --listen server as a follower
-//! mvolap --store DIR --listen ADDR --cluster SPEC
+//! mvolap --store DIR --listen ADDR --cluster m1=ADDR,m2=ADDR
 //!                                    # quorum group: primary + members
 //! mvolap --connect ADDR              # client REPL against --listen
-//! mvolap --connect ADDR -c QUERY     # one-shot remote query
-//! mvolap -c "SELECT sum(Amount) BY year, Org.Division IN MODE tcm"
+//! mvolap [--connect ADDR] -c LINE    # run one line, then exit
 //! ```
 //!
-//! `ADDR` is `host:port` or `unix:/path/to.sock`. `--listen` runs the
-//! *session* server (`mvolap-server`): many concurrent clients,
-//! group-committed writes, bounded admission — and, on the same port,
-//! the follower protocol (hello/ack/fence over CRC-framed sockets). It
-//! runs a real-clock loop that takes policy-gated checkpoints
-//! ([`CheckpointPolicy::max_tail_age_ms`], 30 s), and `\status` prints
-//! the pool and each follower's acked LSN and lag. `--connect` is its
-//! line-oriented client — every line is a query, answered with the
-//! same rendering the local REPL prints. `--follow` syncs a follower
-//! store continuously, acking under the store directory's name, and
-//! exits non-zero the moment it is fenced or diverged. Both stop
-//! cleanly on `quit` or EOF on stdin.
-//!
-//! `--cluster SPEC` (with `--listen` and a fresh `--store`) starts a
-//! quorum-replicated group instead: `SPEC` is a comma-separated list of
-//! `name=ADDR` members (e.g. `m1=127.0.0.1:0,m2=127.0.0.1:0`), each
-//! getting its own replica store under `DIR/<name>` and its own read
-//! server. Commits through the primary are acknowledged only once a
-//! majority of the group synced them, and bounded `read`s are routed to
-//! the freshest member that satisfies the staleness bound.
-//!
-//! Inside the REPL, lines are queries (see `mvolap-query` for the
-//! grammar) or backslash commands — `\h` lists them. With `--store`,
-//! evolution commands (`\create`, `\rename`, `\delete`) are journaled
-//! through the write-ahead log and `\save` (no argument) takes a
-//! checkpoint; reopening the same directory recovers the schema.
+//! `ADDR` is `host:port` or `unix:/path/to.sock`. Every mode but
+//! `--follow` reads lines through one loop and one verb table
+//! ([`VERBS`]; `\h` prints it). A line that is not a backslash verb is
+//! a statement of `mvolap-query` (a query or a `SHOW`) for one of two
+//! backends: the schema in this process, or a session server over the
+//! wire (`--connect`, and the `--listen`/`--cluster` consoles, which
+//! are sessions of their own server). The metadata verbs `\svs`,
+//! `\dims`, `\measures`, `\log`, `\dot`, `\quality`, `\grid` and
+//! `\status` are aliases of `SHOW` statements, so both backends answer
+//! them. The evolution verbs (`\create`, `\rename`, `\delete`) and the
+//! file verbs (`\save`, `\export`) run on the local backend only;
+//! `\join` and `\leave` on a `--cluster` console only.
 
-use std::io::{BufRead, Write as _};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io::Write;
+use std::path::Path;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
-use mvolap::core::{ConfidenceWeights, DimensionId, ExecContext, MemberVersionId, QueryMemo, Tmd};
-use mvolap::durable::{
-    CheckpointPolicy, DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord,
-};
-use mvolap::query::{compare_modes, parse, render_answer, run_with_versions_par};
+use mvolap::core::{DimensionId, ExecContext, MemberVersionId, QueryMemo, Tmd};
+use mvolap::durable::{CheckpointId, DurableError, DurableTmd, GroupCommit};
+use mvolap::durable::{GroupConfig, Io, Options, WalRecord};
+use mvolap::query::render_answer;
 use mvolap::replica::{sync_follower, Follower, NetAddr, NetClient, NetConfig, ReplicaError};
-use mvolap::server::{ServerOptions, SessionClient, SessionServer};
+use mvolap::server::{quorum_figure, ServerOptions, SessionClient, SessionServer};
 use mvolap::temporal::Instant;
-use mvolap::workload::{generate, WorkloadConfig};
 
-/// Where the schema lives: plain memory, or a durable WAL+checkpoint
-/// store whose every evolution is journaled.
-enum Backing {
+/// The local backend: the schema in this process, in plain memory or
+/// in a durable WAL+checkpoint store whose every evolution is journaled.
+enum Session {
     Memory(Box<Tmd>),
     Durable(Box<DurableTmd>),
 }
 
-struct Session {
-    backing: Backing,
-}
-
 impl Session {
     fn tmd(&self) -> &Tmd {
-        match &self.backing {
-            Backing::Memory(tmd) => tmd,
-            Backing::Durable(store) => store.schema(),
+        match self {
+            Session::Memory(tmd) => tmd,
+            Session::Durable(store) => store.schema(),
         }
     }
 
-    /// Runs one evolution record through the backing: journaled
-    /// (validate → WAL append + fsync → apply) on a durable store,
-    /// applied directly in memory.
+    /// Runs one evolution record: journaled (validate → WAL append +
+    /// fsync → apply) on a durable store, applied directly in memory.
     fn evolve(&mut self, record: WalRecord) -> Result<String, String> {
-        match &mut self.backing {
-            Backing::Memory(tmd) => record
+        match self {
+            Session::Memory(tmd) => record
                 .apply(tmd)
                 .map(|()| "applied (in-memory; use --store DIR to journal)".to_string())
                 .map_err(|e| e.to_string()),
-            Backing::Durable(store) => store
+            Session::Durable(store) => store
                 .apply(record)
                 .map(|lsn| format!("journaled at LSN {lsn}"))
                 .map_err(|e| e.to_string()),
@@ -95,207 +74,347 @@ impl Session {
     }
 }
 
+/// Where statements go.
+enum Backend {
+    Local(Session),
+    Remote(SessionClient),
+}
+
+impl Backend {
+    fn answer(&mut self, text: &str) -> Result<String, String> {
+        match self {
+            Backend::Local(s) => {
+                render_answer(s.tmd(), text, &ExecContext::sequential(), &QueryMemo::new())
+                    .map_err(|e| e.to_string())
+            }
+            Backend::Remote(client) => client.query(text).map_err(|e| e.to_string()),
+        }
+    }
+}
+
+/// The server a console runs beside its loop.
+enum Console {
+    /// `--listen`: the session server.
+    Listen(SessionServer),
+    /// `--cluster`: the quorum group.
+    Cluster(Box<LocalCluster>),
+}
+
+struct Shell {
+    backend: Backend,
+    console: Option<Console>,
+}
+
+/// How a line went; `-c` exits non-zero on `Failed`.
+enum Step {
+    Done,
+    Failed,
+    Quit,
+}
+
+/// What a verb does.
+enum Action {
+    Quit,
+    Help,
+    /// Runs this statement with the verb's arguments appended.
+    Show(&'static str),
+    /// Runs on the local backend only.
+    Local(fn(&mut Session, &[&str]) -> Result<String, String>),
+    /// Changes a `--cluster` console's membership (`true`: join).
+    Member(bool),
+}
+
+/// A verb: its usage (name, then arguments; `QUERY` takes the rest of
+/// the line, `[X]` is optional), its help and its action.
+struct Verb(&'static str, &'static str, Action);
+
+/// Every backslash verb of every mode.
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    Verb("svs", "structure versions", Action::Show("SHOW VERSIONS")),
+    Verb("dims", "dimensions and levels", Action::Show("SHOW DIMENSIONS")),
+    Verb("measures", "measures and aggregators", Action::Show("SHOW MEASURES")),
+    Verb("dot DIMENSION", "GraphViz DOT of a dimension", Action::Show("SHOW DOT")),
+    Verb("log", "evolution log", Action::Show("SHOW LOG")),
+    Verb("quality QUERY", "quality factor of QUERY per mode", Action::Show("SHOW QUALITY")),
+    Verb("grid QUERY", "result as a pivot grid (time × members)", Action::Show("SHOW GRID")),
+    Verb("status", "a server's pool, memo, quorum and followers", Action::Show("SHOW STATUS")),
+    Verb("create DIM NAME LEVEL PARENT YYYY-MM", "insert a member", Action::Local(create)),
+    Verb("rename DIM MEMBER NEW_NAME YYYY-MM", "transform a member", Action::Local(rename)),
+    Verb("delete DIM MEMBER YYYY-MM", "exclude a member", Action::Local(delete)),
+    Verb("save [FILE]", "save the schema, or checkpoint --store", Action::Local(save)),
+    Verb("export DIR", "export the MultiVersion warehouse tables", Action::Local(export)),
+    Verb("join NAME=ADDR", "add a member to the group", Action::Member(true)),
+    Verb("leave NAME", "remove a member from the group", Action::Member(false)),
+    Verb("h", "this help", Action::Help),
+    Verb("q", "quit (also `quit` or EOF)", Action::Quit),
+];
+
+impl Verb {
+    fn takes(&self, args: &[&str]) -> bool {
+        match self.0.split_once(' ').map_or("", |(_, a)| a) {
+            "QUERY" => !args.is_empty(),
+            a if a.starts_with('[') => args.len() <= 1,
+            a => args.len() == a.split_whitespace().count(),
+        }
+    }
+
+    /// Where the verb runs, when not on every backend.
+    fn scope(&self) -> Option<&'static str> {
+        match self.2 {
+            Action::Local(_) => Some("the local backend"),
+            Action::Member(_) => Some("a --cluster console"),
+            _ => None,
+        }
+    }
+}
+
+impl Shell {
+    /// Runs one line, a backslash verb or a statement, printing to `out`.
+    fn run(&mut self, line: &str, out: &mut dyn Write) -> std::io::Result<Step> {
+        let Some(cmd) = line.strip_prefix('\\') else {
+            return match line {
+                "" => Ok(Step::Done),
+                "quit" => Ok(Step::Quit),
+                _ => report(self.backend.answer(line), out),
+            };
+        };
+        let (word, rest) = cmd.split_once(char::is_whitespace).unwrap_or((cmd, ""));
+        let word = match word {
+            "help" => "h",
+            "quit" => "q",
+            w => w,
+        };
+        let Some(verb) = VERBS.iter().find(|v| v.0.split(' ').next() == Some(word)) else {
+            writeln!(out, "unknown command \\{word} (\\h for help)")?;
+            return Ok(Step::Failed);
+        };
+        let (rest, args) = (rest.trim(), rest.split_whitespace().collect::<Vec<_>>());
+        if !verb.takes(&args) {
+            writeln!(out, "usage: \\{}", verb.0)?;
+            return Ok(Step::Failed);
+        }
+        match (&verb.2, &mut self.backend, &mut self.console) {
+            (Action::Quit, ..) => Ok(Step::Quit),
+            (Action::Help, ..) => {
+                for v in VERBS {
+                    let scope = v.scope().map(|s| format!(" (on {s} only)"));
+                    writeln!(out, "\\{:<37} {}{}", v.0, v.1, scope.unwrap_or_default())?;
+                }
+                writeln!(out, "anything else runs as a statement: SELECT … | SHOW …")?;
+                Ok(Step::Done)
+            }
+            (Action::Show(statement), backend, console) => {
+                if let (Some(Console::Cluster(group)), "status") = (console, word) {
+                    membership(group, out)?;
+                }
+                report(backend.answer(&format!("{statement} {rest}")), out)
+            }
+            (Action::Local(f), Backend::Local(session), _) => report(f(session, &args), out),
+            (Action::Member(join), _, Some(Console::Cluster(group))) => {
+                reconfigure(group, *join, rest, out)
+            }
+            _ => {
+                let scope = verb.scope().unwrap_or_default();
+                report(Err(format!("\\{word} runs on {scope} only")), out)
+            }
+        }
+    }
+
+    /// Reads and runs lines until a quit verb, `quit` or EOF. The two
+    /// backends greet and prompt; a console greeted as it started.
+    fn repl(&mut self) {
+        match &mut self.backend {
+            _ if self.console.is_some() => {}
+            Backend::Local(Session::Memory(tmd)) => println!(
+                "mvolap — multiversion OLAP shell over schema `{}` \
+                 ({} dimensions, {} facts). \\h for help, \\q to quit.",
+                tmd.name(),
+                tmd.dimensions().len(),
+                tmd.facts().len()
+            ),
+            Backend::Local(Session::Durable(store)) => println!(
+                "mvolap — multiversion OLAP shell over durable store `{}` \
+                 (schema `{}`, next LSN {}). \\h for help, \\q to quit.",
+                store.dir().display(),
+                store.schema().name(),
+                store.wal_position()
+            ),
+            Backend::Remote(client) => match client.ping() {
+                Ok(()) => println!(
+                    "mvolap — connected to session server on {}. \\q quits.",
+                    client.addr()
+                ),
+                Err(e) => die(&format!("cannot reach {}: {e}", client.addr())),
+            },
+        }
+        let (mut out, lines) = (std::io::stdout(), stdin_lines());
+        loop {
+            if self.console.is_none() {
+                print!("mvolap> ");
+            }
+            out.flush().ok();
+            let line = loop {
+                match lines.recv_timeout(Duration::from_millis(250)) {
+                    Err(RecvTimeoutError::Timeout) => self.tick(),
+                    line => break line,
+                }
+            };
+            let Ok(line) = line else { break };
+            if matches!(self.run(line.trim(), &mut out), Ok(Step::Quit) | Err(_)) {
+                break;
+            }
+        }
+    }
+
+    /// Between lines, a `--listen` console paces the store's tail-age
+    /// checkpoint policy on the real clock: the policy decides, the
+    /// clock only paces it (a fenced primary's store is frozen, so the
+    /// check is a no-op then).
+    fn tick(&self) {
+        if let Some(Console::Listen(server)) = &self.console {
+            match server.group().maybe_checkpoint() {
+                Ok(Some(id)) => println!("{}", checkpointed(&id)),
+                Ok(None) => {}
+                Err(e) => eprintln!("checkpoint error: {e}"),
+            }
+        }
+    }
+
+    /// The goodbye of an interactive run.
+    fn goodbye(&self) -> Option<String> {
+        Some(match (&self.console, &self.backend) {
+            (Some(Console::Listen(server)), _) => {
+                format!("mvolap: session server on {} stopped", server.addr())
+            }
+            (Some(Console::Cluster(group)), _) => {
+                format!("mvolap: cluster on {} stopped", group.primary_addr())
+            }
+            (None, Backend::Remote(client)) => {
+                format!("mvolap: disconnected from {}", client.addr())
+            }
+            (None, Backend::Local(_)) => return None,
+        })
+    }
+}
+
+/// Stdin's lines, read off-thread so a loop can wait for the next one
+/// with a timeout. The reader is not joined: a blocking read of stdin
+/// cannot be cancelled, and the thread ends at EOF or with the process.
+fn stdin_lines() -> mpsc::Receiver<String> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut lines = std::io::stdin().lines().map_while(Result::ok);
+        lines.try_for_each(|line| tx.send(line)).ok();
+    });
+    rx
+}
+
+/// Writes an answer, or its error as `error: …`.
+fn report(answer: Result<String, String>, out: &mut dyn Write) -> std::io::Result<Step> {
+    match answer {
+        Ok(text) => out.write_all(text.as_bytes()).map(|()| Step::Done),
+        Err(e) => writeln!(out, "error: {e}").map(|()| Step::Failed),
+    }
+}
+
 const USAGE: &str = "usage: mvolap [--two-measures | --workload SEED | --load FILE] \
      [--store DIR] [--listen ADDR | --follow ADDR] \
-     [--cluster SPEC] [--workers N] [--connect ADDR] [-c QUERY]\n\
+     [--cluster SPEC] [--workers N] [--connect ADDR] [-c LINE]\n\
      ADDR is host:port or unix:/path/to.sock; listen/follow need \
      --store DIR; --connect and --follow talk to a --listen server; \
      --cluster name=ADDR,... with --listen starts a quorum group; \
      --workers N sizes the session pool (N >= 1)";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut schema: Option<Tmd> = None;
-    let mut one_shot: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut follow_addr: Option<String> = None;
-    let mut listen_addr: Option<String> = None;
-    let mut connect_addr: Option<String> = None;
-    let mut cluster_spec: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    let (mut schema, mut one_shot, mut store, mut opts) =
+        (None, None, None, ServerOptions::default());
+    let (mut follow_addr, mut listen_addr, mut connect_addr, mut spec) = (None, None, None, None);
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| die(&format!("{flag} requires {what}")))
+        };
+        match flag.as_str() {
             "--two-measures" => schema = Some(case_study_two_measures().tmd),
             "--workload" => {
-                i += 1;
-                let seed: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--workload requires a numeric seed"));
-                let w = generate(&WorkloadConfig::small(seed))
+                let seed = value("a numeric seed").parse().ok();
+                let seed = seed.unwrap_or_else(|| die("--workload requires a numeric seed"));
+                let w = mvolap::workload::generate(&mvolap::workload::WorkloadConfig::small(seed))
                     .unwrap_or_else(|e| die(&format!("workload generation failed: {e}")));
                 schema = Some(w.tmd);
             }
             "--load" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--load requires a file path"));
-                let tmd = mvolap::core::persist::load_tmd(std::path::Path::new(path))
+                let tmd = mvolap::core::persist::load_tmd(Path::new(&value("a file path")))
                     .unwrap_or_else(|e| die(&format!("load failed: {e}")));
                 schema = Some(tmd);
             }
-            "--store" => {
-                i += 1;
-                store_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--store requires a directory")),
-                );
-            }
-            "-c" => {
-                i += 1;
-                one_shot = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("-c requires a query string")),
-                );
-            }
-            "--follow" => {
-                i += 1;
-                follow_addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--follow requires an address")),
-                );
-            }
-            "--listen" => {
-                i += 1;
-                listen_addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--listen requires an address")),
-                );
-            }
-            "--connect" => {
-                i += 1;
-                connect_addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--connect requires an address")),
-                );
-            }
-            "--cluster" => {
-                i += 1;
-                cluster_spec = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--cluster requires name=ADDR[,name=ADDR...]")),
-                );
-            }
+            "--store" => store = Some(value("a directory")),
+            "-c" => one_shot = Some(value("a query string")),
+            "--follow" => follow_addr = Some(value("an address")),
+            "--listen" => listen_addr = Some(value("an address")),
+            "--connect" => connect_addr = Some(value("an address")),
+            "--cluster" => spec = Some(value("name=ADDR[,name=ADDR...]")),
             "--workers" => {
-                i += 1;
-                workers = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .unwrap_or_else(|| {
-                            die(&format!("--workers requires a number >= 1\n{USAGE}"))
-                        }),
-                );
+                let bad = format!("a number >= 1\n{USAGE}");
+                let n = value(&bad).parse().ok().filter(|&n: &usize| n >= 1);
+                opts.workers = n.unwrap_or_else(|| die(&format!("--workers requires {bad}")));
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
+            "--help" | "-h" => return println!("{USAGE}"),
             other => die(&format!("unknown argument `{other}` (try --help)")),
         }
-        i += 1;
     }
 
-    if [&follow_addr, &listen_addr, &connect_addr]
-        .iter()
-        .filter(|a| a.is_some())
-        .count()
-        > 1
-    {
+    let modes = [&follow_addr, &listen_addr, &connect_addr];
+    if modes.iter().filter(|a| a.is_some()).count() > 1 {
         die("--follow, --listen and --connect are mutually exclusive");
     }
-    if let Some(addr) = follow_addr {
-        let dir = store_dir.unwrap_or_else(|| die("--follow requires --store DIR"));
-        let addr = NetAddr::parse(&addr).unwrap_or_else(|e| die(&format!("bad address: {e}")));
-        follow(&addr, &dir);
-    }
-    if let Some(spec) = cluster_spec {
-        let dir = store_dir.unwrap_or_else(|| die("--cluster requires --store DIR"));
-        let addr = listen_addr.unwrap_or_else(|| die("--cluster requires --listen ADDR"));
-        let addr = NetAddr::parse(&addr).unwrap_or_else(|e| die(&format!("bad address: {e}")));
-        cluster(&addr, &dir, &spec, schema, workers);
-    }
-    if let Some(addr) = listen_addr {
-        let dir = store_dir.unwrap_or_else(|| die("--listen requires --store DIR"));
-        let addr = NetAddr::parse(&addr).unwrap_or_else(|e| die(&format!("bad address: {e}")));
-        listen(&addr, &dir, schema, workers);
-    }
-    if let Some(addr) = connect_addr {
-        let addr = NetAddr::parse(&addr).unwrap_or_else(|e| die(&format!("bad address: {e}")));
-        connect(&addr, one_shot);
-    }
-
-    // An existing store wins over --load/--workload (those only seed a
-    // *new* store); the journal, not the flags, is the durable truth.
-    let backing = match store_dir {
-        Some(dir) => {
-            let path = std::path::PathBuf::from(&dir);
-            match DurableTmd::open(&path) {
-                Ok(store) => Backing::Durable(Box::new(store)),
-                Err(DurableError::NoStore) => {
-                    let seed = schema.unwrap_or_else(|| case_study().tmd);
-                    let store = DurableTmd::create(&path, seed)
-                        .unwrap_or_else(|e| die(&format!("cannot create store: {e}")));
-                    Backing::Durable(Box::new(store))
-                }
-                Err(e) => die(&format!("cannot open store at {dir}: {e}")),
-            }
-        }
-        None => Backing::Memory(Box::new(schema.unwrap_or_else(|| case_study().tmd))),
+    let dir = |mode: &str| {
+        let missing = || die(&format!("{mode} requires --store DIR"));
+        store.clone().unwrap_or_else(missing)
     };
-    let mut session = Session { backing };
+    if let Some(addr) = &follow_addr {
+        follow(&net_addr(addr), &dir("--follow"));
+    }
+    let mut shell = match (spec, listen_addr, connect_addr) {
+        (Some(spec), listen, _) => {
+            let dir = dir("--cluster");
+            let addr = listen.unwrap_or_else(|| die("--cluster requires --listen ADDR"));
+            cluster(&net_addr(&addr), &dir, &spec, schema, opts)
+        }
+        (None, Some(addr), _) => listen(&net_addr(&addr), &dir("--listen"), schema, opts),
+        (None, None, Some(addr)) => Shell {
+            backend: Backend::Remote(SessionClient::connect(
+                net_addr(&addr),
+                NetConfig::default(),
+            )),
+            console: None,
+        },
+        // An existing store wins over --load/--workload (those only
+        // seed a *new* store); the journal, not the flags, is the
+        // durable truth.
+        (None, None, None) => Shell {
+            backend: Backend::Local(match store {
+                Some(dir) => {
+                    Session::Durable(Box::new(open_store(&dir, schema, Options::default())))
+                }
+                None => Session::Memory(Box::new(schema.unwrap_or_else(|| case_study().tmd))),
+            }),
+            console: None,
+        },
+    };
 
-    if let Some(query) = one_shot {
-        execute(&session, &query);
-        return;
+    // Dropping the shell stops a console's server.
+    if let Some(line) = one_shot {
+        let step = shell.run(&line, &mut std::io::stdout());
+        drop(shell);
+        std::process::exit(i32::from(!matches!(step, Ok(Step::Done | Step::Quit))));
     }
-
-    match &session.backing {
-        Backing::Memory(_) => println!(
-            "mvolap — multiversion OLAP shell over schema `{}` \
-             ({} dimensions, {} facts). \\h for help, \\q to quit.",
-            session.tmd().name(),
-            session.tmd().dimensions().len(),
-            session.tmd().facts().len()
-        ),
-        Backing::Durable(store) => println!(
-            "mvolap — multiversion OLAP shell over durable store `{}` \
-             (schema `{}`, next LSN {}). \\h for help, \\q to quit.",
-            store.dir().display(),
-            store.schema().name(),
-            store.wal_position()
-        ),
-    }
-    let stdin = std::io::stdin();
-    loop {
-        print!("mvolap> ");
-        std::io::stdout().flush().ok();
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e) => die(&format!("stdin error: {e}")),
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(cmd) = line.strip_prefix('\\') {
-            if !command(&mut session, cmd) {
-                break;
-            }
-        } else {
-            execute(&session, line);
-        }
-    }
+    shell.repl();
+    let goodbye = shell.goodbye();
+    drop(shell);
+    goodbye.iter().for_each(|g| println!("{g}"));
 }
 
 fn die(msg: &str) -> ! {
@@ -303,13 +422,30 @@ fn die(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// Tails a `--listen` server's store into the follower at `dir`,
-/// printing progress, until stdin closes (clean exit) or the server
-/// fences or refuses the follower as diverged (exit 1 — the operator
-/// must intervene). The follower acks under its directory's name, so
-/// the server's `\status` tells followers apart.
+fn net_addr(addr: &str) -> NetAddr {
+    NetAddr::parse(addr).unwrap_or_else(|e| die(&format!("bad address `{addr}`: {e}")))
+}
+
+/// Opens the store at `dir`, or creates it seeded with `schema` (the
+/// case study by default).
+fn open_store(dir: &str, schema: Option<Tmd>, opts: Options) -> DurableTmd {
+    let path = Path::new(dir);
+    match DurableTmd::open_with(path, opts.clone(), Io::plain()) {
+        Ok(store) => store,
+        Err(DurableError::NoStore) => {
+            let seed = schema.unwrap_or_else(|| case_study().tmd);
+            DurableTmd::create_with(path, seed, opts, Io::plain())
+                .unwrap_or_else(|e| die(&format!("cannot create store: {e}")))
+        }
+        Err(e) => die(&format!("cannot open store at {dir}: {e}")),
+    }
+}
+
+/// Tails a `--listen` server's store into the follower at `dir` until
+/// `quit` or EOF on stdin (exit 0), or until the server fences it or
+/// refuses it as diverged (exit 1).
 fn follow(addr: &NetAddr, dir: &str) -> ! {
-    let path = std::path::Path::new(dir);
+    let path = Path::new(dir);
     let name = path
         .file_name()
         .map_or_else(|| dir.to_string(), |n| n.to_string_lossy().into_owned());
@@ -319,35 +455,15 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
     println!("mvolap — following {addr} into store `{dir}`. `quit` or EOF stops.");
     std::io::stdout().flush().ok();
 
-    // Watch stdin off-thread so the sync loop keeps its own cadence.
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            loop {
-                let mut line = String::new();
-                match stdin.lock().read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) if line.trim() == "quit" => break,
-                    Ok(_) => {}
-                }
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-    }
-
-    let mut announced = false;
-    while !stop.load(Ordering::SeqCst) {
+    let (lines, mut announced) = (stdin_lines(), false);
+    loop {
         match sync_follower(&mut client, &mut f) {
             Ok(round) => {
                 if round.caught_up() && !announced {
                     println!("caught up at LSN {}", f.next_lsn());
                     std::io::stdout().flush().ok();
-                    announced = true;
-                } else if !round.caught_up() {
-                    announced = false;
                 }
+                announced = round.caught_up();
             }
             Err(e @ (ReplicaError::Fenced { .. } | ReplicaError::Diverged { .. })) => {
                 die(&format!("follower refused: {e}"))
@@ -357,79 +473,26 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
                 announced = false;
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(500));
+        match lines.recv_timeout(Duration::from_millis(500)) {
+            Ok(line) if line.trim() == "quit" => break,
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
     println!("mvolap: follower of {addr} stopped at LSN {}", f.next_lsn());
     std::process::exit(0)
 }
 
-/// Renders a pool-stats snapshot the way both serving REPLs print it
-/// under `\status`: one occupancy line, then one line per memo shard.
-fn print_pool(stats: &mvolap::server::PoolStats) {
-    println!(
-        "  pool: workers={} active={} queued={} parked={} served={} refused={} forwarded={}",
-        stats.workers,
-        stats.active,
-        stats.queued,
-        stats.parked,
-        stats.served,
-        stats.refused,
-        stats.forwarded
-    );
-    for (i, m) in stats.memo.iter().enumerate() {
-        println!(
-            "  memo shard {i}: routes {}/{} hits/misses, ancestors {}/{}, \
-             presentations {}/{} (+{} extended)",
-            m.routes.hits,
-            m.routes.misses,
-            m.ancestors.hits,
-            m.ancestors.misses,
-            m.presentations.hits,
-            m.presentations.misses,
-            m.extended
-        );
-    }
-}
-
-/// Session-server options with the shell's `--workers N` applied.
-fn server_opts(workers: Option<usize>) -> ServerOptions {
-    let mut opts = ServerOptions::default();
-    if let Some(w) = workers {
-        opts.workers = w;
-    }
-    opts
-}
-
-/// How long a listening primary lets the WAL tail age before the
-/// real-clock loop takes a checkpoint.
-const LISTEN_TAIL_AGE_MS: u64 = 30_000;
-
-/// `--listen`: the concurrent session server — a fixed worker pool
-/// multiplexing nonblocking sessions (`--workers N`) that also answers
-/// followers on the same port. Writes group-commit (one shared fsync
-/// per batch); queries run under a shared read lock; a real-clock loop
-/// drives the store's tail-age checkpoint policy.
-fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, workers: Option<usize>) -> ! {
-    let path = std::path::PathBuf::from(dir);
-    let opts = Options {
-        policy: CheckpointPolicy {
-            max_tail_age_ms: LISTEN_TAIL_AGE_MS,
-            ..CheckpointPolicy::default()
-        },
-        ..Options::default()
-    };
-    let store = match DurableTmd::open_with(&path, opts.clone(), Io::plain()) {
-        Ok(store) => store,
-        Err(DurableError::NoStore) => {
-            let seed = schema.unwrap_or_else(|| case_study().tmd);
-            DurableTmd::create_with(&path, seed, opts, Io::plain())
-                .unwrap_or_else(|e| die(&format!("cannot create store: {e}")))
-        }
-        Err(e) => die(&format!("cannot open store at {dir}: {e}")),
-    };
+/// `--listen`: the session server over the store at `dir`, which
+/// checkpoints once a committed tail is 30 s old. The console is a
+/// session of its own server.
+fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, opts: ServerOptions) -> Shell {
+    let mut store_opts = Options::default();
+    store_opts.policy.max_tail_age_ms = 30_000;
+    let store = open_store(dir, schema, store_opts);
     let next_lsn = store.wal_position();
     let group = GroupCommit::new(store, GroupConfig::default());
-    let mut server = SessionServer::spawn(addr, group.clone(), server_opts(workers))
+    let server = SessionServer::spawn(addr, group, opts)
         .unwrap_or_else(|e| die(&format!("cannot listen on {addr}: {e}")));
     println!(
         "mvolap — session server for store `{dir}` on {} (next LSN {next_lsn}). \
@@ -437,466 +500,264 @@ fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, workers: Option<usize>
         server.addr()
     );
     std::io::stdout().flush().ok();
-
-    // Real-clock loop: the policy decides, the clock only paces it. A
-    // fenced primary's store is frozen, so the check is a no-op then.
-    let stop = Arc::new(AtomicBool::new(false));
-    let ticker = {
-        let stop = Arc::clone(&stop);
-        let group = group.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-                match group.maybe_checkpoint() {
-                    Ok(Some(id)) => println!(
-                        "checkpoint at generation {}, next LSN {}",
-                        id.generation, id.next_lsn
-                    ),
-                    Ok(None) => {}
-                    Err(e) => eprintln!("checkpoint error: {e}"),
-                }
-            }
-        })
-    };
-
-    let stdin = std::io::stdin();
-    loop {
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let line = line.trim();
-        if line == "quit" || line == "\\q" {
-            break;
-        }
-        if line == "\\status" {
-            print_pool(&server.pool_stats());
-            let head = group.synced_lsn();
-            for (name, acked) in server.follower_acks() {
-                println!(
-                    "  follower {name}: acked LSN {acked}, lag {}",
-                    head.saturating_sub(acked)
-                );
-            }
-            std::io::stdout().flush().ok();
-        } else if !line.is_empty() {
-            println!("commands: \\status, \\q (or `quit`)");
-            std::io::stdout().flush().ok();
-        }
+    let client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+    Shell {
+        backend: Backend::Remote(client),
+        console: Some(Console::Listen(server)),
     }
-    stop.store(true, Ordering::SeqCst);
-    ticker.join().ok();
-    server.stop();
-    println!("mvolap: session server on {addr} stopped");
-    std::process::exit(0)
 }
 
-/// `--cluster`: a quorum-replicated serving group on one machine. The
-/// primary session server listens on `addr`; every `name=ADDR` in
-/// `spec` gets a replica store under `DIR/<name>` and a read server on
-/// its own address. Per-member shipping threads tail the WAL and ship
-/// batched frame envelopes continuously — no manual pump loop — so
-/// commits clear the majority quorum in one shipping round-trip and
-/// bounded reads route to the freshest member.
-fn cluster(
-    addr: &NetAddr,
-    dir: &str,
-    spec: &str,
-    schema: Option<Tmd>,
-    workers: Option<usize>,
-) -> ! {
-    let mut members = Vec::new();
-    for part in spec.split(',') {
-        let Some((name, maddr)) = part.split_once('=') else {
-            die(&format!("bad --cluster entry `{part}` (want name=ADDR)"));
-        };
-        let maddr =
-            NetAddr::parse(maddr).unwrap_or_else(|e| die(&format!("bad address `{maddr}`: {e}")));
-        members.push((name.to_string(), maddr));
-    }
-    if members.is_empty() {
-        die("--cluster needs at least one name=ADDR member");
-    }
-    let seed = schema.unwrap_or_else(|| case_study().tmd);
+/// `--cluster`: a quorum group on one machine, the primary on `addr`
+/// and a replica store and read server per `name=ADDR` of `spec`, with
+/// a shipping thread per member. The console is a session of the
+/// primary.
+fn cluster(addr: &NetAddr, dir: &str, spec: &str, seed: Option<Tmd>, opts: ServerOptions) -> Shell {
+    let members: Vec<(String, NetAddr)> = spec
+        .split(',')
+        .map(|part| match part.split_once('=') {
+            Some((name, maddr)) => (name.to_string(), net_addr(maddr)),
+            None => die(&format!("bad --cluster entry `{part}` (want name=ADDR)")),
+        })
+        .collect();
+    let net = NetConfig::default();
     let mut group = LocalCluster::start(
-        std::path::Path::new(dir),
-        seed,
+        Path::new(dir),
+        seed.unwrap_or_else(|| case_study().tmd),
         addr,
         &members,
         Options::default(),
         GroupConfig::default(),
-        server_opts(workers),
-        NetConfig::default(),
+        opts,
+        net.clone(),
     )
     .unwrap_or_else(|e| die(&format!("cannot start cluster under {dir}: {e}")));
     group.spawn_pumps(PumpConfig::default());
     println!(
-        "mvolap — quorum group under `{dir}`: primary on {} ({} members, quorum {}/{}, \
+        "mvolap — quorum group under `{dir}`: primary on {} ({} members, quorum {}, \
          async replication). \\join NAME=ADDR, \\leave NAME, \\status; `\\q`, \
          `quit` or EOF stops.",
         group.primary_addr(),
         members.len(),
-        members.len() / 2 + 1,
-        members.len() + 1,
+        quorum_figure(&group.group()),
     );
     for (name, maddr) in group.member_addrs() {
         println!("  member {name} reads on {maddr}");
     }
     std::io::stdout().flush().ok();
+    Shell {
+        backend: Backend::Remote(group.client(net)),
+        console: Some(Console::Cluster(Box::new(group))),
+    }
+}
 
-    let stdin = std::io::stdin();
-    loop {
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if matches!(line.trim(), "quit" | "\\q") => break,
-            Ok(_) => {}
+/// A `--cluster` console's own `\status` lines: each member's role and
+/// each pump's state.
+fn membership(group: &LocalCluster, out: &mut dyn Write) -> std::io::Result<()> {
+    for (name, learner) in group.membership() {
+        let role = if learner { "learner" } else { "voter" };
+        writeln!(out, "  {name}: {role}")?;
+    }
+    for (name, st) in group.pump_status() {
+        writeln!(
+            out,
+            "  pump {name}: {:?} acked={} requests={} snapshots={} stalls={}",
+            st.state, st.acked_lsn, st.requests, st.snapshots, st.stalls
+        )?;
+    }
+    Ok(())
+}
+
+/// `\join NAME=ADDR` and `\leave NAME`: journal the reconfiguration,
+/// then wait for the group to settle it.
+fn reconfigure(
+    group: &mut LocalCluster,
+    join: bool,
+    arg: &str,
+    out: &mut dyn Write,
+) -> std::io::Result<Step> {
+    let journaled = if join {
+        let Some((name, maddr)) = arg.split_once('=') else {
+            return writeln!(out, "usage: \\join NAME=ADDR").map(|()| Step::Failed);
+        };
+        let maddr = match NetAddr::parse(maddr) {
+            Ok(maddr) => maddr,
+            Err(e) => return writeln!(out, "bad address `{maddr}`: {e}").map(|()| Step::Failed),
+        };
+        let joining =
+            |lsn| format!("joining `{name}` (reconfig journaled at LSN {lsn}); catching up…");
+        group
+            .join(name, &maddr)
+            .map(joining)
+            .map_err(|e| format!("join refused: {e}"))
+    } else {
+        let removing = |lsn| format!("removing `{arg}` (reconfig journaled at LSN {lsn})…");
+        group
+            .leave(arg)
+            .map(removing)
+            .map_err(|e| format!("leave refused: {e}"))
+    };
+    match journaled {
+        Ok(msg) => writeln!(out, "{msg}")?,
+        Err(e) => return writeln!(out, "{e}").map(|()| Step::Failed),
+    }
+    out.flush()?;
+    match (group.await_membership(Duration::from_secs(30)), join) {
+        (Ok(name), true) => writeln!(out, "member `{name}` caught up and was promoted to voter")?,
+        (Ok(name), false) => writeln!(out, "member `{name}` removed; reads re-routed")?,
+        (Err(e), true) => writeln!(out, "join stalled: {e}")?,
+        (Err(e), false) => writeln!(out, "remove stalled: {e}")?,
+    }
+    Ok(Step::Done)
+}
+
+fn create(s: &mut Session, a: &[&str]) -> Result<String, String> {
+    let (dim, parent, at) = member_at(s.tmd(), a[0], a[3], a[4])?;
+    let (name, level, parents) = (a[1].to_string(), Some(a[2].to_string()), vec![parent]);
+    let msg = s.evolve(WalRecord::Create {
+        dim,
+        name,
+        level,
+        at,
+        parents,
+    })?;
+    Ok(format!("created `{}`: {msg}\n", a[1]))
+}
+
+fn rename(s: &mut Session, a: &[&str]) -> Result<String, String> {
+    let (dim, id, at) = member_at(s.tmd(), a[0], a[1], a[3])?;
+    let (new_name, new_attributes) = (a[2].to_string(), Default::default());
+    let msg = s.evolve(WalRecord::Transform {
+        dim,
+        id,
+        new_name,
+        new_attributes,
+        at,
+    })?;
+    Ok(format!("renamed `{}` to `{}`: {msg}\n", a[1], a[2]))
+}
+
+fn delete(s: &mut Session, a: &[&str]) -> Result<String, String> {
+    let (dim, id, at) = member_at(s.tmd(), a[0], a[1], a[2])?;
+    let msg = s.evolve(WalRecord::Delete { dim, id, at })?;
+    Ok(format!("deleted `{}`: {msg}\n", a[1]))
+}
+
+fn save(s: &mut Session, a: &[&str]) -> Result<String, String> {
+    match (a.first(), s) {
+        (Some(path), s) => mvolap::core::persist::save_tmd(s.tmd(), Path::new(path))
+            .map(|()| format!("saved to {path}\n"))
+            .map_err(|e| e.to_string()),
+        (None, Session::Durable(store)) => store
+            .checkpoint()
+            .map(|id| format!("{}\n", checkpointed(&id)))
+            .map_err(|e| e.to_string()),
+        (None, Session::Memory(_)) => {
+            Ok("usage: \\save FILE (checkpointing needs --store DIR)\n".to_string())
         }
-        let line = line.trim().to_string();
-        if let Some(rest) = line.strip_prefix("\\join ") {
-            let Some((name, maddr)) = rest.trim().split_once('=') else {
-                println!("usage: \\join NAME=ADDR");
+    }
+}
+
+fn export(s: &mut Session, a: &[&str]) -> Result<String, String> {
+    let wh = mvolap::core::logical::build_multiversion_warehouse(s.tmd());
+    let wh = wh.map_err(|e| e.to_string())?;
+    mvolap::storage::persist::save_catalog(&wh, Path::new(a[0])).map_err(|e| e.to_string())?;
+    Ok(format!("exported {} tables to {}/\n", wh.len(), a[0]))
+}
+
+fn checkpointed(id: &CheckpointId) -> String {
+    let (generation, lsn) = (id.generation, id.next_lsn);
+    format!("checkpoint at generation {generation}, next LSN {lsn}")
+}
+
+/// Resolves the `YYYY-MM` instant `at`, then a dimension and the member
+/// of it valid at `at` (or just before it, so evolutions taking effect
+/// *at* the instant still find their target).
+fn member_at(
+    tmd: &Tmd,
+    dim: &str,
+    name: &str,
+    at: &str,
+) -> Result<(DimensionId, MemberVersionId, Instant), String> {
+    let (y, m) = at
+        .split_once('-')
+        .ok_or_else(|| format!("`{at}` is not a YYYY-MM instant"))?;
+    let year: i32 = y.parse().map_err(|_| format!("bad year in `{at}`"))?;
+    let month: u32 = m.parse().map_err(|_| format!("bad month in `{at}`"))?;
+    if !(1..=12).contains(&month) {
+        return Err(format!("month out of range in `{at}`"));
+    }
+    let at = Instant::ym(year, month);
+    let dim = tmd.dimension_by_name(dim).map_err(|e| e.to_string())?;
+    let id = mvolap::etl::load::resolve(tmd, dim, name, at).map_err(|e| e.to_string())?;
+    Ok((dim, id, at))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(shell: &mut Shell, line: &str) -> String {
+        let mut out = Vec::new();
+        shell.run(line, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn every_metadata_alias_renders_its_statement() {
+        let tmd = case_study().tmd;
+        let labels: String = (tmd.structure_versions().iter())
+            .map(|sv| format!("{}\n", sv.label()))
+            .collect();
+        let mut shell = Shell {
+            backend: Backend::Local(Session::Memory(Box::new(tmd))),
+            console: None,
+        };
+        let q = "SELECT sum(Amount) BY year, Org.Department FOR 2001..2003 IN MODE VERSION 2";
+        for verb in VERBS {
+            let Action::Show(statement) = verb.2 else {
                 continue;
             };
-            let maddr = match NetAddr::parse(maddr) {
-                Ok(a) => a,
-                Err(e) => {
-                    println!("bad address `{maddr}`: {e}");
-                    continue;
-                }
+            let (name, arg) = match verb.0.split_once(' ') {
+                Some((name, "QUERY")) => (name, q),
+                Some((name, _)) => (name, "Org"),
+                None => (verb.0, ""),
             };
-            match group.join(name, &maddr) {
-                Ok(lsn) => {
-                    println!("joining `{name}` (reconfig journaled at LSN {lsn}); catching up…");
-                    match group.await_membership(std::time::Duration::from_secs(30)) {
-                        Ok(n) => println!("member `{n}` caught up and was promoted to voter"),
-                        Err(e) => println!("join stalled: {e}"),
-                    }
-                }
-                Err(e) => println!("join refused: {e}"),
-            }
-        } else if let Some(rest) = line.strip_prefix("\\leave ") {
-            let name = rest.trim();
-            match group.leave(name) {
-                Ok(lsn) => {
-                    println!("removing `{name}` (reconfig journaled at LSN {lsn})…");
-                    match group.await_membership(std::time::Duration::from_secs(30)) {
-                        Ok(n) => println!("member `{n}` removed; reads re-routed"),
-                        Err(e) => println!("remove stalled: {e}"),
-                    }
-                }
-                Err(e) => println!("leave refused: {e}"),
-            }
-        } else if line == "\\status" {
-            for (name, learner) in group.membership() {
-                let role = if learner { "learner" } else { "voter" };
-                println!("  {name}: {role}");
-            }
-            for (name, st) in group.pump_status() {
-                println!(
-                    "  pump {name}: {:?} acked={} requests={} snapshots={} stalls={}",
-                    st.state, st.acked_lsn, st.requests, st.snapshots, st.stalls
-                );
-            }
-            print_pool(&group.primary_stats());
-        } else if !line.is_empty() {
-            println!("commands: \\join NAME=ADDR, \\leave NAME, \\status, \\q (or `quit`)");
-        }
-        std::io::stdout().flush().ok();
-    }
-    group.stop();
-    println!("mvolap: cluster on {addr} stopped");
-    std::process::exit(0)
-}
-
-/// `--connect`: line-oriented client for a `--listen` server. Every
-/// line is a query; the reply is rendered exactly as the local REPL
-/// would print it.
-fn connect(addr: &NetAddr, one_shot: Option<String>) -> ! {
-    let mut client = SessionClient::connect(addr.clone(), NetConfig::default());
-    if let Some(query) = one_shot {
-        match client.query(&query) {
-            Ok(out) => print!("{out}"),
-            Err(e) => die(&format!("remote query failed: {e}")),
-        }
-        std::process::exit(0)
-    }
-    if let Err(e) = client.ping() {
-        die(&format!("cannot reach {addr}: {e}"));
-    }
-    println!("mvolap — connected to session server on {addr}. \\q quits.");
-    let stdin = std::io::stdin();
-    loop {
-        print!("mvolap> ");
-        std::io::stdout().flush().ok();
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "\\q" || line == "quit" {
-            break;
-        }
-        match client.query(line) {
-            Ok(out) => print!("{out}"),
-            Err(e) => println!("error: {e}"),
-        }
-        std::io::stdout().flush().ok();
-    }
-    println!("mvolap: disconnected from {addr}");
-    std::process::exit(0)
-}
-
-/// Executes a backslash command; returns false to quit.
-fn command(session: &mut Session, cmd: &str) -> bool {
-    let mut parts = cmd.split_whitespace();
-    match parts.next().unwrap_or("") {
-        "q" | "quit" => return false,
-        "h" | "help" => {
-            println!(
-                "\\svs            structure versions\n\
-                 \\dims           dimensions and levels\n\
-                 \\measures       measures and aggregators\n\
-                 \\dot DIM        GraphViz DOT of a dimension\n\
-                 \\log            evolution log\n\
-                 \\quality QUERY  quality factor of QUERY per mode\n\
-                 \\grid QUERY     result as a pivot grid (time × members)\n\
-                 \\create DIM NAME LEVEL PARENT YYYY-MM   insert a member (journaled with --store)\n\
-                 \\rename DIM MEMBER NEW_NAME YYYY-MM     transform a member (journaled with --store)\n\
-                 \\delete DIM MEMBER YYYY-MM              exclude a member (journaled with --store)\n\
-                 \\save           checkpoint the durable store (--store only)\n\
-                 \\save FILE      persist the schema snapshot (reload with --load)\n\
-                 \\export DIR     export the MultiVersion warehouse tables\n\
-                 \\q              quit\n\
-                 anything else executes as a query \
-                 (SELECT … BY … [WHERE …] [FOR …] IN MODE … | IN ALL MODES)"
+            let alias = run(&mut shell, &format!("\\{name} {arg}"));
+            assert!(alias.len() > 10, "\\{name}: {alias}");
+            assert_eq!(
+                alias,
+                run(&mut shell, &format!("{statement} {arg}")),
+                "\\{name}"
             );
         }
-        "svs" => {
-            for sv in session.tmd().structure_versions() {
-                println!("{}", sv.label());
-            }
-        }
-        "dims" => {
-            for d in session.tmd().dimensions() {
-                let levels = mvolap::core::levels::all_level_names(d);
-                println!(
-                    "{}: {} member versions, levels: {}",
-                    d.name(),
-                    d.versions().len(),
-                    levels.join(" > ")
-                );
-            }
-        }
-        "measures" => {
-            for m in session.tmd().measures() {
-                println!("{} ({})", m.name, m.aggregator.name());
-            }
-        }
-        "dot" => match parts.next() {
-            Some(name) => match session.tmd().dimension_by_name(name) {
-                Ok(dim) => {
-                    let d = session.tmd().dimension(dim).expect("id just resolved");
-                    println!("{}", d.to_dot(session.tmd().granularity()));
-                }
-                Err(e) => println!("error: {e}"),
-            },
-            None => println!("usage: \\dot DIMENSION"),
-        },
-        "log" => {
-            let entries = session.tmd().evolution_log().entries();
-            if entries.is_empty() {
-                println!("(no evolutions recorded)");
-            }
-            for e in entries {
-                println!("{} [{}] {}", e.at, e.operator, e.description);
-            }
-        }
-        "quality" => {
-            let rest: Vec<&str> = parts.collect();
-            quality(session, &rest.join(" "));
-        }
-        "grid" => {
-            let (tmd, query) = (session.tmd(), parts.collect::<Vec<_>>().join(" "));
-            let (svs, exec) = (tmd.structure_versions(), ExecContext::sequential());
-            match run_with_versions_par(tmd, &svs, &query, &exec, &QueryMemo::new()) {
-                Ok(rs) => print!("{}", rs.render_grid(0)),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-        "create" => {
-            let args: Vec<&str> = parts.collect();
-            let [dim, name, level, parent, at] = args[..] else {
-                println!("usage: \\create DIM NAME LEVEL PARENT YYYY-MM");
-                return true;
-            };
-            let record = parse_ym(at).and_then(|at| {
-                let dim = resolve_dim(session.tmd(), dim)?;
-                let parent = resolve_member(session.tmd(), dim, parent, at)?;
-                Ok(WalRecord::Create {
-                    dim,
-                    name: name.to_string(),
-                    level: Some(level.to_string()),
-                    at,
-                    parents: vec![parent],
-                })
-            });
-            match record.and_then(|r| session.evolve(r)) {
-                Ok(msg) => println!("created `{name}`: {msg}"),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-        "rename" => {
-            let args: Vec<&str> = parts.collect();
-            let [dim, member, new_name, at] = args[..] else {
-                println!("usage: \\rename DIM MEMBER NEW_NAME YYYY-MM");
-                return true;
-            };
-            let record = parse_ym(at).and_then(|at| {
-                let dim = resolve_dim(session.tmd(), dim)?;
-                let id = resolve_member(session.tmd(), dim, member, at)?;
-                Ok(WalRecord::Transform {
-                    dim,
-                    id,
-                    new_name: new_name.to_string(),
-                    new_attributes: std::collections::BTreeMap::new(),
-                    at,
-                })
-            });
-            match record.and_then(|r| session.evolve(r)) {
-                Ok(msg) => println!("renamed `{member}` to `{new_name}`: {msg}"),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-        "delete" => {
-            let args: Vec<&str> = parts.collect();
-            let [dim, member, at] = args[..] else {
-                println!("usage: \\delete DIM MEMBER YYYY-MM");
-                return true;
-            };
-            let record = parse_ym(at).and_then(|at| {
-                let dim = resolve_dim(session.tmd(), dim)?;
-                let id = resolve_member(session.tmd(), dim, member, at)?;
-                Ok(WalRecord::Delete { dim, id, at })
-            });
-            match record.and_then(|r| session.evolve(r)) {
-                Ok(msg) => println!("deleted `{member}`: {msg}"),
-                Err(e) => println!("error: {e}"),
-            }
-        }
-        "save" => match parts.next() {
-            Some(path) => {
-                match mvolap::core::persist::save_tmd(session.tmd(), std::path::Path::new(path)) {
-                    Ok(()) => println!("saved to {path}"),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            None => match &mut session.backing {
-                Backing::Durable(store) => match store.checkpoint() {
-                    Ok(id) => println!(
-                        "checkpoint at generation {}, next LSN {}",
-                        id.generation, id.next_lsn
-                    ),
-                    Err(e) => println!("error: {e}"),
-                },
-                Backing::Memory(_) => {
-                    println!("usage: \\save FILE (checkpointing needs --store DIR)")
-                }
-            },
-        },
-        "export" => match parts.next() {
-            Some(dir) => {
-                let result = mvolap::core::logical::build_multiversion_warehouse(session.tmd())
-                    .map_err(|e| e.to_string())
-                    .and_then(|wh| {
-                        mvolap::storage::persist::save_catalog(&wh, std::path::Path::new(dir))
-                            .map_err(|e| e.to_string())
-                            .map(|()| wh.len())
-                    });
-                match result {
-                    Ok(n) => println!("exported {n} tables to {dir}/"),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            None => println!("usage: \\export DIR"),
-        },
-        other => println!("unknown command \\{other} (\\h for help)"),
+        // The bytes these verbs printed before they were statements.
+        assert_eq!(run(&mut shell, "\\svs"), labels);
+        assert_eq!(run(&mut shell, "\\measures"), "Amount (sum)\n");
+        let no_server = "error: SHOW STATUS is answered by a session server\n";
+        assert_eq!(run(&mut shell, "\\status"), no_server);
     }
-    true
-}
 
-/// Parses a `YYYY-MM` instant literal.
-fn parse_ym(s: &str) -> Result<Instant, String> {
-    let (y, m) = s
-        .split_once('-')
-        .ok_or_else(|| format!("`{s}` is not a YYYY-MM instant"))?;
-    let year: i32 = y.parse().map_err(|_| format!("bad year in `{s}`"))?;
-    let month: u32 = m.parse().map_err(|_| format!("bad month in `{s}`"))?;
-    if !(1..=12).contains(&month) {
-        return Err(format!("month out of range in `{s}`"));
-    }
-    Ok(Instant::ym(year, month))
-}
-
-fn resolve_dim(tmd: &Tmd, name: &str) -> Result<DimensionId, String> {
-    tmd.dimension_by_name(name).map_err(|e| e.to_string())
-}
-
-/// Resolves a member alive at `at` (or just before it, so evolutions
-/// taking effect *at* the instant still find their target).
-fn resolve_member(
-    tmd: &Tmd,
-    dim: DimensionId,
-    name: &str,
-    at: Instant,
-) -> Result<MemberVersionId, String> {
-    let d = tmd.dimension(dim).map_err(|e| e.to_string())?;
-    d.version_named_at(name, at)
-        .or_else(|_| d.version_named_at(name, at.pred()))
-        .map(|v| v.id)
-        .map_err(|e| e.to_string())
-}
-
-/// Prints the per-mode quality factor of a query.
-fn quality(session: &Session, query: &str) {
-    let svs = session.tmd().structure_versions();
-    let planned = parse(query).and_then(|ast| mvolap::query::plan(session.tmd(), &svs, &ast));
-    match planned {
-        Ok(q) => match compare_modes(
-            session.tmd(),
-            &svs,
-            &q,
-            &ConfidenceWeights::DEFAULT,
-            &ExecContext::sequential(),
-            &QueryMemo::new(),
-        ) {
-            Ok(scores) => {
-                for s in scores {
-                    println!(
-                        "{:<6} Q = {:.3}  ({} rows, {} unmapped)",
-                        s.result.mode.label(),
-                        s.quality,
-                        s.result.rows.len(),
-                        s.result.unmapped_rows
-                    );
-                }
-            }
-            Err(e) => println!("error: {e}"),
-        },
-        Err(e) => println!("error: {e}"),
-    }
-}
-
-/// Executes one query line.
-fn execute(session: &Session, query: &str) {
-    let exec = ExecContext::sequential();
-    match render_answer(session.tmd(), query, &exec, &QueryMemo::new()) {
-        Ok(text) => print!("{text}"),
-        Err(e) => println!("error: {e}"),
+    #[test]
+    fn local_and_console_verbs_refuse_on_the_remote_backend() {
+        let addr = NetAddr::parse("127.0.0.1:9").unwrap();
+        let mut shell = Shell {
+            backend: Backend::Remote(SessionClient::connect(addr, NetConfig::default())),
+            console: None,
+        };
+        for (line, scope) in [
+            (
+                "\\create Org Dpt.X Department R&D 2004-01",
+                "the local backend",
+            ),
+            ("\\save", "the local backend"),
+            ("\\export out", "the local backend"),
+            ("\\leave m1", "a --cluster console"),
+        ] {
+            let verb = line.split(' ').next().unwrap();
+            assert_eq!(
+                run(&mut shell, line),
+                format!("error: {verb} runs on {scope} only\n")
+            );
+        }
     }
 }

@@ -5,6 +5,7 @@
 
 use mvolap::core::case_study::case_study_two_measures;
 use mvolap::core::{Confidence, ExecContext, QueryMemo};
+use mvolap::query::{parse, parse_statement, render_answer, Statement};
 use mvolap::query::{run, run_compare_par, QueryError};
 
 #[test]
@@ -151,4 +152,103 @@ fn quoted_member_names_with_special_characters() {
         .rows
         .iter()
         .any(|r| r.time == "2001" && r.keys[0] == "Dpt.Smith"));
+}
+
+#[test]
+fn parse_reads_queries_only() {
+    for text in [
+        "SHOW VERSIONS",
+        "show log",
+        "SHOW QUALITY SELECT sum(Amount) BY year IN MODE tcm",
+    ] {
+        assert!(
+            matches!(parse(text), Err(QueryError::Unexpected { at: 0, .. })),
+            "{text}"
+        );
+    }
+}
+
+#[test]
+fn statements_parse_case_insensitively() {
+    let q = "SELECT sum(Turnover) BY year IN MODE tcm";
+    let query = parse(q).unwrap();
+    assert_eq!(parse_statement(q).unwrap(), Statement::Query(query.clone()));
+    for (text, expected) in [
+        ("SHOW VERSIONS", Statement::Versions),
+        ("show Dimensions", Statement::Dimensions),
+        ("Show measures;", Statement::Measures),
+        ("SHOW LOG", Statement::Log),
+        ("SHOW STATUS", Statement::Status),
+        ("SHOW DOT Org", Statement::Dot("Org".into())),
+        (
+            &format!("SHOW QUALITY {q}"),
+            Statement::Quality(query.clone()),
+        ),
+        (&format!("show grid {q};"), Statement::Grid(query.clone())),
+    ] {
+        assert_eq!(parse_statement(text).unwrap(), expected, "{text}");
+    }
+}
+
+#[test]
+fn statements_reject_trailing_tokens_and_unknown_targets() {
+    for (text, at) in [
+        ("SHOW VERSIONS now", 14),
+        ("SHOW STATUS ; x", 14),
+        ("SHOW DOT Org Time", 13),
+    ] {
+        match parse_statement(text) {
+            Err(QueryError::Unexpected {
+                expected, at: got, ..
+            }) => {
+                assert_eq!((expected.as_str(), got), ("end of query", at), "{text}");
+            }
+            other => panic!("{text}: expected a trailing-token error, got {other:?}"),
+        }
+    }
+    match parse_statement("SHOW Mappings") {
+        Err(QueryError::Unexpected {
+            found,
+            at,
+            expected,
+        }) => {
+            assert_eq!((found.as_str(), at), ("Mappings", 5));
+            assert!(
+                expected.contains("VERSIONS") && expected.contains("STATUS"),
+                "{expected}"
+            );
+        }
+        other => panic!("expected an unknown-target error, got {other:?}"),
+    }
+    assert!(matches!(
+        parse_statement("SHOW"),
+        Err(QueryError::Unexpected { at: 4, .. })
+    ));
+    // A query behind SHOW QUALITY fails where a bare query would.
+    let bare = parse("SELECT sum(Turnover) BY IN MODE tcm").unwrap_err();
+    let shown = parse_statement("SHOW GRID SELECT sum(Turnover) BY IN MODE tcm").unwrap_err();
+    let shift = |e: QueryError| match e {
+        QueryError::Unexpected { at, .. } => at,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(shift(shown), shift(bare) + "SHOW GRID ".len());
+}
+
+#[test]
+fn render_answer_renders_statements_and_leaves_status_to_a_server() {
+    let cs = case_study_two_measures();
+    let answer =
+        |text: &str| render_answer(&cs.tmd, text, &ExecContext::sequential(), &QueryMemo::new());
+    assert_eq!(
+        answer("SHOW MEASURES").unwrap(),
+        "Turnover (sum)\nProfit (sum)\n"
+    );
+    let versions = answer("SHOW VERSIONS").unwrap();
+    assert_eq!(versions.lines().count(), cs.tmd.structure_versions().len());
+    assert!(answer("SHOW DOT Org").unwrap().starts_with("digraph"));
+    assert!(matches!(answer("SHOW STATUS"), Err(QueryError::NoServer)));
+    assert!(matches!(
+        answer("SHOW DOT Nowhere"),
+        Err(QueryError::Unresolved(_))
+    ));
 }
