@@ -6,6 +6,16 @@
 //! reclassification) and complex operations (increase, decrease, partial
 //! annexation) compile to sequences of basic operators, exactly as paper
 //! Table 11 illustrates.
+//!
+//! Every operation compiles through one script builder, which applies a
+//! basic operator and records it in the [`EvolutionOutcome`]. The six
+//! operations that replace members (transformation, merge, split,
+//! increase, decrease, partial annexation) are calls to one compiler,
+//! `replace`: exclude the sources, insert the successors in order, then
+//! associate the mapping relationships. That order is Table 11's, and it
+//! decides the member version ids, so the snapshot bytes. Each operation
+//! checks its own preconditions first, as typed
+//! [`CoreError::InvalidEvolution`] errors.
 
 use std::collections::BTreeMap;
 
@@ -120,27 +130,19 @@ impl BasicOp {
                     level: level.clone(),
                 };
                 let id = tmd.add_version(*dim, spec, validity)?;
-                for &p in parents {
-                    let pv = tmd.dimension(*dim)?.version(p)?.validity;
-                    let edge = validity.intersect(pv).ok_or({
+                // Parents first, then children: each edge spans the
+                // overlap of the new version and the other end.
+                let up = parents.iter().map(|&p| (id, p, p));
+                for (child, parent, other) in up.chain(children.iter().map(|&c| (c, id, c))) {
+                    let ov = tmd.dimension(*dim)?.version(other)?.validity;
+                    let edge = validity.intersect(ov).ok_or({
                         CoreError::RelationshipOutsideMemberValidity {
-                            child: id,
-                            parent: p,
+                            child,
+                            parent,
                             validity,
                         }
                     })?;
-                    tmd.add_relationship(*dim, id, p, edge)?;
-                }
-                for &c in children {
-                    let cv = tmd.dimension(*dim)?.version(c)?.validity;
-                    let edge = validity.intersect(cv).ok_or({
-                        CoreError::RelationshipOutsideMemberValidity {
-                            child: c,
-                            parent: id,
-                            validity,
-                        }
-                    })?;
-                    tmd.add_relationship(*dim, c, id, edge)?;
+                    tmd.add_relationship(*dim, child, parent, edge)?;
                 }
                 tmd.record_evolution(EvolutionEntry {
                     dimension: *dim,
@@ -357,6 +359,96 @@ impl MergeSource {
     }
 }
 
+/// Applies basic operators in order and keeps what they did: each
+/// operator joins the script, each inserted id joins `created`. Every
+/// operation compiles through it, so no operator is applied unrecorded.
+pub(crate) struct Script<'t> {
+    pub(crate) tmd: &'t mut Tmd,
+    outcome: EvolutionOutcome,
+}
+
+impl<'t> Script<'t> {
+    pub(crate) fn new(tmd: &'t mut Tmd) -> Self {
+        let outcome = EvolutionOutcome {
+            created: Vec::new(),
+            script: Vec::new(),
+        };
+        Script { tmd, outcome }
+    }
+
+    /// Applies `op` and records it; an `Insert` returns its new id.
+    pub(crate) fn push(&mut self, op: BasicOp) -> Result<Option<MemberVersionId>> {
+        let id = op.apply(self.tmd)?;
+        self.outcome.created.extend(id);
+        self.outcome.script.push(op);
+        Ok(id)
+    }
+
+    pub(crate) fn finish(self) -> EvolutionOutcome {
+        self.outcome
+    }
+
+    /// The script of one operator.
+    fn one(tmd: &mut Tmd, op: BasicOp) -> Result<EvolutionOutcome> {
+        let mut script = Script::new(tmd);
+        script.push(op)?;
+        Ok(script.finish())
+    }
+}
+
+/// An `Insert` of `spec` from `at` on, under `parents` and over no
+/// children.
+pub(crate) fn insert(
+    dim: DimensionId,
+    spec: MemberVersionSpec,
+    at: Instant,
+    parents: Vec<MemberVersionId>,
+) -> BasicOp {
+    let MemberVersionSpec {
+        name,
+        attributes,
+        level,
+    } = spec;
+    BasicOp::Insert {
+        dim,
+        name,
+        attributes,
+        level,
+        ti: at,
+        tf: None,
+        parents,
+        children: Vec::new(),
+    }
+}
+
+/// The one compiler of the operations that replace members
+/// (transformation, merge, split, increase, decrease, partial
+/// annexation): exclude `sources` at `at`, insert `successors` in order
+/// under `parents`, then associate the relationships `links` builds from
+/// the successors' new ids. This order is Table 11's, and it decides the
+/// member version ids the operation creates.
+fn replace(
+    tmd: &mut Tmd,
+    dim: DimensionId,
+    at: Instant,
+    sources: &[MemberVersionId],
+    successors: Vec<MemberVersionSpec>,
+    parents: &[MemberVersionId],
+    links: impl FnOnce(&[MemberVersionId]) -> Vec<MappingRelationship>,
+) -> Result<EvolutionOutcome> {
+    let mut script = Script::new(tmd);
+    for &id in sources {
+        script.push(BasicOp::Exclude { dim, id, at })?;
+    }
+    for spec in successors {
+        script.push(insert(dim, spec, at, parents.to_vec()))?;
+    }
+    for rel in links(&script.outcome.created) {
+        script.push(BasicOp::Associate { dim, rel })?;
+    }
+    Ok(script.finish())
+}
+
 /// *Creation of a dimension member* at `at` under `parents`
 /// (Table 11, first pattern).
 ///
@@ -371,21 +463,8 @@ pub fn create(
     at: Instant,
     parents: &[MemberVersionId],
 ) -> Result<EvolutionOutcome> {
-    let op = BasicOp::Insert {
-        dim,
-        name: name.into(),
-        attributes: BTreeMap::new(),
-        level,
-        ti: at,
-        tf: None,
-        parents: parents.to_vec(),
-        children: Vec::new(),
-    };
-    let id = op.apply(tmd)?.expect("insert returns an id");
-    Ok(EvolutionOutcome {
-        created: vec![id],
-        script: vec![op],
-    })
+    let spec = named_at(name, level);
+    Script::one(tmd, insert(dim, spec, at, parents.to_vec()))
 }
 
 /// *Deletion of a dimension member* at `at`.
@@ -399,12 +478,7 @@ pub fn delete(
     id: MemberVersionId,
     at: Instant,
 ) -> Result<EvolutionOutcome> {
-    let op = BasicOp::Exclude { dim, id, at };
-    op.apply(tmd)?;
-    Ok(EvolutionOutcome {
-        created: Vec::new(),
-        script: vec![op],
-    })
+    Script::one(tmd, BasicOp::Exclude { dim, id, at })
 }
 
 /// *Transformation of a member* (change of name, attribute or meaning)
@@ -426,30 +500,15 @@ pub fn transform(
     let measures = tmd.measures().len();
     let (level, parents) = {
         let d = tmd.dimension(dim)?;
-        let v = d.version(id)?;
-        (v.level.clone(), d.parents_at(id, at.pred()))
+        (d.version(id)?.level.clone(), d.parents_at(id, at.pred()))
     };
-    let exclude = BasicOp::Exclude { dim, id, at };
-    exclude.apply(tmd)?;
-    let insert = BasicOp::Insert {
-        dim,
+    let successor = MemberVersionSpec {
         name: new_name.into(),
         attributes: new_attributes,
         level,
-        ti: at,
-        tf: None,
-        parents,
-        children: Vec::new(),
     };
-    let new_id = insert.apply(tmd)?.expect("insert returns an id");
-    let associate = BasicOp::Associate {
-        dim,
-        rel: MappingRelationship::equivalence(id, new_id, measures),
-    };
-    associate.apply(tmd)?;
-    Ok(EvolutionOutcome {
-        created: vec![new_id],
-        script: vec![exclude, insert, associate],
+    replace(tmd, dim, at, &[id], vec![successor], &parents, |new| {
+        vec![MappingRelationship::equivalence(id, new[0], measures)]
     })
 }
 
@@ -475,40 +534,16 @@ pub fn merge(
             "merge requires at least one source".into(),
         ));
     }
-    let mut script = Vec::with_capacity(sources.len() * 2 + 1);
-    for s in sources {
-        let op = BasicOp::Exclude { dim, id: s.id, at };
-        op.apply(tmd)?;
-        script.push(op);
-    }
-    let insert = BasicOp::Insert {
-        dim,
-        name: new_name.into(),
-        attributes: BTreeMap::new(),
-        level,
-        ti: at,
-        tf: None,
-        parents: parents.to_vec(),
-        children: Vec::new(),
-    };
-    let merged = insert.apply(tmd)?.expect("insert returns an id");
-    script.push(insert);
-    for s in sources {
-        let op = BasicOp::Associate {
-            dim,
-            rel: MappingRelationship {
-                from: s.id,
-                to: merged,
-                forward: s.forward.clone(),
-                backward: s.backward.clone(),
-            },
+    let ids: Vec<MemberVersionId> = sources.iter().map(|s| s.id).collect();
+    let merged = vec![named_at(new_name, level)];
+    replace(tmd, dim, at, &ids, merged, parents, |new| {
+        let link = |s: &MergeSource| MappingRelationship {
+            from: s.id,
+            to: new[0],
+            forward: s.forward.clone(),
+            backward: s.backward.clone(),
         };
-        op.apply(tmd)?;
-        script.push(op);
-    }
-    Ok(EvolutionOutcome {
-        created: vec![merged],
-        script,
+        sources.iter().map(link).collect()
     })
 }
 
@@ -532,44 +567,19 @@ pub fn split(
             "split requires at least one part".into(),
         ));
     }
+    // Parts inherit the level of the source.
     let level = tmd.dimension(dim)?.version(source)?.level.clone();
-    let exclude = BasicOp::Exclude {
-        dim,
-        id: source,
-        at,
-    };
-    exclude.apply(tmd)?;
-    let mut script = vec![exclude];
-    let mut created = Vec::with_capacity(parts.len());
-    for p in parts {
-        let insert = BasicOp::Insert {
-            dim,
-            name: p.name.clone(),
-            attributes: BTreeMap::new(),
-            level: level.clone(),
-            ti: at,
-            tf: None,
-            parents: parents.to_vec(),
-            children: Vec::new(),
+    let part = |p: &SplitPart| named_at(p.name.clone(), level.clone());
+    let successors = parts.iter().map(part).collect();
+    replace(tmd, dim, at, &[source], successors, parents, |new| {
+        let link = |(p, &to): (&SplitPart, _)| MappingRelationship {
+            from: source,
+            to,
+            forward: p.forward.clone(),
+            backward: p.backward.clone(),
         };
-        let id = insert.apply(tmd)?.expect("insert returns an id");
-        script.push(insert);
-        created.push(id);
-    }
-    for (p, &id) in parts.iter().zip(&created) {
-        let op = BasicOp::Associate {
-            dim,
-            rel: MappingRelationship {
-                from: source,
-                to: id,
-                forward: p.forward.clone(),
-                backward: p.backward.clone(),
-            },
-        };
-        op.apply(tmd)?;
-        script.push(op);
-    }
-    Ok(EvolutionOutcome { created, script })
+        parts.iter().zip(new).map(link).collect()
+    })
 }
 
 /// *Reclassification of a member* (a pure structure change — same member
@@ -594,11 +604,7 @@ pub fn reclassify(
         old_parents: old_parents.to_vec(),
         new_parents: new_parents.to_vec(),
     };
-    op.apply(tmd)?;
-    Ok(EvolutionOutcome {
-        created: Vec::new(),
-        script: vec![op],
-    })
+    Script::one(tmd, op)
 }
 
 /// *Confidence change*: revises the per-measure mappings (functions
@@ -663,33 +669,12 @@ pub fn increase(
     }
     let measures = tmd.measures().len();
     let level = tmd.dimension(dim)?.version(id)?.level.clone();
-    let exclude = BasicOp::Exclude { dim, id, at };
-    exclude.apply(tmd)?;
-    let insert = BasicOp::Insert {
-        dim,
-        name: new_name.into(),
-        attributes: BTreeMap::new(),
-        level,
-        ti: at,
-        tf: None,
-        parents: parents.to_vec(),
-        children: Vec::new(),
-    };
-    let new_id = insert.apply(tmd)?.expect("insert returns an id");
-    let associate = BasicOp::Associate {
-        dim,
-        rel: MappingRelationship::uniform(
-            id,
-            new_id,
-            MeasureMapping::approx_scale(factor),
-            MeasureMapping::approx_scale(1.0 / factor),
-            measures,
-        ),
-    };
-    associate.apply(tmd)?;
-    Ok(EvolutionOutcome {
-        created: vec![new_id],
-        script: vec![exclude, insert, associate],
+    let successor = vec![named_at(new_name, level)];
+    replace(tmd, dim, at, &[id], successor, parents, |new| {
+        let approx = MeasureMapping::approx_scale;
+        let (forward, backward) = (approx(factor), approx(1.0 / factor));
+        let rel = MappingRelationship::uniform(id, new[0], forward, backward, measures);
+        vec![rel]
     })
 }
 
@@ -763,76 +748,37 @@ pub fn partial_annexation(
         )));
     }
     let measures = tmd.measures().len();
-    let (level1, level2) = {
+    let successors = {
         let d = tmd.dimension(dim)?;
-        (d.version(v1)?.level.clone(), d.version(v2)?.level.clone())
+        let (level1, level2) = (d.version(v1)?.level.clone(), d.version(v2)?.level.clone());
+        vec![
+            named_at(v1_minus_name, level1),
+            named_at(v2_plus_name, level2),
+        ]
     };
-    let ex1 = BasicOp::Exclude { dim, id: v1, at };
-    ex1.apply(tmd)?;
-    let ex2 = BasicOp::Exclude { dim, id: v2, at };
-    ex2.apply(tmd)?;
-    let ins1 = BasicOp::Insert {
-        dim,
-        name: v1_minus_name.into(),
-        attributes: BTreeMap::new(),
-        level: level1,
-        ti: at,
-        tf: None,
-        parents: parents.to_vec(),
-        children: Vec::new(),
-    };
-    let v1m = ins1.apply(tmd)?.expect("insert returns an id");
-    let ins2 = BasicOp::Insert {
-        dim,
-        name: v2_plus_name.into(),
-        attributes: BTreeMap::new(),
-        level: level2,
-        ti: at,
-        tf: None,
-        parents: parents.to_vec(),
-        children: Vec::new(),
-    };
-    let v2p = ins2.apply(tmd)?.expect("insert returns an id");
     // Table 11: V1 keeps (1 - moved) of itself (exact backward); V2 maps
     // identically into V2+ whose backward shrinks by the growth; the
     // annexed share crosses from V1 to V2+.
-    let a1 = BasicOp::Associate {
-        dim,
-        rel: MappingRelationship::uniform(
-            v1,
-            v1m,
-            MeasureMapping::approx_scale(1.0 - spec.moved),
-            MeasureMapping::EXACT_IDENTITY,
-            measures,
-        ),
-    };
-    a1.apply(tmd)?;
-    let a2 = BasicOp::Associate {
-        dim,
-        rel: MappingRelationship::uniform(
-            v2,
-            v2p,
-            MeasureMapping::EXACT_IDENTITY,
-            MeasureMapping::approx_scale(1.0 / (1.0 + spec.target_growth)),
-            measures,
-        ),
-    };
-    a2.apply(tmd)?;
-    let a3 = BasicOp::Associate {
-        dim,
-        rel: MappingRelationship::uniform(
-            v1,
-            v2p,
-            MeasureMapping::approx_scale(spec.moved),
-            MeasureMapping::approx_scale(spec.target_growth / (1.0 + spec.target_growth)),
-            measures,
-        ),
-    };
-    a3.apply(tmd)?;
-    Ok(EvolutionOutcome {
-        created: vec![v1m, v2p],
-        script: vec![ex1, ex2, ins1, ins2, a1, a2, a3],
+    replace(tmd, dim, at, &[v1, v2], successors, parents, |new| {
+        let (v1m, v2p, growth) = (new[0], new[1], spec.target_growth);
+        let (exact, approx) = (MeasureMapping::EXACT_IDENTITY, MeasureMapping::approx_scale);
+        let link = |from, to, forward, backward| {
+            MappingRelationship::uniform(from, to, forward, backward, measures)
+        };
+        vec![
+            link(v1, v1m, approx(1.0 - spec.moved), exact),
+            link(v2, v2p, exact, approx(1.0 / (1.0 + growth))),
+            link(v1, v2p, approx(spec.moved), approx(growth / (1.0 + growth))),
+        ]
     })
+}
+
+/// A successor named `name` at `level`, with no attributes.
+fn named_at(name: impl Into<String>, level: Option<String>) -> MemberVersionSpec {
+    MemberVersionSpec {
+        level,
+        ..MemberVersionSpec::named(name)
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use mvolap_temporal::Instant;
 
 use crate::dimension::TemporalDimension;
 use crate::error::{CoreError, Result};
-use crate::evolution::{BasicOp, EvolutionOutcome};
+use crate::evolution::{insert, BasicOp, EvolutionOutcome, Script};
 use crate::ids::{DimensionId, MemberVersionId};
 use crate::levels::{ancestors_at_level, levels_at};
 use crate::mapping::MappingRelationship;
@@ -68,9 +68,6 @@ pub fn reclassify_as_transform(
     new_parents: &[MemberVersionId],
 ) -> Result<EvolutionOutcome> {
     let measures = tmd.measures().len();
-    let mut created = Vec::new();
-    let mut script = Vec::new();
-
     // Work list of (member to re-version, its new parent set).
     let mut queue: Vec<(MemberVersionId, Vec<MemberVersionId>)> = Vec::new();
     {
@@ -84,62 +81,42 @@ pub fn reclassify_as_transform(
         queue.push((id, parents));
     }
 
+    let mut script = Script::new(tmd);
     while let Some((old_id, parents)) = queue.pop() {
-        let (name, attributes, level, children) = {
-            let d = tmd.dimension(dim)?;
+        let (spec, children) = {
+            let d = script.tmd.dimension(dim)?;
             let v = d.version(old_id)?;
-            (
-                v.name.clone(),
-                v.attributes.clone(),
-                v.level.clone(),
-                d.children_at(old_id, at.pred()),
-            )
+            let spec = MemberVersionSpec {
+                name: v.name.clone(),
+                attributes: v.attributes.clone(),
+                level: v.level.clone(),
+            };
+            (spec, d.children_at(old_id, at.pred()))
         };
-        let insert = BasicOp::Insert {
-            dim,
-            name,
-            attributes,
-            level,
-            ti: at,
-            tf: None,
-            parents,
-            // Children are re-versioned below; the fresh parent gets its
-            // fresh children wired as their own inserts name it.
-            children: Vec::new(),
-        };
-        let new_id = insert.apply(tmd)?.expect("insert returns an id");
-        script.push(insert);
-        let exclude = BasicOp::Exclude {
+        // Children are re-versioned below; the fresh parent gets its
+        // fresh children wired as their own inserts name it.
+        let new_id = script.push(insert(dim, spec, at, parents))?;
+        let new_id = new_id.expect("insert returns an id");
+        script.push(BasicOp::Exclude {
             dim,
             id: old_id,
             at,
-        };
-        exclude.apply(tmd)?;
-        script.push(exclude);
+        })?;
         // Only leaf member versions may carry mapping relationships
         // (Definition 7); interior nodes aggregate from their children.
-        if tmd.dimension(dim)?.is_ever_leaf(old_id) && tmd.dimension(dim)?.is_ever_leaf(new_id) {
-            let associate = BasicOp::Associate {
-                dim,
-                rel: MappingRelationship::uniform(
-                    old_id,
-                    new_id,
-                    crate::mapping::MeasureMapping::SOURCE_IDENTITY,
-                    crate::mapping::MeasureMapping::SOURCE_IDENTITY,
-                    measures,
-                ),
-            };
-            associate.apply(tmd)?;
-            script.push(associate);
+        let d = script.tmd.dimension(dim)?;
+        if d.is_ever_leaf(old_id) && d.is_ever_leaf(new_id) {
+            let identity = crate::mapping::MeasureMapping::SOURCE_IDENTITY;
+            let rel = MappingRelationship::uniform(old_id, new_id, identity, identity, measures);
+            script.push(BasicOp::Associate { dim, rel })?;
         }
-        created.push(new_id);
         // §4.2: every descendant must be re-versioned under the new
         // version of its parent.
         for child in children {
             queue.push((child, vec![new_id]));
         }
     }
-    Ok(EvolutionOutcome { created, script })
+    Ok(script.finish())
 }
 
 /// Exports one dimension in the **parent-child** layout (§5.1): a single

@@ -12,7 +12,12 @@
 //!
 //! Payloads are space-separated tokens over [`mvolap_core::token`]
 //! (escapes, instant/float/mapping forms, counted lists); this module
-//! owns only the grammar of each record kind.
+//! owns only the grammar. Each field type has one token form (`Field`),
+//! and each record kind is one row of one table (`records!`): its tag,
+//! its fields in wire order and the `evolution::*` call that applies it.
+//! `kind`, `encode`, `decode` and `apply` are generated from that table.
+//! Only `Bootstrap` (a raw blob) and `Reconfig` (its `add`/`remove`
+//! word) are written out by hand.
 
 use std::collections::BTreeMap;
 
@@ -196,220 +201,250 @@ pub enum WalRecord {
     },
 }
 
-/// The record-level token forms the operators share, written over the
-/// shared writer.
-trait RecordWriter {
-    fn level(&mut self, level: &Option<String>) -> &mut Self;
-    fn ids(&mut self, ids: &[MemberVersionId]) -> &mut Self;
-    fn mappings(&mut self, ms: &[MeasureMapping]) -> &mut Self;
+/// One field type's token form: written by `put`, read back by `get`.
+trait Field: Sized {
+    fn put(&self, w: &mut TokenWriter);
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError>;
 }
 
-impl RecordWriter for TokenWriter {
-    fn level(&mut self, level: &Option<String>) -> &mut Self {
-        match level {
-            Some(l) => self.raw(1).text(l),
-            None => self.raw(0),
-        }
+impl Field for DimensionId {
+    fn put(&self, w: &mut TokenWriter) {
+        w.raw(self.0);
     }
-
-    fn ids(&mut self, ids: &[MemberVersionId]) -> &mut Self {
-        self.list(ids, |w, id| {
-            w.raw(id.0);
-        })
-    }
-
-    fn mappings(&mut self, ms: &[MeasureMapping]) -> &mut Self {
-        self.list(ms, |w, m| {
-            w.mapping(m);
-        })
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.parse("dimension").map(DimensionId)
     }
 }
 
-/// The same forms, read back.
-trait RecordReader {
-    fn dim(&mut self) -> Result<DimensionId, TokenError>;
-    fn id(&mut self) -> Result<MemberVersionId, TokenError>;
-    fn level(&mut self) -> Result<Option<String>, TokenError>;
-    fn ids(&mut self) -> Result<Vec<MemberVersionId>, TokenError>;
-    fn mappings(&mut self) -> Result<Vec<MeasureMapping>, TokenError>;
+impl Field for MemberVersionId {
+    fn put(&self, w: &mut TokenWriter) {
+        w.raw(self.0);
+    }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.parse("member version id").map(MemberVersionId)
+    }
 }
 
-impl RecordReader for TokenReader<'_> {
-    fn dim(&mut self) -> Result<DimensionId, TokenError> {
-        self.parse("dimension").map(DimensionId)
+impl Field for String {
+    fn put(&self, w: &mut TokenWriter) {
+        w.text(self);
     }
-
-    fn id(&mut self) -> Result<MemberVersionId, TokenError> {
-        self.parse("member version id").map(MemberVersionId)
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.text()
     }
+}
 
-    fn level(&mut self) -> Result<Option<String>, TokenError> {
-        match self.token()? {
+/// A level: `0`, or `1` and the level's text.
+impl Field for Option<String> {
+    fn put(&self, w: &mut TokenWriter) {
+        match self {
+            Some(l) => w.raw(1).text(l),
+            None => w.raw(0),
+        };
+    }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        match r.token()? {
             "0" => Ok(None),
-            "1" => self.text().map(Some),
-            flag => Err(self.bad("level flag", flag)),
+            "1" => r.text().map(Some),
+            flag => Err(r.bad("level flag", flag)),
         }
     }
+}
 
-    fn ids(&mut self) -> Result<Vec<MemberVersionId>, TokenError> {
-        self.list(Self::id)
+impl Field for Instant {
+    fn put(&self, w: &mut TokenWriter) {
+        w.instant(*self);
     }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.instant()
+    }
+}
 
-    fn mappings(&mut self) -> Result<Vec<MeasureMapping>, TokenError> {
-        self.list(Self::mapping)
+impl Field for f64 {
+    fn put(&self, w: &mut TokenWriter) {
+        w.f64(*self);
     }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.f64()
+    }
+}
+
+impl Field for MeasureMapping {
+    fn put(&self, w: &mut TokenWriter) {
+        w.mapping(self);
+    }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.mapping()
+    }
+}
+
+/// A counted list.
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, w: &mut TokenWriter) {
+        w.list(self, |w, item| item.put(w));
+    }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        r.list(T::get)
+    }
+}
+
+/// Attributes: a count, then each key and value.
+impl Field for BTreeMap<String, String> {
+    fn put(&self, w: &mut TokenWriter) {
+        w.raw(self.len());
+        for (k, v) in self {
+            w.text(k).text(v);
+        }
+    }
+    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+        let pairs = r.list(|r| Ok((r.text()?, r.text()?)))?;
+        Ok(pairs.into_iter().collect())
+    }
+}
+
+/// A struct's token form: its fields in the order listed.
+macro_rules! struct_fields {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Field for $ty {
+            fn put(&self, w: &mut TokenWriter) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+                Ok($ty { $($field: Field::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+struct_fields! {
+    MergeSource { id, forward, backward }
+    SplitPart { name, forward, backward }
+    MappingRelationship { from, to, forward, backward }
+    FactRow { at, coords, values }
+}
+
+/// The record grammar, one row per kind: the variant, its tag, its
+/// fields in wire order and the model call that applies it. A row's
+/// field order is both its encode order and its decode order (struct
+/// expressions evaluate their fields as written). `Bootstrap`, a raw
+/// blob, and `Reconfig`, with its `add`/`remove` word, are written out
+/// by hand.
+macro_rules! records {
+    (|$tmd:ident| $($kind:ident $tag:literal { $($field:ident),* } => $apply:expr;)*) => {
+        impl WalRecord {
+            /// The record's operator tag (for logs and stats).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    WalRecord::Bootstrap { .. } => "bootstrap",
+                    WalRecord::Reconfig { .. } => "reconfig",
+                    $(WalRecord::$kind { .. } => $tag,)*
+                }
+            }
+
+            /// Serialises the record into a frame payload.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut w = TokenWriter::new(Escapes::Separators);
+                match self {
+                    WalRecord::Bootstrap { snapshot } => {
+                        // The snapshot is an opaque blob; frame it after a
+                        // single tag token so the payload needs no escaping.
+                        let mut out = b"bootstrap ".to_vec();
+                        out.extend_from_slice(snapshot);
+                        return out;
+                    }
+                    WalRecord::Reconfig { epoch, add, member, addr } => {
+                        let direction = if *add { "add" } else { "remove" };
+                        w.raw("reconfig").raw(epoch).raw(direction);
+                        w.text(member).text(addr);
+                    }
+                    $(WalRecord::$kind { $($field),* } => {
+                        w.raw($tag);
+                        $($field.put(&mut w);)*
+                    })*
+                }
+                w.finish()
+            }
+
+            fn decode_tokens(payload: &[u8]) -> Result<WalRecord, TokenError> {
+                let mut r = TokenReader::from_bytes(payload)?;
+                let record = match r.token()? {
+                    "reconfig" => {
+                        let epoch = r.parse("epoch")?;
+                        let add = match r.token()? {
+                            "add" => true,
+                            "remove" => false,
+                            t => return Err(r.bad("reconfig direction", t)),
+                        };
+                        let (member, addr) = (r.text()?, r.text()?);
+                        WalRecord::Reconfig { epoch, add, member, addr }
+                    }
+                    $($tag => WalRecord::$kind { $($field: Field::get(&mut r)?),* },)*
+                    other => return Err(r.bad("record kind", other)),
+                };
+                r.finish()?;
+                Ok(record)
+            }
+
+            /// Applies the record to a schema through the validated
+            /// construction API. Replay of a committed record on the state
+            /// it was journaled against always succeeds; on any other state
+            /// the model validation rejects inconsistencies instead of
+            /// constructing them.
+            ///
+            /// # Errors
+            ///
+            /// Propagates the evolution-operator / fact-validation errors.
+            pub fn apply(&self, $tmd: &mut Tmd) -> Result<(), CoreError> {
+                match self {
+                    WalRecord::Bootstrap { snapshot } => bootstrap($tmd, snapshot),
+                    // Membership changes do not touch the schema; the group
+                    // layer reads them back out of the log (and the
+                    // membership sidecar) instead.
+                    WalRecord::Reconfig { .. } => Ok(()),
+                    $(WalRecord::$kind { $($field),* } => $apply.map(drop),)*
+                }
+            }
+        }
+    };
+}
+
+records! { |tmd|
+    Create "create" { dim, name, level, at, parents } =>
+        evolution::create(tmd, *dim, name.clone(), level.clone(), *at, parents);
+    Delete "delete" { dim, id, at } => evolution::delete(tmd, *dim, *id, *at);
+    Transform "transform" { dim, id, new_name, at, new_attributes } =>
+        evolution::transform(tmd, *dim, *id, new_name.clone(), new_attributes.clone(), *at);
+    Merge "merge" { dim, new_name, level, at, parents, sources } =>
+        evolution::merge(tmd, *dim, sources, new_name.clone(), level.clone(), *at, parents);
+    Split "split" { dim, source, at, parents, parts } =>
+        evolution::split(tmd, *dim, *source, parts, *at, parents);
+    Reclassify "reclassify" { dim, id, at, old_parents, new_parents } =>
+        evolution::reclassify(tmd, *dim, *id, *at, old_parents, new_parents);
+    Associate "associate" { dim, rel } =>
+        BasicOp::Associate { dim: *dim, rel: rel.clone() }.apply(tmd);
+    Confidence "confidence" { dim, from, to, forward, backward } =>
+        evolution::change_confidence(tmd, *dim, *from, *to, forward.clone(), backward.clone());
+    Increase "increase" { dim, id, new_name, factor, at, parents } =>
+        evolution::increase(tmd, *dim, *id, new_name.clone(), *factor, *at, parents);
+    Decrease "decrease" { dim, id, new_name, kept, at, parents } =>
+        evolution::decrease(tmd, *dim, *id, new_name.clone(), *kept, *at, parents);
+    FactBatch "facts" { rows } =>
+        rows.iter().try_for_each(|r| tmd.add_fact(&r.coords, r.at, &r.values).map(drop));
+}
+
+/// Replays a `Bootstrap` record: only onto an empty schema.
+fn bootstrap(tmd: &mut Tmd, snapshot: &[u8]) -> Result<(), CoreError> {
+    if !tmd.dimensions().is_empty() || !tmd.measures().is_empty() || !tmd.facts().is_empty() {
+        return Err(CoreError::InvalidEvolution(
+            "bootstrap record replayed onto a non-empty schema".into(),
+        ));
+    }
+    *tmd = mvolap_core::persist::read_tmd(&mut &snapshot[..])
+        .map_err(|e| CoreError::InvalidEvolution(format!("bad bootstrap: {e}")))?;
+    Ok(())
 }
 
 impl WalRecord {
-    /// The record's operator tag (for logs and stats).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            WalRecord::Bootstrap { .. } => "bootstrap",
-            WalRecord::Create { .. } => "create",
-            WalRecord::Delete { .. } => "delete",
-            WalRecord::Transform { .. } => "transform",
-            WalRecord::Merge { .. } => "merge",
-            WalRecord::Split { .. } => "split",
-            WalRecord::Reclassify { .. } => "reclassify",
-            WalRecord::Associate { .. } => "associate",
-            WalRecord::Confidence { .. } => "confidence",
-            WalRecord::Increase { .. } => "increase",
-            WalRecord::Decrease { .. } => "decrease",
-            WalRecord::FactBatch { .. } => "facts",
-            WalRecord::Reconfig { .. } => "reconfig",
-        }
-    }
-
-    /// Serialises the record into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = TokenWriter::new(Escapes::Separators);
-        match self {
-            WalRecord::Bootstrap { snapshot } => {
-                // The snapshot is an opaque blob; frame it after a single
-                // tag token so the payload needs no escaping.
-                let mut out = b"bootstrap ".to_vec();
-                out.extend_from_slice(snapshot);
-                return out;
-            }
-            WalRecord::Create {
-                dim,
-                name,
-                level,
-                at,
-                parents,
-            } => {
-                e.raw("create").raw(dim.0).text(name).level(level);
-                e.instant(*at).ids(parents);
-            }
-            WalRecord::Delete { dim, id, at } => {
-                e.raw("delete").raw(dim.0).raw(id.0).instant(*at);
-            }
-            WalRecord::Transform {
-                dim,
-                id,
-                new_name,
-                new_attributes,
-                at,
-            } => {
-                e.raw("transform").raw(dim.0).raw(id.0).text(new_name);
-                e.instant(*at).raw(new_attributes.len());
-                for (k, v) in new_attributes {
-                    e.text(k).text(v);
-                }
-            }
-            WalRecord::Merge {
-                dim,
-                sources,
-                new_name,
-                level,
-                at,
-                parents,
-            } => {
-                e.raw("merge").raw(dim.0).text(new_name).level(level);
-                e.instant(*at).ids(parents).list(sources, |e, s| {
-                    e.raw(s.id.0).mappings(&s.forward).mappings(&s.backward);
-                });
-            }
-            WalRecord::Split {
-                dim,
-                source,
-                parts,
-                at,
-                parents,
-            } => {
-                e.raw("split").raw(dim.0).raw(source.0).instant(*at);
-                e.ids(parents).list(parts, |e, p| {
-                    e.text(&p.name).mappings(&p.forward).mappings(&p.backward);
-                });
-            }
-            WalRecord::Reclassify {
-                dim,
-                id,
-                at,
-                old_parents,
-                new_parents,
-            } => {
-                e.raw("reclassify").raw(dim.0).raw(id.0);
-                e.instant(*at).ids(old_parents).ids(new_parents);
-            }
-            WalRecord::Associate { dim, rel } => {
-                e.raw("associate").raw(dim.0).raw(rel.from.0).raw(rel.to.0);
-                e.mappings(&rel.forward).mappings(&rel.backward);
-            }
-            WalRecord::Confidence {
-                dim,
-                from,
-                to,
-                forward,
-                backward,
-            } => {
-                e.raw("confidence").raw(dim.0).raw(from.0).raw(to.0);
-                e.mappings(forward).mappings(backward);
-            }
-            WalRecord::Increase {
-                dim,
-                id,
-                new_name,
-                factor,
-                at,
-                parents,
-            } => {
-                e.raw("increase").raw(dim.0).raw(id.0).text(new_name);
-                e.f64(*factor).instant(*at).ids(parents);
-            }
-            WalRecord::Decrease {
-                dim,
-                id,
-                new_name,
-                kept,
-                at,
-                parents,
-            } => {
-                e.raw("decrease").raw(dim.0).raw(id.0).text(new_name);
-                e.f64(*kept).instant(*at).ids(parents);
-            }
-            WalRecord::FactBatch { rows } => {
-                e.raw("facts").list(rows, |e, r| {
-                    e.instant(r.at).ids(&r.coords).list(&r.values, |e, v| {
-                        e.f64(*v);
-                    });
-                });
-            }
-            WalRecord::Reconfig {
-                epoch,
-                add,
-                member,
-                addr,
-            } => {
-                e.raw("reconfig")
-                    .raw(epoch)
-                    .raw(if *add { "add" } else { "remove" });
-                e.text(member).text(addr);
-            }
-        }
-        e.finish()
-    }
-
     /// Deserialises a record from a frame payload.
     ///
     /// # Errors
@@ -422,275 +457,6 @@ impl WalRecord {
             });
         }
         Ok(WalRecord::decode_tokens(payload)?)
-    }
-
-    fn decode_tokens(payload: &[u8]) -> Result<WalRecord, TokenError> {
-        let mut d = TokenReader::from_bytes(payload)?;
-        let record = match d.token()? {
-            "create" => WalRecord::Create {
-                dim: d.dim()?,
-                name: d.text()?,
-                level: d.level()?,
-                at: d.instant()?,
-                parents: d.ids()?,
-            },
-            "delete" => WalRecord::Delete {
-                dim: d.dim()?,
-                id: d.id()?,
-                at: d.instant()?,
-            },
-            "transform" => {
-                let dim = d.dim()?;
-                let id = d.id()?;
-                let new_name = d.text()?;
-                let at = d.instant()?;
-                let new_attributes = d.list(|d| Ok((d.text()?, d.text()?)))?;
-                WalRecord::Transform {
-                    dim,
-                    id,
-                    new_name,
-                    new_attributes: new_attributes.into_iter().collect(),
-                    at,
-                }
-            }
-            "merge" => {
-                let dim = d.dim()?;
-                let new_name = d.text()?;
-                let level = d.level()?;
-                let at = d.instant()?;
-                let parents = d.ids()?;
-                let sources = d.list(|d| {
-                    Ok(MergeSource {
-                        id: d.id()?,
-                        forward: d.mappings()?,
-                        backward: d.mappings()?,
-                    })
-                })?;
-                WalRecord::Merge {
-                    dim,
-                    sources,
-                    new_name,
-                    level,
-                    at,
-                    parents,
-                }
-            }
-            "split" => {
-                let dim = d.dim()?;
-                let source = d.id()?;
-                let at = d.instant()?;
-                let parents = d.ids()?;
-                let parts = d.list(|d| {
-                    Ok(SplitPart {
-                        name: d.text()?,
-                        forward: d.mappings()?,
-                        backward: d.mappings()?,
-                    })
-                })?;
-                WalRecord::Split {
-                    dim,
-                    source,
-                    parts,
-                    at,
-                    parents,
-                }
-            }
-            "reclassify" => WalRecord::Reclassify {
-                dim: d.dim()?,
-                id: d.id()?,
-                at: d.instant()?,
-                old_parents: d.ids()?,
-                new_parents: d.ids()?,
-            },
-            "associate" => WalRecord::Associate {
-                dim: d.dim()?,
-                rel: MappingRelationship {
-                    from: d.id()?,
-                    to: d.id()?,
-                    forward: d.mappings()?,
-                    backward: d.mappings()?,
-                },
-            },
-            "confidence" => WalRecord::Confidence {
-                dim: d.dim()?,
-                from: d.id()?,
-                to: d.id()?,
-                forward: d.mappings()?,
-                backward: d.mappings()?,
-            },
-            "increase" => WalRecord::Increase {
-                dim: d.dim()?,
-                id: d.id()?,
-                new_name: d.text()?,
-                factor: d.f64()?,
-                at: d.instant()?,
-                parents: d.ids()?,
-            },
-            "decrease" => WalRecord::Decrease {
-                dim: d.dim()?,
-                id: d.id()?,
-                new_name: d.text()?,
-                kept: d.f64()?,
-                at: d.instant()?,
-                parents: d.ids()?,
-            },
-            "facts" => WalRecord::FactBatch {
-                rows: d.list(|d| {
-                    Ok(FactRow {
-                        at: d.instant()?,
-                        coords: d.ids()?,
-                        values: d.list(TokenReader::f64)?,
-                    })
-                })?,
-            },
-            "reconfig" => {
-                let epoch = d.parse("epoch")?;
-                let add = match d.token()? {
-                    "add" => true,
-                    "remove" => false,
-                    t => return Err(d.bad("reconfig direction", t)),
-                };
-                WalRecord::Reconfig {
-                    epoch,
-                    add,
-                    member: d.text()?,
-                    addr: d.text()?,
-                }
-            }
-            other => return Err(d.bad("record kind", other)),
-        };
-        d.finish()?;
-        Ok(record)
-    }
-
-    /// Applies the record to a schema through the validated construction
-    /// API. Replay of a committed record on the state it was journaled
-    /// against always succeeds; on any other state the model validation
-    /// rejects inconsistencies instead of constructing them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evolution-operator / fact-validation errors.
-    pub fn apply(&self, tmd: &mut Tmd) -> Result<(), CoreError> {
-        match self {
-            WalRecord::Bootstrap { snapshot } => {
-                if !tmd.dimensions().is_empty()
-                    || !tmd.measures().is_empty()
-                    || !tmd.facts().is_empty()
-                {
-                    return Err(CoreError::InvalidEvolution(
-                        "bootstrap record replayed onto a non-empty schema".into(),
-                    ));
-                }
-                *tmd = mvolap_core::persist::read_tmd(&mut snapshot.as_slice())
-                    .map_err(|e| CoreError::InvalidEvolution(format!("bad bootstrap: {e}")))?;
-                Ok(())
-            }
-            WalRecord::Create {
-                dim,
-                name,
-                level,
-                at,
-                parents,
-            } => {
-                evolution::create(tmd, *dim, name.clone(), level.clone(), *at, parents).map(|_| ())
-            }
-            WalRecord::Delete { dim, id, at } => evolution::delete(tmd, *dim, *id, *at).map(|_| ()),
-            WalRecord::Transform {
-                dim,
-                id,
-                new_name,
-                new_attributes,
-                at,
-            } => evolution::transform(
-                tmd,
-                *dim,
-                *id,
-                new_name.clone(),
-                new_attributes.clone(),
-                *at,
-            )
-            .map(|_| ()),
-            WalRecord::Merge {
-                dim,
-                sources,
-                new_name,
-                level,
-                at,
-                parents,
-            } => evolution::merge(
-                tmd,
-                *dim,
-                sources,
-                new_name.clone(),
-                level.clone(),
-                *at,
-                parents,
-            )
-            .map(|_| ()),
-            WalRecord::Split {
-                dim,
-                source,
-                parts,
-                at,
-                parents,
-            } => evolution::split(tmd, *dim, *source, parts, *at, parents).map(|_| ()),
-            WalRecord::Reclassify {
-                dim,
-                id,
-                at,
-                old_parents,
-                new_parents,
-            } => evolution::reclassify(tmd, *dim, *id, *at, old_parents, new_parents).map(|_| ()),
-            WalRecord::Associate { dim, rel } => BasicOp::Associate {
-                dim: *dim,
-                rel: rel.clone(),
-            }
-            .apply(tmd)
-            .map(|_| ()),
-            WalRecord::Confidence {
-                dim,
-                from,
-                to,
-                forward,
-                backward,
-            } => evolution::change_confidence(
-                tmd,
-                *dim,
-                *from,
-                *to,
-                forward.clone(),
-                backward.clone(),
-            ),
-            WalRecord::Increase {
-                dim,
-                id,
-                new_name,
-                factor,
-                at,
-                parents,
-            } => evolution::increase(tmd, *dim, *id, new_name.clone(), *factor, *at, parents)
-                .map(|_| ()),
-            WalRecord::Decrease {
-                dim,
-                id,
-                new_name,
-                kept,
-                at,
-                parents,
-            } => evolution::decrease(tmd, *dim, *id, new_name.clone(), *kept, *at, parents)
-                .map(|_| ()),
-            WalRecord::FactBatch { rows } => {
-                for r in rows {
-                    tmd.add_fact(&r.coords, r.at, &r.values)?;
-                }
-                Ok(())
-            }
-            // Membership changes do not touch the schema; the group
-            // layer reads them back out of the log (and the membership
-            // sidecar) instead.
-            WalRecord::Reconfig { .. } => Ok(()),
-        }
     }
 
     /// Read-only validation of a fact batch against the current schema:

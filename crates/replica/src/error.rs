@@ -130,15 +130,17 @@ impl From<TransportError> for ReplicaError {
 
 impl ReplicaError {
     /// Classifies an OS-level socket error as a transport failure:
-    /// timeouts and would-blocks mean the link is down (retry may
-    /// succeed), anything else means the message was lost.
+    /// timeouts, would-blocks, a refused connection and a missing socket
+    /// file mean the link is down (retry may succeed), anything else
+    /// means the message was lost.
     #[must_use]
     pub fn from_io(e: &std::io::Error) -> Self {
         use std::io::ErrorKind;
         match e.kind() {
-            ErrorKind::TimedOut | ErrorKind::WouldBlock => {
-                ReplicaError::Transport(TransportError::Down)
-            }
+            ErrorKind::TimedOut
+            | ErrorKind::WouldBlock
+            | ErrorKind::ConnectionRefused
+            | ErrorKind::NotFound => ReplicaError::Transport(TransportError::Down),
             _ => ReplicaError::Transport(TransportError::Lost),
         }
     }
@@ -157,5 +159,34 @@ impl ReplicaError {
     /// injected I/O failure) — the node is down until restarted.
     pub fn is_crash(&self) -> bool {
         matches!(self, ReplicaError::Durable(e) if e.is_io_class())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Error, ErrorKind};
+
+    #[test]
+    fn a_refused_or_missing_peer_is_a_link_down_and_transient() {
+        for kind in [
+            ErrorKind::ConnectionRefused,
+            ErrorKind::NotFound,
+            ErrorKind::TimedOut,
+        ] {
+            let e = ReplicaError::from_io(&Error::from(kind));
+            assert!(
+                matches!(e, ReplicaError::Transport(TransportError::Down)),
+                "{kind:?}"
+            );
+            assert!(e.is_transient());
+            assert_eq!(e.to_string(), "transport: link down");
+        }
+        let reset = ReplicaError::from_io(&Error::from(ErrorKind::ConnectionReset));
+        assert!(matches!(
+            reset,
+            ReplicaError::Transport(TransportError::Lost)
+        ));
+        assert!(reset.is_transient());
     }
 }

@@ -304,7 +304,8 @@ impl NetListener {
 // ------------------------------------------------------------- framing
 
 /// Maps socket errors to the typed transport errors the supervisor
-/// retries on: a timeout is `Down` (the peer may be alive but slow), a
+/// retries on: a timeout is `Down` (the peer may be alive but slow), as
+/// is a refused connection or a missing socket file (no peer yet); a
 /// reset or EOF is `Lost`.
 fn io_err(e: &std::io::Error) -> ReplicaError {
     ReplicaError::from_io(e)

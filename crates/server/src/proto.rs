@@ -192,7 +192,8 @@ impl fmt::Display for ServerError {
             ServerError::Query(m) => write!(f, "query failed: {m}"),
             ServerError::Commit(m) => write!(f, "commit failed: {m}"),
             ServerError::Protocol(m) => write!(f, "protocol violation: {m}"),
-            ServerError::Transport(e) => write!(f, "transport: {e}"),
+            // A `ReplicaError` names its own layer.
+            ServerError::Transport(e) => write!(f, "{e}"),
             ServerError::Shutdown => write!(f, "server shutting down"),
         }
     }
@@ -355,6 +356,16 @@ mod tests {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn a_transport_error_displays_its_cause_once() {
+        let e = ServerError::from(ReplicaError::Transport(
+            mvolap_replica::TransportError::Down,
+        ));
+        assert_eq!(e.to_string(), "transport: link down");
+        let e = ServerError::from(ReplicaError::NotPrimary);
+        assert_eq!(e.to_string(), "no live primary");
     }
 
     #[test]

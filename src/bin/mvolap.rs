@@ -224,36 +224,39 @@ impl Shell {
     /// Reads and runs lines until a quit verb, `quit` or EOF. The two
     /// backends greet and prompt; a console greeted as it started.
     fn repl(&mut self) {
-        match &mut self.backend {
-            _ if self.console.is_some() => {}
-            Backend::Local(Session::Memory(tmd)) => println!(
+        let banner = match &mut self.backend {
+            _ if self.console.is_some() => None,
+            Backend::Local(Session::Memory(tmd)) => Some(format!(
                 "mvolap — multiversion OLAP shell over schema `{}` \
                  ({} dimensions, {} facts). \\h for help, \\q to quit.",
                 tmd.name(),
                 tmd.dimensions().len(),
                 tmd.facts().len()
-            ),
-            Backend::Local(Session::Durable(store)) => println!(
+            )),
+            Backend::Local(Session::Durable(store)) => Some(format!(
                 "mvolap — multiversion OLAP shell over durable store `{}` \
                  (schema `{}`, next LSN {}). \\h for help, \\q to quit.",
                 store.dir().display(),
                 store.schema().name(),
                 store.wal_position()
-            ),
+            )),
             Backend::Remote(client) => match client.ping() {
-                Ok(()) => println!(
+                Ok(()) => Some(format!(
                     "mvolap — connected to session server on {}. \\q quits.",
                     client.addr()
-                ),
+                )),
                 Err(e) => die(&format!("cannot reach {}: {e}", client.addr())),
             },
+        };
+        if banner.is_some_and(|b| !say(b)) {
+            return;
         }
+        let prompt = self.console.as_ref().map_or("mvolap> ", |_| "");
         let (mut out, lines) = (std::io::stdout(), stdin_lines());
         loop {
-            if self.console.is_none() {
-                print!("mvolap> ");
+            if write!(out, "{prompt}").and_then(|()| out.flush()).is_err() {
+                break;
             }
-            out.flush().ok();
             let line = loop {
                 match lines.recv_timeout(Duration::from_millis(250)) {
                     Err(RecvTimeoutError::Timeout) => self.tick(),
@@ -274,11 +277,24 @@ impl Shell {
     fn tick(&self) {
         if let Some(Console::Listen(server)) = &self.console {
             match server.group().maybe_checkpoint() {
-                Ok(Some(id)) => println!("{}", checkpointed(&id)),
+                Ok(Some(id)) => {
+                    // A closed stdout ends the loop at its next write.
+                    say(checkpointed(&id));
+                }
                 Ok(None) => {}
                 Err(e) => eprintln!("checkpoint error: {e}"),
             }
         }
+    }
+
+    /// Prints a console's banner; a closed stdout stops the console's
+    /// server (by dropping the shell) and exits cleanly.
+    fn greet(self, banner: String) -> Shell {
+        if !say(banner) {
+            drop(self);
+            std::process::exit(0);
+        }
+        self
     }
 
     /// The goodbye of an interactive run.
@@ -308,6 +324,13 @@ fn stdin_lines() -> mpsc::Receiver<String> {
         lines.try_for_each(|line| tx.send(line)).ok();
     });
     rx
+}
+
+/// Writes one line to stdout and flushes it. `false` once stdout is
+/// closed: the caller stops, where `println!` would panic.
+fn say(line: impl std::fmt::Display) -> bool {
+    let mut out = std::io::stdout();
+    writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
 }
 
 /// Writes an answer, or its error as `error: …`.
@@ -361,7 +384,10 @@ fn main() {
                 let n = value(&bad).parse().ok().filter(|&n: &usize| n >= 1);
                 opts.workers = n.unwrap_or_else(|| die(&format!("--workers requires {bad}")));
             }
-            "--help" | "-h" => return println!("{USAGE}"),
+            "--help" | "-h" => {
+                say(USAGE);
+                return;
+            }
             other => die(&format!("unknown argument `{other}` (try --help)")),
         }
     }
@@ -414,7 +440,9 @@ fn main() {
     shell.repl();
     let goodbye = shell.goodbye();
     drop(shell);
-    goodbye.iter().for_each(|g| println!("{g}"));
+    if let Some(line) = goodbye {
+        say(line);
+    }
 }
 
 fn die(msg: &str) -> ! {
@@ -452,16 +480,16 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
     let mut f = Follower::open(name, path, Options::default(), Io::plain())
         .unwrap_or_else(|e| die(&format!("cannot open follower store at {dir}: {e}")));
     let mut client = NetClient::connect(addr.clone(), NetConfig::default());
-    println!("mvolap — following {addr} into store `{dir}`. `quit` or EOF stops.");
-    std::io::stdout().flush().ok();
+    let mut open = say(format!(
+        "mvolap — following {addr} into store `{dir}`. `quit` or EOF stops."
+    ));
 
     let (lines, mut announced) = (stdin_lines(), false);
-    loop {
+    while open {
         match sync_follower(&mut client, &mut f) {
             Ok(round) => {
                 if round.caught_up() && !announced {
-                    println!("caught up at LSN {}", f.next_lsn());
-                    std::io::stdout().flush().ok();
+                    open = say(format!("caught up at LSN {}", f.next_lsn()));
                 }
                 announced = round.caught_up();
             }
@@ -479,7 +507,10 @@ fn follow(addr: &NetAddr, dir: &str) -> ! {
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    println!("mvolap: follower of {addr} stopped at LSN {}", f.next_lsn());
+    say(format!(
+        "mvolap: follower of {addr} stopped at LSN {}",
+        f.next_lsn()
+    ));
     std::process::exit(0)
 }
 
@@ -494,17 +525,17 @@ fn listen(addr: &NetAddr, dir: &str, schema: Option<Tmd>, opts: ServerOptions) -
     let group = GroupCommit::new(store, GroupConfig::default());
     let server = SessionServer::spawn(addr, group, opts)
         .unwrap_or_else(|e| die(&format!("cannot listen on {addr}: {e}")));
-    println!(
+    let banner = format!(
         "mvolap — session server for store `{dir}` on {} (next LSN {next_lsn}). \
          \\status shows the pool and followers; `\\q`, `quit` or EOF stops.",
         server.addr()
     );
-    std::io::stdout().flush().ok();
     let client = SessionClient::connect(server.addr().clone(), NetConfig::default());
     Shell {
         backend: Backend::Remote(client),
         console: Some(Console::Listen(server)),
     }
+    .greet(banner)
 }
 
 /// `--cluster`: a quorum group on one machine, the primary on `addr`
@@ -532,7 +563,7 @@ fn cluster(addr: &NetAddr, dir: &str, spec: &str, seed: Option<Tmd>, opts: Serve
     )
     .unwrap_or_else(|e| die(&format!("cannot start cluster under {dir}: {e}")));
     group.spawn_pumps(PumpConfig::default());
-    println!(
+    let mut banner = format!(
         "mvolap — quorum group under `{dir}`: primary on {} ({} members, quorum {}, \
          async replication). \\join NAME=ADDR, \\leave NAME, \\status; `\\q`, \
          `quit` or EOF stops.",
@@ -541,13 +572,13 @@ fn cluster(addr: &NetAddr, dir: &str, spec: &str, seed: Option<Tmd>, opts: Serve
         quorum_figure(&group.group()),
     );
     for (name, maddr) in group.member_addrs() {
-        println!("  member {name} reads on {maddr}");
+        banner += &format!("\n  member {name} reads on {maddr}");
     }
-    std::io::stdout().flush().ok();
     Shell {
         backend: Backend::Remote(group.client(net)),
         console: Some(Console::Cluster(Box::new(group))),
     }
+    .greet(banner)
 }
 
 /// A `--cluster` console's own `\status` lines: each member's role and

@@ -163,32 +163,60 @@ fn table_10_q2_on_2003_organization() {
     );
 }
 
+/// The full Table 11 rendering, line for line: the order of the basic
+/// operators in each script is the contract (it decides the member
+/// version ids, so the snapshot bytes and the WAL replay).
 #[test]
 fn table_11_operator_scripts() {
+    let expected = "\
+Creation of Vnew at time T in the dimension Org as a child of P1:
+- Insert(Org, idVnew, Vnew, 01/2003, {idP1}, ∅)
+
+Change from V to V' at time T (equivalence relationship):
+- Exclude(Org, idV, 01/2003)
+- Insert(Org, idV', V', 01/2003, {idP1}, ∅)
+- Associate(idV, idV', {(x->x,em)}, {(x->x,em)})
+
+Merge of V1 and V2 into V12 at time T (half of V12 maps back to V1, V12->V2 unknown):
+- Exclude(Org, idV1, 01/2003)
+- Exclude(Org, idV2, 01/2003)
+- Insert(Org, idV12, V12, 01/2003, {idP1}, ∅)
+- Associate(idV1, idV12, {(x->x,em)}, {(x->0.5*x,am)})
+- Associate(idV2, idV12, {(x->x,em)}, {(-,uk)})
+
+Increase V in V+ at time T (values increase with a factor 2):
+- Exclude(Org, idV, 01/2003)
+- Insert(Org, idV+, V+, 01/2003, {idP1}, ∅)
+- Associate(idV, idV+, {(x->2*x,am)}, {(x->0.5*x,am)})
+
+Partial annexation of a portion of V1 to V2 at time T (10% of V1 goes to V2, a 20% increase for V2):
+- Exclude(Org, idV1, 01/2003)
+- Exclude(Org, idV2, 01/2003)
+- Insert(Org, idV1-, V1-, 01/2003, {idP1}, ∅)
+- Insert(Org, idV2+, V2+, 01/2003, {idP1}, ∅)
+- Associate(idV1, idV1-, {(x->0.9*x,am)}, {(x->x,em)})
+- Associate(idV2, idV2+, {(x->x,em)}, {(x->0.8333333333333334*x,am)})
+- Associate(idV1, idV2+, {(x->0.1*x,am)}, {(x->0.16666666666666669*x,am)})
+";
     let text = paper::table_11_operations();
-    // Creation.
-    assert!(text.contains("- Insert(Org, idVnew, Vnew, 01/2003, {idP1}, ∅)"));
-    // Transformation with equivalence mapping.
-    assert!(text.contains("- Associate(idV, idV', {(x->x,em)}, {(x->x,em)})"));
-    // Merge: exact forward, half back to V1, unknown back to V2.
-    assert!(text.contains("- Associate(idV1, idV12, {(x->x,em)}, {(x->0.5*x,am)})"));
-    assert!(text.contains("- Associate(idV2, idV12, {(x->x,em)}, {(-,uk)})"));
-    // Increase by factor 2.
-    assert!(text.contains("- Associate(idV, idV+, {(x->2*x,am)}, {(x->0.5*x,am)})"));
-    // Partial annexation: the three mapping relationships.
-    assert!(text.contains("- Associate(idV1, idV1-, {(x->0.9*x,am)}, {(x->x,em)})"));
-    assert!(text.contains("idV2+"));
-    assert!(text.contains("(x->0.1*x,am)"));
+    assert_eq!(
+        text.lines().collect::<Vec<_>>(),
+        expected.lines().collect::<Vec<_>>()
+    );
 }
 
 #[test]
 fn table_11_split_applies_the_case_study_evolution() {
     let (tmd, outcome) = paper::split_outcome();
     assert_eq!(outcome.created.len(), 2);
-    let text = outcome.render(&tmd);
-    assert!(text.contains("- Exclude(Org, idV, 01/2003)"));
-    assert!(text.contains("- Associate(idV, idVa, {(x->0.4*x,am)}, {(x->x,em)})"));
-    assert!(text.contains("- Associate(idV, idVb, {(x->0.6*x,am)}, {(x->x,em)})"));
+    let expected = [
+        "- Exclude(Org, idV, 01/2003)",
+        "- Insert(Org, idVa, Va, 01/2003, {idP1}, ∅)",
+        "- Insert(Org, idVb, Vb, 01/2003, {idP1}, ∅)",
+        "- Associate(idV, idVa, {(x->0.4*x,am)}, {(x->x,em)})",
+        "- Associate(idV, idVb, {(x->0.6*x,am)}, {(x->x,em)})",
+    ];
+    assert_eq!(outcome.render(&tmd), expected.join("\n"));
 }
 
 #[test]

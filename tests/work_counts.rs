@@ -9,9 +9,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 
-use mvolap::core::{all_modes, present_par, ExecContext, QueryMemo, TemporalMode};
+use mvolap::core::evolution::SplitPart;
+use mvolap::core::{
+    all_modes, present_par, DimensionId, ExecContext, MemberVersionId, QueryMemo, TemporalMode,
+};
+use mvolap::durable::{FactRow, WalRecord};
 use mvolap::query::render_answer;
 use mvolap::server::proto::{encode_reply, Reply};
+use mvolap::temporal::Instant;
 use mvolap::workload::{generate, WorkloadConfig};
 
 /// Mapping-route lookups of one cold presentation per mode of the
@@ -142,4 +147,43 @@ fn a_warm_wide_answer_allocates_a_fixed_budget_per_result_row() {
         "allocations: Department answer, Division answer, reply payload"
     );
     assert!(wide_count <= 5 * wide_rows as u64);
+}
+
+/// Heap allocations of a WAL record's `encode` and of its `decode`:
+/// every commit encodes one fact batch and every follower decodes it.
+/// A 1-row and a 64-row batch and a 2-part `Split` operator record.
+/// Encoding writes one growing buffer; decoding allocates each list
+/// and each text field once.
+#[test]
+fn a_wal_record_encodes_and_decodes_in_a_fixed_number_of_allocations() {
+    let batch = |n: u32| WalRecord::FactBatch {
+        rows: (0..n)
+            .map(|i| FactRow {
+                coords: vec![MemberVersionId(i % 7 + 1), MemberVersionId(3)],
+                at: Instant::ym(2001, 1 + i % 12),
+                values: vec![100.0 + f64::from(i)],
+            })
+            .collect(),
+    };
+    let split = WalRecord::Split {
+        dim: DimensionId(0),
+        source: MemberVersionId(4),
+        parts: vec![
+            SplitPart::proportional("A", 0.4, 1),
+            SplitPart::proportional("B", 0.6, 1),
+        ],
+        at: Instant::ym(2003, 1),
+        parents: vec![MemberVersionId(0)],
+    };
+    let counts = [batch(1), batch(64), split].map(|record| {
+        let (payload, encode) = allocations(|| record.encode());
+        let (back, decode) = allocations(|| WalRecord::decode(&payload));
+        assert_eq!(back.expect("decodes"), record);
+        (encode, decode)
+    });
+    assert_eq!(
+        counts,
+        [(3, 3), (9, 133), (4, 8)],
+        "(encode, decode) allocations: 1-row batch, 64-row batch, 2-part split"
+    );
 }
