@@ -22,26 +22,26 @@
 //!   un-quorum'd suffix), and only then re-enters the group.
 //! - **Fault sweeps** ([`cluster_sweep`], [`cluster_sweep_net`],
 //!   [`membership_sweep`]): kill the primary or a member at every I/O
-//!   primitive, partition a member at every transport step, drop or
-//!   stall the socket under the whole group, fork two histories —
+//!   primitive, cut a member off at every link exchange, drop or
+//!   stall the socket hop under the whole group, fork two histories —
 //!   asserting that no quorum-acknowledged commit is ever lost, no
 //!   two primaries accept writes in the same epoch, survivors
 //!   reconverge byte-identically and every refusal is typed. All three
 //!   drive one scripted run and check against the durable crate's
 //!   replay of the script ([`mvolap_durable::fault::Prefixes`]).
-//! - **Async pump** ([`MemberPump`]): per-member shipping engines
-//!   that tail the primary's WAL and ship batched frame envelopes
-//!   with a bounded in-flight window; [`MemberPump::spawn`] runs one
-//!   on a dedicated thread per member of a served group
-//!   ([`LocalCluster`]), while [`MemberPump::step`] stays a
-//!   synchronous hook deterministic tests drive directly.
+//! - **Pump** ([`MemberPump`]): per-member shipping engines that tail
+//!   the primary's WAL and ship batched frame envelopes over a
+//!   [`Link`] with a bounded in-flight window, behind the divergence
+//!   gate. [`MemberPump::spawn`] runs one on a dedicated thread per
+//!   member of a served group ([`LocalCluster`]); [`MemberPump::step`]
+//!   is the synchronous hook the model and the tests drive.
 //!
-//! [`ClusterSet`] is the deterministic *model* of the group: no
-//! wall-clock, no threads — every protocol step happens inside
-//! [`ClusterSet::tick`], which is what makes the exhaustive sweeps
-//! possible. The *served* group ships through [`MemberPump`] threads
-//! instead; both speak the same records to the same
-//! [`mvolap_replica::Follower`].
+//! There is one replication engine. [`ClusterSet`] is the
+//! deterministic *model* of the group: no wall-clock, no threads — a
+//! [`ClusterSet::tick`] is one [`MemberPump::step`] per live member,
+//! which is what makes the exhaustive sweeps possible. The *served*
+//! group runs the same pumps on threads. Both settle a membership
+//! change by one rule, [`PendingReconfig::settle`].
 
 #![warn(missing_docs)]
 
@@ -51,7 +51,7 @@ pub mod set;
 pub mod sweep;
 
 pub use pump::{
-    MemberPump, MemberPumpStatus, PumpConfig, PumpShared, PumpState, PumpStep, PumpThread,
+    Link, MemberPump, MemberPumpStatus, PumpConfig, PumpShared, PumpState, PumpStep, PumpThread,
     PumpTracker,
 };
 pub use serve::LocalCluster;

@@ -16,10 +16,14 @@
 //! Each step:
 //!
 //! 1. **Delivers** any in-flight envelopes whose member is free
-//!    (`try_lock` — a busy member never blocks the pump), decoding
-//!    the wire envelope, applying frames, and reporting the member's
-//!    quorum ack into the tracker.
-//! 2. **Ships** new work: fetches fsynced frames from the primary's
+//!    (`try_lock` — a busy member never blocks the pump) over the
+//!    pump's [`Link`], applying frames, and reporting the member's
+//!    quorum ack into the tracker. A lost crossing stalls the pump.
+//! 2. **Ships** new work. When the pump takes its cursor from the
+//!    member it first runs the divergence gate
+//!    ([`WalTailer::verify_position`]): a member whose log forks from
+//!    the primary's is shipped `Diverged` and nothing else. Then it
+//!    fetches fsynced frames from the primary's
 //!    log ([`WalTailer::fetch_budget`] — never past the durable
 //!    watermark, so a member cannot ack a record the primary could
 //!    still lose; the tailer's cursor makes each fetch continue the
@@ -63,7 +67,8 @@ use std::time::Duration;
 
 use mvolap_durable::{GroupCommit, TimeSource};
 use mvolap_replica::{
-    decode_batch, encode_batch, Follower, ReplicaError, ReplicaMsg, TailSource, WalTailer,
+    decode_batch, encode_batch, Follower, NetClient, ReplicaError, ReplicaMsg, TailSource,
+    TransportError, WalTailer,
 };
 
 /// Tuning for one member's shipping engine.
@@ -204,17 +209,6 @@ impl PumpTracker {
             .collect()
     }
 
-    /// Total wire steps across all members: one per shipped envelope
-    /// (request) plus one per ack (reply) — the batching yardstick
-    /// the quorum bench reports as transport steps per commit.
-    #[must_use]
-    pub fn transport_steps(&self) -> u64 {
-        plock(&self.members)
-            .values()
-            .map(|s| s.requests + s.replies)
-            .sum()
-    }
-
     fn update(&self, member: &str, f: impl FnOnce(&mut MemberPumpStatus)) {
         f(plock(&self.members).entry(member.to_string()).or_default());
     }
@@ -285,10 +279,14 @@ pub enum PumpStep {
         /// Frames currently in flight.
         inflight: usize,
     },
-    /// The member errored; window dropped, retry after backoff.
+    /// The member errored or the link lost a crossing; window dropped,
+    /// retry after backoff.
     Stalled {
-        /// The member's error, verbatim.
+        /// The error, verbatim.
         reason: String,
+        /// The member's own store crashed (an I/O-class failure): it
+        /// needs a restart before it can take frames again.
+        crash: bool,
     },
     /// A stalled pump still inside its backoff window.
     Backoff,
@@ -314,6 +312,91 @@ struct SnapCursor {
     next_seq: u64,
 }
 
+/// The wire between a primary's pumps and their members. Each envelope
+/// a pump ships, and each vote request an election sends, is one
+/// *exchange* of two *crossings*: request bytes to the member, reply
+/// bytes back. By default both cross in process. A cut loses every
+/// crossing with the named members from a given crossing on, for a
+/// bounded outage or for good — a lost request reaches nobody, a lost
+/// reply is lost after the member acted on the request. A socket hop
+/// sends each crossing through a real socket (a
+/// [`mvolap_replica::FaultProxy`] that echoes it), so the proxy's
+/// dropped and stalled connections become lost crossings too. Clones
+/// share one crossing counter, by which a sweep enumerates its
+/// injection points.
+#[derive(Debug, Clone, Default)]
+pub struct Link {
+    state: Arc<Mutex<LinkState>>,
+}
+
+#[derive(Debug, Default)]
+struct LinkState {
+    crossings: u64,
+    cut: Vec<String>,
+    cut_after: u64,
+    cut_left: u64,
+    hop: Option<NetClient>,
+}
+
+impl Link {
+    /// An in-process link that loses nothing.
+    #[must_use]
+    pub fn new() -> Link {
+        Link::default()
+    }
+
+    /// A link whose every crossing goes through a socket to `hop`.
+    #[must_use]
+    pub fn via(hop: NetClient) -> Link {
+        let link = Link::new();
+        plock(&link.state).hop = Some(hop);
+        link
+    }
+
+    /// Loses every crossing with `members` once `after` crossings have
+    /// passed, for `len` of theirs (`u64::MAX`: for good). Replaces any
+    /// earlier cut; an empty list heals the link.
+    pub fn cut(&self, members: &[&str], after: u64, len: u64) {
+        let mut st = plock(&self.state);
+        st.cut = members.iter().map(|m| (*m).to_string()).collect();
+        st.cut_after = after;
+        st.cut_left = len;
+    }
+
+    /// Crossings attempted so far, lost ones included.
+    #[must_use]
+    pub fn crossings(&self) -> u64 {
+        plock(&self.state).crossings
+    }
+
+    /// One exchange with `member`: carries `request` to it, lets
+    /// `answer` (the member's side) turn the bytes that arrived into a
+    /// reply, and carries the reply back. A lost crossing is a
+    /// transport error.
+    pub(crate) fn exchange(
+        &self,
+        member: &str,
+        request: Vec<u8>,
+        answer: impl FnOnce(&[u8]) -> Result<Vec<u8>, ReplicaError>,
+    ) -> Result<Vec<u8>, ReplicaError> {
+        let arrived = self.cross(member, request)?;
+        self.cross(member, answer(&arrived)?)
+    }
+
+    fn cross(&self, member: &str, bytes: Vec<u8>) -> Result<Vec<u8>, ReplicaError> {
+        let mut st = plock(&self.state);
+        st.crossings += 1;
+        if st.crossings > st.cut_after && st.cut_left > 0 && st.cut.iter().any(|c| c == member) {
+            st.cut_left -= 1;
+            return Err(TransportError::Lost.into());
+        }
+        match st.hop.as_mut() {
+            Some(hop) => hop.rpc(&bytes),
+            None => Ok(bytes),
+        }
+    }
+}
+
 /// One member's shipping engine. [`MemberPump::step`] is synchronous
 /// and deterministic given the [`TimeSource`]; [`MemberPump::spawn`]
 /// runs it on a dedicated thread.
@@ -321,6 +404,7 @@ pub struct MemberPump {
     shared: Arc<PumpShared>,
     name: String,
     follower: Arc<Mutex<Follower>>,
+    link: Link,
     tailer: WalTailer,
     cfg: PumpConfig,
     tracker: PumpTracker,
@@ -343,7 +427,8 @@ pub struct MemberPump {
 
 impl MemberPump {
     /// A pump shipping `primary_dir`'s log to `follower` on behalf of
-    /// member `name`, publishing into `tracker`.
+    /// member `name` over an in-process [`Link`], publishing into
+    /// `tracker`.
     #[must_use]
     pub fn new(
         shared: Arc<PumpShared>,
@@ -357,6 +442,7 @@ impl MemberPump {
             shared,
             name: name.into(),
             follower,
+            link: Link::new(),
             tailer: WalTailer::new(primary_dir),
             cfg,
             tracker,
@@ -370,16 +456,17 @@ impl MemberPump {
         }
     }
 
+    /// The same pump, shipping over `link`.
+    #[must_use]
+    pub fn over(mut self, link: Link) -> MemberPump {
+        self.link = link;
+        self
+    }
+
     /// The member this pump serves.
     #[must_use]
     pub fn member(&self) -> &str {
         &self.name
-    }
-
-    /// The tracker this pump publishes into.
-    #[must_use]
-    pub fn tracker(&self) -> &PumpTracker {
-        &self.tracker
     }
 
     /// One engine turn: deliver what the member will take, then ship
@@ -405,45 +492,40 @@ impl MemberPump {
             self.retry_at = None;
         }
 
-        // Phase 1 — deliver: drain in-flight envelopes while the
-        // member is free. try_lock: a member busy serving a long read
-        // (or deliberately wedged in a test) never blocks this
-        // thread; its envelopes simply stay queued, which is what
+        // Phase 1 — deliver: drain in-flight envelopes over the link
+        // while the member is free. try_lock: a member busy serving a
+        // long read (or deliberately wedged in a test) never blocks
+        // this thread; its envelopes simply stay queued, which is what
         // caps the window below.
         let follower = Arc::clone(&self.follower);
         let mut acked = 0usize;
         let mut busy = false;
         while let Some(env) = self.inflight.pop_front() {
-            match follower.try_lock() {
+            let mut f = match follower.try_lock() {
+                Ok(f) => f,
                 Err(TryLockError::WouldBlock) => {
                     self.inflight.push_front(env);
                     busy = true;
                     break;
                 }
-                Err(TryLockError::Poisoned(_)) => {
-                    self.inflight.push_front(env);
-                    return self.stalled("member mutex poisoned".to_string());
+                Err(TryLockError::Poisoned(_)) => return self.stalled(&poisoned()),
+            };
+            let reply = self
+                .link
+                .exchange(&self.name, env.wire, |wire| answer(&mut f, wire));
+            drop(f);
+            match reply.and_then(|wire| quorum_ack(&wire)) {
+                Ok((ack_epoch, synced_lsn)) => {
+                    self.inflight_frames -= env.frames;
+                    self.inflight_bytes -= env.bytes;
+                    acked += env.frames;
+                    self.acked(synced_lsn);
+                    if ack_epoch > epoch {
+                        return self.deposed(ack_epoch);
+                    }
                 }
-                Ok(mut f) => match deliver(&mut f, &env.wire) {
-                    Ok(ack) => {
-                        drop(f);
-                        self.inflight_frames -= env.frames;
-                        self.inflight_bytes -= env.bytes;
-                        acked += env.frames;
-                        self.acked(&ack);
-                        if ack.epoch > epoch {
-                            return self.deposed(ack.epoch);
-                        }
-                    }
-                    Err(ReplicaError::Fenced { epoch }) => {
-                        drop(f);
-                        return self.deposed(epoch);
-                    }
-                    Err(e) => {
-                        drop(f);
-                        return self.stalled(e.to_string());
-                    }
-                },
+                Err(ReplicaError::Fenced { epoch }) => return self.deposed(epoch),
+                Err(e) => return self.stalled(&e),
             }
         }
 
@@ -456,30 +538,50 @@ impl MemberPump {
         // and keeps members from acking records the primary could
         // still lose.
         let head = self.shared.commit.synced_lsn();
-        let cursor = match self.cursor {
-            Some(c) => Some(c),
-            None => match follower.try_lock() {
+        let mut msgs: Vec<ReplicaMsg> = Vec::new();
+        let mut announce = false;
+        if self.cursor.is_none() {
+            // The cursor comes from the member's own position, through
+            // the divergence gate: a member whose log forks from ours
+            // is shipped `Diverged` and nothing else. One that passes
+            // is shipped at least a heartbeat, so it learns the epoch
+            // and acks its position to this primary.
+            match follower.try_lock() {
                 Ok(f) => {
-                    let c = f.next_lsn();
-                    self.cursor = Some(c);
-                    Some(c)
+                    let ReplicaMsg::Hello {
+                        next_lsn, last_crc, ..
+                    } = f.hello()
+                    else {
+                        unreachable!("hello() builds a Hello")
+                    };
+                    drop(f);
+                    match self.tailer.verify_position(next_lsn, last_crc, head) {
+                        Ok(()) => {
+                            self.cursor = Some(next_lsn);
+                            announce = true;
+                        }
+                        Err(ReplicaError::Diverged {
+                            lsn,
+                            expected_crc,
+                            got_crc,
+                        }) => msgs.push(ReplicaMsg::Diverged {
+                            epoch,
+                            lsn,
+                            expected_crc,
+                            got_crc,
+                        }),
+                        Err(e) => return self.stalled(&e),
+                    }
                 }
-                Err(TryLockError::WouldBlock) => {
-                    busy = true;
-                    None
-                }
-                Err(TryLockError::Poisoned(_)) => {
-                    return self.stalled("member mutex poisoned".to_string())
-                }
-            },
-        };
-        let mut shipped = 0usize;
-        let mut snapshot = false;
+                Err(TryLockError::WouldBlock) => busy = true,
+                Err(TryLockError::Poisoned(_)) => return self.stalled(&poisoned()),
+            }
+        }
+        let mut env_frames = 0usize;
+        let mut env_bytes = 0usize;
         let mut snap_done = false;
-        if let Some(mut cur) = cursor {
-            let mut msgs: Vec<ReplicaMsg> = Vec::new();
-            let mut env_frames = 0usize;
-            let mut env_bytes = 0usize;
+        if let Some(mut cur) = self.cursor {
+            let mut snapshot = false;
             while cur < head && !snapshot {
                 let queued_frames = self.inflight_frames + env_frames;
                 let queued_bytes = self.inflight_bytes + env_bytes;
@@ -534,9 +636,7 @@ impl MemberPump {
                                     busy = true;
                                     break;
                                 }
-                                Err(TryLockError::Poisoned(_)) => {
-                                    return self.stalled("member mutex poisoned".to_string())
-                                }
+                                Err(TryLockError::Poisoned(_)) => return self.stalled(&poisoned()),
                             },
                         };
                         let byte_room = self
@@ -577,33 +677,40 @@ impl MemberPump {
                         }
                         snapshot = true;
                     }
-                    Err(e) => return self.stalled(e.to_string()),
+                    Err(e) => return self.stalled(&e),
                 }
             }
-            if !msgs.is_empty() {
-                self.inflight.push_back(Envelope {
-                    wire: encode_batch(&msgs),
-                    frames: env_frames,
-                    bytes: env_bytes,
-                });
-                self.inflight_frames += env_frames;
-                self.inflight_bytes += env_bytes;
-                self.cursor = Some(cur);
-                shipped = env_frames;
-                self.tracker.update(&self.name, |s| {
-                    s.requests += 1;
-                    s.shipped_frames += env_frames as u64;
-                    if snap_done {
-                        s.snapshots += 1;
-                    }
+            self.cursor = Some(cur);
+            if announce && msgs.is_empty() {
+                msgs.push(ReplicaMsg::Heartbeat {
+                    epoch,
+                    next_lsn: head,
                 });
             }
         }
+        let shipping = !msgs.is_empty();
+        if shipping {
+            self.inflight.push_back(Envelope {
+                wire: encode_batch(&msgs),
+                frames: env_frames,
+                bytes: env_bytes,
+            });
+            self.inflight_frames += env_frames;
+            self.inflight_bytes += env_bytes;
+            self.tracker.update(&self.name, |s| {
+                s.requests += 1;
+                s.shipped_frames += env_frames as u64;
+                s.snapshots += u64::from(snap_done);
+            });
+        }
 
         self.publish_gauges();
-        if shipped > 0 || acked > 0 || snapshot {
+        if shipping || acked > 0 {
             self.set_state(PumpState::Shipping);
-            PumpStep::Progress { shipped, acked }
+            PumpStep::Progress {
+                shipped: env_frames,
+                acked,
+            }
         } else if !self.inflight.is_empty() || busy {
             // Undelivered envelopes (member busy or window at cap):
             // the typed backpressure state.
@@ -674,12 +781,11 @@ impl MemberPump {
         }
     }
 
-    fn acked(&mut self, ack: &PumpAck) {
+    fn acked(&mut self, synced_lsn: u64) {
         // Clamp at the primary's own head: a member cannot vouch for
-        // records the primary never wrote (forged-ack defense, same
-        // clamp the deterministic supervisor applies).
+        // records the primary never wrote.
         let head = self.shared.commit.wal_position();
-        let synced = ack.synced_lsn.min(head);
+        let synced = synced_lsn.min(head);
         self.shared.commit.member_synced(&self.name, synced);
         self.tracker.update(&self.name, |s| {
             s.replies += 1;
@@ -703,7 +809,7 @@ impl MemberPump {
         PumpStep::Fenced { epoch }
     }
 
-    fn stalled(&mut self, reason: String) -> PumpStep {
+    fn stalled(&mut self, e: &ReplicaError) -> PumpStep {
         self.drop_window();
         // The member's position is unknown after an error; re-derive
         // the cursor (and any snapshot transfer position — the member
@@ -712,12 +818,16 @@ impl MemberPump {
         self.cursor = None;
         self.snap_cursor = None;
         self.retry_at = Some(self.cfg.time.now_ms() + self.cfg.retry_wait_ms);
+        let reason = e.to_string();
         self.tracker.update(&self.name, |s| s.stalls += 1);
         self.set_state(PumpState::Stalled {
             reason: reason.clone(),
         });
         self.publish_gauges();
-        PumpStep::Stalled { reason }
+        PumpStep::Stalled {
+            reason,
+            crash: e.is_crash(),
+        }
     }
 
     fn drop_window(&mut self) {
@@ -739,25 +849,32 @@ impl MemberPump {
     }
 }
 
-/// The member's decoded quorum ack.
-struct PumpAck {
-    epoch: u64,
-    synced_lsn: u64,
+fn poisoned() -> ReplicaError {
+    ReplicaError::Protocol("member mutex poisoned".to_string())
 }
 
-/// Delivers one wire envelope to the member and collects its quorum
-/// ack — both directions through the real wire grammar, so every
-/// batched envelope a pump ships is exactly what a remote member
-/// would parse.
-fn deliver(f: &mut Follower, wire: &[u8]) -> Result<PumpAck, ReplicaError> {
+/// The member's side of one exchange: applies every message of the
+/// envelope and replies with what they call for, plain acks folded into
+/// one closing quorum ack. Both directions cross the real wire grammar,
+/// so what a pump ships is exactly what a remote member would parse.
+pub(crate) fn answer(f: &mut Follower, wire: &[u8]) -> Result<Vec<u8>, ReplicaError> {
+    let mut replies = Vec::new();
     for msg in decode_batch(wire)? {
-        f.handle(msg)?;
+        match f.handle(msg)? {
+            Some(ReplicaMsg::Ack { .. }) | None => {}
+            Some(reply) => replies.push(reply),
+        }
     }
-    let ack_wire = encode_batch(&[f.quorum_ack()]);
-    match decode_batch(&ack_wire)?.pop() {
+    replies.push(f.quorum_ack());
+    Ok(encode_batch(&replies))
+}
+
+/// The `(epoch, synced_lsn)` of the quorum ack closing a member's reply.
+fn quorum_ack(wire: &[u8]) -> Result<(u64, u64), ReplicaError> {
+    match decode_batch(wire)?.pop() {
         Some(ReplicaMsg::QuorumAck {
             epoch, synced_lsn, ..
-        }) => Ok(PumpAck { epoch, synced_lsn }),
+        }) => Ok((epoch, synced_lsn)),
         other => Err(ReplicaError::Protocol(format!(
             "expected a quorum ack, got {other:?}"
         ))),
@@ -805,6 +922,6 @@ impl Drop for PumpThread {
     }
 }
 
-fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

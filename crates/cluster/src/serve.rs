@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mvolap_core::Tmd;
-use mvolap_durable::{DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord};
+use mvolap_durable::{DurableTmd, GroupCommit, GroupConfig, Io, Options};
 use mvolap_replica::{Follower, NetAddr, NetConfig};
 use mvolap_server::{FleetMember, ServerOptions, SessionServer};
 use mvolap_server::{ServerError, SessionClient};
@@ -161,18 +161,15 @@ impl LocalCluster {
         self.pump_shared = Some(shared);
     }
 
-    /// Journals a single-member **add** through the WAL and quorum
-    /// machinery: a `Reconfig` record is appended and fsynced like any
-    /// commit, the majority threshold grows by one effective exactly
-    /// at that record's LSN, and `name` enters as a **non-voting
-    /// learner** — its pump (spawned here when shipping threads are
+    /// Journals a single-member **add** ([`PendingReconfig::journal`]):
+    /// `name` enters as a **learner** whose acks count from its own
+    /// record on — its pump (spawned here when shipping threads are
     /// running) ships the covering checkpoint snapshot in resumable
-    /// chunks and then tails frames. The joiner is promoted to voter,
-    /// added to fleet read routing, and allowed to stand in elections
-    /// only once [`LocalCluster::settle_membership`] (or
-    /// [`LocalCluster::await_membership`]) observes its synced
-    /// position at the quorum watermark. Returns the reconfig record's
-    /// LSN.
+    /// chunks and then tails frames. The joiner is promoted to voter
+    /// and added to fleet read routing only once
+    /// [`LocalCluster::settle_membership`] (or
+    /// [`LocalCluster::await_membership`]) finds the change settled.
+    /// Returns the reconfig record's LSN.
     ///
     /// # Errors
     ///
@@ -180,45 +177,34 @@ impl LocalCluster {
     /// in flight ([`mvolap_durable::DurableError::ReconfigInFlight`]),
     /// when `name` is already in the group, or when the record cannot
     /// be journaled; [`ServerError::Transport`] when `bind` cannot be
-    /// bound.
+    /// bound (nothing is journaled then).
     pub fn join(&mut self, name: &str, bind: &NetAddr) -> Result<u64, ServerError> {
-        if let Some(p) = &self.pending {
-            return Err(ServerError::Commit(
-                mvolap_durable::DurableError::ReconfigInFlight {
-                    lsn: p.lsn,
-                    member: p.member.clone(),
-                }
-                .to_string(),
-            ));
-        }
         if self.readers.iter().any(|(n, _)| n == name) || name == "primary" {
             return Err(ServerError::Commit(format!(
                 "`{name}` is already a member of the group"
             )));
         }
-        let lsn = self
-            .commit
-            .commit(WalRecord::Reconfig {
-                epoch: self.commit.epoch(),
-                add: true,
-                member: name.to_string(),
-                addr: bind.to_string(),
-            })
-            .map_err(|e| ServerError::Commit(e.to_string()))?;
-        self.commit.configure_quorum_at(lsn, self.voters + 1);
-        self.commit.add_learner(name);
         let follower = Follower::create(
             name,
             self.base.join(name),
             self.store_opts.clone(),
             Io::plain(),
         );
-        let server = SessionServer::spawn_with_follower(
+        // Bind before journaling: a joiner that cannot serve must not
+        // leave an add in flight that nothing will ever settle.
+        let mut server = SessionServer::spawn_with_follower(
             bind,
             self.commit.clone(),
             follower,
             self.server_opts.clone(),
         )?;
+        let lsn = match self.journal(true, name, &bind.to_string()) {
+            Ok(lsn) => lsn,
+            Err(e) => {
+                server.stop();
+                return Err(e);
+            }
+        };
         if let (Some(shared), Some(cfg)) = (&self.pump_shared, &self.pump_cfg) {
             if let Some(handle) = server.follower_handle() {
                 let pump = MemberPump::new(
@@ -233,19 +219,28 @@ impl LocalCluster {
             }
         }
         self.readers.push((name.to_string(), server));
-        self.pending = Some(PendingReconfig {
-            lsn,
-            add: true,
-            member: name.to_string(),
-            addr: bind.to_string(),
-        });
         Ok(lsn)
     }
 
-    /// Journals a single-member **remove**: the `Reconfig` record is
-    /// appended and fsynced, the majority threshold shrinks by one
-    /// effective at its LSN, the member's pump is halted and drained,
-    /// its id is fenced against late acks, its read server stops, and
+    /// Journals a change ([`PendingReconfig::journal`]) as the one in
+    /// flight and returns its record's LSN.
+    fn journal(&mut self, add: bool, name: &str, addr: &str) -> Result<u64, ServerError> {
+        let pending = PendingReconfig::journal(
+            &self.commit,
+            self.pending.as_ref(),
+            self.voters,
+            add,
+            name,
+            addr,
+        )
+        .map_err(|e| ServerError::Commit(e.to_string()))?;
+        let lsn = pending.lsn;
+        self.pending = Some(pending);
+        Ok(lsn)
+    }
+
+    /// Journals a single-member **remove** ([`PendingReconfig::journal`]):
+    /// the member's pump is halted and drained, its read server stops, and
     /// fleet reads re-route to the next-freshest member immediately.
     /// Returns the reconfig record's LSN; the change completes once
     /// the record is quorum-committed under the shrunk group
@@ -257,32 +252,13 @@ impl LocalCluster {
     /// in flight, when `name` is not a member, or when the record
     /// cannot be journaled.
     pub fn leave(&mut self, name: &str) -> Result<u64, ServerError> {
-        if let Some(p) = &self.pending {
-            return Err(ServerError::Commit(
-                mvolap_durable::DurableError::ReconfigInFlight {
-                    lsn: p.lsn,
-                    member: p.member.clone(),
-                }
-                .to_string(),
-            ));
-        }
         let Some(idx) = self.readers.iter().position(|(n, _)| n == name) else {
             return Err(ServerError::Commit(format!(
                 "`{name}` is not a member of the group"
             )));
         };
-        let lsn = self
-            .commit
-            .commit(WalRecord::Reconfig {
-                epoch: self.commit.epoch(),
-                add: false,
-                member: name.to_string(),
-                addr: String::new(),
-            })
-            .map_err(|e| ServerError::Commit(e.to_string()))?;
+        let lsn = self.journal(false, name, "")?;
         self.voters -= 1;
-        self.commit.configure_quorum_at(lsn, self.voters);
-        self.commit.ban_member(name);
         self.primary.remove_fleet_member(name);
         if let Some(i) = self.pumps.iter().position(|p| p.member() == name) {
             let mut pump = self.pumps.remove(i);
@@ -291,50 +267,26 @@ impl LocalCluster {
         }
         let (_, mut server) = self.readers.remove(idx);
         server.stop();
-        self.pending = Some(PendingReconfig {
-            lsn,
-            add: false,
-            member: name.to_string(),
-            addr: String::new(),
-        });
         Ok(lsn)
     }
 
-    /// Completes the in-flight membership change when its condition
-    /// holds — an add once its record is quorum-committed by the
-    /// voters that existed before it and the joiner's synced position
-    /// covers the quorum watermark (catch-up-before-vote), a remove
-    /// once its record is quorum-committed under the shrunk group.
-    /// Returns the settled
-    /// member's name, or `None` while the change is still in flight
-    /// (or none is).
+    /// Completes the in-flight membership change once
+    /// [`PendingReconfig::settle`] — the rule the model group settles
+    /// by too — says it has; a promoted joiner joins fleet read
+    /// routing. Returns the settled member's name, or `None` while the
+    /// change is still in flight (or none is).
     pub fn settle_membership(&mut self) -> Option<String> {
-        let pending = self.pending.clone()?;
+        let pending = self.pending.take_if(|p| p.settle(&self.commit))?;
         if pending.add {
-            let synced = self
-                .commit
-                .member_positions()
-                .into_iter()
-                .find(|(n, _)| *n == pending.member)
-                .map_or(0, |(_, p)| p);
-            let quorum = self.commit.quorum_lsn();
-            if quorum > pending.lsn && synced >= quorum {
-                self.commit.promote_voter(&pending.member);
-                self.voters += 1;
-                if let Some((_, server)) = self.readers.iter().find(|(n, _)| *n == pending.member) {
-                    self.primary.add_fleet_member(FleetMember {
-                        name: pending.member.clone(),
-                        addr: server.addr().clone(),
-                    });
-                }
-                self.pending = None;
-                return Some(pending.member);
+            self.voters += 1;
+            if let Some((_, server)) = self.readers.iter().find(|(n, _)| *n == pending.member) {
+                self.primary.add_fleet_member(FleetMember {
+                    name: pending.member.clone(),
+                    addr: server.addr().clone(),
+                });
             }
-        } else if self.commit.quorum_lsn() > pending.lsn {
-            self.pending = None;
-            return Some(pending.member);
         }
-        None
+        Some(pending.member)
     }
 
     /// Blocks until the in-flight membership change settles (shipping

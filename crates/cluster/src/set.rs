@@ -4,14 +4,16 @@
 //! whose deposed primaries rejoin by truncating their un-quorum'd
 //! suffix.
 //!
-//! [`ClusterSet`] is the one tick-driven supervisor — single-threaded,
-//! transport-driven, time counted in ticks, which is what lets the
-//! sweeps enumerate every fault point. Each round a member's hello is
-//! answered from the primary's log ([`WalTailer::answer_hello`]),
-//! members answer replication with [`ReplicaMsg::QuorumAck`], the
-//! primary feeds each member's durably-synced position into its
-//! [`GroupCommit`] watermark, and a commit is *cluster-acknowledged*
-//! only once [`GroupCommit::quorum_lsn`] passes it.
+//! [`ClusterSet`] is the deterministic model of the group —
+//! single-threaded, time counted in ticks, which is what lets the
+//! sweeps enumerate every fault point. It ships exactly as the served
+//! group does: each member has one [`MemberPump`] over the primary's
+//! [`PumpShared`], and [`ClusterSet::tick`] is one [`MemberPump::step`]
+//! per live member followed by [`PendingReconfig::settle`], the
+//! settlement [`crate::LocalCluster`] calls too. Every envelope and
+//! every vote request crosses one [`Link`], where the sweeps inject
+//! their faults. A commit is *cluster-acknowledged* only once
+//! [`GroupCommit::quorum_lsn`] passes it.
 //!
 //! # Election
 //!
@@ -29,24 +31,23 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mvolap_core::Tmd;
-use mvolap_durable::{DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, WalRecord};
-use mvolap_replica::{Follower, ReplicaError, ReplicaMsg, ReplicaTransport, WalTailer};
+use mvolap_durable::{
+    DurableError, DurableTmd, GroupCommit, GroupConfig, Io, Options, TimeSource, WalRecord,
+};
+use mvolap_replica::{decode_batch, encode_batch, Follower, ReplicaError, ReplicaMsg, WalTailer};
 
-/// Inbox name the supervisor collects election replies on; never a
-/// member name.
-const SUPERVISOR: &str = "supervisor";
+use crate::pump::{answer, plock, Link, MemberPump, PumpConfig, PumpShared, PumpStep, PumpTracker};
 
 /// Supervision policy knobs for a quorum group.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Max frames shipped per round.
-    pub batch_frames: usize,
     /// Leaderless supervision rounds before [`ClusterSet::tick`] calls
     /// an election on its own.
     pub heartbeat_miss_limit: u64,
-    /// Supervision rounds [`ClusterSet::commit_quorum`] pumps while
+    /// Supervision rounds [`ClusterSet::commit_quorum`] runs while
     /// waiting for the watermark before declaring the commit
     /// unreplicated.
     pub commit_ticks: u64,
@@ -55,7 +56,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            batch_frames: 32,
             heartbeat_miss_limit: 3,
             commit_ticks: 64,
         }
@@ -67,36 +67,33 @@ pub(crate) fn tailer(group: &GroupCommit) -> WalTailer {
     WalTailer::new(group.with_store(|s| s.dir().to_path_buf()))
 }
 
+/// The model's pumps: the served defaults, with a stall's backoff on a
+/// timeline that never moves, so a pump whose exchange was lost retries
+/// on its next step.
+fn pump_config() -> PumpConfig {
+    PumpConfig {
+        retry_wait_ms: 0,
+        time: TimeSource::manual(0),
+        ..PumpConfig::default()
+    }
+}
+
 /// Supervisor's view of one member.
-#[derive(Debug)]
-struct MemberLink {
-    follower: Follower,
-    /// Highest applied LSN the member has quorum-acked.
-    applied_lsn: u64,
-    /// Highest durably-synced LSN the member has quorum-acked.
-    synced_lsn: u64,
+struct Member {
+    follower: Arc<Mutex<Follower>>,
+    /// Ships the primary's log to the member; `None` while leaderless.
+    pump: Option<MemberPump>,
     /// The member's store crashed; needs [`ClusterSet::restart_member`].
     crashed: bool,
     /// The member refuses replay; needs [`ClusterSet::rebuild_member`].
     refusing: bool,
-    /// A joining member catching up: replicated to, but not counted
-    /// for quorum and barred from elections until its synced position
-    /// reaches the quorum watermark (catch-up-before-vote).
+    /// A joiner whose add has not settled: replicated to, its acks
+    /// counted from its own add record on, but barred from elections
+    /// until promoted.
     learner: bool,
 }
 
-impl MemberLink {
-    fn new(follower: Follower) -> MemberLink {
-        MemberLink {
-            follower,
-            applied_lsn: 0,
-            synced_lsn: 0,
-            crashed: false,
-            refusing: false,
-            learner: false,
-        }
-    }
-
+impl Member {
     fn votable(&self) -> bool {
         !self.crashed && !self.refusing && !self.learner
     }
@@ -116,6 +113,79 @@ pub struct PendingReconfig {
     pub member: String,
     /// The joiner's address (empty for a remove).
     pub addr: String,
+}
+
+impl PendingReconfig {
+    /// Journals a single-member change on the primary `group` of
+    /// `voters` voting nodes: the `Reconfig` record is appended and
+    /// fsynced like any commit, and the majority threshold moves by one
+    /// effective exactly at its LSN. A joiner enters as a learner whose
+    /// acks count from that record on; a leaver is dropped from the
+    /// quorum tracker and fenced against late acks.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::ReconfigInFlight`] while `inflight` has not
+    /// settled; otherwise as [`GroupCommit::commit`].
+    pub fn journal(
+        group: &GroupCommit,
+        inflight: Option<&PendingReconfig>,
+        voters: usize,
+        add: bool,
+        member: &str,
+        addr: &str,
+    ) -> Result<PendingReconfig, DurableError> {
+        if let Some(p) = inflight {
+            return Err(DurableError::ReconfigInFlight {
+                lsn: p.lsn,
+                member: p.member.clone(),
+            });
+        }
+        let lsn = group.commit(WalRecord::Reconfig {
+            epoch: group.epoch(),
+            add,
+            member: member.to_string(),
+            addr: addr.to_string(),
+        })?;
+        if add {
+            group.configure_quorum_at(lsn, voters + 1);
+            group.add_learner(member, lsn);
+        } else {
+            group.configure_quorum_at(lsn, voters - 1);
+            group.ban_member(member);
+        }
+        Ok(PendingReconfig {
+            lsn,
+            add,
+            member: member.to_string(),
+            addr: addr.to_string(),
+        })
+    }
+
+    /// The one settlement rule, for the model and the served group
+    /// alike: whether this change completed on the primary `group`. A
+    /// remove completes once its record is quorum-committed under the
+    /// shrunk group. An add completes once its record is
+    /// quorum-committed (the joiner's own ack counts toward it) and the
+    /// joiner has synced up to the quorum watermark; the joiner is then
+    /// promoted to voter on `group`.
+    pub fn settle(&self, group: &GroupCommit) -> bool {
+        let quorum = group.quorum_lsn();
+        if quorum <= self.lsn {
+            return false;
+        }
+        if !self.add {
+            return true;
+        }
+        let synced = (group.member_positions().into_iter())
+            .find(|(n, _)| *n == self.member)
+            .map_or(0, |(_, p)| p);
+        if synced < quorum {
+            return false;
+        }
+        group.promote_voter(&self.member);
+        true
+    }
 }
 
 /// Noteworthy state changes surfaced by one [`ClusterSet::tick`].
@@ -173,24 +243,17 @@ pub enum RejoinOutcome {
     Rebuilt,
 }
 
-/// Cumulative supervisor counters.
+/// Cumulative supervisor counters. What was shipped, acked and retried
+/// lives in the pumps' [`PumpTracker`] ([`ClusterSet::tracker`]).
 #[derive(Debug, Default, Clone)]
 pub struct ClusterStats {
-    /// WAL frames shipped to members.
-    pub frames_shipped: u64,
-    /// Snapshot bootstraps served (pruned-log path).
-    pub snapshots_served: u64,
-    /// Quorum acks processed.
-    pub acks: u64,
-    /// Transport errors absorbed (the round retries next tick).
-    pub retries: u64,
     /// Commits confirmed majority-durable.
     pub quorum_commits: u64,
     /// Elections won.
     pub elections: u64,
     /// Elections that closed without a majority.
     pub failed_elections: u64,
-    /// Fence messages delivered to deposed primaries.
+    /// Deposed primaries fenced.
     pub fences: u64,
     /// Rejoins that truncated an un-quorum'd suffix.
     pub truncated_rejoins: u64,
@@ -202,27 +265,27 @@ pub struct ClusterStats {
     pub promotions: u64,
 }
 
-/// One primary + N members over a transport, with majority-ack
-/// commit semantics.
-#[derive(Debug)]
-pub struct ClusterSet<T: ReplicaTransport> {
+/// One primary + N members with majority-ack commit semantics,
+/// shipping through one [`MemberPump`] per member over one [`Link`].
+pub struct ClusterSet {
     base: PathBuf,
     opts: Options,
     group_cfg: GroupConfig,
     cfg: ClusterConfig,
-    transport: T,
+    link: Link,
+    tracker: PumpTracker,
     epoch: u64,
     /// Voting nodes: voters + the primary. Changed at assembly
     /// ([`ClusterSet::add_member`]) and by journaled reconfiguration —
     /// an add counts here only once its learner is promoted, a remove
     /// counts immediately. Elections and rejoins do not change it.
     group_size: usize,
-    /// The write-accepting node: its name and its [`GroupCommit`],
-    /// which holds the epoch and the fence (so server sessions sharing
-    /// a clone of it are fenced with it).
-    primary: Option<(String, GroupCommit)>,
+    /// The write-accepting node: its name and what its pumps share —
+    /// its [`GroupCommit`], which holds the epoch and the fence (so
+    /// server sessions sharing a clone of it are fenced with it).
+    primary: Option<(String, Arc<PumpShared>)>,
     retired: Option<GroupCommit>,
-    members: BTreeMap<String, MemberLink>,
+    members: BTreeMap<String, Member>,
     /// The one membership change in flight, if any; a second is
     /// refused with [`DurableError::ReconfigInFlight`].
     pending_reconfig: Option<PendingReconfig>,
@@ -230,9 +293,9 @@ pub struct ClusterSet<T: ReplicaTransport> {
     stats: ClusterStats,
 }
 
-impl<T: ReplicaTransport> ClusterSet<T> {
+impl ClusterSet {
     /// Creates a group whose primary is a fresh store under
-    /// `base/primary` seeded with `seed`.
+    /// `base/primary` seeded with `seed`, shipping over `link`.
     ///
     /// # Errors
     ///
@@ -243,9 +306,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         opts: Options,
         group_cfg: GroupConfig,
         cfg: ClusterConfig,
-        transport: T,
+        link: Link,
         io: Io,
-    ) -> Result<ClusterSet<T>, ReplicaError> {
+    ) -> Result<ClusterSet, ReplicaError> {
         let dir = base.join("primary");
         let store = DurableTmd::create_with(&dir, seed, opts.clone(), io)?;
         let group = GroupCommit::new(store, group_cfg.clone());
@@ -255,10 +318,11 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             opts,
             group_cfg,
             cfg,
-            transport,
+            link,
+            tracker: PumpTracker::new(),
             epoch: 0,
             group_size: 1,
-            primary: Some(("primary".to_string(), group)),
+            primary: Some(("primary".to_string(), PumpShared::new(group))),
             retired: None,
             members: BTreeMap::new(),
             pending_reconfig: None,
@@ -272,10 +336,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// subsequent ticks.
     pub fn add_member(&mut self, name: &str, io: Io) {
         let dir = self.base.join(name);
-        self.members.insert(
-            name.to_string(),
-            MemberLink::new(Follower::create(name, dir, self.opts.clone(), io)),
-        );
+        self.insert_member(name, Follower::create(name, dir, self.opts.clone(), io));
         self.group_size += 1;
         if let Some(p) = self.primary() {
             p.configure_quorum(self.group_size);
@@ -293,100 +354,71 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.group_size
     }
 
-    /// Journals a single-member **add** through the WAL and quorum
-    /// machinery: a `Reconfig` record is appended and fsynced like any
-    /// commit, the quorum tracker's majority threshold grows by one
-    /// effective exactly at that record's LSN, and `name` enters as a
-    /// **non-voting learner** — replicated to, but not counted for
-    /// quorum and barred from elections until its synced position
-    /// reaches the quorum watermark, at which point the next tick
-    /// promotes it ([`ClusterEvent::MemberPromoted`]) and the
-    /// reconfiguration completes.
+    /// Journals a single-member **add** ([`PendingReconfig::journal`]):
+    /// `name` enters as a learner, replicated to and counted toward
+    /// quorum from its own record on, but barred from elections until
+    /// the change settles — the tick that finds the record
+    /// quorum-committed and the learner synced to the watermark
+    /// promotes it ([`ClusterEvent::MemberPromoted`]).
     ///
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary;
+    /// [`ReplicaError::Protocol`] when `name` is already in the group;
     /// [`DurableError::ReconfigInFlight`] (wrapped) while a prior
-    /// change is incomplete; [`ReplicaError::Protocol`] when `name` is
-    /// already in the group; otherwise as [`ClusterSet::commit_local`].
+    /// change is incomplete; otherwise as [`ClusterSet::commit_local`].
     pub fn reconfig_add(&mut self, name: &str, addr: &str, io: Io) -> Result<u64, ReplicaError> {
-        let primary_name = self.primary_name().ok_or(ReplicaError::NotPrimary)?;
-        if let Some(p) = &self.pending_reconfig {
-            return Err(ReplicaError::Durable(DurableError::ReconfigInFlight {
-                lsn: p.lsn,
-                member: p.member.clone(),
-            }));
-        }
-        if self.members.contains_key(name) || primary_name == name {
+        let (primary, shared) = self.primary.as_ref().ok_or(ReplicaError::NotPrimary)?;
+        if self.members.contains_key(name) || primary == name {
             return Err(ReplicaError::Protocol(format!(
                 "`{name}` is already a member of the group"
             )));
         }
-        let lsn = self.commit_local(WalRecord::Reconfig {
-            epoch: self.epoch,
-            add: true,
-            member: name.to_string(),
-            addr: addr.to_string(),
-        })?;
-        let p = self.primary().expect("primary exists");
-        p.configure_quorum_at(lsn, self.group_size + 1);
-        p.add_learner(name);
-        let dir = self.base.join(name);
-        let mut link = MemberLink::new(Follower::create(name, dir, self.opts.clone(), io));
-        link.learner = true;
-        self.members.insert(name.to_string(), link);
-        self.pending_reconfig = Some(PendingReconfig {
-            lsn,
-            add: true,
-            member: name.to_string(),
-            addr: addr.to_string(),
-        });
+        let pending = PendingReconfig::journal(
+            shared.commit(),
+            self.pending_reconfig.as_ref(),
+            self.group_size,
+            true,
+            name,
+            addr,
+        )?;
+        let lsn = pending.lsn;
+        self.pending_reconfig = Some(pending);
         self.stats.reconfigs += 1;
+        let dir = self.base.join(name);
+        self.insert_member(name, Follower::create(name, dir, self.opts.clone(), io))
+            .learner = true;
         Ok(lsn)
     }
 
-    /// Journals a single-member **remove**: the `Reconfig` record is
-    /// appended and fsynced, the majority threshold shrinks by one
-    /// effective at its LSN, the member is dropped from the quorum
-    /// tracker (so the watermark recomputes immediately) with its id
-    /// fenced against late acks, and read routing stops considering
-    /// it. The reconfiguration completes once the record itself is
-    /// quorum-committed under the shrunk group.
+    /// Journals a single-member **remove** ([`PendingReconfig::journal`]):
+    /// the member stops counting toward the watermark at once, and read
+    /// routing stops considering it. The change completes once the
+    /// record itself is quorum-committed under the shrunk group.
     ///
     /// # Errors
     ///
     /// [`ReplicaError::NotPrimary`] without a live primary;
+    /// [`ReplicaError::UnknownNode`] for a non-member;
     /// [`DurableError::ReconfigInFlight`] (wrapped) while a prior
-    /// change is incomplete; [`ReplicaError::UnknownNode`] for a
-    /// non-member; otherwise as [`ClusterSet::commit_local`].
+    /// change is incomplete; otherwise as [`ClusterSet::commit_local`].
     pub fn reconfig_remove(&mut self, name: &str) -> Result<u64, ReplicaError> {
-        self.primary().ok_or(ReplicaError::NotPrimary)?;
-        if let Some(p) = &self.pending_reconfig {
-            return Err(ReplicaError::Durable(DurableError::ReconfigInFlight {
-                lsn: p.lsn,
-                member: p.member.clone(),
-            }));
-        }
+        let p = self.primary().ok_or(ReplicaError::NotPrimary)?;
         if !self.members.contains_key(name) {
             return Err(ReplicaError::UnknownNode(name.to_string()));
         }
-        let lsn = self.commit_local(WalRecord::Reconfig {
-            epoch: self.epoch,
-            add: false,
-            member: name.to_string(),
-            addr: String::new(),
-        })?;
+        let pending = PendingReconfig::journal(
+            p,
+            self.pending_reconfig.as_ref(),
+            self.group_size,
+            false,
+            name,
+            "",
+        )?;
+        let lsn = pending.lsn;
+        self.pending_reconfig = Some(pending);
         self.group_size -= 1;
-        let p = self.primary().expect("primary exists");
-        p.configure_quorum_at(lsn, self.group_size);
-        p.ban_member(name);
         self.members.remove(name);
-        self.pending_reconfig = Some(PendingReconfig {
-            lsn,
-            add: false,
-            member: name.to_string(),
-            addr: String::new(),
-        });
         self.stats.reconfigs += 1;
         Ok(lsn)
     }
@@ -401,36 +433,25 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.members.get(name).is_some_and(|m| m.learner)
     }
 
-    /// Completes the in-flight reconfiguration when its condition is
-    /// met: an add promotes the learner once its synced position
-    /// covers both the reconfig record and the quorum watermark; a
-    /// remove completes once its record is quorum-committed.
+    /// Completes the in-flight reconfiguration once
+    /// [`PendingReconfig::settle`] says it has.
     fn settle_reconfig(&mut self, events: &mut Vec<ClusterEvent>) {
-        let Some(pending) = self.pending_reconfig.clone() else {
+        let (Some(pending), Some(p)) = (&self.pending_reconfig, self.primary()) else {
             return;
         };
-        let Some(watermark) = self.primary().map(GroupCommit::quorum_lsn) else {
+        if !pending.settle(p) {
             return;
-        };
+        }
+        let pending = self.pending_reconfig.take().expect("checked");
         if pending.add {
-            let ready = self.members.get(&pending.member).is_some_and(|link| {
-                link.learner && link.synced_lsn > pending.lsn && link.synced_lsn >= watermark
-            });
-            if ready {
-                let link = self.members.get_mut(&pending.member).expect("checked");
-                link.learner = false;
-                if let Some(p) = self.primary() {
-                    p.promote_voter(&pending.member);
-                }
-                self.group_size += 1;
-                self.pending_reconfig = None;
-                self.stats.promotions += 1;
-                events.push(ClusterEvent::MemberPromoted {
-                    node: pending.member,
-                });
+            if let Some(m) = self.members.get_mut(&pending.member) {
+                m.learner = false;
             }
-        } else if watermark > pending.lsn {
-            self.pending_reconfig = None;
+            self.group_size += 1;
+            self.stats.promotions += 1;
+            events.push(ClusterEvent::MemberPromoted {
+                node: pending.member,
+            });
         }
     }
 
@@ -447,7 +468,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             .commit(record)?)
     }
 
-    /// Journals one record and pumps supervision rounds until it is
+    /// Journals one record and runs supervision rounds until it is
     /// majority-durable.
     ///
     /// # Errors
@@ -461,8 +482,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         let lsn = self.commit_local(record)?;
         for _ in 0..self.cfg.commit_ticks {
             if self.quorum_covers(lsn) {
-                self.stats.quorum_commits += 1;
-                return Ok(lsn);
+                break;
             }
             self.tick();
         }
@@ -470,7 +490,10 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             self.stats.quorum_commits += 1;
             return Ok(lsn);
         }
-        let acked = 1 + self.members.values().filter(|m| m.synced_lsn > lsn).count();
+        let acked = 1
+            + (self.members.keys())
+                .filter(|n| self.member_synced(n) > lsn)
+                .count();
         Err(ReplicaError::Durable(DurableError::Unreplicated {
             lsn,
             acked,
@@ -494,17 +517,22 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         Ok(())
     }
 
-    /// Removes the primary, simulating its crash or loss; returns its
-    /// group for inspection. Drop it before
-    /// [`ClusterSet::rejoin_member`] reopens its directory.
+    /// Removes the primary, simulating its crash or loss — its pumps,
+    /// and whatever they had in flight, go with it; returns its group
+    /// for inspection. Drop it before [`ClusterSet::rejoin_member`]
+    /// reopens its directory.
     pub fn kill_primary(&mut self) -> Option<GroupCommit> {
         self.leaderless_rounds = 0;
-        self.primary.take().map(|(_, group)| group)
+        for m in self.members.values_mut() {
+            m.pump = None;
+        }
+        let (_, shared) = self.primary.take()?;
+        Some(shared.commit().clone())
     }
 
-    /// One supervision round. With a primary: each member's
-    /// hello/replicate/quorum-ack exchange. Without one: counts
-    /// leaderless rounds and, past
+    /// One supervision round. With a primary: one pump step per live
+    /// member, then settlement of the membership change in flight.
+    /// Without one: counts leaderless rounds and, past
     /// [`ClusterConfig::heartbeat_miss_limit`], runs an election.
     pub fn tick(&mut self) -> Vec<ClusterEvent> {
         let mut events = Vec::new();
@@ -528,180 +556,38 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             return events;
         }
         self.leaderless_rounds = 0;
-        let names: Vec<String> = self.members.keys().cloned().collect();
-        for name in names {
-            let link = self.members.get(&name).expect("member exists");
-            if link.crashed || link.refusing {
+        for (name, m) in &mut self.members {
+            if m.crashed || m.refusing {
                 continue;
             }
-            if let Err(ev) = self.round(&name, &mut events) {
-                if ev {
-                    self.stats.retries += 1;
-                }
+            let step = m.pump.as_mut().map(MemberPump::step);
+            if let Some(PumpStep::Stalled { crash: true, .. }) = step {
+                m.crashed = true;
+                events.push(ClusterEvent::MemberCrashed { node: name.clone() });
+            } else if let Some(e) = plock(&m.follower).refusal_error() {
+                m.refusing = true;
+                events.push(ClusterEvent::MemberRefused {
+                    node: name.clone(),
+                    detail: e.to_string(),
+                });
             }
         }
         self.settle_reconfig(&mut events);
         events
     }
 
-    /// One exchange with member `name`. `Err(true)` is a transport
-    /// fault (retry next tick); member-side failures are reported via
-    /// `events` and the link flags.
-    fn round(&mut self, name: &str, events: &mut Vec<ClusterEvent>) -> Result<(), bool> {
-        let primary_name = self.primary_name().expect("primary exists").to_string();
-        let hello = self
-            .members
-            .get(name)
-            .expect("member exists")
-            .follower
-            .hello();
-        self.transport
-            .send(&primary_name, &hello)
-            .map_err(|_| true)?;
-        self.pump_primary(&primary_name)?;
-        self.pump_member(name, Some(&primary_name), events)?;
-        self.pump_primary(&primary_name)?;
-        Ok(())
-    }
-
-    /// Drains the primary's inbox: hellos are answered with heartbeat
-    /// plus frames or a snapshot; quorum acks feed the watermark.
-    fn pump_primary(&mut self, primary_name: &str) -> Result<(), bool> {
-        loop {
-            let msg = self.transport.recv(primary_name).map_err(|_| true)?;
-            let Some(msg) = msg else { break };
-            match msg {
-                ReplicaMsg::Hello {
-                    node,
-                    next_lsn,
-                    last_crc,
-                    ..
-                } => {
-                    let primary = self.primary().expect("primary exists");
-                    // A position check that cannot read the log skips
-                    // the round; the member asks again next tick.
-                    let Ok(answer) = tailer(primary).answer_hello(
-                        self.epoch,
-                        primary.wal_position(),
-                        next_lsn,
-                        last_crc,
-                        self.cfg.batch_frames,
-                    ) else {
-                        continue;
-                    };
-                    self.stats.frames_shipped += answer.frames as u64;
-                    self.stats.snapshots_served += u64::from(answer.snapshot);
-                    for msg in &answer.msgs {
-                        self.transport.send(&node, msg).map_err(|_| true)?;
-                    }
-                }
-                ReplicaMsg::QuorumAck {
-                    node,
-                    epoch,
-                    applied_lsn,
-                    synced_lsn,
-                } => {
-                    if epoch > self.epoch {
-                        // An ack from the future is a protocol bug or a
-                        // stray from a parallel history; never let it
-                        // advance the watermark.
-                        continue;
-                    }
-                    self.stats.acks += 1;
-                    // Only current members may move the watermark: an
-                    // ack from a removed (or never-admitted) id would
-                    // count quorum against a stale group. The group's
-                    // own ban list fences removed ids a second time.
-                    if !self.members.contains_key(&node) {
-                        continue;
-                    }
-                    // A member can never have synced past the
-                    // primary's own head: cap the claim so a corrupt
-                    // or lying ack cannot advance the quorum watermark
-                    // (or the routing positions) beyond records that
-                    // exist.
-                    let head = self.primary().map(GroupCommit::wal_position);
-                    if let Some(p) = self.primary() {
-                        p.member_synced(&node, synced_lsn.min(p.wal_position()));
-                    }
-                    if let Some(link) = self.members.get_mut(&node) {
-                        let cap = head.unwrap_or(u64::MAX);
-                        link.applied_lsn = link.applied_lsn.max(applied_lsn.min(cap));
-                        link.synced_lsn = link.synced_lsn.max(synced_lsn.min(cap));
-                    }
-                }
-                // Stray traffic (old votes, fences echoing); ignore.
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Drains member `name`'s inbox through [`Follower::handle`]. Plain
-    /// acks are upgraded to quorum acks before forwarding — the member
-    /// fsyncs every applied record, so its synced position is its
-    /// applied position. Vote grants go to the supervisor's inbox.
-    fn pump_member(
-        &mut self,
-        name: &str,
-        forward_to: Option<&str>,
-        events: &mut Vec<ClusterEvent>,
-    ) -> Result<(), bool> {
-        loop {
-            let msg = self.transport.recv(name).map_err(|_| true)?;
-            let Some(msg) = msg else { break };
-            let link = self.members.get_mut(name).expect("member exists");
-            match link.follower.handle(msg) {
-                Ok(Some(ReplicaMsg::Ack { .. })) => {
-                    if let Some(to) = forward_to {
-                        let ack = link.follower.quorum_ack();
-                        self.transport.send(to, &ack).map_err(|_| true)?;
-                    }
-                }
-                Ok(Some(grant @ ReplicaMsg::VoteGrant { .. })) => {
-                    self.transport.send(SUPERVISOR, &grant).map_err(|_| true)?;
-                }
-                Ok(Some(reply)) => {
-                    if let Some(to) = forward_to {
-                        self.transport.send(to, &reply).map_err(|_| true)?;
-                    }
-                }
-                Ok(None) => {}
-                Err(e) if e.is_crash() => {
-                    link.crashed = true;
-                    events.push(ClusterEvent::MemberCrashed {
-                        node: name.to_string(),
-                    });
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Vote refusals are per-message verdicts, not link
-                    // failures; everything else is a sticky refusal.
-                    if link.follower.is_refusing() {
-                        link.refusing = true;
-                        events.push(ClusterEvent::MemberRefused {
-                            node: name.to_string(),
-                            detail: e.to_string(),
-                        });
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Runs one deterministic election.
     ///
     /// The candidate is the member with the highest
     /// `(synced_lsn, member_id)` among those that hold replicated state
-    /// and are not crashed or refusing. Every other member is asked for
-    /// its vote over the transport (so partitions suppress votes); the
-    /// candidate's own vote is implicit. At majority the candidate's
-    /// store becomes the new primary — *without truncation*: quorum
-    /// intersection guarantees its log contains every
-    /// quorum-acknowledged record. The deposed primary (if any) is
-    /// fenced at the new epoch.
+    /// and are not crashed, refusing or learning. Every other voter is
+    /// asked for its vote over the [`Link`] (so partitions suppress
+    /// votes); the candidate's own vote is implicit. At majority the
+    /// candidate's store becomes the new primary — *without
+    /// truncation*: quorum intersection guarantees its log contains
+    /// every quorum-acknowledged record. The deposed primary (if any)
+    /// is fenced at the new epoch, and every member gets a pump over
+    /// the new primary.
     ///
     /// # Errors
     ///
@@ -710,113 +596,71 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// consumed, nothing else changes (a standing primary re-asserts
     /// itself at the failed epoch and keeps serving).
     pub fn elect(&mut self) -> Result<(String, u64), ReplicaError> {
-        // Settle in-flight replication first so rankings are current:
-        // queued frames from the old primary still apply.
-        let names: Vec<String> = self.members.keys().cloned().collect();
-        let mut events = Vec::new();
-        for name in &names {
-            let _ = self.pump_member(name, None, &mut events);
-        }
         let new_epoch = self.epoch + 1;
         self.epoch = new_epoch;
         let required = self.quorum_required();
-        // Learners are filtered by `votable`: a joiner stands in
-        // elections only after catch-up promoted it.
-        let candidate = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.votable() && m.follower.store().is_some())
-            .max_by_key(|(n, m)| (m.follower.next_lsn(), n.as_str()))
-            .map(|(n, m)| (n.clone(), m.follower.next_lsn()));
-        let Some((cand_name, cand_lsn)) = candidate else {
-            self.stats.failed_elections += 1;
-            self.reassert_primary(new_epoch);
-            return Err(ReplicaError::NoQuorum {
-                epoch: new_epoch,
-                votes: 0,
-                required,
-            });
+        let candidate = (self.members.iter())
+            .filter(|(_, m)| m.votable())
+            .filter_map(|(n, m)| {
+                let f = plock(&m.follower);
+                f.store().map(|_| (f.next_lsn(), n.clone()))
+            })
+            .max();
+        let Some((cand_lsn, cand_name)) = candidate else {
+            return Err(self.failed_election(0, required));
         };
-        let mut votes = 1usize; // The candidate stands for itself.
-                                // Voluntary yield: a *standing* primary being deposed
-                                // (operator-initiated failover) contributes its vote — but only
-                                // when the candidate's log covers the primary's quorum
-                                // watermark, so no quorum-acknowledged record can be lost by
-                                // the handover. An unsafe candidate simply does not get the
-                                // yield, and the election falls short.
-        if let Some(p) = self.primary() {
-            if cand_lsn >= p.quorum_lsn() {
-                votes += 1;
-            }
+        // The candidate stands for itself. A *standing* primary being
+        // deposed (operator-initiated failover) yields its vote — but
+        // only when the candidate's log covers the primary's quorum
+        // watermark, so no quorum-acknowledged record can be lost by
+        // the handover. An unsafe candidate simply does not get the
+        // yield, and the election falls short.
+        let mut votes = 1usize;
+        if self.primary().is_some_and(|p| cand_lsn >= p.quorum_lsn()) {
+            votes += 1;
         }
-        let request = ReplicaMsg::VoteRequest {
+        let request = encode_batch(&[ReplicaMsg::VoteRequest {
             candidate: cand_name.clone(),
             epoch: new_epoch,
             synced_lsn: cand_lsn,
-        };
-        for name in &names {
-            if *name == cand_name {
-                continue;
-            }
-            if self.members.get(name).is_some_and(|m| m.learner) {
+        }]);
+        for (name, m) in &self.members {
+            if *name == cand_name || m.learner {
                 continue; // Learners hold no vote to request.
             }
-            if self.transport.send(name, &request).is_err() {
-                continue; // Partitioned; no vote.
-            }
-            let _ = self.pump_member(name, None, &mut events);
-        }
-        while let Ok(Some(msg)) = self.transport.recv(SUPERVISOR) {
-            if let ReplicaMsg::VoteGrant {
-                node,
-                epoch,
-                candidate,
-                ..
-            } = msg
-            {
-                // Count only voters: a grant from a learner (or a
-                // stray id) never contributes to the majority.
-                if epoch == new_epoch
-                    && candidate == cand_name
-                    && self.members.get(&node).is_some_and(|m| !m.learner)
-                {
-                    votes += 1;
-                }
-            }
+            // A lost exchange or a refused vote is no vote.
+            let reply = (self.link).exchange(name, request.clone(), |wire| {
+                answer(&mut plock(&m.follower), wire)
+            });
+            let granted = reply
+                .and_then(|wire| decode_batch(&wire))
+                .is_ok_and(|msgs| {
+                    msgs.iter().any(|msg| {
+                        matches!(msg, ReplicaMsg::VoteGrant { epoch, candidate, .. }
+                        if *epoch == new_epoch && *candidate == cand_name)
+                    })
+                });
+            votes += usize::from(granted);
         }
         if votes < required {
-            self.stats.failed_elections += 1;
-            self.reassert_primary(new_epoch);
-            return Err(ReplicaError::NoQuorum {
-                epoch: new_epoch,
-                votes,
-                required,
-            });
+            return Err(self.failed_election(votes, required));
         }
-        let link = self.members.remove(&cand_name).expect("candidate exists");
-        let store = match link.follower.into_primary_store() {
-            Ok(store) => store,
-            Err(e) => {
-                // Cannot happen for a votable, bootstrapped member;
-                // restore the map if it somehow does.
-                let dir = self.base.join(&cand_name);
-                if let Ok(f) = Follower::open(&cand_name, dir, self.opts.clone(), Io::plain()) {
-                    self.members.insert(cand_name.clone(), MemberLink::new(f));
-                }
-                return Err(e);
-            }
-        };
-        let group = GroupCommit::new(store, self.group_cfg.clone());
+        let Member { follower, pump, .. } = self.members.remove(&cand_name).expect("candidate");
+        drop(pump);
+        let follower = Arc::try_unwrap(follower)
+            .map_err(|_| ReplicaError::Protocol(format!("`{cand_name}` is held elsewhere")))?
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let group = GroupCommit::new(follower.into_primary_store()?, self.group_cfg.clone());
         // Rebuild the quorum tracker's view of the group, including an
         // in-flight reconfiguration: the resize still takes effect at
-        // the journaled record's LSN, the learner stays uncounted, and
-        // a removed id stays fenced — before any seeded ack can move
-        // the watermark.
+        // the journaled record's LSN, the learner's acks still count
+        // from there, and a removed id stays fenced.
         match &self.pending_reconfig {
             Some(pd) if pd.add => {
                 group.configure_quorum(self.group_size);
                 group.configure_quorum_at(pd.lsn, self.group_size + 1);
-                group.add_learner(&pd.member);
+                group.add_learner(&pd.member, pd.lsn);
             }
             Some(pd) => {
                 group.configure_quorum(self.group_size + 1);
@@ -825,24 +669,13 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             }
             None => group.configure_quorum(self.group_size),
         }
-        for (n, m) in &self.members {
-            if m.synced_lsn > 0 {
-                group.member_synced(n, m.synced_lsn);
-            }
-        }
-        if let Some((old_name, old)) = self.primary.take() {
-            old.fence(new_epoch);
-            if self
-                .transport
-                .send(&old_name, &ReplicaMsg::Fence { epoch: new_epoch })
-                .is_ok()
-            {
-                self.stats.fences += 1;
-            }
-            self.retired = Some(old);
+        if let Some((_, old)) = self.primary.take() {
+            old.commit().fence(new_epoch);
+            self.stats.fences += 1;
+            self.retired = Some(old.commit().clone());
         }
         group.adopt_epoch(new_epoch);
-        self.primary = Some((cand_name.clone(), group));
+        self.primary = Some((cand_name.clone(), PumpShared::new(group.clone())));
         self.leaderless_rounds = 0;
         self.stats.elections += 1;
         // An in-flight reconfiguration whose journaled record did not
@@ -853,39 +686,30 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         // threshold switch must anchor to a record that exists. The
         // fresh record lands at or before the stale LSN, so scheduling
         // the resize there also drops the stale schedule.
+        self.attach_pumps();
         if let Some(pd) = self.pending_reconfig.as_mut() {
-            let p = self
-                .primary
-                .as_ref()
-                .map(|(_, g)| g)
-                .expect("just installed");
-            if p.wal_position() <= pd.lsn {
-                let lsn = p.commit(WalRecord::Reconfig {
-                    epoch: new_epoch,
-                    add: pd.add,
-                    member: pd.member.clone(),
-                    addr: pd.addr.clone(),
-                })?;
-                let size = if pd.add {
-                    self.group_size + 1
-                } else {
-                    self.group_size
-                };
-                p.configure_quorum_at(lsn, size);
-                pd.lsn = lsn;
+            if group.wal_position() <= pd.lsn {
+                let voters = self.group_size + usize::from(!pd.add);
+                *pd = PendingReconfig::journal(&group, None, voters, pd.add, &pd.member, &pd.addr)?;
                 self.stats.reconfigs += 1;
             }
         }
         Ok((cand_name, new_epoch))
     }
 
-    /// After a failed election, a standing primary adopts the consumed
-    /// epoch so members that granted a vote (and moved their epoch
-    /// forward) accept its heartbeats again. There is still exactly one
-    /// writer, so raising its fencing token is safe.
-    fn reassert_primary(&mut self, epoch: u64) {
+    /// Closes a failed election: counted, and a standing primary adopts
+    /// the consumed epoch so members that granted a vote (and moved
+    /// their epoch forward) accept its envelopes again. There is still
+    /// exactly one writer, so raising its fencing token is safe.
+    fn failed_election(&mut self, votes: usize, required: usize) -> ReplicaError {
+        self.stats.failed_elections += 1;
         if let Some(p) = self.primary() {
-            p.adopt_epoch(epoch);
+            p.adopt_epoch(self.epoch);
+        }
+        ReplicaError::NoQuorum {
+            epoch: self.epoch,
+            votes,
+            required,
         }
     }
 
@@ -984,9 +808,53 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         Ok(outcome)
     }
 
-    fn insert_member(&mut self, name: &str, follower: Follower) {
-        self.members
-            .insert(name.to_string(), MemberLink::new(follower));
+    /// Inserts member `name` with a pump over the current primary.
+    fn insert_member(&mut self, name: &str, follower: Follower) -> &mut Member {
+        let follower = Arc::new(Mutex::new(follower));
+        let pump = self.pump(name, &follower);
+        let member = Member {
+            follower,
+            pump,
+            crashed: false,
+            refusing: false,
+            learner: false,
+        };
+        self.members.insert(name.to_string(), member);
+        self.members.get_mut(name).expect("just inserted")
+    }
+
+    /// A pump shipping the primary's log to `follower`, if there is a
+    /// primary.
+    fn pump(&self, name: &str, follower: &Arc<Mutex<Follower>>) -> Option<MemberPump> {
+        let (primary, shared) = self.primary.as_ref()?;
+        let pump = MemberPump::new(
+            shared.clone(),
+            name,
+            follower.clone(),
+            &self.base.join(primary),
+            pump_config(),
+            self.tracker.clone(),
+        );
+        Some(pump.over(self.link.clone()))
+    }
+
+    /// Gives every member a fresh pump over the current primary.
+    fn attach_pumps(&mut self) {
+        let names: Vec<String> = self.members.keys().cloned().collect();
+        for name in names {
+            let pump = self.pump(&name, &self.members[&name].follower);
+            self.members.get_mut(&name).expect("listed").pump = pump;
+        }
+    }
+
+    /// Replaces member `name` with `follower`, keeping its learner
+    /// flag.
+    fn replace_member(&mut self, name: &str, follower: Follower) -> Result<(), ReplicaError> {
+        let learner = (self.members.get(name))
+            .ok_or_else(|| ReplicaError::UnknownNode(name.to_string()))?
+            .learner;
+        self.insert_member(name, follower).learner = learner;
+        Ok(())
     }
 
     /// Replaces a crashed member with one recovered from its directory.
@@ -998,19 +866,12 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         if !self.members.contains_key(name) {
             return Err(ReplicaError::UnknownNode(name.to_string()));
         }
-        let dir = self.base.join(name);
-        let f = Follower::open(name, dir, self.opts.clone(), Io::plain())?;
-        let link = self.members.get_mut(name).expect("member exists");
-        let synced = link.synced_lsn;
-        let applied = link.applied_lsn;
-        *link = MemberLink::new(f);
-        link.synced_lsn = synced;
-        link.applied_lsn = applied;
-        Ok(())
+        let f = Follower::open(name, self.base.join(name), self.opts.clone(), Io::plain())?;
+        self.replace_member(name, f)
     }
 
     /// Discards a refusing member's state entirely; it re-bootstraps
-    /// from the current primary. Its previously acked positions are
+    /// from the current primary. Its previously acked position is
     /// forgotten (the watermark never moves backwards, so this cannot
     /// un-acknowledge anything).
     ///
@@ -1027,10 +888,10 @@ impl<T: ReplicaTransport> ClusterSet<T> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(ReplicaError::Durable(e.into())),
         }
-        self.insert_member(
+        self.replace_member(
             name,
             Follower::create(name, dir, self.opts.clone(), Io::plain()),
-        );
+        )?;
         if let Some(p) = self.primary() {
             p.forget_member(name);
         }
@@ -1039,23 +900,20 @@ impl<T: ReplicaTransport> ClusterSet<T> {
 
     /// The member (never the primary) best placed to serve a read that
     /// requires every LSN up to `min_lsn` applied: the freshest member
-    /// whose acked applied position covers the bound.
+    /// whose acked position covers the bound.
     pub fn route_read(&self, min_lsn: u64) -> Option<&str> {
-        self.members
-            .iter()
-            .filter(|(_, m)| !m.crashed && !m.refusing && m.applied_lsn > min_lsn)
-            .max_by_key(|(n, m)| (m.applied_lsn, n.as_str()))
-            .map(|(n, _)| n.as_str())
+        self.freshest_member()
+            .filter(|&(_, lsn)| lsn > min_lsn)
+            .map(|(name, _)| name)
     }
 
-    /// The freshest member and its acked applied position — what a
+    /// The freshest live member and its acked position — what a
     /// `TooStale` reply names when no member covers the bound.
     pub fn freshest_member(&self) -> Option<(&str, u64)> {
-        self.members
-            .iter()
+        (self.members.iter())
             .filter(|(_, m)| !m.crashed && !m.refusing)
-            .max_by_key(|(n, m)| (m.applied_lsn, n.as_str()))
-            .map(|(n, m)| (n.as_str(), m.applied_lsn))
+            .map(|(n, _)| (n.as_str(), self.member_synced(n)))
+            .max_by_key(|&(n, lsn)| (lsn, n))
     }
 
     /// Runs `rounds` supervision ticks, collecting every event.
@@ -1075,7 +933,7 @@ impl<T: ReplicaTransport> ClusterSet<T> {
     /// The live primary's group commit (clone it into server
     /// sessions).
     pub fn primary(&self) -> Option<&GroupCommit> {
-        self.primary.as_ref().map(|(_, group)| group)
+        self.primary.as_ref().map(|(_, shared)| shared.commit())
     }
 
     /// The live primary's node name.
@@ -1089,9 +947,14 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.retired.as_ref()
     }
 
-    /// Member by name.
-    pub fn member(&self, name: &str) -> Option<&Follower> {
-        self.members.get(name).map(|m| &m.follower)
+    /// Member by name, locked for inspection.
+    pub fn member(&self, name: &str) -> Option<MutexGuard<'_, Follower>> {
+        self.members.get(name).map(|m| plock(&m.follower))
+    }
+
+    /// Member by name, shared — to wire another primary's pump to it.
+    pub fn member_handle(&self, name: &str) -> Option<Arc<Mutex<Follower>>> {
+        self.members.get(name).map(|m| m.follower.clone())
     }
 
     /// Registered member names.
@@ -1099,14 +962,13 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         self.members.keys().cloned().collect()
     }
 
-    /// Highest applied LSN member `name` has acked.
-    pub fn member_applied(&self, name: &str) -> u64 {
-        self.members.get(name).map_or(0, |m| m.applied_lsn)
-    }
-
-    /// Highest durably-synced LSN member `name` has acked.
+    /// Highest durably-synced LSN member `name` has acked to the live
+    /// primary (a member fsyncs every record it applies, so this is
+    /// its applied position too).
     pub fn member_synced(&self, name: &str) -> u64 {
-        self.members.get(name).map_or(0, |m| m.synced_lsn)
+        (self.primary())
+            .and_then(|p| p.member_positions().into_iter().find(|(n, _)| n == name))
+            .map_or(0, |(_, lsn)| lsn)
     }
 
     /// Whether member `name` crashed (needs a restart).
@@ -1124,14 +986,9 @@ impl<T: ReplicaTransport> ClusterSet<T> {
         &self.stats
     }
 
-    /// Transport operations performed so far.
-    pub fn transport_steps(&self) -> u64 {
-        self.transport.steps()
-    }
-
-    /// Direct access to the transport — fault harnesses inject forged
-    /// or hostile protocol messages through this.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
+    /// Every pump's counters — shipped frames, envelopes, acks,
+    /// snapshots and stalls, across primaries.
+    pub fn tracker(&self) -> &PumpTracker {
+        &self.tracker
     }
 }

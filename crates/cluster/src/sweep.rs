@@ -13,8 +13,8 @@
 //!    present (same LSN, same frame CRC) on the winner, and the
 //!    crashed primary must rejoin by truncating any un-quorum'd
 //!    suffix before replicating again.
-//! 2. **Partitions** — member `m1` is cut off at every transport
-//!    step. A healing outage must reconverge byte-identically; a
+//! 2. **Partitions** — member `m1` is cut off at every link
+//!    crossing. A healing outage must reconverge byte-identically; a
 //!    permanent partition must still quorum through the surviving
 //!    member, and an operator failover must fence the deposed primary
 //!    so it refuses writes in the new epoch — the dual-primary probe.
@@ -31,10 +31,11 @@
 //! error on both sides of the protocol and bars the refusing member
 //! from election.
 //!
-//! [`cluster_sweep_net`] runs the same three-node group with every
-//! protocol message on loopback TCP ([`TcpTransport`] to a
-//! [`MsgRouter`]) and a [`FaultProxy`] dropping or stalling the
-//! connection at every transport step.
+//! The group ships as the served group does, through one
+//! [`crate::MemberPump`] per member; a partition is a cut on their
+//! [`Link`]. [`cluster_sweep_net`] runs the same three-node group with
+//! every link crossing on a loopback socket through a [`FaultProxy`]
+//! that drops or stalls the connection at every crossing.
 //!
 //! These sweeps and [`membership_sweep`] share one harness: one
 //! scripted run (the same bootstrap and the same classification of
@@ -45,23 +46,23 @@
 use std::path::Path;
 
 use mvolap_durable::fault::{generate, serialise, sweep_options, Prefixes, Step, Workload};
-use mvolap_durable::{DurableError, DurableTmd, FaultPlan, GroupConfig, Io, TimeSource, WalRecord};
-use mvolap_replica::{
-    ChannelTransport, FaultProxy, MsgRouter, NetAddr, NetConfig, ProxyFault, ReplicaError,
-    ReplicaMsg, ReplicaTransport, TcpTransport, TransportError, WalTailer,
+use mvolap_durable::{
+    DurableError, DurableTmd, FaultPlan, GroupCommit, GroupConfig, Io, TimeSource, WalRecord,
 };
+use mvolap_replica::{FaultProxy, NetClient, NetConfig, ProxyFault, ReplicaError, ReplicaMsg};
 
+use crate::pump::{Link, MemberPump, PumpConfig, PumpShared, PumpStep, PumpTracker};
 use crate::set::{tailer, ClusterConfig, ClusterEvent, ClusterSet, RejoinOutcome};
 
 /// Ticks the drain loop will spend waiting for convergence. Generous:
-/// a cut member burns only a couple of transport operations per tick,
-/// so healing an outage takes many rounds.
+/// a cut member loses one crossing every other tick, so healing an
+/// outage takes many rounds.
 const DRAIN_TICKS: usize = 128;
 
-/// Cut transport operations before a healing outage repairs itself.
-/// Must be comfortably below `DRAIN_TICKS` × ops-per-tick (~2 for a
-/// silent member) so convergence is reachable within the drain budget.
-const OUTAGE_OPS: u64 = 32;
+/// Lost crossings before a healing outage repairs itself. Must be
+/// comfortably below `DRAIN_TICKS` / 2 so convergence is reachable
+/// within the drain budget.
+const OUTAGE: u64 = 16;
 
 /// What a [`cluster_sweep`] established.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -103,32 +104,66 @@ pub struct ClusterSweepOutcome {
 
 fn sweep_cluster_config() -> ClusterConfig {
     ClusterConfig {
-        batch_frames: 32,
         heartbeat_miss_limit: 3,
         commit_ticks: 16,
     }
 }
 
 /// What one clustered run injects: the primary's and `m1`'s I/O
-/// layers and the transport between the nodes — plus the supervision
-/// policy, which a transport may need to be less patient.
-struct Faults<T> {
+/// layers and the link between the nodes — plus the supervision
+/// policy, which a socket link needs to be less patient.
+struct Faults {
     primary_io: Io,
     m1_io: Io,
-    transport: T,
+    link: Link,
+    /// The socket hop the link crosses, kept alive for the run.
+    hop: Option<FaultProxy>,
     cfg: ClusterConfig,
 }
 
-impl<T> Faults<T> {
-    /// Plain I/O on every node; whatever faults there are live in
-    /// `transport`.
-    fn on(transport: T) -> Faults<T> {
+impl Faults {
+    /// Plain I/O on every node; whatever faults there are live on
+    /// `link`.
+    fn on(link: Link) -> Faults {
         Faults {
             primary_io: Io::plain(),
             m1_io: Io::plain(),
-            transport,
+            link,
+            hop: None,
             cfg: sweep_cluster_config(),
         }
+    }
+
+    /// A link over a loopback socket: every crossing goes through a
+    /// [`FaultProxy`] that mistreats `outage_len` request frames once
+    /// `plan` fires (`0`: never). A commit waits two supervision rounds
+    /// for its quorum, not sixteen: every lost crossing on a cut socket
+    /// pays a reconnect, and the refusal is as typed after two rounds
+    /// as after sixteen.
+    fn socket(plan: FaultPlan, outage_len: u64, kind: ProxyFault) -> Result<Faults, String> {
+        // The read timeout sits comfortably above a loopback round
+        // trip and well below a stalled proxy's silence, so a hung
+        // link surfaces fast. One reconnect, so the client absorbs
+        // part of a bounded outage itself — except under a permanent
+        // cut, where a retry could only double the cost of failing.
+        let cfg = NetConfig {
+            connect_timeout_ms: 2_000,
+            read_timeout_ms: 50,
+            write_timeout_ms: 2_000,
+            reconnect_attempts: u32::from(outage_len != u64::MAX),
+            backoff_start_ms: 0,
+        };
+        let proxy = FaultProxy::spawn(plan, outage_len, kind)
+            .map_err(|e| format!("sweep proxy spawn: {e}"))?;
+        let link = Link::via(NetClient::connect(proxy.addr().clone(), cfg));
+        Ok(Faults {
+            hop: Some(proxy),
+            cfg: ClusterConfig {
+                commit_ticks: 2,
+                ..sweep_cluster_config()
+            },
+            ..Faults::on(link)
+        })
     }
 }
 
@@ -141,160 +176,12 @@ fn sweep_group_config() -> GroupConfig {
     }
 }
 
-/// A channel transport that silently cuts traffic to and from a set of
-/// nodes once a global operation counter passes `from_step`, for
-/// `outage_len` cut operations (`u64::MAX` = permanent partition). The
-/// cut is *per node*: the rest of the group keeps replicating, which
-/// is what makes the quorum path observable.
-#[derive(Debug)]
-struct MemberPartition {
-    inner: ChannelTransport,
-    cut: Vec<String>,
-    from_step: u64,
-    outage_len: u64,
-    ops: u64,
-    faulted_ops: u64,
-}
-
-impl MemberPartition {
-    fn new(cut: &[&str], from_step: u64, outage_len: u64) -> MemberPartition {
-        MemberPartition {
-            inner: ChannelTransport::new(),
-            cut: cut.iter().map(|s| (*s).to_string()).collect(),
-            from_step,
-            outage_len,
-            ops: 0,
-            faulted_ops: 0,
-        }
-    }
-
-    /// A partition that never fires.
-    fn clean() -> MemberPartition {
-        MemberPartition::new(&[], u64::MAX, 0)
-    }
-
-    fn faulted(&mut self, node: &str) -> bool {
-        self.ops += 1;
-        if self.ops <= self.from_step || !self.cut.iter().any(|c| c == node) {
-            return false;
-        }
-        if self.faulted_ops >= self.outage_len {
-            return false; // Outage over; the link healed.
-        }
-        self.faulted_ops += 1;
-        true
-    }
-}
-
-impl ReplicaTransport for MemberPartition {
-    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        // A partitioned member can neither be reached nor speak: its
-        // own outbound traffic (hellos the supervisor sends on its
-        // behalf carry its name as sender via the message itself) is
-        // modelled by cutting everything addressed to or naming it.
-        let from = match msg {
-            ReplicaMsg::Hello { node, .. }
-            | ReplicaMsg::Ack { node, .. }
-            | ReplicaMsg::QuorumAck { node, .. }
-            | ReplicaMsg::VoteGrant { node, .. } => node.as_str(),
-            _ => "",
-        };
-        if self.faulted(to) || (!from.is_empty() && self.faulted(from)) {
-            return Ok(()); // Silently dropped.
-        }
-        self.inner.send(to, msg)
-    }
-
-    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
-        if self.faulted(node) {
-            return Ok(None);
-        }
-        self.inner.recv(node)
-    }
-
-    fn steps(&self) -> u64 {
-        self.ops
-    }
-}
-
-/// A [`TcpTransport`] bundled with the loopback infrastructure that
-/// must outlive it — the [`MsgRouter`] it speaks to and, on faulted
-/// runs, the [`FaultProxy`] in between. Dropping it per run tears the
-/// sockets and threads down, so a long sweep never accumulates them.
-struct LoopbackTransport {
-    inner: TcpTransport,
-    _proxy: Option<FaultProxy>,
-    _router: MsgRouter,
-}
-
-impl LoopbackTransport {
-    /// A fresh router on an ephemeral port; with `fault`, a proxy in
-    /// front of it that mistreats `outage_len` request frames once the
-    /// plan fires.
-    fn build(fault: Option<(FaultPlan, u64, ProxyFault)>) -> Result<LoopbackTransport, String> {
-        // The read timeout sits comfortably above a loopback round
-        // trip and well below a stalled proxy's silence, so a hung
-        // link surfaces fast. One reconnect, so the client absorbs
-        // part of a bounded outage itself — except under a permanent
-        // cut, where a retry could only double the cost of failing.
-        let permanent = matches!(fault, Some((_, u64::MAX, _)));
-        let cfg = NetConfig {
-            connect_timeout_ms: 2_000,
-            read_timeout_ms: 50,
-            write_timeout_ms: 2_000,
-            reconnect_attempts: u32::from(!permanent),
-            backoff_start_ms: 0,
-        };
-        let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into()))
-            .map_err(|e| format!("sweep router spawn: {e}"))?;
-        let (proxy, addr) = match fault {
-            Some((plan, outage_len, kind)) => {
-                let p = FaultProxy::spawn(router.addr().clone(), plan, outage_len, kind)
-                    .map_err(|e| format!("sweep proxy spawn: {e}"))?;
-                let a = p.addr().clone();
-                (Some(p), a)
-            }
-            None => (None, router.addr().clone()),
-        };
-        Ok(LoopbackTransport {
-            inner: TcpTransport::connect(addr, cfg),
-            _proxy: proxy,
-            _router: router,
-        })
-    }
-}
-
-impl ReplicaTransport for LoopbackTransport {
-    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        self.inner.send(to, msg)
-    }
-
-    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
-        self.inner.recv(node)
-    }
-
-    fn steps(&self) -> u64 {
-        self.inner.steps()
-    }
-}
-
-/// Faults for a run over sockets. A commit waits two supervision
-/// rounds for its quorum, not sixteen: every operation on a cut socket
-/// pays a reconnect, and the refusal is as typed after two rounds as
-/// after sixteen.
-fn socket_faults(transport: LoopbackTransport) -> Faults<LoopbackTransport> {
-    Faults {
-        cfg: ClusterConfig {
-            commit_ticks: 2,
-            ..sweep_cluster_config()
-        },
-        ..Faults::on(transport)
-    }
-}
-
 /// One scripted run of a workload on a primary + m1 + m2 group.
-struct ClusterRun<T: ReplicaTransport> {
-    set: ClusterSet<T>,
+struct ClusterRun {
+    set: ClusterSet,
+    /// The run's link — its crossing count enumerates injection points.
+    link: Link,
+    _hop: Option<FaultProxy>,
     /// Every commit the cluster *acknowledged* at quorum: `(lsn, frame
     /// crc)` — the records no failure is allowed to lose.
     acked: Vec<(u64, u32)>,
@@ -309,14 +196,14 @@ struct ClusterRun<T: ReplicaTransport> {
     remove_done: bool,
 }
 
-impl<T: ReplicaTransport> ClusterRun<T> {
+impl ClusterRun {
     /// Bootstraps the group under `base` with majority-ack commits;
     /// `None` when the primary crashed creating its store.
     fn bootstrap(
         base: &Path,
         workload: &Workload,
-        faults: Faults<T>,
-    ) -> Result<Option<ClusterRun<T>>, String> {
+        faults: Faults,
+    ) -> Result<Option<ClusterRun>, String> {
         std::fs::remove_dir_all(base).ok();
         let mut set = match ClusterSet::bootstrap(
             base,
@@ -324,7 +211,7 @@ impl<T: ReplicaTransport> ClusterRun<T> {
             sweep_options(),
             sweep_group_config(),
             faults.cfg,
-            faults.transport,
+            faults.link.clone(),
             faults.primary_io,
         ) {
             Ok(set) => set,
@@ -335,6 +222,8 @@ impl<T: ReplicaTransport> ClusterRun<T> {
         set.add_member("m2", Io::plain());
         Ok(Some(ClusterRun {
             set,
+            link: faults.link,
+            _hop: faults.hop,
             acked: Vec::new(),
             committed: 0,
             unreplicated: 0,
@@ -422,11 +311,11 @@ impl<T: ReplicaTransport> ClusterRun<T> {
 /// crashed `m1` is at once reopened from its directory (with plain
 /// I/O) and replication continues; non-faulty failures are hard
 /// errors. `None` when the primary crashed bootstrapping.
-fn run_cluster<T: ReplicaTransport>(
+fn run_cluster(
     base: &Path,
     workload: &Workload,
-    faults: Faults<T>,
-) -> Result<Option<ClusterRun<T>>, String> {
+    faults: Faults,
+) -> Result<Option<ClusterRun>, String> {
     let Some(mut run) = ClusterRun::bootstrap(base, workload, faults)? else {
         return Ok(None);
     };
@@ -446,24 +335,21 @@ fn run_cluster<T: ReplicaTransport>(
 
 /// The run of a script whose primary no fault targets: it must not
 /// have crashed.
-fn undisturbed<T: ReplicaTransport>(
-    run: Option<ClusterRun<T>>,
-    what: &str,
-) -> Result<ClusterRun<T>, String> {
+fn undisturbed(run: Option<ClusterRun>, what: &str) -> Result<ClusterRun, String> {
     run.filter(|r| !r.primary_crashed)
         .ok_or_else(|| format!("{what}: primary was disturbed"))
 }
 
 /// The records the primary's log holds past its bootstrap record —
 /// the prefix of the workload it claims to be.
-fn primary_records<T: ReplicaTransport>(set: &ClusterSet<T>) -> usize {
+fn primary_records(set: &ClusterSet) -> usize {
     (set.primary().expect("primary lives").wal_position() - 2) as usize
 }
 
 /// Asserts the primary's state is the in-memory replay of its own log
 /// length, byte for byte and answer for answer.
-fn assert_prefix_consistent<T: ReplicaTransport>(
-    set: &ClusterSet<T>,
+fn assert_prefix_consistent(
+    set: &ClusterSet,
     prefixes: &Prefixes,
     what: &str,
 ) -> Result<(), String> {
@@ -478,12 +364,7 @@ fn assert_prefix_consistent<T: ReplicaTransport>(
 /// Pumps ticks until each member in `names` catches the primary's head
 /// (or the tick budget runs out); asserts its replicated schema then
 /// serialises to `expect`.
-fn converge<T: ReplicaTransport>(
-    set: &mut ClusterSet<T>,
-    names: &[&str],
-    expect: &[u8],
-    what: &str,
-) -> Result<(), String> {
+fn converge(set: &mut ClusterSet, names: &[&str], expect: &[u8], what: &str) -> Result<(), String> {
     let head = set.primary().expect("primary lives").wal_position();
     for name in names {
         for _ in 0..DRAIN_TICKS {
@@ -512,7 +393,7 @@ fn converge<T: ReplicaTransport>(
 }
 
 /// The primary's schema bytes.
-fn primary_bytes<T: ReplicaTransport>(set: &ClusterSet<T>) -> Vec<u8> {
+fn primary_bytes(set: &ClusterSet) -> Vec<u8> {
     set.primary()
         .expect("primary lives")
         .with_store(|s| serialise(s.schema()))
@@ -529,8 +410,8 @@ fn probe_record(workload: &Workload) -> WalRecord {
 
 /// The dual-primary probe: the deposed primary must be fenced at
 /// `epoch` and refuse a write.
-fn probe_fence<T: ReplicaTransport>(
-    set: &ClusterSet<T>,
+fn probe_fence(
+    set: &ClusterSet,
     workload: &Workload,
     epoch: u64,
     what: &str,
@@ -552,8 +433,8 @@ fn probe_fence<T: ReplicaTransport>(
 
 /// Rejoins the deposed primary as a member and tallies how it
 /// re-entered.
-fn rejoin_primary<T: ReplicaTransport>(
-    set: &mut ClusterSet<T>,
+fn rejoin_primary(
+    set: &mut ClusterSet,
     outcome: &mut ClusterSweepOutcome,
     what: &str,
 ) -> Result<(), String> {
@@ -576,13 +457,14 @@ fn quorum_loss_scenario(
     workload: &Workload,
     outcome: &mut ClusterSweepOutcome,
 ) -> Result<(), String> {
-    // The outage must start when the leaderless phase does: measure
-    // the transport steps a clean run of the workload takes, then cut
-    // m1 from there for a bounded outage.
-    let clean = run_cluster(base, workload, Faults::on(MemberPartition::clean()))?;
-    let steps_after_workload = clean.map_or(0, |run| run.set.transport_steps());
-    let transport = MemberPartition::new(&["m1"], steps_after_workload, OUTAGE_OPS);
-    let mut run = run_cluster(base, workload, Faults::on(transport))?.expect("set lives");
+    // The outage must start when the leaderless phase does: count the
+    // crossings a clean run of the workload takes, then cut m1 from
+    // there for a bounded outage.
+    let clean = run_cluster(base, workload, Faults::on(Link::new()))?;
+    let after_workload = clean.map_or(0, |run| run.link.crossings());
+    let link = Link::new();
+    link.cut(&["m1"], after_workload, OUTAGE);
+    let mut run = run_cluster(base, workload, Faults::on(link))?.expect("set lives");
     drop(run.set.kill_primary().expect("primary present"));
     // Direct election while m1 is cut: m2 stands, m1 cannot vote.
     match run.set.elect() {
@@ -624,18 +506,14 @@ fn quorum_loss_scenario(
 /// prefix — the classic post-failover split — and the fork must be
 /// refused with a typed error on both sides of the protocol, and bar
 /// the refusing member from election. Returns the number of distinct
-/// refusals observed (primary-side gate, member-side duplicate check,
-/// election bar).
+/// refusals observed (member-side duplicate check, election bar, and
+/// the pump's divergence gate facing the rebuilt member).
 fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
     let workload = generate(seed, 8);
 
     // History A: the full workload, quorum-committed on primary + m1 + m2.
-    let mut run = run_cluster(
-        &base.join("a"),
-        &workload,
-        Faults::on(MemberPartition::clean()),
-    )?
-    .expect("fault-free run has a set");
+    let mut run = run_cluster(&base.join("a"), &workload, Faults::on(Link::new()))?
+        .expect("fault-free run has a set");
     if run.committed != workload.records as u64 {
         return Err(format!(
             "fork scenario committed {}/{}",
@@ -669,51 +547,27 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
 
     let mut refusals = 0u64;
 
-    // Primary-side gate: m2's position claim names a frame CRC history
-    // B never wrote — a primary serving B answers its hello with the
-    // typed `Diverged` and nothing else.
-    let ReplicaMsg::Hello {
-        next_lsn, last_crc, ..
-    } = run.set.member("m2").expect("m2 registered").hello()
-    else {
-        unreachable!("hello() builds a Hello")
-    };
-    let answer = WalTailer::new(&b_dir)
-        .answer_hello(0, b.wal_position(), next_lsn, last_crc, 32)
-        .map_err(|e| format!("fork scenario: history B cannot answer: {e}"))?;
-    match answer.msgs.as_slice() {
-        [ReplicaMsg::Diverged { lsn, .. }] if *lsn == fork_lsn => refusals += 1,
-        other => {
-            return Err(format!(
-                "fork scenario: primary-side gate did not refuse at LSN {fork_lsn} ({other:?})"
-            ))
-        }
-    }
-
-    // Member-side duplicate check: history B's forked frame, shipped
-    // to m2 over its own log, must be refused, and the refusal must be
+    // Member-side duplicate check: history B's forked frame, handed to
+    // m2 over its own log, must be refused, and the refusal must be
     // sticky and typed.
     let forked_frames = b
         .tail(fork_lsn)
         .map_err(|e| format!("fork scenario tail: {e}"))?;
     let epoch = run.set.epoch();
-    run.set
-        .transport_mut()
-        .send(
-            "m2",
-            &ReplicaMsg::Frames {
-                epoch,
-                frames: forked_frames,
-            },
-        )
-        .map_err(|e| format!("fork scenario send: {e}"))?;
+    let forked = ReplicaMsg::Frames {
+        epoch,
+        frames: forked_frames,
+    };
+    if run.set.member("m2").expect("m2").handle(forked).is_ok() {
+        return Err("fork scenario: m2 took a forked frame".to_string());
+    }
     let refused = run
         .set
         .tick()
         .iter()
         .any(|e| matches!(e, ClusterEvent::MemberRefused { node, .. } if node == "m2"));
-    let m2 = run.set.member("m2").expect("m2 registered");
-    match m2.refusal_error() {
+    let m2_refusal = run.set.member("m2").expect("m2").refusal_error();
+    match m2_refusal {
         Some(ReplicaError::Diverged { lsn, .. })
             if refused && lsn == fork_lsn && run.set.member_refusing("m2") =>
         {
@@ -738,20 +592,54 @@ fn divergence_scenario(base: &Path, seed: u64) -> Result<u64, String> {
     }
     run.check_acked("fork scenario")?;
 
+    // The pump's divergence gate: m2, rebuilt from the new primary,
+    // holds history A again. A pump of a primary serving history B
+    // takes its cursor from m2, finds the fork and ships `Diverged`
+    // alone; m2 refuses, typed and sticky, and acks nothing to B.
+    run.set
+        .rebuild_member("m2")
+        .map_err(|e| format!("fork scenario: rebuild failed: {e}"))?;
+    let expect = primary_bytes(&run.set);
+    converge(&mut run.set, &["m2"], &expect, "fork scenario rebuild")?;
+    let b_group = GroupCommit::new(b, sweep_group_config());
+    let m2 = run.set.member_handle("m2").expect("m2");
+    let mut pump = MemberPump::new(
+        PumpShared::new(b_group.clone()),
+        "m2",
+        m2,
+        &b_dir,
+        PumpConfig::default(),
+        PumpTracker::new(),
+    );
+    let (shipped, delivered) = (pump.step(), pump.step());
+    let m2_refusal = run.set.member("m2").expect("m2").refusal_error();
+    match (shipped, delivered, m2_refusal) {
+        (
+            PumpStep::Progress { shipped: 0, .. },
+            PumpStep::Stalled { .. },
+            Some(ReplicaError::Diverged { lsn, .. }),
+        ) if lsn == fork_lsn && b_group.member_positions().is_empty() => refusals += 1,
+        other => {
+            return Err(format!(
+                "fork scenario: the pump's divergence gate did not refuse ({other:?})"
+            ))
+        }
+    }
+
     std::fs::remove_dir_all(base).ok();
     Ok(refusals)
 }
 
 /// The fault-free run every sweep starts from: the whole workload must
 /// commit at quorum, the watermark must reach the head and both
-/// members must converge byte-identically. Returns the set, whose
+/// members must converge byte-identically. Returns the run, whose
 /// counters enumerate the injection points.
-fn fault_free_run<T: ReplicaTransport>(
+fn fault_free_run(
     dir: &Path,
     workload: &Workload,
-    faults: Faults<T>,
+    faults: Faults,
     prefixes: &Prefixes,
-) -> Result<ClusterSet<T>, String> {
+) -> Result<ClusterRun, String> {
     let free = undisturbed(run_cluster(dir, workload, faults)?, "fault-free run")?;
     if free.unreplicated != 0 || free.committed != workload.records as u64 {
         return Err(format!(
@@ -766,14 +654,14 @@ fn fault_free_run<T: ReplicaTransport>(
             workload.records
         ));
     }
-    let mut set = free.set;
-    let p = set.primary().expect("primary lives");
+    let mut free = free;
+    let p = free.set.primary().expect("primary lives");
     if p.quorum_lsn() < p.wal_position() {
         return Err("fault-free watermark never caught the head".to_string());
     }
-    let expect = prefixes.bytes(primary_records(&set));
-    converge(&mut set, &["m1", "m2"], expect, "fault-free")?;
-    Ok(set)
+    let expect = prefixes.bytes(primary_records(&free.set));
+    converge(&mut free.set, &["m1", "m2"], expect, "fault-free")?;
+    Ok(free)
 }
 
 /// Sweeps every fault-injection point of the quorum-replicated
@@ -800,19 +688,13 @@ pub fn cluster_sweep(
 
     // ---- Stage 0: fault-free quorum run ----------------------------
     let free_dir = base_dir.join("free");
-    let set = fault_free_run(
-        &free_dir,
-        &workload,
-        Faults::on(MemberPartition::clean()),
-        &prefixes,
-    )?;
-    let primary_points = set
-        .primary()
+    let free = fault_free_run(&free_dir, &workload, Faults::on(Link::new()), &prefixes)?;
+    let primary_points = (free.set.primary())
         .expect("primary lives")
         .with_store(DurableTmd::io_ops);
-    let member_points = set.member("m1").expect("m1 registered").io_ops();
-    let transport_points = set.transport_steps();
-    drop(set);
+    let member_points = free.set.member("m1").expect("m1 registered").io_ops();
+    let link_points = free.link.crossings();
+    drop(free);
 
     // ---- Stage A: primary crashes at every I/O primitive -----------
     let a_dir = base_dir.join("p-crash");
@@ -821,7 +703,7 @@ pub fn cluster_sweep(
         let what = format!("primary crash {k}");
         let faults = Faults {
             primary_io: Io::faulty(FaultPlan::crash_after(k, seed)),
-            ..Faults::on(MemberPartition::clean())
+            ..Faults::on(Link::new())
         };
         let Some(mut run) = run_cluster(&a_dir, &workload, faults)? else {
             outcome.primary_crashes += 1;
@@ -878,20 +760,18 @@ pub fn cluster_sweep(
         }
     }
 
-    // ---- Stage B: partition member m1 at every transport step ------
+    // ---- Stage B: partition member m1 at every link crossing --------
     let b_dir = base_dir.join("partition");
-    for j in 0..transport_points {
+    for j in 0..link_points {
         outcome.injection_points += 1;
         outcome.partitions += 1;
         let what = format!("partition {j}");
         if j % 2 == 0 {
             // Healing outage: the group must reconverge exactly, and
             // no commit may be lost or rewritten.
-            let transport = MemberPartition::new(&["m1"], j, OUTAGE_OPS);
-            let mut run = undisturbed(
-                run_cluster(&b_dir, &workload, Faults::on(transport))?,
-                &what,
-            )?;
+            let link = Link::new();
+            link.cut(&["m1"], j, OUTAGE);
+            let mut run = undisturbed(run_cluster(&b_dir, &workload, Faults::on(link))?, &what)?;
             outcome.unreplicated_commits += run.unreplicated;
             run.check_acked(&what)?;
             let expect = prefixes.bytes(primary_records(&run.set));
@@ -904,11 +784,9 @@ pub fn cluster_sweep(
         // primary must be fenced, and it must refuse a write in the
         // new epoch — no two primaries ever accept writes in the same
         // epoch.
-        let transport = MemberPartition::new(&["m1"], j, u64::MAX);
-        let mut run = undisturbed(
-            run_cluster(&b_dir, &workload, Faults::on(transport))?,
-            &what,
-        )?;
+        let link = Link::new();
+        link.cut(&["m1"], j, u64::MAX);
+        let mut run = undisturbed(run_cluster(&b_dir, &workload, Faults::on(link))?, &what)?;
         outcome.unreplicated_commits += run.unreplicated;
         if run.unreplicated > 0 {
             return Err(format!(
@@ -955,7 +833,7 @@ pub fn cluster_sweep(
         let what = format!("member crash {k}");
         let faults = Faults {
             m1_io: Io::faulty(FaultPlan::crash_after(k, seed ^ 0x5EED_F011)),
-            ..Faults::on(MemberPartition::clean())
+            ..Faults::on(Link::new())
         };
         let run = run_cluster(&c_dir, &workload, faults)?;
         if run.as_ref().is_none_or(|run| run.member_crashes == 0) {
@@ -995,18 +873,17 @@ pub fn cluster_sweep(
     Ok(outcome)
 }
 
-/// [`cluster_sweep`]'s transport class over real TCP on loopback: the
-/// three-node group ships every protocol message through a
-/// [`MsgRouter`] socket, and a [`FaultProxy`] between the supervisor
-/// and the router faults the connection at every transport step. A
-/// *healing* outage — three request frames dropped (the client sees
-/// resets) or stalled past the read timeout (it sees a hung link) —
-/// must reconverge byte-identically with no acknowledged commit lost.
-/// A *permanent* one cuts the whole group off: commits from then on
-/// must be refused with the typed [`DurableError::Unreplicated`], and
-/// once the primary is gone the election must be refused with the
-/// typed [`ReplicaError::NoQuorum`], leaving the group primary-less
-/// rather than guessing.
+/// [`cluster_sweep`]'s partition class over real TCP on loopback:
+/// every crossing of the three-node group's link — each request, then
+/// its reply — goes through a socket and a [`FaultProxy`], which faults
+/// the connection at every crossing. A *healing* outage — three request frames dropped (the
+/// client sees resets) or stalled past the read timeout (it sees a
+/// hung link) — must reconverge byte-identically with no acknowledged
+/// commit lost. A *permanent* one cuts the whole group off: commits
+/// from then on must be refused with the typed
+/// [`DurableError::Unreplicated`], and once the primary is gone the
+/// election must be refused with the typed [`ReplicaError::NoQuorum`],
+/// leaving the group primary-less rather than guessing.
 ///
 /// # Errors
 ///
@@ -1027,18 +904,14 @@ pub fn cluster_sweep_net(
     };
 
     let free_dir = base_dir.join("net-free");
-    let set = fault_free_run(
-        &free_dir,
-        &workload,
-        socket_faults(LoopbackTransport::build(None)?),
-        &prefixes,
-    )?;
-    let transport_points = set.transport_steps();
-    drop(set);
+    let clean = Faults::socket(FaultPlan::crash_after(0, seed), 0, ProxyFault::Drop)?;
+    let link_points = fault_free_run(&free_dir, &workload, clean, &prefixes)?
+        .link
+        .crossings();
 
     let dir = base_dir.join("net-fault");
     let mut loud_runs = 0u64;
-    for j in 0..transport_points {
+    for j in 0..link_points {
         outcome.injection_points += 1;
         outcome.partitions += 1;
         let plan = FaultPlan::crash_after(j, seed);
@@ -1049,27 +922,21 @@ pub fn cluster_sweep_net(
             } else {
                 ProxyFault::Drop
             };
-            let transport = LoopbackTransport::build(Some((plan, 3, kind)))?;
-            let mut run = undisturbed(
-                run_cluster(&dir, &workload, socket_faults(transport))?,
-                &what,
-            )?;
+            let faults = Faults::socket(plan, 3, kind)?;
+            let mut run = undisturbed(run_cluster(&dir, &workload, faults)?, &what)?;
             outcome.unreplicated_commits += run.unreplicated;
             run.check_acked(&what)?;
             let expect = prefixes.bytes(primary_records(&run.set));
             converge(&mut run.set, &["m1", "m2"], expect, &what)?;
             outcome.healed_outages += 1;
-            if run.set.stats().retries > 0 {
+            if run.set.tracker().all().iter().any(|(_, s)| s.stalls > 0) {
                 loud_runs += 1;
             }
             continue;
         }
         let what = format!("socket partition {j}");
-        let transport = LoopbackTransport::build(Some((plan, u64::MAX, ProxyFault::Drop)))?;
-        let mut run = undisturbed(
-            run_cluster(&dir, &workload, socket_faults(transport))?,
-            &what,
-        )?;
+        let faults = Faults::socket(plan, u64::MAX, ProxyFault::Drop)?;
+        let mut run = undisturbed(run_cluster(&dir, &workload, faults)?, &what)?;
         // Every step came back acknowledged or refused typed.
         if run.committed + run.unreplicated != workload.records as u64 {
             return Err(format!(
@@ -1094,10 +961,10 @@ pub fn cluster_sweep_net(
             return Err(format!("{what}: a primary appeared without quorum"));
         }
     }
-    if transport_points >= 8 && loud_runs == 0 {
-        return Err("no socket outage ever surfaced a transport error".to_string());
+    if link_points >= 8 && loud_runs == 0 {
+        return Err("no socket outage ever lost a crossing".to_string());
     }
-    if transport_points >= 8 && outcome.unreplicated_commits == 0 {
+    if link_points >= 8 && outcome.unreplicated_commits == 0 {
         return Err("no socket partition ever refused a commit as unreplicated".to_string());
     }
 
@@ -1149,8 +1016,8 @@ pub struct MembershipSweepOutcome {
 fn run_membership(
     base: &Path,
     workload: &Workload,
-    faults: Faults<MemberPartition>,
-) -> Result<Option<ClusterRun<MemberPartition>>, String> {
+    faults: Faults,
+) -> Result<Option<ClusterRun>, String> {
     let Some(mut run) = ClusterRun::bootstrap(base, workload, faults)? else {
         return Ok(None);
     };
@@ -1238,7 +1105,7 @@ fn run_membership(
 /// Probes that a forged ack from the removed member id cannot move
 /// the quorum watermark — "no quorum counted against a stale group".
 fn probe_stale_ack(
-    set: &ClusterSet<MemberPartition>,
+    set: &ClusterSet,
     outcome: &mut MembershipSweepOutcome,
     what: &str,
 ) -> Result<(), String> {
@@ -1263,7 +1130,7 @@ fn probe_stale_ack(
 /// under the new primary; a pending remove must still commit under
 /// the shrunk group (probe commits push the watermark past it).
 fn resume_reconfig(
-    run: &mut ClusterRun<MemberPartition>,
+    run: &mut ClusterRun,
     workload: &Workload,
     outcome: &mut MembershipSweepOutcome,
     what: &str,
@@ -1315,8 +1182,8 @@ fn reconfig_failover_scenario(
     outcome: &mut MembershipSweepOutcome,
 ) -> Result<(), String> {
     let what = "failover scenario";
-    let mut run = run_membership(base, workload, Faults::on(MemberPartition::clean()))?
-        .expect("clean run has a set");
+    let mut run =
+        run_membership(base, workload, Faults::on(Link::new()))?.expect("clean run has a set");
     // Re-issue a fresh add so a reconfiguration is in flight now: the
     // clean run completed both changes, so add a fourth member.
     let lsn = run
@@ -1397,7 +1264,7 @@ pub fn membership_sweep(
 
     // ---- Stage 0: fault-free membership run ------------------------
     let free_dir = base_dir.join("m-free");
-    let free = run_membership(&free_dir, &workload, Faults::on(MemberPartition::clean()))?;
+    let free = run_membership(&free_dir, &workload, Faults::on(Link::new()))?;
     let mut free = free
         .filter(|run| !run.primary_crashed)
         .ok_or("fault-free membership run crashed")?;
@@ -1429,7 +1296,7 @@ pub fn membership_sweep(
         .primary()
         .expect("primary lives")
         .with_store(DurableTmd::io_ops);
-    let transport_points = free.set.transport_steps();
+    let link_points = free.link.crossings();
     drop(free);
 
     // ---- Stage A: crash the primary at every I/O primitive ---------
@@ -1439,7 +1306,7 @@ pub fn membership_sweep(
         let what = format!("primary crash {k}");
         let faults = Faults {
             primary_io: Io::faulty(FaultPlan::crash_after(k, seed)),
-            ..Faults::on(MemberPartition::clean())
+            ..Faults::on(Link::new())
         };
         let Some(mut run) = run_membership(&a_dir, &workload, faults)? else {
             outcome.primary_crashes += 1;
@@ -1481,10 +1348,10 @@ pub fn membership_sweep(
 
     // ---- Stage B: partition the joiner / the removed member --------
     let b_dir = base_dir.join("m-partition");
-    // Every protocol step, bounded to keep the sweep tractable: the
+    // Every link crossing, bounded to keep the sweep tractable: the
     // stride still lands points in every phase of the script.
-    let stride = (transport_points / 128).max(1) as usize;
-    for j in (0..transport_points).step_by(stride) {
+    let stride = (link_points / 128).max(1) as usize;
+    for j in (0..link_points).step_by(stride) {
         outcome.injection_points += 1;
         outcome.partitions += 1;
         let what = format!("member partition {j}");
@@ -1495,15 +1362,13 @@ pub fn membership_sweep(
         // and the group must re-route quorum through the surviving
         // voters.
         let heal = (j / stride as u64).is_multiple_of(2);
-        let transport = if heal {
-            MemberPartition::new(&["m3"], j, OUTAGE_OPS)
+        let link = Link::new();
+        if heal {
+            link.cut(&["m3"], j, OUTAGE);
         } else {
-            MemberPartition::new(&["m1"], j, u64::MAX)
-        };
-        let mut run = undisturbed(
-            run_membership(&b_dir, &workload, Faults::on(transport))?,
-            &what,
-        )?;
+            link.cut(&["m1"], j, u64::MAX);
+        }
+        let mut run = undisturbed(run_membership(&b_dir, &workload, Faults::on(link))?, &what)?;
         outcome.unreplicated_commits += run.unreplicated;
         if !run.promoted {
             return Err(if heal {

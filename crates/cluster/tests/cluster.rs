@@ -1,16 +1,17 @@
 //! Cluster integration tests: replication to byte-identical members
 //! (catch-up, snapshot bootstrap, crash/restart, divergence refusal),
 //! quorum commit, deterministic election, fencing,
-//! truncation-on-rejoin, read routing, the group over loopback TCP,
-//! and the full fault-injection sweeps.
+//! truncation-on-rejoin, read routing, the group's link over loopback
+//! TCP, the pump's divergence gate, membership with a voter down, and
+//! the full fault-injection sweeps.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use mvolap_cluster::{
     cluster_sweep, cluster_sweep_net, membership_sweep, ClusterConfig, ClusterEvent, ClusterSet,
-    ClusterSweepOutcome, LocalCluster, MemberPump, MembershipSweepOutcome, PumpConfig, PumpShared,
-    PumpState, PumpStep, PumpTracker, RejoinOutcome,
+    ClusterSweepOutcome, Link, LocalCluster, MemberPump, MembershipSweepOutcome, PumpConfig,
+    PumpShared, PumpState, PumpStep, PumpTracker, RejoinOutcome,
 };
 use mvolap_durable::fault::{generate, serialise};
 use mvolap_durable::{
@@ -18,8 +19,8 @@ use mvolap_durable::{
     TailFrame, TimeSource, WalRecord,
 };
 use mvolap_replica::{
-    ChannelTransport, Follower, MsgRouter, NetAddr, NetConfig, ReplicaError, ReplicaMsg,
-    ReplicaTransport, TailSource, TcpTransport, TransportError, WalTailer,
+    FaultProxy, Follower, NetAddr, NetClient, NetConfig, ProxyFault, ReplicaError, ReplicaMsg,
+    TailSource, WalTailer,
 };
 use mvolap_server::{quorum_figure, ServerError, ServerOptions};
 
@@ -66,16 +67,16 @@ fn answer(tmd: &mvolap_core::Tmd) -> String {
 /// A three-node group (primary + m1 + m2) with `n` quorum-committed
 /// records from the seeded workload, plus the remaining records of the
 /// workload for later use.
-fn three_nodes(dir: &Path, n: usize) -> (ClusterSet<ChannelTransport>, Vec<WalRecord>) {
-    three_nodes_over(dir, n, opts(), ChannelTransport::new())
+fn three_nodes(dir: &Path, n: usize) -> (ClusterSet, Vec<WalRecord>) {
+    three_nodes_over(dir, n, opts(), Link::new())
 }
 
-fn three_nodes_over<T: ReplicaTransport>(
+fn three_nodes_over(
     dir: &Path,
     n: usize,
     opts: Options,
-    transport: T,
-) -> (ClusterSet<T>, Vec<WalRecord>) {
+    link: Link,
+) -> (ClusterSet, Vec<WalRecord>) {
     let workload = generate(7, n + 4);
     let mut records = ops(&workload);
     let rest = records.split_off(n);
@@ -85,7 +86,7 @@ fn three_nodes_over<T: ReplicaTransport>(
         opts,
         group_cfg(),
         ClusterConfig::default(),
-        transport,
+        link,
         Io::plain(),
     )
     .expect("bootstrap");
@@ -99,7 +100,7 @@ fn three_nodes_over<T: ReplicaTransport>(
 
 /// Ticks until member `name` holds the primary's whole log, collecting
 /// every event on the way.
-fn drain<T: ReplicaTransport>(set: &mut ClusterSet<T>, name: &str) -> Vec<ClusterEvent> {
+fn drain(set: &mut ClusterSet, name: &str) -> Vec<ClusterEvent> {
     let mut events = Vec::new();
     for _ in 0..64 {
         let head = set.primary().expect("primary alive").wal_position();
@@ -113,7 +114,7 @@ fn drain<T: ReplicaTransport>(set: &mut ClusterSet<T>, name: &str) -> Vec<Cluste
 
 /// Asserts member `name` is the primary's byte-identical twin: same
 /// head, same schema bytes, same answer to the reference query.
-fn assert_twin<T: ReplicaTransport>(set: &ClusterSet<T>, name: &str) {
+fn assert_twin(set: &ClusterSet, name: &str) {
     let primary = set.primary().expect("primary alive");
     let member = set.member(name).expect("member exists");
     assert_eq!(member.next_lsn(), primary.wal_position());
@@ -137,8 +138,8 @@ fn quorum_commit_advances_watermark_and_members() {
         "watermark {} never caught head {head}",
         p.quorum_lsn()
     );
-    // A majority acked every commit; with a fully-connected channel
-    // transport *both* members end up at the head.
+    // A majority acked every commit; with a link that loses nothing
+    // *both* members end up at the head.
     for m in ["m1", "m2"] {
         assert!(
             set.member_synced(m) >= head - 1,
@@ -154,7 +155,7 @@ fn quorum_commit_advances_watermark_and_members() {
     let ours = p.with_store(|s| s.tail(1)).unwrap();
     for m in ["m1", "m2"] {
         assert_twin(&set, m);
-        assert_eq!(set.member_applied(m), head);
+        assert_eq!(set.member_synced(m), head);
         let theirs = set.member(m).unwrap().store().unwrap().tail(1).unwrap();
         assert_eq!(ours, theirs, "{m}: logs must match frame by frame");
     }
@@ -171,7 +172,7 @@ fn late_joiner_bootstraps_from_snapshot() {
         segment_bytes: 256,
         ..opts()
     };
-    let (mut set, mut rest) = three_nodes_over(&dir, 8, small_segments, ChannelTransport::new());
+    let (mut set, mut rest) = three_nodes_over(&dir, 8, small_segments, Link::new());
     set.checkpoint().unwrap();
     let oldest = set
         .primary()
@@ -182,7 +183,8 @@ fn late_joiner_bootstraps_from_snapshot() {
 
     set.add_member("late", Io::plain());
     drain(&mut set, "late");
-    assert!(set.stats().snapshots_served >= 1, "{:?}", set.stats());
+    let snapshots = set.tracker().status("late").map_or(0, |s| s.snapshots);
+    assert!(snapshots >= 1, "{:?}", set.tracker().all());
     assert_twin(&set, "late");
 
     set.commit_quorum(rest.remove(0)).unwrap();
@@ -227,9 +229,8 @@ fn divergent_frame_is_refused_and_bars_the_member_from_election() {
     let dir = tmp("diverge");
     let (mut set, _) = three_nodes(&dir, 3);
     let epoch = set.epoch();
-    let tail_from = |set: &ClusterSet<ChannelTransport>, lsn: u64| {
-        set.primary().unwrap().with_store(|s| s.tail(lsn)).unwrap()
-    };
+    let tail_from =
+        |set: &ClusterSet, lsn: u64| set.primary().unwrap().with_store(|s| s.tail(lsn)).unwrap();
 
     // Forge a duplicate of LSN 2 with a different checksum — the claim
     // that some other history holds that position.
@@ -240,9 +241,8 @@ fn divergent_frame_is_refused_and_bars_the_member_from_election() {
         payload: genuine.payload,
     };
     let frames = |frames| ReplicaMsg::Frames { epoch, frames };
-    set.transport_mut()
-        .send("m2", &frames(vec![forged]))
-        .unwrap();
+    let handed = set.member("m2").unwrap().handle(frames(vec![forged]));
+    assert!(handed.is_err(), "{handed:?}");
     let events = set.tick();
     assert!(
         events
@@ -259,7 +259,8 @@ fn divergent_frame_is_refused_and_bars_the_member_from_election() {
     // supervisor stops replicating to the member.
     let before = set.member("m2").unwrap().next_lsn();
     let genuine_again = frames(tail_from(&set, 2));
-    set.transport_mut().send("m2", &genuine_again).unwrap();
+    let handed = set.member("m2").unwrap().handle(genuine_again);
+    assert!(handed.is_err(), "{handed:?}");
     set.run_ticks(2);
     assert!(set.member("m2").unwrap().is_refusing());
     assert_eq!(set.member("m2").unwrap().next_lsn(), before);
@@ -288,7 +289,7 @@ fn commit_without_reachable_members_is_unreplicated() {
             commit_ticks: 4,
             ..ClusterConfig::default()
         },
-        ChannelTransport::new(),
+        Link::new(),
         Io::plain(),
     )
     .expect("bootstrap");
@@ -415,7 +416,7 @@ fn election_without_any_member_state_is_refused() {
         opts(),
         group_cfg(),
         ClusterConfig::default(),
-        ChannelTransport::new(),
+        Link::new(),
         Io::plain(),
     )
     .expect("bootstrap");
@@ -447,30 +448,39 @@ fn read_routing_picks_the_freshest_member() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The quorum-envelope row the wire fuzz table cannot cover: a forged
-/// ack claiming a *future* LSN decodes fine, so the refusal is
-/// semantic — the supervisor must cap the claim at the primary's head
-/// so neither the quorum watermark nor read routing ever points past
-/// records that exist.
+/// The quorum-envelope row the wire fuzz table cannot cover: an ack
+/// claiming a *future* LSN decodes fine, so the refusal is semantic —
+/// the pump must cap the claim at the primary's head so neither the
+/// quorum watermark nor read routing ever points past records that
+/// exist. Here m1 is handed two records ahead of the primary, so the
+/// ack it returns for the next envelope claims one record the primary
+/// never wrote.
 #[test]
 fn forged_future_lsn_ack_never_advances_the_watermark() {
     let dir = tmp("forged_ack");
-    let (mut set, _) = three_nodes(&dir, 4);
-    let head = set.primary().expect("primary").wal_position();
+    let (mut set, rest) = three_nodes(&dir, 4);
     let epoch = set.epoch();
-    set.transport_mut()
-        .send(
-            "primary",
-            &ReplicaMsg::QuorumAck {
-                node: "m1".to_string(),
-                epoch,
-                applied_lsn: head + 500,
-                synced_lsn: head + 500,
-            },
-        )
-        .unwrap();
+    let ahead = set.primary().expect("primary").wal_position();
+    let frames: Vec<TailFrame> = (rest.iter().take(2).zip(ahead..))
+        .map(|(record, lsn)| {
+            let payload = record.encode();
+            let crc = mvolap_durable::checksum::crc32(&payload);
+            TailFrame { lsn, crc, payload }
+        })
+        .collect();
+    let handed = set
+        .member("m1")
+        .unwrap()
+        .handle(ReplicaMsg::Frames { epoch, frames });
+    assert!(handed.is_ok(), "{handed:?}");
+    assert_eq!(set.member("m1").unwrap().next_lsn(), ahead + 2);
+    // The primary writes the first of them: its pump ships that frame,
+    // m1 finds it a matching duplicate and acks everything it holds.
+    set.commit_local(rest[0].clone()).unwrap();
     set.run_ticks(4);
     let p = set.primary().expect("primary");
+    let head = p.wal_position();
+    assert_eq!(head, ahead + 1);
     assert!(
         p.quorum_lsn() <= p.wal_position(),
         "forged ack pushed the watermark past the head"
@@ -484,20 +494,17 @@ fn forged_future_lsn_ack_never_advances_the_watermark() {
         set.route_read(head + 100).is_none(),
         "read routed to a position nobody holds"
     );
-    // An ack from a *future epoch* is ignored outright.
-    set.transport_mut()
-        .send(
-            "primary",
-            &ReplicaMsg::QuorumAck {
-                node: "m1".to_string(),
-                epoch: epoch + 10,
-                applied_lsn: head + 500,
-                synced_lsn: head + 500,
-            },
-        )
+    // An ack from a *future epoch* never moves a position: the member
+    // that learnt a newer epoch refuses the next envelope, and the pump
+    // takes that as proof the primary is deposed.
+    set.member("m1")
+        .unwrap()
+        .handle(ReplicaMsg::Fence { epoch: epoch + 10 })
         .unwrap();
+    set.commit_local(rest[1].clone()).unwrap();
     set.run_ticks(4);
     assert!(set.member_synced("m1") <= head);
+    assert!(set.primary().expect("primary").is_fenced());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -744,7 +751,7 @@ fn pump_backpressure_caps_window_and_recovers_on_heal() {
     );
     assert!(matches!(sick_pump.step(), PumpStep::Progress { .. }));
     match sick_pump.step() {
-        PumpStep::Stalled { reason } => assert!(!reason.is_empty()),
+        PumpStep::Stalled { reason, crash } => assert!(!reason.is_empty() && crash, "{reason}"),
         other => panic!("expected Stalled, got {other:?}"),
     }
     let st = tracker.status("m2").unwrap();
@@ -1011,7 +1018,7 @@ fn member_reported_newer_epoch_stops_every_pump_of_the_primary() {
 /// outcome field is pinned at both sizes.
 #[test]
 fn cluster_sweep_holds_every_invariant() {
-    let records = if cfg!(debug_assertions) { 6 } else { 12 };
+    let records = if cfg!(debug_assertions) { 6 } else { 45 };
     let dir = tmp("sweep");
     let outcome = cluster_sweep(&dir, 0xC1u64, records).expect("sweep invariants hold");
     let floor = if cfg!(debug_assertions) { 60 } else { 200 };
@@ -1033,17 +1040,17 @@ fn cluster_sweep_holds_every_invariant() {
     assert_eq!(outcome.divergence_refusals, 3, "{outcome:?}");
     let expected = if cfg!(debug_assertions) {
         ClusterSweepOutcome {
-            injection_points: 232,
+            injection_points: 64,
             primary_crashes: 20,
             member_crashes: 20,
-            partitions: 192,
-            healed_outages: 96,
-            elections: 107,
+            partitions: 24,
+            healed_outages: 12,
+            elections: 23,
             failed_elections: 1,
-            fenced_refusals: 96,
+            fenced_refusals: 12,
             truncated_rejoins: 6,
             rebuilt_rejoins: 0,
-            clean_rejoins: 100,
+            clean_rejoins: 16,
             unpromotable: 10,
             unreplicated_commits: 0,
             divergence_refusals: 3,
@@ -1051,36 +1058,39 @@ fn cluster_sweep_holds_every_invariant() {
         }
     } else {
         ClusterSweepOutcome {
-            injection_points: 448,
-            primary_crashes: 32,
-            member_crashes: 32,
-            partitions: 384,
-            healed_outages: 192,
-            elections: 215,
+            injection_points: 395,
+            primary_crashes: 112,
+            member_crashes: 103,
+            partitions: 180,
+            healed_outages: 90,
+            elections: 193,
             failed_elections: 1,
-            fenced_refusals: 192,
-            truncated_rejoins: 12,
+            fenced_refusals: 90,
+            truncated_rejoins: 45,
             rebuilt_rejoins: 0,
-            clean_rejoins: 202,
+            clean_rejoins: 147,
             unpromotable: 10,
             unreplicated_commits: 0,
             divergence_refusals: 3,
-            records: 12,
+            records: 45,
         }
     };
     assert_eq!(outcome, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The whole group supervises over [`TcpTransport`]: every protocol
-/// message crosses a loopback socket through a [`MsgRouter`], under the
-/// unchanged tick loop.
+/// The whole group supervises over a socket link: every envelope and
+/// every ack crosses a loopback socket through a [`FaultProxy`] that
+/// never faults, under the unchanged tick loop.
 #[test]
 fn net_cluster_set_supervises_over_tcp_transport() {
     let dir = tmp("tcp_set");
-    let router = MsgRouter::spawn(&NetAddr::Tcp("127.0.0.1:0".into())).unwrap();
-    let transport = TcpTransport::connect(router.addr().clone(), NetConfig::default());
-    let (mut set, mut rest) = three_nodes_over(&dir, 4, opts(), transport);
+    let proxy = FaultProxy::spawn(FaultPlan::crash_after(0, 1), 0, ProxyFault::Drop).unwrap();
+    let link = Link::via(NetClient::connect(
+        proxy.addr().clone(),
+        NetConfig::default(),
+    ));
+    let (mut set, mut rest) = three_nodes_over(&dir, 4, opts(), link.clone());
     set.commit_local(rest.remove(0)).unwrap();
     drain(&mut set, "m1");
     drain(&mut set, "m2");
@@ -1094,20 +1104,20 @@ fn net_cluster_set_supervises_over_tcp_transport() {
         );
     }
     assert_eq!(set.primary().unwrap().quorum_lsn(), head);
-    assert!(set.transport_steps() > 0);
+    assert!(link.crossings() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The transport class over loopback TCP: *socket* faults — dropped
+/// The partition class over loopback TCP: *socket* faults — dropped
 /// and stalled connections injected by the byte-level proxy — at every
-/// transport step. Debug builds sweep a smaller workload: same legs,
+/// link exchange. Debug builds sweep a smaller workload: same legs,
 /// same invariants, fewer points.
 #[test]
 fn net_cluster_sweep_holds_over_loopback_tcp() {
     let (records, floor) = if cfg!(debug_assertions) {
-        (6, 60)
+        (16, 60)
     } else {
-        (16, 400)
+        (100, 400)
     };
     let dir = tmp("net-sweep");
     let outcome = cluster_sweep_net(&dir, 0xFA11_0FE8, records).expect("net sweep invariants");
@@ -1120,7 +1130,7 @@ fn net_cluster_sweep_holds_over_loopback_tcp() {
     assert!(outcome.failed_elections > 0, "{outcome:?}");
     // Only the point count is pinned: the unreplicated and
     // failed-election tallies depend on socket timeouts.
-    let points = if cfg!(debug_assertions) { 156 } else { 416 };
+    let points = if cfg!(debug_assertions) { 64 } else { 400 };
     assert_eq!(outcome.injection_points, points, "{outcome:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1132,7 +1142,7 @@ fn net_cluster_sweep_holds_over_loopback_tcp() {
 /// outcome field is pinned at both sizes.
 #[test]
 fn membership_sweep_holds_every_invariant() {
-    let records = if cfg!(debug_assertions) { 6 } else { 18 };
+    let records = if cfg!(debug_assertions) { 6 } else { 45 };
     let dir = tmp("membership-sweep");
     let outcome = membership_sweep(&dir, 0xA11u64, records).expect("membership invariants");
     let floor = if cfg!(debug_assertions) { 60 } else { 200 };
@@ -1154,14 +1164,14 @@ fn membership_sweep_holds_every_invariant() {
     );
     let expected = if cfg!(debug_assertions) {
         MembershipSweepOutcome {
-            injection_points: 256,
+            injection_points: 60,
             primary_crashes: 31,
-            partitions: 224,
-            promotions: 225,
-            removals: 225,
+            partitions: 28,
+            promotions: 29,
+            removals: 29,
             elections: 23,
             fenced_refusals: 1,
-            stale_acks_fenced: 225,
+            stale_acks_fenced: 29,
             resumed_reconfigs: 5,
             unpromotable: 10,
             unreplicated_commits: 0,
@@ -1169,18 +1179,18 @@ fn membership_sweep_holds_every_invariant() {
         }
     } else {
         MembershipSweepOutcome {
-            injection_points: 208,
-            primary_crashes: 55,
-            partitions: 152,
-            promotions: 153,
-            removals: 153,
-            elections: 47,
+            injection_points: 303,
+            primary_crashes: 116,
+            partitions: 186,
+            promotions: 187,
+            removals: 187,
+            elections: 108,
             fenced_refusals: 1,
-            stale_acks_fenced: 153,
-            resumed_reconfigs: 5,
+            stale_acks_fenced: 187,
+            resumed_reconfigs: 7,
             unpromotable: 10,
             unreplicated_commits: 0,
-            records: 18,
+            records: 45,
         }
     };
     assert_eq!(outcome, expected);
@@ -1365,6 +1375,14 @@ fn live_join_and_leave_reconfigure_the_served_group() {
         other => panic!("duplicate join accepted: {other:?}"),
     }
 
+    // A joiner that cannot bind is refused before anything is
+    // journaled: no change is left in flight.
+    let taken = cluster.primary_addr().clone();
+    match cluster.join("m3", &taken) {
+        Err(ServerError::Transport(_)) => assert!(cluster.reconfig_pending().is_none()),
+        other => panic!("join on a bound address accepted: {other:?}"),
+    }
+
     let join_lsn = cluster.join("m3", &loopback).expect("join journaled");
     // A second change while this one is in flight is refused with the
     // typed in-flight error.
@@ -1425,9 +1443,10 @@ fn live_join_and_leave_reconfigure_the_served_group() {
 }
 
 /// A joiner that has synced past its own reconfig record is still a
-/// learner until the voters that existed before it have committed that
-/// record. Acks are fed by hand (no pumps), so the old voters can be
-/// held below the record while the joiner runs ahead.
+/// learner until that record commits. Its own ack counts toward the
+/// record, so the primary, one old voter and the joiner (3 of 4) commit
+/// it. Acks are fed by hand (no pumps), so the old voters can be held
+/// below the record while the joiner runs ahead.
 #[test]
 fn joiner_is_promoted_only_after_its_reconfig_record_commits() {
     let dir = tmp("joinorder");
@@ -1463,10 +1482,9 @@ fn joiner_is_promoted_only_after_its_reconfig_record_commits() {
     assert_eq!(cluster.settle_membership(), None);
     assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && *l));
 
-    // One old voter's ack is not a majority of the grown group.
+    // One old voter's ack with the joiner's is a majority of the grown
+    // group.
     group.member_synced("m1", join_lsn + 1);
-    assert_eq!(cluster.settle_membership(), None);
-    group.member_synced("m2", join_lsn + 1);
     assert!(group.quorum_lsn() > join_lsn);
     assert_eq!(cluster.settle_membership().as_deref(), Some("m3"));
     assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && !l));
@@ -1474,74 +1492,159 @@ fn joiner_is_promoted_only_after_its_reconfig_record_commits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A channel transport that drops every message to, from or naming
-/// the nodes in `cut`.
-#[derive(Default)]
-struct Cut {
-    inner: ChannelTransport,
-    cut: Vec<String>,
-}
-
-impl Cut {
-    fn cuts(&self, node: &str) -> bool {
-        self.cut.iter().any(|c| c == node)
-    }
-}
-
-impl ReplicaTransport for Cut {
-    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        let from = match msg {
-            ReplicaMsg::Hello { node, .. }
-            | ReplicaMsg::Ack { node, .. }
-            | ReplicaMsg::QuorumAck { node, .. }
-            | ReplicaMsg::VoteGrant { node, .. } => node.as_str(),
-            _ => "",
-        };
-        if self.cuts(to) || self.cuts(from) {
-            return Ok(());
-        }
-        self.inner.send(to, msg)
-    }
-
-    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
-        if self.cuts(node) {
-            return Ok(None);
-        }
-        self.inner.recv(node)
-    }
-
-    fn steps(&self) -> u64 {
-        self.inner.steps()
-    }
-}
-
-/// The model's supervisor should promote a joiner only once the voters
-/// that existed before it have committed its reconfig record, as the
-/// served group does: with both old voters cut off, the joiner syncs
-/// past its own record while the quorum watermark stays below it, and
-/// stays a learner until the voters heal and commit the record.
-///
-/// `ClusterSet::settle_reconfig` still promotes on `synced > record &&
-/// synced >= watermark`, so this fails: the joiner is promoted while
-/// the record is uncommitted. Requiring `watermark > record` as well
-/// makes it pass but breaks `membership_sweep`: its permanent-`m1`-cut
-/// strides add `m3` with one of two old voters gone, and since a
-/// learner does not vote while the majority threshold grows at the
-/// record, the record can never commit and the joiner is never
-/// promoted. Membership changes with a voter down need a rule that
-/// both engines share before this can run.
+/// A served join while one old voter is down: the joiner's ack counts
+/// toward its own add record, so m2 and m3 commit it without m1, m3 is
+/// promoted, and the down voter can then be removed. Acks are fed by
+/// hand (no pumps); m1 never acks.
 #[test]
-#[ignore = "the model's promotion rule is not fixed yet: the fix stalls membership_sweep's m1-cut strides"]
+fn served_join_with_an_old_voter_down_promotes_and_then_removes_it() {
+    let dir = tmp("joindown");
+    let workload = generate(13, 8);
+    let records = ops(&workload);
+    let loopback = NetAddr::parse("127.0.0.1:0").unwrap();
+    let mut cluster = LocalCluster::start(
+        &dir,
+        workload.seed_schema.clone(),
+        &loopback,
+        &[
+            ("m1".to_string(), loopback.clone()),
+            ("m2".to_string(), loopback.clone()),
+        ],
+        opts(),
+        group_cfg(),
+        ServerOptions::default(),
+        NetConfig::default(),
+    )
+    .expect("cluster starts");
+    let group = cluster.group();
+    let before = group.commit(records[0].clone()).expect("journaled");
+    group.member_synced("m2", before + 1);
+    assert!(group.quorum_lsn() > before, "primary and m2 are 2 of 3");
+
+    let join_lsn = cluster.join("m3", &loopback).expect("join journaled");
+    for member in ["m2", "m3"] {
+        group.member_synced(member, join_lsn + 1);
+    }
+    assert!(group.quorum_lsn() > join_lsn, "3 of 4 commit the add");
+    assert_eq!(cluster.settle_membership().as_deref(), Some("m3"));
+    assert!(cluster.membership().iter().any(|(n, l)| n == "m3" && !l));
+
+    let leave_lsn = cluster.leave("m1").expect("the down voter can be removed");
+    for member in ["m2", "m3"] {
+        group.member_synced(member, leave_lsn + 1);
+    }
+    assert_eq!(cluster.settle_membership().as_deref(), Some("m1"));
+    assert_eq!(quorum_figure(&group), "2/3");
+    cluster.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The pump's divergence gate: when a pump takes its cursor from a
+/// member whose log forks from the primary's, it ships `Diverged` and
+/// not one frame; the member refuses, stickily, and acks nothing past
+/// the fork.
+#[test]
+fn pump_ships_diverged_to_a_forked_member_which_acks_nothing() {
+    let dir = tmp("pumpfork");
+    let workload = generate(21, 10);
+    let records = ops(&workload);
+    let group = |name: &str| {
+        let seed = workload.seed_schema.clone();
+        let store = DurableTmd::create_with(&dir.join(name), seed, opts(), Io::plain());
+        GroupCommit::new(store.unwrap(), group_cfg())
+    };
+    // History A: six records. History B: the first four, then a
+    // different fifth.
+    let (a, b) = (group("a"), group("b"));
+    for r in &records[..6] {
+        a.commit(r.clone()).unwrap();
+    }
+    for r in &records[..4] {
+        b.commit(r.clone()).unwrap();
+    }
+    b.commit(WalRecord::Create {
+        dim: workload.org,
+        name: "Dept-fork".to_string(),
+        level: Some("Department".to_string()),
+        at: mvolap_temporal::Instant::ym(2030, 1),
+        parents: vec![mvolap_core::MemberVersionId(0)],
+    })
+    .unwrap();
+    let fork = b.wal_position() - 1;
+    let time = TimeSource::manual(0);
+    let cfg = PumpConfig {
+        retry_wait_ms: 10,
+        time: time.clone(),
+        ..PumpConfig::default()
+    };
+    let member = Arc::new(Mutex::new(Follower::create(
+        "m1",
+        dir.join("m1"),
+        opts(),
+        Io::plain(),
+    )));
+    let tracker = PumpTracker::new();
+    let pump = |g: &GroupCommit, from: &str| {
+        let shared = PumpShared::new(g.clone());
+        let (cfg, tracker) = (cfg.clone(), tracker.clone());
+        MemberPump::new(shared, "m1", member.clone(), &dir.join(from), cfg, tracker)
+    };
+    // The member follows history B through the fork.
+    drive_to_idle(&mut pump(&b, "b"));
+    assert_eq!(member.lock().unwrap().next_lsn(), fork + 1);
+    let shipped_from_b = tracker.status("m1").unwrap().shipped_frames;
+
+    // A's pump checks the member's position before shipping a frame.
+    let mut from_a = pump(&a, "a");
+    for _ in 0..3 {
+        assert_eq!(
+            from_a.step(),
+            PumpStep::Progress {
+                shipped: 0,
+                acked: 0
+            }
+        );
+        assert!(matches!(
+            from_a.step(),
+            PumpStep::Stalled { crash: false, .. }
+        ));
+        match member.lock().unwrap().refusal_error() {
+            Some(ReplicaError::Diverged { lsn, .. }) => assert_eq!(lsn, fork),
+            other => panic!("expected Diverged, got {other:?}"),
+        }
+        time.advance(10);
+    }
+    assert_eq!(
+        member.lock().unwrap().next_lsn(),
+        fork + 1,
+        "nothing applied"
+    );
+    let st = tracker.status("m1").unwrap();
+    assert_eq!(st.shipped_frames, shipped_from_b, "A shipped no frame");
+    assert!(
+        a.member_positions().is_empty(),
+        "the forked member acked nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The model promotes a joiner only once its reconfig record commits,
+/// by the rule the served group settles by: with both old voters cut
+/// off, the joiner syncs past its own record while the quorum
+/// watermark stays below it (the primary and the joiner are 2 of 4),
+/// and it stays a learner until the voters heal and commit the record.
+#[test]
 fn model_promotes_a_joiner_only_after_its_reconfig_record_commits() {
     let dir = tmp("model-joinorder");
     let workload = generate(13, 6);
+    let link = Link::new();
     let mut set = ClusterSet::bootstrap(
         &dir,
         workload.seed_schema.clone(),
         opts(),
         group_cfg(),
         ClusterConfig::default(),
-        Cut::default(),
+        link.clone(),
         Io::plain(),
     )
     .expect("bootstrap");
@@ -1554,7 +1657,7 @@ fn model_promotes_a_joiner_only_after_its_reconfig_record_commits() {
         (events.iter()).any(|e| matches!(e, ClusterEvent::MemberPromoted { node } if node == "m3"))
     };
 
-    set.transport_mut().cut = vec!["m1".to_string(), "m2".to_string()];
+    link.cut(&["m1", "m2"], 0, u64::MAX);
     let join = set
         .reconfig_add("m3", "m3", Io::plain())
         .expect("join journaled");
@@ -1567,7 +1670,7 @@ fn model_promotes_a_joiner_only_after_its_reconfig_record_commits() {
     assert!(watermark <= Some(join), "the record is not yet committed");
     assert!(set.is_learner("m3") && !promoted(&events), "{events:?}");
 
-    set.transport_mut().cut.clear();
+    link.cut(&[], 0, 0);
     let events = set.run_ticks(8);
     let watermark = set.primary().map(GroupCommit::quorum_lsn);
     assert!(

@@ -111,10 +111,11 @@ struct SyncState {
     /// tracking. Scheduled changes live in `resizes` until the
     /// watermark reaches them.
     group_size: usize,
-    /// Non-voting learners: their positions are tracked (so promotion
-    /// can compare against the watermark) but never counted toward a
-    /// majority until [`GroupCommit::promote_voter`].
-    learners: BTreeSet<String>,
+    /// Joiners not yet promoted, each with the LSN of the record that
+    /// adds it: its acks count toward that record and every later one,
+    /// never toward an earlier one, and it does not vote in elections
+    /// until [`GroupCommit::promote_voter`].
+    learners: BTreeMap<String, u64>,
     /// Removed members: late acks from these ids are fenced (ignored)
     /// so a stale pump can never resurrect a dropped voter.
     banned: BTreeSet<String>,
@@ -136,8 +137,10 @@ struct SyncState {
 
 impl SyncState {
     /// Recomputes the quorum watermark from the primary's own synced
-    /// position plus every *voting* member's reported position: the
-    /// `required`-th largest position is held by a majority.
+    /// position plus the reported position of every member whose ack
+    /// counts at the watermark (voters, and joiners from their own add
+    /// record on): the `required`-th largest position is held by a
+    /// majority.
     ///
     /// Scheduled resizes make the advance stepwise: the watermark may
     /// only cross a resize's LSN under the majority rule in force
@@ -164,7 +167,7 @@ impl SyncState {
                 positions.extend(
                     self.members
                         .iter()
-                        .filter(|(name, _)| !self.learners.contains(*name))
+                        .filter(|(name, _)| self.counts(name, self.quorum_lsn))
                         .map(|(_, &p)| p),
                 );
                 positions.sort_unstable_by(|a, b| b.cmp(a));
@@ -182,6 +185,12 @@ impl SyncState {
             // Crossing `bound` folds that resize in on the next pass
             // and the new size may cover further (or stall sooner).
         }
+    }
+
+    /// Whether `member`'s ack counts toward the record at `lsn`: a
+    /// voter's always, a joiner's from its own add record on.
+    fn counts(&self, member: &str, lsn: u64) -> bool {
+        self.learners.get(member).is_none_or(|&from| from <= lsn)
     }
 
     /// The group size at the head of the log: the current size with
@@ -246,7 +255,7 @@ impl GroupCommit {
                     quorum_lsn: synced_lsn,
                     members: BTreeMap::new(),
                     group_size: 1,
-                    learners: BTreeSet::new(),
+                    learners: BTreeMap::new(),
                     banned: BTreeSet::new(),
                     resizes: Vec::new(),
                     pending: None,
@@ -365,11 +374,11 @@ impl GroupCommit {
             let now = self.inner.cfg.time.now_ms();
             if now >= deadline {
                 // The local sync already covers `lsn` (commit returned),
-                // so this node counts as one ack. Learners don't vote.
+                // so this node counts as one ack.
                 let acked = 1 + st
                     .members
                     .iter()
-                    .filter(|(name, &p)| p > lsn && !st.learners.contains(*name))
+                    .filter(|(name, &p)| p > lsn && st.counts(name, lsn))
                     .count();
                 return Err(DurableError::Unreplicated { lsn, acked });
             }
@@ -420,24 +429,25 @@ impl GroupCommit {
         self.inner.arrivals.notify_all();
     }
 
-    /// Registers `member` as a non-voting learner: its synced position
-    /// is tracked (so catch-up can be measured against the watermark)
-    /// but never counted toward a majority until
-    /// [`GroupCommit::promote_voter`]. Lifts any earlier ban — a
-    /// re-added member starts over as a learner.
-    pub fn add_learner(&self, member: &str) {
+    /// Registers `member` as a learner added by the record at `from`:
+    /// its acks count toward that record and every later one (Raft's
+    /// single-server change — the joiner is part of the configuration
+    /// its own add record starts), never toward an earlier record, and
+    /// it stays out of elections until [`GroupCommit::promote_voter`].
+    /// Lifts any earlier ban — a re-added member starts over.
+    pub fn add_learner(&self, member: &str, from: u64) {
         let mut st = lock(&self.inner.sync);
         st.banned.remove(member);
-        st.learners.insert(member.to_string());
+        st.learners.insert(member.to_string(), from);
         st.members.entry(member.to_string()).or_insert(0);
     }
 
     /// Promotes a learner to voter: from here its acks count toward
-    /// the majority and it may stand in elections. Returns `false` if
+    /// every record and it may stand in elections. Returns `false` if
     /// `member` was not a learner (already a voter, or unknown).
     pub fn promote_voter(&self, member: &str) -> bool {
         let mut st = lock(&self.inner.sync);
-        if !st.learners.remove(member) {
+        if st.learners.remove(member).is_none() {
             return false;
         }
         st.recompute_quorum();
@@ -447,7 +457,7 @@ impl GroupCommit {
 
     /// Whether `member` is currently a non-voting learner.
     pub fn is_learner(&self, member: &str) -> bool {
-        lock(&self.inner.sync).learners.contains(member)
+        lock(&self.inner.sync).learners.contains_key(member)
     }
 
     /// Removes `member` from the group entirely: its reported position
@@ -1196,17 +1206,17 @@ mod tests {
         // committed size only once the watermark passes the record.
         let head = g.synced_lsn();
         g.configure_quorum_at(head, 4);
-        g.add_learner("c");
+        g.add_learner("c", head);
         assert_eq!(g.quorum_size(), 4);
 
         // The record at the resize LSN is judged under the NEW size:
-        // 3 of 4 needed, and the learner's ack must not count.
+        // 3 of 4 needed, and the joiner's ack makes only 2.
         let l2 = g.commit(rec(1.0)).unwrap();
         assert_eq!(l2, head);
         assert_eq!(g.committed_quorum_size(), 4, "resize folded at its LSN");
         assert_eq!(g.quorum_lsn(), head, "2 of 4 is not a majority");
         g.member_synced("c", l2 + 1);
-        assert_eq!(g.quorum_lsn(), head, "a learner's ack must not count");
+        assert_eq!(g.quorum_lsn(), head, "primary and joiner are 2 of 4");
         assert!(g.is_learner("c"));
 
         // Promotion makes the learner's (already tracked) position
@@ -1241,15 +1251,20 @@ mod tests {
         };
         // Group of one growing to two: the single-node rule may carry
         // the watermark up to the resize LSN but no further — past it,
-        // 2 of 2 are required and the learner doesn't count yet.
+        // 2 of 2 are required, and the joiner's ack counts toward its
+        // own add record and later ones.
         let head = g.synced_lsn();
         g.configure_quorum_at(head, 2);
-        g.add_learner("x");
+        g.add_learner("x", head);
         let l = g.commit(rec).unwrap();
         assert_eq!(l, head);
         assert_eq!(g.quorum_lsn(), head, "capped at the resize LSN");
         g.member_synced("x", l + 1);
-        assert_eq!(g.quorum_lsn(), head, "learner ack fenced from quorum");
+        assert!(
+            g.quorum_lsn() > l,
+            "the joiner's ack commits its add record"
+        );
+        assert!(g.is_learner("x"), "still a learner until promoted");
         g.promote_voter("x");
         assert!(g.quorum_lsn() > l, "both voters past the record");
         std::fs::remove_dir_all(&dir).ok();
@@ -1298,7 +1313,7 @@ mod tests {
         assert!(g.quorum_lsn() > l2, "2 of 2 remaining voters");
 
         // Re-adding the id starts it over as a learner.
-        g.add_learner("a");
+        g.add_learner("a", g.synced_lsn());
         assert!(g.is_learner("a"));
         std::fs::remove_dir_all(&dir).ok();
     }

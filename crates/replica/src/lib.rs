@@ -32,14 +32,13 @@
 //!   fenced group refuses every commit with
 //!   `mvolap_durable::DurableError::Fenced` ([`ReplicaError::Fenced`]
 //!   here). [`sync_follower`] is the follower's side. A [`FaultProxy`]
-//!   injects socket faults — dropped and stalled connections — for
-//!   sweeps.
+//!   is a socket hop that drops or stalls connections, for sweeps.
 //!
 //! Supervision of a whole group — quorum commit, election, rejoin and
 //! the fault sweeps that prove them — lives one crate up, in
-//! `mvolap-cluster`: its `ClusterSet` drives the [`Follower`],
-//! [`WalTailer`] and [`ReplicaTransport`] pieces defined here, one
-//! deterministic tick at a time. Nothing here reads a clock: time-based
+//! `mvolap-cluster`: its pumps ship a [`WalTailer`]'s frames to
+//! [`Follower`]s, in the served group and in the deterministic
+//! `ClusterSet` model alike. Nothing here reads a clock: time-based
 //! checkpoint policies read the store's `mvolap_durable::TimeSource`,
 //! and the deployed follow loop paces itself with `std::thread::sleep`.
 
@@ -50,15 +49,13 @@ pub mod follower;
 pub mod net;
 pub mod record;
 pub mod tailer;
-pub mod transport;
 
 pub use error::{ReplicaError, TransportError};
 pub use follower::Follower;
 pub use net::{
     answer_follower, decode_batch, encode_batch, is_follower_request, read_frame, stop_listener,
-    sync_follower, write_frame, FaultProxy, FrameReader, MsgRouter, NetAddr, NetClient, NetConfig,
-    NetListener, NetStream, ProxyFault, SyncRound, TcpTransport,
+    sync_follower, write_frame, FaultProxy, FrameReader, NetAddr, NetClient, NetConfig,
+    NetListener, NetStream, ProxyFault, SyncRound,
 };
 pub use record::ReplicaMsg;
 pub use tailer::{HelloAnswer, TailSource, WalTailer};
-pub use transport::{ChannelTransport, ReplicaTransport};

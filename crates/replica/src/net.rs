@@ -1,26 +1,13 @@
 //! Networked replication: sockets under the same protocol.
 //!
-//! Everything the in-process transport moves as byte vectors crosses a
-//! real socket here, framed exactly like the WAL itself: each request
-//! and each reply is **one** `[len u32 LE][crc32 u32 LE][payload]`
-//! frame ([`mvolap_durable::frame`]), and every payload is a line of
+//! Replication messages cross a real socket here framed exactly like
+//! the WAL itself: each request and each reply is **one**
+//! `[len u32 LE][crc32 u32 LE][payload]` frame
+//! ([`mvolap_durable::frame`]), and every payload is a line of
 //! [`mvolap_core::token`] tokens reusing the canonical [`ReplicaMsg`]
 //! encoding. TCP and unix sockets share one code path
 //! ([`NetAddr`] / `NetStream`); every socket carries explicit connect,
 //! read and write timeouts, so no request can hang an endpoint.
-//!
-//! Two endpoints live here:
-//!
-//! * [`MsgRouter`] — a loopback message router: a dumb, byte-level
-//!   mailbox server (`send <to> <msg>` / `recv <node>`) that never
-//!   decodes replication messages. [`TcpTransport`] speaks to it,
-//!   giving a tick-driven supervisor (`mvolap-cluster`'s `ClusterSet`
-//!   and its loopback sweep) a real socket under the unchanged
-//!   supervision protocol.
-//! * [`FaultProxy`] — a byte-level man-in-the-middle for the sweep: it
-//!   counts request frames against a deterministic [`FaultPlan`] and,
-//!   when the plan fires, drops or stalls the connection — the socket
-//!   version of a lost or hung link.
 //!
 //! The primary's side of the follower protocol is a function, not a
 //! server: [`answer_follower`] answers one hello/ack/fence frame from a
@@ -28,6 +15,12 @@
 //! and the session server in `mvolap-server` calls it for every frame
 //! [`is_follower_request`] recognises, on the same port as its queries.
 //! [`sync_follower`] is the follower's side of that exchange.
+//!
+//! [`FaultProxy`] is the sweeps' faulty socket: a loopback hop that
+//! echoes every request frame and, when a deterministic [`FaultPlan`]
+//! fires, drops or stalls the connection — the socket version of a
+//! lost or hung link. `mvolap-cluster` sends each exchange of its
+//! replication link through one.
 
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -48,7 +41,6 @@ use crate::error::{ReplicaError, TransportError};
 use crate::follower::Follower;
 use crate::record::ReplicaMsg;
 use crate::tailer::WalTailer;
-use crate::transport::ReplicaTransport;
 
 // ---------------------------------------------------------------- addr
 
@@ -492,7 +484,8 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<ReplicaMsg>, ReplicaError> {
 /// Polls `listener` until `flag` is raised, handing each accepted
 /// connection (10 s read and write timeouts) to `serve` on its own
 /// thread. Polling — not blocking — accept keeps shutdown bounded even
-/// when the listener can no longer be woken by a connection.
+/// when the listener can no longer be woken by a connection; a short
+/// poll keeps the reconnect after each dropped connection cheap.
 fn accept_loop<F>(listener: &NetListener, flag: &AtomicBool, serve: &Arc<F>)
 where
     F: Fn(NetStream) + Send + Sync + 'static,
@@ -507,114 +500,8 @@ where
                 let serve = Arc::clone(serve);
                 std::thread::spawn(move || serve(conn));
             }
-            Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Ok(None) | Err(_) => std::thread::sleep(Duration::from_micros(200)),
         }
-    }
-}
-
-// ---------------------------------------------------------- msg router
-
-/// Serves one accepted connection until any error (including a read
-/// timeout or the peer closing) ends it.
-fn router_conn(
-    mut s: NetStream,
-    inboxes: &Mutex<BTreeMap<String, std::collections::VecDeque<Vec<u8>>>>,
-) {
-    loop {
-        let Ok(req) = read_frame(&mut s) else { return };
-        let reply = match route_request(&req, inboxes) {
-            Ok(r) => r,
-            Err(e) => reply_err(&e.to_string()),
-        };
-        if write_frame(&mut s, &reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// One router request: `send <to> <msg>` enqueues raw bytes, `recv
-/// <node>` pops them (`batch 0` when the inbox is empty).
-fn route_request(
-    req: &[u8],
-    inboxes: &Mutex<BTreeMap<String, std::collections::VecDeque<Vec<u8>>>>,
-) -> Result<Vec<u8>, ReplicaError> {
-    let mut r = TokenReader::from_bytes(req)?;
-    let mut reply = TokenWriter::new(Escapes::Binary);
-    reply.raw("batch");
-    // The router never decodes: a message is an opaque token both ways
-    // and the *client* decodes, exactly as the in-process transport
-    // does on its own inboxes.
-    match r.token()? {
-        "send" => {
-            let (to, msg) = (r.text()?, r.bytes()?);
-            r.finish()?;
-            let mut map = inboxes.lock().unwrap_or_else(|e| e.into_inner());
-            map.entry(to).or_default().push_back(msg);
-            reply.raw(0);
-        }
-        "recv" => {
-            let who = r.text()?;
-            r.finish()?;
-            let mut map = inboxes.lock().unwrap_or_else(|e| e.into_inner());
-            match map.get_mut(&who).and_then(|inbox| inbox.pop_front()) {
-                Some(wire) => reply.raw(1).bytes(&wire),
-                None => reply.raw(0),
-            };
-        }
-        other => return Err(r.bad("router request", other).into()),
-    }
-    Ok(reply.finish())
-}
-
-/// A loopback message router: per-node FIFO inboxes behind a socket.
-/// [`TcpTransport`] is its client; together they are the in-process
-/// [`crate::transport::ChannelTransport`] with a real network in the
-/// middle. Accepts any number of concurrent connections.
-#[derive(Debug)]
-pub struct MsgRouter {
-    addr: NetAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MsgRouter {
-    /// Binds `bind` (use port 0 for an ephemeral TCP port) and serves
-    /// until dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Transport`] when the address cannot be bound.
-    pub fn spawn(bind: &NetAddr) -> Result<MsgRouter, ReplicaError> {
-        let listener = NetListener::bind(bind).map_err(|e| io_err(&e))?;
-        let addr = listener.addr.clone();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let inboxes: Arc<Mutex<BTreeMap<String, std::collections::VecDeque<Vec<u8>>>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
-        let serve = Arc::new(move |conn| router_conn(conn, &inboxes));
-        let accept = std::thread::spawn(move || accept_loop(&listener, &flag, &serve));
-        Ok(MsgRouter {
-            addr,
-            shutdown,
-            accept: Some(accept),
-        })
-    }
-
-    /// The actually-bound address (the ephemeral port resolved).
-    pub fn addr(&self) -> &NetAddr {
-        &self.addr
-    }
-
-    /// Stops accepting and joins the accept thread. Connection threads
-    /// end on their own once their peers hang up.
-    pub fn stop(&mut self) {
-        stop_listener(&self.shutdown, &mut self.accept);
-    }
-}
-
-impl Drop for MsgRouter {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -704,66 +591,6 @@ impl NetClient {
     }
 }
 
-// -------------------------------------------------------- tcptransport
-
-fn as_transport(e: &ReplicaError) -> TransportError {
-    match e {
-        ReplicaError::Transport(t) => t.clone(),
-        _ => TransportError::Lost,
-    }
-}
-
-/// [`ReplicaTransport`] over a socket to a [`MsgRouter`]: every send
-/// and receive is one framed request/reply on the wire. Despite the
-/// name it speaks to unix-socket routers too — the address decides.
-#[derive(Debug)]
-pub struct TcpTransport {
-    client: NetClient,
-    steps: u64,
-}
-
-impl TcpTransport {
-    /// A transport speaking to the router at `addr`.
-    pub fn connect(addr: NetAddr, cfg: NetConfig) -> TcpTransport {
-        TcpTransport {
-            client: NetClient::connect(addr, cfg),
-            steps: 0,
-        }
-    }
-}
-
-impl ReplicaTransport for TcpTransport {
-    fn send(&mut self, to: &str, msg: &ReplicaMsg) -> Result<(), TransportError> {
-        self.steps += 1;
-        let mut req = TokenWriter::new(Escapes::Binary);
-        req.raw("send").text(to).bytes(&msg.encode());
-        let reply = self
-            .client
-            .rpc(&req.finish())
-            .map_err(|e| as_transport(&e))?;
-        decode_batch(&reply).map_err(|_| TransportError::Lost)?;
-        Ok(())
-    }
-
-    fn recv(&mut self, node: &str) -> Result<Option<ReplicaMsg>, TransportError> {
-        self.steps += 1;
-        let mut req = TokenWriter::new(Escapes::Binary);
-        req.raw("recv").text(node);
-        let reply = self
-            .client
-            .rpc(&req.finish())
-            .map_err(|e| as_transport(&e))?;
-        // A popped message that does not decode is lost on the wire,
-        // exactly as on the in-process transport.
-        let msgs = decode_batch(&reply).map_err(|_| TransportError::Lost)?;
-        Ok(msgs.into_iter().next())
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-}
-
 // ---------------------------------------------------------- faultproxy
 
 /// How a firing [`FaultProxy`] mistreats the connection.
@@ -776,14 +603,12 @@ pub enum ProxyFault {
     Stall(u64),
 }
 
-/// A byte-level fault injector between a client and an upstream
-/// server. It forwards whole frames and counts each *request* frame
-/// against a [`FaultPlan`]; once the plan fires, the next
-/// `outage_len` request frames are dropped or stalled per
-/// [`ProxyFault`] (use `u64::MAX` for a permanent partition). Because
-/// the supervisor is single-threaded — one request per transport
-/// operation, one operation at a time — the request-frame count
-/// enumerates transport operations deterministically.
+/// A faulty socket hop: it answers every request frame with the frame
+/// itself, and counts each request frame against a [`FaultPlan`]. Once
+/// the plan fires, the next `outage_len` request frames are dropped or
+/// stalled per [`ProxyFault`] (use `u64::MAX` for a permanent
+/// partition). A single-threaded client — one request at a time —
+/// makes the frame count enumerate its requests deterministically.
 #[derive(Debug)]
 pub struct FaultProxy {
     addr: NetAddr,
@@ -792,13 +617,12 @@ pub struct FaultProxy {
 }
 
 impl FaultProxy {
-    /// Listens on an ephemeral loopback port, proxying to `upstream`.
+    /// Listens on an ephemeral loopback port.
     ///
     /// # Errors
     ///
     /// [`ReplicaError::Transport`] when the listener cannot bind.
     pub fn spawn(
-        upstream: NetAddr,
         plan: FaultPlan,
         outage_len: u64,
         fault: ProxyFault,
@@ -811,7 +635,7 @@ impl FaultProxy {
         // (plan, frames faulted so far) — shared across connections so
         // the schedule survives reconnects.
         let state = Arc::new(Mutex::new((plan, 0u64)));
-        let serve = Arc::new(move |conn| proxy_conn(conn, &upstream, &state, outage_len, fault));
+        let serve = Arc::new(move |conn| proxy_conn(conn, &state, outage_len, fault));
         let accept = std::thread::spawn(move || accept_loop(&listener, &flag, &serve));
         Ok(FaultProxy {
             addr,
@@ -839,21 +663,10 @@ impl Drop for FaultProxy {
 
 fn proxy_conn(
     mut client: NetStream,
-    upstream: &NetAddr,
     state: &Mutex<(FaultPlan, u64)>,
     outage_len: u64,
     fault: ProxyFault,
 ) {
-    let cfg = NetConfig {
-        connect_timeout_ms: 1_000,
-        read_timeout_ms: 10_000,
-        write_timeout_ms: 10_000,
-        reconnect_attempts: 0,
-        backoff_start_ms: 0,
-    };
-    let Ok(mut up) = NetStream::connect(upstream, &cfg) else {
-        return;
-    };
     loop {
         let Ok(req) = read_frame(&mut client) else {
             return;
@@ -867,18 +680,12 @@ fn proxy_conn(
             due
         };
         if fire {
-            match fault {
-                ProxyFault::Drop => return,
-                ProxyFault::Stall(ms) => {
-                    std::thread::sleep(Duration::from_millis(ms));
-                    return;
-                }
+            if let ProxyFault::Stall(ms) = fault {
+                std::thread::sleep(Duration::from_millis(ms));
             }
+            return;
         }
-        let forwarded = write_frame(&mut up, &req)
-            .and_then(|()| read_frame(&mut up))
-            .and_then(|reply| write_frame(&mut client, &reply));
-        if forwarded.is_err() {
+        if write_frame(&mut client, &req).is_err() {
             return;
         }
     }

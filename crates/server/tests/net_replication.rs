@@ -2,8 +2,8 @@
 //! session server's port: follower catch-up, snapshot bootstrap, the
 //! unix-socket variant, manual-clock time-based checkpoints, and hellos
 //! answered only from fsynced frames while a commit's fsync is parked.
-//! (A whole supervised group over `TcpTransport`, and the fault sweep
-//! over loopback TCP, live in `mvolap-cluster`'s tests.)
+//! (A whole supervised group whose link crosses a loopback socket, and
+//! the fault sweep over it, live in `mvolap-cluster`'s tests.)
 //!
 //! Every test is named `net_*` so CI can run exactly this surface with
 //! `cargo test -p mvolap-server net_`.
