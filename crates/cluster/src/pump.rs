@@ -22,7 +22,9 @@
 //! 2. **Ships** new work. When the pump takes its cursor from the
 //!    member it first runs the divergence gate
 //!    ([`WalTailer::verify_position`]): a member whose log forks from
-//!    the primary's is shipped `Diverged` and nothing else. Then it
+//!    the primary's is shipped `Diverged` and nothing else, and its
+//!    refusal is terminal ([`PumpState::Diverged`]): the pump ships
+//!    nothing more until an election or a rebuild replaces it. Then it
 //!    fetches fsynced frames from the primary's
 //!    log ([`WalTailer::fetch_budget`] — never past the durable
 //!    watermark, so a member cannot ack a record the primary could
@@ -136,6 +138,13 @@ pub enum PumpState {
     Fenced {
         /// The epoch that fenced it.
         epoch: u64,
+    },
+    /// The member refused as diverged: its log forks from the
+    /// primary's. The pump ships nothing and stays parked until a
+    /// fresh pump replaces it.
+    Diverged {
+        /// The LSN the logs fork at.
+        lsn: u64,
     },
     /// Shutdown observed.
     Stopped,
@@ -290,6 +299,12 @@ pub enum PumpStep {
     },
     /// A stalled pump still inside its backoff window.
     Backoff,
+    /// The member refused as diverged on an earlier step; nothing is
+    /// shipped.
+    Diverged {
+        /// The LSN the logs fork at.
+        lsn: u64,
+    },
     /// Caught up: nothing in flight, nothing new to ship.
     Idle,
 }
@@ -419,6 +434,8 @@ pub struct MemberPump {
     snap_cursor: Option<SnapCursor>,
     /// Timeline instant before which a stalled pump must not retry.
     retry_at: Option<u64>,
+    /// The fork LSN, once the member refused as diverged.
+    diverged: Option<u64>,
     /// Per-pump stop flag, in addition to the shared one — lets a
     /// single member's pump be halted (removal) without stopping the
     /// rest of the fleet.
@@ -452,6 +469,7 @@ impl MemberPump {
             cursor: None,
             snap_cursor: None,
             retry_at: None,
+            diverged: None,
             halt: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -484,6 +502,9 @@ impl MemberPump {
         let epoch = self.shared.commit.epoch();
         if self.shared.commit.is_fenced() {
             return self.fenced(self.shared.commit.epoch());
+        }
+        if let Some(lsn) = self.diverged {
+            return PumpStep::Diverged { lsn };
         }
         if let Some(at) = self.retry_at {
             if self.cfg.time.now_ms() < at {
@@ -765,9 +786,9 @@ impl MemberPump {
                     }
                     PumpStep::Blocked { .. } => std::thread::sleep(Duration::from_millis(1)),
                     PumpStep::Stalled { .. } | PumpStep::Backoff => std::thread::sleep(retry),
-                    PumpStep::Fenced { .. } => {
-                        // Fencing is permanent for this pump; stay
-                        // parked until stopped.
+                    PumpStep::Fenced { .. } | PumpStep::Diverged { .. } => {
+                        // Fencing and divergence are permanent for this
+                        // pump; stay parked until stopped.
                         std::thread::sleep(park);
                     }
                 }
@@ -820,9 +841,17 @@ impl MemberPump {
         self.retry_at = Some(self.cfg.time.now_ms() + self.cfg.retry_wait_ms);
         let reason = e.to_string();
         self.tracker.update(&self.name, |s| s.stalls += 1);
-        self.set_state(PumpState::Stalled {
-            reason: reason.clone(),
-        });
+        let state = match *e {
+            // Terminal: the next steps ship nothing.
+            ReplicaError::Diverged { lsn, .. } => {
+                self.diverged = Some(lsn);
+                PumpState::Diverged { lsn }
+            }
+            _ => PumpState::Stalled {
+                reason: reason.clone(),
+            },
+        };
+        self.set_state(state);
         self.publish_gauges();
         PumpStep::Stalled {
             reason,

@@ -1542,7 +1542,8 @@ fn served_join_with_an_old_voter_down_promotes_and_then_removes_it() {
 /// The pump's divergence gate: when a pump takes its cursor from a
 /// member whose log forks from the primary's, it ships `Diverged` and
 /// not one frame; the member refuses, stickily, and acks nothing past
-/// the fork.
+/// the fork. The refusal is terminal for the pump: it ships no further
+/// envelope, however long it runs.
 #[test]
 fn pump_ships_diverged_to_a_forked_member_which_acks_nothing() {
     let dir = tmp("pumpfork");
@@ -1596,23 +1597,25 @@ fn pump_ships_diverged_to_a_forked_member_which_acks_nothing() {
 
     // A's pump checks the member's position before shipping a frame.
     let mut from_a = pump(&a, "a");
-    for _ in 0..3 {
-        assert_eq!(
-            from_a.step(),
-            PumpStep::Progress {
-                shipped: 0,
-                acked: 0
-            }
-        );
-        assert!(matches!(
-            from_a.step(),
-            PumpStep::Stalled { crash: false, .. }
-        ));
-        match member.lock().unwrap().refusal_error() {
-            Some(ReplicaError::Diverged { lsn, .. }) => assert_eq!(lsn, fork),
-            other => panic!("expected Diverged, got {other:?}"),
+    assert_eq!(
+        from_a.step(),
+        PumpStep::Progress {
+            shipped: 0,
+            acked: 0
         }
+    );
+    assert!(matches!(
+        from_a.step(),
+        PumpStep::Stalled { crash: false, .. }
+    ));
+    match member.lock().unwrap().refusal_error() {
+        Some(ReplicaError::Diverged { lsn, .. }) => assert_eq!(lsn, fork),
+        other => panic!("expected Diverged, got {other:?}"),
+    }
+    let envelopes = tracker.status("m1").unwrap().requests;
+    for _ in 0..3 {
         time.advance(10);
+        assert_eq!(from_a.step(), PumpStep::Diverged { lsn: fork });
     }
     assert_eq!(
         member.lock().unwrap().next_lsn(),
@@ -1620,6 +1623,8 @@ fn pump_ships_diverged_to_a_forked_member_which_acks_nothing() {
         "nothing applied"
     );
     let st = tracker.status("m1").unwrap();
+    assert_eq!(st.requests, envelopes, "no envelope after the refusal");
+    assert_eq!(st.state, PumpState::Diverged { lsn: fork });
     assert_eq!(st.shipped_frames, shipped_from_b, "A shipped no frame");
     assert!(
         a.member_positions().is_empty(),

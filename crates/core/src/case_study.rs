@@ -15,11 +15,10 @@
 
 use mvolap_temporal::{Granularity, Instant, Interval};
 
-use crate::confidence::Confidence;
 use crate::dimension::TemporalDimension;
 use crate::fact::MeasureDef;
 use crate::ids::{DimensionId, MemberVersionId};
-use crate::mapping::{MappingFunction, MappingRelationship, MeasureMapping};
+use crate::mapping::{MappingRelationship, MeasureMapping};
 use crate::member::MemberVersionSpec;
 use crate::schema::Tmd;
 
@@ -123,103 +122,55 @@ pub const TABLE_3: [(i32, &str, f64); 10] = [
 ];
 
 /// Builds the single-measure (`Amount`) case study with the Example 6
-/// mapping relationships and the Table 3 facts.
+/// mapping relationships, `<Jones, Bill, {(x→0.4x, am)}, {(x→x, em)}>`
+/// and `<Jones, Paul, {(x→0.6x, am)}, {(x→x, em)}>`, and the Table 3
+/// facts.
 pub fn case_study() -> CaseStudy {
-    let mut tmd = Tmd::new("institution", Granularity::Month);
-    let (d, [sales, rnd, jones, smith, brian, bill, paul]) = build_org();
-    let org = tmd
-        .add_dimension(d)
-        .expect("empty schema accepts dimensions");
-    tmd.add_measure(MeasureDef::summed("Amount"))
-        .expect("empty schema accepts measures");
-
-    // Example 6: <Jones, Bill, {(x→0.4x, am)}, {(x→x, em)}> and
-    //            <Jones, Paul, {(x→0.6x, am)}, {(x→x, em)}>.
-    tmd.add_mapping(
-        org,
-        MappingRelationship::uniform(
-            jones,
-            bill,
-            MeasureMapping::approx_scale(0.4),
-            MeasureMapping::EXACT_IDENTITY,
-            1,
-        ),
-    )
-    .expect("case study mapping");
-    tmd.add_mapping(
-        org,
-        MappingRelationship::uniform(
-            jones,
-            paul,
-            MeasureMapping::approx_scale(0.6),
-            MeasureMapping::EXACT_IDENTITY,
-            1,
-        ),
-    )
-    .expect("case study mapping");
-
-    for (year, dept, amount) in TABLE_3 {
-        tmd.add_fact_by_names(&[dept], mid(year), &[amount])
-            .expect("Table 3 facts are valid");
-    }
-
-    CaseStudy {
-        tmd,
-        org,
-        sales,
-        rnd,
-        jones,
-        smith,
-        brian,
-        bill,
-        paul,
-    }
+    build(&["Amount"], [&[0.4], &[0.6]], &[1.0])
 }
 
 /// The two-measure variant behind §5.2 / Table 12: `Turnover` (m1,
 /// split 60 % Paul / 40 % Bill) and `Profit` (m2, split 80 % Paul /
 /// 20 % Bill). Facts carry a synthetic profit of 20 % of the amount.
 pub fn case_study_two_measures() -> CaseStudy {
+    build(
+        &["Turnover", "Profit"],
+        [&[0.4, 0.2], &[0.6, 0.8]],
+        &[1.0, 0.2],
+    )
+}
+
+/// The case study with one summed measure per name: Jones's split maps
+/// each measure to Bill and to Paul by its share (`splits`, approximate
+/// forward, exact identity backward), and each Table 3 amount enters
+/// each measure times its factor.
+fn build(measures: &[&str], splits: [&[f64]; 2], factors: &[f64]) -> CaseStudy {
     let mut tmd = Tmd::new("institution", Granularity::Month);
     let (d, [sales, rnd, jones, smith, brian, bill, paul]) = build_org();
     let org = tmd
         .add_dimension(d)
         .expect("empty schema accepts dimensions");
-    tmd.add_measure(MeasureDef::summed("Turnover"))
-        .expect("measure");
-    tmd.add_measure(MeasureDef::summed("Profit"))
-        .expect("measure");
-
-    let approx = |k: f64| MeasureMapping {
-        func: MappingFunction::Scale(k),
-        confidence: Confidence::Approx,
-    };
-    tmd.add_mapping(
-        org,
-        MappingRelationship {
-            from: jones,
-            to: bill,
-            forward: vec![approx(0.4), approx(0.2)],
-            backward: vec![MeasureMapping::EXACT_IDENTITY; 2],
-        },
-    )
-    .expect("mapping");
-    tmd.add_mapping(
-        org,
-        MappingRelationship {
-            from: jones,
-            to: paul,
-            forward: vec![approx(0.6), approx(0.8)],
-            backward: vec![MeasureMapping::EXACT_IDENTITY; 2],
-        },
-    )
-    .expect("mapping");
-
-    for (year, dept, amount) in TABLE_3 {
-        tmd.add_fact_by_names(&[dept], mid(year), &[amount, amount * 0.2])
-            .expect("facts are valid");
+    for name in measures {
+        tmd.add_measure(MeasureDef::summed(*name))
+            .expect("empty schema accepts measures");
     }
-
+    for (to, shares) in [bill, paul].into_iter().zip(splits) {
+        let rel = MappingRelationship {
+            from: jones,
+            to,
+            forward: shares
+                .iter()
+                .map(|&k| MeasureMapping::approx_scale(k))
+                .collect(),
+            backward: vec![MeasureMapping::EXACT_IDENTITY; shares.len()],
+        };
+        tmd.add_mapping(org, rel).expect("case study mapping");
+    }
+    for (year, dept, amount) in TABLE_3 {
+        let values: Vec<f64> = factors.iter().map(|f| amount * f).collect();
+        tmd.add_fact_by_names(&[dept], mid(year), &values)
+            .expect("Table 3 facts are valid");
+    }
     CaseStudy {
         tmd,
         org,
@@ -236,6 +187,7 @@ pub fn case_study_two_measures() -> CaseStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::MappingFunction;
 
     #[test]
     fn case_study_shape() {

@@ -254,9 +254,8 @@ impl Tmd {
         self.log.record(entry);
     }
 
-    /// Appends a fact row after full Definition 5 validation: every
-    /// coordinate must exist, be valid at `t`, and be a leaf member
-    /// version at `t`.
+    /// Appends a fact row after full Definition 5 validation
+    /// ([`Tmd::check_fact`]).
     ///
     /// # Errors
     ///
@@ -267,6 +266,18 @@ impl Tmd {
         t: Instant,
         values: &[f64],
     ) -> Result<()> {
+        self.check_fact(coords, t, values)?;
+        self.facts.push(coords, t, values)
+    }
+
+    /// Definition 5's checks on a fact row, without appending it: one
+    /// coordinate per dimension, each existing, valid at `t` and a leaf
+    /// member version at `t`, then one value per measure.
+    ///
+    /// # Errors
+    ///
+    /// Arity, validity or leaf violations — see [`CoreError`].
+    pub fn check_fact(&self, coords: &[MemberVersionId], t: Instant, values: &[f64]) -> Result<()> {
         if coords.len() != self.dimensions.len() {
             return Err(CoreError::CoordinateArityMismatch {
                 expected: self.dimensions.len(),
@@ -289,7 +300,13 @@ impl Tmd {
                 });
             }
         }
-        self.facts.push(coords, t, values)
+        if values.len() != self.measures.len() {
+            return Err(CoreError::MeasureArityMismatch {
+                expected: self.measures.len(),
+                actual: values.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Convenience: appends a fact addressed by member names (resolved to

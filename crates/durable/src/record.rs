@@ -207,31 +207,29 @@ trait Field: Sized {
     fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError>;
 }
 
-impl Field for DimensionId {
-    fn put(&self, w: &mut TokenWriter) {
-        w.raw(self.0);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.parse("dimension").map(DimensionId)
-    }
+/// A field type whose token form is one writer call and one reader
+/// call.
+macro_rules! token_fields {
+    ($($ty:ty => |$v:ident, $w:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, $w: &mut TokenWriter) {
+                let $v = self;
+                $put;
+            }
+            fn get($r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
+                $get
+            }
+        }
+    )*};
 }
 
-impl Field for MemberVersionId {
-    fn put(&self, w: &mut TokenWriter) {
-        w.raw(self.0);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.parse("member version id").map(MemberVersionId)
-    }
-}
-
-impl Field for String {
-    fn put(&self, w: &mut TokenWriter) {
-        w.text(self);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.text()
-    }
+token_fields! {
+    DimensionId => |v, w| w.raw(v.0), |r| r.parse("dimension").map(DimensionId);
+    MemberVersionId => |v, w| w.raw(v.0), |r| r.parse("member version id").map(MemberVersionId);
+    String => |v, w| w.text(v), |r| r.text();
+    Instant => |v, w| w.instant(*v), |r| r.instant();
+    f64 => |v, w| w.f64(*v), |r| r.f64();
+    MeasureMapping => |v, w| w.mapping(v), |r| r.mapping();
 }
 
 /// A level: `0`, or `1` and the level's text.
@@ -248,33 +246,6 @@ impl Field for Option<String> {
             "1" => r.text().map(Some),
             flag => Err(r.bad("level flag", flag)),
         }
-    }
-}
-
-impl Field for Instant {
-    fn put(&self, w: &mut TokenWriter) {
-        w.instant(*self);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.instant()
-    }
-}
-
-impl Field for f64 {
-    fn put(&self, w: &mut TokenWriter) {
-        w.f64(*self);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.f64()
-    }
-}
-
-impl Field for MeasureMapping {
-    fn put(&self, w: &mut TokenWriter) {
-        w.mapping(self);
-    }
-    fn get(r: &mut TokenReader<'_>) -> Result<Self, TokenError> {
-        r.mapping()
     }
 }
 
@@ -460,48 +431,16 @@ impl WalRecord {
     }
 
     /// Read-only validation of a fact batch against the current schema:
-    /// the exact Definition 5 checks `Tmd::add_fact` performs, without
-    /// mutating anything. Lets the hot load path journal-then-apply
-    /// without cloning the schema.
+    /// [`Tmd::check_fact`], the checks `Tmd::add_fact` performs, on
+    /// every row, without mutating anything. Lets the hot load path
+    /// journal-then-apply without cloning the schema.
     ///
     /// # Errors
     ///
-    /// The same errors `Tmd::add_fact` would raise for the first
-    /// offending row.
+    /// The first offending row's error.
     pub fn validate_facts(tmd: &Tmd, rows: &[FactRow]) -> Result<(), CoreError> {
-        let dims = tmd.dimensions();
-        let measures = tmd.measures().len();
-        for r in rows {
-            if r.coords.len() != dims.len() {
-                return Err(CoreError::CoordinateArityMismatch {
-                    expected: dims.len(),
-                    actual: r.coords.len(),
-                });
-            }
-            if r.values.len() != measures {
-                return Err(CoreError::MeasureArityMismatch {
-                    expected: measures,
-                    actual: r.values.len(),
-                });
-            }
-            for (dim, &c) in dims.iter().zip(&r.coords) {
-                dim.version(c)?;
-                if !dim.is_valid_at(c, r.at) {
-                    return Err(CoreError::CoordinateNotValid {
-                        dimension: dim.name().to_owned(),
-                        id: c,
-                        at: r.at,
-                    });
-                }
-                if !dim.is_leaf_at(c, r.at) {
-                    return Err(CoreError::CoordinateNotLeaf {
-                        dimension: dim.name().to_owned(),
-                        id: c,
-                    });
-                }
-            }
-        }
-        Ok(())
+        rows.iter()
+            .try_for_each(|r| tmd.check_fact(&r.coords, r.at, &r.values))
     }
 }
 

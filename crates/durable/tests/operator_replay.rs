@@ -16,7 +16,7 @@ use mvolap_durable::WalRecord;
 use mvolap_temporal::{Granularity, Instant, Interval};
 
 /// The ids of the one-dimension schema every record applies to.
-struct Org {
+pub struct Org {
     dim: DimensionId,
     p1: MemberVersionId,
     p2: MemberVersionId,
@@ -28,7 +28,7 @@ struct Org {
 /// Two divisions; four departments under the first from 2001 on; one
 /// department renamed at 2002 with its mapping already registered; two
 /// measures and a few facts.
-fn schema() -> (Tmd, Org) {
+pub fn schema() -> (Tmd, Org) {
     let mut tmd = Tmd::new("replay", Granularity::Month);
     let mut d = mvolap_core::TemporalDimension::new("Org");
     let all = Interval::since(Instant::ym(2001, 1));
@@ -222,7 +222,7 @@ fn cases(o: &Org) -> Vec<(WalRecord, Direct)> {
 }
 
 /// The payload of each case, in order: the bytes a WAL frame holds.
-const PAYLOADS: [&str; 10] = [
+pub const PAYLOADS: [&str; 10] = [
     "create 0 Vnew 1 Department 24036 1 1",
     "delete 0 4 24036",
     "transform 0 2 V1' 24036 1 budget high",

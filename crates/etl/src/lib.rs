@@ -21,10 +21,7 @@ pub mod scd;
 pub mod snapshot;
 pub mod target;
 
-pub use load::{
-    apply_changes, apply_changes_in, apply_changes_with_hints, apply_changes_with_hints_in,
-    bootstrap, bootstrap_in, EvolutionHint, LoadReport,
-};
+pub use load::{apply_changes, apply_changes_with_hints, bootstrap, EvolutionHint, LoadReport};
 pub use scd::{Scd1Dimension, Scd2Dimension, Scd3Dimension};
 pub use snapshot::{diff, ChangeEvent, Snapshot, SnapshotRow};
 pub use target::{load_facts, EvolutionTarget, FactRecord};

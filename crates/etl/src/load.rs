@@ -1,16 +1,18 @@
 //! Loading detected changes into a temporal multidimensional schema.
 //!
 //! Each loader is generic over [`EvolutionTarget`], so the same change
-//! stream lands either directly in a [`Tmd`] or — journaled through the
-//! write-ahead log — in a [`mvolap_durable::DurableTmd`]. The original
-//! `Tmd`-taking entry points remain as thin wrappers.
+//! stream lands either directly in a [`Tmd`](mvolap_core::Tmd) or —
+//! journaled through the write-ahead log — in a
+//! [`mvolap_durable::DurableTmd`]. Every change is an evolution
+//! statement ([`Evolve`]) of the one operator table,
+//! [`mvolap_query::OPERATORS`], whose row resolves the source's names
+//! into the operator's record.
 
-use mvolap_core::evolution::{MergeSource, SplitPart};
-use mvolap_core::{CoreError, DimensionId, MemberVersionId, Result, Tmd};
-use mvolap_durable::WalRecord;
+use mvolap_core::{CoreError, DimensionId};
+use mvolap_query::{Evolve, Named};
 use mvolap_temporal::Instant;
 
-use crate::snapshot::ChangeEvent;
+use crate::snapshot::{ChangeEvent, Snapshot, SnapshotRow};
 use crate::target::EvolutionTarget;
 
 /// Administrator-supplied knowledge about an evolution that a snapshot
@@ -53,268 +55,196 @@ pub struct LoadReport {
     pub transformed: usize,
 }
 
-/// Resolves a member name to its version valid at `t` (or the version
-/// valid just before `t`, for members being changed at `t`).
-///
-/// # Errors
-///
-/// [`mvolap_core::CoreError`] when no member of that name is valid at
-/// either instant.
-pub fn resolve(tmd: &Tmd, dim: DimensionId, name: &str, t: Instant) -> Result<MemberVersionId> {
-    let d = tmd.dimension(dim)?;
-    d.version_named_at(name, t)
-        .or_else(|_| d.version_named_at(name, t.pred()))
-        .map(|v| v.id)
+/// Names without shares.
+fn named<'a>(names: impl IntoIterator<Item = &'a String>) -> Vec<Named> {
+    names.into_iter().map(|name| (name.clone(), None)).collect()
+}
+
+/// The name the statements address `dim` by.
+fn name_of<T: EvolutionTarget>(target: &T, dim: DimensionId) -> Result<String, CoreError> {
+    Ok(target.schema().dimension(dim)?.name().to_owned())
+}
+
+/// Creates `rows` at `at`, in passes: a row whose parent does not
+/// resolve yet (a department under a division created in the same
+/// batch) waits for the next pass, and a pass that creates nothing
+/// fails. Returns the number created.
+fn create_rows<T: EvolutionTarget>(
+    target: &mut T,
+    dim: DimensionId,
+    mut rows: Vec<&SnapshotRow>,
+    at: Instant,
+) -> Result<usize, T::Error> {
+    let (created, dimension) = (rows.len(), name_of(target, dim)?);
+    while !rows.is_empty() {
+        let before = rows.len();
+        let mut rest = Vec::new();
+        for row in rows {
+            let create = Evolve {
+                level: row.level.clone(),
+                under: named(&row.parent),
+                ..Evolve::new("CREATE", &dimension, named([&row.member]), at)
+            };
+            match create.resolve(target.schema()) {
+                Ok(record) => target.apply(record)?,
+                Err(_) => rest.push(row),
+            }
+        }
+        if rest.len() == before {
+            let names: Vec<&str> = rest.iter().map(|r| r.member.as_str()).collect();
+            let msg = format!("members have unresolvable parents: {}", names.join(", "));
+            return Err(CoreError::InvalidEvolution(msg).into());
+        }
+        rows = rest;
+    }
+    Ok(created)
 }
 
 /// Applies snapshot-diff events to a load destination at instant `at`,
 /// through the §3.2 evolution operators:
 ///
-/// * `Created` → `create` (Insert);
-/// * `Deleted` → `delete` (Exclude);
-/// * `Reclassified` → `reclassify` (the conceptual-model operator, which
-///   keeps the member version and re-wires its relationships);
-/// * `AttributesChanged` → `transform` (Exclude + Insert + equivalence
-///   Associate).
+/// * `Created` → `CREATE` (Insert), parents first;
+/// * `Deleted` → `DELETE` (Exclude);
+/// * `Reclassified` → `RECLASSIFY` (the conceptual-model operator,
+///   which keeps the member version and re-wires its relationships);
+/// * `AttributesChanged` → `RENAME` to the same name (Transform:
+///   Exclude + Insert + equivalence Associate).
 ///
 /// # Errors
 ///
 /// Name-resolution failures, evolution-operator violations, and — for a
 /// durable destination — journaling failures.
-pub fn apply_changes_in<T: EvolutionTarget>(
+pub fn apply_changes<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
     events: &[ChangeEvent],
     at: Instant,
-) -> std::result::Result<LoadReport, T::Error> {
-    let mut report = LoadReport::default();
-    // Creations may depend on one another (a department under a division
-    // created in the same snapshot); retry until a pass makes no
-    // progress.
-    let mut pending_creates: Vec<&crate::snapshot::SnapshotRow> = events
-        .iter()
-        .filter_map(|e| match e {
-            ChangeEvent::Created { row } => Some(row),
-            _ => None,
-        })
-        .collect();
-    while !pending_creates.is_empty() {
-        let before = pending_creates.len();
-        let mut rest = Vec::new();
-        for row in pending_creates {
-            let parents = match &row.parent {
-                Some(p) => match resolve(target.schema(), dim, p, at) {
-                    Ok(id) => vec![id],
-                    Err(_) => {
-                        rest.push(row);
-                        continue;
-                    }
-                },
-                None => Vec::new(),
-            };
-            target.apply(WalRecord::Create {
-                dim,
-                name: row.member.clone(),
-                level: row.level.clone(),
-                at,
-                parents,
-            })?;
-            report.created += 1;
-        }
-        if rest.len() == before {
-            return Err(CoreError::InvalidEvolution(format!(
-                "created members have unresolvable parents: {}",
-                rest.iter()
-                    .map(|r| r.member.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-            .into());
-        }
-        pending_creates = rest;
-    }
+) -> Result<LoadReport, T::Error> {
+    let rows = events.iter().filter_map(|e| match e {
+        ChangeEvent::Created { row } => Some(row),
+        _ => None,
+    });
+    let mut report = LoadReport {
+        created: create_rows(target, dim, rows.collect(), at)?,
+        ..LoadReport::default()
+    };
+    let dimension = name_of(target, dim)?;
+    let op = |keyword, member| Evolve::new(keyword, &dimension, named([member]), at);
     for event in events {
-        match event {
-            ChangeEvent::Created { .. } => {} // handled above
+        let e = match event {
+            ChangeEvent::Created { .. } => continue,
             ChangeEvent::Deleted { member } => {
-                let id = resolve(target.schema(), dim, member, at)?;
-                target.apply(WalRecord::Delete { dim, id, at })?;
                 report.deleted += 1;
+                op("DELETE", member)
             }
             ChangeEvent::Reclassified {
                 member,
                 old_parent,
                 new_parent,
             } => {
-                let id = resolve(target.schema(), dim, member, at)?;
-                let old_parents = match old_parent {
-                    Some(p) => vec![resolve(target.schema(), dim, p, at)?],
-                    None => Vec::new(),
-                };
-                let new_parents = match new_parent {
-                    Some(p) => vec![resolve(target.schema(), dim, p, at)?],
-                    None => Vec::new(),
-                };
-                target.apply(WalRecord::Reclassify {
-                    dim,
-                    id,
-                    at,
-                    old_parents,
-                    new_parents,
-                })?;
                 report.reclassified += 1;
+                Evolve {
+                    from: named(old_parent),
+                    to: named(new_parent),
+                    ..op("RECLASSIFY", member)
+                }
             }
             ChangeEvent::AttributesChanged { member, attributes } => {
-                let id = resolve(target.schema(), dim, member, at)?;
-                let new_name = target.schema().dimension(dim)?.version(id)?.name.clone();
-                target.apply(WalRecord::Transform {
-                    dim,
-                    id,
-                    new_name,
-                    new_attributes: attributes.clone(),
-                    at,
-                })?;
                 report.transformed += 1;
+                Evolve {
+                    to: named([member]),
+                    with: attributes.clone(),
+                    ..op("RENAME", member)
+                }
             }
-        }
+        };
+        target.apply(e.resolve(target.schema())?)?;
     }
     Ok(report)
-}
-
-/// [`apply_changes_in`] for a bare [`Tmd`] — the original entry point.
-///
-/// # Errors
-///
-/// As [`apply_changes_in`].
-pub fn apply_changes(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    events: &[ChangeEvent],
-    at: Instant,
-) -> Result<LoadReport> {
-    apply_changes_in(tmd, dim, events, at)
 }
 
 /// Applies snapshot-diff events with administrator hints: hinted splits
 /// and merges consume their matching `Deleted`/`Created` events and run
 /// the corresponding high-level operator (wiring mapping relationships);
-/// everything left over flows through [`apply_changes_in`].
+/// everything left over flows through [`apply_changes`].
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidEvolution`] when a hint references members the
 /// diff does not actually report as deleted/created; plus everything
-/// [`apply_changes_in`] raises.
-pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
+/// [`apply_changes`] raises.
+pub fn apply_changes_with_hints<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
     events: &[ChangeEvent],
     hints: &[EvolutionHint],
     at: Instant,
-) -> std::result::Result<LoadReport, T::Error> {
-    let deleted = |events: &[ChangeEvent], name: &str| {
-        events
-            .iter()
-            .any(|e| matches!(e, ChangeEvent::Deleted { member } if member == name))
+) -> Result<LoadReport, T::Error> {
+    let deleted = |name: &str, what: &str| {
+        let mut deletes = events.iter();
+        let gone = deletes.any(|e| matches!(e, ChangeEvent::Deleted { member } if member == name));
+        let msg = || invalid(format!("{what} `{name}` is not deleted by the snapshot"));
+        gone.then_some(()).ok_or_else(msg)
     };
-    let created_row = |events: &[ChangeEvent], name: &str| {
-        events.iter().find_map(|e| match e {
-            ChangeEvent::Created { row } if row.member == name => Some(row.clone()),
+    let created = |name: &str, what: &str| {
+        let row = events.iter().find_map(|e| match e {
+            ChangeEvent::Created { row } if row.member == name => Some(row),
             _ => None,
-        })
+        });
+        row.ok_or_else(|| invalid(format!("{what} `{name}` is not created by the snapshot")))
     };
-
-    let mut consumed_deletes: Vec<String> = Vec::new();
-    let mut consumed_creates: Vec<String> = Vec::new();
+    let dimension = name_of(target, dim)?;
     let mut report = LoadReport::default();
-    let measures = target.schema().measures().len();
-
     for hint in hints {
-        match hint {
+        let e = match hint {
             EvolutionHint::Split { member, parts } => {
-                if !deleted(events, member) {
-                    return Err(CoreError::InvalidEvolution(format!(
-                        "split hint for `{member}` but the snapshot does not delete it"
-                    ))
-                    .into());
-                }
-                let mut split_parts = Vec::with_capacity(parts.len());
-                let mut parents: Vec<MemberVersionId> = Vec::new();
+                deleted(member, "split hint member")?;
+                let mut split = Evolve::new("SPLIT", &dimension, named([member]), at);
                 for (part, share) in parts {
-                    let row = created_row(events, part).ok_or_else(|| {
-                        CoreError::InvalidEvolution(format!(
-                            "split hint part `{part}` is not created by the snapshot"
-                        ))
-                    })?;
-                    if let Some(p) = &row.parent {
-                        let id = resolve(target.schema(), dim, p, at)?;
-                        if !parents.contains(&id) {
-                            parents.push(id);
+                    for parent in named(&created(part, "split hint part")?.parent) {
+                        if !split.under.contains(&parent) {
+                            split.under.push(parent);
                         }
                     }
-                    split_parts.push(SplitPart::proportional(part.clone(), *share, measures));
+                    split.to.push((part.clone(), Some(*share)));
                 }
-                let source = resolve(target.schema(), dim, member, at)?;
-                target.apply(WalRecord::Split {
-                    dim,
-                    source,
-                    parts: split_parts,
-                    at,
-                    parents,
-                })?;
-                consumed_deletes.push(member.clone());
-                consumed_creates.extend(parts.iter().map(|(p, _)| p.clone()));
                 report.deleted += 1;
                 report.created += parts.len();
+                split
             }
             EvolutionHint::Merge { sources, into } => {
-                let row = created_row(events, into).ok_or_else(|| {
-                    CoreError::InvalidEvolution(format!(
-                        "merge hint target `{into}` is not created by the snapshot"
-                    ))
-                })?;
-                let parents: Vec<MemberVersionId> = match &row.parent {
-                    Some(p) => vec![resolve(target.schema(), dim, p, at)?],
-                    None => Vec::new(),
-                };
-                let mut merge_sources = Vec::with_capacity(sources.len());
-                for (source, share) in sources {
-                    if !deleted(events, source) {
-                        return Err(CoreError::InvalidEvolution(format!(
-                            "merge hint source `{source}` is not deleted by the snapshot"
-                        ))
-                        .into());
-                    }
-                    let id = resolve(target.schema(), dim, source, at)?;
-                    merge_sources.push(MergeSource::with_share(id, *share, measures));
+                let row = created(into, "merge hint target")?;
+                for (source, _) in sources {
+                    deleted(source, "merge hint source")?;
                 }
-                target.apply(WalRecord::Merge {
-                    dim,
-                    sources: merge_sources,
-                    new_name: into.clone(),
-                    level: row.level.clone(),
-                    at,
-                    parents,
-                })?;
-                consumed_deletes.extend(sources.iter().map(|(s, _)| s.clone()));
-                consumed_creates.push(into.clone());
                 report.deleted += sources.len();
                 report.created += 1;
+                let members = sources.iter().map(|(s, k)| (s.clone(), Some(*k))).collect();
+                Evolve {
+                    to: named([into]),
+                    level: row.level.clone(),
+                    under: named(&row.parent),
+                    ..Evolve::new("MERGE", &dimension, members, at)
+                }
             }
-        }
+        };
+        target.apply(e.resolve(target.schema())?)?;
     }
 
     // Everything not consumed by a hint loads the plain way.
-    let remaining: Vec<ChangeEvent> = events
-        .iter()
-        .filter(|e| match e {
-            ChangeEvent::Deleted { member } => !consumed_deletes.contains(member),
-            ChangeEvent::Created { row } => !consumed_creates.contains(&row.member),
-            _ => true,
+    let hinted = |e: &&ChangeEvent| {
+        use ChangeEvent::{Created, Deleted};
+        use EvolutionHint::{Merge, Split};
+        hints.iter().any(|hint| match (hint, e) {
+            (Split { member, .. }, Deleted { member: m }) => member == m,
+            (Split { parts, .. }, Created { row }) => parts.iter().any(|(p, _)| *p == row.member),
+            (Merge { sources, .. }, Deleted { member }) => sources.iter().any(|(s, _)| s == member),
+            (Merge { into, .. }, Created { row }) => *into == row.member,
+            _ => false,
         })
-        .cloned()
-        .collect();
-    let rest = apply_changes_in(target, dim, &remaining, at)?;
+    };
+    let remaining: Vec<ChangeEvent> = events.iter().filter(|e| !hinted(e)).cloned().collect();
+    let rest = apply_changes(target, dim, &remaining, at)?;
     report.created += rest.created;
     report.deleted += rest.deleted;
     report.reclassified += rest.reclassified;
@@ -322,20 +252,8 @@ pub fn apply_changes_with_hints_in<T: EvolutionTarget>(
     Ok(report)
 }
 
-/// [`apply_changes_with_hints_in`] for a bare [`Tmd`] — the original
-/// entry point.
-///
-/// # Errors
-///
-/// As [`apply_changes_with_hints_in`].
-pub fn apply_changes_with_hints(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    events: &[ChangeEvent],
-    hints: &[EvolutionHint],
-    at: Instant,
-) -> Result<LoadReport> {
-    apply_changes_with_hints_in(tmd, dim, events, hints, at)
+fn invalid(msg: String) -> CoreError {
+    CoreError::InvalidEvolution(msg)
 }
 
 /// Bootstraps an empty dimension from its first snapshot: every root
@@ -346,71 +264,24 @@ pub fn apply_changes_with_hints(
 ///
 /// [`CoreError::InvalidEvolution`] when a parent is missing from the
 /// snapshot itself.
-pub fn bootstrap_in<T: EvolutionTarget>(
+pub fn bootstrap<T: EvolutionTarget>(
     target: &mut T,
     dim: DimensionId,
-    snapshot: &crate::snapshot::Snapshot,
-) -> std::result::Result<LoadReport, T::Error> {
-    let mut report = LoadReport::default();
-    // Roots first, then repeatedly anything whose parent already exists.
-    let mut pending: Vec<&crate::snapshot::SnapshotRow> = snapshot.rows.values().collect();
-    let at = snapshot.period;
-    while !pending.is_empty() {
-        let before = pending.len();
-        let mut rest = Vec::new();
-        for row in pending {
-            let parent_id = match &row.parent {
-                None => None,
-                Some(p) => match resolve(target.schema(), dim, p, at) {
-                    Ok(id) => Some(id),
-                    Err(_) => {
-                        rest.push(row);
-                        continue;
-                    }
-                },
-            };
-            target.apply(WalRecord::Create {
-                dim,
-                name: row.member.clone(),
-                level: row.level.clone(),
-                at,
-                parents: parent_id.into_iter().collect(),
-            })?;
-            report.created += 1;
-        }
-        if rest.len() == before {
-            return Err(CoreError::InvalidEvolution(format!(
-                "snapshot has unresolvable parents for: {}",
-                rest.iter()
-                    .map(|r| r.member.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-            .into());
-        }
-        pending = rest;
-    }
-    Ok(report)
-}
-
-/// [`bootstrap_in`] for a bare [`Tmd`] — the original entry point.
-///
-/// # Errors
-///
-/// As [`bootstrap_in`].
-pub fn bootstrap(
-    tmd: &mut Tmd,
-    dim: DimensionId,
-    snapshot: &crate::snapshot::Snapshot,
-) -> Result<LoadReport> {
-    bootstrap_in(tmd, dim, snapshot)
+    snapshot: &Snapshot,
+) -> Result<LoadReport, T::Error> {
+    let rows = snapshot.rows.values().collect();
+    Ok(LoadReport {
+        created: create_rows(target, dim, rows, snapshot.period)?,
+        ..LoadReport::default()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{diff, Snapshot, SnapshotRow};
+    use crate::snapshot::diff;
     use crate::target::{load_facts, FactRecord};
+    use mvolap_core::Tmd;
     use mvolap_core::{MeasureDef, TemporalDimension};
     use mvolap_durable::DurableTmd;
     use mvolap_temporal::Granularity;
@@ -628,7 +499,7 @@ mod tests {
         let (tmd, dim) = empty_schema();
         let mut store = DurableTmd::create(&dir, tmd).unwrap();
 
-        bootstrap_in(&mut store, dim, &org_2001()).unwrap();
+        bootstrap(&mut store, dim, &org_2001()).unwrap();
         load_facts(
             &mut store,
             &[FactRecord {
@@ -653,7 +524,7 @@ mod tests {
             parts: vec![("Dpt.Bill".into(), 0.4), ("Dpt.Paul".into(), 0.6)],
         }];
         let report =
-            apply_changes_with_hints_in(&mut store, dim, &events, &hints, Instant::ym(2003, 1))
+            apply_changes_with_hints(&mut store, dim, &events, &hints, Instant::ym(2003, 1))
                 .unwrap();
         assert_eq!(report.created, 2);
         assert_eq!(report.deleted, 1);

@@ -79,10 +79,11 @@ pub struct Query {
     pub mode: ModeSpec,
 }
 
-/// A parsed statement: a query, or a read-only `SHOW` over the §5
+/// A parsed statement: a query, a read-only `SHOW` over the §5
 /// metadata tier (structure versions, dimensions, measures, the
-/// evolution log, the quality factor) or over the serving node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// evolution log, the quality factor) or over the serving node, or an
+/// evolution operator of Table 11.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// `SELECT …`.
     Query(Query),
@@ -103,4 +104,6 @@ pub enum Statement {
     /// `SHOW STATUS` — the serving node's pool, memo, quorum and
     /// followers; only a session server answers it.
     Status,
+    /// `CREATE …` or another row of [`crate::OPERATORS`], unresolved.
+    Evolve(crate::Evolve),
 }

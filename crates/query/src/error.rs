@@ -47,6 +47,8 @@ pub enum QueryError {
     /// `SHOW STATUS` describes a serving node, and a schema alone has
     /// none.
     NoServer,
+    /// An evolution (its keyword) changes the schema; a read cannot.
+    NotARead(&'static str),
 }
 
 impl From<CoreError> for QueryError {
@@ -85,6 +87,9 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::Core(e) => write!(f, "execution error: {e}"),
             QueryError::NoServer => write!(f, "SHOW STATUS is answered by a session server"),
+            QueryError::NotARead(kw) => {
+                write!(f, "{kw} changes the schema, so a read cannot run it")
+            }
         }
     }
 }

@@ -12,6 +12,8 @@ pub enum TokenKind {
     Str(String),
     /// An unsigned integer literal.
     Number(i64),
+    /// An unsigned decimal literal with a fraction (`0.75`), as written.
+    Decimal(String),
     /// `=`
     Equals,
     /// `(`
@@ -44,139 +46,70 @@ pub struct Token {
 /// and dimension names like `R&D` or `Dpt.O'Brian` survive (the `.`
 /// still separates dimension from level).
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    // The end of the run from `i` of characters that `keep` accepts.
+    let run = |i: usize, keep: fn(char) -> bool| {
+        i + input[i..].find(|c| !keep(c)).unwrap_or(input.len() - i)
+    };
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' => {
-                out.push(Token {
-                    kind: TokenKind::LParen,
-                    at: i,
-                });
+    while let Some(c) = input[i..].chars().next() {
+        let at = i;
+        i += c.len_utf8();
+        let kind = match c {
+            ' ' | '\t' | '\n' | '\r' => continue,
+            '(' => TokenKind::LParen,
+            ')' => TokenKind::RParen,
+            ',' => TokenKind::Comma,
+            ';' => TokenKind::Semi,
+            '/' => TokenKind::Slash,
+            '=' => TokenKind::Equals,
+            '.' if bytes.get(i) == Some(&b'.') => {
                 i += 1;
+                TokenKind::DotDot
             }
-            ')' => {
-                out.push(Token {
-                    kind: TokenKind::RParen,
-                    at: i,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token {
-                    kind: TokenKind::Comma,
-                    at: i,
-                });
-                i += 1;
-            }
-            ';' => {
-                out.push(Token {
-                    kind: TokenKind::Semi,
-                    at: i,
-                });
-                i += 1;
-            }
-            '/' => {
-                out.push(Token {
-                    kind: TokenKind::Slash,
-                    at: i,
-                });
-                i += 1;
-            }
-            '=' => {
-                out.push(Token {
-                    kind: TokenKind::Equals,
-                    at: i,
-                });
-                i += 1;
-            }
+            '.' => TokenKind::Dot,
             '\'' => {
-                // UTF-8 safe: only the ASCII quote byte is inspected;
-                // content is copied as whole slices between quotes.
-                let start = i;
-                i += 1;
+                // Whole slices between quotes; `''` is one quote.
                 let mut text = String::new();
-                let mut seg_start = i;
                 loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(QueryError::Unexpected {
-                                expected: "closing `'`".into(),
-                                found: "end of input".into(),
-                                at: start,
-                            })
-                        }
-                        Some(b'\'') => {
-                            text.push_str(&input[seg_start..i]);
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                text.push('\'');
-                                i += 2;
-                                seg_start = i;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(_) => i += 1,
+                    let Some(len) = input[i..].find('\'') else {
+                        return Err(QueryError::Unexpected {
+                            expected: "closing `'`".into(),
+                            found: "end of input".into(),
+                            at,
+                        });
+                    };
+                    text.push_str(&input[i..i + len]);
+                    i += len + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break TokenKind::Str(text);
                     }
-                }
-                out.push(Token {
-                    kind: TokenKind::Str(text),
-                    at: start,
-                });
-            }
-            '.' => {
-                if bytes.get(i + 1) == Some(&b'.') {
-                    out.push(Token {
-                        kind: TokenKind::DotDot,
-                        at: i,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        kind: TokenKind::Dot,
-                        at: i,
-                    });
+                    text.push('\'');
                     i += 1;
                 }
             }
             '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
+                i = run(i, |c| c.is_ascii_digit());
+                if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                    i = run(i + 1, |c| c.is_ascii_digit());
+                    TokenKind::Decimal(input[at..i].to_owned())
+                } else {
+                    let text = &input[at..i];
+                    let bad = |_| QueryError::BadNumber {
+                        text: text.to_owned(),
+                        at,
+                    };
+                    TokenKind::Number(text.parse().map_err(bad)?)
                 }
-                let text = &input[start..i];
-                let value = text.parse::<i64>().map_err(|_| QueryError::BadNumber {
-                    text: text.to_owned(),
-                    at: start,
-                })?;
-                out.push(Token {
-                    kind: TokenKind::Number(value),
-                    at: start,
-                });
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_alphanumeric() || matches!(c, '_' | '&' | '+' | '-' | '\'') {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Token {
-                    kind: TokenKind::Ident(input[start..i].to_owned()),
-                    at: start,
-                });
+                i = run(i, |c| c.is_alphanumeric() || "_&+-'".contains(c));
+                TokenKind::Ident(input[at..i].to_owned())
             }
-            other => {
-                return Err(QueryError::UnexpectedChar { ch: other, at: i });
-            }
-        }
+            ch => return Err(QueryError::UnexpectedChar { ch, at }),
+        };
+        out.push(Token { kind, at });
     }
     Ok(out)
 }
@@ -206,6 +139,20 @@ mod tests {
                 RParen,
                 Ident("BY".into()),
                 Ident("year".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn decimals_keep_their_text_and_ranges_stay_ranges() {
+        assert_eq!(
+            kinds("0.05, 2001..2002"),
+            vec![
+                Decimal("0.05".into()),
+                Comma,
+                Number(2001),
+                DotDot,
+                Number(2002)
             ]
         );
     }
@@ -245,6 +192,21 @@ mod tests {
             kinds("Org.Division"),
             vec![Ident("Org".into()), Dot, Ident("Division".into())]
         );
+    }
+
+    #[test]
+    fn identifiers_may_hold_any_letter() {
+        assert_eq!(
+            kinds("Org.Départ 'é'"),
+            vec![
+                Ident("Org".into()),
+                Dot,
+                Ident("Départ".into()),
+                Str("é".into())
+            ]
+        );
+        let err = tokenize("BY é§").unwrap_err();
+        assert_eq!(err, QueryError::UnexpectedChar { ch: '§', at: 5 });
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! SHOW DOT <dimension>
 //! SHOW QUALITY <query> | GRID <query>
 //! SHOW STATUS
+//!
+//! SPLIT Org 'Dpt.Smith' INTO 'Dpt.S1' 0.3, 'Dpt.S2' 0.7 UNDER 'R&D' AT 01/2005
 //! ```
 //!
 //! * `BY` accepts `year`, `quarter`, `month`, `instant`, or
@@ -39,6 +41,9 @@
 //!   query's quality factor per mode or its answer as a pivot grid.
 //!   [`parse_statement`] reads statements, [`parse`] queries only, and
 //!   [`render_answer`] renders either; only a server answers `STATUS`.
+//! * The evolution statements are Table 11, one row of [`OPERATORS`]
+//!   per operator kind of the write-ahead log; [`Evolve::resolve`]
+//!   turns one into its record. A backend commits it, a read refuses it.
 //!
 //! [`CubeView`] navigates a query the way the §5.2 front end does:
 //! roll-up and drill-down rewrite its group-by and time levels, slice,
@@ -59,6 +64,7 @@
 
 pub mod ast;
 pub mod error;
+pub mod evolve;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
@@ -66,6 +72,7 @@ pub mod view;
 
 pub use ast::{GroupKey, ModeSpec, Query, Select, Statement};
 pub use error::QueryError;
+pub use evolve::{Evolve, Named, Operator, OPERATORS};
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::{parse, parse_statement};
 pub use plan::{

@@ -1,7 +1,14 @@
 //! Recursive-descent parser.
 
+use std::collections::BTreeMap;
+
+use mvolap_core::token::TokenReader;
+use mvolap_core::MeasureMapping;
+use mvolap_temporal::Instant;
+
 use crate::ast::{FilterSpec, GroupKey, ModeSpec, Query, Select, Statement};
 use crate::error::{QueryError, Result};
+use crate::evolve::{Evolve, Named, Operator, OPERATORS};
 use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Parses a query string into its AST. `SHOW` statements are not
@@ -17,9 +24,10 @@ pub fn parse(input: &str) -> Result<Query> {
     Ok(q)
 }
 
-/// Parses a statement: a query, or `SHOW` and its target. Keywords are
-/// case-insensitive; the first token decides, so a query is tokenized
-/// and parsed exactly as [`parse`] does.
+/// Parses a statement: a query, `SHOW` and its target, or an evolution
+/// of [`OPERATORS`] by its row's grammar. Keywords are case-insensitive;
+/// the first token decides, so a query is tokenized and parsed exactly
+/// as [`parse`] does.
 ///
 /// # Errors
 ///
@@ -33,33 +41,42 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
 }
 
 const SHOW_TARGETS: &str = "VERSIONS, DIMENSIONS, MEASURES, LOG, DOT, QUALITY, GRID or STATUS";
+const MAPPING: &str = "quoted mapping ('id@em', 's0.5@am', 'u@uk', 'a2:1@am')";
 
-struct Parser {
+struct Parser<'a> {
+    input: &'a str,
     tokens: Vec<Token>,
     pos: usize,
-    len: usize,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Parser> {
+impl Parser<'_> {
+    fn new(input: &str) -> Result<Parser<'_>> {
+        let tokens = tokenize(input)?;
         Ok(Parser {
-            tokens: tokenize(input)?,
+            input,
+            tokens,
             pos: 0,
-            len: input.len(),
         })
     }
 
     /// An optional `;`, then the end of the input.
     fn finish(&mut self) -> Result<()> {
         self.eat(&TokenKind::Semi);
-        self.expect_end()
+        if self.pos == self.tokens.len() {
+            Ok(())
+        } else {
+            Err(self.unexpected("end of query"))
+        }
     }
 
     fn statement(&mut self) -> Result<Statement> {
-        if !self.at_keyword("SHOW") {
+        if let Some(op) = OPERATORS.iter().find(|op| self.at_keyword(op.keyword)) {
+            self.pos += 1;
+            return self.evolve(op).map(Statement::Evolve);
+        }
+        if !self.eat_keyword("SHOW") {
             return self.query().map(Statement::Query);
         }
-        self.pos += 1;
         let target = self.ident(SHOW_TARGETS)?;
         Ok(match target.to_ascii_uppercase().as_str() {
             "VERSIONS" => Statement::Versions,
@@ -77,31 +94,109 @@ impl Parser {
         })
     }
 
+    /// An evolution's arguments, clause by clause as its row's grammar
+    /// lists them.
+    fn evolve(&mut self, op: &'static Operator) -> Result<Evolve> {
+        let dimension = self.ident("dimension name")?;
+        let mut e = Evolve::new(op.keyword, &dimension, Vec::new(), Instant::DAWN);
+        for (keyword, optional, placeholder) in op.clauses() {
+            if !keyword.is_empty() && !self.eat_keyword(keyword) {
+                if optional {
+                    continue;
+                }
+                return Err(self.unexpected(&format!("keyword {keyword}")));
+            }
+            let names = |p: &mut Self| p.names(&placeholder);
+            match keyword {
+                "" => e.members = names(self)?,
+                "TO" | "INTO" => e.to = names(self)?,
+                "UNDER" => e.under = names(self)?,
+                "FROM" => e.from = names(self)?,
+                "LEVEL" => e.level = Some(self.ident("level name")?),
+                "BY" | "KEEP" => e.factor = self.decimal(&placeholder)?,
+                "FORWARD" => e.forward = self.mapping()?,
+                "BACKWARD" => e.backward = self.mapping()?,
+                "WITH" => e.with = self.attributes()?,
+                _ => e.at = self.instant()?,
+            }
+        }
+        Ok(e)
+    }
+
+    /// Quoted member names: a comma list where the placeholder has `…`,
+    /// each followed by a share where it names one (`[share]`: where
+    /// one is written).
+    fn names(&mut self, placeholder: &str) -> Result<Vec<Named>> {
+        self.list(placeholder.contains('…'), |p| {
+            let name = p.string("quoted member name")?;
+            let share = if placeholder.contains("[share]") {
+                p.decimal("share").ok()
+            } else if placeholder.contains("share") {
+                Some(p.decimal("share")?)
+            } else {
+                None
+            };
+            Ok((name, share))
+        })
+    }
+
+    /// A quoted mapping in the log's token form.
+    fn mapping(&mut self) -> Result<MeasureMapping> {
+        self.take(MAPPING, |k| {
+            let TokenKind::Str(text) = k else { return None };
+            let mut r = TokenReader::new(text);
+            r.mapping().ok().filter(|_| r.peek().is_none())
+        })
+    }
+
+    /// `key = 'value'`, comma-separated.
+    fn attributes(&mut self) -> Result<BTreeMap<String, String>> {
+        let pairs = self.list(true, |p| {
+            let key = p.ident("attribute name")?;
+            p.expect(TokenKind::Equals, "`=`")?;
+            Ok((key, p.string("quoted attribute value")?))
+        })?;
+        Ok(pairs.into_iter().collect())
+    }
+
+    /// One item, or (`many`) one or more comma-separated.
+    fn list<T>(&mut self, many: bool, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = vec![f(self)?];
+        while many && self.eat(&TokenKind::Comma) {
+            items.push(f(self)?);
+        }
+        Ok(items)
+    }
+
+    /// `mm/yyyy` as an instant.
+    fn instant(&mut self) -> Result<Instant> {
+        let at = self.at();
+        let (month, year) = self.month_year()?;
+        Instant::from_ym(year, month).map_err(|_| QueryError::BadNumber {
+            text: format!("{month}/{year}"),
+            at,
+        })
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
 
     fn at(&self) -> usize {
-        self.peek().map(|t| t.at).unwrap_or(self.len)
+        self.peek().map_or(self.input.len(), |t| t.at)
     }
 
+    /// The next token as written (tokens are separated by whitespace
+    /// only).
     fn found(&self) -> String {
-        match self.peek() {
-            Some(t) => match &t.kind {
-                TokenKind::Ident(s) => s.clone(),
-                TokenKind::Str(s) => format!("'{s}'"),
-                TokenKind::Number(n) => n.to_string(),
-                TokenKind::Equals => "=".into(),
-                TokenKind::LParen => "(".into(),
-                TokenKind::RParen => ")".into(),
-                TokenKind::Comma => ",".into(),
-                TokenKind::Dot => ".".into(),
-                TokenKind::DotDot => "..".into(),
-                TokenKind::Slash => "/".into(),
-                TokenKind::Semi => ";".into(),
-            },
-            None => "end of input".into(),
-        }
+        let Some(t) = self.peek() else {
+            return "end of input".into();
+        };
+        let end = self
+            .tokens
+            .get(self.pos + 1)
+            .map_or(self.input.len(), |n| n.at);
+        self.input[t.at..end].trim_end().to_owned()
     }
 
     fn unexpected(&self, expected: &str) -> QueryError {
@@ -112,50 +207,80 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
-        if self.peek().map(|t| &t.kind) == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    /// Consumes the next token when `f` takes it, else fails as
+    /// expecting `what`.
+    fn take<T>(&mut self, what: &str, f: impl FnOnce(&TokenKind) -> Option<T>) -> Result<T> {
+        match self.peek().and_then(|t| f(&t.kind)) {
+            Some(value) => {
+                self.pos += 1;
+                Ok(value)
+            }
+            None => Err(self.unexpected(what)),
         }
     }
 
+    fn eat(&mut self, kind: &TokenKind) -> bool {
+        let next = self.peek().is_some_and(|t| t.kind == *kind);
+        self.pos += usize::from(next);
+        next
+    }
+
     fn expect(&mut self, kind: TokenKind, what: &str) -> Result<()> {
-        if self.eat(&kind) {
-            Ok(())
-        } else {
-            Err(self.unexpected(what))
-        }
+        self.take(what, |k| (*k == kind).then_some(()))
     }
 
     /// Consumes an identifier (any case) and returns it.
     fn ident(&mut self, what: &str) -> Result<String> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.unexpected(what)),
-        }
+        self.take(what, |k| match k {
+            TokenKind::Ident(s) => Some(s.clone()),
+            _ => None,
+        })
+    }
+
+    /// Consumes a string literal.
+    fn string(&mut self, what: &str) -> Result<String> {
+        self.take(what, |k| match k {
+            TokenKind::Str(s) => Some(s.clone()),
+            _ => None,
+        })
+    }
+
+    /// A number, with or without a fraction.
+    fn decimal(&mut self, what: &str) -> Result<f64> {
+        self.take(what, |k| match k {
+            TokenKind::Number(n) => Some(*n as f64),
+            TokenKind::Decimal(text) => text.parse().ok(),
+            _ => None,
+        })
+    }
+
+    /// An integer literal that fits `T`.
+    fn int<T: TryFrom<i64>>(&mut self, what: &str) -> Result<T> {
+        let at = self.at();
+        let n = self.take(what, |k| match k {
+            TokenKind::Number(n) => Some(*n),
+            _ => None,
+        })?;
+        T::try_from(n).map_err(|_| QueryError::BadNumber {
+            text: n.to_string(),
+            at,
+        })
     }
 
     /// Consumes a keyword (case-insensitive match).
     fn keyword(&mut self, kw: &str) -> Result<()> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) if s.eq_ignore_ascii_case(kw) => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.unexpected(&format!("keyword {kw}"))),
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.unexpected(&format!("keyword {kw}")))
         }
+    }
+
+    /// Consumes the keyword if it comes next.
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        let at = self.at_keyword(kw);
+        self.pos += usize::from(at);
+        at
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
@@ -165,84 +290,36 @@ impl Parser {
         )
     }
 
-    fn number(&mut self, what: &str) -> Result<i64> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Number(n),
-                ..
-            }) => {
-                let n = *n;
-                self.pos += 1;
-                Ok(n)
-            }
-            _ => Err(self.unexpected(what)),
-        }
-    }
-
-    fn expect_end(&self) -> Result<()> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            Err(self.unexpected("end of query"))
-        }
-    }
-
     fn query(&mut self) -> Result<Query> {
         self.keyword("SELECT")?;
-        let mut selects = vec![self.select()?];
-        while self.eat(&TokenKind::Comma) {
-            selects.push(self.select()?);
-        }
+        let selects = self.list(true, Parser::select)?;
         self.keyword("BY")?;
-        let mut groups = vec![self.group()?];
-        while self.eat(&TokenKind::Comma) {
-            groups.push(self.group()?);
-        }
+        let groups = self.list(true, Parser::group)?;
         let mut filters = Vec::new();
-        if self.at_keyword("WHERE") {
-            self.keyword("WHERE")?;
+        if self.eat_keyword("WHERE") {
             filters.push(self.filter()?);
-            while self.at_keyword("AND") {
-                self.keyword("AND")?;
+            while self.eat_keyword("AND") {
                 filters.push(self.filter()?);
             }
         }
-        let range = if self.at_keyword("FOR") {
-            self.keyword("FOR")?;
-            let a = self.number("start year")?;
+        let range = if self.eat_keyword("FOR") {
+            let a = self.int("start year")?;
             self.expect(TokenKind::DotDot, "`..`")?;
-            let b = self.number("end year")?;
-            let (a, b) = (
-                i32::try_from(a).map_err(|_| QueryError::BadNumber {
-                    text: a.to_string(),
-                    at: self.at(),
-                })?,
-                i32::try_from(b).map_err(|_| QueryError::BadNumber {
-                    text: b.to_string(),
-                    at: self.at(),
-                })?,
-            );
-            Some((a, b))
+            Some((a, self.int("end year")?))
         } else {
             None
         };
         self.keyword("IN")?;
-        let mode = if self.at_keyword("ALL") {
-            self.keyword("ALL")?;
+        let mode = if self.eat_keyword("ALL") {
             self.keyword("MODES")?;
-            let weights = if self.at_keyword("WITH") {
-                self.keyword("WITH")?;
+            let weights = if self.eat_keyword("WITH") {
                 self.keyword("WEIGHTS")?;
                 let mut w = [0u8; 4];
                 for (i, slot) in w.iter_mut().enumerate() {
                     if i > 0 {
                         self.expect(TokenKind::Comma, "`,`")?;
                     }
-                    let n = self.number("weight 0..=10")?;
-                    *slot = u8::try_from(n).map_err(|_| QueryError::BadNumber {
-                        text: n.to_string(),
-                        at: self.at(),
-                    })?;
+                    *slot = self.int("weight 0..=10")?;
                 }
                 Some((w[0], w[1], w[2], w[3]))
             } else {
@@ -277,31 +354,13 @@ impl Parser {
         }
         self.keyword("IN")?;
         self.expect(TokenKind::LParen, "`(`")?;
-        let mut members = vec![self.string("member name literal")?];
-        while self.eat(&TokenKind::Comma) {
-            members.push(self.string("member name literal")?);
-        }
+        let members = self.list(true, |p| p.string("member name literal"))?;
         self.expect(TokenKind::RParen, "`)`")?;
         Ok(FilterSpec {
             dimension,
             level,
             members,
         })
-    }
-
-    /// Consumes a string literal.
-    fn string(&mut self, what: &str) -> Result<String> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Str(s),
-                ..
-            }) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.unexpected(what)),
-        }
     }
 
     fn select(&mut self) -> Result<Select> {
@@ -313,18 +372,18 @@ impl Parser {
     }
 
     fn group(&mut self) -> Result<GroupKey> {
+        const TIME_KEYS: [(&str, GroupKey); 4] = [
+            ("year", GroupKey::Year),
+            ("quarter", GroupKey::Quarter),
+            ("month", GroupKey::Month),
+            ("instant", GroupKey::Instant),
+        ];
         let first = self.ident("group key")?;
-        if first.eq_ignore_ascii_case("year") {
-            return Ok(GroupKey::Year);
-        }
-        if first.eq_ignore_ascii_case("quarter") {
-            return Ok(GroupKey::Quarter);
-        }
-        if first.eq_ignore_ascii_case("month") {
-            return Ok(GroupKey::Month);
-        }
-        if first.eq_ignore_ascii_case("instant") {
-            return Ok(GroupKey::Instant);
+        if let Some((_, key)) = TIME_KEYS
+            .iter()
+            .find(|(k, _)| first.eq_ignore_ascii_case(k))
+        {
+            return Ok(key.clone());
         }
         self.expect(TokenKind::Dot, "`.` (dimension.level)")?;
         let level = self.ident("level name")?;
@@ -335,35 +394,23 @@ impl Parser {
     }
 
     fn mode(&mut self) -> Result<ModeSpec> {
-        if self.at_keyword("tcm") || self.at_keyword("consistent") {
-            self.pos += 1;
-            return Ok(ModeSpec::Tcm);
+        if self.eat_keyword("tcm") || self.eat_keyword("consistent") {
+            Ok(ModeSpec::Tcm)
+        } else if self.eat_keyword("version") {
+            Ok(ModeSpec::Version(self.int("version number")?))
+        } else if self.eat_keyword("at") {
+            let (month, year) = self.month_year()?;
+            Ok(ModeSpec::At { month, year })
+        } else {
+            Err(self.unexpected("tcm, VERSION <n> or AT <mm/yyyy>"))
         }
-        if self.at_keyword("version") {
-            self.pos += 1;
-            let n = self.number("version number")?;
-            let n = u32::try_from(n).map_err(|_| QueryError::BadNumber {
-                text: n.to_string(),
-                at: self.at(),
-            })?;
-            return Ok(ModeSpec::Version(n));
-        }
-        if self.at_keyword("at") {
-            self.pos += 1;
-            let month = self.number("month")?;
-            self.expect(TokenKind::Slash, "`/`")?;
-            let year = self.number("year")?;
-            let month = u32::try_from(month).map_err(|_| QueryError::BadNumber {
-                text: month.to_string(),
-                at: self.at(),
-            })?;
-            let year = i32::try_from(year).map_err(|_| QueryError::BadNumber {
-                text: year.to_string(),
-                at: self.at(),
-            })?;
-            return Ok(ModeSpec::At { month, year });
-        }
-        Err(self.unexpected("tcm, VERSION <n> or AT <mm/yyyy>"))
+    }
+
+    /// `mm/yyyy`.
+    fn month_year(&mut self) -> Result<(u32, i32)> {
+        let month = self.int("month")?;
+        self.expect(TokenKind::Slash, "`/`")?;
+        Ok((month, self.int("year")?))
     }
 }
 

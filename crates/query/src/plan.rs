@@ -49,33 +49,21 @@ pub fn plan(
     let mut time_level: Option<TimeLevel> = None;
     let mut group_by = Vec::new();
     for g in &query.groups {
-        match g {
-            GroupKey::Year => {
-                if time_level.replace(TimeLevel::Year).is_some() {
-                    return Err(QueryError::MultipleTimeKeys);
-                }
-            }
-            GroupKey::Quarter => {
-                if time_level.replace(TimeLevel::Quarter).is_some() {
-                    return Err(QueryError::MultipleTimeKeys);
-                }
-            }
-            GroupKey::Month => {
-                if time_level.replace(TimeLevel::Month).is_some() {
-                    return Err(QueryError::MultipleTimeKeys);
-                }
-            }
-            GroupKey::Instant => {
-                if time_level.replace(TimeLevel::Instant).is_some() {
-                    return Err(QueryError::MultipleTimeKeys);
-                }
-            }
+        let level = match g {
+            GroupKey::Year => TimeLevel::Year,
+            GroupKey::Quarter => TimeLevel::Quarter,
+            GroupKey::Month => TimeLevel::Month,
+            GroupKey::Instant => TimeLevel::Instant,
             GroupKey::DimLevel { dimension, level } => {
                 let dim = tmd
                     .dimension_by_name(dimension)
                     .map_err(|_| QueryError::Unresolved(format!("dimension `{dimension}`")))?;
                 group_by.push((dim, level.clone()));
+                continue;
             }
+        };
+        if time_level.replace(level).is_some() {
+            return Err(QueryError::MultipleTimeKeys);
         }
     }
 
@@ -307,7 +295,8 @@ pub fn render_answer(
 /// # Errors
 ///
 /// Planning, execution or rendering failures;
-/// [`QueryError::NoServer`] for `SHOW STATUS`.
+/// [`QueryError::NoServer`] for `SHOW STATUS`, and
+/// [`QueryError::NotARead`] for an evolution.
 pub fn render_statement(
     tmd: &Tmd,
     statement: &Statement,
@@ -388,6 +377,7 @@ pub fn render_statement(
         }
         Statement::Grid(ast) => out = run_parsed(tmd, &svs, ast, ctx, memo)?.render_grid(0),
         Statement::Status => return Err(QueryError::NoServer),
+        Statement::Evolve(e) => return Err(QueryError::NotARead(e.op.keyword)),
     }
     Ok(out)
 }

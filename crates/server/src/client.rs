@@ -12,7 +12,8 @@ use crate::proto::{self, Reply, Request, ServerError};
 ///
 /// Retry caveat: a reconnect re-sends the request, so a `commit` whose
 /// acknowledgement was lost may be journaled twice (at-least-once
-/// semantics). Queries and pings are idempotent.
+/// semantics), and so may an evolution statement sent as a `query`.
+/// Other queries and pings are idempotent.
 pub struct SessionClient {
     net: NetClient,
 }
@@ -49,11 +50,7 @@ impl SessionClient {
     /// Typed [`ServerError`]s from the wire (`Busy`, `Query`,
     /// `Shutdown`, …) or [`ServerError::Transport`] locally.
     pub fn query(&mut self, text: &str) -> Result<String, ServerError> {
-        match self.roundtrip(&Request::Query(text.to_string()))? {
-            Reply::Result(out) => Ok(out),
-            Reply::Err(e) => Err(e),
-            Reply::Lsn(_) => Err(ServerError::Protocol("lsn reply to a query".to_string())),
-        }
+        self.answered(&Request::Query(text.to_string()), "query")
     }
 
     /// Runs a read-only query that a follower may serve, requiring
@@ -65,14 +62,8 @@ impl SessionClient {
     /// [`ServerError::TooStale`] when the follower is behind the bound;
     /// otherwise as for [`SessionClient::query`].
     pub fn read_at(&mut self, min_lsn: u64, text: &str) -> Result<String, ServerError> {
-        match self.roundtrip(&Request::Read {
-            min_lsn,
-            text: text.to_string(),
-        })? {
-            Reply::Result(out) => Ok(out),
-            Reply::Err(e) => Err(e),
-            Reply::Lsn(_) => Err(ServerError::Protocol("lsn reply to a read".to_string())),
-        }
+        let text = text.to_string();
+        self.answered(&Request::Read { min_lsn, text }, "read")
     }
 
     /// Group-commits one journal record; returns its LSN once durable.
@@ -96,10 +87,15 @@ impl SessionClient {
     /// [`ServerError::Transport`] when the server is unreachable;
     /// [`ServerError::Busy`]/[`ServerError::Shutdown`] when refused.
     pub fn ping(&mut self) -> Result<(), ServerError> {
-        match self.roundtrip(&Request::Ping)? {
-            Reply::Result(_) => Ok(()),
+        self.answered(&Request::Ping, "ping").map(drop)
+    }
+
+    /// The text a request is answered with.
+    fn answered(&mut self, req: &Request, what: &str) -> Result<String, ServerError> {
+        match self.roundtrip(req)? {
+            Reply::Result(out) => Ok(out),
             Reply::Err(e) => Err(e),
-            Reply::Lsn(_) => Err(ServerError::Protocol("lsn reply to a ping".to_string())),
+            Reply::Lsn(_) => Err(ServerError::Protocol(format!("lsn reply to a {what}"))),
         }
     }
 }

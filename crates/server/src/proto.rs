@@ -128,42 +128,14 @@ pub enum ServerError {
 }
 
 impl PartialEq for ServerError {
+    /// Field by field, through the derived `Debug`; `Transport` wraps a
+    /// non-comparable error chain and compares by its rendered message.
     fn eq(&self, other: &ServerError) -> bool {
-        use ServerError::*;
         match (self, other) {
-            (
-                Busy {
-                    active: a,
-                    queued: q,
-                },
-                Busy {
-                    active: a2,
-                    queued: q2,
-                },
-            ) => a == a2 && q == q2,
-            (
-                TooStale {
-                    required: r,
-                    applied: a,
-                    member: m,
-                },
-                TooStale {
-                    required: r2,
-                    applied: a2,
-                    member: m2,
-                },
-            ) => r == r2 && a == a2 && m == m2,
-            (Unreplicated { lsn: l, acked: k }, Unreplicated { lsn: l2, acked: k2 }) => {
-                l == l2 && k == k2
+            (ServerError::Transport(e), ServerError::Transport(e2)) => {
+                e.to_string() == e2.to_string()
             }
-            (Query(m), Query(m2)) | (Commit(m), Commit(m2)) | (Protocol(m), Protocol(m2)) => {
-                m == m2
-            }
-            // Transport wraps a non-comparable error chain; fall back
-            // to the rendered message.
-            (Transport(e), Transport(e2)) => e.to_string() == e2.to_string(),
-            (Shutdown, Shutdown) => true,
-            _ => false,
+            _ => format!("{self:?}") == format!("{other:?}"),
         }
     }
 }
@@ -308,10 +280,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServerError> {
             "stale" => ServerError::TooStale {
                 required: r.parse("lsn")?,
                 applied: r.parse("lsn")?,
-                member: match r.peek() {
-                    Some(_) => Some(r.text()?),
-                    None => None,
-                },
+                member: r.peek().is_some().then(|| r.text()).transpose()?,
             },
             "unreplicated" => ServerError::Unreplicated {
                 lsn: r.parse("lsn")?,

@@ -10,8 +10,8 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use mvolap_core::{ExecContext, ShardedMemo};
-use mvolap_durable::{majority, DurableError, GroupCommit};
-use mvolap_query::{parse_statement, render_statement, QueryError, Statement};
+use mvolap_durable::{majority, DurableError, GroupCommit, WalRecord};
+use mvolap_query::{parse_statement, render_statement, Evolve, QueryError, Statement};
 use mvolap_replica::{
     answer_follower, is_follower_request, stop_listener, Follower, NetAddr, NetConfig, NetListener,
     WalTailer,
@@ -489,30 +489,42 @@ fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
         Request::Ping => Reply::Result("pong".to_string()),
         Request::Query(text) => answer(ctx, session, None, &text),
         Request::Read { min_lsn, text } => answer(ctx, session, Some(min_lsn), &text),
-        Request::Commit(record) => {
-            // With a replication quorum configured the session is only
-            // acknowledged once a majority acked; without one this is
-            // plain local group commit. Commits never leave the
-            // primary, whatever the fleet routing does with reads.
-            let res = if ctx.commit.quorum_size() > 1 {
-                ctx.commit.commit_replicated(record, ctx.quorum_timeout_ms)
-            } else {
-                ctx.commit.commit(record)
-            };
-            match res {
-                Ok(lsn) => Reply::Lsn(lsn),
-                Err(DurableError::Unreplicated { lsn, acked }) => {
-                    Reply::Err(ServerError::Unreplicated { lsn, acked })
-                }
-                Err(e) => Reply::Err(ServerError::Commit(e.to_string())),
-            }
-        }
+        Request::Commit(record) => commit(ctx, record).map_or_else(Reply::Err, Reply::Lsn),
+    }
+}
+
+/// Commits one record: once a majority acked it when a replication
+/// quorum is configured, by plain local group commit otherwise. Commits
+/// never leave the primary, whatever the fleet routing does with reads.
+fn commit(ctx: &SessionCtx, record: WalRecord) -> Result<u64, ServerError> {
+    let res = if ctx.commit.quorum_size() > 1 {
+        ctx.commit.commit_replicated(record, ctx.quorum_timeout_ms)
+    } else {
+        ctx.commit.commit(record)
+    };
+    res.map_err(|e| match e {
+        DurableError::Unreplicated { lsn, acked } => ServerError::Unreplicated { lsn, acked },
+        e => ServerError::Commit(e.to_string()),
+    })
+}
+
+/// Runs an evolution statement: its names resolve against the
+/// primary's schema under the store lock, then its record commits as a
+/// `commit` request's does.
+fn evolve(ctx: &SessionCtx, e: &Evolve) -> Reply {
+    match ctx.commit.with_store(|s| e.resolve(s.schema())) {
+        Ok(record) => match commit(ctx, record) {
+            Ok(lsn) => Reply::Result(format!("{}: journaled at LSN {lsn}\n", e.describe())),
+            Err(err) => Reply::Err(err),
+        },
+        Err(err) => Reply::Err(ServerError::Query(err.to_string())),
     }
 }
 
 /// Answers a `query` (`min_lsn` `None`) or a `read` statement. The
 /// text is parsed once, here; `SHOW STATUS` describes this server, so
-/// it is answered here and never routed. A fleet primary forwards
+/// it is answered here and never routed, and so is an evolution, which
+/// a `query` commits and a `read` refuses. A fleet primary forwards
 /// everything else by its text. Sessions spread across the fleet: the
 /// bound is the quorum watermark (everything a quorum-acked commit was
 /// acknowledged for — so a session that just committed reads its own
@@ -521,6 +533,8 @@ fn handle_request(ctx: &SessionCtx, session: u64, payload: &[u8]) -> Reply {
 fn answer(ctx: &SessionCtx, session: u64, min_lsn: Option<u64>, text: &str) -> Reply {
     let statement = match parse_statement(text) {
         Ok(Statement::Status) => return Reply::Result(ctx.status()),
+        Ok(Statement::Evolve(e)) if min_lsn.is_none() => return evolve(ctx, &e),
+        Ok(Statement::Evolve(e)) => return answer_reply(Err(QueryError::NotARead(e.op.keyword))),
         Ok(statement) => statement,
         Err(e) => return answer_reply(Err(e)),
     };

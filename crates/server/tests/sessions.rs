@@ -23,6 +23,10 @@
 //!   primary and from a follower, with the bytes `render_answer` gives
 //!   on the same schema; `SHOW STATUS` is answered by the server that
 //!   receives it, never forwarded.
+//! - **Remote evolution.** An evolution statement sent as a `query`
+//!   commits on the primary as a `commit` would (same LSN, same
+//!   refusal when fenced) and replays on a follower; a `read` refuses
+//!   it, and a fleet primary never forwards it.
 
 use std::path::PathBuf;
 
@@ -810,6 +814,153 @@ fn show_status_on_a_fleet_primary_is_answered_locally() {
     assert_eq!(member.pool_stats().served, 1, "the member never saw it");
     assert!(status.contains(" forwarded=1\n"), "{status}");
     assert!(!versions.is_empty());
+
+    drop(primary);
+    drop(member);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const SPLIT: &str = "SPLIT Org 'Dpt.Smith' INTO 'Dpt.S1' 0.3, 'Dpt.S2' 0.7 UNDER 'R&D' AT 01/2004";
+
+/// An evolution statement sent as a `query` commits on the primary at
+/// the LSN a `commit` would get, and a follower fed the log's tail
+/// replays it to the primary's bytes. A `read` refuses it, and nothing
+/// is journaled.
+#[test]
+fn a_split_statement_commits_remotely_and_replays_on_a_follower() {
+    let dir = tmp("evolve_primary");
+    let fdir = tmp("evolve_follower");
+    let cs = case_study();
+    let store = DurableTmd::create(&dir, cs.tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let follower = Follower::create("reader", fdir.clone(), Options::default(), Io::plain());
+    let server = SessionServer::spawn_with_follower(
+        &local_addr(),
+        group.clone(),
+        follower,
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+
+    match client.read_at(0, SPLIT) {
+        Err(ServerError::Query(e)) => {
+            assert_eq!(e, "SPLIT changes the schema, so a read cannot run it");
+        }
+        other => panic!("a read must refuse an evolution, got {other:?}"),
+    }
+    let next = group.wal_position();
+    assert_eq!(
+        client.query(SPLIT).unwrap(),
+        format!("split `Dpt.Smith` into `Dpt.S1`, `Dpt.S2`: journaled at LSN {next}\n")
+    );
+    let fact = WalRecord::FactBatch {
+        rows: vec![FactRow {
+            coords: vec![cs.paul],
+            at: Instant::ym(2004, 2),
+            values: vec![5.0],
+        }],
+    };
+    assert_eq!(
+        client.commit(&fact).unwrap(),
+        next + 1,
+        "the next commit follows"
+    );
+
+    let handle = server.follower_handle().expect("follower attached");
+    {
+        let mut f = handle.lock().unwrap();
+        let TailSource::Frames(frames) = WalTailer::new(&dir)
+            .fetch_budget(f.next_lsn(), u64::MAX, 64, usize::MAX)
+            .unwrap()
+        else {
+            panic!("nothing is pruned: the tail ships as frames");
+        };
+        let epoch = f.epoch();
+        f.handle(ReplicaMsg::Frames { epoch, frames }).unwrap();
+        let primary = group.with_store(|s| snapshot(s.schema()));
+        assert_eq!(snapshot(f.schema().unwrap()), primary, "replayed split");
+    }
+    assert_eq!(
+        client.read_at(next + 1, "SHOW LOG").unwrap(),
+        client.query("SHOW LOG").unwrap()
+    );
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}
+
+/// A fenced primary refuses an evolution statement exactly as it
+/// refuses a `commit`; a bad name is a query error, before any commit.
+#[test]
+fn a_fenced_primary_refuses_a_statement_as_it_refuses_a_commit() {
+    let dir = tmp("evolve_fenced");
+    let cs = case_study();
+    let store = DurableTmd::create(&dir, cs.tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let server =
+        SessionServer::spawn(&local_addr(), group.clone(), ServerOptions::default()).unwrap();
+    let mut client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+    match client.query("DELETE Org 'Dpt.Nobody' AT 01/2004") {
+        Err(ServerError::Query(e)) => {
+            assert_eq!(e, "unknown member `Dpt.Nobody` in dimension `Org`");
+        }
+        other => panic!("expected a query error, got {other:?}"),
+    }
+
+    group.fence(group.epoch() + 1);
+    let head = group.wal_position();
+    let committed = client.commit(&WalRecord::Delete {
+        dim: cs.org,
+        id: cs.smith,
+        at: Instant::ym(2004, 1),
+    });
+    let Err(ServerError::Commit(refusal)) = committed else {
+        panic!("a fenced primary must refuse a commit, got {committed:?}");
+    };
+    // The same typed refusal is the same `err commit` frame.
+    match client.query(SPLIT) {
+        Err(ServerError::Commit(e)) => assert_eq!(e, refusal),
+        other => panic!("expected the commit refusal, got {other:?}"),
+    }
+    assert_eq!(group.wal_position(), head, "nothing journaled");
+
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fleet primary commits an evolution statement itself: the
+/// forward count does not move and the member never sees it.
+#[test]
+fn a_fleet_primary_never_forwards_an_evolution() {
+    let dir = tmp("evolve_fleet");
+    let store = DurableTmd::create(&dir, case_study().tmd).unwrap();
+    let group = GroupCommit::new(store, GroupConfig::default());
+    let member =
+        SessionServer::spawn(&local_addr(), group.clone(), ServerOptions::default()).unwrap();
+    group.member_synced("m1", group.wal_position());
+    let fleet = vec![FleetMember {
+        name: "m1".to_string(),
+        addr: member.addr().clone(),
+    }];
+    let primary = SessionServer::spawn_with_fleet(
+        &local_addr(),
+        group.clone(),
+        fleet,
+        NetConfig::default(),
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let mut client = SessionClient::connect(primary.addr().clone(), NetConfig::default());
+    let next = group.wal_position();
+    let reclassify = "RECLASSIFY Org 'Dpt.Brian' FROM 'R&D' TO 'Sales' AT 01/2004";
+    assert_eq!(
+        client.query(reclassify).unwrap(),
+        format!("reclassified `Dpt.Brian` to `Sales`: journaled at LSN {next}\n")
+    );
+    assert_eq!(primary.pool_stats().forwarded, 0, "not forwarded");
+    assert_eq!(member.pool_stats().served, 0, "the member never saw it");
 
     drop(primary);
     drop(member);

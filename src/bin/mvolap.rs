@@ -24,8 +24,10 @@
 //! are sessions of their own server). The metadata verbs `\svs`,
 //! `\dims`, `\measures`, `\log`, `\dot`, `\quality`, `\grid` and
 //! `\status` are aliases of `SHOW` statements, so both backends answer
-//! them. The evolution verbs (`\create`, `\rename`, `\delete`) and the
-//! file verbs (`\save`, `\export`) run on the local backend only;
+//! them. So are the evolution verbs `\create`, `\rename` and
+//! `\delete`, of the `CREATE`, `RENAME` and `DELETE` statements: every
+//! backend runs Table 11's operators, journaled on a store or a server.
+//! The file verbs (`\save`, `\export`) run on the local backend only;
 //! `\join` and `\leave` on a `--cluster` console only.
 
 use std::io::Write;
@@ -35,13 +37,12 @@ use std::time::Duration;
 
 use mvolap::cluster::{LocalCluster, PumpConfig};
 use mvolap::core::case_study::{case_study, case_study_two_measures};
-use mvolap::core::{DimensionId, ExecContext, MemberVersionId, QueryMemo, Tmd};
+use mvolap::core::{ExecContext, QueryMemo, Tmd};
 use mvolap::durable::{CheckpointId, DurableError, DurableTmd, GroupCommit};
-use mvolap::durable::{GroupConfig, Io, Options, WalRecord};
-use mvolap::query::render_answer;
+use mvolap::durable::{GroupConfig, Io, Options};
+use mvolap::query::{parse_statement, render_statement, Evolve, Statement, OPERATORS};
 use mvolap::replica::{sync_follower, Follower, NetAddr, NetClient, NetConfig, ReplicaError};
 use mvolap::server::{quorum_figure, ServerOptions, SessionClient, SessionServer};
-use mvolap::temporal::Instant;
 
 /// The local backend: the schema in this process, in plain memory or
 /// in a durable WAL+checkpoint store whose every evolution is journaled.
@@ -58,10 +59,12 @@ impl Session {
         }
     }
 
-    /// Runs one evolution record: journaled (validate → WAL append +
-    /// fsync → apply) on a durable store, applied directly in memory.
-    fn evolve(&mut self, record: WalRecord) -> Result<String, String> {
-        match self {
+    /// Runs an evolution statement: its names resolve against the
+    /// schema, then its record is journaled (validate → WAL append +
+    /// fsync → apply) on a durable store, or applied in memory.
+    fn evolve(&mut self, e: &Evolve) -> Result<String, String> {
+        let record = e.resolve(self.tmd()).map_err(|e| e.to_string())?;
+        let done = match self {
             Session::Memory(tmd) => record
                 .apply(tmd)
                 .map(|()| "applied (in-memory; use --store DIR to journal)".to_string())
@@ -70,7 +73,8 @@ impl Session {
                 .apply(record)
                 .map(|lsn| format!("journaled at LSN {lsn}"))
                 .map_err(|e| e.to_string()),
-        }
+        };
+        Ok(format!("{}: {}\n", e.describe(), done?))
     }
 }
 
@@ -81,13 +85,18 @@ enum Backend {
 }
 
 impl Backend {
+    /// Runs a statement: locally an evolution resolves against the
+    /// schema and runs through [`Session::evolve`], and everything else
+    /// renders; a server does both on its side.
     fn answer(&mut self, text: &str) -> Result<String, String> {
-        match self {
-            Backend::Local(s) => {
-                render_answer(s.tmd(), text, &ExecContext::sequential(), &QueryMemo::new())
-                    .map_err(|e| e.to_string())
-            }
-            Backend::Remote(client) => client.query(text).map_err(|e| e.to_string()),
+        let s = match self {
+            Backend::Local(s) => s,
+            Backend::Remote(client) => return client.query(text).map_err(|e| e.to_string()),
+        };
+        match parse_statement(text).map_err(|e| e.to_string())? {
+            Statement::Evolve(e) => s.evolve(&e),
+            st => render_statement(s.tmd(), &st, &ExecContext::sequential(), &QueryMemo::new())
+                .map_err(|e| e.to_string()),
         }
     }
 }
@@ -116,7 +125,8 @@ enum Step {
 enum Action {
     Quit,
     Help,
-    /// Runs this statement with the verb's arguments appended.
+    /// Runs this statement: its `{}`s filled with the verb's arguments
+    /// (see [`fill`]), or with them appended when it has none.
     Show(&'static str),
     /// Runs on the local backend only.
     Local(fn(&mut Session, &[&str]) -> Result<String, String>),
@@ -139,9 +149,9 @@ const VERBS: &[Verb] = &[
     Verb("quality QUERY", "quality factor of QUERY per mode", Action::Show("SHOW QUALITY")),
     Verb("grid QUERY", "result as a pivot grid (time × members)", Action::Show("SHOW GRID")),
     Verb("status", "a server's pool, memo, quorum and followers", Action::Show("SHOW STATUS")),
-    Verb("create DIM NAME LEVEL PARENT YYYY-MM", "insert a member", Action::Local(create)),
-    Verb("rename DIM MEMBER NEW_NAME YYYY-MM", "transform a member", Action::Local(rename)),
-    Verb("delete DIM MEMBER YYYY-MM", "exclude a member", Action::Local(delete)),
+    Verb("create DIM NAME LEVEL PARENT YYYY-MM", "insert a member", Action::Show("CREATE {} {} LEVEL {} UNDER {} AT {}")),
+    Verb("rename DIM MEMBER NEW_NAME YYYY-MM", "transform a member", Action::Show("RENAME {} {} TO {} AT {}")),
+    Verb("delete DIM MEMBER YYYY-MM", "exclude a member", Action::Show("DELETE {} {} AT {}")),
     Verb("save [FILE]", "save the schema, or checkpoint --store", Action::Local(save)),
     Verb("export DIR", "export the MultiVersion warehouse tables", Action::Local(export)),
     Verb("join NAME=ADDR", "add a member to the group", Action::Member(true)),
@@ -201,14 +211,24 @@ impl Shell {
                     let scope = v.scope().map(|s| format!(" (on {s} only)"));
                     writeln!(out, "\\{:<37} {}{}", v.0, v.1, scope.unwrap_or_default())?;
                 }
-                writeln!(out, "anything else runs as a statement: SELECT … | SHOW …")?;
+                let ops: Vec<&str> = OPERATORS.iter().map(|op| op.keyword).collect();
+                let ops = ops.join(" | ");
+                writeln!(
+                    out,
+                    "anything else runs as a statement: SELECT … | SHOW … | {ops} …"
+                )?;
                 Ok(Step::Done)
             }
             (Action::Show(statement), backend, console) => {
                 if let (Some(Console::Cluster(group)), "status") = (console, word) {
                     membership(group, out)?;
                 }
-                report(backend.answer(&format!("{statement} {rest}")), out)
+                let text = if statement.contains("{}") {
+                    fill(statement, verb.0, &args)
+                } else {
+                    format!("{statement} {rest}")
+                };
+                report(backend.answer(&text), out)
             }
             (Action::Local(f), Backend::Local(session), _) => report(f(session, &args), out),
             (Action::Member(join), _, Some(Console::Cluster(group))) => {
@@ -641,38 +661,6 @@ fn reconfigure(
     Ok(Step::Done)
 }
 
-fn create(s: &mut Session, a: &[&str]) -> Result<String, String> {
-    let (dim, parent, at) = member_at(s.tmd(), a[0], a[3], a[4])?;
-    let (name, level, parents) = (a[1].to_string(), Some(a[2].to_string()), vec![parent]);
-    let msg = s.evolve(WalRecord::Create {
-        dim,
-        name,
-        level,
-        at,
-        parents,
-    })?;
-    Ok(format!("created `{}`: {msg}\n", a[1]))
-}
-
-fn rename(s: &mut Session, a: &[&str]) -> Result<String, String> {
-    let (dim, id, at) = member_at(s.tmd(), a[0], a[1], a[3])?;
-    let (new_name, new_attributes) = (a[2].to_string(), Default::default());
-    let msg = s.evolve(WalRecord::Transform {
-        dim,
-        id,
-        new_name,
-        new_attributes,
-        at,
-    })?;
-    Ok(format!("renamed `{}` to `{}`: {msg}\n", a[1], a[2]))
-}
-
-fn delete(s: &mut Session, a: &[&str]) -> Result<String, String> {
-    let (dim, id, at) = member_at(s.tmd(), a[0], a[1], a[2])?;
-    let msg = s.evolve(WalRecord::Delete { dim, id, at })?;
-    Ok(format!("deleted `{}`: {msg}\n", a[1]))
-}
-
 fn save(s: &mut Session, a: &[&str]) -> Result<String, String> {
     match (a.first(), s) {
         (Some(path), s) => mvolap::core::persist::save_tmd(s.tmd(), Path::new(path))
@@ -700,27 +688,22 @@ fn checkpointed(id: &CheckpointId) -> String {
     format!("checkpoint at generation {generation}, next LSN {lsn}")
 }
 
-/// Resolves the `YYYY-MM` instant `at`, then a dimension and the member
-/// of it valid at `at` (or just before it, so evolutions taking effect
-/// *at* the instant still find their target).
-fn member_at(
-    tmd: &Tmd,
-    dim: &str,
-    name: &str,
-    at: &str,
-) -> Result<(DimensionId, MemberVersionId, Instant), String> {
-    let (y, m) = at
-        .split_once('-')
-        .ok_or_else(|| format!("`{at}` is not a YYYY-MM instant"))?;
-    let year: i32 = y.parse().map_err(|_| format!("bad year in `{at}`"))?;
-    let month: u32 = m.parse().map_err(|_| format!("bad month in `{at}`"))?;
-    if !(1..=12).contains(&month) {
-        return Err(format!("month out of range in `{at}`"));
+/// A verb's statement with its `{}`s filled by the arguments in
+/// order, each written as the statement reads the usage word it stands
+/// for: a dimension or level as is, `YYYY-MM` as `MM/YYYY`, and
+/// anything else as a quoted member name.
+fn fill(statement: &str, usage: &str, args: &[&str]) -> String {
+    let mut pieces = statement.split("{}");
+    let mut text = pieces.next().unwrap_or_default().to_owned();
+    for ((word, arg), piece) in usage.split(' ').skip(1).zip(args).zip(pieces) {
+        match (word, arg.split_once('-')) {
+            ("DIM" | "LEVEL", _) | ("YYYY-MM", None) => text += arg,
+            ("YYYY-MM", Some((year, month))) => text += &format!("{month}/{year}"),
+            _ => text += &format!("'{}'", arg.replace('\'', "''")),
+        }
+        text += piece;
     }
-    let at = Instant::ym(year, month);
-    let dim = tmd.dimension_by_name(dim).map_err(|e| e.to_string())?;
-    let id = mvolap::etl::load::resolve(tmd, dim, name, at).map_err(|e| e.to_string())?;
-    Ok((dim, id, at))
+    text
 }
 
 #[cfg(test)]
@@ -748,6 +731,9 @@ mod tests {
             let Action::Show(statement) = verb.2 else {
                 continue;
             };
+            if statement.contains("{}") {
+                continue;
+            }
             let (name, arg) = match verb.0.split_once(' ') {
                 Some((name, "QUERY")) => (name, q),
                 Some((name, _)) => (name, "Org"),
@@ -776,10 +762,6 @@ mod tests {
             console: None,
         };
         for (line, scope) in [
-            (
-                "\\create Org Dpt.X Department R&D 2004-01",
-                "the local backend",
-            ),
             ("\\save", "the local backend"),
             ("\\export out", "the local backend"),
             ("\\leave m1", "a --cluster console"),
@@ -790,5 +772,136 @@ mod tests {
                 format!("error: {verb} runs on {scope} only\n")
             );
         }
+    }
+
+    /// Each evolution verb prints what its statement prints, with its
+    /// arguments in the order they always took.
+    #[test]
+    fn every_evolution_alias_runs_its_statement() {
+        let shell = || Shell {
+            backend: Backend::Local(Session::Memory(Box::new(case_study().tmd))),
+            console: None,
+        };
+        let applied = ": applied (in-memory; use --store DIR to journal)\n";
+        for (alias, statement, answer) in [
+            (
+                "\\create Org Dpt.O'Neil Department R&D 2004-01",
+                "CREATE Org 'Dpt.O''Neil' LEVEL Department UNDER 'R&D' AT 01/2004",
+                "created `Dpt.O'Neil`",
+            ),
+            (
+                "\\rename Org Dpt.Smith Dpt.Smyth 2004-01",
+                "RENAME Org 'Dpt.Smith' TO 'Dpt.Smyth' AT 1/2004",
+                "renamed `Dpt.Smith` to `Dpt.Smyth`",
+            ),
+            (
+                "\\delete Org Dpt.Bill 2004-01",
+                "delete Org 'Dpt.Bill' at 01/2004;",
+                "deleted `Dpt.Bill`",
+            ),
+        ] {
+            let (mut by_alias, mut by_statement) = (shell(), shell());
+            assert_eq!(run(&mut by_alias, alias), format!("{answer}{applied}"));
+            assert_eq!(
+                run(&mut by_statement, statement),
+                format!("{answer}{applied}")
+            );
+            assert_eq!(
+                run(&mut by_alias, "SHOW LOG"),
+                run(&mut by_statement, "SHOW LOG")
+            );
+        }
+    }
+
+    /// One statement of each of the ten operator kinds runs on the
+    /// in-memory, `--store` and `--connect` backends, to the same
+    /// evolution log; a store and a server journal at the same LSNs.
+    #[test]
+    fn every_operator_runs_on_every_backend() {
+        const STATEMENTS: [&str; 10] = [
+            "CREATE Org 'Dpt.New' LEVEL Department UNDER 'Sales' AT 01/2004",
+            "RENAME Org 'Dpt.New' TO 'Dpt.Newer' WITH site = 'Lyon' AT 02/2004",
+            "MERGE Org 'Dpt.Bill' 0.5, 'Dpt.Paul' INTO 'Dpt.BP' UNDER 'Sales' AT 01/2004",
+            "SPLIT Org 'Dpt.Smith' INTO 'Dpt.S1' 0.3, 'Dpt.S2' 0.7 UNDER 'R&D' AT 01/2004",
+            "RECLASSIFY Org 'Dpt.Brian' FROM 'R&D' TO 'Sales' AT 01/2004",
+            "ASSOCIATE Org 'Dpt.S1' TO 'Dpt.Newer' FORWARD 's0.5@am' BACKWARD 'u@uk' AT 03/2004",
+            "CONFIDENCE Org 'Dpt.Jones' TO 'Dpt.Bill' FORWARD 's0.45@am' BACKWARD 'id@em' AT 01/2003",
+            "INCREASE Org 'Dpt.Brian' TO 'Dpt.Brian+' BY 2 UNDER 'Sales' AT 06/2004",
+            "DECREASE Org 'Dpt.S1' TO 'Dpt.S1-' KEEP 0.5 UNDER 'R&D' AT 06/2004",
+            "DELETE Org 'Dpt.S2' AT 06/2004",
+        ];
+        let dir = std::env::temp_dir().join(format!("mvolap-shell-ops-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = |name: &str| {
+            let store = DurableTmd::create_with(
+                &dir.join(name),
+                case_study().tmd,
+                Options::default(),
+                Io::plain(),
+            );
+            store.unwrap()
+        };
+        let group = GroupCommit::new(store("server"), GroupConfig::default());
+        let addr = NetAddr::parse("127.0.0.1:0").unwrap();
+        let server = SessionServer::spawn(&addr, group, ServerOptions::default()).unwrap();
+        let client = SessionClient::connect(server.addr().clone(), NetConfig::default());
+        let mut shells = [
+            Backend::Local(Session::Memory(Box::new(case_study().tmd))),
+            Backend::Local(Session::Durable(Box::new(store("local")))),
+            Backend::Remote(client),
+        ]
+        .map(|backend| Shell {
+            backend,
+            console: None,
+        });
+        let mut answers: [Vec<String>; 3] = Default::default();
+        for statement in STATEMENTS {
+            for (shell, answers) in shells.iter_mut().zip(&mut answers) {
+                let answer = run(shell, statement);
+                assert!(!answer.starts_with("error"), "{statement}: {answer}");
+                answers.push(answer);
+            }
+        }
+        assert!(answers[0]
+            .iter()
+            .all(|a| a.ends_with(": applied (in-memory; use --store DIR to journal)\n")));
+        assert_eq!(answers[1], answers[2], "a store and a server journal alike");
+        assert_eq!(answers[1][9], "deleted `Dpt.S2`: journaled at LSN 11\n");
+        let logs = shells.each_mut().map(|shell| run(shell, "SHOW LOG"));
+        assert_eq!(logs[0], logs[1]);
+        assert_eq!(logs[1], logs[2]);
+        drop(shells);
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The evolution verbs run on a session server as on a store: the
+    /// server resolves the names and journals the record.
+    #[test]
+    fn evolution_verbs_run_on_the_remote_backend() {
+        let dir = std::env::temp_dir().join(format!("mvolap-shell-remote-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store =
+            DurableTmd::create_with(&dir, case_study().tmd, Options::default(), Io::plain());
+        let group = GroupCommit::new(store.unwrap(), GroupConfig::default());
+        let addr = NetAddr::parse("127.0.0.1:0").unwrap();
+        let server = SessionServer::spawn(&addr, group, ServerOptions::default()).unwrap();
+        let mut shell = Shell {
+            backend: Backend::Remote(SessionClient::connect(
+                server.addr().clone(),
+                NetConfig::default(),
+            )),
+            console: None,
+        };
+        assert_eq!(
+            run(&mut shell, "\\create Org Dpt.X Department R&D 2004-01"),
+            "created `Dpt.X`: journaled at LSN 2\n"
+        );
+        assert_eq!(
+            run(&mut shell, "\\delete Org Dpt.Nobody 2004-01"),
+            "error: query failed: unknown member `Dpt.Nobody` in dimension `Org`\n"
+        );
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
